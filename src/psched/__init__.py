@@ -5,7 +5,7 @@ Library layout:
 - ``core``       instances, schedules, chains, validity checks
 - ``transform``  horizon padding, discard re-insertion, makespan search
 - ``baselines``  Graham list scheduling, capacity-constrained variant, exact oracle
-- ``dyadic``     parameters, interval tree, job-to-interval systems, split procedures
+- ``dyadic``     parameters, interval tree, job-to-interval systems, the split loop
 - ``convert``    conversions between valid and virtually-valid schedules
 - ``solver``     the recursive guessing solver and its hinted replay mode
 - ``cli``        file formats, instance generators, command-line front end

@@ -63,7 +63,8 @@ class SolveOutcome:
     nodes: int
 
 
-def _restrict(sched: Schedule, n: int) -> Schedule:
+def _originals(sched: Schedule, n: int) -> Schedule:
+    """The schedule of the first ``n`` jobs, dropping padding jobs."""
     return Schedule(T=sched.T, assign=sched.assign[:n])
 
 
@@ -73,14 +74,15 @@ def _solve_at_horizon(
     eps: Fraction,
     overrides: dict,
     budget: Budget,
-    hinted: bool,
-    limit: int = EXACT_OPT_LIMIT,
+    oracle: tuple[int, Schedule] | None,
 ) -> SolveOutcome | None:
+    """Solve at one horizon; with ``oracle`` (the result of ``exact_opt``),
+    replay the splits of its schedule instead of enumerating."""
     target = max(horizon, 2)
     padded, T2, _pads = pad_to_power_of_two(inst, target)
     params = compute_params(T2, inst.m, eps, overrides=overrides or None)
-    if hinted:
-        opt, best = exact_opt(inst, limit=limit)
+    if oracle is not None:
+        opt, best = oracle
         if opt > horizon:
             return None
         assign: list[Slot] = list(best.assign)
@@ -95,23 +97,23 @@ def _solve_at_horizon(
         sys_out, virtual = main_solve(padded, params, budget=budget)
     canon = canonicalize(padded, sys_out, virtual, params)
     valid = virtually_valid_to_valid(padded, sys_out, canon, params)
-    valid_orig = _restrict(valid, inst.n)
+    valid_orig = _originals(valid, inst.n)
     return SolveOutcome(
         horizon=horizon,
         padded_T=T2,
-        virtual=_restrict(virtual, inst.n),
+        virtual=_originals(virtual, inst.n),
         valid=valid_orig,
         discards=valid_orig.discard_count,
         nodes=budget.nodes,
     )
 
 
-def _search_horizon(inst, eps, overrides, budget, hinted, limit=EXACT_OPT_LIMIT):
+def _search_horizon(inst, eps, overrides, budget, oracle):
     """Minimal horizon whose converted schedule discards nothing."""
     outcomes: dict[int, SolveOutcome] = {}
 
     def attempt(T0: int) -> Schedule | None:
-        got = _solve_at_horizon(inst, T0, eps, overrides, budget, hinted, limit)
+        got = _solve_at_horizon(inst, T0, eps, overrides, budget, oracle)
         if got is None or got.discards:
             return None
         outcomes[T0] = got
@@ -153,21 +155,21 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _common_solve(args) -> SolveOutcome:
-    inst = io.read_instance(args.instance)
+def _common_solve(args, inst: Instance) -> SolveOutcome:
     overrides = _parse_overrides(args.param_override)
     budget = Budget(limit=args.budget)
     eps = Fraction(args.epsilon)
+    oracle = exact_opt(inst) if args.hinted else None
     if args.horizon is not None:
-        got = _solve_at_horizon(inst, args.horizon, eps, overrides, budget, args.hinted)
+        got = _solve_at_horizon(inst, args.horizon, eps, overrides, budget, oracle)
         if got is None:
             raise NoSolution(f"no zero-discard reference at horizon {args.horizon}")
         return got
-    return _search_horizon(inst, eps, overrides, budget, args.hinted)
+    return _search_horizon(inst, eps, overrides, budget, oracle)
 
 
 def cmd_solve(args) -> int:
-    got = _common_solve(args)
+    got = _common_solve(args, io.read_instance(args.instance))
     _emit(io.format_schedule(got.virtual), args.out)
     print(
         f"horizon {got.horizon} padded {got.padded_T}: "
@@ -180,7 +182,7 @@ def cmd_solve(args) -> int:
 
 def cmd_pipeline(args) -> int:
     inst = io.read_instance(args.instance)
-    got = _common_solve(args)
+    got = _common_solve(args, inst)
     final = insert_discarded(inst, got.valid)
     _emit(io.format_schedule(final), args.out)
     report = verify_valid(inst, final)
@@ -200,12 +202,12 @@ def cmd_bench(args) -> int:
         inst, edges = gen_instance(args.family, args.n, args.m, args.density, seed)
         name = f"{args.family}-n{args.n}-m{args.m}-s{seed}"
         start = time.perf_counter()
-        opt, _ = exact_opt(inst)
+        opt, best = exact_opt(inst)
         graham = graham_list(inst).makespan
         budget = Budget(limit=args.budget)
         got = _solve_at_horizon(
             inst, opt, Fraction(args.epsilon), _parse_overrides(args.param_override),
-            budget, hinted=True,
+            budget, (opt, best),
         )
         final = insert_discarded(inst, got.valid)
         wall_ms = (time.perf_counter() - start) * 1000

@@ -11,7 +11,7 @@ scheduling.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator
 
 from .baselines import CapacityProfile, capacity_list_schedule
 from .core import (
@@ -89,8 +89,48 @@ def valid_to_virtually_valid(
     return Schedule(T=sched.T, assign=tuple(assign))
 
 
-def _side_of(owner: Mapping[int, Interval], slot: int, j: int) -> str:
-    return "L" if slot in owner[j].left else "R"
+class _TopOrder:
+    """The weak orders a canonical schedule keeps on its scheduled top jobs.
+
+    Precedence, and within one owning interval and side of its center the
+    key (window boundary on that side, chain depth among the owner's
+    scheduled top jobs).  ``slot`` is a copy the swap loop may edit.
+    """
+
+    def __init__(self, inst: Instance, sys: PartialDyadicSystem, sched: Schedule,
+                 params: Params) -> None:
+        self.inst = inst
+        self.win = windows(inst, sys, params)
+        self.owner = sys.owner_of()
+        self.jobs = sorted(j for j in self.win if sched.assign[j] is not None)
+        self.slot: dict[int, int] = {j: sched.assign[j] for j in self.jobs}
+        by_interval: dict[Interval, list[int]] = {}
+        for j in self.jobs:
+            by_interval.setdefault(self.owner[j], []).append(j)
+        self.depth: dict[int, int] = {}
+        for members in by_interval.values():
+            self.depth.update(chain_depths(inst, mask_from(members)))
+
+    def side(self, j: int) -> str:
+        return "L" if self.slot[j] in self.owner[j].left else "R"
+
+    def side_less(self, a: int, b: int) -> bool:
+        if self.owner[a] != self.owner[b] or self.side(a) != self.side(b):
+            return False
+        k = 0 if self.side(a) == "L" else 1
+        return (self.win[a][k], self.depth[a]) < (self.win[b][k], self.depth[b])
+
+    def out_of_order(self) -> Iterator[tuple[str, int, int]]:
+        """Pairs (kind, x, y) with x ordered before y but slotted after it:
+        every precedence pair, then every side pair, by ascending ids."""
+        slot = self.slot
+        for kind, less in (("precedence", self.inst.precedes), ("side", self.side_less)):
+            for i, a in enumerate(self.jobs):
+                for b in self.jobs[i + 1 :]:
+                    if less(a, b) and slot[a] > slot[b]:
+                        yield kind, a, b
+                    elif less(b, a) and slot[b] > slot[a]:
+                        yield kind, b, a
 
 
 def _canonicalize(
@@ -100,57 +140,20 @@ def _canonicalize(
     params: Params,
 ) -> tuple[Schedule, int]:
     """Swap loop of the canonicalization; returns the fixpoint and swap count."""
-    win = windows(inst, sys, params)
-    owner = sys.owner_of()
-    scheduled_top = sorted(
-        j for j in win if sched.assign[j] is not None
-    )
-    depth_key: dict[int, int] = {}
-    by_interval: dict[Interval, list[int]] = {}
-    for j in scheduled_top:
-        by_interval.setdefault(owner[j], []).append(j)
-    for iv, members in by_interval.items():
-        depths = chain_depths(inst, mask_from(members))
-        depth_key.update(depths)
-
-    slot: dict[int, int] = {j: sched.assign[j] for j in scheduled_top}
-
-    def side(j: int) -> str:
-        return _side_of(owner, slot[j], j)
-
-    def side_less(a: int, b: int) -> bool:
-        if owner[a] != owner[b] or side(a) != side(b):
-            return False
-        ka = (win[a][0], depth_key[a]) if side(a) == "L" else (win[a][1], depth_key[a])
-        kb = (win[b][0], depth_key[b]) if side(b) == "L" else (win[b][1], depth_key[b])
-        return ka < kb
+    order = _TopOrder(inst, sys, sched, params)
+    jobs, win, owner, slot = order.jobs, order.win, order.owner, order.slot
 
     def dif_vector() -> tuple[int, int, int]:
-        d1 = sum(owner[j].length * abs(slot[j] - owner[j].center) for j in scheduled_top)
-        sides = {j: 0 if side(j) == "L" else 1 for j in scheduled_top}
-        d2 = count_inversions(scheduled_top, inst.precedes, sides)
-        d3 = count_inversions(scheduled_top, side_less, slot)
+        d1 = sum(owner[j].length * abs(slot[j] - owner[j].center) for j in jobs)
+        sides = {j: 0 if order.side(j) == "L" else 1 for j in jobs}
+        d2 = count_inversions(jobs, inst.precedes, sides)
+        d3 = count_inversions(jobs, order.side_less, slot)
         return d1, d2, d3
-
-    def find_violation() -> tuple[int, int] | None:
-        for i, a in enumerate(scheduled_top):
-            for b in scheduled_top[i + 1 :]:
-                if inst.precedes(a, b) and slot[a] > slot[b]:
-                    return a, b
-                if inst.precedes(b, a) and slot[b] > slot[a]:
-                    return b, a
-        for i, a in enumerate(scheduled_top):
-            for b in scheduled_top[i + 1 :]:
-                if side_less(a, b) and slot[a] > slot[b]:
-                    return a, b
-                if side_less(b, a) and slot[b] > slot[a]:
-                    return b, a
-        return None
 
     swaps = 0
     rank = dif_vector()
-    while (pair := find_violation()) is not None:
-        a, b = pair
+    while (pair := next(order.out_of_order(), None)) is not None:
+        _, a, b = pair
         slot[a], slot[b] = slot[b], slot[a]
         swaps += 1
         for j in (a, b):
@@ -191,29 +194,10 @@ def canonical_violations(
     params: Params,
 ) -> list[str]:
     """Pairs breaking the weak-order conditions of a canonical schedule."""
-    win = windows(inst, sys, params)
-    owner = sys.owner_of()
-    scheduled_top = sorted(j for j in win if sched.assign[j] is not None)
-    out = []
-    depth_key: dict[int, int] = {}
-    by_interval: dict[Interval, list[int]] = {}
-    for j in scheduled_top:
-        by_interval.setdefault(owner[j], []).append(j)
-    for members in by_interval.values():
-        depth_key.update(chain_depths(inst, mask_from(members)))
-    for i, a in enumerate(scheduled_top):
-        for b in scheduled_top[i + 1 :]:
-            for x, y in ((a, b), (b, a)):
-                if inst.precedes(x, y) and sched.assign[x] > sched.assign[y]:
-                    out.append(f"precedence pair ({x}, {y}) out of order")
-                if owner[x] == owner[y]:
-                    sx = _side_of(owner, sched.assign[x], x)
-                    if sx == _side_of(owner, sched.assign[y], y):
-                        kx = (win[x][0 if sx == "L" else 1], depth_key[x])
-                        ky = (win[y][0 if sx == "L" else 1], depth_key[y])
-                        if kx < ky and sched.assign[x] > sched.assign[y]:
-                            out.append(f"side pair ({x}, {y}) out of order")
-    return out
+    return [
+        f"{kind} pair ({x}, {y}) out of order"
+        for kind, x, y in _TopOrder(inst, sys, sched, params).out_of_order()
+    ]
 
 
 def virtually_valid_to_valid(

@@ -170,19 +170,7 @@ def build_instance(n: int, m: int, edges: Iterable[tuple[int, int]]) -> Instance
 
 def longest_chain(inst: Instance, jobs: JobSet) -> int:
     """Length (job count) of the longest precedence chain inside ``jobs``."""
-    best = 0
-    depth: dict[int, int] = {}
-    for j in inst.topo:
-        if jobs >> j & 1:
-            d = 1
-            for i in iter_jobs(inst.pred[j] & jobs):
-                di = depth[i] + 1
-                if di > d:
-                    d = di
-            depth[j] = d
-            if d > best:
-                best = d
-    return best
+    return max(chain_depths(inst, jobs).values(), default=0)
 
 
 def chain_depths(inst: Instance, jobs: JobSet) -> dict[int, int]:

@@ -1,5 +1,7 @@
 """Global parameters, the dyadic interval tree, job-to-interval systems,
-windows for top jobs, and the two splitting procedures that drive the solver.
+windows for top jobs, and the one split loop that drives the solver.  The
+loop picks each pivot's side from a guess vector (replay, ``push_down``)
+or from a reference schedule (record, ``system_from_schedule``).
 
 A (partial) system assigns jobs to tree intervals under a root so that
 chain lengths stay small on top intervals, middle intervals are empty, and
@@ -11,7 +13,7 @@ owning intervals.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -231,21 +233,10 @@ class DyadicTree:
             Interval(b, b + size) for b in range(root.begin, root.end, size)
         )
 
-    def rel_below(self, root: Interval, k: int) -> list[Interval]:
-        """Intervals of relative level < k inside ``root``."""
-        out: list[Interval] = []
-        for kk in range(k):
-            out.extend(self.rel_level(root, kk))
-        return out
-
 
 @lru_cache(maxsize=None)
 def tree_for(params: Params) -> DyadicTree:
     return DyadicTree(T=params.T, L=params.L, hp=params.hp)
-
-
-def tree_levels(params: Params) -> list[tuple[Interval, ...]]:
-    return tree_for(params).levels()
 
 
 def chain_bound(params: Params, kind: str, interval_len: int, count: int) -> Fraction:
@@ -507,6 +498,45 @@ def _select_pivot(inst: Instance, jobs: JobSet, threshold: Fraction) -> int:
     raise AssertionError("no eligible pivot; split loop invariant broken")
 
 
+def _split(
+    inst: Instance,
+    iv: Interval,
+    jobs: JobSet,
+    params: Params,
+    side_of: Callable[[int, int], str],
+) -> tuple[JobSet, JobSet, JobSet, Guesses]:
+    """The split loop shared by ``push_down`` and ``system_from_schedule``.
+
+    Repeatedly picks the pivot of an over-long chain and asks ``side_of(q,
+    pivot)`` for the side of the q-th pivot: 'L' moves the pivot with its
+    predecessors left, 'R' moves it with its successors right, until the
+    chain length of the remainder fits the interval's budget.  Returns
+    (stay, to-left, to-right, sides chosen).
+    """
+    kind = tree_for(params).kind(iv)
+    if kind == BOT:
+        raise ValueError("the split loop applies to top and middle intervals only")
+    stay = jobs
+    k_left = 0
+    k_right = 0
+    sides: list[str] = []
+    while True:
+        bound = chain_bound(params, kind, iv.length, job_count(stay))
+        if longest_chain(inst, stay) <= bound:
+            break
+        j = _select_pivot(inst, stay, bound / 2 - 1)
+        side = side_of(len(sides), j)
+        sides.append(side)
+        if side == LEFT:
+            moved = (1 << j) | (inst.pred[j] & stay)
+            k_left |= moved
+        else:
+            moved = (1 << j) | (inst.succ[j] & stay)
+            k_right |= moved
+        stay &= ~moved
+    return stay, k_left, k_right, tuple(sides)
+
+
 def push_down(
     inst: Instance,
     iv: Interval,
@@ -516,35 +546,17 @@ def push_down(
 ) -> tuple[JobSet, JobSet, JobSet]:
     """Split ``jobs`` into (stay, to-left, to-right) following a guess vector.
 
-    Repeatedly picks the pivot of an over-long chain; entry 'L' moves the
-    pivot with its predecessors left, 'R' moves it with its successors
-    right, until the chain length of the remainder fits the interval's
-    budget.  Raises ``GuessExhausted`` when the vector is shorter than the
-    number of iterations required (callers treat that as a pruned guess).
+    Runs the split loop with the q-th pivot's side read from ``guesses[q]``.
+    Raises ``GuessExhausted`` when the vector is shorter than the number of
+    iterations required (callers treat that as a pruned guess).
     """
-    tree = tree_for(params)
-    kind = tree.kind(iv)
-    if kind == BOT:
-        raise ValueError("push_down applies to top and middle intervals only")
-    stay = jobs
-    k_left = 0
-    k_right = 0
-    q = 0
-    while True:
-        bound = chain_bound(params, kind, iv.length, job_count(stay))
-        if longest_chain(inst, stay) <= bound:
-            break
+
+    def side_of(q: int, j: int) -> str:
         if q >= len(guesses):
             raise GuessExhausted(f"needed more than {len(guesses)} guesses at {iv}")
-        j = _select_pivot(inst, stay, bound / 2 - 1)
-        if guesses[q] == LEFT:
-            moved = (1 << j) | (inst.pred[j] & stay)
-            k_left |= moved
-        else:
-            moved = (1 << j) | (inst.succ[j] & stay)
-            k_right |= moved
-        stay &= ~moved
-        q += 1
+        return guesses[q]
+
+    stay, k_left, k_right, _ = _split(inst, iv, jobs, params, side_of)
     return stay, k_left, k_right
 
 
@@ -558,8 +570,8 @@ def system_from_schedule(
     Walks the tree from the root; on each non-bottom interval it runs the
     split loop, deciding each pivot's side by where the schedule put it.
     Returns the system, the per-interval covered sets (all jobs assigned
-    within each interval), and the recorded guess vectors.  The pivot rule
-    matches ``push_down``, so replaying a recorded vector (under any
+    within each interval), and the recorded guess vectors.  The loop is
+    the one ``push_down`` runs, so replaying a recorded vector (under any
     padding) reproduces the same split.
     """
     if sched.discard_count:
@@ -579,29 +591,15 @@ def system_from_schedule(
         if tree.kind(iv) == BOT:
             assign[iv] = pool
             return
-        kind = tree.kind(iv)
-        stay = pool
-        k_left = 0
-        k_right = 0
-        trace: list[str] = []
-        while True:
-            bound = chain_bound(params, kind, iv.length, job_count(stay))
-            if longest_chain(inst, stay) <= bound:
-                break
-            j = _select_pivot(inst, stay, bound / 2 - 1)
+
+        def side_of(q: int, j: int) -> str:
             t = sched.assign[j]
             assert t is not None and t in iv
-            if t in iv.left:
-                trace.append(LEFT)
-                moved = (1 << j) | (inst.pred[j] & stay)
-                k_left |= moved
-            else:
-                trace.append(RIGHT)
-                moved = (1 << j) | (inst.succ[j] & stay)
-                k_right |= moved
-            stay &= ~moved
+            return LEFT if t in iv.left else RIGHT
+
+        stay, k_left, k_right, sides = _split(inst, iv, pool, params, side_of)
         assign[iv] = stay
-        guesses[iv] = tuple(trace)
+        guesses[iv] = sides
         walk(iv.left, k_left)
         walk(iv.right, k_right)
 

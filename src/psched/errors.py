@@ -52,7 +52,3 @@ class BudgetExceeded(RuntimeError):
 
 class BadParams(ValueError):
     """Invalid arguments to an instance generator."""
-
-
-class Infeasible(RuntimeError):
-    """Every solver branch returned no schedule (should be unreachable)."""

@@ -10,7 +10,7 @@ Schedule files::
     sched 1 <n> <T>
     <job> <slot or "disc">
 
-Blank lines and ``#`` comments are ignored on input; writers emit
+Blank lines and ``#`` comments are ignored on input; the formatters emit
 deterministic ascending-job order so files round-trip byte-exactly.
 """
 
@@ -95,16 +95,6 @@ def read_instance(path: str) -> Instance:
         return parse_instance(fh.read())
 
 
-def write_instance(path: str, inst: Instance, direct_edges=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_instance(inst, direct_edges))
-
-
 def read_schedule(path: str) -> Schedule:
     with open(path, encoding="utf-8") as fh:
         return parse_schedule(fh.read())
-
-
-def write_schedule(path: str, sched: Schedule) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_schedule(sched))

@@ -35,6 +35,7 @@ from .dyadic import (
     PartialDyadicSystem,
     Window,
     _window_for,
+    check_virtually_valid,
     full_system,
     push_down,
     system_from_schedule,
@@ -202,35 +203,6 @@ def partition_class_key(
     return tuple(left_ms), tuple(right_ms)
 
 
-def _feasible_warm(
-    inst: Instance,
-    iv: Interval,
-    bottom: JobSet,
-    windows: dict[int, Window],
-    m: int,
-    warm: PartialAssign,
-) -> bool:
-    counts: dict[int, int] = {}
-    for j, t in warm.items():
-        if t is None:
-            continue
-        if t not in iv:
-            return False
-        if windows.get(j) is not None:
-            b, e = windows[j]
-            if not b < t <= e:
-                return False
-        counts[t] = counts.get(t, 0) + 1
-        if counts[t] > m:
-            return False
-    done = [j for j in iter_jobs(bottom) if warm.get(j) is not None]
-    for a in done:
-        for b in done:
-            if inst.precedes(a, b) and warm[a] >= warm[b]:
-                return False
-    return True
-
-
 def bottom_solve(
     inst: Instance,
     iv: Interval,
@@ -247,7 +219,8 @@ def bottom_solve(
     ancestors obey only their windows; capacity is m per slot.  Branch and
     bound over per-slot antichain batches of bottom jobs; ancestor slots
     are filled greedily by earliest window end, which is optimal for unit
-    jobs.  ``warm`` seeds the incumbent (it must be feasible to be used).
+    jobs.  ``warm`` seeds the incumbent when it is virtually valid for
+    the one-interval system of ``bottom`` and ``ancestors``.
     """
     budget = budget or Budget()
     m = params.m
@@ -259,11 +232,15 @@ def bottom_solve(
 
     best_assign: PartialAssign = {j: DISC for j in iter_jobs(bottom | ancestors)}
     best_count = 0
-    if warm is not None and _feasible_warm(inst, iv, bottom, anc_windows, m, warm):
-        got = {j: warm.get(j) for j in iter_jobs(bottom | ancestors)}
-        cnt = sum(1 for t in got.values() if t is not None)
-        if cnt > 0:
-            best_assign, best_count = got, cnt
+    if warm is not None:
+        warm_sys = PartialDyadicSystem(
+            root=iv, assign={iv: bottom}, ancestors=ancestors, anc_windows=anc_windows,
+        )
+        if check_virtually_valid(inst, warm_sys, params, warm).ok:
+            got = {j: warm[j] for j in iter_jobs(bottom | ancestors)}
+            cnt = sum(1 for t in got.values() if t is not None)
+            if cnt > 0:
+                best_assign, best_count = got, cnt
 
     assign: PartialAssign = {j: DISC for j in iter_jobs(bottom | ancestors)}
 
@@ -369,10 +346,26 @@ def _guess_outcomes(
     return out
 
 
-def _merge_window_maps(a: dict[int, Window], b: dict[int, Window]) -> dict[int, Window]:
-    merged = dict(a)
-    merged.update(b)
-    return merged
+def _split_outcomes(
+    inst: Instance,
+    f: Interval,
+    jobs: JobSet,
+    params: Params,
+    hints: Hints | None,
+) -> list[tuple[JobSet, JobSet, JobSet]]:
+    """Split outcomes to try for ``jobs`` on the non-bottom interval ``f``.
+
+    With hints, the one outcome of the recorded vector (none when the
+    vector runs out); otherwise every distinct outcome of a guess vector
+    of at most ``p`` entries on top intervals, ``m * |f|`` on middle ones.
+    """
+    if hints is not None:
+        try:
+            return [push_down(inst, f, jobs, hints.guesses.get(f, ()), params)]
+        except GuessExhausted:
+            return []
+    max_len = params.p if tree_for(params).kind(f) == TOP else params.m * f.length
+    return [result for _, result in _guess_outcomes(inst, f, jobs, params, max_len)]
 
 
 def _restrict(mp: dict[Interval, JobSet], half: Interval) -> dict[Interval, JobSet]:
@@ -434,16 +427,10 @@ def schedule_subtree(
             if tree.kind(f) == BOT:
                 per_interval.append([(f, None)])
                 continue
-            max_len = params.p if tree.kind(f) == TOP else m * f.length
-            if hints is not None:
-                trace = hints.guesses.get(f, ())
-                try:
-                    per_interval.append([(f, push_down(inst, f, jobs, trace, params))])
-                except GuessExhausted:
-                    return None
-            else:
-                options = _guess_outcomes(inst, f, jobs, params, max_len)
-                per_interval.append([(f, result) for _, result in options])
+            options = _split_outcomes(inst, f, jobs, params, hints)
+            if not options:
+                return None
+            per_interval.append([(f, result) for result in options])
         splits = product(*per_interval)
 
     best: Result | None = None
@@ -460,7 +447,7 @@ def schedule_subtree(
                 k_map[f.left] = k_left
                 k_map[f.right] = k_right
         own_windows = node_windows(inst, iv, j_map, k_map, params)
-        pool_windows = _merge_window_maps(dict(sub.anc_windows), own_windows)
+        pool_windows = {**sub.anc_windows, **own_windows}
 
         if hints is not None:
             ref = hints.reference
@@ -552,15 +539,7 @@ def _outer_cascades(
             yield from walk(idx + 1, j_map, k_map)
             del j_map[f]
             return
-        max_len = params.p if tree.kind(f) == TOP else m * f.length
-        if hints is not None:
-            try:
-                options = [push_down(inst, f, jobs, hints.guesses.get(f, ()), params)]
-            except GuessExhausted:
-                return
-        else:
-            options = [result for _, result in _guess_outcomes(inst, f, jobs, params, max_len)]
-        for stay, k_left, k_right in options:
+        for stay, k_left, k_right in _split_outcomes(inst, f, jobs, params, hints):
             if job_count(k_left) > m * f.length // 2 or job_count(k_right) > m * f.length // 2:
                 continue
             j_map[f] = stay

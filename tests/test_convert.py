@@ -167,6 +167,8 @@ def test_canonicalize_handles_shuffled_schedules():
         shuffled = vv.replace(slots)
         assert check_virtually_valid(inst, sys, params, shuffled).ok
         canon, swaps = _canonicalize(inst, sys, shuffled, params)
+        # both read the same canonical order: a swap happens iff a pair is out of it
+        assert bool(canonical_violations(inst, sys, shuffled, params)) == (swaps > 0)
         assert canonical_violations(inst, sys, canon, params) == []
         assert check_virtually_valid(inst, sys, params, canon).ok
 

@@ -28,7 +28,6 @@ from psched.dyadic import (
     push_down,
     system_from_schedule,
     tree_for,
-    tree_levels,
     window_step,
     windows,
 )
@@ -86,7 +85,7 @@ def test_override_validation():
 
 def test_tree_levels_structure():
     params = desk_params()
-    levels = tree_levels(params)
+    levels = tree_for(params).levels()
     assert levels == [
         (Interval(0, 8),),
         (Interval(0, 4), Interval(4, 8)),

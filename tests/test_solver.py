@@ -225,6 +225,37 @@ def test_bottom_solve_respects_everything():
         assert out[0] < out[1]
 
 
+def _warm_solve(warm, budget=None):
+    """Bottom jobs 0->1, 2->3 and ancestors 4 in (4,6], 5 in (6,8] on bottom (4,8]."""
+    params = compute_params(8, 2, Fraction(1, 2), overrides={"h": 2, "hp": 0, "p": 1})
+    inst = build_instance(6, 2, [(0, 1), (2, 3)])
+    iv = Interval(4, 8)
+    assert tree_for(params).kind(iv) == "bot"
+    return bottom_solve(
+        inst, iv, mask_from([0, 1, 2, 3]), mask_from([4, 5]), {4: (4, 6), 5: (6, 8)}, params,
+        budget=budget, warm=warm,
+    )
+
+
+def test_bottom_solve_keeps_feasible_warm_start():
+    warm = {0: 5, 1: 6, 2: 5, 3: 7, 4: 6, 5: 7}
+    budget = Budget(limit=1)
+    assert _warm_solve(warm, budget) == warm
+    assert budget.nodes == 1
+
+
+@pytest.mark.parametrize("warm", [
+    {0: 5, 1: 6, 2: 5, 3: 7, 4: 5, 5: 7},  # three jobs at slot 5 > m
+    {0: 5, 1: 6, 2: 5, 3: 7, 4: 8, 5: 7},  # ancestor 4 outside its window (4, 6]
+    {0: 6, 1: 5, 2: 5, 3: 7, 4: 6, 5: 7},  # bottom precedence 0 -> 1 broken
+    {0: 5, 1: 6, 2: 3, 3: 7, 4: 6, 5: 7},  # bottom job 2 outside the interval
+], ids=["capacity", "ancestor-window", "precedence", "interval"])
+def test_bottom_solve_ignores_infeasible_warm_start(warm):
+    cold = _warm_solve(None)
+    assert _warm_solve(warm) == cold
+    assert cold != warm
+
+
 def test_schedule_subtree_rejects_oversized_input():
     params = micro_params()
     inst = build_instance(6, 2, [])

@@ -1,0 +1,56 @@
+"""The traced benchmark's view of the package still resolves.
+
+``perfbench/tracing.py`` wraps package functions looked up by (module,
+name) and reads some of their arguments by position; a refactor that
+renames, moves or reshapes one of them must fail here, not only in a
+benchmark run.  The module is loaded from its file and left unchanged.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+tracing = _load_tracing()
+
+
+def _resolve(mod_name, fn_name):
+    mod = importlib.import_module(f"psched.{mod_name}")
+    assert hasattr(mod, fn_name), f"psched.{mod_name}.{fn_name} is gone"
+    return getattr(mod, fn_name)
+
+
+@pytest.mark.parametrize("mod_name, fn_name", tracing.SPANNED)
+def test_spanned_functions_resolve_and_return(mod_name, fn_name):
+    fn = _resolve(mod_name, fn_name)
+    assert callable(fn) and not inspect.isgeneratorfunction(fn)
+
+
+@pytest.mark.parametrize("mod_name, fn_name", tracing.YIELD_COUNTED)
+def test_yield_counted_functions_are_generators(mod_name, fn_name):
+    assert inspect.isgeneratorfunction(_resolve(mod_name, fn_name))
+
+
+@pytest.mark.parametrize("mod_name, fn_name, index, name", [
+    ("solver", "main_solve", 2, "budget"),
+    ("transform", "insert_discarded", 1, "sched"),
+    ("transform", "binary_search_makespan", 0, "inst"),
+    ("transform", "binary_search_makespan", 1, "solver"),
+    ("convert", "valid_to_virtually_valid", 2, "sched"),
+    ("convert", "virtually_valid_to_valid", 2, "sched"),
+])
+def test_hooked_arguments_keep_their_positions(mod_name, fn_name, index, name):
+    params = list(inspect.signature(_resolve(mod_name, fn_name)).parameters)
+    assert params[index] == name
