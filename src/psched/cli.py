@@ -246,7 +246,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hinted", action="store_true",
                    help="replay splits recorded from the exact oracle's schedule")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="search node budget (exit 2 when exhausted)")
+                   help="search node budget: states entered, not children "
+                        "cut by the bound (exit 2 when exhausted)")
     p.add_argument("--out", default=None, help="write the schedule here")
 
 

@@ -13,6 +13,7 @@ do at least as well as the reference.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -50,7 +51,13 @@ DEFAULT_BUDGET = 10_000_000
 
 @dataclass
 class Budget:
-    """Shared improve-only node counter; aborts the search when exhausted."""
+    """Shared node counter; aborts the search when exhausted.
+
+    A node is a search state that was entered: one ``schedule_subtree``
+    call, one step of the outer cascades or one state of the bottom
+    search.  Bottom-search children that the bound cuts before entry
+    are not counted.
+    """
 
     limit: int = DEFAULT_BUDGET
     nodes: int = 0
@@ -203,6 +210,48 @@ def partition_class_key(
     return tuple(left_ms), tuple(right_ms)
 
 
+def antichains(
+    comparable: Sequence[JobSet],
+    pred: Sequence[JobSet],
+    alive: JobSet,
+    size: int,
+    keep: Sequence[int],
+):
+    """Antichains of exactly ``size`` jobs of ``alive`` that leave at
+    least ``keep[0]`` jobs alive, as (members, left).
+
+    ``comparable[j]`` is the mask of jobs comparable to ``j``; ``left`` is
+    ``alive`` without the members and their predecessors.  Members ascend
+    within a batch and batches come in lexicographic order of their
+    members; nothing is collected or sorted.  ``keep[0]`` is read at every
+    step, so the caller may raise it between batches; a prefix that
+    already leaves too few jobs alive is not extended.
+    """
+    if alive.bit_count() - size >= keep[0]:
+        yield from _extend(comparable, pred, alive, alive, size, keep, ())
+
+
+def _extend(comparable, pred, cand, left, size, keep, prefix):
+    # every member still to come is a distinct job of ``cand``, a subset
+    # of ``left``, so each one lowers the count of ``left`` by one at least
+    if size == 0:
+        yield prefix, left
+        return
+    while cand.bit_count() >= size:
+        low = cand & -cand
+        cand ^= low
+        j = low.bit_length() - 1
+        after = left & ~(low | pred[j])
+        if after.bit_count() - (size - 1) < keep[0]:
+            continue
+        if size == 1:
+            yield prefix + (j,), after
+        else:
+            yield from _extend(
+                comparable, pred, cand & ~comparable[j], after, size - 1, keep, prefix + (j,)
+            )
+
+
 def bottom_solve(
     inst: Instance,
     iv: Interval,
@@ -221,14 +270,26 @@ def bottom_solve(
     are filled greedily by earliest window end, which is optimal for unit
     jobs.  ``warm`` seeds the incumbent when it is virtually valid for
     the one-interval system of ``bottom`` and ``ancestors``.
+
+    At each slot the batches are tried larger first, then in lexicographic
+    order of their ascending members (see ``antichains``); the result is
+    the first assignment in that order that schedules the most jobs, so
+    this order fixes the output.  A child whose bound cannot beat the
+    incumbent is skipped before it is entered and costs no node.
     """
     budget = budget or Budget()
     m = params.m
     slots = list(iv.slots())
-    anc_order = sorted(
-        iter_jobs(ancestors), key=lambda j: (anc_windows[j][1], j)
-    )
+    n_slots = len(slots)
+    # ancestors whose window ends before the interval never fit; each
+    # level below drops the ones whose window has ended
+    anc_order = tuple(sorted(
+        (j for j in iter_jobs(ancestors) if anc_windows[j][1] >= slots[0]),
+        key=lambda j: (anc_windows[j][1], j),
+    ))
     total_jobs = job_count(bottom) + job_count(ancestors)
+    pred = inst.pred
+    comparable = [s | p for s, p in zip(inst.succ, pred)]
 
     best_assign: PartialAssign = {j: DISC for j in iter_jobs(bottom | ancestors)}
     best_count = 0
@@ -244,75 +305,52 @@ def bottom_solve(
 
     assign: PartialAssign = {j: DISC for j in iter_jobs(bottom | ancestors)}
 
-    def antichains(alive: JobSet, cap: int) -> list[list[int]]:
-        jobs = list(iter_jobs(alive))
-        out: list[list[int]] = [[]]
-        stack: list[tuple[list[int], int]] = [([], 0)]
-        while stack:
-            chosen, start = stack.pop()
-            if len(chosen) == cap:
-                continue
-            for i in range(start, len(jobs)):
-                cand = jobs[i]
-                if any(
-                    inst.precedes(c, cand) or inst.precedes(cand, c) for c in chosen
-                ):
-                    continue
-                nxt = chosen + [cand]
-                out.append(nxt)
-                stack.append((nxt, i + 1))
-        # larger batches first, then lexicographic members
-        out.sort(key=lambda batch: (-len(batch), batch))
-        return out
-
     def dfs(idx: int, alive: JobSet, anc_left: tuple[int, ...], count: int) -> None:
+        """Expand a node whose bound the caller found to beat the incumbent.
+
+        ``anc_left`` holds only ancestors whose window has not ended
+        before slot ``idx``."""
         nonlocal best_assign, best_count
-        budget.tick()
-        if idx == len(slots):
-            if count > best_count:
-                best_count = count
-                best_assign = dict(assign)
-            return
-        remaining_cap = m * (len(slots) - idx)
-        placeable_anc = sum(1 for j in anc_left if anc_windows[j][1] > slots[idx] - 1)
-        if count + min(remaining_cap, job_count(alive) + placeable_anc) <= best_count:
+        if idx == n_slots:
+            best_count = count
+            best_assign = dict(assign)
             return
         t = slots[idx]
-        for batch in antichains(alive, m):
-            killed = 0
-            for j in batch:
-                killed |= inst.pred[j] & alive
-            batch_mask = mask_from(batch)
-            if killed & batch_mask:
-                continue
-            for j in batch:
-                assign[j] = t
-            # earliest-deadline ancestors into the remaining capacity
-            placed_anc = []
-            room = m - len(batch)
-            rest: list[int] = []
-            for j in anc_left:
-                b, e = anc_windows[j]
-                if room > 0 and b < t <= e:
-                    assign[j] = t
-                    placed_anc.append(j)
-                    room -= 1
-                else:
-                    rest.append(j)
-            dfs(
-                idx + 1,
-                alive & ~(batch_mask | killed),
-                tuple(rest),
-                count + len(batch) + len(placed_anc),
+        cap_after = m * (n_slots - idx - 1)
+        fits = [j for j in anc_left if anc_windows[j][0] < t]
+        n_alive = alive.bit_count()
+        for size in range(min(m, n_alive), -1, -1):
+            # earliest-deadline ancestors into the room the batch leaves
+            placed_anc = fits[: m - size]
+            rest = tuple(
+                j for j in anc_left if j not in placed_anc and anc_windows[j][1] > t
             )
-            for j in batch:
-                assign[j] = DISC
-            for j in placed_anc:
-                assign[j] = DISC
-            if best_count == total_jobs:
-                return
+            base = count + size + len(placed_anc)
+            if base + cap_after <= best_count:
+                continue  # no batch of this size can beat the incumbent
+            # with room in the slots left, a child beats the incumbent iff
+            # it leaves this many bottom jobs alive
+            keep = [best_count - base - len(rest) + 1]
+            for batch, child_alive in antichains(comparable, pred, alive, size, keep):
+                budget.tick()
+                for j in batch:
+                    assign[j] = t
+                for j in placed_anc:
+                    assign[j] = t
+                dfs(idx + 1, child_alive, rest, base)
+                for j in batch:
+                    assign[j] = DISC
+                for j in placed_anc:
+                    assign[j] = DISC
+                if best_count == total_jobs:
+                    return
+                if base + cap_after <= best_count:
+                    break
+                keep[0] = best_count - base - len(rest) + 1
 
-    dfs(0, bottom, tuple(anc_order), 0)
+    budget.tick()  # the root is entered even when it cannot beat the warm start
+    if min(m * n_slots, job_count(bottom) + len(anc_order)) > best_count:
+        dfs(0, bottom, anc_order, 0)
     return dict(best_assign)
 
 

@@ -188,3 +188,50 @@ def test_cli_bench_csv_schema(tmp_path):
 
 def row_m(row):
     return int(row["m"])
+
+
+DEEP = ["--horizon", "16", "--param-override", "h=1", "--param-override", "hp=1",
+        "--param-override", "p=2"]
+
+
+# (n, m, generator seed, flags, schedule file, stderr line); the horizons
+# 6, 5 and 7 pad to 8 with padding sinks
+GOLDEN = [
+    (9, 3, 4, [],
+     "sched 1 9 8\n0 6\n1 1\n2 2\n3 5\n4 1\n5 1\n6 3\n7 4\n8 5\n",
+     "horizon 6 padded 8: solver discarded 0, final makespan 6 (valid, 0 discarded)\n"),
+    (9, 3, 5, [],
+     "sched 1 9 8\n0 2\n1 2\n2 1\n3 1\n4 5\n5 3\n6 4\n7 3\n8 3\n",
+     "horizon 5 padded 8: solver discarded 0, final makespan 5 (valid, 0 discarded)\n"),
+    (12, 2, 3, [],
+     "sched 1 12 8\n0 1\n1 1\n2 5\n3 7\n4 4\n5 4\n6 3\n7 2\n8 5\n9 6\n10 2\n11 3\n",
+     "horizon 7 padded 8: solver discarded 0, final makespan 7 (valid, 0 discarded)\n"),
+    (12, 2, 4, [],
+     "sched 1 12 8\n0 3\n1 5\n2 1\n3 7\n4 6\n5 2\n6 4\n7 4\n8 1\n9 3\n10 5\n11 2\n",
+     "horizon 7 padded 8: solver discarded 0, final makespan 7 (valid, 0 discarded)\n"),
+    (6, 2, 1, DEEP,
+     "sched 1 6 19\n0 5\n1 2\n2 1\n3 3\n4 6\n5 4\n",
+     "horizon 16 padded 16: solver discarded 3, final makespan 6 (valid, 0 discarded)\n"),
+    (6, 2, 2, DEEP,
+     "sched 1 6 22\n0 2\n1 6\n2 5\n3 3\n4 4\n5 1\n",
+     "horizon 16 padded 16: solver discarded 6, final makespan 6 (valid, 0 discarded)\n"),
+    (9, 3, 5, ["--hinted"],
+     "sched 1 9 8\n0 2\n1 2\n2 1\n3 1\n4 5\n5 3\n6 4\n7 3\n8 3\n",
+     "horizon 5 padded 8: solver discarded 0, final makespan 5 (valid, 0 discarded)\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, m, seed, flags, schedule, summary", GOLDEN,
+    ids=[f"n{g[0]}-m{g[1]}-s{g[2]}{'-' + g[3][0].strip('-') if g[3] else ''}" for g in GOLDEN],
+)
+def test_pipeline_outputs_match_recorded_bytes(tmp_path, capsys, n, m, seed, flags,
+                                               schedule, summary):
+    inst_path = tmp_path / "i.psched"
+    out_path = tmp_path / "o.sched"
+    assert run_command(["gen", "--family", "random-dag", "--n", str(n), "--m", str(m),
+                        "--seed", str(seed), "--out", str(inst_path)]) == 0
+    capsys.readouterr()
+    assert run_command(["pipeline", str(inst_path), *flags, "--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == schedule.encode()
+    assert capsys.readouterr().err == summary
