@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import io
@@ -60,7 +60,7 @@ class SolveOutcome:
     virtual: Schedule     # virtually-valid schedule, original jobs only
     valid: Schedule       # after conversions, original jobs only
     discards: int         # discarded original jobs in `valid`
-    nodes: int
+    nodes: int            # budget nodes spent, every horizon attempt included
 
 
 def _originals(sched: Schedule, n: int) -> Schedule:
@@ -120,7 +120,7 @@ def _search_horizon(inst, eps, overrides, budget, oracle):
         return got.valid
 
     T, _ = binary_search_makespan(inst, attempt)
-    return outcomes[T]
+    return replace(outcomes[T], nodes=budget.nodes)
 
 
 def cmd_gen(args) -> int:
@@ -247,7 +247,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="replay splits recorded from the exact oracle's schedule")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="search node budget: states entered, not children "
-                        "cut by the bound (exit 2 when exhausted)")
+                        "cut by the bound or subproblems answered from the "
+                        "memo (exit 2 when exhausted)")
     p.add_argument("--out", default=None, help="write the schedule here")
 
 

@@ -5,10 +5,12 @@ then hands each frontier state to a recursive subtree solver that guesses
 one more level of splits, computes windows for the jobs staying at the
 node, partitions the window-constrained pool between the two halves (one
 representative per window-multiset equivalence class), and recurses.
-Bottom intervals are solved exactly by branch and bound.  A hinted mode
-replays the splits and partitions recorded from a reference schedule
-instead of enumerating, realizing the guarantee that the enumeration can
-do at least as well as the reference.
+Within one ``main_solve`` each distinct subproblem is solved once, so the
+recursion is a dynamic program over its states.  Bottom intervals are
+solved exactly by branch and bound.  A hinted mode replays the splits and
+partitions recorded from a reference schedule instead of enumerating,
+realizing the guarantee that the enumeration can do at least as well as
+the reference.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ class Budget:
     """Shared node counter; aborts the search when exhausted.
 
     A node is a search state that was entered: one ``schedule_subtree``
-    call, one step of the outer cascades or one state of the bottom
-    search.  Bottom-search children that the bound cuts before entry
-    are not counted.
+    call that solves its subproblem, one step of the outer cascades or
+    one state of the bottom search.  Bottom-search children that the
+    bound cuts before entry are not counted, nor is a subproblem answered
+    from the ``SolveMemo`` of the current ``main_solve``.
     """
 
     limit: int = DEFAULT_BUDGET
@@ -95,6 +98,16 @@ class SubproblemInput:
             out |= jobs
         return out
 
+    def key(self) -> tuple:
+        """Hashable form of every field; equal keys are equal subproblems."""
+        return (
+            self.root,
+            self.ancestors,
+            frozenset(self.anc_windows.items()),
+            frozenset(self.assigned.items()),
+            frozenset(self.pending.items()),
+        )
+
 
 @dataclass(frozen=True)
 class Hints:
@@ -106,6 +119,25 @@ class Hints:
 
 PartialAssign = dict[int, Slot]
 Result = tuple[PartialDyadicSystem, PartialAssign]
+SplitOutcome = tuple[JobSet, JobSet, JobSet]
+
+
+@dataclass
+class SolveMemo:
+    """Answers already computed within one ``main_solve``.
+
+    ``subtrees`` maps ``SubproblemInput.key()`` to the result of
+    ``schedule_subtree`` and ``splits`` maps (interval, jobs) to the
+    outcomes of ``_split_outcomes``.  The instance, params and hints are
+    fixed for the call, so each answer is a function of its key alone and
+    a repeat returns the value a second solve would compute.  Stored
+    results are shared between callers and must never be mutated.
+    """
+
+    subtrees: dict[tuple, Result | None] = field(default_factory=dict)
+    splits: dict[tuple[Interval, JobSet], tuple[SplitOutcome, ...]] = field(
+        default_factory=dict
+    )
 
 
 def _region_lookup(maps: list[dict[Interval, JobSet]]):
@@ -360,7 +392,7 @@ def _guess_outcomes(
     jobs: JobSet,
     params: Params,
     max_len: int,
-) -> list[tuple[Guesses, tuple[JobSet, JobSet, JobSet]]]:
+) -> list[tuple[Guesses, SplitOutcome]]:
     """Distinct results of the split loop over all guess vectors of ``max_len``.
 
     Enumerates the tree of terminating guess prefixes (left branch first,
@@ -368,7 +400,7 @@ def _guess_outcomes(
     prefix still running after ``max_len`` entries is pruned, mirroring
     the exhausted-guess behaviour of the replay.
     """
-    out: list[tuple[Guesses, tuple[JobSet, JobSet, JobSet]]] = []
+    out: list[tuple[Guesses, SplitOutcome]] = []
 
     def grow(prefix: tuple[str, ...]) -> None:
         try:
@@ -390,20 +422,28 @@ def _split_outcomes(
     jobs: JobSet,
     params: Params,
     hints: Hints | None,
-) -> list[tuple[JobSet, JobSet, JobSet]]:
+    memo: SolveMemo,
+) -> tuple[SplitOutcome, ...]:
     """Split outcomes to try for ``jobs`` on the non-bottom interval ``f``.
 
     With hints, the one outcome of the recorded vector (none when the
     vector runs out); otherwise every distinct outcome of a guess vector
     of at most ``p`` entries on top intervals, ``m * |f|`` on middle ones.
+    Each (f, jobs) is worked out once per ``memo``.
     """
+    got = memo.splits.get((f, jobs))
+    if got is not None:
+        return got
     if hints is not None:
         try:
-            return [push_down(inst, f, jobs, hints.guesses.get(f, ()), params)]
+            got = (push_down(inst, f, jobs, hints.guesses.get(f, ()), params),)
         except GuessExhausted:
-            return []
-    max_len = params.p if tree_for(params).kind(f) == TOP else params.m * f.length
-    return [result for _, result in _guess_outcomes(inst, f, jobs, params, max_len)]
+            got = ()
+    else:
+        max_len = params.p if tree_for(params).kind(f) == TOP else params.m * f.length
+        got = tuple(result for _, result in _guess_outcomes(inst, f, jobs, params, max_len))
+    memo.splits[(f, jobs)] = got
+    return got
 
 
 def _restrict(mp: dict[Interval, JobSet], half: Interval) -> dict[Interval, JobSet]:
@@ -416,6 +456,7 @@ def schedule_subtree(
     params: Params,
     budget: Budget | None = None,
     hints: Hints | None = None,
+    memo: SolveMemo | None = None,
 ) -> Result | None:
     """Best partial system plus virtually-valid assignment over ``sub.root``.
 
@@ -424,8 +465,27 @@ def schedule_subtree(
     the frontier level and every partition representative of the
     window-constrained pool, recursing on both halves and keeping the
     candidate that schedules strictly more jobs.
+
+    Each distinct subproblem is solved once per ``memo`` (a fresh one when
+    omitted); a repeat returns the stored result, shared with the first
+    caller, and enters no node.
     """
-    budget = budget or Budget()
+    memo = memo or SolveMemo()
+    key = sub.key()
+    if key in memo.subtrees:
+        return memo.subtrees[key]
+    got = memo.subtrees[key] = _solve_subtree(inst, sub, params, budget or Budget(), hints, memo)
+    return got
+
+
+def _solve_subtree(
+    inst: Instance,
+    sub: SubproblemInput,
+    params: Params,
+    budget: Budget,
+    hints: Hints | None,
+    memo: SolveMemo,
+) -> Result | None:
     budget.tick()
     tree = tree_for(params)
     iv = sub.root
@@ -459,13 +519,13 @@ def schedule_subtree(
         # Whole subtree already fixed by `assigned`; behave as a frontier of none.
         splits = iter(((),))
     else:
-        per_interval: list[list[tuple[Interval, tuple[JobSet, JobSet, JobSet] | None]]] = []
+        per_interval: list[list[tuple[Interval, SplitOutcome | None]]] = []
         for f in frontier:
             jobs = sub.pending.get(f, 0)
             if tree.kind(f) == BOT:
                 per_interval.append([(f, None)])
                 continue
-            options = _split_outcomes(inst, f, jobs, params, hints)
+            options = _split_outcomes(inst, f, jobs, params, hints, memo)
             if not options:
                 return None
             per_interval.append([(f, result) for result in options])
@@ -517,10 +577,10 @@ def schedule_subtree(
                 assigned=_restrict(j_map, iv.right),
                 pending=_restrict(k_map, iv.right),
             )
-            left = schedule_subtree(inst, left_in, params, budget, hints)
+            left = schedule_subtree(inst, left_in, params, budget, hints, memo)
             if left is None:
                 continue
-            right = schedule_subtree(inst, right_in, params, budget, hints)
+            right = schedule_subtree(inst, right_in, params, budget, hints, memo)
             if right is None:
                 continue
             (lsys, lassign), (rsys, rassign) = left, right
@@ -551,6 +611,7 @@ def _outer_cascades(
     params: Params,
     budget: Budget,
     hints: Hints | None,
+    memo: SolveMemo,
 ):
     """States after deciding all splits above the frontier level.
 
@@ -564,7 +625,11 @@ def _outer_cascades(
         outer.extend(tree.level(l))
     frontier = set(tree.level(params.h - 1)) if params.h - 1 <= tree.L else set()
 
-    def walk(idx: int, j_map: dict[Interval, JobSet], k_map: dict[Interval, JobSet]):
+    # ``memo`` is passed down, not closed over: ``walk`` refers to itself,
+    # and that cycle would keep every stored result alive until the cycle
+    # collector runs, long after ``main_solve`` returns
+    def walk(idx: int, j_map: dict[Interval, JobSet], k_map: dict[Interval, JobSet],
+             memo: SolveMemo):
         budget.tick()
         if idx == len(outer):
             pending = {f: k_map.get(f, 0) for f in sorted(frontier, key=lambda x: x.begin)}
@@ -574,19 +639,19 @@ def _outer_cascades(
         jobs = k_map.get(f, 0)
         if tree.kind(f) == BOT:
             j_map[f] = jobs
-            yield from walk(idx + 1, j_map, k_map)
+            yield from walk(idx + 1, j_map, k_map, memo)
             del j_map[f]
             return
-        for stay, k_left, k_right in _split_outcomes(inst, f, jobs, params, hints):
+        for stay, k_left, k_right in _split_outcomes(inst, f, jobs, params, hints, memo):
             if job_count(k_left) > m * f.length // 2 or job_count(k_right) > m * f.length // 2:
                 continue
             j_map[f] = stay
             k_map[f.left] = k_left
             k_map[f.right] = k_right
-            yield from walk(idx + 1, j_map, k_map)
+            yield from walk(idx + 1, j_map, k_map, memo)
             del j_map[f], k_map[f.left], k_map[f.right]
 
-    yield from walk(0, {}, {tree.root: inst.all_jobs})
+    yield from walk(0, {}, {tree.root: inst.all_jobs}, memo)
 
 
 def main_solve(
@@ -599,9 +664,11 @@ def main_solve(
 
     Always succeeds: the all-discard schedule over a trivial system is the
     starting candidate.  The result is a full system together with a
-    virtually-valid schedule for it.
+    virtually-valid schedule for it.  Subproblems and split outcomes met
+    again during the call are answered from one ``SolveMemo``.
     """
     budget = budget or Budget()
+    memo = SolveMemo()
     tree = tree_for(params)
     if inst.n == 0:
         empty = full_system(params, {})
@@ -610,9 +677,9 @@ def main_solve(
     best_sys = full_system(params, {fallback_iv: inst.all_jobs})
     best_sched = Schedule(T=params.T, assign=(DISC,) * inst.n)
     best_count = 0
-    for j_map, pending in _outer_cascades(inst, params, budget, hints):
+    for j_map, pending in _outer_cascades(inst, params, budget, hints, memo):
         sub = SubproblemInput(root=tree.root, assigned=j_map, pending=pending)
-        got = schedule_subtree(inst, sub, params, budget, hints)
+        got = schedule_subtree(inst, sub, params, budget, hints, memo)
         if got is None:
             continue
         sys, assign = got

@@ -235,3 +235,21 @@ def test_pipeline_outputs_match_recorded_bytes(tmp_path, capsys, n, m, seed, fla
     assert run_command(["pipeline", str(inst_path), *flags, "--out", str(out_path)]) == 0
     assert out_path.read_bytes() == schedule.encode()
     assert capsys.readouterr().err == summary
+
+
+def test_solve_reports_nodes_of_every_horizon_attempt(tmp_path, capsys):
+    # the horizon search shares one budget across its attempts, and the
+    # last attempt (a failure below the optimum) runs after the winning
+    # one: the printed count is the smallest budget the run fits in
+    inst_path = tmp_path / "i.psched"
+    assert run_command(["gen", "--family", "random-dag", "--n", "12", "--m", "2",
+                        "--seed", "3", "--out", str(inst_path)]) == 0
+    capsys.readouterr()
+    assert run_command(["solve", str(inst_path), "--out", str(tmp_path / "s.sched")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("horizon 7 padded 8: ")
+    nodes = int(err.split(", ")[-1].removesuffix(" nodes\n"))
+    assert run_command(["solve", str(inst_path), "--budget", str(nodes),
+                        "--out", str(tmp_path / "t.sched")]) == 0
+    assert run_command(["solve", str(inst_path), "--budget", str(nodes - 1),
+                        "--out", str(tmp_path / "u.sched")]) == 2

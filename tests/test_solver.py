@@ -1,6 +1,9 @@
 """Partition enumeration, bottom-interval search, recursion, hinted replay."""
 
+import copy
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -25,9 +28,11 @@ from psched.dyadic import (
     tree_for,
     windows,
 )
+from psched import solver
 from psched.errors import BudgetExceeded
 from psched.solver import (
     Budget,
+    SolveMemo,
     SubproblemInput,
     bottom_solve,
     enumerate_partitions,
@@ -140,26 +145,30 @@ def test_enumerate_partitions_cover_all_raw_partitions():
 
 
 def brute_force_bottom(inst, iv, bottom, ancestors, anc_windows, m):
-    """Exhaustive max scheduled count over all slot/discard assignments."""
+    """Exhaustive max scheduled count over all slot/discard assignments.
+
+    Each job ranges over its own domain: discarded, or a slot of the
+    interval, and for an ancestor only the slots inside its window."""
     jobs = list(iter_jobs(bottom | ancestors))
-    slots = [None, *iv.slots()]
+    domains = []
+    for j in jobs:
+        slots = list(iv.slots())
+        if ancestors >> j & 1:
+            b, e = anc_windows[j]
+            slots = [t for t in slots if b < t <= e]
+        domains.append([None, *slots])
     best = 0
-    for combo in product(slots, repeat=len(jobs)):
+    for combo in product(*domains):
         assign = dict(zip(jobs, combo))
         counts = {}
         ok = True
-        for j, t in assign.items():
+        for t in combo:
             if t is None:
                 continue
             counts[t] = counts.get(t, 0) + 1
             if counts[t] > m:
                 ok = False
                 break
-            if ancestors >> j & 1:
-                b, e = anc_windows[j]
-                if not b < t <= e:
-                    ok = False
-                    break
         if not ok:
             continue
         placed = [j for j in iter_jobs(bottom) if assign[j] is not None]
@@ -302,6 +311,27 @@ def test_schedule_subtree_preserves_fixed_levels():
         report = check_system(inst, out_sys, params)
         assert_no_violations(report)
         assert_no_violations(check_virtually_valid(inst, out_sys, params, assign))
+
+
+def test_memo_answers_a_repeat_without_entering_a_node():
+    inst, sched = reference_pair(3, T=16, m=2, n=8)
+    params = desk_params(T=16, m=2)
+    sys, covered, _ = system_from_schedule(inst, sched, params)
+    root = tree_for(params).root
+    sub = SubproblemInput(
+        root=root,
+        assigned={root: sys.assign.get(root, 0)},
+        pending={f: covered[f] for f in tree_for(params).rel_level(root, params.h - 1)},
+    )
+    memo = SolveMemo()
+    budget = Budget()
+    first = schedule_subtree(inst, sub, params, budget, memo=memo)
+    spent = budget.nodes
+    assert first is not None and spent > 1
+    assert schedule_subtree(inst, sub, params, budget, memo=memo) is first
+    assert budget.nodes == spent
+    again = schedule_subtree(inst, sub, params, Budget())  # a fresh memo
+    assert again == first and again is not first
 
 
 def test_main_solve_micro_structure_and_degenerate_oracle():
@@ -458,3 +488,110 @@ def test_trivial_instance_schedules_everything():
     params = single_bottom_params()
     _, sched = solve_hinted(inst, Schedule(T=8, assign=(1, 1)), params)
     assert sched.discard_count == 0
+
+
+class _NoStore(dict):
+    """A memo table that forgets everything: every subproblem is solved again."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class _Snapshots(dict):
+    """A memo table that also keeps a deep copy of every value stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.copies = {}
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.copies[key] = copy.deepcopy(value)
+
+
+# (T, h, p, n, seed, root fails); p=3 gives the h=2 root split outcomes
+# within p.  In the last case no guess vector of p entries splits the
+# seven jobs at the root, so the enumeration finds no schedule there.
+MEMO_GRID = [
+    (16, 1, 2, 5, 0, False),
+    (16, 1, 2, 6, 1, False),
+    (16, 2, 3, 5, 0, False),
+    (16, 2, 3, 6, 1, False),
+    (8, 1, 2, 7, 0, True),
+]
+
+
+@pytest.mark.parametrize("hinted", [False, True], ids=["enum", "hinted"])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("T, h, p, n, seed, root_fails", MEMO_GRID,
+                         ids=[f"T{g[0]}-h{g[1]}-n{g[3]}-s{g[4]}" for g in MEMO_GRID])
+def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_fails, m,
+                                           hinted):
+    inst = random_instance(n, m, 0.3, seed)
+    params = compute_params(T, m, Fraction(1, 2), overrides={"h": h, "hp": 1, "p": p})
+    reference = Schedule(T=T, assign=exact_opt(inst)[1].assign) if hinted else None
+    memos = []
+
+    def run(make_memo):
+        monkeypatch.setattr(solver, "SolveMemo", make_memo)
+        budget = Budget()
+        if hinted:
+            sys_out, sched = solve_hinted(inst, reference, params, budget=budget)
+        else:
+            sys_out, sched = main_solve(inst, params, budget=budget)
+        return (sys_out.assign, sched), budget.nodes
+
+    def recording():
+        memo = SolveMemo(subtrees=_Snapshots(), splits=_Snapshots())
+        memos.append(memo)
+        return memo
+
+    got, nodes = run(recording)
+    plain, plain_nodes = run(lambda: SolveMemo(subtrees=_NoStore(), splits=_NoStore()))
+    assert got == plain
+    assert nodes <= plain_nodes
+    assert run(recording) == (got, nodes)
+
+    memo = memos[0]
+    assert memo.subtrees == memo.subtrees.copies  # no caller mutated a shared result
+    assert memo.splits == memo.splits.copies
+    root = tree_for(params).root
+    at_root = [v for k, v in memo.subtrees.items() if k[0] == root]
+    if hinted or not root_fails:
+        assert any(v is not None for v in at_root)
+    else:
+        assert at_root and all(v is None for v in at_root)
+        assert got[1].scheduled_count == 0
+        return
+    if not hinted:
+        assert nodes < plain_nodes
+    if h == 2:  # the recursion passes fixed and pending job sets down
+        assert any(any(dict(k[3]).values()) for k in memo.subtrees)
+        assert any(any(dict(k[4]).values()) for k in memo.subtrees)
+
+
+@pytest.mark.parametrize("hinted", [False, True], ids=["enum", "hinted"])
+def test_main_solve_frees_its_memo_on_return(monkeypatch, hinted):
+    # no reference cycle may hold the memo: with the cycle collector off,
+    # its results must go as soon as the solve returns
+    inst = random_instance(6, 2, 0.3, 1)
+    params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
+    refs = []
+
+    def recording():
+        memo = SolveMemo()
+        refs.append(weakref.ref(memo))
+        return memo
+
+    monkeypatch.setattr(solver, "SolveMemo", recording)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if hinted:
+            solve_hinted(inst, Schedule(T=16, assign=exact_opt(inst)[1].assign), params)
+        else:
+            main_solve(inst, params)
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        if was_enabled:
+            gc.enable()
