@@ -177,6 +177,7 @@ def exact_opt(inst: Instance, limit: int = EXACT_OPT_LIMIT) -> tuple[int, Schedu
                 break
         else:  # pragma: no cover - memo guarantees a matching batch
             raise AssertionError("reconstruction failed")
+    del solve  # ``solve`` refers to itself; dropping it frees the memo at once
     return opt, Schedule(T=opt, assign=tuple(assign))
 
 

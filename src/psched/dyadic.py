@@ -604,4 +604,5 @@ def system_from_schedule(
         walk(iv.right, k_right)
 
     walk(tree.root, inst.all_jobs)
+    del walk  # ``walk`` refers to itself; dropping it breaks that cycle
     return full_system(params, assign), covered, guesses

@@ -380,9 +380,14 @@ def bottom_solve(
                     break
                 keep[0] = best_count - base - len(rest) + 1
 
-    budget.tick()  # the root is entered even when it cannot beat the warm start
-    if min(m * n_slots, job_count(bottom) + len(anc_order)) > best_count:
-        dfs(0, bottom, anc_order, 0)
+    try:
+        budget.tick()  # the root is entered even when it cannot beat the warm start
+        if min(m * n_slots, job_count(bottom) + len(anc_order)) > best_count:
+            dfs(0, bottom, anc_order, 0)
+    finally:
+        # ``dfs`` refers to itself; dropping it breaks the cycle that would
+        # keep everything it captures alive until the cycle collector runs
+        del dfs
     return dict(best_assign)
 
 
@@ -401,18 +406,17 @@ def _guess_outcomes(
     the exhausted-guess behaviour of the replay.
     """
     out: list[tuple[Guesses, SplitOutcome]] = []
-
-    def grow(prefix: tuple[str, ...]) -> None:
+    stack: list[tuple[str, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
         try:
             result = push_down(inst, iv, jobs, prefix, params)
         except GuessExhausted:
             if len(prefix) < max_len:
-                grow(prefix + ("L",))
-                grow(prefix + ("R",))
-            return
+                stack.append(prefix + ("R",))
+                stack.append(prefix + ("L",))
+            continue
         out.append((prefix, result))
-
-    grow(())
     return out
 
 
@@ -625,11 +629,7 @@ def _outer_cascades(
         outer.extend(tree.level(l))
     frontier = set(tree.level(params.h - 1)) if params.h - 1 <= tree.L else set()
 
-    # ``memo`` is passed down, not closed over: ``walk`` refers to itself,
-    # and that cycle would keep every stored result alive until the cycle
-    # collector runs, long after ``main_solve`` returns
-    def walk(idx: int, j_map: dict[Interval, JobSet], k_map: dict[Interval, JobSet],
-             memo: SolveMemo):
+    def walk(idx: int, j_map: dict[Interval, JobSet], k_map: dict[Interval, JobSet]):
         budget.tick()
         if idx == len(outer):
             pending = {f: k_map.get(f, 0) for f in sorted(frontier, key=lambda x: x.begin)}
@@ -639,7 +639,7 @@ def _outer_cascades(
         jobs = k_map.get(f, 0)
         if tree.kind(f) == BOT:
             j_map[f] = jobs
-            yield from walk(idx + 1, j_map, k_map, memo)
+            yield from walk(idx + 1, j_map, k_map)
             del j_map[f]
             return
         for stay, k_left, k_right in _split_outcomes(inst, f, jobs, params, hints, memo):
@@ -648,10 +648,16 @@ def _outer_cascades(
             j_map[f] = stay
             k_map[f.left] = k_left
             k_map[f.right] = k_right
-            yield from walk(idx + 1, j_map, k_map, memo)
+            yield from walk(idx + 1, j_map, k_map)
             del j_map[f], k_map[f.left], k_map[f.right]
 
-    yield from walk(0, {}, {tree.root: inst.all_jobs}, memo)
+    try:
+        yield from walk(0, {}, {tree.root: inst.all_jobs})
+    finally:
+        # ``walk`` refers to itself; dropping it breaks the cycle that would
+        # keep the memo and every stored result alive until the cycle
+        # collector runs, long after ``main_solve`` returns
+        del walk
 
 
 def main_solve(

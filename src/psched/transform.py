@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
+from .baselines import graham_list
 from .core import Instance, JobSet, Schedule, iter_jobs, longest_chain, verify_valid
 from .errors import InvalidInput, NoSolution
 
@@ -67,19 +68,32 @@ def insert_discarded(inst: Instance, sched: Schedule) -> Schedule:
 def binary_search_makespan(
     inst: Instance, solver: Callable[[int], Schedule | None]
 ) -> tuple[int, Schedule]:
-    """Minimal horizon at which ``solver`` succeeds, assuming monotone success.
+    """Smallest horizon found at which ``solver`` succeeds.
 
-    Searches ``[max(longest chain, ceil(n/m)), n]``; both ends are the
-    classic lower and upper bounds for unit jobs.
+    Probes the lower bound ``lo = max(longest chain, ceil(n/m))`` first.
+    No horizon below ``lo`` can succeed, so a success there is returned
+    at once and is minimal even when success is not monotone in the
+    horizon.  Otherwise probes Graham's list-schedule makespan (a valid
+    schedule, so never below ``lo``) and, if that fails too, ``n``.  The
+    first of them that succeeds caps a bisection of the horizons between
+    it and the last failure; only that bisection assumes monotone
+    success.  Raises ``NoSolution`` when ``n`` fails.
     """
     if inst.n == 0:
         return 0, Schedule(T=0, assign=())
     lo = max(longest_chain(inst, inst.all_jobs), -(-inst.n // inst.m))
-    hi = inst.n
-    best: Schedule | None = solver(hi)
-    if best is None:
-        raise NoSolution(f"solver failed at horizon n={hi}")
-    best_T = hi
+    best = solver(lo)
+    if best is not None:
+        return lo, best
+    for hi in (graham_list(inst).makespan, inst.n):
+        if hi > lo:
+            best = solver(hi)
+            if best is not None:
+                break
+            lo = hi
+    else:
+        raise NoSolution(f"solver failed at horizon n={inst.n}")
+    lo, best_T = lo + 1, hi
     while lo < best_T:
         mid = (lo + best_T) // 2
         got = solver(mid)

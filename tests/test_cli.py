@@ -10,7 +10,7 @@ from psched.core import DISC, Schedule, verify_valid
 from psched.errors import BadParams
 from psched.generators import FAMILIES, gen_instance
 
-from conftest import random_instance
+from conftest import assert_no_violations, random_instance
 
 
 def test_instance_round_trip():
@@ -238,9 +238,9 @@ def test_pipeline_outputs_match_recorded_bytes(tmp_path, capsys, n, m, seed, fla
 
 
 def test_solve_reports_nodes_of_every_horizon_attempt(tmp_path, capsys):
-    # the horizon search shares one budget across its attempts, and the
-    # last attempt (a failure below the optimum) runs after the winning
-    # one: the printed count is the smallest budget the run fits in
+    # the horizon search shares one budget across its attempts (6 fails,
+    # then 8 and 7 succeed), so the winning attempt runs last: the printed
+    # count is the smallest budget the run fits in
     inst_path = tmp_path / "i.psched"
     assert run_command(["gen", "--family", "random-dag", "--n", "12", "--m", "2",
                         "--seed", "3", "--out", str(inst_path)]) == 0
@@ -253,3 +253,19 @@ def test_solve_reports_nodes_of_every_horizon_attempt(tmp_path, capsys):
                         "--out", str(tmp_path / "t.sched")]) == 0
     assert run_command(["solve", str(inst_path), "--budget", str(nodes - 1),
                         "--out", str(tmp_path / "u.sched")]) == 2
+
+
+def test_pipeline_without_horizon_finds_a_deep_tree_horizon(tmp_path, capsys):
+    # deep-tree success is not monotone in the horizon: here it fails at
+    # n = 5 but succeeds at the lower bound 3, which the search tries first
+    inst_path = tmp_path / "i.psched"
+    out_path = tmp_path / "o.sched"
+    assert run_command(["gen", "--family", "random-dag", "--n", "5", "--m", "2",
+                        "--seed", "0", "--out", str(inst_path)]) == 0
+    capsys.readouterr()
+    assert run_command(["pipeline", str(inst_path), *DEEP[2:], "--out", str(out_path)]) == 0
+    assert capsys.readouterr().err.startswith("horizon 3 padded 4: ")
+    inst = io.read_instance(str(inst_path))
+    final = io.read_schedule(str(out_path))
+    assert_no_violations(verify_valid(inst, final))
+    assert final.discard_count == 0

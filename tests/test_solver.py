@@ -595,3 +595,33 @@ def test_main_solve_frees_its_memo_on_return(monkeypatch, hinted):
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize(
+    "call", ["bottom_solve", "guess_outcomes", "main_solve", "hinted", "exact_opt"]
+)
+def test_solver_calls_leave_no_reference_cycles(call):
+    # a recursive helper that refers to itself must not outlive its call:
+    # with the cycle collector off, nothing is left for it to collect
+    inst = random_instance(8, 2, 0.3, 1)
+    flat = compute_params(8, 2, Fraction(1, 2))
+    deep = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
+    reference = Schedule(T=16, assign=exact_opt(inst)[1].assign)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        if call == "bottom_solve":
+            bottom_solve(inst, Interval(0, 8), inst.all_jobs, 0, {}, flat)
+        elif call == "guess_outcomes":
+            assert solver._guess_outcomes(inst, Interval(0, 16), inst.all_jobs, deep, 2)
+        elif call == "main_solve":
+            main_solve(inst, deep)
+        elif call == "hinted":
+            solve_hinted(inst, reference, deep)
+        else:
+            exact_opt(inst)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -1,11 +1,22 @@
 """Padding, discard re-insertion, and the outer horizon search."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psched.baselines import exact_feasible, exact_opt, graham_list
-from psched.core import DISC, Schedule, build_instance, iter_jobs, job_count, verify_valid
+from psched.core import (
+    DISC,
+    Schedule,
+    build_instance,
+    iter_jobs,
+    job_count,
+    longest_chain,
+    verify_valid,
+)
 from psched.errors import InvalidInput, NoSolution
 from psched.transform import (
     binary_search_makespan,
@@ -131,7 +142,76 @@ def test_binary_search_matches_oracle():
         assert_no_violations(verify_valid(inst, sched))
 
 
+def recording(succeeds):
+    """A solver that succeeds iff ``succeeds(T)``, logging every horizon asked."""
+    calls = []
+
+    def solve(T):
+        calls.append(T)
+        return Schedule(T=T, assign=()) if succeeds(T) else None
+
+    return solve, calls
+
+
+def lower_bound(inst):
+    return max(longest_chain(inst, inst.all_jobs), -(-inst.n // inst.m))
+
+
+# six free jobs listed before a six-job chain: lower bound 6, but Graham
+# runs the free jobs first and ends at 9
+GRAHAM_GAP = build_instance(12, 2, [(j, j + 1) for j in range(6, 11)])
+
+
+def test_binary_search_success_at_lower_bound_is_one_call():
+    solve, calls = recording(lambda T: True)
+    T, sched = binary_search_makespan(GRAHAM_GAP, solve)
+    assert (T, sched.T) == (6, 6)
+    assert calls == [6]
+
+
+def test_binary_search_probes_lower_bound_then_graham_then_bisects():
+    assert (lower_bound(GRAHAM_GAP), graham_list(GRAHAM_GAP).makespan) == (6, 9)
+    solve, calls = recording(lambda T: T >= 8)
+    T, sched = binary_search_makespan(GRAHAM_GAP, solve)
+    assert (T, sched.T) == (8, 8)
+    assert calls == [6, 9, 8, 7]
+
+
+def test_binary_search_falls_back_to_n_when_graham_fails():
+    solve, calls = recording(lambda T: T >= 11)
+    T, _ = binary_search_makespan(GRAHAM_GAP, solve)
+    assert T == 11
+    assert calls == [6, 9, 12, 11, 10]
+
+
 def test_binary_search_no_solution():
     inst = build_instance(3, 2, [])
     with pytest.raises(NoSolution):
         binary_search_makespan(inst, lambda t: None)
+    solve, calls = recording(lambda T: False)
+    with pytest.raises(NoSolution):
+        binary_search_makespan(GRAHAM_GAP, solve)
+    assert calls == [6, 9, 12]
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [pair for pair, on in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if on]
+    order = draw(st.permutations(range(n)))  # so that ids need not be topological
+    return build_instance(n, m, [(order[i], order[j]) for i, j in edges])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inst=instances(), data=st.data())
+def test_binary_search_finds_threshold_within_graham(inst, data):
+    lo, graham = lower_bound(inst), graham_list(inst).makespan
+    threshold = data.draw(st.integers(1, graham), label="threshold")
+    solve, calls = recording(lambda T: T >= threshold)
+    T, sched = binary_search_makespan(inst, solve)
+    assert T == sched.T == max(threshold, lo)
+    assert all(lo <= c <= graham for c in calls)
+    assert len(calls) <= 2 + math.ceil(math.log2(graham - lo + 1))
