@@ -18,13 +18,11 @@ from .core import (
     Schedule,
     ValidityReport,
     build_instance,
-    chain_depth,
     count_inversions,
     iter_jobs,
     job_count,
     longest_chain,
     mask_from,
-    preds_and_succs,
     verify_valid,
 )
 from .dyadic import Params, PartialDyadicSystem, compute_params
@@ -38,13 +36,11 @@ __all__ = [
     "Schedule",
     "ValidityReport",
     "build_instance",
-    "chain_depth",
     "compute_params",
     "count_inversions",
     "iter_jobs",
     "job_count",
     "longest_chain",
     "mask_from",
-    "preds_and_succs",
     "verify_valid",
 ]

@@ -179,11 +179,3 @@ def exact_opt(inst: Instance, limit: int = EXACT_OPT_LIMIT) -> tuple[int, Schedu
             raise AssertionError("reconstruction failed")
     del solve  # ``solve`` refers to itself; dropping it frees the memo at once
     return opt, Schedule(T=opt, assign=tuple(assign))
-
-
-def exact_feasible(inst: Instance, T: int, limit: int = EXACT_OPT_LIMIT) -> Schedule | None:
-    """Zero-discard schedule with makespan <= T, or None."""
-    opt, sched = exact_opt(inst, limit=limit)
-    if opt > T:
-        return None
-    return Schedule(T=T, assign=sched.assign)

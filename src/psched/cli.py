@@ -95,8 +95,10 @@ def _solve_at_horizon(
         sys_out, virtual = solve_hinted(padded, reference, params, budget=budget)
     else:
         sys_out, virtual = main_solve(padded, params, budget=budget)
-    canon = canonicalize(padded, sys_out, virtual, params)
-    valid = virtually_valid_to_valid(padded, sys_out, canon, params)
+    valid = virtual
+    if params.L > 0:  # with no top jobs both conversions are the identity
+        canon = canonicalize(padded, sys_out, virtual, params)
+        valid = virtually_valid_to_valid(padded, sys_out, canon, params)
     valid_orig = _originals(valid, inst.n)
     return SolveOutcome(
         horizon=horizon,
@@ -110,6 +112,10 @@ def _solve_at_horizon(
 
 def _search_horizon(inst, eps, overrides, budget, oracle):
     """Minimal horizon whose converted schedule discards nothing."""
+    if inst.n == 0:  # the search returns horizon 0 without solving
+        empty = Schedule(T=0, assign=())
+        return SolveOutcome(horizon=0, padded_T=0, virtual=empty, valid=empty, discards=0,
+                            nodes=budget.nodes)
     outcomes: dict[int, SolveOutcome] = {}
 
     def attempt(T0: int) -> Schedule | None:
@@ -196,6 +202,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"bench needs --n >= 1, got {args.n}")
     rows = []
     for i in range(args.count):
         seed = args.seed + i
@@ -248,78 +256,95 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="search node budget: states entered, not children "
                         "cut by the bound or subproblems answered from the "
-                        "memo (exit 2 when exhausted)")
+                        "memo; an L = 0 attempt counts only bottom-search "
+                        "states (exit 2 when exhausted)")
     p.add_argument("--out", default=None, help="write the schedule here")
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("gen", "verify", "graham", "oracle", "solve", "pipeline", "bench")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``psched`` parser with every subcommand, or with ``command``
+    alone when it names one; the top-level usage is the same either way."""
+    chosen = (command,) if command in COMMANDS else COMMANDS
     parser = argparse.ArgumentParser(
         prog="psched",
         description="Scheduling of precedence-constrained unit jobs on identical machines.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("gen", help="generate an instance file")
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen)
-
-    p = subs.add_parser("verify", help="check a schedule against an instance")
-    p.add_argument("instance")
-    p.add_argument("schedule")
-    p.set_defaults(func=cmd_verify)
-
-    p = subs.add_parser("graham", help="greedy list schedule")
-    p.add_argument("instance")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_graham)
-
-    p = subs.add_parser("oracle", help="exact optimum (small instances)")
-    p.add_argument("instance")
-    p.add_argument("--limit", type=int, default=EXACT_OPT_LIMIT)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_oracle)
-
-    p = subs.add_parser(
-        "solve",
-        help="run the guessing solver; output may place window-constrained "
-             "jobs out of precedence order (see pipeline)",
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if len(chosen) == 1 else None,
     )
-    p.add_argument("instance")
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_solve)
 
-    p = subs.add_parser(
-        "pipeline",
-        help="solve, convert to a valid schedule, re-insert discarded jobs",
-    )
-    p.add_argument("instance")
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_pipeline)
+    if "gen" in chosen:
+        p = subs.add_parser("gen", help="generate an instance file")
+        p.add_argument("--family", choices=FAMILIES, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--density", type=float, default=0.3)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=cmd_gen)
 
-    p = subs.add_parser("bench", help="compare baselines and solver over seeded instances")
-    p.add_argument("--family", choices=FAMILIES, default="random-dag")
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", default="1/2")
-    p.add_argument("--param-override", action="append", default=[], metavar="K=V")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--format", choices=("text", "csv"), default="csv",
-                   help=f"csv columns, in order: {', '.join(BENCH_COLUMNS)}")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
+    if "verify" in chosen:
+        p = subs.add_parser("verify", help="check a schedule against an instance")
+        p.add_argument("instance")
+        p.add_argument("schedule")
+        p.set_defaults(func=cmd_verify)
+
+    if "graham" in chosen:
+        p = subs.add_parser("graham", help="greedy list schedule")
+        p.add_argument("instance")
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=cmd_graham)
+
+    if "oracle" in chosen:
+        p = subs.add_parser("oracle", help="exact optimum (small instances)")
+        p.add_argument("instance")
+        p.add_argument("--limit", type=int, default=EXACT_OPT_LIMIT)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=cmd_oracle)
+
+    if "solve" in chosen:
+        p = subs.add_parser(
+            "solve",
+            help="run the guessing solver; output may place window-constrained "
+                 "jobs out of precedence order (see pipeline)",
+        )
+        p.add_argument("instance")
+        _add_solver_flags(p)
+        p.set_defaults(func=cmd_solve)
+
+    if "pipeline" in chosen:
+        p = subs.add_parser(
+            "pipeline",
+            help="solve, convert to a valid schedule, re-insert discarded jobs",
+        )
+        p.add_argument("instance")
+        _add_solver_flags(p)
+        p.set_defaults(func=cmd_pipeline)
+
+    if "bench" in chosen:
+        p = subs.add_parser("bench", help="compare baselines and solver over seeded instances")
+        p.add_argument("--family", choices=FAMILIES, default="random-dag")
+        p.add_argument("--count", type=int, default=10)
+        p.add_argument("--n", type=int, default=8)
+        p.add_argument("--m", type=int, default=2)
+        p.add_argument("--density", type=float, default=0.3)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--epsilon", default="1/2")
+        p.add_argument("--param-override", action="append", default=[], metavar="K=V")
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.add_argument("--format", choices=("text", "csv"), default="csv",
+                       help=f"csv columns, in order: {', '.join(BENCH_COLUMNS)}")
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=cmd_bench)
     return parser
 
 
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors; keep 2 for budget

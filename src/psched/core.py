@@ -14,7 +14,7 @@ import heapq
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import CycleError, NotInSet
+from .errors import CycleError
 
 JobSet = int  # bitmask over job ids
 Slot = int | None  # None = discarded
@@ -187,20 +187,6 @@ def chain_depths(inst: Instance, jobs: JobSet) -> dict[int, int]:
     return depth
 
 
-def chain_depth(inst: Instance, jobs: JobSet, j: int) -> int:
-    """Longest chain within ``jobs`` ending at ``j``."""
-    if not jobs >> j & 1:
-        raise NotInSet(j)
-    return chain_depths(inst, jobs)[j]
-
-
-def preds_and_succs(inst: Instance, jobs: JobSet, j: int) -> tuple[JobSet, JobSet]:
-    """Predecessor and successor masks of ``j`` restricted to ``jobs``."""
-    if not jobs >> j & 1:
-        raise NotInSet(j)
-    return inst.pred[j] & jobs, inst.succ[j] & jobs
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str
@@ -266,11 +252,6 @@ class Schedule:
 
     def jobs_at(self, t: int) -> JobSet:
         return mask_from(j for j, s in enumerate(self.assign) if s == t)
-
-    def jobs_in(self, iv: Interval) -> JobSet:
-        return mask_from(
-            j for j, s in enumerate(self.assign) if s is not None and s in iv
-        )
 
     def as_dict(self) -> dict[int, Slot]:
         return dict(enumerate(self.assign))

@@ -175,10 +175,6 @@ class DyadicTree:
     def root(self) -> Interval:
         return Interval(0, self.T)
 
-    @property
-    def bottom_length(self) -> int:
-        return self.T >> self.L
-
     def level(self, l: int) -> tuple[Interval, ...]:
         if not 0 <= l <= self.L:
             return ()

@@ -5,10 +5,6 @@ class CycleError(ValueError):
     """The edge set contains a directed cycle, so it is not a strict partial order."""
 
 
-class NotInSet(KeyError):
-    """A job was expected to be a member of the given job set."""
-
-
 class InvalidInput(ValueError):
     """A schedule or system handed to a conversion does not meet its precondition."""
 

@@ -46,7 +46,10 @@ def parse_instance(text: str) -> Instance:
         if len(parts) != 2:
             raise ValueError(f"bad edge line: {line!r}")
         edges.append((int(parts[0]), int(parts[1])))
-    return build_instance(n, m, edges)
+    try:
+        return build_instance(n, m, edges)
+    except IndexError as exc:  # an edge names a job outside 0..n-1
+        raise ValueError(str(exc)) from None
 
 
 def format_instance(inst: Instance, direct_edges: list[tuple[int, int]] | None = None) -> str:

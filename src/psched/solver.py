@@ -59,7 +59,9 @@ class Budget:
     call that solves its subproblem, one step of the outer cascades or
     one state of the bottom search.  Bottom-search children that the
     bound cuts before entry are not counted, nor is a subproblem answered
-    from the ``SolveMemo`` of the current ``main_solve``.
+    from the ``SolveMemo`` of the current ``main_solve``.  A tree with
+    ``L = 0`` runs no cascades and no ``schedule_subtree``, so only its
+    bottom-search states count.
     """
 
     limit: int = DEFAULT_BUDGET
@@ -140,18 +142,6 @@ class SolveMemo:
     )
 
 
-def _region_lookup(maps: list[dict[Interval, JobSet]]):
-    def region(w: Interval) -> JobSet:
-        out = 0
-        for mp in maps:
-            for iv, jobs in mp.items():
-                if jobs and w.contains_interval(iv):
-                    out |= jobs
-        return out
-
-    return region
-
-
 def node_windows(
     inst: Instance,
     root: Interval,
@@ -162,11 +152,12 @@ def node_windows(
     """Windows for the jobs staying at ``root``, from one frontier level of info.
 
     Boundaries are multiples of the root's alignment unit; a pending set
-    counts as inside a region when its frontier interval is."""
+    counts as inside a region when its frontier interval is (the two maps
+    never share an interval)."""
     step = window_step(params, root.length)
-    region = _region_lookup([j_map, k_map])
+    known = PartialDyadicSystem(root=root, assign={**j_map, **k_map})
     return {
-        j: _window_for(inst, j, root, step, region)
+        j: _window_for(inst, j, root, step, known.jobs_within)
         for j in iter_jobs(j_map.get(root, 0))
     }
 
@@ -672,9 +663,12 @@ def main_solve(
     starting candidate.  The result is a full system together with a
     virtually-valid schedule for it.  Subproblems and split outcomes met
     again during the call are answered from one ``SolveMemo``.
+
+    When ``L = 0`` the whole horizon is one bottom interval: the result is
+    one ``bottom_solve`` of all jobs on the root, warm-started from the
+    hints' reference, with no cascades, subtrees or memo.
     """
     budget = budget or Budget()
-    memo = SolveMemo()
     tree = tree_for(params)
     if inst.n == 0:
         empty = full_system(params, {})
@@ -682,6 +676,13 @@ def main_solve(
     fallback_iv = tree.level(tree.L)[0]
     best_sys = full_system(params, {fallback_iv: inst.all_jobs})
     best_sched = Schedule(T=params.T, assign=(DISC,) * inst.n)
+    if tree.L == 0:
+        if inst.n > params.m * params.T:  # the root cannot hold them all
+            return best_sys, best_sched
+        warm = None if hints is None else dict(enumerate(hints.reference.assign))
+        assign = bottom_solve(inst, tree.root, inst.all_jobs, 0, {}, params, budget, warm)
+        return best_sys, Schedule(T=params.T, assign=tuple(assign[j] for j in range(inst.n)))
+    memo = SolveMemo()
     best_count = 0
     for j_map, pending in _outer_cascades(inst, params, budget, hints, memo):
         sub = SubproblemInput(root=tree.root, assigned=j_map, pending=pending)

@@ -7,7 +7,6 @@ import pytest
 from psched.baselines import (
     CapacityProfile,
     capacity_list_schedule,
-    exact_feasible,
     exact_opt,
     graham_list,
 )
@@ -159,8 +158,8 @@ def test_exact_opt_matches_permutation_oracle():
         assert exact_opt(inst)[0] == permutation_opt(inst)
 
 
-def test_exact_feasible():
+def test_exact_opt_one_machine_runs_every_job_in_turn():
     inst = build_instance(4, 1, [(0, 1)])
-    assert exact_feasible(inst, 3) is None
-    sched = exact_feasible(inst, 5)
-    assert sched is not None and sched.T == 5
+    opt, sched = exact_opt(inst)
+    assert opt == 4 and sched.T == 4 and sched.makespan == 4
+    assert sorted(sched.assign) == [1, 2, 3, 4] and sched.assign[0] < sched.assign[1]

@@ -1,11 +1,12 @@
 """File formats, generators, and the command-line surface."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from psched import io
-from psched.cli import run_command
+from psched.cli import COMMANDS, run_command
 from psched.core import DISC, Schedule, verify_valid
 from psched.errors import BadParams
 from psched.generators import FAMILIES, gen_instance
@@ -35,6 +36,8 @@ def test_instance_parse_errors():
         io.parse_instance("psched 1 3 2\n0\n")
     with pytest.raises(ValueError):
         io.parse_instance("")
+    with pytest.raises(ValueError, match="out of range"):
+        io.parse_instance("psched 1 2 2\n0 5\n")
 
 
 def test_schedule_round_trip():
@@ -269,3 +272,49 @@ def test_pipeline_without_horizon_finds_a_deep_tree_horizon(tmp_path, capsys):
     final = io.read_schedule(str(out_path))
     assert_no_violations(verify_valid(inst, final))
     assert final.discard_count == 0
+
+
+GOLDEN_HELP = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_text_is_unchanged(monkeypatch, capsys, command):
+    # a call registers only the subparser it names; its help reads the same
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_command([command, "--help"] if command else ["--help"]) == 0
+    golden = GOLDEN_HELP / f"help_{command or 'psched'}.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--bogus"], ["solve", "x", "--bogus"]])
+def test_usage_errors_exit_1_with_the_full_usage(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_command(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "usage: psched [-h] {gen,verify,graham,oracle,solve,pipeline,bench} ...\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "pipeline"])
+@pytest.mark.parametrize("flags", [[], ["--hinted"]], ids=["enum", "hinted"])
+def test_empty_instance_without_horizon(tmp_path, capsys, command, flags):
+    inst_path = tmp_path / "i.psched"
+    out_path = tmp_path / "o.sched"
+    inst_path.write_text("psched 1 0 2\n")
+    assert run_command([command, str(inst_path), *flags, "--out", str(out_path)]) == 0
+    assert out_path.read_text() == "sched 1 0 0\n"
+    assert capsys.readouterr().err.startswith("horizon 0 padded 0: ")
+
+
+def test_out_of_range_edge_is_an_input_error(tmp_path, capsys):
+    inst_path = tmp_path / "i.psched"
+    inst_path.write_text("psched 1 2 2\n0 5\n")
+    assert run_command(["pipeline", str(inst_path)]) == 1
+    assert capsys.readouterr().err == "error: edge (0, 5) out of range for n=2\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_bench_rejects_fewer_than_one_job(tmp_path, capsys, n):
+    out = tmp_path / "bench.csv"
+    assert run_command(["bench", "--n", n, "--count", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: bench needs --n >= 1, got {n}\n"
+    assert not out.exists()

@@ -32,10 +32,12 @@ from psched.dyadic import (
     windows,
 )
 from psched.errors import InvalidInput, PrecongruenceViolated
+from psched.solver import main_solve
 
 from conftest import assert_no_violations
 
 from test_dyadic import desk_params, reference_pair
+from test_solver import COLLAPSED_GRID, collapsed_case
 
 
 def _pipeline_inputs(seed, T=16, m=2, n=8):
@@ -179,6 +181,17 @@ def test_vv_to_valid_no_top_jobs_is_identity():
     sys, _, _ = system_from_schedule(inst, sched, params)
     out = virtually_valid_to_valid(inst, sys, sched, params)
     assert out == sched
+
+
+@pytest.mark.parametrize("seed, m, offset, hinted", COLLAPSED_GRID)
+def test_conversions_are_the_identity_when_collapsed(seed, m, offset, hinted):
+    # with L = 0 there are no top jobs, so the pipeline may skip both steps
+    inst, params, hints = collapsed_case(seed, m, offset, hinted)
+    sys, sched = main_solve(inst, params, hints=hints)
+    assert windows(inst, sys, params) == {}
+    canon = canonicalize(inst, sys, sched, params)
+    assert canon == sched
+    assert virtually_valid_to_valid(inst, sys, canon, params) == sched
 
 
 def test_vv_to_valid_distinct_bottoms_lose_nothing():

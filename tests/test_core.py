@@ -8,16 +8,14 @@ from psched.core import (
     DISC,
     Schedule,
     build_instance,
-    chain_depth,
     chain_depths,
     count_inversions,
     iter_jobs,
     longest_chain,
     mask_from,
-    preds_and_succs,
     verify_valid,
 )
-from psched.errors import CycleError, NotInSet
+from psched.errors import CycleError
 
 from conftest import (
     brute_depth,
@@ -90,18 +88,19 @@ def test_chain_subadditive():
 
 def test_depth_basics():
     inst = build_instance(4, 1, [(0, 1), (1, 2)])
-    assert chain_depth(inst, inst.all_jobs, 3) == 1
-    assert chain_depth(inst, inst.all_jobs, 2) == 3
-    with pytest.raises(NotInSet):
-        chain_depth(inst, mask_from([0, 1]), 2)
+    depths = chain_depths(inst, inst.all_jobs)
+    assert depths[3] == 1
+    assert depths[2] == 3
+    assert chain_depths(inst, mask_from([0, 1])) == {0: 1, 1: 2}  # only members
 
 
 def test_depth_matches_brute_force():
     for seed in range(20):
         inst = random_instance(8, 2, 0.35, seed)
         jobs = mask_from(range(8))
+        depths = chain_depths(inst, jobs)
         for j in range(8):
-            assert chain_depth(inst, jobs, j) == brute_depth(inst, jobs, j)
+            assert depths[j] == brute_depth(inst, jobs, j)
 
 
 def test_depth_strictly_increases_along_chains():
@@ -117,22 +116,24 @@ def test_depth_strictly_increases_along_chains():
 
 def test_preds_and_succs():
     inst = build_instance(3, 1, [(0, 1), (1, 2)])
-    assert preds_and_succs(inst, inst.all_jobs, 1) == (mask_from([0]), mask_from([2]))
+    assert (inst.pred[1], inst.succ[1]) == (mask_from([0]), mask_from([2]))
+    assert (inst.pred[1] & mask_from([1, 2]), inst.succ[1] & mask_from([1, 2])) == (
+        0, mask_from([2]))
     lonely = build_instance(2, 1, [])
-    assert preds_and_succs(lonely, lonely.all_jobs, 0) == (0, 0)
-    with pytest.raises(NotInSet):
-        preds_and_succs(inst, mask_from([0]), 1)
+    assert (lonely.pred[0], lonely.succ[0]) == (0, 0)
 
 
 def test_preds_and_succs_matches_closure_rows():
     for seed in range(15):
-        inst = random_instance(8, 2, 0.3, seed)
-        rng = random.Random(seed + 50)
+        rng = random.Random(seed)
+        edges = random_edges(8, 0.3, rng)
+        inst = build_instance(8, 2, edges)
+        reach = dfs_reachable(8, edges)
         jobs = mask_from(j for j in range(8) if rng.random() < 0.7)
         for j in iter_jobs(jobs):
-            preds, succs = preds_and_succs(inst, jobs, j)
-            assert preds == inst.pred[j] & jobs
-            assert succs == inst.succ[j] & jobs
+            preds, succs = inst.pred[j] & jobs, inst.succ[j] & jobs
+            assert preds == mask_from(i for i in iter_jobs(jobs) if (i, j) in reach)
+            assert succs == mask_from(k for k in iter_jobs(jobs) if (j, k) in reach)
             assert preds & succs == 0 and not (preds | succs) >> j & 1
 
 

@@ -20,6 +20,7 @@ from psched.core import (
     mask_from,
 )
 from psched.dyadic import (
+    PartialDyadicSystem,
     check_system,
     check_virtually_valid,
     compute_params,
@@ -32,6 +33,7 @@ from psched import solver
 from psched.errors import BudgetExceeded
 from psched.solver import (
     Budget,
+    Hints,
     SolveMemo,
     SubproblemInput,
     bottom_solve,
@@ -474,6 +476,67 @@ def test_empty_instance():
     params = micro_params()
     _, sched = main_solve(inst, params)
     assert sched.assign == ()
+
+
+def collapsed_case(seed, m, offset, hinted):
+    """A padded instance at horizon ``opt + offset`` whose params collapse
+    the tree to one bottom interval (``L = 0``), with hints when asked.
+
+    The hints' reference is the optimal schedule with its padding sinks
+    after the horizon, or, below the optimum, with every job that does not
+    fit discarded."""
+    inst0 = random_instance(7 + seed % 3, m, 0.5, seed)
+    opt, best = exact_opt(inst0)
+    target = max(opt + offset, 2)
+    inst, T2, pads = pad_to_power_of_two(inst0, target)
+    params = compute_params(T2, m, Fraction(1, 2))
+    assert params.L == 0
+    if not hinted:
+        return inst, params, None
+    assign = [t if t <= target else None for t in best.assign]
+    for k in range(job_count(pads)):
+        assign.append(target + 1 + k // m if offset >= 0 else None)
+    return inst, params, Hints(guesses={}, reference=Schedule(T=T2, assign=tuple(assign)))
+
+
+COLLAPSED_GRID = [
+    (seed, m, offset, hinted)
+    for m in (1, 2, 3)
+    for offset in (-1, 0, 3)
+    for hinted in (False, True)
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("seed, m, offset, hinted", COLLAPSED_GRID, ids=[
+    f"s{g[0]}-m{g[1]}-opt{g[2]:+d}-{'hinted' if g[3] else 'enum'}" for g in COLLAPSED_GRID
+])
+def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
+    # at L = 0 main_solve is one bottom_solve on the root: the same system
+    # and schedule as the root subproblem's solve, or the all-discard
+    # fallback when that finds nothing.  It enters no outer-cascade step
+    # and not the root subproblem, so one node fewer than that call
+    inst, params, hints = collapsed_case(seed, m, offset, hinted)
+    root = tree_for(params).root
+    sub_budget = Budget()
+    got = schedule_subtree(
+        inst, SubproblemInput(root=root, assigned={root: inst.all_jobs}), params,
+        sub_budget, hints,
+    )
+    budget = Budget()
+    sys_out, sched = main_solve(inst, params, budget=budget, hints=hints)
+    assert sys_out == PartialDyadicSystem(root=root, assign={root: inst.all_jobs})
+    if got is None:  # more jobs than the root holds
+        assert inst.n > m * params.T
+        assert sched == Schedule(T=params.T, assign=(None,) * inst.n)
+        assert budget.nodes == 0
+        return
+    assert got[0] == sys_out
+    assert sched == Schedule(T=params.T, assign=tuple(got[1][j] for j in range(inst.n)))
+    assert budget.nodes == sub_budget.nodes - 1
+    assert check_virtually_valid(inst, sys_out, params, sched).ok
+    if hints is not None:
+        assert sched.scheduled_count >= hints.reference.scheduled_count
 
 
 def test_budget_exceeded():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psched.baselines import exact_feasible, exact_opt, graham_list
+from psched.baselines import exact_opt, graham_list
 from psched.core import (
     DISC,
     Schedule,
@@ -124,21 +124,24 @@ def test_next_power_of_two():
 
 def test_binary_search_chain():
     inst = build_instance(5, 3, [(i, i + 1) for i in range(4)])
-    T, sched = binary_search_makespan(inst, lambda t: exact_feasible(inst, t))
+    opt, best = exact_opt(inst)
+    T, sched = binary_search_makespan(inst, lambda t: best if opt <= t else None)
     assert T == 5 and sched.makespan == 5
 
 
 def test_binary_search_antichain():
     inst = build_instance(6, 2, [])
-    T, _ = binary_search_makespan(inst, lambda t: exact_feasible(inst, t))
+    opt, best = exact_opt(inst)
+    T, _ = binary_search_makespan(inst, lambda t: best if opt <= t else None)
     assert T == 3
 
 
 def test_binary_search_matches_oracle():
     for seed in range(20):
         inst = random_instance(8, 2, 0.3, seed)
-        T, sched = binary_search_makespan(inst, lambda t: exact_feasible(inst, t))
-        assert T == exact_opt(inst)[0]
+        opt, best = exact_opt(inst)
+        T, sched = binary_search_makespan(inst, lambda t: best if opt <= t else None)
+        assert T == opt
         assert_no_violations(verify_valid(inst, sched))
 
 
