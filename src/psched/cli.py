@@ -165,6 +165,8 @@ def _common_solve(args, inst: Instance) -> SolveOutcome:
     overrides = _parse_overrides(args.param_override)
     budget = Budget(limit=args.budget)
     eps = Fraction(args.epsilon)
+    if args.horizon is not None and args.horizon < 1:
+        raise ValueError(f"need --horizon >= 1, got {args.horizon}")
     oracle = exact_opt(inst) if args.hinted else None
     if args.horizon is not None:
         got = _solve_at_horizon(inst, args.horizon, eps, overrides, budget, oracle)
@@ -237,7 +239,7 @@ def cmd_bench(args) -> int:
         lines += [",".join(str(r[c]) for c in BENCH_COLUMNS) for r in rows]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in BENCH_COLUMNS}
+        widths = {c: max([len(c), *(len(str(r[c])) for r in rows)]) for c in BENCH_COLUMNS}
         lines = ["  ".join(c.ljust(widths[c]) for c in BENCH_COLUMNS)]
         for r in rows:
             lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in BENCH_COLUMNS))

@@ -122,6 +122,10 @@ def compute_params(
     if "hp" in ov:
         hp = int(ov["hp"])  # type: ignore[arg-type]
         overridden.append("hp")
+    if not 0 <= h <= log_T:
+        raise InvalidOverride(f"need 0 <= h <= log2(T)={log_T}, got h={h}")
+    if hp < 0:
+        raise InvalidOverride(f"need hp >= 0, got {hp}")
     delta = eps / (16 * (1 << h) * m * m)
     deltap = Fraction(1, 2 << (2 * h))
     if "delta" in ov:
@@ -140,10 +144,6 @@ def compute_params(
         p = int(ov["p"])  # type: ignore[arg-type]
         overridden.append("p")
 
-    if not 0 <= h <= log_T:
-        raise InvalidOverride(f"need 0 <= h <= log2(T)={log_T}, got h={h}")
-    if hp < 0:
-        raise InvalidOverride(f"need hp >= 0, got {hp}")
     if delta < 0 or deltap < 0:
         raise InvalidOverride("delta and deltap must be nonnegative")
     if p < 1:
@@ -230,9 +230,15 @@ class DyadicTree:
         )
 
 
-@lru_cache(maxsize=None)
 def tree_for(params: Params) -> DyadicTree:
-    return DyadicTree(T=params.T, L=params.L, hp=params.hp)
+    # keyed on the three ints the tree depends on: hashing a whole Params
+    # hashes its three Fractions on every call
+    return _tree(params.T, params.L, params.hp)
+
+
+@lru_cache(maxsize=None)
+def _tree(T: int, L: int, hp: int) -> DyadicTree:
+    return DyadicTree(T=T, L=L, hp=hp)
 
 
 def chain_bound(params: Params, kind: str, interval_len: int, count: int) -> Fraction:

@@ -4,7 +4,8 @@ The driver enumerates split decisions for the first levels of the tree,
 then hands each frontier state to a recursive subtree solver that guesses
 one more level of splits, computes windows for the jobs staying at the
 node, partitions the window-constrained pool between the two halves (one
-representative per window-multiset equivalence class), and recurses.
+representative per window-multiset equivalence class, never sending a job
+to a half its window misses), and recurses.
 Within one ``main_solve`` each distinct subproblem is solved once, so the
 recursion is a dynamic program over its states.  Bottom intervals are
 solved exactly by branch and bound.  A hinted mode replays the splits and
@@ -171,13 +172,25 @@ def enumerate_partitions(
     pool_windows: dict[int, Window],
     root: Interval,
 ):
-    """Partitions of the pool into (left, right, discarded), one per class.
+    """Placeable partitions of the pool into (left, right, discarded), one
+    per class.
 
     Two partitions are equivalent when the multisets of windows clipped to
     the left half agree on the left parts and likewise on the right.  Jobs
     sharing both clips are interchangeable, so enumeration runs over
-    per-group count vectors, deduplicated by the class key; concrete jobs
-    fill the sides in ascending id.
+    per-group count vectors in ``product`` order, deduplicated by the
+    class key; concrete jobs fill the sides in ascending id.
+
+    A job is never sent to a half its window misses (clip ``None``): such
+    a partition P can never win.  Lowering its offending counts to 0 gives
+    a partition P' that discards those jobs instead and comes earlier in
+    ``product`` order, so P' or an earlier member of its class is tried
+    before P.  The jobs P sends can never be placed, since ``bottom_solve``
+    filters ancestors by window and clips below stay ``None``, so P' keeps
+    at least as many jobs as P, and ``_solve_subtree`` replaces its
+    incumbent only on a strict gain.  Every such class holds a ``None``
+    clip and no placeable class does, so each placeable class keeps the
+    representative it had when unplaceable ones were enumerated too.
     """
     groups: dict[tuple, list[int]] = {}
     for j in sorted(pool_windows):
@@ -186,7 +199,11 @@ def enumerate_partitions(
         groups.setdefault((lc, rc), []).append(j)
     keys = sorted(groups, key=lambda k: (k[0] or (-1, -1), k[1] or (-1, -1)))
     counts = [
-        [(a, b) for a in range(len(groups[k]) + 1) for b in range(len(groups[k]) - a + 1)]
+        [
+            (a, b)
+            for a in (range(len(groups[k]) + 1) if k[0] else (0,))
+            for b in (range(len(groups[k]) - a + 1) if k[1] else (0,))
+        ]
         for k in keys
     ]
     seen: set[tuple] = set()
@@ -197,10 +214,7 @@ def enumerate_partitions(
             lc, rc = key
             left_ms.extend([lc] * a)
             right_ms.extend([rc] * b)
-        class_key = (
-            tuple(sorted(left_ms, key=lambda w: w or (-1, -1))),
-            tuple(sorted(right_ms, key=lambda w: w or (-1, -1))),
-        )
+        class_key = (tuple(sorted(left_ms)), tuple(sorted(right_ms)))
         if class_key in seen:
             continue
         seen.add(class_key)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from psched import io
-from psched.cli import COMMANDS, run_command
+from psched.cli import BENCH_COLUMNS, COMMANDS, run_command
 from psched.core import DISC, Schedule, verify_valid
 from psched.errors import BadParams
 from psched.generators import FAMILIES, gen_instance
@@ -274,7 +274,40 @@ def test_pipeline_without_horizon_finds_a_deep_tree_horizon(tmp_path, capsys):
     assert final.discard_count == 0
 
 
-GOLDEN_HELP = Path(__file__).parent / "golden"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# deep-tree solves (random-dag, m = 2, h=1 hp=1 p=2): (n, horizon, generator
+# seed, scheduled, nodes); the schedules were recorded when the enumeration
+# still tried unplaceable partitions, which took 2499, 694, 3148, 3762, 1578
+# and 1578 nodes
+GOLDEN_DEEP_SOLVE = [
+    (8, 16, 0, 2, 82),
+    (8, 16, 1, 0, 24),
+    (10, 16, 0, 6, 197),
+    (10, 16, 1, 7, 222),
+    (8, 32, 0, 0, 48),
+    (8, 32, 1, 0, 48),
+]
+
+
+@pytest.mark.parametrize(
+    "n, horizon, seed, scheduled, nodes", GOLDEN_DEEP_SOLVE,
+    ids=[f"n{n}-T{t}-s{s}" for n, t, s, _, _ in GOLDEN_DEEP_SOLVE],
+)
+def test_deep_tree_solve_matches_recorded_bytes(tmp_path, capsys, n, horizon, seed,
+                                                scheduled, nodes):
+    inst_path = tmp_path / "i.psched"
+    assert run_command(["gen", "--family", "random-dag", "--n", str(n), "--m", "2",
+                        "--seed", str(seed), "--out", str(inst_path)]) == 0
+    capsys.readouterr()
+    assert run_command(["solve", str(inst_path), "--horizon", str(horizon), *DEEP[2:]]) == 0
+    out, err = capsys.readouterr()
+    golden = GOLDEN_DIR / f"solve_deep_n{n}_T{horizon}_s{seed}.sched"
+    assert out == golden.read_text(encoding="utf-8")
+    assert err == (f"horizon {horizon} padded {horizon}: {scheduled} scheduled, "
+                   f"{n - scheduled} discarded, {nodes} nodes\n")
+
+
 
 
 @pytest.mark.parametrize("command", [None, *COMMANDS])
@@ -282,7 +315,7 @@ def test_help_text_is_unchanged(monkeypatch, capsys, command):
     # a call registers only the subparser it names; its help reads the same
     monkeypatch.setenv("COLUMNS", "80")
     assert run_command([command, "--help"] if command else ["--help"]) == 0
-    golden = GOLDEN_HELP / f"help_{command or 'psched'}.txt"
+    golden = GOLDEN_DIR / f"help_{command or 'psched'}.txt"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
@@ -310,6 +343,33 @@ def test_out_of_range_edge_is_an_input_error(tmp_path, capsys):
     inst_path.write_text("psched 1 2 2\n0 5\n")
     assert run_command(["pipeline", str(inst_path)]) == 1
     assert capsys.readouterr().err == "error: edge (0, 5) out of range for n=2\n"
+
+
+def test_bench_text_with_no_rows_prints_the_header(tmp_path, capsys):
+    out = tmp_path / "bench.txt"
+    assert run_command(["bench", "--count", "0", "--format", "text", "--out", str(out)]) == 0
+    assert out.read_text() == "  ".join(BENCH_COLUMNS) + "\n"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "pipeline"])
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_horizon_below_one_is_rejected(tmp_path, capsys, command, horizon):
+    inst_path = tmp_path / "i.psched"
+    out_path = tmp_path / "o.sched"
+    inst_path.write_text("psched 1 2 2\n0 1\n")
+    assert run_command([command, str(inst_path), "--horizon", horizon,
+                        "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == f"error: need --horizon >= 1, got {horizon}\n"
+    assert not out_path.exists()
+
+
+def test_negative_h_override_is_an_input_error(tmp_path, capsys):
+    inst_path = tmp_path / "i.psched"
+    inst_path.write_text("psched 1 2 2\n0 1\n")
+    assert run_command(["solve", str(inst_path), "--horizon", "4",
+                        "--param-override", "h=-1"]) == 1
+    assert capsys.readouterr().err == "error: need 0 <= h <= log2(T)=2, got h=-1\n"
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

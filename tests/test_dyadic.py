@@ -19,6 +19,7 @@ from psched.dyadic import (
     BOT,
     MID,
     TOP,
+    DyadicTree,
     PartialDyadicSystem,
     check_system,
     check_valid_for_system,
@@ -81,6 +82,27 @@ def test_override_validation():
         compute_params(8, 2, Fraction(1, 2), overrides={"bogus": 1})
     with pytest.raises(InvalidOverride):
         compute_params(6, 2, Fraction(1, 2))  # not a power of two
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("h", -1, "need 0 <= h <= log2(T)=3, got h=-1"),
+    ("h", -5, "need 0 <= h <= log2(T)=3, got h=-5"),
+    ("hp", -1, "need hp >= 0, got -1"),
+])
+def test_negative_h_and_hp_are_rejected_before_use(key, value, message):
+    # delta and deltap shift by h, so h is checked before they are derived
+    with pytest.raises(InvalidOverride) as exc:
+        compute_params(8, 2, Fraction(1, 2), overrides={key: value})
+    assert str(exc.value) == message
+
+
+def test_tree_for_depends_on_t_l_and_hp_alone():
+    a = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
+    b = compute_params(16, 3, Fraction(1, 3), overrides={"h": 1, "hp": 1, "p": 5})
+    c = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 2, "p": 2})
+    assert tree_for(a) is tree_for(b)
+    assert tree_for(a) == DyadicTree(T=16, L=3, hp=1)
+    assert tree_for(c) == DyadicTree(T=16, L=3, hp=2)
 
 
 def test_tree_levels_structure():

@@ -31,6 +31,7 @@ from psched.dyadic import (
 )
 from psched import solver
 from psched.errors import BudgetExceeded
+from psched.generators import gen_instance
 from psched.solver import (
     Budget,
     Hints,
@@ -47,6 +48,7 @@ from psched.solver import (
 from psched.transform import pad_to_power_of_two
 
 from conftest import assert_no_violations, max_scheduled_oracle, random_instance
+from partition_reference import reference_enumerate_partitions
 
 from test_dyadic import desk_params, reference_pair
 
@@ -127,6 +129,9 @@ def test_enumerate_partitions_empty_pool():
 
 
 def test_enumerate_partitions_cover_all_raw_partitions():
+    # a raw partition that sends a job to a half its window misses is
+    # covered with that job discarded instead, since it can never place it:
+    # (4, 8) misses the right half (8, 16], (8, 12) the left one, (8, 8) both
     rng = random.Random(5)
     root = Interval(0, 16)
     aligned = [4, 8, 12]
@@ -141,9 +146,52 @@ def test_enumerate_partitions_cover_all_raw_partitions():
         rep_keys = {partition_class_key(pool, root, jl, jr) for jl, jr, _ in reps}
         assert len(rep_keys) == len(reps)  # one representative per class
         for raw in product(range(3), repeat=k):
-            jl = mask_from(j for j in range(k) if raw[j] == 0)
-            jr = mask_from(j for j in range(k) if raw[j] == 1)
+            jl = mask_from(j for j in range(k) if raw[j] == 0 and pool[j][0] < 8)
+            jr = mask_from(j for j in range(k) if raw[j] == 1 and pool[j][1] > 8)
             assert partition_class_key(pool, root, jl, jr) in rep_keys
+
+
+def test_enumerate_partitions_send_no_job_to_a_missed_half():
+    rng = random.Random(7)
+    root = Interval(0, 16)
+    missed = 0
+    for trial in range(40):
+        k = rng.randrange(1, 7)
+        pool = {}
+        for j in range(k):
+            b = rng.choice([0, 4, 8, 12])
+            pool[j] = (b, rng.choice([x for x in (4, 8, 12, 16) if x > b]))
+        missed += sum(1 for b, e in pool.values() if e <= 8 or b >= 8)
+        for jl, jr, jd in enumerate_partitions(pool, root):
+            assert jl | jr | jd == mask_from(range(k))
+            assert jl & jr == jl & jd == jr & jd == 0
+            assert all(pool[j][0] < 8 for j in iter_jobs(jl))  # meets (0, 8]
+            assert all(pool[j][1] > 8 for j in iter_jobs(jr))  # meets (8, 16]
+    assert missed > 0
+
+
+DEEP_FAMILIES = ("random-dag", "layered", "forest")
+
+
+@pytest.mark.parametrize("family", DEEP_FAMILIES)
+def test_main_solve_matches_the_unpruned_enumeration(monkeypatch, family):
+    # cutting unplaceable partitions changes no result, only the nodes
+    fewer = 0
+    for m, T, h in product((2, 3), (8, 16, 32), (1, 2)):
+        seed = DEEP_FAMILIES.index(family) * 100 + m * 10 + T + h
+        inst, _ = gen_instance(family, 4 + seed % 4, m, 0.3, seed)
+        params = compute_params(T, m, Fraction(1, 2), overrides={"h": h, "hp": 1, "p": 2})
+        got = []
+        for enum in (reference_enumerate_partitions, enumerate_partitions):
+            monkeypatch.setattr(solver, "enumerate_partitions", enum)
+            budget = Budget()
+            sys, sched = main_solve(inst, params, budget=budget)
+            got.append((sys.assign, sched, budget.nodes))
+        (ref_assign, ref_sched, ref_nodes), (assign, sched, nodes) = got
+        assert assign == ref_assign and sched == ref_sched, (m, T, h)
+        assert nodes <= ref_nodes, (m, T, h)
+        fewer += nodes < ref_nodes
+    assert fewer > 0
 
 
 def brute_force_bottom(inst, iv, bottom, ancestors, anc_windows, m):
