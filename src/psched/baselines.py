@@ -1,7 +1,9 @@
-"""List-scheduling baselines and the exact brute-force makespan oracle."""
+"""List-scheduling baselines, makespan bounds and the exact brute-force oracle."""
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -12,6 +14,7 @@ from .core import (
     JobSet,
     Schedule,
     Slot,
+    chain_depths,
     iter_jobs,
     job_count,
     longest_chain,
@@ -49,6 +52,22 @@ def graham_list(inst: Instance) -> Schedule:
     Ready jobs are taken in ascending id.  Never discards; the makespan is
     at most (longest chain) + ceil(n/m).
     """
+    return _list_schedule(inst, range(inst.n))
+
+
+def critical_path_list(inst: Instance) -> Schedule:
+    """Graham's list schedule with ready jobs taken by longest tail first.
+
+    A job's tail height is the length of the longest chain that starts at
+    it, as in Hu's level order; ties go to the smaller id.
+    """
+    height = tail_heights(inst)
+    return _list_schedule(inst, sorted(range(inst.n), key=lambda j: (-height[j], j)))
+
+
+def _list_schedule(inst: Instance, priority: Sequence[int]) -> Schedule:
+    """Run up to ``m`` ready jobs per slot, the first ones in ``priority``
+    (every job once); the loop of every list schedule here."""
     assign: list[Slot] = [DISC] * inst.n
     done: JobSet = 0
     t = 0
@@ -56,7 +75,7 @@ def graham_list(inst: Instance) -> Schedule:
         t += 1
         ready = [
             j
-            for j in range(inst.n)
+            for j in priority
             if not done >> j & 1 and inst.pred[j] & ~done == 0
         ]
         batch = ready[: inst.m]
@@ -64,6 +83,52 @@ def graham_list(inst: Instance) -> Schedule:
             assign[j] = t
         done |= mask_from(batch)
     return Schedule(T=max(t, 1) if inst.n else 0, assign=tuple(assign))
+
+
+def tail_heights(inst: Instance) -> list[int]:
+    """Per job, the length of the longest chain that starts at it."""
+    height = [0] * inst.n
+    for j in reversed(inst.topo):
+        h = 0
+        for s in iter_jobs(inst.succ[j]):
+            if height[s] > h:
+                h = height[s]
+        height[j] = h + 1
+    return height
+
+
+def _level(heights: Iterable[int], m: int) -> int:
+    """``max over k of (k - 1) + ceil(|{j : height(j) >= k}| / m)``."""
+    per_height = Counter(heights)
+    best = at_least = 0
+    for k in range(max(per_height, default=0), 0, -1):
+        at_least += per_height[k]
+        best = max(best, k - 1 + -(-at_least // m))
+    return best
+
+
+def level_bound(inst: Instance) -> int:
+    """Hu's level lower bound on the makespan, taken from both ends.
+
+    A job of tail height ``k`` has ``k - 1`` jobs after it in a chain, so
+    every such job runs in the first ``C - (k - 1)`` slots of a schedule
+    of makespan ``C``; at most ``m`` jobs per slot gives
+    ``C >= (k - 1) + ceil(|{j : height(j) >= k}| / m)``.  The same holds
+    for head depths read backwards in time.  At ``k = 1`` this is
+    ``ceil(n/m)`` and at the longest chain it is at least that chain, so
+    it never falls below ``max(longest chain, ceil(n/m))``.
+    """
+    depths = chain_depths(inst, inst.all_jobs).values()
+    return max(_level(tail_heights(inst), inst.m), _level(depths, inst.m))
+
+
+def bound_sandwich(inst: Instance) -> tuple[int, Schedule]:
+    """A certified makespan range ``(lower, upper)``: the level bound, below
+    which no schedule ends, and the shorter of the Graham and critical-path
+    list schedules (Graham's on a tie), a valid schedule the optimum is no
+    longer than.  When ``upper.makespan == lower``, ``upper`` is optimal."""
+    upper = min(graham_list(inst), critical_path_list(inst), key=lambda s: s.makespan)
+    return level_bound(inst), upper
 
 
 def capacity_list_schedule(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import io
-from .baselines import EXACT_OPT_LIMIT, exact_opt, graham_list
+from .baselines import EXACT_OPT_LIMIT, bound_sandwich, exact_opt, graham_list
 from .convert import canonicalize, virtually_valid_to_valid
 from .core import Instance, Schedule, Slot, iter_jobs, longest_chain, verify_valid
 from .dyadic import OVERRIDE_KEYS, compute_params
@@ -68,6 +68,19 @@ def _originals(sched: Schedule, n: int) -> Schedule:
     return Schedule(T=sched.T, assign=sched.assign[:n])
 
 
+def _with_sinks(inst: Instance, padded: Instance, sched: Schedule, after: int) -> Schedule:
+    """``sched`` of the original jobs, extended to ``padded``: its sinks
+    fill the slots after ``after`` up to the padded horizon, ``m`` per
+    slot, in ascending id."""
+    assign: list[Slot] = list(sched.assign)
+    slot = after
+    for k, _ in enumerate(iter_jobs(padded.all_jobs & ~inst.all_jobs)):
+        if k % inst.m == 0:
+            slot += 1
+        assign.append(slot)
+    return Schedule(T=slot, assign=tuple(assign))
+
+
 def _solve_at_horizon(
     inst: Instance,
     horizon: int,
@@ -75,9 +88,12 @@ def _solve_at_horizon(
     overrides: dict,
     budget: Budget,
     oracle: tuple[int, Schedule] | None,
+    warm: Schedule | None = None,
 ) -> SolveOutcome | None:
     """Solve at one horizon; with ``oracle`` (the result of ``exact_opt``),
-    replay the splits of its schedule instead of enumerating."""
+    replay the splits of its schedule instead of enumerating.  Otherwise
+    ``warm``, a valid schedule of makespan at most ``horizon``, seeds the
+    exact search of a collapsed (``L = 0``) tree."""
     target = max(horizon, 2)
     padded, T2, _pads = pad_to_power_of_two(inst, target)
     params = compute_params(T2, inst.m, eps, overrides=overrides or None)
@@ -85,16 +101,12 @@ def _solve_at_horizon(
         opt, best = oracle
         if opt > horizon:
             return None
-        assign: list[Slot] = list(best.assign)
-        slot = target
-        for k, j in enumerate(iter_jobs(padded.all_jobs & ~inst.all_jobs)):
-            if k % inst.m == 0:
-                slot += 1
-            assign.append(slot)
-        reference = Schedule(T=T2, assign=tuple(assign))
+        reference = _with_sinks(inst, padded, best, target)
         sys_out, virtual = solve_hinted(padded, reference, params, budget=budget)
     else:
-        sys_out, virtual = main_solve(padded, params, budget=budget)
+        if warm is not None:
+            warm = _with_sinks(inst, padded, warm, target)
+        sys_out, virtual = main_solve(padded, params, budget=budget, warm=warm)
     valid = virtual
     if params.L > 0:  # with no top jobs both conversions are the identity
         canon = canonicalize(padded, sys_out, virtual, params)
@@ -111,21 +123,28 @@ def _solve_at_horizon(
 
 
 def _search_horizon(inst, eps, overrides, budget, oracle):
-    """Minimal horizon whose converted schedule discards nothing."""
+    """Minimal horizon whose converted schedule discards nothing.
+
+    The bound sandwich is computed once: its lower bound is the first
+    probe, and its list schedule warm-starts every attempt at a horizon
+    it fits in."""
     if inst.n == 0:  # the search returns horizon 0 without solving
         empty = Schedule(T=0, assign=())
         return SolveOutcome(horizon=0, padded_T=0, virtual=empty, valid=empty, discards=0,
                             nodes=budget.nodes)
     outcomes: dict[int, SolveOutcome] = {}
+    bounds = bound_sandwich(inst)
+    _, upper = bounds
 
     def attempt(T0: int) -> Schedule | None:
-        got = _solve_at_horizon(inst, T0, eps, overrides, budget, oracle)
+        warm = upper if T0 >= upper.makespan else None
+        got = _solve_at_horizon(inst, T0, eps, overrides, budget, oracle, warm)
         if got is None or got.discards:
             return None
         outcomes[T0] = got
         return got.valid
 
-    T, _ = binary_search_makespan(inst, attempt)
+    T, _ = binary_search_makespan(inst, attempt, bounds)
     return replace(outcomes[T], nodes=budget.nodes)
 
 

@@ -463,15 +463,30 @@ def check_virtually_valid(
                 t = sched.get(j)
                 if t is not None and t not in iv:
                     out.append(Violation("interval", f"bottom job {j} at {t} outside {iv}"))
-    sched_bottom = [j for j in iter_jobs(bottom_jobs) if sched.get(j) is not None]
-    for i, a in enumerate(sched_bottom):
-        for b in sched_bottom[i + 1 :]:
-            if inst.precedes(a, b) and sched[a] >= sched[b]:
+    placed: JobSet = 0
+    at: dict[int, JobSet] = {}  # placed bottom jobs per slot
+    for j in iter_jobs(bottom_jobs):
+        t = sched.get(j)
+        if t is not None:
+            placed |= 1 << j
+            at[t] = at.get(t, 0) | 1 << j
+    upto: dict[int, JobSet] = {}  # placed bottom jobs at or before a slot
+    acc: JobSet = 0
+    for t in sorted(at):
+        acc |= at[t]
+        upto[t] = acc
+    for a in iter_jobs(placed):
+        # each clashing pair once, from its smaller id: a successor at or
+        # before a's slot, or a predecessor at or after it
+        t = sched[a]
+        clash = inst.succ[a] & upto[t] | inst.pred[a] & ~(upto[t] ^ at[t])
+        for b in iter_jobs(clash & placed & ~((2 << a) - 1)):
+            if inst.precedes(a, b):
                 out.append(Violation(
-                    "precedence", f"bottom job {a} at {sched[a]} not before {b} at {sched[b]}"))
-            elif inst.precedes(b, a) and sched[b] >= sched[a]:
+                    "precedence", f"bottom job {a} at {t} not before {b} at {sched[b]}"))
+            else:
                 out.append(Violation(
-                    "precedence", f"bottom job {b} at {sched[b]} not before {a} at {sched[a]}"))
+                    "precedence", f"bottom job {b} at {sched[b]} not before {a} at {t}"))
 
     win = windows(inst, sys, params)
     for j in sorted(win):

@@ -670,6 +670,7 @@ def main_solve(
     params: Params,
     budget: Budget | None = None,
     hints: Hints | None = None,
+    warm: Schedule | None = None,
 ) -> tuple[PartialDyadicSystem, Schedule]:
     """Full enumeration over outer split decisions, keeping the best schedule.
 
@@ -679,8 +680,12 @@ def main_solve(
     again during the call are answered from one ``SolveMemo``.
 
     When ``L = 0`` the whole horizon is one bottom interval: the result is
-    one ``bottom_solve`` of all jobs on the root, warm-started from the
-    hints' reference, with no cascades, subtrees or memo.
+    one ``bottom_solve`` of all jobs on the root, with no cascades,
+    subtrees or memo.  It is warm-started from the hints' reference, or
+    else from ``warm``, a schedule of every job; ``bottom_solve`` keeps a
+    warm start only when it is valid on ``(0, T]``, and one that schedules
+    every job ends the search at its root node.  Deeper trees ignore
+    ``warm``.
     """
     budget = budget or Budget()
     tree = tree_for(params)
@@ -693,8 +698,10 @@ def main_solve(
     if tree.L == 0:
         if inst.n > params.m * params.T:  # the root cannot hold them all
             return best_sys, best_sched
-        warm = None if hints is None else dict(enumerate(hints.reference.assign))
-        assign = bottom_solve(inst, tree.root, inst.all_jobs, 0, {}, params, budget, warm)
+        if hints is not None:
+            warm = hints.reference
+        start = None if warm is None else dict(enumerate(warm.assign))
+        assign = bottom_solve(inst, tree.root, inst.all_jobs, 0, {}, params, budget, start)
         return best_sys, Schedule(T=params.T, assign=tuple(assign[j] for j in range(inst.n)))
     memo = SolveMemo()
     best_count = 0

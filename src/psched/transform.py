@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .baselines import graham_list
-from .core import Instance, JobSet, Schedule, iter_jobs, longest_chain, verify_valid
+from .baselines import bound_sandwich
+from .core import Instance, JobSet, Schedule, iter_jobs, verify_valid
 from .errors import InvalidInput, NoSolution
 
 
@@ -66,26 +66,29 @@ def insert_discarded(inst: Instance, sched: Schedule) -> Schedule:
 
 
 def binary_search_makespan(
-    inst: Instance, solver: Callable[[int], Schedule | None]
+    inst: Instance,
+    solver: Callable[[int], Schedule | None],
+    bounds: tuple[int, Schedule] | None = None,
 ) -> tuple[int, Schedule]:
     """Smallest horizon found at which ``solver`` succeeds.
 
-    Probes the lower bound ``lo = max(longest chain, ceil(n/m))`` first.
-    No horizon below ``lo`` can succeed, so a success there is returned
-    at once and is minimal even when success is not monotone in the
-    horizon.  Otherwise probes Graham's list-schedule makespan (a valid
-    schedule, so never below ``lo``) and, if that fails too, ``n``.  The
-    first of them that succeeds caps a bisection of the horizons between
-    it and the last failure; only that bisection assumes monotone
-    success.  Raises ``NoSolution`` when ``n`` fails.
+    ``bounds`` is ``bound_sandwich(inst)``, computed here when omitted.
+    Probes the level lower bound ``lo`` first.  No horizon below ``lo``
+    can succeed, so a success there is returned at once and is minimal
+    even when success is not monotone in the horizon.  Otherwise probes
+    the makespan of the upper bound's list schedule (a valid schedule, so
+    never below ``lo``) and, if that fails too, ``n``.  The first of them
+    that succeeds caps a bisection of the horizons between it and the
+    last failure; only that bisection assumes monotone success.  Raises
+    ``NoSolution`` when ``n`` fails.
     """
     if inst.n == 0:
         return 0, Schedule(T=0, assign=())
-    lo = max(longest_chain(inst, inst.all_jobs), -(-inst.n // inst.m))
+    lo, upper = bounds or bound_sandwich(inst)
     best = solver(lo)
     if best is not None:
         return lo, best
-    for hi in (graham_list(inst).makespan, inst.n):
+    for hi in (upper.makespan, inst.n):
         if hi > lo:
             best = solver(hi)
             if best is not None:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from hypothesis import strategies as st
+
 from psched.core import Instance, build_instance, iter_jobs, mask_from
 
 
@@ -149,3 +151,16 @@ def _sub_instance(inst: Instance, jobs: int) -> Instance:
 
 def assert_no_violations(report) -> None:
     assert report.ok, f"unexpected violations:\n{report}"
+
+
+@st.composite
+def instances(draw):
+    """Hypothesis strategy: up to 12 jobs on 1-4 machines, any DAG, ids
+    relabeled so that they need not be topological."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [pair for pair, on in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if on]
+    order = draw(st.permutations(range(n)))
+    return build_instance(n, m, [(order[i], order[j]) for i, j in edges])

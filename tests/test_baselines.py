@@ -1,19 +1,35 @@
-"""Graham list scheduling, capacity-constrained scheduling, exact oracle."""
+"""List scheduling, capacity-constrained scheduling, makespan bounds,
+exact oracle."""
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from psched import io
 from psched.baselines import (
     CapacityProfile,
+    bound_sandwich,
     capacity_list_schedule,
+    critical_path_list,
     exact_opt,
     graham_list,
+    level_bound,
+    tail_heights,
 )
+from psched.cli import run_command
 from psched.core import Interval, build_instance, iter_jobs, job_count, longest_chain, mask_from, verify_valid
 from psched.errors import CapacityDeficit, TooLarge
 
-from conftest import assert_no_violations, permutation_opt, random_instance
+from conftest import (
+    assert_no_violations,
+    brute_longest_chain,
+    instances,
+    permutation_opt,
+    random_instance,
+)
 
 
 def test_graham_chain():
@@ -163,3 +179,61 @@ def test_exact_opt_one_machine_runs_every_job_in_turn():
     opt, sched = exact_opt(inst)
     assert opt == 4 and sched.T == 4 and sched.makespan == 4
     assert sorted(sched.assign) == [1, 2, 3, 4] and sched.assign[0] < sched.assign[1]
+
+
+def test_tail_heights_are_longest_chains_from_each_job():
+    for seed in range(20):
+        inst = random_instance(9, 2, 0.3, seed)
+        heights = tail_heights(inst)
+        for j in range(inst.n):
+            assert heights[j] == brute_longest_chain(inst, inst.succ[j]) + 1
+
+
+def test_level_bound_counts_jobs_above_a_height():
+    # one source before six middle jobs before one sink, on two machines:
+    # the source and the middle jobs all run before the sink's slot, so
+    # 1 + ceil(7/2) = 5 slots, more than max(chain 3, ceil(8/2) = 4)
+    inst = build_instance(8, 2, [(0, j) for j in range(1, 7)] + [(j, 7) for j in range(1, 7)])
+    assert level_bound(inst) == 5 == exact_opt(inst)[0]
+    # read from the other end: the middle jobs and the sink all come after
+    # the source's slot
+    flipped = build_instance(8, 2, [(7 - b, 7 - a) for a, b in inst.edges()])
+    assert level_bound(flipped) == 5
+
+
+def test_critical_path_list_runs_longest_tails_first():
+    # six free jobs listed before a six-job chain: Graham's id order runs
+    # the free jobs first and ends at 9, longest tail first ends at 6
+    inst = build_instance(12, 2, [(j, j + 1) for j in range(6, 11)])
+    cp = critical_path_list(inst)
+    assert cp.assign[6:] == (1, 2, 3, 4, 5, 6)
+    assert (graham_list(inst).makespan, cp.makespan) == (9, 6)
+    assert bound_sandwich(inst) == (6, cp)
+
+
+def test_bound_sandwich_prefers_graham_on_a_tie():
+    # one machine: both run three slots, Graham's as 0, 1, 2 and the
+    # critical-path list as 1, 0, 2
+    inst = build_instance(3, 1, [(1, 2)])
+    assert critical_path_list(inst).assign == (2, 1, 3)
+    assert bound_sandwich(inst)[1] == graham_list(inst)
+    assert graham_list(inst).assign == (1, 2, 3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(inst=instances())
+def test_bound_sandwich_brackets_the_optimum_and_pipeline_finds_it(inst):
+    opt, _ = exact_opt(inst)
+    graham, cp = graham_list(inst), critical_path_list(inst)
+    assert level_bound(inst) <= opt <= cp.makespan
+    for sched in (graham, cp):
+        assert_no_violations(verify_valid(inst, sched))
+        assert sched.discard_count == 0
+    assert bound_sandwich(inst)[1].makespan == min(graham.makespan, cp.makespan)
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path, out_path = Path(tmp, "i.psched"), Path(tmp, "o.sched")
+        inst_path.write_text(io.format_instance(inst), encoding="utf-8")
+        assert run_command(["pipeline", str(inst_path), "--out", str(out_path)]) == 0
+        final = io.read_schedule(str(out_path))
+    assert_no_violations(verify_valid(inst, final))
+    assert final.discard_count == 0 and final.makespan == opt

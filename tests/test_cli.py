@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from psched import io
+from psched import cli, io
 from psched.cli import BENCH_COLUMNS, COMMANDS, run_command
 from psched.core import DISC, Schedule, verify_valid
 from psched.errors import BadParams
@@ -123,7 +123,9 @@ def test_cli_solver_flags_and_exit_codes(tmp_path):
     inst = io.read_instance(str(inst_path))
     final = io.read_schedule(str(out_path))
     assert verify_valid(inst, final).ok and final.discard_count == 0
-    assert run_command(["pipeline", str(inst_path), "--budget", "3"]) == 2
+    # the list schedule certifies the optimum here, so the search takes a
+    # single node and only a budget of none runs out
+    assert run_command(["pipeline", str(inst_path), "--budget", "0"]) == 2
     assert run_command(["gen", "--family", "nope", "--n", "3", "--m", "1"]) == 1
     assert run_command(["solve", str(inst_path), "--param-override", "zz=1"]) == 1
     assert run_command(["verify", str(tmp_path / "missing"), str(out_path)]) == 1
@@ -198,7 +200,9 @@ DEEP = ["--horizon", "16", "--param-override", "h=1", "--param-override", "hp=1"
 
 
 # (n, m, generator seed, flags, schedule file, stderr line); the horizons
-# 6, 5 and 7 pad to 8 with padding sinks
+# 6, 5 and 7 pad to 8 with padding sinks.  With no flags the level bound
+# meets a list schedule's makespan on all four, so that list schedule is
+# the output.
 GOLDEN = [
     (9, 3, 4, [],
      "sched 1 9 8\n0 6\n1 1\n2 2\n3 5\n4 1\n5 1\n6 3\n7 4\n8 5\n",
@@ -207,10 +211,10 @@ GOLDEN = [
      "sched 1 9 8\n0 2\n1 2\n2 1\n3 1\n4 5\n5 3\n6 4\n7 3\n8 3\n",
      "horizon 5 padded 8: solver discarded 0, final makespan 5 (valid, 0 discarded)\n"),
     (12, 2, 3, [],
-     "sched 1 12 8\n0 1\n1 1\n2 5\n3 7\n4 4\n5 4\n6 3\n7 2\n8 5\n9 6\n10 2\n11 3\n",
+     "sched 1 12 8\n0 1\n1 1\n2 5\n3 7\n4 3\n5 3\n6 4\n7 2\n8 5\n9 6\n10 4\n11 2\n",
      "horizon 7 padded 8: solver discarded 0, final makespan 7 (valid, 0 discarded)\n"),
     (12, 2, 4, [],
-     "sched 1 12 8\n0 3\n1 5\n2 1\n3 7\n4 6\n5 2\n6 4\n7 4\n8 1\n9 3\n10 5\n11 2\n",
+     "sched 1 12 8\n0 3\n1 5\n2 3\n3 7\n4 6\n5 2\n6 4\n7 4\n8 1\n9 2\n10 5\n11 1\n",
      "horizon 7 padded 8: solver discarded 0, final makespan 7 (valid, 0 discarded)\n"),
     (6, 2, 1, DEEP,
      "sched 1 6 19\n0 5\n1 2\n2 1\n3 3\n4 6\n5 4\n",
@@ -241,21 +245,47 @@ def test_pipeline_outputs_match_recorded_bytes(tmp_path, capsys, n, m, seed, fla
 
 
 def test_solve_reports_nodes_of_every_horizon_attempt(tmp_path, capsys):
-    # the horizon search shares one budget across its attempts (6 fails,
-    # then 8 and 7 succeed), so the winning attempt runs last: the printed
-    # count is the smallest budget the run fits in
+    # the horizon search shares one budget across its attempts (the level
+    # bound 7 fails, then the list schedule's makespan 8 succeeds), so the
+    # winning attempt runs last: the printed count is the smallest budget
+    # the run fits in
     inst_path = tmp_path / "i.psched"
     assert run_command(["gen", "--family", "random-dag", "--n", "12", "--m", "2",
-                        "--seed", "3", "--out", str(inst_path)]) == 0
+                        "--seed", "162", "--out", str(inst_path)]) == 0
     capsys.readouterr()
     assert run_command(["solve", str(inst_path), "--out", str(tmp_path / "s.sched")]) == 0
     err = capsys.readouterr().err
-    assert err.startswith("horizon 7 padded 8: ")
+    assert err.startswith("horizon 8 padded 8: ")
     nodes = int(err.split(", ")[-1].removesuffix(" nodes\n"))
     assert run_command(["solve", str(inst_path), "--budget", str(nodes),
                         "--out", str(tmp_path / "t.sched")]) == 0
     assert run_command(["solve", str(inst_path), "--budget", str(nodes - 1),
                         "--out", str(tmp_path / "u.sched")]) == 2
+
+
+@pytest.mark.parametrize("n, m, horizon", [(32, 2, 17), (48, 3, 19)])
+def test_list_schedule_certifies_the_optimum_in_one_attempt(tmp_path, capsys, monkeypatch,
+                                                             n, m, horizon):
+    # the level bound meets the critical-path list schedule's makespan, so
+    # the search makes one attempt, whose bottom search keeps that schedule
+    # at its root node; started from max(chain, ceil(n/m)) these searches
+    # entered 89,226 and 385,743 nodes
+    inst_path = tmp_path / "i.psched"
+    assert run_command(["gen", "--family", "random-dag", "--n", str(n), "--m", str(m),
+                        "--seed", "5", "--out", str(inst_path)]) == 0
+    capsys.readouterr()
+    attempts = []
+    solve_at = cli._solve_at_horizon
+
+    def spy(inst, T, *args):
+        attempts.append(T)
+        return solve_at(inst, T, *args)
+
+    monkeypatch.setattr(cli, "_solve_at_horizon", spy)
+    assert run_command(["solve", str(inst_path), "--out", str(tmp_path / "s.sched")]) == 0
+    assert capsys.readouterr().err == (
+        f"horizon {horizon} padded 32: {n} scheduled, 0 discarded, 1 nodes\n")
+    assert attempts == [horizon]
 
 
 def test_pipeline_without_horizon_finds_a_deep_tree_horizon(tmp_path, capsys):

@@ -289,6 +289,29 @@ def test_check_virtually_valid_flags_bottom_and_capacity():
     assert "precedence" in check_virtually_valid(inst, sys, params, bad_prec).kinds()
 
 
+def test_check_virtually_valid_lists_precedence_clashes_pair_by_pair():
+    # every clashing comparable pair of placed bottom jobs once, smaller id
+    # first, the earlier job of the pair named first in its message
+    for seed in range(40):
+        rng = random.Random(seed)
+        inst = random_instance(10, 3, 0.4, seed)
+        params = compute_params(8, 3, Fraction(1, 2))
+        assert params.L == 0
+        sys = full_system(params, {Interval(0, 8): inst.all_jobs})
+        sched = {j: rng.choice([None, *range(1, 9)]) for j in range(inst.n)}
+        expect = []
+        for a in range(inst.n):
+            for b in range(a + 1, inst.n):
+                if sched[a] is None or sched[b] is None:
+                    continue
+                for x, y in ((a, b), (b, a)):
+                    if inst.precedes(x, y) and sched[x] >= sched[y]:
+                        expect.append(
+                            f"precedence: bottom job {x} at {sched[x]} not before {y} at {sched[y]}")
+        report = check_virtually_valid(inst, sys, params, sched)
+        assert [str(v) for v in report.violations if v.kind == "precedence"] == expect
+
+
 def test_construct_single_bottom_short_circuit():
     params = compute_params(8, 2, Fraction(1, 2), overrides={"h": 3, "hp": 0, "p": 1})
     inst, sched = reference_pair(0, T=8, m=2, n=6)

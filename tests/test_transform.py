@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psched.baselines import exact_opt, graham_list
+from psched.baselines import bound_sandwich, exact_opt, graham_list
 from psched.core import (
     DISC,
     Schedule,
@@ -25,7 +25,7 @@ from psched.transform import (
     pad_to_power_of_two,
 )
 
-from conftest import assert_no_violations, random_instance
+from conftest import assert_no_violations, instances, random_instance
 
 
 def test_pad_noop_when_already_power_of_two():
@@ -156,35 +156,43 @@ def recording(succeeds):
     return solve, calls
 
 
-def lower_bound(inst):
-    return max(longest_chain(inst, inst.all_jobs), -(-inst.n // inst.m))
+def bounds_of(inst):
+    """(level bound, upper-bound makespan): the first two horizons probed."""
+    lower, upper = bound_sandwich(inst)
+    return lower, upper.makespan
 
 
-# six free jobs listed before a six-job chain: lower bound 6, but Graham
-# runs the free jobs first and ends at 9
+# six free jobs listed before a six-job chain: lower bound 6; Graham runs
+# the free jobs first and ends at 9, the critical-path list reaches 6
 GRAHAM_GAP = build_instance(12, 2, [(j, j + 1) for j in range(6, 11)])
+# five layers of four jobs, each job before every job of the next layer:
+# on three machines a layer takes two slots, so every list schedule ends
+# at 10, and the level bound is ceil(20 / 3) = 7
+LAYERED = build_instance(
+    20, 3, [(4 * k + a, 4 * k + 4 + b) for k in range(4) for a in range(4) for b in range(4)])
 
 
 def test_binary_search_success_at_lower_bound_is_one_call():
+    assert bounds_of(GRAHAM_GAP) == (6, 6)
     solve, calls = recording(lambda T: True)
     T, sched = binary_search_makespan(GRAHAM_GAP, solve)
     assert (T, sched.T) == (6, 6)
     assert calls == [6]
 
 
-def test_binary_search_probes_lower_bound_then_graham_then_bisects():
-    assert (lower_bound(GRAHAM_GAP), graham_list(GRAHAM_GAP).makespan) == (6, 9)
+def test_binary_search_probes_level_bound_then_upper_bound_then_bisects():
+    assert bounds_of(LAYERED) == (7, 10)
     solve, calls = recording(lambda T: T >= 8)
-    T, sched = binary_search_makespan(GRAHAM_GAP, solve)
+    T, sched = binary_search_makespan(LAYERED, solve)
     assert (T, sched.T) == (8, 8)
-    assert calls == [6, 9, 8, 7]
+    assert calls == [7, 10, 9, 8]
 
 
-def test_binary_search_falls_back_to_n_when_graham_fails():
-    solve, calls = recording(lambda T: T >= 11)
-    T, _ = binary_search_makespan(GRAHAM_GAP, solve)
-    assert T == 11
-    assert calls == [6, 9, 12, 11, 10]
+def test_binary_search_falls_back_to_n_when_upper_bound_fails():
+    solve, calls = recording(lambda T: T >= 13)
+    T, _ = binary_search_makespan(LAYERED, solve)
+    assert T == 13
+    assert calls == [7, 10, 20, 15, 13, 12]
 
 
 def test_binary_search_no_solution():
@@ -193,28 +201,27 @@ def test_binary_search_no_solution():
         binary_search_makespan(inst, lambda t: None)
     solve, calls = recording(lambda T: False)
     with pytest.raises(NoSolution):
-        binary_search_makespan(GRAHAM_GAP, solve)
-    assert calls == [6, 9, 12]
+        binary_search_makespan(LAYERED, solve)
+    assert calls == [7, 10, 20]
 
 
-@st.composite
-def instances(draw):
-    n = draw(st.integers(1, 12))
-    m = draw(st.integers(1, 4))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = [pair for pair, on in zip(pairs, draw(st.lists(
-        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if on]
-    order = draw(st.permutations(range(n)))  # so that ids need not be topological
-    return build_instance(n, m, [(order[i], order[j]) for i, j in edges])
+def test_binary_search_probes_the_bounds_it_is_given():
+    # the caller's sandwich is used as is, not recomputed
+    given_bounds = (8, graham_list(LAYERED))
+    solve, calls = recording(lambda T: T >= 9)
+    T, _ = binary_search_makespan(LAYERED, solve, given_bounds)
+    assert T == 9
+    assert calls == [8, 10, 9]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(inst=instances(), data=st.data())
-def test_binary_search_finds_threshold_within_graham(inst, data):
-    lo, graham = lower_bound(inst), graham_list(inst).makespan
-    threshold = data.draw(st.integers(1, graham), label="threshold")
+def test_binary_search_finds_threshold_within_upper_bound(inst, data):
+    lo, upper = bounds_of(inst)
+    assert max(longest_chain(inst, inst.all_jobs), -(-inst.n // inst.m)) <= lo <= upper
+    threshold = data.draw(st.integers(1, upper), label="threshold")
     solve, calls = recording(lambda T: T >= threshold)
     T, sched = binary_search_makespan(inst, solve)
     assert T == sched.T == max(threshold, lo)
-    assert all(lo <= c <= graham for c in calls)
-    assert len(calls) <= 2 + math.ceil(math.log2(graham - lo + 1))
+    assert all(lo <= c <= upper for c in calls)
+    assert len(calls) <= 2 + math.ceil(math.log2(upper - lo + 1))
