@@ -61,7 +61,10 @@ def critical_path_list(inst: Instance) -> Schedule:
     A job's tail height is the length of the longest chain that starts at
     it, as in Hu's level order; ties go to the smaller id.
     """
-    height = tail_heights(inst)
+    return _critical_path(inst, tail_heights(inst))
+
+
+def _critical_path(inst: Instance, height: Sequence[int]) -> Schedule:
     return _list_schedule(inst, sorted(range(inst.n), key=lambda j: (-height[j], j)))
 
 
@@ -118,17 +121,23 @@ def level_bound(inst: Instance) -> int:
     ``ceil(n/m)`` and at the longest chain it is at least that chain, so
     it never falls below ``max(longest chain, ceil(n/m))``.
     """
+    return _level_bound(inst, tail_heights(inst))
+
+
+def _level_bound(inst: Instance, height: Iterable[int]) -> int:
     depths = chain_depths(inst, inst.all_jobs).values()
-    return max(_level(tail_heights(inst), inst.m), _level(depths, inst.m))
+    return max(_level(height, inst.m), _level(depths, inst.m))
 
 
 def bound_sandwich(inst: Instance) -> tuple[int, Schedule]:
     """A certified makespan range ``(lower, upper)``: the level bound, below
     which no schedule ends, and the shorter of the Graham and critical-path
     list schedules (Graham's on a tie), a valid schedule the optimum is no
-    longer than.  When ``upper.makespan == lower``, ``upper`` is optimal."""
-    upper = min(graham_list(inst), critical_path_list(inst), key=lambda s: s.makespan)
-    return level_bound(inst), upper
+    longer than.  When ``upper.makespan == lower``, ``upper`` is optimal.
+    The tail heights are computed once, for both the bound and the order."""
+    height = tail_heights(inst)
+    upper = min(graham_list(inst), _critical_path(inst, height), key=lambda s: s.makespan)
+    return _level_bound(inst, height), upper
 
 
 def capacity_list_schedule(
@@ -181,18 +190,38 @@ def _ready(inst: Instance, remaining: JobSet) -> JobSet:
     return r
 
 
-def exact_opt(inst: Instance, limit: int = EXACT_OPT_LIMIT) -> tuple[int, Schedule]:
-    """Minimum-makespan zero-discard schedule by exhaustive search.
+def exact_opt(
+    inst: Instance,
+    limit: int = EXACT_OPT_LIMIT,
+    bounds: tuple[int, Schedule] | None = None,
+) -> tuple[int, Schedule]:
+    """Minimum-makespan zero-discard schedule: certified by the bound
+    sandwich when it can be, otherwise by exhaustive search.
+
+    ``bounds`` is ``bound_sandwich(inst)``, computed here when omitted.
+    When its list schedule meets the level bound, that schedule is optimal
+    and is returned as it is; otherwise the result is ``_exact_dp``'s.
+    Raises ``TooLarge`` above ``limit`` jobs either way.
+    """
+    if inst.n > limit:
+        raise TooLarge(f"exact oracle limited to {limit} jobs, got {inst.n}")
+    if inst.n == 0:
+        return 0, Schedule(T=0, assign=())
+    lower, upper = bounds or bound_sandwich(inst)
+    if upper.makespan == lower:
+        return lower, upper
+    return _exact_dp(inst)
+
+
+def _exact_dp(inst: Instance) -> tuple[int, Schedule]:
+    """Minimum-makespan zero-discard schedule of ``n >= 1`` jobs by
+    exhaustive search.
 
     Branches slot by slot over maximal ready batches (for unit jobs some
     optimal schedule always runs min(m, #ready) jobs per slot), memoized on
     the bitmask of completed jobs, pruned with the admissible bound
     max(longest chain, ceil(remaining / m)).
     """
-    if inst.n > limit:
-        raise TooLarge(f"exact oracle limited to {limit} jobs, got {inst.n}")
-    if inst.n == 0:
-        return 0, Schedule(T=0, assign=())
     all_jobs = inst.all_jobs
     memo: dict[JobSet, int] = {all_jobs: 0}
 

@@ -122,10 +122,10 @@ def _solve_at_horizon(
     )
 
 
-def _search_horizon(inst, eps, overrides, budget, oracle):
+def _search_horizon(inst, eps, overrides, budget, oracle, bounds):
     """Minimal horizon whose converted schedule discards nothing.
 
-    The bound sandwich is computed once: its lower bound is the first
+    ``bounds`` is the run's bound sandwich: its lower bound is the first
     probe, and its list schedule warm-starts every attempt at a horizon
     it fits in."""
     if inst.n == 0:  # the search returns horizon 0 without solving
@@ -133,7 +133,6 @@ def _search_horizon(inst, eps, overrides, budget, oracle):
         return SolveOutcome(horizon=0, padded_T=0, virtual=empty, valid=empty, discards=0,
                             nodes=budget.nodes)
     outcomes: dict[int, SolveOutcome] = {}
-    bounds = bound_sandwich(inst)
     _, upper = bounds
 
     def attempt(T0: int) -> Schedule | None:
@@ -186,13 +185,17 @@ def _common_solve(args, inst: Instance) -> SolveOutcome:
     eps = Fraction(args.epsilon)
     if args.horizon is not None and args.horizon < 1:
         raise ValueError(f"need --horizon >= 1, got {args.horizon}")
-    oracle = exact_opt(inst) if args.hinted else None
-    if args.horizon is not None:
+    # one sandwich per run, for the oracle and the horizon search; a run
+    # with neither needs none
+    searched = args.horizon is None
+    bounds = bound_sandwich(inst) if args.hinted or searched else None
+    oracle = exact_opt(inst, bounds=bounds) if args.hinted else None
+    if not searched:
         got = _solve_at_horizon(inst, args.horizon, eps, overrides, budget, oracle)
         if got is None:
             raise NoSolution(f"no zero-discard reference at horizon {args.horizon}")
         return got
-    return _search_horizon(inst, eps, overrides, budget, oracle)
+    return _search_horizon(inst, eps, overrides, budget, oracle, bounds)
 
 
 def cmd_solve(args) -> int:

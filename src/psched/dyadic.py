@@ -515,6 +515,36 @@ def _select_pivot(inst: Instance, jobs: JobSet, threshold: Fraction) -> int:
     raise AssertionError("no eligible pivot; split loop invariant broken")
 
 
+def split_kind(params: Params, iv: Interval) -> str:
+    """Kind of ``iv`` (top or middle); the split loop runs on no other."""
+    kind = tree_for(params).kind(iv)
+    if kind == BOT:
+        raise ValueError("the split loop applies to top and middle intervals only")
+    return kind
+
+
+def split_step(
+    inst: Instance,
+    iv: Interval,
+    kind: str,
+    stay: JobSet,
+    params: Params,
+) -> int | None:
+    """One iteration's budget test of the split loop: the pivot of an
+    over-long chain in ``stay``, or None when its chain fits the budget."""
+    bound = chain_bound(params, kind, iv.length, job_count(stay))
+    if longest_chain(inst, stay) <= bound:
+        return None
+    return _select_pivot(inst, stay, bound / 2 - 1)
+
+
+def moved_with(inst: Instance, pivot: int, side: str, stay: JobSet) -> JobSet:
+    """The jobs of ``stay`` that go with ``pivot`` to ``side``: its
+    predecessors to 'L', its successors to 'R'."""
+    near = inst.pred[pivot] if side == LEFT else inst.succ[pivot]
+    return (1 << pivot) | (near & stay)
+
+
 def _split(
     inst: Instance,
     iv: Interval,
@@ -528,27 +558,21 @@ def _split(
     pivot)`` for the side of the q-th pivot: 'L' moves the pivot with its
     predecessors left, 'R' moves it with its successors right, until the
     chain length of the remainder fits the interval's budget.  Returns
-    (stay, to-left, to-right, sides chosen).
+    (stay, to-left, to-right, sides chosen).  The solver's guess-tree walk
+    runs the same steps, ``split_step`` and ``moved_with``, branch by branch.
     """
-    kind = tree_for(params).kind(iv)
-    if kind == BOT:
-        raise ValueError("the split loop applies to top and middle intervals only")
+    kind = split_kind(params, iv)
     stay = jobs
     k_left = 0
     k_right = 0
     sides: list[str] = []
-    while True:
-        bound = chain_bound(params, kind, iv.length, job_count(stay))
-        if longest_chain(inst, stay) <= bound:
-            break
-        j = _select_pivot(inst, stay, bound / 2 - 1)
+    while (j := split_step(inst, iv, kind, stay, params)) is not None:
         side = side_of(len(sides), j)
         sides.append(side)
+        moved = moved_with(inst, j, side, stay)
         if side == LEFT:
-            moved = (1 << j) | (inst.pred[j] & stay)
             k_left |= moved
         else:
-            moved = (1 << j) | (inst.succ[j] & stay)
             k_right |= moved
         stay &= ~moved
     return stay, k_left, k_right, tuple(sides)
@@ -577,6 +601,18 @@ def push_down(
     return stay, k_left, k_right
 
 
+def check_reference(inst: Instance, sched: Schedule, params: Params) -> None:
+    """Raise ``InvalidInput`` unless ``sched`` can be replayed at horizon
+    ``params.T``: zero discards, makespan at most T, and valid."""
+    if sched.discard_count:
+        raise InvalidInput("reference schedule must have zero discards")
+    if sched.makespan > params.T:
+        raise InvalidInput(f"makespan {sched.makespan} exceeds horizon {params.T}")
+    report = verify_valid(inst, sched)
+    if not report.ok:
+        raise InvalidInput(f"reference schedule invalid:\n{report}")
+
+
 def system_from_schedule(
     inst: Instance,
     sched: Schedule,
@@ -591,13 +627,7 @@ def system_from_schedule(
     the one ``push_down`` runs, so replaying a recorded vector (under any
     padding) reproduces the same split.
     """
-    if sched.discard_count:
-        raise InvalidInput("reference schedule must have zero discards")
-    if sched.makespan > params.T:
-        raise InvalidInput(f"makespan {sched.makespan} exceeds horizon {params.T}")
-    report = verify_valid(inst, sched)
-    if not report.ok:
-        raise InvalidInput(f"reference schedule invalid:\n{report}")
+    check_reference(inst, sched, params)
     tree = tree_for(params)
     assign: dict[Interval, JobSet] = {}
     covered: dict[Interval, JobSet] = {}

@@ -33,15 +33,21 @@ from .core import (
 )
 from .dyadic import (
     BOT,
+    LEFT,
+    RIGHT,
     TOP,
     Guesses,
     Params,
     PartialDyadicSystem,
     Window,
     _window_for,
+    check_reference,
     check_virtually_valid,
     full_system,
+    moved_with,
     push_down,
+    split_kind,
+    split_step,
     system_from_schedule,
     tree_for,
     window_step,
@@ -405,23 +411,27 @@ def _guess_outcomes(
 ) -> list[tuple[Guesses, SplitOutcome]]:
     """Distinct results of the split loop over all guess vectors of ``max_len``.
 
-    Enumerates the tree of terminating guess prefixes (left branch first,
-    so results follow the lexicographic order of the full vectors); any
-    prefix still running after ``max_len`` entries is pruned, mirroring
-    the exhausted-guess behaviour of the replay.
+    Walks the tree of terminating guess prefixes (left branch first, so
+    results follow the lexicographic order of the full vectors), carrying
+    each prefix's split state so that every node runs one step of the
+    split loop and picks its pivot once; any prefix still running after
+    ``max_len`` entries is pruned, mirroring the exhausted-guess behaviour
+    of the replay.
     """
+    kind = split_kind(params, iv)
     out: list[tuple[Guesses, SplitOutcome]] = []
-    stack: list[tuple[str, ...]] = [()]
+    # (prefix, stay, to-left, to-right) after the prefix's split steps
+    stack: list[tuple[Guesses, JobSet, JobSet, JobSet]] = [((), jobs, 0, 0)]
     while stack:
-        prefix = stack.pop()
-        try:
-            result = push_down(inst, iv, jobs, prefix, params)
-        except GuessExhausted:
-            if len(prefix) < max_len:
-                stack.append(prefix + ("R",))
-                stack.append(prefix + ("L",))
-            continue
-        out.append((prefix, result))
+        prefix, stay, k_left, k_right = stack.pop()
+        pivot = split_step(inst, iv, kind, stay, params)
+        if pivot is None:
+            out.append((prefix, (stay, k_left, k_right)))
+        elif len(prefix) < max_len:
+            right = moved_with(inst, pivot, RIGHT, stay)
+            stack.append((prefix + (RIGHT,), stay & ~right, k_left, k_right | right))
+            left = moved_with(inst, pivot, LEFT, stay)
+            stack.append((prefix + (LEFT,), stay & ~left, k_left | left, k_right))
     return out
 
 
@@ -681,11 +691,10 @@ def main_solve(
 
     When ``L = 0`` the whole horizon is one bottom interval: the result is
     one ``bottom_solve`` of all jobs on the root, with no cascades,
-    subtrees or memo.  It is warm-started from the hints' reference, or
-    else from ``warm``, a schedule of every job; ``bottom_solve`` keeps a
-    warm start only when it is valid on ``(0, T]``, and one that schedules
-    every job ends the search at its root node.  Deeper trees ignore
-    ``warm``.
+    subtrees or memo, and ``hints`` are not read.  It is warm-started from
+    ``warm``, a schedule of every job; ``bottom_solve`` keeps a warm start
+    only when it is valid on ``(0, T]``, and one that schedules every job
+    ends the search at its root node.  Deeper trees ignore ``warm``.
     """
     budget = budget or Budget()
     tree = tree_for(params)
@@ -698,8 +707,6 @@ def main_solve(
     if tree.L == 0:
         if inst.n > params.m * params.T:  # the root cannot hold them all
             return best_sys, best_sched
-        if hints is not None:
-            warm = hints.reference
         start = None if warm is None else dict(enumerate(warm.assign))
         assign = bottom_solve(inst, tree.root, inst.all_jobs, 0, {}, params, budget, start)
         return best_sys, Schedule(T=params.T, assign=tuple(assign[j] for j in range(inst.n)))
@@ -734,7 +741,16 @@ def solve_hinted(
     replays the recorded guess vectors and the reference partitions
     through the same machinery as the full enumeration.  The result
     schedules at least as many jobs as the virtually-valid reference.
+
+    When ``L = 0`` there are no splits to record and no top intervals, so
+    the virtually-valid reference is the reference itself: it is checked
+    as ``system_from_schedule`` would (``InvalidInput`` unless it has no
+    discards, fits in T and is valid) and warm-starts ``main_solve``'s one
+    bottom search, which then keeps every job at its root node.
     """
+    if tree_for(params).L == 0:
+        check_reference(inst, reference, params)
+        return main_solve(inst, params, budget=budget, warm=reference)
     ref_sys, _, guesses = system_from_schedule(inst, reference, params)
     virt = valid_to_virtually_valid(inst, ref_sys, reference, params)
     hints = Hints(guesses=guesses, reference=virt)

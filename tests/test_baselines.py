@@ -6,11 +6,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from psched import io
 from psched.baselines import (
+    EXACT_OPT_LIMIT,
     CapacityProfile,
+    _exact_dp,
     bound_sandwich,
     capacity_list_schedule,
     critical_path_list,
@@ -22,6 +24,7 @@ from psched.baselines import (
 from psched.cli import run_command
 from psched.core import Interval, build_instance, iter_jobs, job_count, longest_chain, mask_from, verify_valid
 from psched.errors import CapacityDeficit, TooLarge
+from psched.generators import gen_instance
 
 from conftest import (
     assert_no_violations,
@@ -154,6 +157,40 @@ def test_exact_opt_too_large():
     inst = build_instance(17, 2, [])
     with pytest.raises(TooLarge):
         exact_opt(inst)
+
+
+@pytest.mark.parametrize("n, limit", [(EXACT_OPT_LIMIT + 1, EXACT_OPT_LIMIT), (6, 5), (1, 0)])
+def test_exact_opt_checks_its_limit_before_certifying(n, limit):
+    # an antichain is certified by its sandwich, yet above the limit the
+    # oracle refuses it as it did before the sandwich was tried first,
+    # also when the caller hands it the sandwich
+    inst = build_instance(n, 2, [])
+    lower, upper = bound_sandwich(inst)
+    assert upper.makespan == lower
+    message = f"exact oracle limited to {limit} jobs, got {n}"
+    with pytest.raises(TooLarge, match=message):
+        exact_opt(inst, limit=limit)
+    with pytest.raises(TooLarge, match=message):
+        exact_opt(inst, limit=limit, bounds=(lower, upper))
+    assert exact_opt(inst, limit=n) == (lower, upper)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(inst=instances())
+# level bound 7 below the list schedules' 8 = optimum: the search decides
+@example(inst=gen_instance("random-dag", 12, 2, 0.3, 162)[0])
+def test_exact_opt_is_certified_by_the_sandwich_or_searched(inst):
+    lower, upper = bound_sandwich(inst)
+    opt, sched = exact_opt(inst)
+    dp_opt, dp_sched = _exact_dp(inst)
+    assert opt == dp_opt
+    assert_no_violations(verify_valid(inst, sched))
+    assert sched.discard_count == 0 and sched.makespan == sched.T == opt
+    if upper.makespan == lower:
+        assert sched == upper
+    else:
+        assert sched == dp_sched
+    assert exact_opt(inst, bounds=(lower, upper)) == (opt, sched)
 
 
 def test_exact_opt_sandwich():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from psched import cli, io
+from psched import baselines, cli, io, transform
 from psched.cli import BENCH_COLUMNS, COMMANDS, run_command
 from psched.core import DISC, Schedule, verify_valid
 from psched.errors import BadParams
@@ -286,6 +286,36 @@ def test_list_schedule_certifies_the_optimum_in_one_attempt(tmp_path, capsys, mo
     assert capsys.readouterr().err == (
         f"horizon {horizon} padded 32: {n} scheduled, 0 discarded, 1 nodes\n")
     assert attempts == [horizon]
+
+
+@pytest.mark.parametrize("flags, calls", [
+    (["--hinted"], 1),
+    (["--hinted", "--horizon", "8"], 1),
+    ([], 1),
+    (["--horizon", "8"], 0),
+    ([*DEEP, "--horizon", "16"], 0),
+], ids=["hinted", "hinted-horizon", "searched", "horizon", "deep-horizon"])
+def test_pipeline_computes_the_bound_sandwich_at_most_once(tmp_path, capsys, monkeypatch,
+                                                           flags, calls):
+    # the oracle and the horizon search share one sandwich, and a run with
+    # neither computes none; at seed 162 the level bound 7 fails and the
+    # search makes a second attempt, at the list schedule's 8
+    inst_path = tmp_path / "i.psched"
+    assert run_command(["gen", "--family", "random-dag", "--n", "12", "--m", "2",
+                        "--seed", "162", "--out", str(inst_path)]) == 0
+    seen = []
+    sandwich = baselines.bound_sandwich
+
+    def counted(inst):
+        seen.append(inst.n)
+        return sandwich(inst)
+
+    for mod in (baselines, cli, transform):
+        monkeypatch.setattr(mod, "bound_sandwich", counted)
+    assert run_command(["pipeline", str(inst_path), *flags,
+                        "--out", str(tmp_path / "o.sched")]) == 0
+    assert seen == [12] * calls
+    assert "(valid, 0 discarded)" in capsys.readouterr().err
 
 
 def test_pipeline_without_horizon_finds_a_deep_tree_horizon(tmp_path, capsys):

@@ -187,7 +187,7 @@ def test_vv_to_valid_no_top_jobs_is_identity():
 def test_conversions_are_the_identity_when_collapsed(seed, m, offset, hinted):
     # with L = 0 there are no top jobs, so the pipeline may skip both steps
     inst, params, hints = collapsed_case(seed, m, offset, hinted)
-    sys, sched = main_solve(inst, params, hints=hints)
+    sys, sched = main_solve(inst, params, warm=None if hints is None else hints.reference)
     assert windows(inst, sys, params) == {}
     canon = canonicalize(inst, sys, sched, params)
     assert canon == sched

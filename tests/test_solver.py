@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from psched.baselines import exact_opt
+from psched.baselines import exact_opt, graham_list
 from psched.convert import valid_to_virtually_valid
 from psched.core import (
     Interval,
@@ -30,7 +30,7 @@ from psched.dyadic import (
     windows,
 )
 from psched import solver
-from psched.errors import BudgetExceeded
+from psched.errors import BudgetExceeded, GuessExhausted, InvalidInput
 from psched.generators import gen_instance
 from psched.solver import (
     Budget,
@@ -563,7 +563,9 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
     # at L = 0 main_solve is one bottom_solve on the root: the same system
     # and schedule as the root subproblem's solve, or the all-discard
     # fallback when that finds nothing.  It enters no outer-cascade step
-    # and not the root subproblem, so one node fewer than that call
+    # and not the root subproblem, so one node fewer than that call.  The
+    # subproblem is warm-started from the hints' reference, main_solve from
+    # the same schedule passed as ``warm``
     inst, params, hints = collapsed_case(seed, m, offset, hinted)
     root = tree_for(params).root
     sub_budget = Budget()
@@ -572,7 +574,8 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
         sub_budget, hints,
     )
     budget = Budget()
-    sys_out, sched = main_solve(inst, params, budget=budget, hints=hints)
+    warm = None if hints is None else hints.reference
+    sys_out, sched = main_solve(inst, params, budget=budget, warm=warm)
     assert sys_out == PartialDyadicSystem(root=root, assign={root: inst.all_jobs})
     if got is None:  # more jobs than the root holds
         assert inst.n > m * params.T
@@ -599,6 +602,93 @@ def test_trivial_instance_schedules_everything():
     params = single_bottom_params()
     _, sched = solve_hinted(inst, Schedule(T=8, assign=(1, 1)), params)
     assert sched.discard_count == 0
+
+
+# (n, m, seed, horizon, schedule) of hinted L = 0 solves replaying the
+# Graham schedule of random_instance(n, m, 0.3, seed): every job keeps its
+# reference slot, as when the reference was first turned into a system and
+# its virtually-valid counterpart
+COLLAPSED_HINTED = [
+    (7, 2, 0, 4, (2, 1, 1, 2, 3, 3, 4)),
+    (9, 2, 1, 8, (3, 4, 5, 1, 3, 1, 2, 2, 4)),
+    (10, 3, 2, 4, (1, 2, 4, 1, 3, 1, 3, 3, 4, 2)),
+    (12, 2, 3, 8, (1, 1, 3, 8, 5, 5, 3, 2, 6, 7, 2, 4)),
+    (8, 1, 4, 8, (5, 1, 6, 7, 3, 4, 2, 8)),
+    (11, 3, 5, 4, (3, 3, 1, 2, 3, 4, 2, 2, 1, 4, 1)),
+]
+
+
+@pytest.mark.parametrize("n, m, seed, T, expected", COLLAPSED_HINTED,
+                         ids=[f"n{g[0]}-m{g[1]}-s{g[2]}" for g in COLLAPSED_HINTED])
+def test_collapsed_solve_hinted_replays_the_reference(monkeypatch, n, m, seed, T, expected):
+    # at L = 0 the reference needs no system and no conversion: it
+    # warm-starts the one bottom search, which keeps it at its root node
+    inst = random_instance(n, m, 0.3, seed)
+    params = compute_params(T, m, Fraction(1, 2))
+    assert params.L == 0
+    reference = Schedule(T=T, assign=graham_list(inst).assign)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("no system is built at L = 0")
+
+    monkeypatch.setattr(solver, "system_from_schedule", unused)
+    monkeypatch.setattr(solver, "valid_to_virtually_valid", unused)
+    budget = Budget()
+    sys_out, sched = solve_hinted(inst, reference, params, budget=budget)
+    assert sched == Schedule(T=T, assign=expected) == reference
+    assert sys_out == PartialDyadicSystem(root=Interval(0, T), assign={Interval(0, T): inst.all_jobs})
+    assert budget.nodes == 1
+
+
+@pytest.mark.parametrize("case, message", [
+    ("discard", "reference schedule must have zero discards"),
+    ("late", "makespan 9 exceeds horizon 8"),
+    ("order", "reference schedule invalid:"),
+])
+def test_collapsed_solve_hinted_rejects_a_bad_reference(case, message):
+    # the same errors as the reference's system construction raises
+    inst = build_instance(3, 2, [(0, 1)])
+    params = compute_params(8, 2, Fraction(1, 2))
+    assert params.L == 0
+    assign = {"discard": (1, 2, None), "late": (1, 9, 1), "order": (2, 2, 1)}[case]
+    reference = Schedule(T=9 if case == "late" else 8, assign=assign)
+    with pytest.raises(InvalidInput, match=message):
+        system_from_schedule(inst, reference, params)
+    with pytest.raises(InvalidInput, match=message):
+        solve_hinted(inst, reference, params)
+
+
+def _guess_outcomes_by_prefix(inst, iv, jobs, params, max_len):
+    """The guess-tree walk as one ``push_down`` per prefix, each replaying
+    the split loop from the start."""
+    out = []
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        try:
+            result = push_down(inst, iv, jobs, prefix, params)
+        except GuessExhausted:
+            if len(prefix) < max_len:
+                stack.append(prefix + ("R",))
+                stack.append(prefix + ("L",))
+            continue
+        out.append((prefix, result))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_guess_outcomes_walk_matches_push_down_per_prefix(seed):
+    rng = random.Random(seed)
+    m = 1 + seed % 3
+    inst = random_instance(rng.randrange(5, 11), m, 0.35, seed)
+    params = compute_params(16, m, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
+    tree = tree_for(params)
+    for level in range(tree.L):
+        for iv in tree.level(level):
+            jobs = mask_from(j for j in range(inst.n) if rng.random() < 0.8)
+            for max_len in (0, 1, 2, 4):
+                assert solver._guess_outcomes(inst, iv, jobs, params, max_len) == (
+                    _guess_outcomes_by_prefix(inst, iv, jobs, params, max_len))
 
 
 class _NoStore(dict):
