@@ -290,7 +290,10 @@ COMMANDS = ("gen", "verify", "graham", "oracle", "solve", "pipeline", "bench")
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``psched`` parser with every subcommand, or with ``command``
-    alone when it names one; the top-level usage is the same either way."""
+    alone when it names one; the top-level usage is the same either way.
+
+    Builds a new parser on every call; ``run_command`` keeps the ones it
+    builds and reuses them, so callers must not mutate a returned parser."""
     chosen = (command,) if command in COMMANDS else COMMANDS
     parser = argparse.ArgumentParser(
         prog="psched",
@@ -367,8 +370,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# run_command's parsers, one per COMMANDS entry plus None for the full one
+_PARSERS: dict[str | None, argparse.ArgumentParser] = {}
+
+
 def run_command(argv: list[str]) -> int:
-    parser = build_parser(argv[0] if argv else None)
+    """Run one ``psched`` invocation and return its exit code.
+
+    The parser of ``argv[0]``'s subcommand, or the full parser when it
+    names none, is built on first use and reused for the rest of the
+    process.  Callers must not mutate it, nor a parsed default: every run
+    without ``--param-override`` gets the parser's one default list.
+    """
+    key = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = _PARSERS.get(key)
+    if parser is None:
+        parser = _PARSERS[key] = build_parser(key)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors; keep 2 for budget

@@ -99,12 +99,21 @@ def compute_params(
     h would exceed log2(T) it is clamped to log2(T), which collapses the
     tree to a single bottom interval (the whole horizon is then solved
     exactly).  Explicit overrides are validated, never clamped.
+
+    Results are memoized on ``(T, m, eps, overrides)``, so override values
+    must be hashable; invalid inputs raise on every call.
     """
     if T < 2 or T & (T - 1):
         raise InvalidOverride(f"T must be a power of two >= 2, got {T}")
     if m < 1:
         raise InvalidOverride(f"m must be >= 1, got {m}")
     eps = Fraction(eps)
+    # a frozenset of the items, unlike a sorted tuple, needs no order on the keys
+    return _params(T, m, eps, frozenset(overrides.items()) if overrides else frozenset())
+
+
+@lru_cache(maxsize=256)
+def _params(T: int, m: int, eps: Fraction, overrides: frozenset) -> Params:
     if not 0 < eps < 1:
         raise InvalidOverride(f"eps must be in (0, 1), got {eps}")
     log_T = T.bit_length() - 1
@@ -112,7 +121,7 @@ def compute_params(
     h = min(_ceil_log2(Fraction(8 * m * log_T) / eps), log_T)
     hp = _ceil_log2(Fraction(4 * m) / eps)
     overridden: list[str] = []
-    ov = dict(overrides or {})
+    ov = dict(overrides)
     unknown = set(ov) - set(OVERRIDE_KEYS)
     if unknown:
         raise InvalidOverride(f"unknown override keys: {sorted(unknown)}")
@@ -170,6 +179,12 @@ class DyadicTree:
     T: int
     L: int
     hp: int
+    # interval length -> level, L + 1 entries: level_of is one lookup
+    _level_by_length: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_level_by_length", {self.T >> l: l for l in range(self.L + 1)})
 
     @property
     def root(self) -> Interval:
@@ -185,9 +200,9 @@ class DyadicTree:
         return [self.level(l) for l in range(self.L + 1)]
 
     def level_of(self, iv: Interval) -> int:
-        l = self.T.bit_length() - iv.length.bit_length()
-        if not (0 <= l <= self.L and self.T >> l == iv.length and iv.begin % iv.length == 0
-                and 0 <= iv.begin < iv.end <= self.T):
+        size = iv.end - iv.begin
+        l = self._level_by_length.get(size)
+        if l is None or iv.begin % size or iv.end > self.T:
             raise ValueError(f"{iv} is not a tree interval")
         return l
 

@@ -1,5 +1,6 @@
 """File formats, generators, and the command-line surface."""
 
+import gc
 import random
 from pathlib import Path
 
@@ -368,15 +369,25 @@ def test_deep_tree_solve_matches_recorded_bytes(tmp_path, capsys, n, horizon, se
                    f"{n - scheduled} discarded, {nodes} nodes\n")
 
 
+@pytest.fixture
+def fresh_parsers(monkeypatch):
+    """Empty run_command's parser cache, as in a new process; returns a
+    function that empties it again."""
+    def empty():
+        monkeypatch.setattr(cli, "_PARSERS", {})
+    empty()
+    return empty
 
 
 @pytest.mark.parametrize("command", [None, *COMMANDS])
-def test_help_text_is_unchanged(monkeypatch, capsys, command):
-    # a call registers only the subparser it names; its help reads the same
+def test_help_text_is_unchanged(monkeypatch, capsys, fresh_parsers, command):
+    # a call registers only the subparser it names, and the next call
+    # reuses that parser; the help reads the same both times
     monkeypatch.setenv("COLUMNS", "80")
-    assert run_command([command, "--help"] if command else ["--help"]) == 0
-    golden = GOLDEN_DIR / f"help_{command or 'psched'}.txt"
-    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    golden = (GOLDEN_DIR / f"help_{command or 'psched'}.txt").read_text(encoding="utf-8")
+    for _ in range(2):
+        assert run_command([command, "--help"] if command else ["--help"]) == 0
+        assert capsys.readouterr().out == golden
 
 
 @pytest.mark.parametrize("argv", [[], ["bogus"], ["--bogus"], ["solve", "x", "--bogus"]])
@@ -438,3 +449,81 @@ def test_bench_rejects_fewer_than_one_job(tmp_path, capsys, n):
     assert run_command(["bench", "--n", n, "--count", "2", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: bench needs --n >= 1, got {n}\n"
     assert not out.exists()
+
+
+# parser reuse: run_command builds each subcommand's parser once per process
+
+
+def _gen(tmp_path, n, m, seed):
+    inst_path = tmp_path / f"i-n{n}-m{m}-s{seed}.psched"
+    assert run_command(["gen", "--family", "random-dag", "--n", str(n), "--m", str(m),
+                        "--seed", str(seed), "--out", str(inst_path)]) == 0
+    return inst_path
+
+
+def _pipeline(tmp_path, capsys, inst_path, flags):
+    """Exit code, schedule bytes and stderr of one ``pipeline`` run."""
+    out_path = tmp_path / "o.sched"
+    capsys.readouterr()
+    code = run_command(["pipeline", str(inst_path), *flags, "--out", str(out_path)])
+    return code, out_path.read_bytes(), capsys.readouterr().err
+
+
+def test_reused_parser_carries_no_overrides_into_the_next_run(tmp_path, capsys,
+                                                              fresh_parsers):
+    # here an h=1 override alone changes the default run's schedule
+    inst_path = _gen(tmp_path, 6, 2, 2)
+    runs = [[], DEEP, []]
+    alone = []
+    for flags in runs:
+        fresh_parsers()
+        alone.append(_pipeline(tmp_path, capsys, inst_path, flags))
+    fresh_parsers()
+    assert [_pipeline(tmp_path, capsys, inst_path, flags) for flags in runs] == alone
+    assert alone[0] != alone[1] and all(code == 0 for code, _, _ in alone)
+    # argparse copies the default list before appending: it is still empty
+    assert cli._PARSERS["pipeline"].parse_args(["pipeline", "x"]).param_override == []
+
+
+@pytest.mark.parametrize("bad", [["solve", "x", "--bogus"], ["pipeline", "x", "--bogus"],
+                                 ["pipeline", "x", "--horizon", "q"]])
+def test_usage_error_leaves_the_reused_parser_working(tmp_path, capsys, fresh_parsers,
+                                                      bad):
+    inst_path = _gen(tmp_path, 9, 3, 5)
+    fresh_parsers()
+    first = _pipeline(tmp_path, capsys, inst_path, [])
+    assert first[0] == 0
+    assert run_command(bad) == 1
+    assert capsys.readouterr().err.startswith("usage: psched ")
+    assert _pipeline(tmp_path, capsys, inst_path, []) == first
+
+
+def test_parser_cache_holds_one_parser_per_command_and_one_full(capsys, fresh_parsers):
+    for argv in (["bogus"], ["--bogus"], *([f"x{i}"] for i in range(1, 21)),
+                 *([command, "--help"] for command in COMMANDS), []):
+        run_command(argv)
+    capsys.readouterr()
+    # len(COMMANDS) + 1 parsers, whatever else argv[0] held
+    assert set(cli._PARSERS) == {None, *COMMANDS}
+
+
+@pytest.mark.parametrize("flags", [[], ["--hinted"], ["--hinted", *DEEP]],
+                         ids=["default", "hinted-collapsed", "hinted-deep"])
+def test_pipeline_calls_leave_no_reference_cycles(tmp_path, capsys, flags):
+    # the CLI counterpart of test_solver_calls_leave_no_reference_cycles:
+    # after a warm-up call has built the parser, a run leaves nothing for
+    # the cycle collector
+    inst_path = _gen(tmp_path, 8, 2, 3)
+    argv = ["pipeline", str(inst_path), *flags, "--out", str(tmp_path / "o.sched")]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert run_command(argv) == 0
+        gc.collect()
+        for _ in range(5):
+            assert run_command(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert capsys.readouterr().err.count("(valid, 0 discarded)") == 6

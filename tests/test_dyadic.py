@@ -129,6 +129,82 @@ def test_tree_under_and_rel_level():
     assert tree.rel_level(Interval(0, 2), 1) == ()
 
 
+def _old_level_of(tree, iv):
+    """``level_of`` as it was computed before the per-tree length table."""
+    l = tree.T.bit_length() - iv.length.bit_length()
+    if not (0 <= l <= tree.L and tree.T >> l == iv.length and iv.begin % iv.length == 0
+            and 0 <= iv.begin < iv.end <= tree.T):
+        raise ValueError(f"{iv} is not a tree interval")
+    return l
+
+
+def _old_kind(tree, iv):
+    l = _old_level_of(tree, iv)
+    return BOT if l == tree.L else MID if l >= tree.L - tree.hp else TOP
+
+
+def _raises(method, iv):
+    try:
+        method(iv)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("T", [2, 4, 8, 16, 32, 64])
+def test_level_of_and_kind_match_the_arithmetic_on_every_interval(T):
+    # every (b, e] with e <= T + 2, so out-of-range, misaligned and
+    # wrong-length intervals are all among them
+    log_T = T.bit_length() - 1
+    for L in range(log_T + 1):
+        for hp in range(L + 2):
+            tree = DyadicTree(T=T, L=L, hp=hp)
+            assert len(tree._level_by_length) == L + 1
+            tree_ivs = 0
+            for e in range(1, T + 3):
+                for b in range(e):
+                    iv = Interval(b, e)
+                    try:
+                        want = _old_level_of(tree, iv), _old_kind(tree, iv)
+                    except ValueError:
+                        assert _raises(tree.level_of, iv) and _raises(tree.kind, iv)
+                        assert not tree.is_tree_interval(iv)
+                        continue
+                    tree_ivs += 1
+                    assert (tree.level_of(iv), tree.kind(iv)) == want
+            assert tree_ivs == sum(len(level) for level in tree.levels())
+
+
+def test_level_of_rejects_non_tree_intervals():
+    tree = DyadicTree(T=16, L=2, hp=1)  # lengths 16, 8 and 4
+    for iv in (Interval(2, 6), Interval(4, 12),  # misaligned
+               Interval(16, 20), Interval(12, 20), Interval(0, 32),  # out of range
+               Interval(0, 2), Interval(0, 3), Interval(4, 10)):  # wrong length
+        with pytest.raises(ValueError, match="is not a tree interval"):
+            tree.level_of(iv)
+        with pytest.raises(ValueError):
+            tree.kind(iv)
+    assert [tree.kind(Interval(0, n)) for n in (16, 8, 4)] == [TOP, MID, BOT]
+
+
+def test_compute_params_is_memoized_and_still_validates():
+    ov = {"h": 1, "hp": 1, "p": 2, "delta": Fraction(1, 4)}
+    first = compute_params(16, 2, Fraction(1, 2), overrides=ov)
+    # the same inputs, spelled differently, give the same (equal) params
+    assert compute_params(16, 2, "1/2", overrides=dict(reversed(ov.items()))) == first
+    assert compute_params(16, 2, 0.5, overrides={**ov, "delta": "1/4"}) == first
+    assert compute_params(16, 2, Fraction(1, 2), overrides={}) == compute_params(
+        16, 2, Fraction(1, 2))
+    # invalid inputs raise on every call, never from a cached result
+    for _ in range(3):
+        with pytest.raises(InvalidOverride, match="need p >= 1"):
+            compute_params(16, 2, Fraction(1, 2), overrides={**ov, "p": 0})
+        with pytest.raises(InvalidOverride, match="eps must be in"):
+            compute_params(16, 2, Fraction(3, 2))
+        with pytest.raises(InvalidOverride, match="power of two"):
+            compute_params(12, 2, Fraction(1, 2))
+
+
 def test_check_system_single_bottom_interval_is_valid():
     params = desk_params()
     inst = random_instance(5, 2, 0.6, 2)

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from psched import cli
+
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -54,3 +56,27 @@ def test_yield_counted_functions_are_generators(mod_name, fn_name):
 def test_hooked_arguments_keep_their_positions(mod_name, fn_name, index, name):
     params = list(inspect.signature(_resolve(mod_name, fn_name)).parameters)
     assert params[index] == name
+
+
+def test_tracer_sees_one_parser_build_for_repeated_runs(tmp_path, monkeypatch):
+    # run_command reuses the parser it builds; the tracer's rebinding of
+    # cli.build_parser must still see that one build, so the traced
+    # cli.build_parser.self_s measures real builds
+    inst_path = tmp_path / "i.psched"
+    assert cli.run_command(["gen", "--family", "random-dag", "--n", "9", "--m", "3",
+                            "--seed", "5", "--out", str(inst_path)]) == 0
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    argv = ["pipeline", str(inst_path), "--out", str(tmp_path / "o.sched")]
+    build_parser = cli.build_parser
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        since = tracer.mark()
+        codes = [cli.run_command(argv) for _ in range(3)]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0]
+    window = tracer.window(since)
+    assert window["cli.run_command.calls"] == 3
+    assert window["cli.build_parser.calls"] == 1
+    assert cli.build_parser is build_parser
