@@ -1,11 +1,15 @@
-"""List-scheduling baselines, makespan bounds and the exact brute-force oracle."""
+"""List-scheduling baselines, makespan bounds and the exact oracle.
+
+The oracle is the bound sandwich followed, when it does not certify, by
+``solver.bottom_solve`` in complete mode at each horizon in turn.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from typing import TYPE_CHECKING
 
 from .core import (
     DISC,
@@ -17,12 +21,13 @@ from .core import (
     chain_depths,
     iter_jobs,
     job_count,
-    longest_chain,
     mask_from,
 )
-from .errors import CapacityDeficit, TooLarge
+from .dyadic import compute_params
+from .errors import CapacityDeficit
 
-EXACT_OPT_LIMIT = 16
+if TYPE_CHECKING:
+    from .solver import Budget
 
 
 @dataclass(frozen=True)
@@ -88,10 +93,13 @@ def _list_schedule(inst: Instance, priority: Sequence[int]) -> Schedule:
     return Schedule(T=max(t, 1) if inst.n else 0, assign=tuple(assign))
 
 
-def tail_heights(inst: Instance) -> list[int]:
-    """Per job, the length of the longest chain that starts at it."""
+def tail_heights(inst: Instance, jobs: JobSet | None = None) -> list[int]:
+    """Per job, the length of the longest chain that starts at it; with
+    ``jobs``, of the longest chain within ``jobs``, and 0 outside it."""
     height = [0] * inst.n
     for j in reversed(inst.topo):
+        if jobs is not None and not jobs >> j & 1:
+            continue
         h = 0
         for s in iter_jobs(inst.succ[j]):
             if height[s] > h:
@@ -182,94 +190,37 @@ def capacity_list_schedule(
     return Schedule(T=profile.interval.end, assign=tuple(full))
 
 
-def _ready(inst: Instance, remaining: JobSet) -> JobSet:
-    r = 0
-    for j in iter_jobs(remaining):
-        if inst.pred[j] & remaining == 0:
-            r |= 1 << j
-    return r
-
-
 def exact_opt(
     inst: Instance,
-    limit: int = EXACT_OPT_LIMIT,
     bounds: tuple[int, Schedule] | None = None,
+    budget: Budget | None = None,
 ) -> tuple[int, Schedule]:
     """Minimum-makespan zero-discard schedule: certified by the bound
     sandwich when it can be, otherwise by exhaustive search.
 
     ``bounds`` is ``bound_sandwich(inst)``, computed here when omitted.
     When its list schedule meets the level bound, that schedule is optimal
-    and is returned as it is; otherwise the result is ``_exact_dp``'s.
-    Raises ``TooLarge`` above ``limit`` jobs either way.
+    and is returned as it is.  Otherwise ``bottom_solve`` in complete mode
+    decides each horizon from the level bound up to the list schedule's
+    makespan, and the first with a schedule of every job is returned with
+    it.  ``budget`` (a fresh ``Budget`` when omitted) counts the nodes of
+    every horizon tried and raises ``BudgetExceeded`` when they run out.
     """
-    if inst.n > limit:
-        raise TooLarge(f"exact oracle limited to {limit} jobs, got {inst.n}")
     if inst.n == 0:
         return 0, Schedule(T=0, assign=())
     lower, upper = bounds or bound_sandwich(inst)
     if upper.makespan == lower:
         return lower, upper
-    return _exact_dp(inst)
+    # solver imports this module (through convert), so it is imported here
+    from .solver import Budget, bottom_solve
 
-
-def _exact_dp(inst: Instance) -> tuple[int, Schedule]:
-    """Minimum-makespan zero-discard schedule of ``n >= 1`` jobs by
-    exhaustive search.
-
-    Branches slot by slot over maximal ready batches (for unit jobs some
-    optimal schedule always runs min(m, #ready) jobs per slot), memoized on
-    the bitmask of completed jobs, pruned with the admissible bound
-    max(longest chain, ceil(remaining / m)).
-    """
-    all_jobs = inst.all_jobs
-    memo: dict[JobSet, int] = {all_jobs: 0}
-
-    def lower_bound(done: JobSet) -> int:
-        rem = all_jobs & ~done
-        if not rem:
-            return 0
-        return max(longest_chain(inst, rem), -(-job_count(rem) // inst.m))
-
-    def batches(done: JobSet) -> list[JobSet]:
-        ready = list(iter_jobs(_ready(inst, all_jobs & ~done)))
-        k = min(inst.m, len(ready))
-        return [mask_from(c) for c in combinations(ready, k)]
-
-    def solve(done: JobSet, ceiling: int) -> int:
-        """Fewest extra slots to finish, or ceiling if that cannot be beaten."""
-        if done in memo:
-            return memo[done]
-        lb = lower_bound(done)
-        if lb >= ceiling:
-            return lb  # not stored: may be an underestimate cut
-        best = ceiling
-        for batch in batches(done):
-            got = 1 + solve(done | batch, best - 1)
-            if got < best:
-                best = got
-                if best == lb:
-                    break
-        if best < ceiling:
-            memo[done] = best
-        return best
-
-    opt = solve(0, inst.n + 1)
-
-    # Reconstruct deterministically by replaying the memoized values.
-    assign: list[Slot] = [DISC] * inst.n
-    done: JobSet = 0
-    t = 0
-    while done != all_jobs:
-        t += 1
-        rest = solve(done, inst.n + 1)
-        for batch in batches(done):
-            if 1 + solve(done | batch, inst.n + 1) == rest:
-                for j in iter_jobs(batch):
-                    assign[j] = t
-                done |= batch
-                break
-        else:  # pragma: no cover - memo guarantees a matching batch
-            raise AssertionError("reconstruction failed")
-    del solve  # ``solve`` refers to itself; dropping it frees the memo at once
-    return opt, Schedule(T=opt, assign=tuple(assign))
+    budget = budget or Budget()
+    # with no warm start the search reads only ``m`` from the params
+    params = compute_params(2, inst.m, "1/2")
+    for T in range(lower, upper.makespan + 1):
+        assign = bottom_solve(
+            inst, Interval(0, T), inst.all_jobs, 0, {}, params, budget, complete=True,
+        )
+        if DISC not in assign.values():
+            return T, Schedule(T=T, assign=tuple(assign[j] for j in range(inst.n)))
+    raise AssertionError("the list schedule fits in its own makespan")  # pragma: no cover

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``gen`` (instance generators), ``verify`` (schedule checking),
-``graham`` (greedy baseline), ``oracle`` (exact optimum for small
-instances), ``solve`` (the guessing solver; output may ignore precedence
-among window-constrained jobs), ``pipeline`` (solve, make the schedule
-valid, re-insert discarded jobs), and ``bench`` (CSV comparison rows).
+``graham`` (greedy baseline), ``oracle`` (exact optimum), ``solve`` (the
+guessing solver; output may ignore precedence among window-constrained
+jobs), ``pipeline`` (solve, make the schedule valid, re-insert discarded
+jobs), and ``bench`` (CSV comparison rows).
 
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 failure or invalid input, 2 search budget exhausted.
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import io
-from .baselines import EXACT_OPT_LIMIT, bound_sandwich, exact_opt, graham_list
+from .baselines import bound_sandwich, exact_opt, graham_list
 from .convert import canonicalize, virtually_valid_to_valid
 from .core import Instance, Schedule, Slot, iter_jobs, longest_chain, verify_valid
 from .dyadic import OVERRIDE_KEYS, compute_params
@@ -92,8 +92,9 @@ def _solve_at_horizon(
 ) -> SolveOutcome | None:
     """Solve at one horizon; with ``oracle`` (the result of ``exact_opt``),
     replay the splits of its schedule instead of enumerating.  Otherwise
-    ``warm``, a valid schedule of makespan at most ``horizon``, seeds the
-    exact search of a collapsed (``L = 0``) tree."""
+    ``warm``, the horizon search's list schedule, marks one of its attempts:
+    a collapsed (``L = 0``) tree's exact search then looks only for a
+    schedule of every job, seeded with ``warm`` if it fits in ``horizon``."""
     target = max(horizon, 2)
     padded, T2, _pads = pad_to_power_of_two(inst, target)
     params = compute_params(T2, inst.m, eps, overrides=overrides or None)
@@ -104,9 +105,10 @@ def _solve_at_horizon(
         reference = _with_sinks(inst, padded, best, target)
         sys_out, virtual = solve_hinted(padded, reference, params, budget=budget)
     else:
-        if warm is not None:
-            warm = _with_sinks(inst, padded, warm, target)
-        sys_out, virtual = main_solve(padded, params, budget=budget, warm=warm)
+        complete = warm is not None
+        if complete:
+            warm = _with_sinks(inst, padded, warm, target) if warm.makespan <= horizon else None
+        sys_out, virtual = main_solve(padded, params, budget, warm=warm, complete=complete)
     valid = virtual
     if params.L > 0:  # with no top jobs both conversions are the identity
         canon = canonicalize(padded, sys_out, virtual, params)
@@ -127,7 +129,8 @@ def _search_horizon(inst, eps, overrides, budget, oracle, bounds):
 
     ``bounds`` is the run's bound sandwich: its lower bound is the first
     probe, and its list schedule warm-starts every attempt at a horizon
-    it fits in."""
+    it fits in.  Collapsed attempts look only for a schedule of every
+    job, since a discard fails the attempt anyway."""
     if inst.n == 0:  # the search returns horizon 0 without solving
         empty = Schedule(T=0, assign=())
         return SolveOutcome(horizon=0, padded_T=0, virtual=empty, valid=empty, discards=0,
@@ -136,8 +139,7 @@ def _search_horizon(inst, eps, overrides, budget, oracle, bounds):
     _, upper = bounds
 
     def attempt(T0: int) -> Schedule | None:
-        warm = upper if T0 >= upper.makespan else None
-        got = _solve_at_horizon(inst, T0, eps, overrides, budget, oracle, warm)
+        got = _solve_at_horizon(inst, T0, eps, overrides, budget, oracle, upper)
         if got is None or got.discards:
             return None
         outcomes[T0] = got
@@ -173,7 +175,7 @@ def cmd_graham(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = io.read_instance(args.instance)
-    opt, sched = exact_opt(inst, limit=args.limit)
+    opt, sched = exact_opt(inst)
     _emit(io.format_schedule(sched), args.out)
     print(f"optimal makespan {opt}", file=sys.stderr)
     return 0
@@ -234,9 +236,9 @@ def cmd_bench(args) -> int:
         inst, edges = gen_instance(args.family, args.n, args.m, args.density, seed)
         name = f"{args.family}-n{args.n}-m{args.m}-s{seed}"
         start = time.perf_counter()
-        opt, best = exact_opt(inst)
-        graham = graham_list(inst).makespan
         budget = Budget(limit=args.budget)
+        opt, best = exact_opt(inst, budget=budget)
+        graham = graham_list(inst).makespan
         got = _solve_at_horizon(
             inst, opt, Fraction(args.epsilon), _parse_overrides(args.param_override),
             budget, (opt, best),
@@ -279,9 +281,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="replay splits recorded from the exact oracle's schedule")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="search node budget: states entered, not children "
-                        "cut by the bound or subproblems answered from the "
-                        "memo; an L = 0 attempt counts only bottom-search "
-                        "states (exit 2 when exhausted)")
+                        "cut by a bound or answered from a memo; an L = 0 "
+                        "attempt counts only bottom-search states (exit 2 "
+                        "when exhausted)")
     p.add_argument("--out", default=None, help="write the schedule here")
 
 
@@ -327,9 +329,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_graham)
 
     if "oracle" in chosen:
-        p = subs.add_parser("oracle", help="exact optimum (small instances)")
+        p = subs.add_parser("oracle", help="exact optimum")
         p.add_argument("instance")
-        p.add_argument("--limit", type=int, default=EXACT_OPT_LIMIT)
         p.add_argument("--out", default=None)
         p.set_defaults(func=cmd_oracle)
 
@@ -362,7 +363,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--epsilon", default="1/2")
         p.add_argument("--param-override", action="append", default=[], metavar="K=V")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="search node budget per row, shared by the exact "
+                            "oracle and the solver (exit 2 when exhausted)")
         p.add_argument("--format", choices=("text", "csv"), default="csv",
                        help=f"csv columns, in order: {', '.join(BENCH_COLUMNS)}")
         p.add_argument("--out", default=None)

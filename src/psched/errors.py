@@ -13,10 +13,6 @@ class CapacityDeficit(ValueError):
     """The capacity profile cannot hold the given number of jobs."""
 
 
-class TooLarge(ValueError):
-    """Instance exceeds the configured limit of the exact oracle."""
-
-
 class NoSolution(RuntimeError):
     """The horizon search failed even at the trivially sufficient horizon."""
 

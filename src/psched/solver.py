@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
+from .baselines import _level, tail_heights
 from .core import (
     DISC,
     Instance,
@@ -64,11 +65,11 @@ class Budget:
 
     A node is a search state that was entered: one ``schedule_subtree``
     call that solves its subproblem, one step of the outer cascades or
-    one state of the bottom search.  Bottom-search children that the
-    bound cuts before entry are not counted, nor is a subproblem answered
-    from the ``SolveMemo`` of the current ``main_solve``.  A tree with
-    ``L = 0`` runs no cascades and no ``schedule_subtree``, so only its
-    bottom-search states count.
+    one state of the bottom search.  Bottom-search children that a bound
+    or the failed-state memo of complete mode rules out before entry are
+    not counted, nor is a subproblem answered from the ``SolveMemo`` of
+    the current ``main_solve``.  A tree with ``L = 0`` runs no cascades
+    and no ``schedule_subtree``, so only its bottom-search states count.
     """
 
     limit: int = DEFAULT_BUDGET
@@ -304,6 +305,7 @@ def bottom_solve(
     params: Params,
     budget: Budget | None = None,
     warm: PartialAssign | None = None,
+    complete: bool = False,
 ) -> PartialAssign:
     """Best virtually-valid assignment on a bottom interval.
 
@@ -319,6 +321,15 @@ def bottom_solve(
     the first assignment in that order that schedules the most jobs, so
     this order fixes the output.  A child whose bound cannot beat the
     incumbent is skipped before it is entered and costs no node.
+
+    In ``complete`` mode, which takes no ancestors, only an assignment of
+    every job counts: the result is the search's above when that places
+    every job, and the all-discard assignment otherwise.  It tries only
+    batches of ``min(m, #ready)`` ready jobs, in the same order (a unit-job
+    schedule that fits can be made to never idle a machine while a job is
+    ready), and skips before entry a child whose ``(slot, alive)`` state
+    already failed or whose alive jobs break Hu's level bound for the
+    slots left.
     """
     budget = budget or Budget()
     m = params.m
@@ -335,7 +346,7 @@ def bottom_solve(
     comparable = [s | p for s, p in zip(inst.succ, pred)]
 
     best_assign: PartialAssign = {j: DISC for j in iter_jobs(bottom | ancestors)}
-    best_count = 0
+    best_count = total_jobs - 1 if complete else 0
     if warm is not None:
         warm_sys = PartialDyadicSystem(
             root=iv, assign={iv: bottom}, ancestors=ancestors, anc_windows=anc_windows,
@@ -343,7 +354,7 @@ def bottom_solve(
         if check_virtually_valid(inst, warm_sys, params, warm).ok:
             got = {j: warm[j] for j in iter_jobs(bottom | ancestors)}
             cnt = sum(1 for t in got.values() if t is not None)
-            if cnt > 0:
+            if cnt > best_count:
                 best_assign, best_count = got, cnt
 
     assign: PartialAssign = {j: DISC for j in iter_jobs(bottom | ancestors)}
@@ -391,14 +402,45 @@ def bottom_solve(
                     break
                 keep[0] = best_count - base - len(rest) + 1
 
+    failed: set[tuple[int, JobSet]] = set()
+
+    def fill(idx: int, alive: JobSet) -> bool:
+        """Complete mode: place every job of ``alive`` from slot ``idx`` on."""
+        if not alive:
+            return True
+        t = slots[idx]
+        slots_left = n_slots - idx - 1
+        ready = [j for j in iter_jobs(alive) if pred[j] & alive == 0]
+        for batch in combinations(ready, min(m, len(ready))):
+            child = alive & ~mask_from(batch)
+            if (idx + 1, child) in failed or _level(
+                (height[j] for j in iter_jobs(child)), m
+            ) > slots_left:
+                continue
+            budget.tick()
+            # a success places every job, so slots left by failed
+            # branches are all overwritten
+            for j in batch:
+                assign[j] = t
+            if fill(idx + 1, child):
+                return True
+            failed.add((idx + 1, child))
+        return False
+
     try:
         budget.tick()  # the root is entered even when it cannot beat the warm start
         if min(m * n_slots, job_count(bottom) + len(anc_order)) > best_count:
-            dfs(0, bottom, anc_order, 0)
+            if not complete:
+                dfs(0, bottom, anc_order, 0)
+            else:
+                height = tail_heights(inst, bottom)  # read by ``fill``
+                if fill(0, bottom):
+                    best_assign = dict(assign)
     finally:
-        # ``dfs`` refers to itself; dropping it breaks the cycle that would
-        # keep everything it captures alive until the cycle collector runs
-        del dfs
+        # ``dfs`` and ``fill`` refer to themselves; dropping them breaks the
+        # cycles that would keep everything they capture alive until the
+        # cycle collector runs
+        del dfs, fill
     return dict(best_assign)
 
 
@@ -681,6 +723,7 @@ def main_solve(
     budget: Budget | None = None,
     hints: Hints | None = None,
     warm: Schedule | None = None,
+    complete: bool = False,
 ) -> tuple[PartialDyadicSystem, Schedule]:
     """Full enumeration over outer split decisions, keeping the best schedule.
 
@@ -694,7 +737,9 @@ def main_solve(
     subtrees or memo, and ``hints`` are not read.  It is warm-started from
     ``warm``, a schedule of every job; ``bottom_solve`` keeps a warm start
     only when it is valid on ``(0, T]``, and one that schedules every job
-    ends the search at its root node.  Deeper trees ignore ``warm``.
+    ends the search at its root node.  With ``complete`` that search runs
+    in ``bottom_solve``'s complete mode: it returns a schedule of every job
+    or discards them all.  Deeper trees ignore ``warm`` and ``complete``.
     """
     budget = budget or Budget()
     tree = tree_for(params)
@@ -708,7 +753,8 @@ def main_solve(
         if inst.n > params.m * params.T:  # the root cannot hold them all
             return best_sys, best_sched
         start = None if warm is None else dict(enumerate(warm.assign))
-        assign = bottom_solve(inst, tree.root, inst.all_jobs, 0, {}, params, budget, start)
+        assign = bottom_solve(inst, tree.root, inst.all_jobs, 0, {}, params, budget, start,
+                              complete)
         return best_sys, Schedule(T=params.T, assign=tuple(assign[j] for j in range(inst.n)))
     memo = SolveMemo()
     best_count = 0

@@ -10,9 +10,7 @@ from hypothesis import example, given, settings
 
 from psched import io
 from psched.baselines import (
-    EXACT_OPT_LIMIT,
     CapacityProfile,
-    _exact_dp,
     bound_sandwich,
     capacity_list_schedule,
     critical_path_list,
@@ -23,8 +21,10 @@ from psched.baselines import (
 )
 from psched.cli import run_command
 from psched.core import Interval, build_instance, iter_jobs, job_count, longest_chain, mask_from, verify_valid
-from psched.errors import CapacityDeficit, TooLarge
+from psched.dyadic import compute_params
+from psched.errors import BudgetExceeded, CapacityDeficit
 from psched.generators import gen_instance
+from psched.solver import Budget, bottom_solve
 
 from conftest import (
     assert_no_violations,
@@ -33,6 +33,7 @@ from conftest import (
     permutation_opt,
     random_instance,
 )
+from exact_reference import reference_exact_dp
 
 
 def test_graham_chain():
@@ -153,26 +154,48 @@ def test_exact_opt_antichain():
     assert exact_opt(inst)[0] == 3
 
 
-def test_exact_opt_too_large():
-    inst = build_instance(17, 2, [])
-    with pytest.raises(TooLarge):
-        exact_opt(inst)
-
-
-@pytest.mark.parametrize("n, limit", [(EXACT_OPT_LIMIT + 1, EXACT_OPT_LIMIT), (6, 5), (1, 0)])
-def test_exact_opt_checks_its_limit_before_certifying(n, limit):
-    # an antichain is certified by its sandwich, yet above the limit the
-    # oracle refuses it as it did before the sandwich was tried first,
-    # also when the caller hands it the sandwich
+@pytest.mark.parametrize("n", [17, 40])
+def test_exact_opt_certifies_antichains_of_any_size(n):
+    # no job limit: the sandwich certifies an antichain at ceil(n/m)
     inst = build_instance(n, 2, [])
     lower, upper = bound_sandwich(inst)
-    assert upper.makespan == lower
-    message = f"exact oracle limited to {limit} jobs, got {n}"
-    with pytest.raises(TooLarge, match=message):
-        exact_opt(inst, limit=limit)
-    with pytest.raises(TooLarge, match=message):
-        exact_opt(inst, limit=limit, bounds=(lower, upper))
-    assert exact_opt(inst, limit=n) == (lower, upper)
+    assert lower == upper.makespan == -(-n // 2)
+    assert exact_opt(inst) == (lower, upper)
+
+
+# random-dag d=0.3 instances, (n, m, generator seed), whose level bound
+# is below both list schedules; a horizon search in max-count mode takes
+# 133,465 nodes on n=32 m=3 seed 0 and exhausts 3,000,000 on n=48 m=3
+# seed 13
+UNCERTIFIED = [(32, 2, 15), (32, 3, 0), (32, 3, 18), (48, 2, 10), (48, 2, 16), (48, 3, 1),
+               (48, 3, 13), (48, 3, 14)]
+
+
+@pytest.mark.parametrize("n, m, seed", UNCERTIFIED,
+                         ids=[f"n{n}-m{m}-s{seed}" for n, m, seed in UNCERTIFIED])
+def test_exact_opt_decides_uncertified_instances_in_few_nodes(n, m, seed):
+    inst, _ = gen_instance("random-dag", n, m, 0.3, seed)
+    lower, upper = bound_sandwich(inst)
+    assert lower < upper.makespan
+    opt, sched = exact_opt(inst, budget=Budget(2_000))
+    assert_no_violations(verify_valid(inst, sched))
+    assert sched.discard_count == 0 and sched.makespan == sched.T == opt
+    # one slot fewer admits no schedule of every job
+    params = compute_params(2, m, "1/2")
+    below = bottom_solve(inst, Interval(0, opt - 1), inst.all_jobs, 0, {}, params,
+                         complete=True)
+    assert set(below.values()) == {None}
+
+
+def test_exact_opt_is_bounded_by_its_budget(tmp_path, capsys):
+    inst, edges = gen_instance("random-dag", 48, 3, 0.3, 13)
+    with pytest.raises(BudgetExceeded):
+        exact_opt(inst, budget=Budget(limit=5))
+    inst_path = tmp_path / "i.psched"
+    inst_path.write_text(io.format_instance(inst, edges), encoding="utf-8")
+    assert run_command(["solve", str(inst_path), "--budget", "10000",
+                        "--out", str(tmp_path / "s.sched")]) == 0
+    assert capsys.readouterr().err.startswith("horizon 20 padded 32: 48 scheduled, 0 discarded")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -182,7 +205,7 @@ def test_exact_opt_checks_its_limit_before_certifying(n, limit):
 def test_exact_opt_is_certified_by_the_sandwich_or_searched(inst):
     lower, upper = bound_sandwich(inst)
     opt, sched = exact_opt(inst)
-    dp_opt, dp_sched = _exact_dp(inst)
+    dp_opt, dp_sched = reference_exact_dp(inst)
     assert opt == dp_opt
     assert_no_violations(verify_valid(inst, sched))
     assert sched.discard_count == 0 and sched.makespan == sched.T == opt
@@ -219,11 +242,18 @@ def test_exact_opt_one_machine_runs_every_job_in_turn():
 
 
 def test_tail_heights_are_longest_chains_from_each_job():
+    rng = random.Random(5)
     for seed in range(20):
         inst = random_instance(9, 2, 0.3, seed)
         heights = tail_heights(inst)
         for j in range(inst.n):
             assert heights[j] == brute_longest_chain(inst, inst.succ[j]) + 1
+        # within a job mask: chains through jobs outside it do not count
+        jobs = mask_from(j for j in range(inst.n) if rng.random() < 0.6)
+        heights = tail_heights(inst, jobs)
+        for j in range(inst.n):
+            inside = jobs >> j & 1
+            assert heights[j] == inside * (brute_longest_chain(inst, inst.succ[j] & jobs) + 1)
 
 
 def test_level_bound_counts_jobs_above_a_height():

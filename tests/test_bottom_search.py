@@ -1,4 +1,5 @@
-"""The lazy bottom search against its earlier eager form, and its batch order."""
+"""The lazy bottom search against its earlier eager form, its batch order,
+and its complete mode against its max-count mode."""
 
 import random
 from fractions import Fraction
@@ -6,9 +7,10 @@ from itertools import combinations
 
 import pytest
 
-from psched.baselines import exact_opt
+from psched.baselines import bound_sandwich, exact_opt
 from psched.core import DISC, Interval, iter_jobs, job_count, mask_from
 from psched.dyadic import compute_params, tree_for
+from psched.generators import gen_instance
 from psched.solver import Budget, antichains, bottom_solve
 from psched.transform import pad_to_power_of_two
 
@@ -165,3 +167,37 @@ def test_antichains_keep_filters_without_reordering():
                 raised[0] = keep
                 got.extend(gen)
                 assert got == every[:1] + [b for b in every[1:] if job_count(b[1]) >= keep]
+
+
+def _grid():
+    for family in ("random-dag", "layered", "forest"):
+        for n in (10, 12, 14):
+            for m in (2, 3, 4):
+                for seed in range(20):
+                    yield family, n, m, seed
+
+
+def test_complete_mode_agrees_with_max_count_mode_on_a_seeded_grid():
+    # at every horizon the sandwich leaves open, and one below it, complete
+    # mode returns max-count mode's assignment when that schedules every
+    # job and the all-discard assignment when it does not, entering no
+    # more nodes
+    decided = failed = 0
+    for family, n, m, seed in _grid():
+        inst, _ = gen_instance(family, n, m, 0.3, seed)
+        lower, upper = bound_sandwich(inst)
+        params = compute_params(2, m, Fraction(1, 2))
+        for T in range(max(lower - 1, 1), upper.makespan + 1):
+            iv = Interval(0, T)
+            most, complete = Budget(), Budget()
+            want = bottom_solve(inst, iv, inst.all_jobs, 0, {}, params, budget=most)
+            got = bottom_solve(inst, iv, inst.all_jobs, 0, {}, params, budget=complete,
+                               complete=True)
+            if DISC in want.values():
+                assert set(got.values()) == {DISC}
+                failed += 1
+            else:
+                assert got == want
+                decided += 1
+            assert complete.nodes <= most.nodes
+    assert (decided, failed) == (542, 541)

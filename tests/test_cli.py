@@ -527,3 +527,43 @@ def test_pipeline_calls_leave_no_reference_cycles(tmp_path, capsys, flags):
         if was_enabled:
             gc.enable()
     assert capsys.readouterr().err.count("(valid, 0 discarded)") == 6
+
+
+def test_oracle_hinted_and_bench_run_above_sixteen_jobs(tmp_path, capsys):
+    # the exact oracle has no job limit; n=20 is above 16
+    inst_path = tmp_path / "i.psched"
+    assert run_command(["gen", "--family", "random-dag", "--n", "20", "--m", "2",
+                        "--seed", "0", "--out", str(inst_path)]) == 0
+    inst = io.read_instance(str(inst_path))
+    for argv in (["oracle", str(inst_path)], ["pipeline", str(inst_path), "--hinted"]):
+        out_path = tmp_path / "o.sched"
+        assert run_command([*argv, "--out", str(out_path)]) == 0
+        sched = io.read_schedule(str(out_path))
+        assert_no_violations(verify_valid(inst, sched))
+        assert sched.discard_count == 0 and sched.makespan == 10
+    capsys.readouterr()
+    csv_path = tmp_path / "bench.csv"
+    assert run_command(["bench", "--n", "20", "--m", "2", "--count", "1",
+                        "--out", str(csv_path)]) == 0
+    row = dict(zip(BENCH_COLUMNS, csv_path.read_text().splitlines()[1].split(",")))
+    assert (row["n"], row["opt"], row["solver_discards"], row["final_makespan"]) == (
+        "20", "10", "0", "10")
+
+
+def test_oracle_limit_flag_is_gone(tmp_path, capsys):
+    inst_path = tmp_path / "i.psched"
+    inst_path.write_text("psched 1 3 2\n0 1\n")
+    assert run_command(["oracle", str(inst_path), "--limit", "5"]) == 1
+    assert "unrecognized arguments: --limit 5" in capsys.readouterr().err
+
+
+def test_bench_budget_bounds_the_oracle(tmp_path, capsys):
+    # n=12 m=2 seed 162 is the first bench row the sandwich leaves open
+    # (level bound 7, list schedules 8), so the oracle searches and spends
+    # the row's nodes
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--n", "12", "--m", "2", "--count", "1", "--seed", "162",
+            "--out", str(out)]
+    assert run_command([*argv, "--budget", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: search budget exceeded: 4 nodes > limit 3")
+    assert run_command(argv) == 0

@@ -9,6 +9,9 @@ benchmark run.  The module is loaded from its file and left unchanged.
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +83,23 @@ def test_tracer_sees_one_parser_build_for_repeated_runs(tmp_path, monkeypatch):
     assert window["cli.run_command.calls"] == 3
     assert window["cli.build_parser.calls"] == 1
     assert cli.build_parser is build_parser
+
+
+def test_exact_opt_searches_when_baselines_is_imported_first():
+    # exact_opt imports the solver inside the function, since the solver
+    # imports baselines through convert; a fresh interpreter that loads
+    # baselines before anything else must still reach the search, here on
+    # an instance whose level bound 7 is below both list schedules' 8
+    code = (
+        "import psched.baselines as b\n"
+        "from psched.generators import gen_instance\n"
+        "inst, _ = gen_instance('random-dag', 12, 2, 0.3, 162)\n"
+        "lower, upper = b.bound_sandwich(inst)\n"
+        "opt, sched = b.exact_opt(inst)\n"
+        "print(lower, upper.makespan, opt, sched.makespan, sched.discard_count)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "7 8 8 8 0\n"
