@@ -23,7 +23,6 @@ from .core import (
     job_count,
     mask_from,
 )
-from .dyadic import compute_params
 from .errors import CapacityDeficit
 
 if TYPE_CHECKING:
@@ -108,13 +107,20 @@ def tail_heights(inst: Instance, jobs: JobSet | None = None) -> list[int]:
     return height
 
 
-def _level(heights: Iterable[int], m: int) -> int:
-    """``max over k of (k - 1) + ceil(|{j : height(j) >= k}| / m)``."""
-    per_height = Counter(heights)
+def height_counts(heights: Iterable[int]) -> list[int]:
+    """Entry ``k`` counts the heights equal to ``k``, up to the largest."""
+    count = Counter(heights)
+    return [count[k] for k in range(max(count, default=0) + 1)]
+
+
+def _level(per_height: Sequence[int], m: int) -> int:
+    """``max over k of (k - 1) + ceil(|{j : height(j) >= k}| / m)``, given
+    ``per_height[k]`` jobs of height ``k``; heights no job reaches skipped."""
     best = at_least = 0
-    for k in range(max(per_height, default=0), 0, -1):
+    for k in range(len(per_height) - 1, 0, -1):
         at_least += per_height[k]
-        best = max(best, k - 1 + -(-at_least // m))
+        if at_least and k - 1 + -(-at_least // m) > best:
+            best = k - 1 + -(-at_least // m)
     return best
 
 
@@ -134,7 +140,7 @@ def level_bound(inst: Instance) -> int:
 
 def _level_bound(inst: Instance, height: Iterable[int]) -> int:
     depths = chain_depths(inst, inst.all_jobs).values()
-    return max(_level(height, inst.m), _level(depths, inst.m))
+    return max(_level(height_counts(height), inst.m), _level(height_counts(depths), inst.m))
 
 
 def bound_sandwich(inst: Instance) -> tuple[int, Schedule]:
@@ -215,11 +221,10 @@ def exact_opt(
     from .solver import Budget, bottom_solve
 
     budget = budget or Budget()
-    # with no warm start the search reads only ``m`` from the params
-    params = compute_params(2, inst.m, "1/2")
     for T in range(lower, upper.makespan + 1):
+        # with no warm start the search needs no params
         assign = bottom_solve(
-            inst, Interval(0, T), inst.all_jobs, 0, {}, params, budget, complete=True,
+            inst, Interval(0, T), inst.all_jobs, 0, {}, None, budget, complete=True,
         )
         if DISC not in assign.values():
             return T, Schedule(T=T, assign=tuple(assign[j] for j in range(inst.n)))

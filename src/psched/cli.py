@@ -191,7 +191,7 @@ def _common_solve(args, inst: Instance) -> SolveOutcome:
     # with neither needs none
     searched = args.horizon is None
     bounds = bound_sandwich(inst) if args.hinted or searched else None
-    oracle = exact_opt(inst, bounds=bounds) if args.hinted else None
+    oracle = exact_opt(inst, bounds=bounds, budget=budget) if args.hinted else None
     if not searched:
         got = _solve_at_horizon(inst, args.horizon, eps, overrides, budget, oracle)
         if got is None:
@@ -282,8 +282,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="search node budget: states entered, not children "
                         "cut by a bound or answered from a memo; an L = 0 "
-                        "attempt counts only bottom-search states (exit 2 "
-                        "when exhausted)")
+                        "attempt counts only bottom-search states, and the "
+                        "--hinted oracle's search counts too (exit 2 when "
+                        "exhausted)")
     p.add_argument("--out", default=None, help="write the schedule here")
 
 

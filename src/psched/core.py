@@ -75,9 +75,6 @@ class Interval:
     def slots(self) -> range:
         return range(self.begin + 1, self.end + 1)
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.begin <= other.begin and other.end <= self.end
-
     def __repr__(self) -> str:  # compact, used in violation messages
         return f"({self.begin},{self.end}]"
 

@@ -61,7 +61,8 @@ class Params:
     tree depth, ``hp`` the number of middle levels, ``delta``/``deltap``
     the chain-length budget of top intervals, and ``p`` the guess-vector
     length for top intervals.  ``overridden`` records which fields were
-    replaced by hand.
+    replaced by hand.  The split loop reads the budget as integers over
+    the common denominator ``D``: ``A = delta * D``, ``B = deltap * D``.
     """
 
     T: int
@@ -73,6 +74,14 @@ class Params:
     deltap: Fraction
     p: int
     overridden: tuple[str, ...] = ()
+    D: int = field(init=False, repr=False, compare=False)
+    A: int = field(init=False, repr=False, compare=False)
+    B: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        D = math.lcm(self.delta.denominator, self.deltap.denominator)
+        for name, value in (("D", D), ("A", self.delta * D), ("B", self.deltap * D)):
+            object.__setattr__(self, name, int(value))
 
     @property
     def log_T(self) -> int:
@@ -174,81 +183,66 @@ class DyadicTree:
 
     Level l holds 2**l intervals of length T / 2**l; leaves (level L) have
     length 2**h.  Levels 0..L-hp-1 are top, L-hp..L-1 middle, L bottom.
+
+    The solver names a tree interval by its heap index: the root is 1 and
+    the children of ``i`` are ``2i`` and ``2i + 1``, so ``i`` is on level
+    ``i.bit_length() - 1``.  ``span[i]``, ``kinds[i]`` and ``interval[i]``
+    are its ``(begin, end)``, kind and ``Interval``; entry 0 is unused.
     """
 
     T: int
     L: int
     hp: int
-    # interval length -> level, L + 1 entries: level_of is one lookup
-    _level_by_length: dict[int, int] = field(init=False, repr=False, compare=False)
+    span: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    kinds: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    interval: tuple[Interval, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_level_by_length", {self.T >> l: l for l in range(self.L + 1)})
+        span: list = [None]
+        kinds: list = [None]
+        for l in range(self.L + 1):
+            size = self.T >> l
+            span.extend((b, b + size) for b in range(0, self.T, size))
+            kinds += [BOT if l == self.L else MID if l >= self.L - self.hp else TOP] * (1 << l)
+        interval = [None] + [Interval(b, e) for b, e in span[1:]]
+        for name, table in (("span", span), ("kinds", kinds), ("interval", interval)):
+            object.__setattr__(self, name, tuple(table))
 
     @property
     def root(self) -> Interval:
-        return Interval(0, self.T)
+        return self.interval[1]
 
     def level(self, l: int) -> tuple[Interval, ...]:
         if not 0 <= l <= self.L:
             return ()
-        size = self.T >> l
-        return tuple(Interval(k * size, (k + 1) * size) for k in range(1 << l))
+        return self.interval[1 << l : 2 << l]
 
-    def levels(self) -> list[tuple[Interval, ...]]:
-        return [self.level(l) for l in range(self.L + 1)]
+    def below(self, i: int, k: int) -> range:
+        """Indices of the intervals ``k`` levels below index ``i``, by begin
+        (none when ``k < 0`` or that is below the leaves)."""
+        if k < 0 or i.bit_length() + k > self.L + 1:
+            return range(0)
+        return range(i << k, (i + 1) << k)
 
-    def level_of(self, iv: Interval) -> int:
+    def index(self, iv: Interval) -> int:
+        """Heap index of a tree interval; ``ValueError`` for any other."""
         size = iv.end - iv.begin
-        l = self._level_by_length.get(size)
-        if l is None or iv.begin % size or iv.end > self.T:
+        l = self.T.bit_length() - size.bit_length()
+        if not (0 <= l <= self.L and self.T >> l == size and iv.begin % size == 0
+                and iv.end <= self.T):
             raise ValueError(f"{iv} is not a tree interval")
-        return l
+        return (1 << l) + iv.begin // size
 
     def kind(self, iv: Interval) -> str:
-        l = self.level_of(iv)
-        if l == self.L:
-            return BOT
-        if l >= self.L - self.hp:
-            return MID
-        return TOP
-
-    def is_tree_interval(self, iv: Interval) -> bool:
-        try:
-            self.level_of(iv)
-        except ValueError:
-            return False
-        return True
-
-    def under(self, root: Interval) -> list[Interval]:
-        """All tree intervals contained in ``root``, by (level, begin)."""
-        out: list[Interval] = []
-        l0 = self.level_of(root)
-        for l in range(l0, self.L + 1):
-            size = self.T >> l
-            out.extend(
-                Interval(b, b + size) for b in range(root.begin, root.end, size)
-            )
-        return out
-
-    def rel_level(self, root: Interval, k: int) -> tuple[Interval, ...]:
-        """Intervals of length |root| / 2**k inside ``root`` (empty if below leaves)."""
-        if k < 0:
-            return ()
-        l = self.level_of(root) + k
-        if l > self.L:
-            return ()
-        size = self.T >> l
-        return tuple(
-            Interval(b, b + size) for b in range(root.begin, root.end, size)
-        )
+        return self.kinds[self.index(iv)]
 
 
 def tree_for(params: Params) -> DyadicTree:
     # keyed on the three ints the tree depends on: hashing a whole Params
-    # hashes its three Fractions on every call
-    return _tree(params.T, params.L, params.hp)
+    # hashes its three Fractions on every call; L is spelled out, since
+    # the solver asks for the tree once per state
+    T = params.T
+    return _tree(T, T.bit_length() - 1 - params.h, params.hp)
 
 
 @lru_cache(maxsize=None)
@@ -256,13 +250,17 @@ def _tree(T: int, L: int, hp: int) -> DyadicTree:
     return DyadicTree(T=T, L=L, hp=hp)
 
 
-def chain_bound(params: Params, kind: str, interval_len: int, count: int) -> Fraction:
-    """Chain-length budget for ``count`` jobs on an interval of the given kind."""
+def split_budget(params: Params, i: int) -> tuple[int, int]:
+    """``(a, b)``: a chain of ``c`` of ``count`` jobs fits tree interval ``i``
+    when ``c * params.D <= a * count + b`` (top: ``A``, ``B * length``; middle: 0)."""
+    tree = tree_for(params)
+    kind = tree.kinds[i]
     if kind == TOP:
-        return params.delta * count + params.deltap * interval_len
+        begin, end = tree.span[i]
+        return params.A, params.B * (end - begin)
     if kind == MID:
-        return Fraction(0)
-    raise ValueError("chain budget applies to top and middle intervals only")
+        return 0, 0
+    raise ValueError("the split loop applies to top and middle intervals only")
 
 
 @dataclass(frozen=True)
@@ -295,7 +293,7 @@ class PartialDyadicSystem:
         """Union of assignments over tree intervals fully inside ``region``."""
         out = 0
         for iv, jobs in self.assign.items():
-            if jobs and region.contains_interval(iv):
+            if jobs and region.begin <= iv.begin and iv.end <= region.end:
                 out |= jobs
         return out
 
@@ -326,20 +324,26 @@ def check_system(
     out: list[Violation] = []
     seen = sys.ancestors
     for iv, jobs in _sorted_items(sys.assign):
-        if not tree.is_tree_interval(iv) or not sys.root.contains_interval(iv):
+        try:
+            i = tree.index(iv)
+        except ValueError:
+            i = 0
+        if not i or not sys.root.begin <= iv.begin < iv.end <= sys.root.end:
             out.append(Violation("system-key", f"{iv} is not a tree interval under {sys.root}"))
             continue
         if jobs & seen:
             dup = next(iter_jobs(jobs & seen))
             out.append(Violation("system-disjoint", f"job {dup} assigned twice (at {iv})"))
         seen |= jobs
-        kind = tree.kind(iv)
+        kind = tree.kinds[i]
         if kind == TOP:
-            bound = chain_bound(params, TOP, iv.length, job_count(jobs))
+            a, b = split_budget(params, i)
+            bound = a * job_count(jobs) + b
             got = longest_chain(inst, jobs)
-            if got > bound:
+            if got * params.D > bound:
                 out.append(Violation(
-                    "system-chain", f"chain {got} > budget {bound} on top {iv}"))
+                    "system-chain",
+                    f"chain {got} > budget {Fraction(bound, params.D)} on top {iv}"))
         elif kind == MID and jobs:
             out.append(Violation("system-middle", f"middle {iv} holds {job_count(jobs)} jobs"))
     items = [(iv, jobs) for iv, jobs in _sorted_items(sys.assign) if jobs]
@@ -372,22 +376,25 @@ def window_step(params: Params, interval_len: int) -> int:
 def _window_for(
     inst: Instance,
     j: int,
-    iv: Interval,
+    begin: int,
+    end: int,
     step: int,
-    region_jobs,
+    region_jobs: Callable[[int, int], JobSet],
 ) -> Window:
-    """Largest aligned window (b, e] around center(iv) with no precedence
-    into j from the left remainder nor out of j into the right remainder."""
-    center = iv.center
+    """Largest aligned window (b, e] around the center of (begin, end] with
+    no precedence into j from the left remainder nor out of j into the
+    right remainder; ``region_jobs(b, e)`` is the jobs assigned fully
+    inside (b, e]."""
+    center = (begin + end) // 2
     b = center
-    for cand in range(iv.begin + step, center + 1, step):
-        region = region_jobs(Interval(cand, center)) if cand < center else 0
+    for cand in range(begin + step, center + 1, step):
+        region = region_jobs(cand, center) if cand < center else 0
         if inst.no_prec_between(region, 1 << j):
             b = cand
             break
     e = center
-    for cand in range(iv.end - step, center - 1, -step):
-        region = region_jobs(Interval(center, cand)) if cand > center else 0
+    for cand in range(end - step, center - 1, -step):
+        region = region_jobs(center, cand) if cand > center else 0
         if inst.no_prec_between(1 << j, region):
             e = cand
             break
@@ -409,7 +416,8 @@ def windows(inst: Instance, sys: PartialDyadicSystem, params: Params) -> dict[in
             continue
         step = window_step(params, iv.length)
         for j in iter_jobs(jobs):
-            out[j] = _window_for(inst, j, iv, step, sys.jobs_within)
+            out[j] = _window_for(inst, j, iv.begin, iv.end, step,
+                                 lambda b, e: sys.jobs_within(Interval(b, e)))
     return out
 
 
@@ -519,7 +527,7 @@ def check_virtually_valid(
     return ValidityReport(violations=tuple(out), discards=discards)
 
 
-def _select_pivot(inst: Instance, jobs: JobSet, threshold: Fraction) -> int:
+def _select_pivot(inst: Instance, jobs: JobSet, threshold: int) -> int:
     """Smallest-id job whose predecessor and successor counts within ``jobs``
     both reach the threshold.  Such a job always exists while the chain
     length exceeds the budget (take the middle of a longest chain)."""
@@ -530,27 +538,16 @@ def _select_pivot(inst: Instance, jobs: JobSet, threshold: Fraction) -> int:
     raise AssertionError("no eligible pivot; split loop invariant broken")
 
 
-def split_kind(params: Params, iv: Interval) -> str:
-    """Kind of ``iv`` (top or middle); the split loop runs on no other."""
-    kind = tree_for(params).kind(iv)
-    if kind == BOT:
-        raise ValueError("the split loop applies to top and middle intervals only")
-    return kind
-
-
-def split_step(
-    inst: Instance,
-    iv: Interval,
-    kind: str,
-    stay: JobSet,
-    params: Params,
-) -> int | None:
+def split_step(inst: Instance, stay: JobSet, a: int, b: int, d: int) -> int | None:
     """One iteration's budget test of the split loop: the pivot of an
-    over-long chain in ``stay``, or None when its chain fits the budget."""
-    bound = chain_bound(params, kind, iv.length, job_count(stay))
-    if longest_chain(inst, stay) <= bound:
+    over-long chain in ``stay``, or None when its chain fits the budget
+    ``(a * |stay| + b) / d`` (see ``split_budget``)."""
+    bound = a * job_count(stay) + b
+    if longest_chain(inst, stay) * d <= bound:
         return None
-    return _select_pivot(inst, stay, bound / 2 - 1)
+    # a pivot needs bound / (2d) - 1 jobs on each side: 2dc >= bound - 2d,
+    # so its least count c is that ceiling
+    return _select_pivot(inst, stay, -((2 * d - bound) // (2 * d)))
 
 
 def moved_with(inst: Instance, pivot: int, side: str, stay: JobSet) -> JobSet:
@@ -562,26 +559,27 @@ def moved_with(inst: Instance, pivot: int, side: str, stay: JobSet) -> JobSet:
 
 def _split(
     inst: Instance,
-    iv: Interval,
+    i: int,
     jobs: JobSet,
     params: Params,
     side_of: Callable[[int, int], str],
 ) -> tuple[JobSet, JobSet, JobSet, Guesses]:
     """The split loop shared by ``push_down`` and ``system_from_schedule``.
 
-    Repeatedly picks the pivot of an over-long chain and asks ``side_of(q,
-    pivot)`` for the side of the q-th pivot: 'L' moves the pivot with its
-    predecessors left, 'R' moves it with its successors right, until the
-    chain length of the remainder fits the interval's budget.  Returns
-    (stay, to-left, to-right, sides chosen).  The solver's guess-tree walk
-    runs the same steps, ``split_step`` and ``moved_with``, branch by branch.
+    Repeatedly picks the pivot of an over-long chain on tree interval ``i``
+    (a heap index) and asks ``side_of(q, pivot)`` for the side of the q-th
+    pivot: 'L' moves the pivot with its predecessors left, 'R' moves it
+    with its successors right, until the chain length of the remainder
+    fits the interval's budget.  Returns (stay, to-left, to-right, sides
+    chosen).  The solver's guess-tree walk runs the same steps,
+    ``split_step`` and ``moved_with``, branch by branch.
     """
-    kind = split_kind(params, iv)
+    a, b = split_budget(params, i)
     stay = jobs
     k_left = 0
     k_right = 0
     sides: list[str] = []
-    while (j := split_step(inst, iv, kind, stay, params)) is not None:
+    while (j := split_step(inst, stay, a, b, params.D)) is not None:
         side = side_of(len(sides), j)
         sides.append(side)
         moved = moved_with(inst, j, side, stay)
@@ -595,12 +593,13 @@ def _split(
 
 def push_down(
     inst: Instance,
-    iv: Interval,
+    iv: int,
     jobs: JobSet,
     guesses: Guesses,
     params: Params,
 ) -> tuple[JobSet, JobSet, JobSet]:
-    """Split ``jobs`` into (stay, to-left, to-right) following a guess vector.
+    """Split ``jobs`` on the tree interval of heap index ``iv`` into (stay,
+    to-left, to-right) following a guess vector.
 
     Runs the split loop with the q-th pivot's side read from ``guesses[q]``.
     Raises ``GuessExhausted`` when the vector is shorter than the number of
@@ -609,7 +608,8 @@ def push_down(
 
     def side_of(q: int, j: int) -> str:
         if q >= len(guesses):
-            raise GuessExhausted(f"needed more than {len(guesses)} guesses at {iv}")
+            raise GuessExhausted(
+                f"needed more than {len(guesses)} guesses at {tree_for(params).interval[iv]}")
         return guesses[q]
 
     stay, k_left, k_right, _ = _split(inst, iv, jobs, params, side_of)
@@ -644,27 +644,31 @@ def system_from_schedule(
     """
     check_reference(inst, sched, params)
     tree = tree_for(params)
-    assign: dict[Interval, JobSet] = {}
-    covered: dict[Interval, JobSet] = {}
-    guesses: dict[Interval, Guesses] = {}
+    assign: dict[int, JobSet] = {}
+    covered: dict[int, JobSet] = {}
+    guesses: dict[int, Guesses] = {}
 
-    def walk(iv: Interval, pool: JobSet) -> None:
-        covered[iv] = pool
-        if tree.kind(iv) == BOT:
-            assign[iv] = pool
+    def walk(i: int, pool: JobSet) -> None:
+        covered[i] = pool
+        if tree.kinds[i] == BOT:
+            assign[i] = pool
             return
+        begin, end = tree.span[i]
+        center = (begin + end) // 2
 
         def side_of(q: int, j: int) -> str:
             t = sched.assign[j]
-            assert t is not None and t in iv
-            return LEFT if t in iv.left else RIGHT
+            assert t is not None and begin < t <= end
+            return LEFT if t <= center else RIGHT
 
-        stay, k_left, k_right, sides = _split(inst, iv, pool, params, side_of)
-        assign[iv] = stay
-        guesses[iv] = sides
-        walk(iv.left, k_left)
-        walk(iv.right, k_right)
+        stay, k_left, k_right, sides = _split(inst, i, pool, params, side_of)
+        assign[i] = stay
+        guesses[i] = sides
+        walk(2 * i, k_left)
+        walk(2 * i + 1, k_right)
 
-    walk(tree.root, inst.all_jobs)
+    walk(1, inst.all_jobs)
     del walk  # ``walk`` refers to itself; dropping it breaks that cycle
+    assign, covered, guesses = ({tree.interval[i]: v for i, v in by_index.items()}
+                                for by_index in (assign, covered, guesses))
     return full_system(params, assign), covered, guesses

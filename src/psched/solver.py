@@ -11,7 +11,7 @@ recursion is a dynamic program over its states.  Bottom intervals are
 solved exactly by branch and bound.  A hinted mode replays the splits and
 partitions recorded from a reference schedule instead of enumerating,
 realizing the guarantee that the enumeration can do at least as well as
-the reference.
+the reference.  Inside the recursion tree intervals are heap indices.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .baselines import _level, tail_heights
+from .baselines import _level, height_counts, tail_heights
 from .core import (
     DISC,
     Instance,
@@ -47,7 +47,7 @@ from .dyadic import (
     full_system,
     moved_with,
     push_down,
-    split_kind,
+    split_budget,
     split_step,
     system_from_schedule,
     tree_for,
@@ -70,6 +70,8 @@ class Budget:
     not counted, nor is a subproblem answered from the ``SolveMemo`` of
     the current ``main_solve``.  A tree with ``L = 0`` runs no cascades
     and no ``schedule_subtree``, so only its bottom-search states count.
+    ``exact_opt`` counts its states in the budget it is given, which for
+    a ``--hinted`` run's oracle is the run's ``--budget``.
     """
 
     limit: int = DEFAULT_BUDGET
@@ -85,16 +87,16 @@ class Budget:
 class SubproblemInput:
     """One node of the recursion: what is already decided under ``root``.
 
-    ``assigned`` fixes the job sets of intervals in the first h-1 relative
-    levels; ``pending`` holds, per relative-level-(h-1) interval, the jobs
-    assigned somewhere in its subtree; ``ancestors`` carry fixed windows.
+    ``assigned`` fixes the job sets of intervals (heap indices) in the
+    first h-1 relative levels; ``pending`` holds, per relative-level-(h-1)
+    interval, the jobs assigned in its subtree; ``ancestors`` carry windows.
     """
 
-    root: Interval
+    root: int
     ancestors: JobSet = 0
     anc_windows: dict[int, Window] = field(default_factory=dict)
-    assigned: dict[Interval, JobSet] = field(default_factory=dict)
-    pending: dict[Interval, JobSet] = field(default_factory=dict)
+    assigned: dict[int, JobSet] = field(default_factory=dict)
+    pending: dict[int, JobSet] = field(default_factory=dict)
 
     def assigned_jobs(self) -> JobSet:
         out = 0
@@ -113,22 +115,22 @@ class SubproblemInput:
         return (
             self.root,
             self.ancestors,
-            frozenset(self.anc_windows.items()),
-            frozenset(self.assigned.items()),
-            frozenset(self.pending.items()),
+            tuple(sorted(self.anc_windows.items())),
+            tuple(sorted(self.assigned.items())),
+            tuple(sorted(self.pending.items())),
         )
 
 
 @dataclass(frozen=True)
 class Hints:
-    """Recorded split vectors and a reference schedule to replay them against."""
+    """Recorded split vectors by heap index, and a reference to replay them against."""
 
-    guesses: dict[Interval, Guesses]
+    guesses: dict[int, Guesses]
     reference: Schedule
 
 
 PartialAssign = dict[int, Slot]
-Result = tuple[PartialDyadicSystem, PartialAssign]
+Result = tuple[dict[int, JobSet], PartialAssign]
 SplitOutcome = tuple[JobSet, JobSet, JobSet]
 
 
@@ -138,40 +140,50 @@ class SolveMemo:
 
     ``subtrees`` maps ``SubproblemInput.key()`` to the result of
     ``schedule_subtree`` and ``splits`` maps (interval, jobs) to the
-    outcomes of ``_split_outcomes``.  The instance, params and hints are
-    fixed for the call, so each answer is a function of its key alone and
-    a repeat returns the value a second solve would compute.  Stored
-    results are shared between callers and must never be mutated.
+    outcomes of ``_split_outcomes`` (intervals by heap index).  The instance,
+    params and hints are fixed for the call, so each answer is a function
+    of its key alone and a repeat returns the value a second solve would
+    compute.  Stored results are shared and must never be mutated.
     """
 
     subtrees: dict[tuple, Result | None] = field(default_factory=dict)
-    splits: dict[tuple[Interval, JobSet], tuple[SplitOutcome, ...]] = field(
+    splits: dict[tuple[int, JobSet], tuple[SplitOutcome, ...]] = field(
         default_factory=dict
     )
 
 
 def node_windows(
     inst: Instance,
-    root: Interval,
-    j_map: dict[Interval, JobSet],
-    k_map: dict[Interval, JobSet],
+    root: int,
+    j_map: dict[int, JobSet],
+    k_map: dict[int, JobSet],
     params: Params,
 ) -> dict[int, Window]:
     """Windows for the jobs staying at ``root``, from one frontier level of info.
 
-    Boundaries are multiples of the root's alignment unit; a pending set
-    counts as inside a region when its frontier interval is (the two maps
-    never share an interval)."""
-    step = window_step(params, root.length)
-    known = PartialDyadicSystem(root=root, assign={**j_map, **k_map})
+    Intervals are heap indices.  Boundaries are multiples of the root's
+    alignment unit; a pending set counts as inside a region when its
+    frontier interval is (the two maps never share an interval)."""
+    span = tree_for(params).span
+    begin, end = span[root]
+    step = window_step(params, end - begin)
+    known = [(span[i], jobs) for mp in (j_map, k_map) for i, jobs in mp.items() if jobs]
+
+    def region_jobs(b: int, e: int) -> JobSet:
+        out = 0
+        for (ib, ie), jobs in known:
+            if b <= ib and ie <= e:
+                out |= jobs
+        return out
+
     return {
-        j: _window_for(inst, j, root, step, known.jobs_within)
+        j: _window_for(inst, j, begin, end, step, region_jobs)
         for j in iter_jobs(j_map.get(root, 0))
     }
 
 
-def _clip(w: Window, half: Interval) -> Window | None:
-    b, e = max(w[0], half.begin), min(w[1], half.end)
+def _clip(w: Window, begin: int, end: int) -> Window | None:
+    b, e = max(w[0], begin), min(w[1], end)
     return (b, e) if b < e else None
 
 
@@ -199,10 +211,11 @@ def enumerate_partitions(
     clip and no placeable class does, so each placeable class keeps the
     representative it had when unplaceable ones were enumerated too.
     """
+    begin, center, end = root.begin, root.center, root.end
     groups: dict[tuple, list[int]] = {}
     for j in sorted(pool_windows):
-        lc = _clip(pool_windows[j], root.left)
-        rc = _clip(pool_windows[j], root.right)
+        lc = _clip(pool_windows[j], begin, center)
+        rc = _clip(pool_windows[j], center, end)
         groups.setdefault((lc, rc), []).append(j)
     keys = sorted(groups, key=lambda k: (k[0] or (-1, -1), k[1] or (-1, -1)))
     counts = [
@@ -244,11 +257,11 @@ def partition_class_key(
 ) -> tuple:
     """Equivalence-class key of a concrete partition (for tests and dedup)."""
     left_ms = sorted(
-        (_clip(pool_windows[j], root.left) for j in iter_jobs(j_left)),
+        (_clip(pool_windows[j], root.begin, root.center) for j in iter_jobs(j_left)),
         key=lambda w: w or (-1, -1),
     )
     right_ms = sorted(
-        (_clip(pool_windows[j], root.right) for j in iter_jobs(j_right)),
+        (_clip(pool_windows[j], root.center, root.end) for j in iter_jobs(j_right)),
         key=lambda w: w or (-1, -1),
     )
     return tuple(left_ms), tuple(right_ms)
@@ -302,7 +315,7 @@ def bottom_solve(
     bottom: JobSet,
     ancestors: JobSet,
     anc_windows: dict[int, Window],
-    params: Params,
+    params: Params | None,
     budget: Budget | None = None,
     warm: PartialAssign | None = None,
     complete: bool = False,
@@ -310,11 +323,12 @@ def bottom_solve(
     """Best virtually-valid assignment on a bottom interval.
 
     Bottom jobs obey precedence among themselves plus the interval range;
-    ancestors obey only their windows; capacity is m per slot.  Branch and
-    bound over per-slot antichain batches of bottom jobs; ancestor slots
-    are filled greedily by earliest window end, which is optimal for unit
-    jobs.  ``warm`` seeds the incumbent when it is virtually valid for
-    the one-interval system of ``bottom`` and ``ancestors``.
+    ancestors obey only their windows; capacity is ``inst.m`` per slot.
+    Branch and bound over per-slot antichain batches of bottom jobs;
+    ancestor slots are filled greedily by earliest window end, which is
+    optimal for unit jobs.  ``warm`` seeds the incumbent when it is
+    virtually valid for the one-interval system of ``bottom`` and
+    ``ancestors``; only that check reads ``params``.
 
     At each slot the batches are tried larger first, then in lexicographic
     order of their ascending members (see ``antichains``); the result is
@@ -329,10 +343,10 @@ def bottom_solve(
     schedule that fits can be made to never idle a machine while a job is
     ready), and skips before entry a child whose ``(slot, alive)`` state
     already failed or whose alive jobs break Hu's level bound for the
-    slots left.
+    slots left, read from per-height counts kept along the search.
     """
     budget = budget or Budget()
-    m = params.m
+    m = inst.m
     slots = list(iv.slots())
     n_slots = len(slots)
     # ancestors whose window ends before the interval never fit; each
@@ -413,18 +427,19 @@ def bottom_solve(
         ready = [j for j in iter_jobs(alive) if pred[j] & alive == 0]
         for batch in combinations(ready, min(m, len(ready))):
             child = alive & ~mask_from(batch)
-            if (idx + 1, child) in failed or _level(
-                (height[j] for j in iter_jobs(child)), m
-            ) > slots_left:
-                continue
-            budget.tick()
-            # a success places every job, so slots left by failed
-            # branches are all overwritten
             for j in batch:
-                assign[j] = t
-            if fill(idx + 1, child):
-                return True
-            failed.add((idx + 1, child))
+                per_height[height[j]] -= 1
+            if (idx + 1, child) not in failed and _level(per_height, m) <= slots_left:
+                budget.tick()
+                # a success places every job, so slots left by failed
+                # branches are all overwritten
+                for j in batch:
+                    assign[j] = t
+                if fill(idx + 1, child):
+                    return True
+                failed.add((idx + 1, child))
+            for j in batch:
+                per_height[height[j]] += 1
         return False
 
     try:
@@ -434,6 +449,7 @@ def bottom_solve(
                 dfs(0, bottom, anc_order, 0)
             else:
                 height = tail_heights(inst, bottom)  # read by ``fill``
+                per_height = height_counts(height)  # jobs outside ``bottom`` at 0
                 if fill(0, bottom):
                     best_assign = dict(assign)
     finally:
@@ -446,7 +462,7 @@ def bottom_solve(
 
 def _guess_outcomes(
     inst: Instance,
-    iv: Interval,
+    iv: int,
     jobs: JobSet,
     params: Params,
     max_len: int,
@@ -460,13 +476,13 @@ def _guess_outcomes(
     ``max_len`` entries is pruned, mirroring the exhausted-guess behaviour
     of the replay.
     """
-    kind = split_kind(params, iv)
+    a, b = split_budget(params, iv)
     out: list[tuple[Guesses, SplitOutcome]] = []
     # (prefix, stay, to-left, to-right) after the prefix's split steps
     stack: list[tuple[Guesses, JobSet, JobSet, JobSet]] = [((), jobs, 0, 0)]
     while stack:
         prefix, stay, k_left, k_right = stack.pop()
-        pivot = split_step(inst, iv, kind, stay, params)
+        pivot = split_step(inst, stay, a, b, params.D)
         if pivot is None:
             out.append((prefix, (stay, k_left, k_right)))
         elif len(prefix) < max_len:
@@ -479,7 +495,7 @@ def _guess_outcomes(
 
 def _split_outcomes(
     inst: Instance,
-    f: Interval,
+    f: int,
     jobs: JobSet,
     params: Params,
     hints: Hints | None,
@@ -501,14 +517,17 @@ def _split_outcomes(
         except GuessExhausted:
             got = ()
     else:
-        max_len = params.p if tree_for(params).kind(f) == TOP else params.m * f.length
+        length = params.T >> (f.bit_length() - 1)
+        max_len = params.p if tree_for(params).kinds[f] == TOP else params.m * length
         got = tuple(result for _, result in _guess_outcomes(inst, f, jobs, params, max_len))
     memo.splits[(f, jobs)] = got
     return got
 
 
-def _restrict(mp: dict[Interval, JobSet], half: Interval) -> dict[Interval, JobSet]:
-    return {iv: jobs for iv, jobs in mp.items() if half.contains_interval(iv)}
+def _restrict(mp: dict[int, JobSet], half: int) -> dict[int, JobSet]:
+    """The entries of ``mp`` at heap index ``half`` or below it."""
+    hb = half.bit_length()
+    return {i: jobs for i, jobs in mp.items() if i >> max(i.bit_length() - hb, 0) == half}
 
 
 def schedule_subtree(
@@ -519,7 +538,8 @@ def schedule_subtree(
     hints: Hints | None = None,
     memo: SolveMemo | None = None,
 ) -> Result | None:
-    """Best partial system plus virtually-valid assignment over ``sub.root``.
+    """Best partial system (job sets by heap index) plus virtually-valid
+    assignment over ``sub.root``.
 
     Returns None when the input sizes already exceed the capacity of the
     root interval.  Otherwise tries every split-outcome combination for
@@ -549,41 +569,39 @@ def _solve_subtree(
 ) -> Result | None:
     budget.tick()
     tree = tree_for(params)
-    iv = sub.root
-    m = params.m
-    if job_count(sub.ancestors) > m * iv.length:
+    i = sub.root
+    begin, end = tree.span[i]
+    center = (begin + end) // 2
+    cap = params.m * (end - begin)
+    if job_count(sub.ancestors) > cap:
         return None
-    if job_count(sub.assigned_jobs()) + job_count(sub.pending_jobs()) > m * iv.length:
+    if job_count(sub.assigned_jobs()) + job_count(sub.pending_jobs()) > cap:
         return None
 
-    if tree.kind(iv) == BOT:
-        bottom = sub.assigned.get(iv, 0) | sub.pending.get(iv, 0)
+    if tree.kinds[i] == BOT:
+        bottom = sub.assigned.get(i, 0) | sub.pending.get(i, 0)
         warm = None
         if hints is not None:
-            ref = hints.reference
+            ref = hints.reference.assign
             warm = {
-                j: (ref.assign[j] if ref.assign[j] is not None and ref.assign[j] in iv else None)
+                j: (ref[j] if ref[j] is not None and begin < ref[j] <= end else None)
                 for j in iter_jobs(bottom | sub.ancestors)
             }
         assign = bottom_solve(
-            inst, iv, bottom, sub.ancestors, sub.anc_windows, params,
+            inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, params,
             budget=budget, warm=warm,
         )
-        sys = PartialDyadicSystem(
-            root=iv, ancestors=sub.ancestors, anc_windows=dict(sub.anc_windows),
-            assign={iv: bottom},
-        )
-        return sys, assign
+        return {i: bottom}, assign
 
-    frontier = tree.rel_level(iv, params.h - 1)
+    frontier = tree.below(i, params.h - 1)
     if not frontier:
         # Whole subtree already fixed by `assigned`; behave as a frontier of none.
         splits = iter(((),))
     else:
-        per_interval: list[list[tuple[Interval, SplitOutcome | None]]] = []
+        per_interval: list[list[tuple[int, SplitOutcome | None]]] = []
         for f in frontier:
             jobs = sub.pending.get(f, 0)
-            if tree.kind(f) == BOT:
+            if tree.kinds[f] == BOT:
                 per_interval.append([(f, None)])
                 continue
             options = _split_outcomes(inst, f, jobs, params, hints, memo)
@@ -596,47 +614,50 @@ def _solve_subtree(
     best_count = -1
     for combo in splits:
         j_map = dict(sub.assigned)
-        k_map: dict[Interval, JobSet] = {}
+        k_map: dict[int, JobSet] = {}
         for f, outcome in combo:
             if outcome is None:  # frontier interval at the bottom level
                 j_map[f] = sub.pending.get(f, 0)
             else:
                 stay, k_left, k_right = outcome
                 j_map[f] = stay
-                k_map[f.left] = k_left
-                k_map[f.right] = k_right
-        own_windows = node_windows(inst, iv, j_map, k_map, params)
+                k_map[2 * f] = k_left
+                k_map[2 * f + 1] = k_right
+        own_windows = node_windows(inst, i, j_map, k_map, params)
         pool_windows = {**sub.anc_windows, **own_windows}
 
         if hints is not None:
-            ref = hints.reference
-            pool = sub.ancestors | j_map.get(iv, 0)
+            ref = hints.reference.assign
+            pool = sub.ancestors | j_map.get(i, 0)
             j_left = mask_from(
                 j for j in iter_jobs(pool)
-                if ref.assign[j] is not None and ref.assign[j] in iv.left
+                if ref[j] is not None and begin < ref[j] <= center
             )
             j_right = mask_from(
                 j for j in iter_jobs(pool)
-                if ref.assign[j] is not None and ref.assign[j] in iv.right
+                if ref[j] is not None and center < ref[j] <= end
             )
             partitions = [(j_left, j_right, pool & ~(j_left | j_right))]
         else:
-            partitions = enumerate_partitions(pool_windows, iv)
+            partitions = enumerate_partitions(pool_windows, tree.interval[i])
 
+        # what each half inherits besides its ancestors, for every partition
+        lo_assigned, lo_pending = _restrict(j_map, 2 * i), _restrict(k_map, 2 * i)
+        hi_assigned, hi_pending = _restrict(j_map, 2 * i + 1), _restrict(k_map, 2 * i + 1)
         for j_left, j_right, j_disc in partitions:
             left_in = SubproblemInput(
-                root=iv.left,
+                root=2 * i,
                 ancestors=j_left,
                 anc_windows={j: pool_windows[j] for j in iter_jobs(j_left)},
-                assigned=_restrict(j_map, iv.left),
-                pending=_restrict(k_map, iv.left),
+                assigned=lo_assigned,
+                pending=lo_pending,
             )
             right_in = SubproblemInput(
-                root=iv.right,
+                root=2 * i + 1,
                 ancestors=j_right,
                 anc_windows={j: pool_windows[j] for j in iter_jobs(j_right)},
-                assigned=_restrict(j_map, iv.right),
-                pending=_restrict(k_map, iv.right),
+                assigned=hi_assigned,
+                pending=hi_pending,
             )
             left = schedule_subtree(inst, left_in, params, budget, hints, memo)
             if left is None:
@@ -651,18 +672,10 @@ def _solve_subtree(
                 merged[j] = DISC
             count = sum(1 for t in merged.values() if t is not None)
             if count > best_count:
-                assign_map = {iv: j_map.get(iv, 0)}
-                assign_map.update(lsys.assign)
-                assign_map.update(rsys.assign)
-                best = (
-                    PartialDyadicSystem(
-                        root=iv,
-                        ancestors=sub.ancestors,
-                        anc_windows=dict(sub.anc_windows),
-                        assign=assign_map,
-                    ),
-                    merged,
-                )
+                assign_map = {i: j_map.get(i, 0)}
+                assign_map.update(lsys)
+                assign_map.update(rsys)
+                best = assign_map, merged
                 best_count = count
     return best
 
@@ -676,40 +689,40 @@ def _outer_cascades(
 ):
     """States after deciding all splits above the frontier level.
 
-    Yields (j_map over levels < h-1, pending map at level h-1); prunes
-    states where a half receives more jobs than it can hold.
+    Yields (j_map over levels < h-1, pending map at level h-1), both by
+    heap index; prunes states where a half receives more jobs than it can
+    hold.
     """
     tree = tree_for(params)
     m = params.m
-    outer: list[Interval] = []
-    for l in range(min(params.h - 1, tree.L + 1)):
-        outer.extend(tree.level(l))
-    frontier = set(tree.level(params.h - 1)) if params.h - 1 <= tree.L else set()
+    # the levels above the frontier, root first, each by begin
+    outer = range(1, 1 << max(min(params.h - 1, tree.L + 1), 0))
+    frontier = tree.below(1, params.h - 1)
 
-    def walk(idx: int, j_map: dict[Interval, JobSet], k_map: dict[Interval, JobSet]):
+    def walk(idx: int, j_map: dict[int, JobSet], k_map: dict[int, JobSet]):
         budget.tick()
         if idx == len(outer):
-            pending = {f: k_map.get(f, 0) for f in sorted(frontier, key=lambda x: x.begin)}
-            yield dict(j_map), pending
+            yield dict(j_map), {f: k_map.get(f, 0) for f in frontier}
             return
         f = outer[idx]
         jobs = k_map.get(f, 0)
-        if tree.kind(f) == BOT:
+        if tree.kinds[f] == BOT:
             j_map[f] = jobs
             yield from walk(idx + 1, j_map, k_map)
             del j_map[f]
             return
+        half = m * (params.T >> (f.bit_length() - 1)) // 2
         for stay, k_left, k_right in _split_outcomes(inst, f, jobs, params, hints, memo):
-            if job_count(k_left) > m * f.length // 2 or job_count(k_right) > m * f.length // 2:
+            if job_count(k_left) > half or job_count(k_right) > half:
                 continue
             j_map[f] = stay
-            k_map[f.left] = k_left
-            k_map[f.right] = k_right
+            k_map[2 * f] = k_left
+            k_map[2 * f + 1] = k_right
             yield from walk(idx + 1, j_map, k_map)
-            del j_map[f], k_map[f.left], k_map[f.right]
+            del j_map[f], k_map[2 * f], k_map[2 * f + 1]
 
     try:
-        yield from walk(0, {}, {tree.root: inst.all_jobs})
+        yield from walk(0, {}, {1: inst.all_jobs})
     finally:
         # ``walk`` refers to itself; dropping it breaks the cycle that would
         # keep the memo and every stored result alive until the cycle
@@ -746,33 +759,33 @@ def main_solve(
     if inst.n == 0:
         empty = full_system(params, {})
         return empty, Schedule(T=params.T, assign=())
-    fallback_iv = tree.level(tree.L)[0]
-    best_sys = full_system(params, {fallback_iv: inst.all_jobs})
+    best = {1 << tree.L: inst.all_jobs}  # the system, by heap index
     best_sched = Schedule(T=params.T, assign=(DISC,) * inst.n)
     if tree.L == 0:
+        root_sys = full_system(params, {tree.root: inst.all_jobs})
         if inst.n > params.m * params.T:  # the root cannot hold them all
-            return best_sys, best_sched
+            return root_sys, best_sched
         start = None if warm is None else dict(enumerate(warm.assign))
         assign = bottom_solve(inst, tree.root, inst.all_jobs, 0, {}, params, budget, start,
                               complete)
-        return best_sys, Schedule(T=params.T, assign=tuple(assign[j] for j in range(inst.n)))
+        return root_sys, Schedule(T=params.T, assign=tuple(assign[j] for j in range(inst.n)))
     memo = SolveMemo()
     best_count = 0
     for j_map, pending in _outer_cascades(inst, params, budget, hints, memo):
-        sub = SubproblemInput(root=tree.root, assigned=j_map, pending=pending)
+        sub = SubproblemInput(root=1, assigned=j_map, pending=pending)
         got = schedule_subtree(inst, sub, params, budget, hints, memo)
         if got is None:
             continue
-        sys, assign = got
+        sys_assign, assign = got
         count = sum(1 for t in assign.values() if t is not None)
         if count > best_count:
             full_assign: list[Slot] = [DISC] * inst.n
             for j, t in assign.items():
                 full_assign[j] = t
-            best_sys = PartialDyadicSystem(root=tree.root, assign=dict(sys.assign))
+            best = sys_assign
             best_sched = Schedule(T=params.T, assign=tuple(full_assign))
             best_count = count
-    return best_sys, best_sched
+    return full_system(params, {tree.interval[i]: jobs for i, jobs in best.items()}), best_sched
 
 
 def solve_hinted(
@@ -799,5 +812,5 @@ def solve_hinted(
         return main_solve(inst, params, budget=budget, warm=reference)
     ref_sys, _, guesses = system_from_schedule(inst, reference, params)
     virt = valid_to_virtually_valid(inst, ref_sys, reference, params)
-    hints = Hints(guesses=guesses, reference=virt)
+    hints = Hints({tree_for(params).index(iv): g for iv, g in guesses.items()}, virt)
     return main_solve(inst, params, budget=budget, hints=hints)

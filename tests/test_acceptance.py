@@ -242,7 +242,7 @@ def test_criterion_4_construction_and_replay(constructed):
                     assert len(trace) <= params.m * iv.length
                 for pad in (("L",) * 3, ("R",) * 3):
                     stay, left, right = push_down(
-                        inst, iv, covered[iv], trace + pad, params
+                        inst, tree.index(iv), covered[iv], trace + pad, params
                     )
                     assert stay == sys.assign[iv]
                     assert left == covered[iv.left]

@@ -187,6 +187,37 @@ def test_exact_opt_decides_uncertified_instances_in_few_nodes(n, m, seed):
     assert set(below.values()) == {None}
 
 
+# (m, density, seed, optimum, nodes) of random-dag n=64 instances the
+# sandwich leaves open: the slice of the n 64-128 pool that is decided in a
+# few dozen nodes
+HARD_POOL = [
+    (3, 0.2, 27, 23, 35),
+    (3, 0.3, 0, 23, 142),
+    (3, 0.3, 1, 23, 27),
+    (3, 0.3, 2, 24, 137),
+    (3, 0.3, 18, 27, 41),
+    (3, 0.5, 19, 34, 53),
+    (3, 0.5, 28, 37, 51),
+    (4, 0.2, 27, 21, 28),
+]
+
+
+@pytest.mark.parametrize("m, density, seed, opt, nodes", HARD_POOL,
+                         ids=[f"m{g[0]}-d{g[1]}-s{g[2]}" for g in HARD_POOL])
+def test_exact_opt_decides_the_open_n64_pool(m, density, seed, opt, nodes):
+    inst, _ = gen_instance("random-dag", 64, m, density, seed)
+    lower, upper = bound_sandwich(inst)
+    assert lower < opt <= upper.makespan
+    budget = Budget(1_000)
+    got, sched = exact_opt(inst, budget=budget)
+    assert got == opt
+    assert_no_violations(verify_valid(inst, sched))
+    assert sched.discard_count == 0 and sched.makespan == opt
+    assert budget.nodes == nodes
+    if seed == 18:  # both bounds strict: 26 < 27 < 28
+        assert (lower, upper.makespan) == (26, 28)
+
+
 def test_exact_opt_is_bounded_by_its_budget(tmp_path, capsys):
     inst, edges = gen_instance("random-dag", 48, 3, 0.3, 13)
     with pytest.raises(BudgetExceeded):

@@ -11,6 +11,7 @@ from psched.cli import BENCH_COLUMNS, COMMANDS, run_command
 from psched.core import DISC, Schedule, verify_valid
 from psched.errors import BadParams
 from psched.generators import FAMILIES, gen_instance
+from psched.solver import Budget
 
 from conftest import assert_no_violations, random_instance
 
@@ -567,3 +568,25 @@ def test_bench_budget_bounds_the_oracle(tmp_path, capsys):
     assert run_command([*argv, "--budget", "3"]) == 2
     assert capsys.readouterr().err.startswith("error: search budget exceeded: 4 nodes > limit 3")
     assert run_command(argv) == 0
+
+
+def test_budget_bounds_the_hinted_oracle(tmp_path, capsys):
+    # the oracle of a --hinted run spends the run's --budget: at n=12 m=2
+    # seed 162 the sandwich leaves it open (level bound 7, list schedules
+    # 8), so it searches, and `solve` reports its nodes with the solver's
+    inst_path = tmp_path / "i.psched"
+    assert run_command(["gen", "--family", "random-dag", "--n", "12", "--m", "2",
+                        "--seed", "162", "--out", str(inst_path)]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "o.sched")
+    assert run_command(["pipeline", str(inst_path), "--hinted", "--budget", "3",
+                        "--out", out]) == 2
+    assert capsys.readouterr().err == "error: search budget exceeded: 4 nodes > limit 3\n"
+    oracle = Budget()
+    baselines.exact_opt(io.read_instance(str(inst_path)), budget=oracle)
+    assert oracle.nodes == 10
+    assert run_command(["solve", str(inst_path), "--hinted", "--out", out]) == 0
+    assert capsys.readouterr().err == (
+        "horizon 8 padded 8: 12 scheduled, 0 discarded, 11 nodes\n")
+    assert run_command(["solve", str(inst_path), "--hinted", "--budget", "10",
+                        "--out", out]) == 2

@@ -12,6 +12,7 @@ from psched.core import (
     build_instance,
     iter_jobs,
     job_count,
+    longest_chain,
     mask_from,
     verify_valid,
 )
@@ -27,12 +28,15 @@ from psched.dyadic import (
     compute_params,
     full_system,
     push_down,
+    split_budget,
+    split_step,
     system_from_schedule,
     tree_for,
     window_step,
     windows,
 )
 from psched.errors import GuessExhausted, InvalidInput, InvalidOverride
+from psched.solver import _restrict
 
 from conftest import assert_no_violations, random_instance
 
@@ -107,13 +111,16 @@ def test_tree_for_depends_on_t_l_and_hp_alone():
 
 def test_tree_levels_structure():
     params = desk_params()
-    levels = tree_for(params).levels()
+    tree = tree_for(params)
+    levels = [tree.level(l) for l in range(tree.L + 1)]
     assert levels == [
         (Interval(0, 8),),
         (Interval(0, 4), Interval(4, 8)),
         (Interval(0, 2), Interval(2, 4), Interval(4, 6), Interval(6, 8)),
     ]
-    tree = tree_for(params)
+    # heap indices name the same intervals, level by level
+    assert tree.interval[1:] == sum(levels, ())
+    assert tree.kinds[1:] == (TOP, MID, MID, BOT, BOT, BOT, BOT)
     assert tree.kind(Interval(0, 8)) == TOP
     assert tree.kind(Interval(0, 4)) == MID and tree.kind(Interval(4, 8)) == MID
     assert all(tree.kind(iv) == BOT for iv in levels[2])
@@ -122,15 +129,18 @@ def test_tree_levels_structure():
 
 
 def test_tree_under_and_rel_level():
+    # the intervals under a heap index, and those k levels below it
     params = desk_params()
     tree = tree_for(params)
-    assert tree.under(Interval(0, 4)) == [Interval(0, 4), Interval(0, 2), Interval(2, 4)]
-    assert tree.rel_level(Interval(0, 8), 1) == (Interval(0, 4), Interval(4, 8))
-    assert tree.rel_level(Interval(0, 2), 1) == ()
+    iv = tree.interval
+    assert [iv[i] for i in _restrict(dict.fromkeys(range(1, 8), 0), 2)] == [
+        Interval(0, 4), Interval(0, 2), Interval(2, 4)]
+    assert [iv[i] for i in tree.below(1, 1)] == [Interval(0, 4), Interval(4, 8)]
+    assert tree.below(tree.index(Interval(0, 2)), 1) == range(0)
 
 
 def _old_level_of(tree, iv):
-    """``level_of`` as it was computed before the per-tree length table."""
+    """A tree interval's level from the interval arithmetic alone."""
     l = tree.T.bit_length() - iv.length.bit_length()
     if not (0 <= l <= tree.L and tree.T >> l == iv.length and iv.begin % iv.length == 0
             and 0 <= iv.begin < iv.end <= tree.T):
@@ -159,7 +169,6 @@ def test_level_of_and_kind_match_the_arithmetic_on_every_interval(T):
     for L in range(log_T + 1):
         for hp in range(L + 2):
             tree = DyadicTree(T=T, L=L, hp=hp)
-            assert len(tree._level_by_length) == L + 1
             tree_ivs = 0
             for e in range(1, T + 3):
                 for b in range(e):
@@ -167,12 +176,94 @@ def test_level_of_and_kind_match_the_arithmetic_on_every_interval(T):
                     try:
                         want = _old_level_of(tree, iv), _old_kind(tree, iv)
                     except ValueError:
-                        assert _raises(tree.level_of, iv) and _raises(tree.kind, iv)
-                        assert not tree.is_tree_interval(iv)
+                        assert _raises(tree.index, iv) and _raises(tree.kind, iv)
                         continue
                     tree_ivs += 1
-                    assert (tree.level_of(iv), tree.kind(iv)) == want
-            assert tree_ivs == sum(len(level) for level in tree.levels())
+                    i = tree.index(iv)
+                    assert (i.bit_length() - 1, tree.kind(iv)) == want
+                    assert tree.interval[i] == iv
+            assert tree_ivs == len(tree.interval) - 1 == (2 << L) - 1
+
+
+def _old_rel_level(tree, root, k):
+    """The tree intervals of length |root| / 2**k inside ``root``, none
+    below the leaves."""
+    if k < 0:
+        return ()
+    l = _old_level_of(tree, root) + k
+    if l > tree.L:
+        return ()
+    size = tree.T >> l
+    return tuple(Interval(b, b + size) for b in range(root.begin, root.end, size))
+
+
+@pytest.mark.parametrize("T", [2, 4, 8, 16, 32, 64])
+def test_heap_indices_name_the_tree_intervals(T):
+    # level, begin and end, children, parent, "under" (``_restrict``),
+    # ``below`` and kind of every heap index, against the Interval arithmetic
+    for L in range(T.bit_length()):
+        for hp in range(L + 1):
+            tree = DyadicTree(T=T, L=L, hp=hp)
+            every = dict.fromkeys(range(1, 2 << L), 0)
+            assert len(tree.interval) == len(tree.span) == len(tree.kinds) == 2 << L
+            for i in every:
+                l = i.bit_length() - 1
+                size = T >> l
+                iv = tree.interval[i]
+                assert iv == Interval((i - (1 << l)) * size, (i - (1 << l) + 1) * size)
+                assert tree.level(l)[i - (1 << l)] == iv
+                assert tree.span[i] == (iv.begin, iv.end)
+                assert tree.index(iv) == i and _old_level_of(tree, iv) == l
+                assert tree.kinds[i] == tree.kind(iv) == _old_kind(tree, iv)
+                if l < L:
+                    assert (tree.interval[2 * i], tree.interval[2 * i + 1]) == (
+                        iv.left, iv.right)
+                if i > 1:
+                    assert iv in (tree.interval[i >> 1].left, tree.interval[i >> 1].right)
+                inside = [j for j in every
+                          if iv.begin <= tree.interval[j].begin
+                          and tree.interval[j].end <= iv.end]
+                assert list(_restrict(every, i)) == inside
+                for k in range(-1, L - l + 2):
+                    assert tuple(tree.interval[j] for j in tree.below(i, k)) == (
+                        _old_rel_level(tree, iv, k))
+
+
+def _old_split_step(inst, stay, params, kind, length):
+    """``split_step`` as computed with ``Fraction`` budgets."""
+    count = job_count(stay)
+    bound = params.delta * count + params.deltap * length if kind == TOP else Fraction(0)
+    if longest_chain(inst, stay) <= bound:
+        return None
+    threshold = bound / 2 - 1
+    for j in iter_jobs(stay):
+        if (job_count(inst.pred[j] & stay) >= threshold
+                and job_count(inst.succ[j] & stay) >= threshold):
+            return j
+    raise AssertionError("no pivot")
+
+
+@pytest.mark.parametrize("delta, deltap", [
+    ("1/4", "1/8"), ("1/3", "1/12"), ("2/7", "3/10"), ("0", "5/6"), ("1/64", "0"),
+    ("0", "0"), ("3/2", "1/5"),
+])
+def test_integer_budgets_match_the_fraction_arithmetic(delta, deltap):
+    params = compute_params(16, 2, Fraction(1, 2), overrides={
+        "h": 1, "hp": 1, "p": 2, "delta": Fraction(delta), "deltap": Fraction(deltap)})
+    assert Fraction(params.A, params.D) == params.delta
+    assert Fraction(params.B, params.D) == params.deltap
+    tree = tree_for(params)
+    rng = random.Random(delta + deltap)
+    for seed in range(25):
+        inst = random_instance(rng.randrange(4, 13), 2, rng.choice([0.2, 0.5, 0.9]), seed)
+        stay = mask_from(j for j in range(inst.n) if rng.random() < 0.8)
+        for i in range(1, 8):  # the top and middle intervals
+            begin, end = tree.span[i]
+            a, b = split_budget(params, i)
+            assert split_step(inst, stay, a, b, params.D) == _old_split_step(
+                inst, stay, params, tree.kinds[i], end - begin)
+    with pytest.raises(ValueError, match="top and middle intervals only"):
+        split_budget(params, 8)  # a bottom interval
 
 
 def test_level_of_rejects_non_tree_intervals():
@@ -181,7 +272,7 @@ def test_level_of_rejects_non_tree_intervals():
                Interval(16, 20), Interval(12, 20), Interval(0, 32),  # out of range
                Interval(0, 2), Interval(0, 3), Interval(4, 10)):  # wrong length
         with pytest.raises(ValueError, match="is not a tree interval"):
-            tree.level_of(iv)
+            tree.index(iv)
         with pytest.raises(ValueError):
             tree.kind(iv)
     assert [tree.kind(Interval(0, n)) for n in (16, 8, 4)] == [TOP, MID, BOT]
@@ -218,6 +309,11 @@ def test_check_system_reports_chain_violation():
     sys = full_system(params, {Interval(0, 16): inst.all_jobs})
     report = check_system(inst, sys, params)
     assert "system-chain" in report.kinds()
+    assert "system-chain: chain 4 > budget 0 on top (0,16]" in str(report)
+    # the budget prints as the Fraction delta * count + deltap * length
+    params = desk_params(T=16, m=2, delta=Fraction(1, 3), deltap=Fraction(1, 12))
+    report = check_system(inst, full_system(params, {Interval(0, 16): inst.all_jobs}), params)
+    assert "system-chain: chain 4 > budget 8/3 on top (0,16]" in str(report)
 
 
 def test_check_system_reports_middle_and_order_violations():
@@ -404,11 +500,12 @@ def test_construct_output_is_consistent():
         assert_no_violations(check_system(inst, sys, params, require_full=True))
         assert_no_violations(check_valid_for_system(inst, sys, params, sched))
         # covered sets aggregate assignments over subtrees
-        for iv in tree.under(tree.root):
+        for outer in tree.interval[1:]:
             agg = 0
-            for sub in tree.under(iv):
-                agg |= sys.assign.get(sub, 0)
-            assert covered[iv] == agg
+            for iv in tree.interval[1:]:
+                if outer.begin <= iv.begin and iv.end <= outer.end:
+                    agg |= sys.assign.get(iv, 0)
+            assert covered[outer] == agg
         for iv, trace in guesses.items():
             kind = tree.kind(iv)
             assert kind in (TOP, MID)
@@ -451,14 +548,14 @@ def test_push_down_small_set_is_noop():
     inst = build_instance(4, 2, [])
     jobs = inst.all_jobs
     for g in ((), ("L", "R"), ("R",) * 4):
-        assert push_down(inst, Interval(0, 16), jobs, g, params) == (jobs, 0, 0)
+        assert push_down(inst, 1, jobs, g, params) == (jobs, 0, 0)
 
 
 def test_push_down_chain_on_middle_interval():
     params = desk_params(T=16, m=2)
     inst = build_instance(4, 2, [(i, i + 1) for i in range(3)])
-    mid = Interval(0, 8)
-    assert tree_for(params).kind(mid) == MID
+    mid = tree_for(params).index(Interval(0, 8))
+    assert tree_for(params).kinds[mid] == MID
     stay, left, right = push_down(inst, mid, inst.all_jobs, ("L",) * 4, params)
     assert (stay, left, right) == (0, inst.all_jobs, 0)
     stay, left, right = push_down(inst, mid, inst.all_jobs, ("R",) * 4, params)
@@ -470,10 +567,10 @@ def test_push_down_chain_on_middle_interval():
 def test_push_down_guess_exhaustion():
     params = desk_params(T=16, m=2)
     inst = build_instance(4, 2, [(i, i + 1) for i in range(3)])
+    with pytest.raises(GuessExhausted, match=r"at \(0,8\]"):
+        push_down(inst, 2, inst.all_jobs, (), params)
     with pytest.raises(GuessExhausted):
-        push_down(inst, Interval(0, 8), inst.all_jobs, (), params)
-    with pytest.raises(GuessExhausted):
-        push_down(inst, Interval(0, 8), inst.all_jobs, ("L",), params)
+        push_down(inst, 2, inst.all_jobs, ("L",), params)
 
 
 def test_push_down_partition_and_order_properties():
@@ -481,7 +578,7 @@ def test_push_down_partition_and_order_properties():
         rng = random.Random(seed)
         params = desk_params(T=16, m=2)
         inst = random_instance(9, 2, 0.4, seed)
-        iv = Interval(0, 16) if seed % 2 else Interval(0, 8)
+        iv = 1 if seed % 2 else 2  # (0,16] or (0,8]
         jobs = mask_from(j for j in range(9) if rng.random() < 0.8)
         g = tuple(rng.choice("LR") for _ in range(2 * job_count(jobs) + 1))
         stay, left, right = push_down(inst, iv, jobs, g, params)
@@ -507,7 +604,8 @@ def test_push_down_replays_construction(subsets=200):
         tree = tree_for(params)
         for iv, trace in guesses.items():
             for pad in (("L",) * 6, ("R",) * 6):
-                stay, left, right = push_down(inst, iv, covered[iv], trace + pad, params)
+                stay, left, right = push_down(
+                    inst, tree.index(iv), covered[iv], trace + pad, params)
                 assert stay == sys.assign[iv]
                 assert left == covered[iv.left]
                 assert right == covered[iv.right]

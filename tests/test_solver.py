@@ -89,17 +89,19 @@ def test_node_windows_match_full_system_windows():
         params = desk_params(T=T, m=2)
         sys, covered, _ = system_from_schedule(inst, sched, params)
         tree = tree_for(params)
+        interval = tree.interval
         full = windows(inst, sys, params)
         for iv, jobs in sys.assign.items():
             if not jobs or tree.kind(iv) != "top":
                 continue
+            i = tree.index(iv)
             j_map = {
-                sub: sys.assign.get(sub, 0)
+                sub: sys.assign.get(interval[sub], 0)
                 for k in range(params.h)
-                for sub in tree.rel_level(iv, k)
+                for sub in tree.below(i, k)
             }
-            k_map = {sub: covered[sub] for sub in tree.rel_level(iv, params.h)}
-            local = node_windows(inst, iv, j_map, k_map, params)
+            k_map = {sub: covered[interval[sub]] for sub in tree.below(i, params.h)}
+            local = node_windows(inst, i, j_map, k_map, params)
             for j in iter_jobs(jobs):
                 assert local[j] == full[j]
 
@@ -107,8 +109,7 @@ def test_node_windows_match_full_system_windows():
 def test_node_windows_alignment():
     params = desk_params(T=16, m=2)
     inst = build_instance(3, 2, [])
-    root = Interval(0, 16)
-    local = node_windows(inst, root, {root: inst.all_jobs}, {}, params)
+    local = node_windows(inst, 1, {1: inst.all_jobs}, {}, params)  # the root, (0,16]
     assert local == {j: (4, 12) for j in range(3)}
 
 
@@ -318,21 +319,18 @@ def test_bottom_solve_ignores_infeasible_warm_start(warm):
 def test_schedule_subtree_rejects_oversized_input():
     params = micro_params()
     inst = build_instance(6, 2, [])
-    sub = SubproblemInput(
-        root=Interval(0, 2),
-        pending={Interval(0, 2): inst.all_jobs},
-    )
+    sub = SubproblemInput(root=4, pending={4: inst.all_jobs})  # (0,2]
     assert schedule_subtree(inst, sub, params) is None
 
 
 def test_schedule_subtree_bottom_delegates():
     params = micro_params()
     inst = build_instance(3, 2, [(0, 1), (1, 2)])
-    sub = SubproblemInput(root=Interval(0, 2), assigned={Interval(0, 2): inst.all_jobs})
+    sub = SubproblemInput(root=4, assigned={4: inst.all_jobs})  # (0,2]
     got = schedule_subtree(inst, sub, params)
     assert got is not None
     sys, assign = got
-    assert sys.assign == {Interval(0, 2): inst.all_jobs}
+    assert sys == {4: inst.all_jobs}
     # chain of 3 in 2 slots: exactly one job must go
     assert sum(1 for t in assign.values() if t is not None) == 2
 
@@ -343,35 +341,56 @@ def test_schedule_subtree_preserves_fixed_levels():
         params = desk_params(T=16, m=2)
         sys, covered, guesses = system_from_schedule(inst, sched, params)
         tree = tree_for(params)
-        root = tree.root
+        interval = tree.interval
+        frontier = tree.below(1, params.h - 1)
         sub = SubproblemInput(
-            root=root,
-            assigned={root: sys.assign.get(root, 0)},
-            pending={f: covered[f] for f in tree.rel_level(root, params.h - 1)},
+            root=1,
+            assigned={1: sys.assign.get(tree.root, 0)},
+            pending={f: covered[interval[f]] for f in frontier},
         )
         got = schedule_subtree(inst, sub, params, Budget())
         assert got is not None
-        out_sys, assign = got
-        assert out_sys.assign[root] == sys.assign.get(root, 0)
-        for f in tree.rel_level(root, params.h - 1):
+        by_index, assign = got
+        assert by_index[1] == sys.assign.get(tree.root, 0)
+        for f in frontier:
             agg = 0
-            for s in tree.under(f):
-                agg |= out_sys.assign.get(s, 0)
-            assert agg == covered[f]
+            for jobs in solver._restrict(by_index, f).values():
+                agg |= jobs
+            assert agg == covered[interval[f]]
+        out_sys = PartialDyadicSystem(
+            root=tree.root, assign={interval[i]: jobs for i, jobs in by_index.items()})
         report = check_system(inst, out_sys, params)
         assert_no_violations(report)
         assert_no_violations(check_virtually_valid(inst, out_sys, params, assign))
+
+
+def test_subproblem_key_ignores_dict_order():
+    fields = {
+        "anc_windows": {5: (0, 4), 1: (2, 8), 3: (4, 6)},
+        "assigned": {1: 0b1, 2: 0, 3: 0b100},
+        "pending": {4: 0b1000, 5: 0b10000, 6: 0, 7: 0b1000000},
+    }
+    a = SubproblemInput(root=1, ancestors=0b101010, **fields)
+    b = SubproblemInput(root=1, ancestors=0b101010,
+                        **{k: dict(reversed(v.items())) for k, v in fields.items()})
+    assert list(a.assigned) != list(b.assigned)
+    assert a.key() == b.key() and hash(a.key()) == hash(b.key())
+    for name, changed in (("assigned", {1: 0b1, 2: 0b10, 3: 0b100}),
+                          ("pending", {4: 0b1000, 5: 0b10000, 6: 0}),
+                          ("anc_windows", {5: (0, 4), 1: (2, 8), 3: (4, 8)})):
+        other = SubproblemInput(root=1, ancestors=0b101010, **{**fields, name: changed})
+        assert other.key() != a.key()
 
 
 def test_memo_answers_a_repeat_without_entering_a_node():
     inst, sched = reference_pair(3, T=16, m=2, n=8)
     params = desk_params(T=16, m=2)
     sys, covered, _ = system_from_schedule(inst, sched, params)
-    root = tree_for(params).root
+    tree = tree_for(params)
     sub = SubproblemInput(
-        root=root,
-        assigned={root: sys.assign.get(root, 0)},
-        pending={f: covered[f] for f in tree_for(params).rel_level(root, params.h - 1)},
+        root=1,
+        assigned={1: sys.assign.get(tree.root, 0)},
+        pending={f: covered[tree.interval[f]] for f in tree.below(1, params.h - 1)},
     )
     memo = SolveMemo()
     budget = Budget()
@@ -438,9 +457,10 @@ def test_guess_padding_never_changes_replay():
         inst, sched = reference_pair(seed, T=16, m=2, n=8)
         params = desk_params(T=16, m=2)
         _, covered, guesses = system_from_schedule(inst, sched, params)
+        index = tree_for(params).index
         for iv, trace in guesses.items():
             results = {
-                push_down(inst, iv, covered[iv], trace + pad, params)
+                push_down(inst, index(iv), covered[iv], trace + pad, params)
                 for pad in ((), ("L",) * 5, ("R",) * 5, ("R", "L", "R"))
             }
             assert len(results) == 1
@@ -570,7 +590,7 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
     root = tree_for(params).root
     sub_budget = Budget()
     got = schedule_subtree(
-        inst, SubproblemInput(root=root, assigned={root: inst.all_jobs}), params,
+        inst, SubproblemInput(root=1, assigned={1: inst.all_jobs}), params,
         sub_budget, hints,
     )
     budget = Budget()
@@ -582,7 +602,7 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
         assert sched == Schedule(T=params.T, assign=(None,) * inst.n)
         assert budget.nodes == 0
         return
-    assert got[0] == sys_out
+    assert got[0] == {1: inst.all_jobs}
     assert sched == Schedule(T=params.T, assign=tuple(got[1][j] for j in range(inst.n)))
     assert budget.nodes == sub_budget.nodes - 1
     assert check_virtually_valid(inst, sys_out, params, sched).ok
@@ -684,7 +704,7 @@ def test_guess_outcomes_walk_matches_push_down_per_prefix(seed):
     params = compute_params(16, m, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
     tree = tree_for(params)
     for level in range(tree.L):
-        for iv in tree.level(level):
+        for iv in range(1 << level, 2 << level):
             jobs = mask_from(j for j in range(inst.n) if rng.random() < 0.8)
             for max_len in (0, 1, 2, 4):
                 assert solver._guess_outcomes(inst, iv, jobs, params, max_len) == (
@@ -756,8 +776,7 @@ def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_f
     memo = memos[0]
     assert memo.subtrees == memo.subtrees.copies  # no caller mutated a shared result
     assert memo.splits == memo.splits.copies
-    root = tree_for(params).root
-    at_root = [v for k, v in memo.subtrees.items() if k[0] == root]
+    at_root = [v for k, v in memo.subtrees.items() if k[0] == 1]
     if hinted or not root_fails:
         assert any(v is not None for v in at_root)
     else:
@@ -815,7 +834,7 @@ def test_solver_calls_leave_no_reference_cycles(call):
         if call == "bottom_solve":
             bottom_solve(inst, Interval(0, 8), inst.all_jobs, 0, {}, flat)
         elif call == "guess_outcomes":
-            assert solver._guess_outcomes(inst, Interval(0, 16), inst.all_jobs, deep, 2)
+            assert solver._guess_outcomes(inst, 1, inst.all_jobs, deep, 2)  # (0,16]
         elif call == "main_solve":
             main_solve(inst, deep)
         elif call == "hinted":
