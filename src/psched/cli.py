@@ -181,12 +181,18 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _check_budget(args) -> None:
+    if args.budget < 0:
+        raise ValueError(f"need --budget >= 0, got {args.budget}")
+
+
 def _common_solve(args, inst: Instance) -> SolveOutcome:
     overrides = _parse_overrides(args.param_override)
     budget = Budget(limit=args.budget)
     eps = Fraction(args.epsilon)
     if args.horizon is not None and args.horizon < 1:
         raise ValueError(f"need --horizon >= 1, got {args.horizon}")
+    _check_budget(args)
     # one sandwich per run, for the oracle and the horizon search; a run
     # with neither needs none
     searched = args.horizon is None
@@ -230,6 +236,9 @@ def cmd_pipeline(args) -> int:
 def cmd_bench(args) -> int:
     if args.n < 1:
         raise ValueError(f"bench needs --n >= 1, got {args.n}")
+    if args.count < 0:
+        raise ValueError(f"bench needs --count >= 0, got {args.count}")
+    _check_budget(args)
     rows = []
     for i in range(args.count):
         seed = args.seed + i

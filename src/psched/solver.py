@@ -6,12 +6,13 @@ one more level of splits, computes windows for the jobs staying at the
 node, partitions the window-constrained pool between the two halves (one
 representative per window-multiset equivalence class, never sending a job
 to a half its window misses), and recurses.
-Within one ``main_solve`` each distinct subproblem is solved once, so the
-recursion is a dynamic program over its states.  Bottom intervals are
-solved exactly by branch and bound.  A hinted mode replays the splits and
-partitions recorded from a reference schedule instead of enumerating,
-realizing the guarantee that the enumeration can do at least as well as
-the reference.  Inside the recursion tree intervals are heap indices.
+Within one ``main_solve`` each subproblem is solved once up to
+translation, so the recursion is a dynamic program over its states.
+Bottom intervals are solved exactly by branch and bound.  A hinted mode
+replays the splits and partitions recorded from a reference schedule
+instead of enumerating, realizing the guarantee that the enumeration can
+do at least as well as the reference.  Inside the recursion tree
+intervals are heap indices.
 """
 
 from __future__ import annotations
@@ -68,8 +69,10 @@ class Budget:
     one state of the bottom search.  Bottom-search children that a bound
     or the failed-state memo of complete mode rules out before entry are
     not counted, nor is a subproblem answered from the ``SolveMemo`` of
-    the current ``main_solve``.  A tree with ``L = 0`` runs no cascades
-    and no ``schedule_subtree``, so only its bottom-search states count.
+    the current ``main_solve``, whether solved at its own interval or at
+    a translate of it on the same level.  A tree with ``L = 0`` runs no
+    cascades and no ``schedule_subtree``, so only its bottom-search states
+    count.
     ``exact_opt`` counts its states in the budget it is given, which for
     a ``--hinted`` run's oracle is the run's ``--budget``.
     """
@@ -110,14 +113,29 @@ class SubproblemInput:
             out |= jobs
         return out
 
-    def key(self) -> tuple:
-        """Hashable form of every field; equal keys are equal subproblems."""
+    def key(self, begin: int, pinned: bool) -> tuple:
+        """Hashable, position-free form; equal keys are equal subproblems
+        up to translation.
+
+        ``begin`` is where the root's interval begins.  The key holds the
+        root's level, the ancestors, their windows measured from ``begin``
+        and ``assigned`` and ``pending`` by heap index relative to the root:
+        index ``k`` at depth ``d`` below root ``i`` becomes
+        ``k - ((i - 1) << d)``, so the root is 1.  ``pinned`` adds the root
+        itself, so that only the same interval matches.
+        """
+        i = self.root
+        top = i.bit_length()
+        lift = i - 1  # index k at depth d moves by lift << d
         return (
-            self.root,
+            top - 1,
             self.ancestors,
-            tuple(sorted(self.anc_windows.items())),
-            tuple(sorted(self.assigned.items())),
-            tuple(sorted(self.pending.items())),
+            tuple(sorted([(j, b - begin, e - begin) for j, (b, e) in self.anc_windows.items()])),
+            tuple(sorted([(k - (lift << (k.bit_length() - top)), jobs)
+                          for k, jobs in self.assigned.items()])),
+            tuple(sorted([(k - (lift << (k.bit_length() - top)), jobs)
+                          for k, jobs in self.pending.items()])),
+            i if pinned else None,
         )
 
 
@@ -138,15 +156,28 @@ SplitOutcome = tuple[JobSet, JobSet, JobSet]
 class SolveMemo:
     """Answers already computed within one ``main_solve``.
 
-    ``subtrees`` maps ``SubproblemInput.key()`` to the result of
-    ``schedule_subtree`` and ``splits`` maps (interval, jobs) to the
-    outcomes of ``_split_outcomes`` (intervals by heap index).  The instance,
-    params and hints are fixed for the call, so each answer is a function
-    of its key alone and a repeat returns the value a second solve would
-    compute.  Stored results are shared and must never be mutated.
+    ``subtrees`` maps ``SubproblemInput.key`` to the result of
+    ``schedule_subtree`` together with the heap index it was solved at,
+    and ``splits`` maps (interval, jobs) to the outcomes of
+    ``_split_outcomes`` (intervals by heap index).  The instance, params
+    and hints are fixed for the call, so each answer is a function of its
+    key alone and a repeat returns the value a second solve would compute.
+    Stored results are shared and must never be mutated.
+
+    A subtree key is free of the root's position, and that is exact:
+    ``_solve_subtree``, ``node_windows``, ``_window_for``,
+    ``enumerate_partitions``, ``_split_outcomes`` and ``bottom_solve``
+    read absolute times only by comparing them with spans and window
+    bounds, kinds, ``window_step`` and split budgets depend on the level
+    and the length alone, and every tie-break follows job ids or orders
+    that translation keeps.  So a fresh solve of a translated subproblem
+    is the stored answer shifted: each system index one level further
+    down moves twice as far, and each slot by the distance between the
+    two begins.  Hinted solves read the reference's absolute slots and
+    the guesses recorded by heap index, so their keys keep the root.
     """
 
-    subtrees: dict[tuple, Result | None] = field(default_factory=dict)
+    subtrees: dict[tuple, tuple[Result | None, int]] = field(default_factory=dict)
     splits: dict[tuple[int, JobSet], tuple[SplitOutcome, ...]] = field(
         default_factory=dict
     )
@@ -343,7 +374,10 @@ def bottom_solve(
     schedule that fits can be made to never idle a machine while a job is
     ready), and skips before entry a child whose ``(slot, alive)`` state
     already failed or whose alive jobs break Hu's level bound for the
-    slots left, read from per-height counts kept along the search.
+    slots left, read from per-height counts kept along the search.  The
+    ready jobs are kept along the search too: a child's are its parent's
+    without the batch, plus the jobs directly after the batch that have
+    no predecessor left alive.
     """
     budget = budget or Budget()
     m = inst.m
@@ -418,15 +452,17 @@ def bottom_solve(
 
     failed: set[tuple[int, JobSet]] = set()
 
-    def fill(idx: int, alive: JobSet) -> bool:
-        """Complete mode: place every job of ``alive`` from slot ``idx`` on."""
+    def fill(idx: int, alive: JobSet, ready: JobSet) -> bool:
+        """Complete mode: place every job of ``alive`` from slot ``idx`` on;
+        ``ready`` is the jobs of ``alive`` with no predecessor alive."""
         if not alive:
             return True
         t = slots[idx]
         slots_left = n_slots - idx - 1
-        ready = [j for j in iter_jobs(alive) if pred[j] & alive == 0]
-        for batch in combinations(ready, min(m, len(ready))):
-            child = alive & ~mask_from(batch)
+        ready_jobs = list(iter_jobs(ready))
+        for batch in combinations(ready_jobs, min(m, len(ready_jobs))):
+            placed = mask_from(batch)
+            child = alive & ~placed
             for j in batch:
                 per_height[height[j]] -= 1
             if (idx + 1, child) not in failed and _level(per_height, m) <= slots_left:
@@ -435,7 +471,18 @@ def bottom_solve(
                 # branches are all overwritten
                 for j in batch:
                     assign[j] = t
-                if fill(idx + 1, child):
+                # a job that becomes ready follows a job of the batch with
+                # no job of ``bottom`` between: one between would follow the
+                # batch job, so be alive, and precede the new one, so be in
+                # the batch, which is an antichain
+                after = 0
+                for j in batch:
+                    after |= cover[j]
+                child_ready = ready & ~placed
+                for s in iter_jobs(after & child):
+                    if not pred[s] & child:
+                        child_ready |= 1 << s
+                if fill(idx + 1, child, child_ready):
                     return True
                 failed.add((idx + 1, child))
             for j in batch:
@@ -450,7 +497,15 @@ def bottom_solve(
             else:
                 height = tail_heights(inst, bottom)  # read by ``fill``
                 per_height = height_counts(height)  # jobs outside ``bottom`` at 0
-                if fill(0, bottom):
+                cover = {}  # the jobs of ``bottom`` directly after each one of it
+                for j in iter_jobs(bottom):
+                    later = inst.succ[j] & bottom
+                    far = 0
+                    for k in iter_jobs(later):
+                        far |= inst.succ[k]
+                    cover[j] = later & ~far
+                ready = mask_from(j for j in iter_jobs(bottom) if not pred[j] & bottom)
+                if fill(0, bottom, ready):
                     best_assign = dict(assign)
     finally:
         # ``dfs`` and ``fill`` refer to themselves; dropping them breaks the
@@ -547,16 +602,32 @@ def schedule_subtree(
     window-constrained pool, recursing on both halves and keeping the
     candidate that schedules strictly more jobs.
 
-    Each distinct subproblem is solved once per ``memo`` (a fresh one when
-    omitted); a repeat returns the stored result, shared with the first
-    caller, and enters no node.
+    Each subproblem is solved once per ``memo`` (a fresh one when omitted)
+    up to translation: a repeat enters no node.  At the same heap index it
+    returns the stored result, shared with the first caller; at another
+    interval of the same level it returns new dicts holding the stored
+    result shifted into place (see ``SolveMemo``).  Hinted subproblems
+    repeat only at the same index.
     """
     memo = memo or SolveMemo()
-    key = sub.key()
-    if key in memo.subtrees:
-        return memo.subtrees[key]
-    got = memo.subtrees[key] = _solve_subtree(inst, sub, params, budget or Budget(), hints, memo)
-    return got
+    i = sub.root
+    span = tree_for(params).span
+    begin = span[i][0]
+    key = sub.key(begin, hints is not None)
+    hit = memo.subtrees.get(key)
+    if hit is None:
+        got = _solve_subtree(inst, sub, params, budget or Budget(), hints, memo)
+        memo.subtrees[key] = got, i
+        return got
+    got, i0 = hit
+    if got is None or i0 == i:
+        return got
+    system, assign = got
+    top, step, shift = i0.bit_length(), i - i0, begin - span[i0][0]
+    return (
+        {k + (step << (k.bit_length() - top)): jobs for k, jobs in system.items()},
+        {j: DISC if t is DISC else t + shift for j, t in assign.items()},
+    )
 
 
 def _solve_subtree(

@@ -341,14 +341,15 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # deep-tree solves (random-dag, m = 2, h=1 hp=1 p=2): (n, horizon, generator
 # seed, scheduled, nodes); the schedules were recorded when the enumeration
 # still tried unplaceable partitions, which took 2499, 694, 3148, 3762, 1578
-# and 1578 nodes
+# and 1578 nodes, and while a subproblem was solved again at each position,
+# which took 82, 24, 197, 222, 48 and 48
 GOLDEN_DEEP_SOLVE = [
-    (8, 16, 0, 2, 82),
-    (8, 16, 1, 0, 24),
-    (10, 16, 0, 6, 197),
-    (10, 16, 1, 7, 222),
-    (8, 32, 0, 0, 48),
-    (8, 32, 1, 0, 48),
+    (8, 16, 0, 2, 34),
+    (8, 16, 1, 0, 6),
+    (10, 16, 0, 6, 155),
+    (10, 16, 1, 7, 119),
+    (8, 32, 0, 0, 7),
+    (8, 32, 1, 0, 7),
 ]
 
 
@@ -449,6 +450,26 @@ def test_bench_rejects_fewer_than_one_job(tmp_path, capsys, n):
     out = tmp_path / "bench.csv"
     assert run_command(["bench", "--n", n, "--count", "2", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: bench needs --n >= 1, got {n}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "pipeline", "bench"])
+def test_negative_budget_is_rejected(tmp_path, capsys, command):
+    inst_path = tmp_path / "i.psched"
+    out_path = tmp_path / "o.out"
+    inst_path.write_text("psched 1 2 2\n0 1\n")
+    target = ["--count", "1"] if command == "bench" else [str(inst_path)]
+    assert run_command([command, *target, "--budget", "-5", "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == "error: need --budget >= 0, got -5\n"
+    assert not out_path.exists()
+    # a budget of none is a valid limit that every search runs past
+    assert run_command([command, *target, "--budget", "0", "--out", str(out_path)]) == 2
+
+
+def test_bench_rejects_a_negative_count(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert run_command(["bench", "--count", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: bench needs --count >= 0, got -1\n"
     assert not out.exists()
 
 

@@ -374,12 +374,29 @@ def test_subproblem_key_ignores_dict_order():
     b = SubproblemInput(root=1, ancestors=0b101010,
                         **{k: dict(reversed(v.items())) for k, v in fields.items()})
     assert list(a.assigned) != list(b.assigned)
-    assert a.key() == b.key() and hash(a.key()) == hash(b.key())
+    assert a.key(0, False) == b.key(0, False)
+    assert hash(a.key(0, False)) == hash(b.key(0, False))
     for name, changed in (("assigned", {1: 0b1, 2: 0b10, 3: 0b100}),
                           ("pending", {4: 0b1000, 5: 0b10000, 6: 0}),
                           ("anc_windows", {5: (0, 4), 1: (2, 8), 3: (4, 8)})):
         other = SubproblemInput(root=1, ancestors=0b101010, **{**fields, name: changed})
-        assert other.key() != a.key()
+        assert other.key(0, False) != a.key(0, False)
+
+
+def test_subproblem_key_is_free_of_position_unless_pinned():
+    # root 1 over (0, 16] and root 3 over (8, 16], one level further down
+    # the same shape; each index at depth d moves by (3 - 1) << d
+    a = SubproblemInput(root=1, ancestors=0b11, anc_windows={0: (2, 8), 1: (4, 12)},
+                        assigned={1: 0b100}, pending={2: 0b1000, 3: 0})
+    b = SubproblemInput(root=3, ancestors=0b11, anc_windows={0: (10, 16), 1: (12, 20)},
+                        assigned={3: 0b100}, pending={6: 0b1000, 7: 0})
+    c = SubproblemInput(root=2, ancestors=0b11, anc_windows={0: (2, 8), 1: (4, 12)},
+                        assigned={2: 0b100}, pending={4: 0b1000, 5: 0})
+    assert b.key(8, False)[1:] == a.key(0, False)[1:]
+    assert b.key(8, False) == c.key(0, False)  # same level, translated by 8
+    assert b.key(8, True) != c.key(0, True)
+    assert c.key(0, False) != c.key(1, False)  # windows are measured from the begin
+    assert a.key(0, False)[0] == 0 and b.key(8, False)[0] == 1
 
 
 def test_memo_answers_a_repeat_without_entering_a_node():
@@ -614,7 +631,7 @@ def test_budget_exceeded():
     inst = random_instance(8, 2, 0.3, 1)
     params = micro_params()
     with pytest.raises(BudgetExceeded):
-        main_solve(inst, params, budget=Budget(limit=5))
+        main_solve(inst, params, budget=Budget(limit=4))
 
 
 def test_trivial_instance_schedules_everything():
@@ -776,7 +793,7 @@ def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_f
     memo = memos[0]
     assert memo.subtrees == memo.subtrees.copies  # no caller mutated a shared result
     assert memo.splits == memo.splits.copies
-    at_root = [v for k, v in memo.subtrees.items() if k[0] == 1]
+    at_root = [got for got, i0 in memo.subtrees.values() if i0 == 1]
     if hinted or not root_fails:
         assert any(v is not None for v in at_root)
     else:
@@ -788,6 +805,60 @@ def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_f
     if h == 2:  # the recursion passes fixed and pending job sets down
         assert any(any(dict(k[3]).values()) for k in memo.subtrees)
         assert any(any(dict(k[4]).values()) for k in memo.subtrees)
+
+
+# (T, h, p) of the deep trees on which the position-free memo must give
+# what solving every subproblem afresh gives
+TRANSLATION_GRID = [(8, 1, 2), (16, 1, 2), (16, 2, 3), (32, 1, 2), (32, 2, 2)]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("family", ["random-dag", "layered", "forest"])
+def test_memo_up_to_translation_matches_solving_afresh(monkeypatch, family, m):
+    lower = False
+    for (T, h, p), n in product(TRANSLATION_GRID, (5, 7, 9)):
+        inst, _ = gen_instance(family, n, m, 0.3, n)
+        params = compute_params(T, m, Fraction(1, 2), overrides={"h": h, "hp": 1, "p": p})
+        runs = []
+        for make_memo in (SolveMemo, lambda: SolveMemo(subtrees=_NoStore(), splits=_NoStore())):
+            monkeypatch.setattr(solver, "SolveMemo", make_memo)
+            budget = Budget()
+            sys_out, sched = main_solve(inst, params, budget=budget)
+            runs.append((sys_out, sched, budget.nodes))
+        (sys_memo, sched_memo, nodes), (sys_plain, sched_plain, plain_nodes) = runs
+        assert (sys_memo, sched_memo) == (sys_plain, sched_plain), (T, h, p, n)
+        assert nodes <= plain_nodes
+        lower = lower or nodes < plain_nodes
+    assert lower
+
+
+def test_memo_answers_a_translate_shifted_without_entering_a_node():
+    # the halves (0, 8] and (8, 16] of a T = 16 tree get the same jobs and
+    # ancestor windows 8 apart: the second is the first moved by 8
+    inst = random_instance(6, 2, 0.3, 1)
+    params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
+    jobs, anc = 0b011111, 0b100000
+    left = SubproblemInput(root=2, ancestors=anc, anc_windows={5: (2, 6)}, pending={2: jobs})
+    right = SubproblemInput(root=3, ancestors=anc, anc_windows={5: (10, 14)}, pending={3: jobs})
+    memo = SolveMemo()
+    budget = Budget()
+    first = schedule_subtree(inst, left, params, budget, memo=memo)
+    spent = budget.nodes
+    stored = copy.deepcopy(memo.subtrees)
+    second = schedule_subtree(inst, right, params, budget, memo=memo)
+    assert budget.nodes == spent
+    assert memo.subtrees == stored  # the stored result is not touched
+    system, assign = first
+    assert any(t is not None for t in assign.values())
+    # index k at depth d below the root moves by (3 - 2) << d, each slot by 8
+    assert second == (
+        {k + (1 << (k.bit_length() - 2)): js for k, js in system.items()},
+        {j: None if t is None else t + 8 for j, t in assign.items()},
+    )
+    assert second[0] is not system and second[1] is not assign
+    fresh_budget = Budget()
+    assert schedule_subtree(inst, right, params, fresh_budget) == second  # a fresh memo
+    assert fresh_budget.nodes == spent
 
 
 @pytest.mark.parametrize("hinted", [False, True], ids=["enum", "hinted"])
