@@ -34,6 +34,15 @@ BENCH_COLUMNS = (
 )
 
 
+def _fraction(text: str, what: str) -> Fraction:
+    """``text`` as a fraction; a zero denominator is a ``ValueError`` naming
+    ``what``, as any other malformed fraction is."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"bad {what}: zero denominator") from None
+
+
 def _parse_overrides(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs:
@@ -41,7 +50,10 @@ def _parse_overrides(pairs: list[str]) -> dict:
         if key not in OVERRIDE_KEYS or not value:
             raise ValueError(
                 f"bad override {pair!r}; expected k=v with k in {OVERRIDE_KEYS}")
-        out[key] = Fraction(value) if key in ("delta", "deltap") else int(value)
+        if key in ("delta", "deltap"):
+            out[key] = _fraction(value, f"override {pair!r}")
+        else:
+            out[key] = int(value)
     return out
 
 
@@ -91,24 +103,36 @@ def _solve_at_horizon(
     warm: Schedule | None = None,
 ) -> SolveOutcome | None:
     """Solve at one horizon; with ``oracle`` (the result of ``exact_opt``),
-    replay the splits of its schedule instead of enumerating.  Otherwise
-    ``warm``, the horizon search's list schedule, marks one of its attempts:
-    a collapsed (``L = 0``) tree's exact search then looks only for a
-    schedule of every job, seeded with ``warm`` if it fits in ``horizon``."""
+    fail when its optimum exceeds ``horizon`` and otherwise replay the
+    splits of its schedule instead of enumerating.  Otherwise ``warm``, the
+    horizon search's list schedule, marks one of its attempts: a collapsed
+    (``L = 0``) tree's exact search then looks only for a schedule of every
+    job.
+
+    A collapsed attempt that holds a valid schedule of every job fitting
+    ``horizon``, the oracle's or ``warm``, is answered from it with no
+    search, as the bottom search would answer at its root node: it counts
+    one budget node and returns that schedule under the padded horizon."""
     target = max(horizon, 2)
     padded, T2, _pads = pad_to_power_of_two(inst, target)
     params = compute_params(T2, inst.m, eps, overrides=overrides or None)
+    held = warm
     if oracle is not None:
-        opt, best = oracle
+        opt, held = oracle
         if opt > horizon:
             return None
-        reference = _with_sinks(inst, padded, best, target)
+    if params.L == 0 and held is not None and held.makespan <= horizon:
+        report = verify_valid(inst, held)
+        if report.ok and not report.discards:
+            budget.tick()  # the root state the bottom search would have entered
+            sched = Schedule(T=T2, assign=held.assign)
+            return SolveOutcome(horizon=horizon, padded_T=T2, virtual=sched, valid=sched,
+                                discards=0, nodes=budget.nodes)
+    if oracle is not None:
+        reference = _with_sinks(inst, padded, held, target)
         sys_out, virtual = solve_hinted(padded, reference, params, budget=budget)
     else:
-        complete = warm is not None
-        if complete:
-            warm = _with_sinks(inst, padded, warm, target) if warm.makespan <= horizon else None
-        sys_out, virtual = main_solve(padded, params, budget, warm=warm, complete=complete)
+        sys_out, virtual = main_solve(padded, params, budget, complete=warm is not None)
     valid = virtual
     if params.L > 0:  # with no top jobs both conversions are the identity
         canon = canonicalize(padded, sys_out, virtual, params)
@@ -128,9 +152,11 @@ def _search_horizon(inst, eps, overrides, budget, oracle, bounds):
     """Minimal horizon whose converted schedule discards nothing.
 
     ``bounds`` is the run's bound sandwich: its lower bound is the first
-    probe, and its list schedule warm-starts every attempt at a horizon
-    it fits in.  Collapsed attempts look only for a schedule of every
-    job, since a discard fails the attempt anyway."""
+    probe.  A collapsed attempt at a horizon its list schedule fits in,
+    or with ``oracle`` the optimum fits in, is answered from that
+    schedule for one node (see ``_solve_at_horizon``); the other
+    collapsed attempts search only for a schedule of every job, since a
+    discard fails the attempt anyway."""
     if inst.n == 0:  # the search returns horizon 0 without solving
         empty = Schedule(T=0, assign=())
         return SolveOutcome(horizon=0, padded_T=0, virtual=empty, valid=empty, discards=0,
@@ -189,7 +215,7 @@ def _check_budget(args) -> None:
 def _common_solve(args, inst: Instance) -> SolveOutcome:
     overrides = _parse_overrides(args.param_override)
     budget = Budget(limit=args.budget)
-    eps = Fraction(args.epsilon)
+    eps = _fraction(args.epsilon, f"--epsilon {args.epsilon!r}")
     if args.horizon is not None and args.horizon < 1:
         raise ValueError(f"need --horizon >= 1, got {args.horizon}")
     _check_budget(args)
@@ -239,6 +265,8 @@ def cmd_bench(args) -> int:
     if args.count < 0:
         raise ValueError(f"bench needs --count >= 0, got {args.count}")
     _check_budget(args)
+    eps = _fraction(args.epsilon, f"--epsilon {args.epsilon!r}")
+    overrides = _parse_overrides(args.param_override)
     rows = []
     for i in range(args.count):
         seed = args.seed + i
@@ -248,10 +276,7 @@ def cmd_bench(args) -> int:
         budget = Budget(limit=args.budget)
         opt, best = exact_opt(inst, budget=budget)
         graham = graham_list(inst).makespan
-        got = _solve_at_horizon(
-            inst, opt, Fraction(args.epsilon), _parse_overrides(args.param_override),
-            budget, (opt, best),
-        )
+        got = _solve_at_horizon(inst, opt, eps, overrides, budget, (opt, best))
         final = insert_discarded(inst, got.valid)
         wall_ms = (time.perf_counter() - start) * 1000
         rows.append({

@@ -120,6 +120,10 @@ class _TopOrder:
         k = 0 if self.side(a) == "L" else 1
         return (self.win[a][k], self.depth[a]) < (self.win[b][k], self.depth[b])
 
+    def violations(self) -> list[str]:
+        """One message per pair of ``out_of_order``."""
+        return [f"{kind} pair ({x}, {y}) out of order" for kind, x, y in self.out_of_order()]
+
     def out_of_order(self) -> Iterator[tuple[str, int, int]]:
         """Pairs (kind, x, y) with x ordered before y but slotted after it:
         every precedence pair, then every side pair, by ascending ids."""
@@ -194,10 +198,7 @@ def canonical_violations(
     params: Params,
 ) -> list[str]:
     """Pairs breaking the weak-order conditions of a canonical schedule."""
-    return [
-        f"{kind} pair ({x}, {y}) out of order"
-        for kind, x, y in _TopOrder(inst, sys, sched, params).out_of_order()
-    ]
+    return _TopOrder(inst, sys, sched, params).violations()
 
 
 def virtually_valid_to_valid(
@@ -216,11 +217,12 @@ def virtually_valid_to_valid(
     report = check_virtually_valid(inst, sys, params, sched)
     if not report.ok:
         raise InvalidInput(f"input schedule is not virtually valid:\n{report}")
-    bad = canonical_violations(inst, sys, sched, params)
+    order = _TopOrder(inst, sys, sched, params)
+    bad = order.violations()
     if bad:
         raise PrecongruenceViolated("; ".join(bad))
     tree = tree_for(params)
-    win = windows(inst, sys, params)
+    win = order.win
     assign: list[Slot] = list(sched.assign)
     for iv in tree.level(tree.L):
         group = mask_from(

@@ -72,7 +72,9 @@ class Budget:
     the current ``main_solve``, whether solved at its own interval or at
     a translate of it on the same level.  A tree with ``L = 0`` runs no
     cascades and no ``schedule_subtree``, so only its bottom-search states
-    count.
+    count; a CLI horizon attempt on such a tree that is answered from a
+    schedule it already holds counts one node, the root state the bottom
+    search would have entered.
     ``exact_opt`` counts its states in the budget it is given, which for
     a ``--hinted`` run's oracle is the run's ``--budget``.
     """
@@ -821,8 +823,11 @@ def main_solve(
     subtrees or memo, and ``hints`` are not read.  It is warm-started from
     ``warm``, a schedule of every job; ``bottom_solve`` keeps a warm start
     only when it is valid on ``(0, T]``, and one that schedules every job
-    ends the search at its root node.  With ``complete`` that search runs
-    in ``bottom_solve``'s complete mode: it returns a schedule of every job
+    ends the search at its root node.  The CLI's horizon attempts do not
+    get that far: a collapsed attempt that already holds a valid schedule
+    of every job returns it for one node without calling here, so they
+    pass no ``warm``.  With ``complete`` the search runs in
+    ``bottom_solve``'s complete mode: it returns a schedule of every job
     or discards them all.  Deeper trees ignore ``warm`` and ``complete``.
     """
     budget = budget or Budget()

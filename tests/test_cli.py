@@ -2,18 +2,20 @@
 
 import gc
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from psched import baselines, cli, io, transform
+from psched import baselines, cli, io, solver, transform
 from psched.cli import BENCH_COLUMNS, COMMANDS, run_command
 from psched.core import DISC, Schedule, verify_valid
-from psched.errors import BadParams
+from psched.errors import BadParams, InvalidInput
 from psched.generators import FAMILIES, gen_instance
 from psched.solver import Budget
 
 from conftest import assert_no_violations, random_instance
+from horizon_reference import reference_solve_at_horizon
 
 
 def test_instance_round_trip():
@@ -611,3 +613,162 @@ def test_budget_bounds_the_hinted_oracle(tmp_path, capsys):
         "horizon 8 padded 8: 12 scheduled, 0 discarded, 11 nodes\n")
     assert run_command(["solve", str(inst_path), "--hinted", "--budget", "10",
                         "--out", out]) == 2
+
+
+# -- collapsed attempts answered from the schedule in hand -------------------
+
+
+def _attempts_beside_reference(monkeypatch):
+    """Run every horizon attempt through ``reference_solve_at_horizon`` on a
+    copy of the run's budget, then for real; returns the (reference, real)
+    outcome pairs, one per attempt."""
+    pairs = []
+    solve_at = cli._solve_at_horizon
+
+    def both(inst, horizon, eps, overrides, budget, oracle, warm=None):
+        copy = Budget(limit=budget.limit, nodes=budget.nodes)
+        want = reference_solve_at_horizon(inst, horizon, eps, overrides, copy, oracle, warm)
+        got = solve_at(inst, horizon, eps, overrides, budget, oracle, warm)
+        pairs.append((want, got))
+        return got
+
+    monkeypatch.setattr(cli, "_solve_at_horizon", both)
+    return pairs
+
+
+def _searches(monkeypatch):
+    """Record ``(padded T, L, complete)`` of every ``main_solve`` call and
+    ``(padded T, L, "hinted")`` of every ``solve_hinted`` call that the CLI
+    makes (the reference's calls are not seen)."""
+    calls = []
+    main, hinted = cli.main_solve, cli.solve_hinted
+
+    def main_spy(inst, params, budget=None, hints=None, warm=None, complete=False):
+        calls.append((params.T, params.L, complete))
+        return main(inst, params, budget, hints, warm, complete)
+
+    def hinted_spy(inst, reference, params, budget=None):
+        calls.append((params.T, params.L, "hinted"))
+        return hinted(inst, reference, params, budget)
+
+    monkeypatch.setattr(cli, "main_solve", main_spy)
+    monkeypatch.setattr(cli, "solve_hinted", hinted_spy)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["random-dag", "layered", "forest"])
+@pytest.mark.parametrize("flags", [[], ["--hinted"]], ids=["plain", "hinted"])
+def test_collapsed_attempts_match_the_padded_search(monkeypatch, family, flags):
+    # every attempt of a default run is collapsed; answering one from the
+    # list schedule or the oracle's gives the outcome and node count the
+    # padded search gave, and the attempts that hold nothing that fits
+    # still search
+    pairs = _attempts_beside_reference(monkeypatch)
+    searched = _searches(monkeypatch)
+    args = cli.build_parser("solve").parse_args(["solve", "unused", *flags])
+    for n in range(6, 17):
+        for m in (2, 3, 4):
+            for seed in range(10):
+                inst, _ = gen_instance(family, n, m, 0.3, seed)
+                cli._common_solve(args, inst)
+    assert len(pairs) >= 330
+    for want, got in pairs:
+        assert got == want
+    assert all(L == 0 for _, L, _ in searched)
+    assert len(searched) < len(pairs) // 10
+
+
+@pytest.mark.parametrize("flags", [[], ["--hinted"], ["--hinted", "--horizon", "9"]],
+                         ids=["searched", "hinted", "hinted-horizon"])
+def test_certified_pipeline_runs_no_search(tmp_path, capsys, monkeypatch, flags):
+    # n=9 m=3 seed 5: the level bound meets a list schedule's makespan
+    inst_path = _gen(tmp_path, 9, 3, 5)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_solve_at_horizon", reference_solve_at_horizon)
+        want = _pipeline(tmp_path, capsys, inst_path, flags)
+    assert want[0] == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a certified run searched")
+
+    for mod, name in ((cli, "main_solve"), (cli, "solve_hinted"), (solver, "main_solve"),
+                      (solver, "bottom_solve")):
+        monkeypatch.setattr(mod, name, forbidden)
+    assert _pipeline(tmp_path, capsys, inst_path, flags) == want
+
+
+def test_open_sandwich_still_searches_below_the_list_schedule(tmp_path, capsys, monkeypatch):
+    # n=12 m=2 seed 162: level bound 7, list schedules 8.  No schedule in
+    # hand fits 7, so that attempt runs the complete-mode search (and
+    # fails); the attempt at 8 is answered from the list schedule
+    inst_path = _gen(tmp_path, 12, 2, 162)
+    pairs = _attempts_beside_reference(monkeypatch)
+    searched = _searches(monkeypatch)
+    capsys.readouterr()
+    assert run_command(["solve", str(inst_path), "--out", str(tmp_path / "s.sched")]) == 0
+    assert capsys.readouterr().err.startswith("horizon 8 padded 8: 12 scheduled")
+    assert [(got.horizon, got.discards) for _, got in pairs] == [(7, 12), (8, 0)]
+    assert searched == [(8, 0, True)]
+    for want, got in pairs:
+        assert got == want
+
+
+@pytest.mark.parametrize("flags", [DEEP[2:], ["--hinted", *DEEP]],
+                         ids=["searched", "hinted-horizon"])
+def test_deep_tree_attempts_still_search(tmp_path, capsys, monkeypatch, flags):
+    # with h=1 hp=1 p=2 the tree has levels, so a schedule in hand that
+    # fits answers nothing: every attempt runs the solver
+    inst_path = _gen(tmp_path, 5, 2, 0)
+    pairs = _attempts_beside_reference(monkeypatch)
+    searched = _searches(monkeypatch)
+    code, _, err = _pipeline(tmp_path, capsys, inst_path, flags)
+    assert code == 0 and err.endswith("(valid, 0 discarded)\n")
+    assert len(searched) == len(pairs) >= 1
+    assert all(L > 0 for _, L, _ in searched)
+    for want, got in pairs:
+        assert got == want
+
+
+def _broken(inst, sched, how):
+    """``sched`` with a precedence pair put in one slot, or with a discard."""
+    assign = list(sched.assign)
+    if how == "precedence":
+        a = next(j for j in range(inst.n) if inst.succ[j])
+        b = (inst.succ[a] & -inst.succ[a]).bit_length() - 1
+        assign[b] = assign[a]
+    else:
+        assign[0] = DISC
+    return Schedule(T=sched.T, assign=tuple(assign))
+
+
+@pytest.mark.parametrize("how", ["precedence", "discard"])
+def test_held_schedule_failing_the_gate_falls_through_to_the_search(monkeypatch, how):
+    inst, _ = gen_instance("random-dag", 9, 3, 0.3, 5)
+    lo, upper = baselines.bound_sandwich(inst)
+    held = _broken(inst, upper, how)
+    assert held.makespan <= lo and not (verify_valid(inst, held).ok and not held.discard_count)
+    searched = _searches(monkeypatch)
+    eps = Fraction(1, 2)
+    got = cli._solve_at_horizon(inst, lo, eps, {}, Budget(), None, held)
+    assert searched == [(8, 0, True)]
+    assert got == reference_solve_at_horizon(inst, lo, eps, {}, Budget(), None, held)
+    assert got.discards == 0 and got.nodes > 1
+    # the oracle's schedule falls through to the replay, which rejects it
+    with pytest.raises(InvalidInput):
+        cli._solve_at_horizon(inst, lo, eps, {}, Budget(), (lo, held))
+
+
+@pytest.mark.parametrize("command", ["solve", "pipeline", "bench"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epsilon", "1/0", "bad --epsilon '1/0'"),
+    ("--param-override", "delta=1/0", "bad override 'delta=1/0'"),
+    ("--param-override", "deltap=0/0", "bad override 'deltap=0/0'"),
+], ids=["epsilon", "delta", "deltap"])
+def test_zero_denominator_is_an_input_error(tmp_path, capsys, command, flag, value, message):
+    inst_path = tmp_path / "i.psched"
+    out_path = tmp_path / "o.out"
+    inst_path.write_text("psched 1 2 2\n0 1\n")
+    target = ["--count", "1"] if command == "bench" else [str(inst_path)]
+    assert run_command([command, *target, flag, value, "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}: zero denominator\n"
+    assert not out_path.exists()

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from psched import convert
 from psched.convert import (
     _canonicalize,
     canonical_violations,
@@ -209,8 +210,28 @@ def test_vv_to_valid_detects_order_violation():
     inst = build_instance(2, 2, [(0, 1)])
     sys = full_system(params, {Interval(0, 16): inst.all_jobs})
     crossed = Schedule(T=16, assign=(6, 5))
-    with pytest.raises(PrecongruenceViolated):
+    with pytest.raises(PrecongruenceViolated, match=(
+            r"^precedence pair \(0, 1\) out of order; side pair \(0, 1\) out of order$")):
         virtually_valid_to_valid(inst, sys, crossed, params)
+
+
+def test_vv_to_valid_computes_the_windows_once(monkeypatch):
+    # the canonical-order check and the regroup loop read one set of windows
+    calls = []
+    real = convert.windows
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(convert, "windows", counted)
+    for seed in range(10):
+        inst, params, sys, sched = _pipeline_inputs(seed)
+        canon = canonicalize(inst, sys, valid_to_virtually_valid(inst, sys, sched, params),
+                             params)
+        calls.clear()
+        virtually_valid_to_valid(inst, sys, canon, params)
+        assert len(calls) == 1
 
 
 def test_full_conversion_chain():
