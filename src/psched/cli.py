@@ -26,7 +26,8 @@ from .dyadic import OVERRIDE_KEYS, compute_params
 from .errors import BudgetExceeded, NoSolution
 from .generators import FAMILIES, gen_instance
 from .solver import DEFAULT_BUDGET, Budget, main_solve, solve_hinted
-from .transform import binary_search_makespan, insert_discarded, pad_to_power_of_two
+from .transform import (binary_search_makespan, insert_discarded, next_power_of_two,
+                        pad_to_power_of_two)
 
 BENCH_COLUMNS = (
     "instance", "family", "n", "m", "opt", "graham",
@@ -34,13 +35,15 @@ BENCH_COLUMNS = (
 )
 
 
-def _fraction(text: str, what: str) -> Fraction:
-    """``text`` as a fraction; a zero denominator is a ``ValueError`` naming
-    ``what``, as any other malformed fraction is."""
+def _number(text: str, what: str, kind: type = Fraction):
+    """``text`` as a ``kind``; a malformed value, a zero denominator
+    included, is a ``ValueError`` naming ``what``."""
     try:
-        return Fraction(text)
+        return kind(text)
     except ZeroDivisionError:
         raise ValueError(f"bad {what}: zero denominator") from None
+    except ValueError as exc:
+        raise ValueError(f"bad {what}: {exc}") from None
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -50,10 +53,8 @@ def _parse_overrides(pairs: list[str]) -> dict:
         if key not in OVERRIDE_KEYS or not value:
             raise ValueError(
                 f"bad override {pair!r}; expected k=v with k in {OVERRIDE_KEYS}")
-        if key in ("delta", "deltap"):
-            out[key] = _fraction(value, f"override {pair!r}")
-        else:
-            out[key] = int(value)
+        kind = Fraction if key in ("delta", "deltap") else int
+        out[key] = _number(value, f"override {pair!r}", kind)
     return out
 
 
@@ -100,39 +101,33 @@ def _solve_at_horizon(
     overrides: dict,
     budget: Budget,
     oracle: tuple[int, Schedule] | None,
-    warm: Schedule | None = None,
 ) -> SolveOutcome | None:
     """Solve at one horizon; with ``oracle`` (the result of ``exact_opt``),
     fail when its optimum exceeds ``horizon`` and otherwise replay the
-    splits of its schedule instead of enumerating.  Otherwise ``warm``, the
-    horizon search's list schedule, marks one of its attempts: a collapsed
-    (``L = 0``) tree's exact search then looks only for a schedule of every
-    job.
+    splits of its schedule instead of enumerating.
 
-    A collapsed attempt that holds a valid schedule of every job fitting
-    ``horizon``, the oracle's or ``warm``, is answered from it with no
-    search, as the bottom search would answer at its root node: it counts
-    one budget node and returns that schedule under the padded horizon."""
-    target = max(horizon, 2)
-    padded, T2, _pads = pad_to_power_of_two(inst, target)
+    A collapsed (``L = 0``) attempt whose oracle schedule fits ``horizon``
+    is answered from it with no search, as the bottom search would answer
+    at its root node: it counts one budget node and returns that schedule
+    under the padded horizon.  So a collapsed searched run counts the
+    oracle's search states plus one node."""
+    padded, T2, _pads = pad_to_power_of_two(inst, horizon)
     params = compute_params(T2, inst.m, eps, overrides=overrides or None)
-    held = warm
     if oracle is not None:
         opt, held = oracle
         if opt > horizon:
             return None
-    if params.L == 0 and held is not None and held.makespan <= horizon:
-        report = verify_valid(inst, held)
-        if report.ok and not report.discards:
-            budget.tick()  # the root state the bottom search would have entered
-            sched = Schedule(T=T2, assign=held.assign)
-            return SolveOutcome(horizon=horizon, padded_T=T2, virtual=sched, valid=sched,
-                                discards=0, nodes=budget.nodes)
-    if oracle is not None:
-        reference = _with_sinks(inst, padded, held, target)
+        if params.L == 0 and held.makespan <= horizon:
+            report = verify_valid(inst, held)
+            if report.ok and not report.discards:
+                budget.tick()  # the root state the bottom search would have entered
+                sched = Schedule(T=T2, assign=held.assign)
+                return SolveOutcome(horizon=horizon, padded_T=T2, virtual=sched, valid=sched,
+                                    discards=0, nodes=budget.nodes)
+        reference = _with_sinks(inst, padded, held, horizon)
         sys_out, virtual = solve_hinted(padded, reference, params, budget=budget)
     else:
-        sys_out, virtual = main_solve(padded, params, budget, complete=warm is not None)
+        sys_out, virtual = main_solve(padded, params, budget)
     valid = virtual
     if params.L > 0:  # with no top jobs both conversions are the identity
         canon = canonicalize(padded, sys_out, virtual, params)
@@ -151,21 +146,25 @@ def _solve_at_horizon(
 def _search_horizon(inst, eps, overrides, budget, oracle, bounds):
     """Minimal horizon whose converted schedule discards nothing.
 
-    ``bounds`` is the run's bound sandwich: its lower bound is the first
-    probe.  A collapsed attempt at a horizon its list schedule fits in,
-    or with ``oracle`` the optimum fits in, is answered from that
-    schedule for one node (see ``_solve_at_horizon``); the other
-    collapsed attempts search only for a schedule of every job, since a
-    discard fails the attempt anyway."""
+    ``bounds`` is the run's bound sandwich.  When the tree at its list
+    schedule's horizon collapses (``L = 0``), so does every smaller one,
+    since ``L = log2 T2 - h`` never falls as ``T2`` grows: the answer is
+    the optimum, taken from ``oracle`` or from ``exact_opt``, and one
+    attempt there is answered from its schedule.  Such a run counts the
+    oracle's search states plus one node.  Deeper trees bisect with
+    ``binary_search_makespan``, which probes the lower bound first."""
     if inst.n == 0:  # the search returns horizon 0 without solving
         empty = Schedule(T=0, assign=())
         return SolveOutcome(horizon=0, padded_T=0, virtual=empty, valid=empty, discards=0,
                             nodes=budget.nodes)
+    T2 = next_power_of_two(max(bounds[1].makespan, 2))
+    if compute_params(T2, inst.m, eps, overrides=overrides or None).L == 0:
+        opt, best = oracle or exact_opt(inst, bounds=bounds, budget=budget)
+        return _solve_at_horizon(inst, opt, eps, overrides, budget, (opt, best))
     outcomes: dict[int, SolveOutcome] = {}
-    _, upper = bounds
 
     def attempt(T0: int) -> Schedule | None:
-        got = _solve_at_horizon(inst, T0, eps, overrides, budget, oracle, upper)
+        got = _solve_at_horizon(inst, T0, eps, overrides, budget, oracle)
         if got is None or got.discards:
             return None
         outcomes[T0] = got
@@ -215,7 +214,7 @@ def _check_budget(args) -> None:
 def _common_solve(args, inst: Instance) -> SolveOutcome:
     overrides = _parse_overrides(args.param_override)
     budget = Budget(limit=args.budget)
-    eps = _fraction(args.epsilon, f"--epsilon {args.epsilon!r}")
+    eps = _number(args.epsilon, f"--epsilon {args.epsilon!r}")
     if args.horizon is not None and args.horizon < 1:
         raise ValueError(f"need --horizon >= 1, got {args.horizon}")
     _check_budget(args)
@@ -265,7 +264,7 @@ def cmd_bench(args) -> int:
     if args.count < 0:
         raise ValueError(f"bench needs --count >= 0, got {args.count}")
     _check_budget(args)
-    eps = _fraction(args.epsilon, f"--epsilon {args.epsilon!r}")
+    eps = _number(args.epsilon, f"--epsilon {args.epsilon!r}")
     overrides = _parse_overrides(args.param_override)
     rows = []
     for i in range(args.count):
@@ -316,9 +315,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="search node budget: states entered, not children "
                         "cut by a bound or answered from a memo; an L = 0 "
-                        "attempt counts only bottom-search states, and the "
-                        "--hinted oracle's search counts too (exit 2 when "
-                        "exhausted)")
+                        "attempt counts only bottom-search states, a searched "
+                        "run that collapses to L = 0 the exact oracle's states "
+                        "plus one node, and the --hinted oracle's search counts "
+                        "too (exit 2 when exhausted)")
     p.add_argument("--out", default=None, help="write the schedule here")
 
 

@@ -72,11 +72,11 @@ class Budget:
     the current ``main_solve``, whether solved at its own interval or at
     a translate of it on the same level.  A tree with ``L = 0`` runs no
     cascades and no ``schedule_subtree``, so only its bottom-search states
-    count; a CLI horizon attempt on such a tree that is answered from a
-    schedule it already holds counts one node, the root state the bottom
-    search would have entered.
-    ``exact_opt`` counts its states in the budget it is given, which for
-    a ``--hinted`` run's oracle is the run's ``--budget``.
+    count.  ``exact_opt`` counts its states in the budget it is given,
+    which for a CLI run is the run's ``--budget``.  A CLI attempt on such
+    a tree answered from the oracle's schedule counts one node, the root
+    state the bottom search would have entered, so a collapsed searched
+    run counts the oracle's search states plus one node.
     """
 
     limit: int = DEFAULT_BUDGET
@@ -809,7 +809,6 @@ def main_solve(
     budget: Budget | None = None,
     hints: Hints | None = None,
     warm: Schedule | None = None,
-    complete: bool = False,
 ) -> tuple[PartialDyadicSystem, Schedule]:
     """Full enumeration over outer split decisions, keeping the best schedule.
 
@@ -823,12 +822,10 @@ def main_solve(
     subtrees or memo, and ``hints`` are not read.  It is warm-started from
     ``warm``, a schedule of every job; ``bottom_solve`` keeps a warm start
     only when it is valid on ``(0, T]``, and one that schedules every job
-    ends the search at its root node.  The CLI's horizon attempts do not
-    get that far: a collapsed attempt that already holds a valid schedule
-    of every job returns it for one node without calling here, so they
-    pass no ``warm``.  With ``complete`` the search runs in
-    ``bottom_solve``'s complete mode: it returns a schedule of every job
-    or discards them all.  Deeper trees ignore ``warm`` and ``complete``.
+    ends the search at its root node.  Deeper trees ignore ``warm``.  The
+    CLI calls here only for a deep tree or a horizon the user gave: a
+    collapsed searched run takes its schedule from ``exact_opt``, which
+    runs ``bottom_solve``'s complete mode on the instance itself.
     """
     budget = budget or Budget()
     tree = tree_for(params)
@@ -842,8 +839,7 @@ def main_solve(
         if inst.n > params.m * params.T:  # the root cannot hold them all
             return root_sys, best_sched
         start = None if warm is None else dict(enumerate(warm.assign))
-        assign = bottom_solve(inst, tree.root, inst.all_jobs, 0, {}, params, budget, start,
-                              complete)
+        assign = bottom_solve(inst, tree.root, inst.all_jobs, 0, {}, params, budget, start)
         return root_sys, Schedule(T=params.T, assign=tuple(assign[j] for j in range(inst.n)))
     memo = SolveMemo()
     best_count = 0

@@ -19,10 +19,11 @@ def pad_to_power_of_two(inst: Instance, T: int) -> tuple[Instance, int, JobSet]:
     """Extend the instance so the target horizon becomes a power of two.
 
     Adds ``m * (T' - T)`` sink jobs, each preceded by every original job,
-    where ``T'`` is the smallest power of two >= T.  Original job ids are
-    preserved; returns ``(padded instance, T', mask of added jobs)``.
+    where ``T'`` is the smallest power of two >= max(T, 2), the shortest
+    horizon a tree has.  Original job ids are preserved; returns
+    ``(padded instance, T', mask of added jobs)``.
     """
-    T2 = next_power_of_two(T)
+    T2 = next_power_of_two(max(T, 2))
     extra = inst.m * (T2 - T)
     if extra == 0:
         return inst, T2, 0

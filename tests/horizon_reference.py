@@ -1,11 +1,11 @@
-"""One horizon attempt as it ran before held schedules answered collapsed ones.
+"""One horizon attempt that always runs the solver on the padded instance.
 
-A test-only copy of the earlier ``psched.cli._solve_at_horizon``: every
-attempt runs the solver on the padded instance.  The oracle's schedule,
-extended with the padding sinks, is replayed through ``solve_hinted``;
-otherwise the horizon search's list schedule, extended the same way when it
-fits, warm-starts ``main_solve``.  ``test_cli`` holds the current attempt to
-the same ``SolveOutcome``, node count included.
+A test-only copy of ``psched.cli._solve_at_horizon`` without its answer
+from a held schedule: the oracle's schedule, extended with the padding
+sinks, is replayed through ``solve_hinted``; otherwise ``main_solve``
+searches the padded instance.  ``test_cli`` holds deep and oracle
+attempts to the same ``SolveOutcome``, node count included, and checks
+with it that a collapsed run's horizon is the smallest that fits.
 """
 
 from __future__ import annotations
@@ -27,22 +27,17 @@ def reference_solve_at_horizon(
     overrides: dict,
     budget: Budget,
     oracle: tuple[int, Schedule] | None,
-    warm: Schedule | None = None,
 ) -> SolveOutcome | None:
-    target = max(horizon, 2)
-    padded, T2, _pads = pad_to_power_of_two(inst, target)
+    padded, T2, _pads = pad_to_power_of_two(inst, horizon)
     params = compute_params(T2, inst.m, eps, overrides=overrides or None)
     if oracle is not None:
         opt, best = oracle
         if opt > horizon:
             return None
-        reference = _with_sinks(inst, padded, best, target)
+        reference = _with_sinks(inst, padded, best, horizon)
         sys_out, virtual = solve_hinted(padded, reference, params, budget=budget)
     else:
-        complete = warm is not None
-        if complete:
-            warm = _with_sinks(inst, padded, warm, target) if warm.makespan <= horizon else None
-        sys_out, virtual = main_solve(padded, params, budget, warm=warm, complete=complete)
+        sys_out, virtual = main_solve(padded, params, budget)
     valid = virtual
     if params.L > 0:
         canon = canonicalize(padded, sys_out, virtual, params)

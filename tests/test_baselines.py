@@ -218,6 +218,21 @@ def test_exact_opt_decides_the_open_n64_pool(m, density, seed, opt, nodes):
         assert (lower, upper.makespan) == (26, 28)
 
 
+@pytest.mark.parametrize("m, density, seed, opt, nodes", HARD_POOL,
+                         ids=[f"m{g[0]}-d{g[1]}-s{g[2]}" for g in HARD_POOL])
+def test_solve_counts_the_oracle_nodes_plus_one_on_the_open_n64_pool(tmp_path, capsys, m,
+                                                                     density, seed, opt,
+                                                                     nodes):
+    # a searched run whose tree collapses is exact_opt's search and one
+    # attempt at its optimum, answered from its schedule for one node
+    inst, edges = gen_instance("random-dag", 64, m, density, seed)
+    inst_path = tmp_path / "i.psched"
+    inst_path.write_text(io.format_instance(inst, edges), encoding="utf-8")
+    assert run_command(["solve", str(inst_path), "--out", str(tmp_path / "s.sched")]) == 0
+    assert capsys.readouterr().err == (f"horizon {opt} padded {1 << (opt - 1).bit_length()}: "
+                                       f"64 scheduled, 0 discarded, {nodes + 1} nodes\n")
+
+
 def test_exact_opt_is_bounded_by_its_budget(tmp_path, capsys):
     inst, edges = gen_instance("random-dag", 48, 3, 0.3, 13)
     with pytest.raises(BudgetExceeded):

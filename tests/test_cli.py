@@ -249,10 +249,10 @@ def test_pipeline_outputs_match_recorded_bytes(tmp_path, capsys, n, m, seed, fla
 
 
 def test_solve_reports_nodes_of_every_horizon_attempt(tmp_path, capsys):
-    # the horizon search shares one budget across its attempts (the level
-    # bound 7 fails, then the list schedule's makespan 8 succeeds), so the
-    # winning attempt runs last: the printed count is the smallest budget
-    # the run fits in
+    # the run's one budget counts the exact oracle's search (the level
+    # bound 7 fails, then the list schedule's makespan 8 fits: 10 nodes)
+    # and the one attempt at 8, answered from its schedule for one node:
+    # 11 nodes, which is the smallest budget the run fits in
     inst_path = tmp_path / "i.psched"
     assert run_command(["gen", "--family", "random-dag", "--n", "12", "--m", "2",
                         "--seed", "162", "--out", str(inst_path)]) == 0
@@ -271,9 +271,9 @@ def test_solve_reports_nodes_of_every_horizon_attempt(tmp_path, capsys):
 def test_list_schedule_certifies_the_optimum_in_one_attempt(tmp_path, capsys, monkeypatch,
                                                              n, m, horizon):
     # the level bound meets the critical-path list schedule's makespan, so
-    # the search makes one attempt, whose bottom search keeps that schedule
-    # at its root node; started from max(chain, ceil(n/m)) these searches
-    # entered 89,226 and 385,743 nodes
+    # the oracle returns that schedule and the run makes one attempt,
+    # answered from it for one node; started from max(chain, ceil(n/m))
+    # these searches entered 89,226 and 385,743 nodes
     inst_path = tmp_path / "i.psched"
     assert run_command(["gen", "--family", "random-dag", "--n", str(n), "--m", str(m),
                         "--seed", "5", "--out", str(inst_path)]) == 0
@@ -302,8 +302,8 @@ def test_list_schedule_certifies_the_optimum_in_one_attempt(tmp_path, capsys, mo
 def test_pipeline_computes_the_bound_sandwich_at_most_once(tmp_path, capsys, monkeypatch,
                                                            flags, calls):
     # the oracle and the horizon search share one sandwich, and a run with
-    # neither computes none; at seed 162 the level bound 7 fails and the
-    # search makes a second attempt, at the list schedule's 8
+    # neither computes none; at seed 162 the sandwich leaves the optimum
+    # open (level bound 7, list schedules 8), so the oracle searches
     inst_path = tmp_path / "i.psched"
     assert run_command(["gen", "--family", "random-dag", "--n", "12", "--m", "2",
                         "--seed", "162", "--out", str(inst_path)]) == 0
@@ -615,7 +615,7 @@ def test_budget_bounds_the_hinted_oracle(tmp_path, capsys):
                         "--out", out]) == 2
 
 
-# -- collapsed attempts answered from the schedule in hand -------------------
+# -- collapsed runs: one exact search ---------------------------------------
 
 
 def _attempts_beside_reference(monkeypatch):
@@ -625,10 +625,10 @@ def _attempts_beside_reference(monkeypatch):
     pairs = []
     solve_at = cli._solve_at_horizon
 
-    def both(inst, horizon, eps, overrides, budget, oracle, warm=None):
+    def both(inst, horizon, eps, overrides, budget, oracle):
         copy = Budget(limit=budget.limit, nodes=budget.nodes)
-        want = reference_solve_at_horizon(inst, horizon, eps, overrides, copy, oracle, warm)
-        got = solve_at(inst, horizon, eps, overrides, budget, oracle, warm)
+        want = reference_solve_at_horizon(inst, horizon, eps, overrides, copy, oracle)
+        got = solve_at(inst, horizon, eps, overrides, budget, oracle)
         pairs.append((want, got))
         return got
 
@@ -637,15 +637,15 @@ def _attempts_beside_reference(monkeypatch):
 
 
 def _searches(monkeypatch):
-    """Record ``(padded T, L, complete)`` of every ``main_solve`` call and
+    """Record ``(padded T, L, "main")`` of every ``main_solve`` call and
     ``(padded T, L, "hinted")`` of every ``solve_hinted`` call that the CLI
     makes (the reference's calls are not seen)."""
     calls = []
     main, hinted = cli.main_solve, cli.solve_hinted
 
-    def main_spy(inst, params, budget=None, hints=None, warm=None, complete=False):
-        calls.append((params.T, params.L, complete))
-        return main(inst, params, budget, hints, warm, complete)
+    def main_spy(inst, params, budget=None, hints=None, warm=None):
+        calls.append((params.T, params.L, "main"))
+        return main(inst, params, budget, hints, warm)
 
     def hinted_spy(inst, reference, params, budget=None):
         calls.append((params.T, params.L, "hinted"))
@@ -659,23 +659,37 @@ def _searches(monkeypatch):
 @pytest.mark.parametrize("family", ["random-dag", "layered", "forest"])
 @pytest.mark.parametrize("flags", [[], ["--hinted"]], ids=["plain", "hinted"])
 def test_collapsed_attempts_match_the_padded_search(monkeypatch, family, flags):
-    # every attempt of a default run is collapsed; answering one from the
-    # list schedule or the oracle's gives the outcome and node count the
-    # padded search gave, and the attempts that hold nothing that fits
-    # still search
-    pairs = _attempts_beside_reference(monkeypatch)
+    # every default run here collapses: it makes no binary search and one
+    # attempt, at exact_opt's optimum, answered from exact_opt's schedule.
+    # The padded search agrees that the optimum is the smallest horizon
+    # that fits: it keeps every job there and discards some one below,
+    # wherever the level bound leaves that horizon open
     searched = _searches(monkeypatch)
+
+    def bisect(*args):
+        raise AssertionError("a collapsed run bisected")
+
+    monkeypatch.setattr(cli, "binary_search_makespan", bisect)
     args = cli.build_parser("solve").parse_args(["solve", "unused", *flags])
+    eps, open_below = Fraction(1, 2), 0
     for n in range(6, 17):
         for m in (2, 3, 4):
             for seed in range(10):
                 inst, _ = gen_instance(family, n, m, 0.3, seed)
-                cli._common_solve(args, inst)
-    assert len(pairs) >= 330
-    for want, got in pairs:
-        assert got == want
-    assert all(L == 0 for _, L, _ in searched)
-    assert len(searched) < len(pairs) // 10
+                oracle = Budget()
+                opt, best = baselines.exact_opt(inst, budget=oracle)
+                got = cli._common_solve(args, inst)
+                assert (got.horizon, got.discards, got.nodes) == (opt, 0, oracle.nodes + 1)
+                sched = Schedule(T=transform.next_power_of_two(max(opt, 2)), assign=best.assign)
+                assert got.virtual == got.valid == sched
+                at = reference_solve_at_horizon(inst, opt, eps, {}, Budget(), None)
+                assert at.discards == 0
+                if opt > baselines.level_bound(inst):
+                    below = reference_solve_at_horizon(inst, opt - 1, eps, {}, Budget(), None)
+                    assert below.discards > 0
+                    open_below += 1
+    assert searched == []
+    assert open_below > 0 or family != "random-dag"  # the others meet the level bound
 
 
 @pytest.mark.parametrize("flags", [[], ["--hinted"], ["--hinted", "--horizon", "9"]],
@@ -698,19 +712,29 @@ def test_certified_pipeline_runs_no_search(tmp_path, capsys, monkeypatch, flags)
 
 
 def test_open_sandwich_still_searches_below_the_list_schedule(tmp_path, capsys, monkeypatch):
-    # n=12 m=2 seed 162: level bound 7, list schedules 8.  No schedule in
-    # hand fits 7, so that attempt runs the complete-mode search (and
-    # fails); the attempt at 8 is answered from the list schedule
+    # n=12 m=2 seed 162: level bound 7, list schedules 8.  exact_opt's
+    # complete-mode search fails at 7 and fits 8 (10 nodes); the one
+    # attempt, at 8, is answered from its schedule for one node more
     inst_path = _gen(tmp_path, 12, 2, 162)
     pairs = _attempts_beside_reference(monkeypatch)
     searched = _searches(monkeypatch)
+    horizons = []
+    bottom = solver.bottom_solve
+
+    def bottom_spy(inst, iv, *args, **kwargs):
+        horizons.append((iv.end, kwargs.get("complete", False)))
+        return bottom(inst, iv, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "bottom_solve", bottom_spy)
     capsys.readouterr()
     assert run_command(["solve", str(inst_path), "--out", str(tmp_path / "s.sched")]) == 0
-    assert capsys.readouterr().err.startswith("horizon 8 padded 8: 12 scheduled")
-    assert [(got.horizon, got.discards) for _, got in pairs] == [(7, 12), (8, 0)]
-    assert searched == [(8, 0, True)]
-    for want, got in pairs:
-        assert got == want
+    assert capsys.readouterr().err == "horizon 8 padded 8: 12 scheduled, 0 discarded, 11 nodes\n"
+    # the third search is the reference's replay of the oracle's schedule
+    assert horizons == [(7, True), (8, True), (8, False)]
+    assert searched == []
+    (want, got), = pairs
+    assert (got.horizon, got.discards) == (8, 0)
+    assert (want.horizon, want.valid) == (got.horizon, got.valid)
 
 
 @pytest.mark.parametrize("flags", [DEEP[2:], ["--hinted", *DEEP]],
@@ -743,32 +767,53 @@ def _broken(inst, sched, how):
 
 @pytest.mark.parametrize("how", ["precedence", "discard"])
 def test_held_schedule_failing_the_gate_falls_through_to_the_search(monkeypatch, how):
+    # an oracle schedule that fails the gate is not returned: it falls
+    # through to the replay, which rejects it
     inst, _ = gen_instance("random-dag", 9, 3, 0.3, 5)
     lo, upper = baselines.bound_sandwich(inst)
     held = _broken(inst, upper, how)
     assert held.makespan <= lo and not (verify_valid(inst, held).ok and not held.discard_count)
     searched = _searches(monkeypatch)
-    eps = Fraction(1, 2)
-    got = cli._solve_at_horizon(inst, lo, eps, {}, Budget(), None, held)
-    assert searched == [(8, 0, True)]
-    assert got == reference_solve_at_horizon(inst, lo, eps, {}, Budget(), None, held)
-    assert got.discards == 0 and got.nodes > 1
-    # the oracle's schedule falls through to the replay, which rejects it
     with pytest.raises(InvalidInput):
-        cli._solve_at_horizon(inst, lo, eps, {}, Budget(), (lo, held))
+        cli._solve_at_horizon(inst, lo, Fraction(1, 2), {}, Budget(), (lo, held))
+    assert searched == [(8, 0, "hinted")]
+
+
+@pytest.mark.parametrize("text, line, assign", [
+    ("psched 1 2 2\n0 1\n", "1 scheduled, 1 discarded, 5 nodes", [1, None]),
+    ("psched 1 4 2\n", "0 scheduled, 4 discarded, 0 nodes", [None] * 4),
+], ids=["chain", "antichain"])
+def test_horizon_one_keeps_slot_two_for_the_padding_sinks(tmp_path, capsys, text, line,
+                                                          assign):
+    # horizon 1 pads to 2 with m sinks in slot 2, so no job runs there: of
+    # a chain of two only the first job runs; four jobs do not fit the m
+    # slots of horizon 1, and the solver gives up on a root that cannot
+    # hold its jobs, as it does at any horizon below ceil(n/m)
+    inst_path = tmp_path / "i.psched"
+    inst_path.write_text(text)
+    out_path = tmp_path / "s.sched"
+    assert run_command(["solve", str(inst_path), "--horizon", "1", "--out", str(out_path)]) == 0
+    assert capsys.readouterr().err == f"horizon 1 padded 2: {line}\n"
+    assert list(io.read_schedule(str(out_path)).assign) == assign
 
 
 @pytest.mark.parametrize("command", ["solve", "pipeline", "bench"])
 @pytest.mark.parametrize("flag, value, message", [
-    ("--epsilon", "1/0", "bad --epsilon '1/0'"),
-    ("--param-override", "delta=1/0", "bad override 'delta=1/0'"),
-    ("--param-override", "deltap=0/0", "bad override 'deltap=0/0'"),
-], ids=["epsilon", "delta", "deltap"])
+    ("--epsilon", "1/0", "bad --epsilon '1/0': zero denominator"),
+    ("--param-override", "delta=1/0", "bad override 'delta=1/0': zero denominator"),
+    ("--param-override", "deltap=0/0", "bad override 'deltap=0/0': zero denominator"),
+    ("--epsilon", "abc", "bad --epsilon 'abc': Invalid literal for Fraction: 'abc'"),
+    ("--param-override", "h=1.5",
+     "bad override 'h=1.5': invalid literal for int() with base 10: '1.5'"),
+    ("--param-override", "delta=x", "bad override 'delta=x': Invalid literal for Fraction: 'x'"),
+], ids=["epsilon", "delta", "deltap", "epsilon-malformed", "h-malformed", "delta-malformed"])
 def test_zero_denominator_is_an_input_error(tmp_path, capsys, command, flag, value, message):
+    # a malformed number in a flag is an input error that names the flag,
+    # a zero denominator as any other
     inst_path = tmp_path / "i.psched"
     out_path = tmp_path / "o.out"
     inst_path.write_text("psched 1 2 2\n0 1\n")
     target = ["--count", "1"] if command == "bench" else [str(inst_path)]
     assert run_command([command, *target, flag, value, "--out", str(out_path)]) == 1
-    assert capsys.readouterr().err == f"error: {message}: zero denominator\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_path.exists()
