@@ -8,7 +8,10 @@ Library layout:
 - ``dyadic``     parameters, interval tree, job-to-interval systems, the split loop
 - ``convert``    conversions between valid and virtually-valid schedules
 - ``solver``     the recursive guessing solver and its hinted replay mode
-- ``cli``        file formats, instance generators, command-line front end
+- ``pipeline``   horizon choice, solve, conversions and re-insertion as a library
+- ``io``         instance and schedule file formats
+- ``generators`` seeded instance generators
+- ``cli``        command-line front end over the library
 """
 
 from .core import (

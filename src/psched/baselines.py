@@ -59,19 +59,6 @@ def graham_list(inst: Instance) -> Schedule:
     return _list_schedule(inst, range(inst.n))
 
 
-def critical_path_list(inst: Instance) -> Schedule:
-    """Graham's list schedule with ready jobs taken by longest tail first.
-
-    A job's tail height is the length of the longest chain that starts at
-    it, as in Hu's level order; ties go to the smaller id.
-    """
-    return _critical_path(inst, tail_heights(inst))
-
-
-def _critical_path(inst: Instance, height: Sequence[int]) -> Schedule:
-    return _list_schedule(inst, sorted(range(inst.n), key=lambda j: (-height[j], j)))
-
-
 def _list_schedule(inst: Instance, priority: Sequence[int]) -> Schedule:
     """Run up to ``m`` ready jobs per slot, the first ones in ``priority``
     (every job once); the loop of every list schedule here."""
@@ -124,34 +111,24 @@ def _level(per_height: Sequence[int], m: int) -> int:
     return best
 
 
-def level_bound(inst: Instance) -> int:
-    """Hu's level lower bound on the makespan, taken from both ends.
-
-    A job of tail height ``k`` has ``k - 1`` jobs after it in a chain, so
-    every such job runs in the first ``C - (k - 1)`` slots of a schedule
-    of makespan ``C``; at most ``m`` jobs per slot gives
-    ``C >= (k - 1) + ceil(|{j : height(j) >= k}| / m)``.  The same holds
-    for head depths read backwards in time.  At ``k = 1`` this is
-    ``ceil(n/m)`` and at the longest chain it is at least that chain, so
-    it never falls below ``max(longest chain, ceil(n/m))``.
-    """
-    return _level_bound(inst, tail_heights(inst))
-
-
-def _level_bound(inst: Instance, height: Iterable[int]) -> int:
-    depths = chain_depths(inst, inst.all_jobs).values()
-    return max(_level(height_counts(height), inst.m), _level(height_counts(depths), inst.m))
-
-
 def bound_sandwich(inst: Instance) -> tuple[int, Schedule]:
     """A certified makespan range ``(lower, upper)``: the level bound, below
     which no schedule ends, and the shorter of the Graham and critical-path
     list schedules (Graham's on a tie), a valid schedule the optimum is no
     longer than.  When ``upper.makespan == lower``, ``upper`` is optimal.
-    The tail heights are computed once, for both the bound and the order."""
+    The critical-path list takes ready jobs by longest tail first.
+
+    Hu's level bound: a job of tail height ``k`` runs in the first
+    ``C - (k - 1)`` slots of a schedule of makespan ``C``, so at most ``m``
+    jobs per slot gives ``C >= (k - 1) + ceil(|{j : height(j) >= k}| / m)``;
+    likewise for head depths read backwards in time.  It is never below
+    ``max(longest chain, ceil(n/m))``."""
     height = tail_heights(inst)
-    upper = min(graham_list(inst), _critical_path(inst, height), key=lambda s: s.makespan)
-    return _level_bound(inst, height), upper
+    critical = _list_schedule(inst, sorted(range(inst.n), key=lambda j: (-height[j], j)))
+    upper = min(graham_list(inst), critical, key=lambda s: s.makespan)
+    depths = chain_depths(inst, inst.all_jobs).values()
+    lower = max(_level(height_counts(height), inst.m), _level(height_counts(depths), inst.m))
+    return lower, upper
 
 
 def capacity_list_schedule(

@@ -15,19 +15,16 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import io
-from .baselines import bound_sandwich, exact_opt, graham_list
-from .convert import canonicalize, virtually_valid_to_valid
-from .core import Instance, Schedule, Slot, iter_jobs, longest_chain, verify_valid
-from .dyadic import OVERRIDE_KEYS, compute_params
+from . import io, pipeline
+from .baselines import exact_opt, graham_list
+from .core import longest_chain, verify_valid
+from .dyadic import OVERRIDE_KEYS
 from .errors import BudgetExceeded, NoSolution
 from .generators import FAMILIES, gen_instance
-from .solver import DEFAULT_BUDGET, Budget, main_solve, solve_hinted
-from .transform import (binary_search_makespan, insert_discarded, next_power_of_two,
-                        pad_to_power_of_two)
+from .solver import DEFAULT_BUDGET, Budget
+from .transform import insert_discarded
 
 BENCH_COLUMNS = (
     "instance", "family", "n", "m", "opt", "graham",
@@ -66,114 +63,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-@dataclass
-class SolveOutcome:
-    horizon: int          # requested horizon (pre-padding)
-    padded_T: int         # power-of-two horizon actually solved
-    virtual: Schedule     # virtually-valid schedule, original jobs only
-    valid: Schedule       # after conversions, original jobs only
-    discards: int         # discarded original jobs in `valid`
-    nodes: int            # budget nodes spent, every horizon attempt included
-
-
-def _originals(sched: Schedule, n: int) -> Schedule:
-    """The schedule of the first ``n`` jobs, dropping padding jobs."""
-    return Schedule(T=sched.T, assign=sched.assign[:n])
-
-
-def _with_sinks(inst: Instance, padded: Instance, sched: Schedule, after: int) -> Schedule:
-    """``sched`` of the original jobs, extended to ``padded``: its sinks
-    fill the slots after ``after`` up to the padded horizon, ``m`` per
-    slot, in ascending id."""
-    assign: list[Slot] = list(sched.assign)
-    slot = after
-    for k, _ in enumerate(iter_jobs(padded.all_jobs & ~inst.all_jobs)):
-        if k % inst.m == 0:
-            slot += 1
-        assign.append(slot)
-    return Schedule(T=slot, assign=tuple(assign))
-
-
-def _solve_at_horizon(
-    inst: Instance,
-    horizon: int,
-    eps: Fraction,
-    overrides: dict,
-    budget: Budget,
-    oracle: tuple[int, Schedule] | None,
-) -> SolveOutcome | None:
-    """Solve at one horizon; with ``oracle`` (the result of ``exact_opt``),
-    fail when its optimum exceeds ``horizon`` and otherwise replay the
-    splits of its schedule instead of enumerating.
-
-    A collapsed (``L = 0``) attempt whose oracle schedule fits ``horizon``
-    is answered from it with no search, as the bottom search would answer
-    at its root node: it counts one budget node and returns that schedule
-    under the padded horizon.  So a collapsed searched run counts the
-    oracle's search states plus one node."""
-    padded, T2, _pads = pad_to_power_of_two(inst, horizon)
-    params = compute_params(T2, inst.m, eps, overrides=overrides or None)
-    if oracle is not None:
-        opt, held = oracle
-        if opt > horizon:
-            return None
-        if params.L == 0 and held.makespan <= horizon:
-            report = verify_valid(inst, held)
-            if report.ok and not report.discards:
-                budget.tick()  # the root state the bottom search would have entered
-                sched = Schedule(T=T2, assign=held.assign)
-                return SolveOutcome(horizon=horizon, padded_T=T2, virtual=sched, valid=sched,
-                                    discards=0, nodes=budget.nodes)
-        reference = _with_sinks(inst, padded, held, horizon)
-        sys_out, virtual = solve_hinted(padded, reference, params, budget=budget)
-    else:
-        sys_out, virtual = main_solve(padded, params, budget)
-    valid = virtual
-    if params.L > 0:  # with no top jobs both conversions are the identity
-        canon = canonicalize(padded, sys_out, virtual, params)
-        valid = virtually_valid_to_valid(padded, sys_out, canon, params)
-    valid_orig = _originals(valid, inst.n)
-    return SolveOutcome(
-        horizon=horizon,
-        padded_T=T2,
-        virtual=_originals(virtual, inst.n),
-        valid=valid_orig,
-        discards=valid_orig.discard_count,
-        nodes=budget.nodes,
-    )
-
-
-def _search_horizon(inst, eps, overrides, budget, oracle, bounds):
-    """Minimal horizon whose converted schedule discards nothing.
-
-    ``bounds`` is the run's bound sandwich.  When the tree at its list
-    schedule's horizon collapses (``L = 0``), so does every smaller one,
-    since ``L = log2 T2 - h`` never falls as ``T2`` grows: the answer is
-    the optimum, taken from ``oracle`` or from ``exact_opt``, and one
-    attempt there is answered from its schedule.  Such a run counts the
-    oracle's search states plus one node.  Deeper trees bisect with
-    ``binary_search_makespan``, which probes the lower bound first."""
-    if inst.n == 0:  # the search returns horizon 0 without solving
-        empty = Schedule(T=0, assign=())
-        return SolveOutcome(horizon=0, padded_T=0, virtual=empty, valid=empty, discards=0,
-                            nodes=budget.nodes)
-    T2 = next_power_of_two(max(bounds[1].makespan, 2))
-    if compute_params(T2, inst.m, eps, overrides=overrides or None).L == 0:
-        opt, best = oracle or exact_opt(inst, bounds=bounds, budget=budget)
-        return _solve_at_horizon(inst, opt, eps, overrides, budget, (opt, best))
-    outcomes: dict[int, SolveOutcome] = {}
-
-    def attempt(T0: int) -> Schedule | None:
-        got = _solve_at_horizon(inst, T0, eps, overrides, budget, oracle)
-        if got is None or got.discards:
-            return None
-        outcomes[T0] = got
-        return got.valid
-
-    T, _ = binary_search_makespan(inst, attempt, bounds)
-    return replace(outcomes[T], nodes=budget.nodes)
-
-
 def cmd_gen(args) -> int:
     inst, edges = gen_instance(args.family, args.n, args.m, args.density, args.seed)
     _emit(io.format_instance(inst, edges), args.out)
@@ -206,33 +95,16 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _check_budget(args) -> None:
-    if args.budget < 0:
-        raise ValueError(f"need --budget >= 0, got {args.budget}")
-
-
-def _common_solve(args, inst: Instance) -> SolveOutcome:
+def _solve_flags(args) -> dict:
+    """The keyword arguments of ``pipeline.solve`` that ``args`` holds."""
     overrides = _parse_overrides(args.param_override)
-    budget = Budget(limit=args.budget)
     eps = _number(args.epsilon, f"--epsilon {args.epsilon!r}")
-    if args.horizon is not None and args.horizon < 1:
-        raise ValueError(f"need --horizon >= 1, got {args.horizon}")
-    _check_budget(args)
-    # one sandwich per run, for the oracle and the horizon search; a run
-    # with neither needs none
-    searched = args.horizon is None
-    bounds = bound_sandwich(inst) if args.hinted or searched else None
-    oracle = exact_opt(inst, bounds=bounds, budget=budget) if args.hinted else None
-    if not searched:
-        got = _solve_at_horizon(inst, args.horizon, eps, overrides, budget, oracle)
-        if got is None:
-            raise NoSolution(f"no zero-discard reference at horizon {args.horizon}")
-        return got
-    return _search_horizon(inst, eps, overrides, budget, oracle, bounds)
+    return dict(eps=eps, overrides=overrides, horizon=args.horizon, hinted=args.hinted,
+                budget=args.budget)
 
 
 def cmd_solve(args) -> int:
-    got = _common_solve(args, io.read_instance(args.instance))
+    got = pipeline.solve(io.read_instance(args.instance), **_solve_flags(args))
     _emit(io.format_schedule(got.virtual), args.out)
     print(
         f"horizon {got.horizon} padded {got.padded_T}: "
@@ -245,8 +117,7 @@ def cmd_solve(args) -> int:
 
 def cmd_pipeline(args) -> int:
     inst = io.read_instance(args.instance)
-    got = _common_solve(args, inst)
-    final = insert_discarded(inst, got.valid)
+    got, final = pipeline.pipeline(inst, **_solve_flags(args))
     _emit(io.format_schedule(final), args.out)
     report = verify_valid(inst, final)
     status = "valid" if report.ok else "INVALID"
@@ -263,7 +134,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"bench needs --n >= 1, got {args.n}")
     if args.count < 0:
         raise ValueError(f"bench needs --count >= 0, got {args.count}")
-    _check_budget(args)
+    if args.budget < 0:
+        raise ValueError(f"need --budget >= 0, got {args.budget}")
     eps = _number(args.epsilon, f"--epsilon {args.epsilon!r}")
     overrides = _parse_overrides(args.param_override)
     rows = []
@@ -275,7 +147,7 @@ def cmd_bench(args) -> int:
         budget = Budget(limit=args.budget)
         opt, best = exact_opt(inst, budget=budget)
         graham = graham_list(inst).makespan
-        got = _solve_at_horizon(inst, opt, eps, overrides, budget, (opt, best))
+        got = pipeline.solve_at_horizon(inst, opt, eps, overrides, budget, (opt, best))
         final = insert_discarded(inst, got.valid)
         wall_ms = (time.perf_counter() - start) * 1000
         rows.append({

@@ -1,0 +1,157 @@
+"""The solving pipeline: pick a horizon, solve there with guessed splits,
+make the virtually-valid schedule valid, re-insert the discarded jobs.
+
+``solve`` runs the first three steps and ``pipeline`` all four; their
+parameters are the ``psched solve`` and ``psched pipeline`` flags.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from fractions import Fraction
+
+from .baselines import bound_sandwich, exact_opt
+from .convert import canonicalize, virtually_valid_to_valid
+from .core import Instance, Schedule, Slot, iter_jobs
+from .dyadic import compute_params
+from .errors import NoSolution
+from .solver import DEFAULT_BUDGET, Budget, main_solve, solve_hinted
+from .transform import (binary_search_makespan, insert_discarded, next_power_of_two,
+                        pad_to_power_of_two)
+
+
+@dataclass
+class SolveOutcome:
+    horizon: int          # requested horizon (pre-padding)
+    padded_T: int         # power-of-two horizon actually solved
+    virtual: Schedule     # virtually-valid schedule, original jobs only
+    valid: Schedule       # after conversions, original jobs only
+    discards: int         # discarded original jobs in `valid`
+    nodes: int            # budget nodes spent, every horizon attempt included
+
+
+def _originals(sched: Schedule, n: int) -> Schedule:
+    """The schedule of the first ``n`` jobs, dropping padding jobs."""
+    return sched if sched.n == n else Schedule(T=sched.T, assign=sched.assign[:n])
+
+
+def _with_sinks(inst: Instance, padded: Instance, sched: Schedule, after: int) -> Schedule:
+    """``sched`` of the original jobs, extended to ``padded``: its sinks
+    fill the slots after ``after`` up to the padded horizon, ``m`` per
+    slot, in ascending id."""
+    assign: list[Slot] = list(sched.assign)
+    slot = after
+    for k, _ in enumerate(iter_jobs(padded.all_jobs & ~inst.all_jobs)):
+        if k % inst.m == 0:
+            slot += 1
+        assign.append(slot)
+    return Schedule(T=slot, assign=tuple(assign))
+
+
+def solve_at_horizon(
+    inst: Instance,
+    horizon: int,
+    eps: Fraction,
+    overrides: dict,
+    budget: Budget,
+    oracle: tuple[int, Schedule] | None,
+) -> SolveOutcome | None:
+    """Solve at one horizon; with ``oracle`` (the result of ``exact_opt``),
+    fail when its optimum exceeds ``horizon`` and otherwise replay the
+    splits of its schedule instead of enumerating.  A collapsed (``L = 0``)
+    replay runs on the instance itself, where ``solve_hinted`` answers
+    with the oracle's schedule for one node; deeper ones add the padding
+    sinks to it."""
+    padded, T2, _pads = pad_to_power_of_two(inst, horizon)
+    params = compute_params(T2, inst.m, eps, overrides=overrides or None)
+    if oracle is None:
+        sys_out, virtual = main_solve(padded, params, budget)
+    elif oracle[0] > horizon:
+        return None
+    elif params.L == 0:
+        sys_out, virtual = solve_hinted(inst, oracle[1], params, budget)
+    else:
+        reference = _with_sinks(inst, padded, oracle[1], horizon)
+        sys_out, virtual = solve_hinted(padded, reference, params, budget)
+    valid = virtual
+    if params.L > 0:  # with no top jobs both conversions are the identity
+        canon = canonicalize(padded, sys_out, virtual, params)
+        valid = virtually_valid_to_valid(padded, sys_out, canon, params)
+    valid_orig = _originals(valid, inst.n)
+    return SolveOutcome(
+        horizon=horizon,
+        padded_T=T2,
+        virtual=_originals(virtual, inst.n),
+        valid=valid_orig,
+        discards=valid_orig.discard_count,
+        nodes=budget.nodes,
+    )
+
+
+def _search_horizon(inst, eps, overrides, budget, oracle, bounds):
+    """Minimal horizon whose converted schedule discards nothing.
+
+    ``bounds`` is the run's bound sandwich.  When the tree at its list
+    schedule's horizon collapses (``L = 0``), so does every smaller one,
+    since ``L = log2 T2 - h`` never falls as ``T2`` grows: the answer is
+    the optimum, taken from ``oracle`` or from ``exact_opt``, and one
+    attempt there is answered from its schedule.  Deeper trees bisect with
+    ``binary_search_makespan``, which probes the lower bound first."""
+    if inst.n == 0:  # the search returns horizon 0 without solving
+        empty = Schedule(T=0, assign=())
+        return SolveOutcome(horizon=0, padded_T=0, virtual=empty, valid=empty, discards=0,
+                            nodes=budget.nodes)
+    T2 = next_power_of_two(max(bounds[1].makespan, 2))
+    if compute_params(T2, inst.m, eps, overrides=overrides or None).L == 0:
+        opt, best = oracle or exact_opt(inst, bounds=bounds, budget=budget)
+        return solve_at_horizon(inst, opt, eps, overrides, budget, (opt, best))
+    outcomes: dict[int, SolveOutcome] = {}
+
+    def attempt(T0: int) -> Schedule | None:
+        got = solve_at_horizon(inst, T0, eps, overrides, budget, oracle)
+        if got is None or got.discards:
+            return None
+        outcomes[T0] = got
+        return got.valid
+
+    T, _ = binary_search_makespan(inst, attempt, bounds)
+    return replace(outcomes[T], nodes=budget.nodes)
+
+
+def solve(inst: Instance, eps: Fraction = Fraction(1, 2), overrides: dict | None = None,
+          horizon: int | None = None, hinted: bool = False,
+          budget: int = DEFAULT_BUDGET) -> SolveOutcome:
+    """Solve at ``horizon``, or, when it is ``None``, at the smallest
+    horizon found whose valid schedule discards nothing.
+
+    ``overrides`` maps ``dyadic.OVERRIDE_KEYS`` to values, and ``budget``
+    caps the nodes of the whole run, the ``hinted`` oracle's included
+    (``BudgetExceeded``).  Raises ``ValueError`` on ``horizon < 1`` or
+    ``budget < 0``, and ``NoSolution`` when no horizon is found."""
+    if horizon is not None and horizon < 1:
+        raise ValueError(f"need --horizon >= 1, got {horizon}")
+    if budget < 0:
+        raise ValueError(f"need --budget >= 0, got {budget}")
+    overrides = overrides or {}
+    nodes = Budget(limit=budget)
+    # one sandwich per run, for the oracle and the horizon search; a run
+    # with neither needs none
+    searched = horizon is None
+    bounds = bound_sandwich(inst) if hinted or searched else None
+    oracle = exact_opt(inst, bounds=bounds, budget=nodes) if hinted else None
+    if not searched:
+        got = solve_at_horizon(inst, horizon, eps, overrides, nodes, oracle)
+        if got is None:
+            raise NoSolution(f"no zero-discard reference at horizon {horizon}")
+        return got
+    return _search_horizon(inst, eps, overrides, nodes, oracle, bounds)
+
+
+def pipeline(inst: Instance, eps: Fraction = Fraction(1, 2), overrides: dict | None = None,
+             horizon: int | None = None, hinted: bool = False,
+             budget: int = DEFAULT_BUDGET) -> tuple[SolveOutcome, Schedule]:
+    """``solve``'s outcome and the final schedule: its valid schedule with
+    every discarded job re-inserted by ``insert_discarded``, which is not
+    called when nothing was discarded."""
+    got = solve(inst, eps, overrides, horizon, hinted, budget)
+    return got, insert_discarded(inst, got.valid) if got.discards else got.valid

@@ -73,10 +73,11 @@ class Budget:
     a translate of it on the same level.  A tree with ``L = 0`` runs no
     cascades and no ``schedule_subtree``, so only its bottom-search states
     count.  ``exact_opt`` counts its states in the budget it is given,
-    which for a CLI run is the run's ``--budget``.  A CLI attempt on such
-    a tree answered from the oracle's schedule counts one node, the root
-    state the bottom search would have entered, so a collapsed searched
-    run counts the oracle's search states plus one node.
+    which for a ``pipeline.solve`` run is the run's ``budget``.
+    ``solve_hinted`` on such a tree answers from its reference for one
+    node, the root state the bottom search would have entered, so a
+    collapsed searched run counts the oracle's search states plus one
+    node.
     """
 
     limit: int = DEFAULT_BUDGET
@@ -280,24 +281,6 @@ def enumerate_partitions(
             j_right |= mask_from(members[a : a + b])
             j_disc |= mask_from(members[a + b :])
         yield j_left, j_right, j_disc
-
-
-def partition_class_key(
-    pool_windows: dict[int, Window],
-    root: Interval,
-    j_left: JobSet,
-    j_right: JobSet,
-) -> tuple:
-    """Equivalence-class key of a concrete partition (for tests and dedup)."""
-    left_ms = sorted(
-        (_clip(pool_windows[j], root.begin, root.center) for j in iter_jobs(j_left)),
-        key=lambda w: w or (-1, -1),
-    )
-    right_ms = sorted(
-        (_clip(pool_windows[j], root.center, root.end) for j in iter_jobs(j_right)),
-        key=lambda w: w or (-1, -1),
-    )
-    return tuple(left_ms), tuple(right_ms)
 
 
 def antichains(
@@ -808,7 +791,6 @@ def main_solve(
     params: Params,
     budget: Budget | None = None,
     hints: Hints | None = None,
-    warm: Schedule | None = None,
 ) -> tuple[PartialDyadicSystem, Schedule]:
     """Full enumeration over outer split decisions, keeping the best schedule.
 
@@ -819,13 +801,11 @@ def main_solve(
 
     When ``L = 0`` the whole horizon is one bottom interval: the result is
     one ``bottom_solve`` of all jobs on the root, with no cascades,
-    subtrees or memo, and ``hints`` are not read.  It is warm-started from
-    ``warm``, a schedule of every job; ``bottom_solve`` keeps a warm start
-    only when it is valid on ``(0, T]``, and one that schedules every job
-    ends the search at its root node.  Deeper trees ignore ``warm``.  The
-    CLI calls here only for a deep tree or a horizon the user gave: a
-    collapsed searched run takes its schedule from ``exact_opt``, which
-    runs ``bottom_solve``'s complete mode on the instance itself.
+    subtrees or memo, and ``hints`` are not read.  A collapsed pipeline
+    attempt with an oracle does not come here: ``solve_hinted`` answers it
+    from the oracle's schedule, and a searched run whose tree collapses
+    takes that schedule from ``exact_opt``, which runs ``bottom_solve``'s
+    complete mode on the instance itself.
     """
     budget = budget or Budget()
     tree = tree_for(params)
@@ -838,8 +818,7 @@ def main_solve(
         root_sys = full_system(params, {tree.root: inst.all_jobs})
         if inst.n > params.m * params.T:  # the root cannot hold them all
             return root_sys, best_sched
-        start = None if warm is None else dict(enumerate(warm.assign))
-        assign = bottom_solve(inst, tree.root, inst.all_jobs, 0, {}, params, budget, start)
+        assign = bottom_solve(inst, tree.root, inst.all_jobs, 0, {}, params, budget)
         return root_sys, Schedule(T=params.T, assign=tuple(assign[j] for j in range(inst.n)))
     memo = SolveMemo()
     best_count = 0
@@ -873,16 +852,19 @@ def solve_hinted(
     through the same machinery as the full enumeration.  The result
     schedules at least as many jobs as the virtually-valid reference.
 
-    When ``L = 0`` there are no splits to record and no top intervals, so
-    the virtually-valid reference is the reference itself: it is checked
+    When ``L = 0`` there are no splits and no top intervals, so the answer
+    is the reference itself under horizon T, with no search: it is checked
     as ``system_from_schedule`` would (``InvalidInput`` unless it has no
-    discards, fits in T and is valid) and warm-starts ``main_solve``'s one
-    bottom search, which then keeps every job at its root node.
+    discards, fits in T and is valid) and counts one node, the root state
+    a bottom search would enter.
     """
-    if tree_for(params).L == 0:
+    tree = tree_for(params)
+    if tree.L == 0:
         check_reference(inst, reference, params)
-        return main_solve(inst, params, budget=budget, warm=reference)
+        (budget or Budget()).tick()
+        root_sys = full_system(params, {tree.root: inst.all_jobs})
+        return root_sys, Schedule(T=params.T, assign=reference.assign)
     ref_sys, _, guesses = system_from_schedule(inst, reference, params)
     virt = valid_to_virtually_valid(inst, ref_sys, reference, params)
-    hints = Hints({tree_for(params).index(iv): g for iv, g in guesses.items()}, virt)
+    hints = Hints({tree.index(iv): g for iv, g in guesses.items()}, virt)
     return main_solve(inst, params, budget=budget, hints=hints)

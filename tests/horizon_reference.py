@@ -1,21 +1,22 @@
 """One horizon attempt that always runs the solver on the padded instance.
 
-A test-only copy of ``psched.cli._solve_at_horizon`` without its answer
-from a held schedule: the oracle's schedule, extended with the padding
-sinks, is replayed through ``solve_hinted``; otherwise ``main_solve``
-searches the padded instance.  ``test_cli`` holds deep and oracle
-attempts to the same ``SolveOutcome``, node count included, and checks
-with it that a collapsed run's horizon is the smallest that fits.
+A test-only copy of ``psched.pipeline.solve_at_horizon`` without its
+collapsed route on the instance itself: the oracle's schedule, extended
+with the padding sinks, is replayed through ``solve_hinted`` on the padded
+instance at every depth; otherwise ``main_solve`` searches the padded
+instance.  ``test_cli`` holds deep and oracle attempts to the same
+``SolveOutcome``, node count included, and checks with it that a
+collapsed run's horizon is the smallest that fits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from psched.cli import SolveOutcome, _originals, _with_sinks
 from psched.convert import canonicalize, virtually_valid_to_valid
 from psched.core import Instance, Schedule
 from psched.dyadic import compute_params
+from psched.pipeline import SolveOutcome, _originals, _with_sinks
 from psched.solver import Budget, main_solve, solve_hinted
 from psched.transform import pad_to_power_of_two
 

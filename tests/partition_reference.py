@@ -4,14 +4,15 @@ A test-only copy of the earlier ``psched.solver.enumerate_partitions``: it
 also yields partitions that send a job to a half its window misses (clip
 ``None`` there), where that job can never be placed.  ``test_solver``
 holds ``main_solve`` with the current enumeration to the same system and
-schedule as with this one.
+schedule as with this one.  ``partition_class_key``, once in
+``psched.solver``, names the equivalence class of a concrete partition.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from psched.core import Interval, mask_from
+from psched.core import Interval, JobSet, iter_jobs, mask_from
 from psched.dyadic import Window
 
 
@@ -57,3 +58,18 @@ def reference_enumerate_partitions(pool_windows: dict[int, Window], root: Interv
             j_right |= mask_from(members[a : a + b])
             j_disc |= mask_from(members[a + b :])
         yield j_left, j_right, j_disc
+
+
+def partition_class_key(
+    pool_windows: dict[int, Window],
+    root: Interval,
+    j_left: JobSet,
+    j_right: JobSet,
+) -> tuple:
+    """Equivalence-class key of a concrete partition: the sorted multisets
+    of the windows clipped to each half."""
+    left_ms = sorted((_clip(pool_windows[j], root.left) for j in iter_jobs(j_left)),
+                     key=lambda w: w or (-1, -1))
+    right_ms = sorted((_clip(pool_windows[j], root.right) for j in iter_jobs(j_right)),
+                      key=lambda w: w or (-1, -1))
+    return tuple(left_ms), tuple(right_ms)

@@ -13,10 +13,8 @@ from psched.baselines import (
     CapacityProfile,
     bound_sandwich,
     capacity_list_schedule,
-    critical_path_list,
     exact_opt,
     graham_list,
-    level_bound,
     tail_heights,
 )
 from psched.cli import run_command
@@ -33,6 +31,7 @@ from conftest import (
     permutation_opt,
     random_instance,
 )
+from bound_reference import critical_path_list, level_bound
 from exact_reference import reference_exact_dp
 
 
@@ -307,11 +306,11 @@ def test_level_bound_counts_jobs_above_a_height():
     # the source and the middle jobs all run before the sink's slot, so
     # 1 + ceil(7/2) = 5 slots, more than max(chain 3, ceil(8/2) = 4)
     inst = build_instance(8, 2, [(0, j) for j in range(1, 7)] + [(j, 7) for j in range(1, 7)])
-    assert level_bound(inst) == 5 == exact_opt(inst)[0]
+    assert bound_sandwich(inst)[0] == level_bound(inst) == 5 == exact_opt(inst)[0]
     # read from the other end: the middle jobs and the sink all come after
     # the source's slot
     flipped = build_instance(8, 2, [(7 - b, 7 - a) for a, b in inst.edges()])
-    assert level_bound(flipped) == 5
+    assert bound_sandwich(flipped)[0] == level_bound(flipped) == 5
 
 
 def test_critical_path_list_runs_longest_tails_first():
@@ -338,7 +337,7 @@ def test_bound_sandwich_prefers_graham_on_a_tie():
 def test_bound_sandwich_brackets_the_optimum_and_pipeline_finds_it(inst):
     opt, _ = exact_opt(inst)
     graham, cp = graham_list(inst), critical_path_list(inst)
-    assert level_bound(inst) <= opt <= cp.makespan
+    assert bound_sandwich(inst)[0] == level_bound(inst) <= opt <= cp.makespan
     for sched in (graham, cp):
         assert_no_violations(verify_valid(inst, sched))
         assert sched.discard_count == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from psched import baselines, cli, io, solver, transform
+from psched import baselines, cli, io, pipeline, solver, transform
 from psched.cli import BENCH_COLUMNS, COMMANDS, run_command
 from psched.core import DISC, Schedule, verify_valid
 from psched.errors import BadParams, InvalidInput
@@ -279,13 +279,13 @@ def test_list_schedule_certifies_the_optimum_in_one_attempt(tmp_path, capsys, mo
                         "--seed", "5", "--out", str(inst_path)]) == 0
     capsys.readouterr()
     attempts = []
-    solve_at = cli._solve_at_horizon
+    solve_at = pipeline.solve_at_horizon
 
     def spy(inst, T, *args):
         attempts.append(T)
         return solve_at(inst, T, *args)
 
-    monkeypatch.setattr(cli, "_solve_at_horizon", spy)
+    monkeypatch.setattr(pipeline, "solve_at_horizon", spy)
     assert run_command(["solve", str(inst_path), "--out", str(tmp_path / "s.sched")]) == 0
     assert capsys.readouterr().err == (
         f"horizon {horizon} padded 32: {n} scheduled, 0 discarded, 1 nodes\n")
@@ -314,7 +314,7 @@ def test_pipeline_computes_the_bound_sandwich_at_most_once(tmp_path, capsys, mon
         seen.append(inst.n)
         return sandwich(inst)
 
-    for mod in (baselines, cli, transform):
+    for mod in (baselines, pipeline, transform):
         monkeypatch.setattr(mod, "bound_sandwich", counted)
     assert run_command(["pipeline", str(inst_path), *flags,
                         "--out", str(tmp_path / "o.sched")]) == 0
@@ -623,7 +623,7 @@ def _attempts_beside_reference(monkeypatch):
     copy of the run's budget, then for real; returns the (reference, real)
     outcome pairs, one per attempt."""
     pairs = []
-    solve_at = cli._solve_at_horizon
+    solve_at = pipeline.solve_at_horizon
 
     def both(inst, horizon, eps, overrides, budget, oracle):
         copy = Budget(limit=budget.limit, nodes=budget.nodes)
@@ -632,27 +632,27 @@ def _attempts_beside_reference(monkeypatch):
         pairs.append((want, got))
         return got
 
-    monkeypatch.setattr(cli, "_solve_at_horizon", both)
+    monkeypatch.setattr(pipeline, "solve_at_horizon", both)
     return pairs
 
 
 def _searches(monkeypatch):
     """Record ``(padded T, L, "main")`` of every ``main_solve`` call and
-    ``(padded T, L, "hinted")`` of every ``solve_hinted`` call that the CLI
-    makes (the reference's calls are not seen)."""
+    ``(padded T, L, "hinted")`` of every ``solve_hinted`` call that the
+    pipeline makes (the reference's calls are not seen)."""
     calls = []
-    main, hinted = cli.main_solve, cli.solve_hinted
+    main, hinted = pipeline.main_solve, pipeline.solve_hinted
 
-    def main_spy(inst, params, budget=None, hints=None, warm=None):
+    def main_spy(inst, params, budget=None, hints=None):
         calls.append((params.T, params.L, "main"))
-        return main(inst, params, budget, hints, warm)
+        return main(inst, params, budget, hints)
 
     def hinted_spy(inst, reference, params, budget=None):
         calls.append((params.T, params.L, "hinted"))
         return hinted(inst, reference, params, budget)
 
-    monkeypatch.setattr(cli, "main_solve", main_spy)
-    monkeypatch.setattr(cli, "solve_hinted", hinted_spy)
+    monkeypatch.setattr(pipeline, "main_solve", main_spy)
+    monkeypatch.setattr(pipeline, "solve_hinted", hinted_spy)
     return calls
 
 
@@ -660,17 +660,17 @@ def _searches(monkeypatch):
 @pytest.mark.parametrize("flags", [[], ["--hinted"]], ids=["plain", "hinted"])
 def test_collapsed_attempts_match_the_padded_search(monkeypatch, family, flags):
     # every default run here collapses: it makes no binary search and one
-    # attempt, at exact_opt's optimum, answered from exact_opt's schedule.
-    # The padded search agrees that the optimum is the smallest horizon
-    # that fits: it keeps every job there and discards some one below,
-    # wherever the level bound leaves that horizon open
+    # attempt, at exact_opt's optimum: one solve_hinted call at L = 0,
+    # which answers from exact_opt's schedule.  The padded search agrees
+    # that the optimum is the smallest horizon that fits: it keeps every
+    # job there and discards some one below, wherever the level bound
+    # leaves that horizon open
     searched = _searches(monkeypatch)
 
     def bisect(*args):
         raise AssertionError("a collapsed run bisected")
 
-    monkeypatch.setattr(cli, "binary_search_makespan", bisect)
-    args = cli.build_parser("solve").parse_args(["solve", "unused", *flags])
+    monkeypatch.setattr(pipeline, "binary_search_makespan", bisect)
     eps, open_below = Fraction(1, 2), 0
     for n in range(6, 17):
         for m in (2, 3, 4):
@@ -678,17 +678,18 @@ def test_collapsed_attempts_match_the_padded_search(monkeypatch, family, flags):
                 inst, _ = gen_instance(family, n, m, 0.3, seed)
                 oracle = Budget()
                 opt, best = baselines.exact_opt(inst, budget=oracle)
-                got = cli._common_solve(args, inst)
+                searched.clear()
+                got = pipeline.solve(inst, eps, hinted=flags == ["--hinted"])
                 assert (got.horizon, got.discards, got.nodes) == (opt, 0, oracle.nodes + 1)
-                sched = Schedule(T=transform.next_power_of_two(max(opt, 2)), assign=best.assign)
-                assert got.virtual == got.valid == sched
+                T2 = transform.next_power_of_two(max(opt, 2))
+                assert searched == [(T2, 0, "hinted")]
+                assert got.virtual == got.valid == Schedule(T=T2, assign=best.assign)
                 at = reference_solve_at_horizon(inst, opt, eps, {}, Budget(), None)
                 assert at.discards == 0
-                if opt > baselines.level_bound(inst):
+                if opt > baselines.bound_sandwich(inst)[0]:
                     below = reference_solve_at_horizon(inst, opt - 1, eps, {}, Budget(), None)
                     assert below.discards > 0
                     open_below += 1
-    assert searched == []
     assert open_below > 0 or family != "random-dag"  # the others meet the level bound
 
 
@@ -698,14 +699,14 @@ def test_certified_pipeline_runs_no_search(tmp_path, capsys, monkeypatch, flags)
     # n=9 m=3 seed 5: the level bound meets a list schedule's makespan
     inst_path = _gen(tmp_path, 9, 3, 5)
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_solve_at_horizon", reference_solve_at_horizon)
+        patch.setattr(pipeline, "solve_at_horizon", reference_solve_at_horizon)
         want = _pipeline(tmp_path, capsys, inst_path, flags)
     assert want[0] == 0
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a certified run searched")
 
-    for mod, name in ((cli, "main_solve"), (cli, "solve_hinted"), (solver, "main_solve"),
+    for mod, name in ((pipeline, "main_solve"), (solver, "main_solve"),
                       (solver, "bottom_solve")):
         monkeypatch.setattr(mod, name, forbidden)
     assert _pipeline(tmp_path, capsys, inst_path, flags) == want
@@ -714,7 +715,8 @@ def test_certified_pipeline_runs_no_search(tmp_path, capsys, monkeypatch, flags)
 def test_open_sandwich_still_searches_below_the_list_schedule(tmp_path, capsys, monkeypatch):
     # n=12 m=2 seed 162: level bound 7, list schedules 8.  exact_opt's
     # complete-mode search fails at 7 and fits 8 (10 nodes); the one
-    # attempt, at 8, is answered from its schedule for one node more
+    # attempt, at 8, is solve_hinted answering from its schedule for one
+    # node more, with no search, and so is the reference's replay
     inst_path = _gen(tmp_path, 12, 2, 162)
     pairs = _attempts_beside_reference(monkeypatch)
     searched = _searches(monkeypatch)
@@ -729,9 +731,8 @@ def test_open_sandwich_still_searches_below_the_list_schedule(tmp_path, capsys, 
     capsys.readouterr()
     assert run_command(["solve", str(inst_path), "--out", str(tmp_path / "s.sched")]) == 0
     assert capsys.readouterr().err == "horizon 8 padded 8: 12 scheduled, 0 discarded, 11 nodes\n"
-    # the third search is the reference's replay of the oracle's schedule
-    assert horizons == [(7, True), (8, True), (8, False)]
-    assert searched == []
+    assert horizons == [(7, True), (8, True)]
+    assert searched == [(8, 0, "hinted")]
     (want, got), = pairs
     assert (got.horizon, got.discards) == (8, 0)
     assert (want.horizon, want.valid) == (got.horizon, got.valid)
@@ -765,18 +766,36 @@ def _broken(inst, sched, how):
     return Schedule(T=sched.T, assign=tuple(assign))
 
 
-@pytest.mark.parametrize("how", ["precedence", "discard"])
-def test_held_schedule_failing_the_gate_falls_through_to_the_search(monkeypatch, how):
-    # an oracle schedule that fails the gate is not returned: it falls
-    # through to the replay, which rejects it
+@pytest.mark.parametrize("how, message", [
+    ("precedence", "reference schedule invalid"),
+    ("discard", "reference schedule must have zero discards"),
+], ids=["precedence", "discard"])
+def test_broken_oracle_schedule_is_rejected_by_check_reference(monkeypatch, how, message):
+    # a collapsed attempt hands the oracle's schedule to solve_hinted on
+    # the instance itself, whose check_reference rejects a broken one:
+    # there is no padded replay and no search
     inst, _ = gen_instance("random-dag", 9, 3, 0.3, 5)
     lo, upper = baselines.bound_sandwich(inst)
     held = _broken(inst, upper, how)
     assert held.makespan <= lo and not (verify_valid(inst, held).ok and not held.discard_count)
     searched = _searches(monkeypatch)
-    with pytest.raises(InvalidInput):
-        cli._solve_at_horizon(inst, lo, Fraction(1, 2), {}, Budget(), (lo, held))
+    seen = []
+    check = solver.check_reference
+
+    def check_spy(inst, sched, params):
+        seen.append((inst.n, sched))
+        return check(inst, sched, params)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a broken oracle schedule was searched")
+
+    monkeypatch.setattr(solver, "check_reference", check_spy)
+    for name in ("main_solve", "bottom_solve", "system_from_schedule"):
+        monkeypatch.setattr(solver, name, forbidden)
+    with pytest.raises(InvalidInput, match=message):
+        pipeline.solve_at_horizon(inst, lo, Fraction(1, 2), {}, Budget(), (lo, held))
     assert searched == [(8, 0, "hinted")]
+    assert seen == [(9, held)]
 
 
 @pytest.mark.parametrize("text, line, assign", [

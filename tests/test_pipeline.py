@@ -1,0 +1,76 @@
+"""The library pipeline: ``psched.pipeline.solve`` and ``pipeline`` give
+what the ``psched solve`` and ``psched pipeline`` commands write."""
+
+from fractions import Fraction
+
+import pytest
+
+from psched import io
+from psched.cli import run_command
+from psched.errors import NoSolution
+from psched.generators import gen_instance
+from psched.pipeline import pipeline, solve
+
+DEEP = {"h": 1, "hp": 1, "p": 2}
+
+
+def _flags(overrides, horizon, hinted):
+    out = [f"--param-override={k}={v}" for k, v in overrides.items()]
+    if horizon is not None:
+        out += ["--horizon", str(horizon)]
+    return out + ["--hinted"] * hinted
+
+
+# (family, n, m, seed, overrides, horizon, hinted)
+CASES = [
+    ("random-dag", 12, 2, 162, {}, None, False),
+    ("layered", 10, 3, 1, {}, None, False),
+    ("random-dag", 9, 3, 5, {}, None, True),
+    ("forest", 14, 2, 3, {}, None, True),
+    ("random-dag", 12, 2, 4, {}, 9, False),
+    ("layered", 9, 2, 2, {}, 12, True),
+    ("random-dag", 6, 2, 1, DEEP, 16, False),
+    ("random-dag", 5, 2, 0, DEEP, None, False),
+    ("forest", 8, 2, 0, DEEP, None, True),
+    ("layered", 8, 3, 1, DEEP, 16, True),
+]
+
+
+@pytest.mark.parametrize("family, n, m, seed, overrides, horizon, hinted", CASES, ids=[
+    f"{c[0]}-n{c[1]}-m{c[2]}-s{c[3]}{'-deep' if c[4] else ''}"
+    f"{f'-T{c[5]}' if c[5] else ''}{'-hinted' if c[6] else ''}" for c in CASES
+])
+def test_library_matches_the_commands(tmp_path, capsys, family, n, m, seed, overrides,
+                                      horizon, hinted):
+    inst, edges = gen_instance(family, n, m, 0.3, seed)
+    inst_path = tmp_path / "i.psched"
+    inst_path.write_text(io.format_instance(inst, edges), encoding="utf-8")
+    flags = _flags(overrides, horizon, hinted)
+    for command in ("solve", "pipeline"):
+        assert run_command([command, str(inst_path), *flags,
+                            "--out", str(tmp_path / f"{command}.sched")]) == 0
+    err = capsys.readouterr().err.splitlines()
+
+    # the default eps and budget are the commands' defaults
+    got = solve(inst, overrides=overrides, horizon=horizon, hinted=hinted)
+    assert io.format_schedule(got.virtual) == (tmp_path / "solve.sched").read_text()
+    assert err[0] == (f"horizon {got.horizon} padded {got.padded_T}: "
+                      f"{got.virtual.scheduled_count} scheduled, "
+                      f"{got.virtual.discard_count} discarded, {got.nodes} nodes")
+    again, final = pipeline(inst, Fraction(1, 2), overrides, horizon, hinted)
+    assert again == got
+    assert io.format_schedule(final) == (tmp_path / "pipeline.sched").read_text()
+    assert err[1].startswith(f"horizon {got.horizon} padded {got.padded_T}: "
+                             f"solver discarded {got.discards}, final makespan {final.makespan}")
+    assert final.discard_count == 0
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"horizon": 0}, ValueError, "need --horizon >= 1, got 0"),
+    ({"budget": -1}, ValueError, "need --budget >= 0, got -1"),
+    ({"horizon": 3, "hinted": True}, NoSolution, "no zero-discard reference at horizon 3"),
+])
+def test_library_input_errors(kwargs, error, message):
+    inst, _ = gen_instance("random-dag", 12, 2, 0.3, 4)
+    with pytest.raises(error, match=message):
+        pipeline(inst, **kwargs)

@@ -41,14 +41,13 @@ from psched.solver import (
     enumerate_partitions,
     main_solve,
     node_windows,
-    partition_class_key,
     schedule_subtree,
     solve_hinted,
 )
 from psched.transform import pad_to_power_of_two
 
 from conftest import assert_no_violations, max_scheduled_oracle, random_instance
-from partition_reference import reference_enumerate_partitions
+from partition_reference import partition_class_key, reference_enumerate_partitions
 
 from test_dyadic import desk_params, reference_pair
 
@@ -600,9 +599,10 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
     # at L = 0 main_solve is one bottom_solve on the root: the same system
     # and schedule as the root subproblem's solve, or the all-discard
     # fallback when that finds nothing.  It enters no outer-cascade step
-    # and not the root subproblem, so one node fewer than that call.  The
-    # subproblem is warm-started from the hints' reference, main_solve from
-    # the same schedule passed as ``warm``
+    # and not the root subproblem, so one node fewer than that call.  It
+    # reads no hints; the hinted root subproblem warm-starts its bottom
+    # search from the hints' reference, which can win a tie but cannot
+    # keep more jobs than the exact search finds without it
     inst, params, hints = collapsed_case(seed, m, offset, hinted)
     root = tree_for(params).root
     sub_budget = Budget()
@@ -611,8 +611,7 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
         sub_budget, hints,
     )
     budget = Budget()
-    warm = None if hints is None else hints.reference
-    sys_out, sched = main_solve(inst, params, budget=budget, warm=warm)
+    sys_out, sched = main_solve(inst, params, budget=budget, hints=hints)
     assert sys_out == PartialDyadicSystem(root=root, assign={root: inst.all_jobs})
     if got is None:  # more jobs than the root holds
         assert inst.n > m * params.T
@@ -620,11 +619,13 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
         assert budget.nodes == 0
         return
     assert got[0] == {1: inst.all_jobs}
-    assert sched == Schedule(T=params.T, assign=tuple(got[1][j] for j in range(inst.n)))
-    assert budget.nodes == sub_budget.nodes - 1
     assert check_virtually_valid(inst, sys_out, params, sched).ok
-    if hints is not None:
-        assert sched.scheduled_count >= hints.reference.scheduled_count
+    if hints is None:
+        assert sched == Schedule(T=params.T, assign=tuple(got[1][j] for j in range(inst.n)))
+        assert budget.nodes == sub_budget.nodes - 1
+    else:
+        kept = sum(1 for t in got[1].values() if t is not None)
+        assert sched.scheduled_count == kept >= hints.reference.scheduled_count
 
 
 def test_budget_exceeded():
@@ -658,18 +659,19 @@ COLLAPSED_HINTED = [
 @pytest.mark.parametrize("n, m, seed, T, expected", COLLAPSED_HINTED,
                          ids=[f"n{g[0]}-m{g[1]}-s{g[2]}" for g in COLLAPSED_HINTED])
 def test_collapsed_solve_hinted_replays_the_reference(monkeypatch, n, m, seed, T, expected):
-    # at L = 0 the reference needs no system and no conversion: it
-    # warm-starts the one bottom search, which keeps it at its root node
+    # at L = 0 the reference needs no system, no conversion and no search:
+    # it is the answer, for the one node of the root state
     inst = random_instance(n, m, 0.3, seed)
     params = compute_params(T, m, Fraction(1, 2))
     assert params.L == 0
     reference = Schedule(T=T, assign=graham_list(inst).assign)
 
     def unused(*args, **kwargs):
-        raise AssertionError("no system is built at L = 0")
+        raise AssertionError("no system is built and nothing searched at L = 0")
 
-    monkeypatch.setattr(solver, "system_from_schedule", unused)
-    monkeypatch.setattr(solver, "valid_to_virtually_valid", unused)
+    for name in ("system_from_schedule", "valid_to_virtually_valid", "main_solve",
+                 "bottom_solve"):
+        monkeypatch.setattr(solver, name, unused)
     budget = Budget()
     sys_out, sched = solve_hinted(inst, reference, params, budget=budget)
     assert sched == Schedule(T=T, assign=expected) == reference

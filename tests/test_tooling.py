@@ -103,3 +103,33 @@ def test_exact_opt_searches_when_baselines_is_imported_first():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out == "7 8 8 8 0\n"
+
+
+@pytest.mark.parametrize("n, m, seed, flags, counts", [
+    # certified: check_reference and the final status check are the only
+    # validity checks, and nothing is discarded, so nothing is re-inserted
+    (9, 3, 5, ["--hinted"],
+     {"solver.solve_hinted.calls": 1, "core.verify_valid.calls": 2,
+      "solver.main_solve.calls": 0, "transform.insert_discarded.calls": 0}),
+    (5, 2, 0, ["--param-override", "h=1", "--param-override", "hp=1",
+               "--param-override", "p=2"],
+     {"transform.binary_search_makespan.calls": 1}),
+], ids=["certified-hinted", "deep-searched"])
+def test_tracer_sees_the_layers_the_pipeline_module_calls(tmp_path, n, m, seed, flags,
+                                                          counts):
+    # the solving steps run from psched.pipeline, not from cli; the
+    # tracer rebinds the names that module imported, so it still sees them
+    inst_path = tmp_path / "i.psched"
+    assert cli.run_command(["gen", "--family", "random-dag", "--n", str(n), "--m", str(m),
+                            "--seed", str(seed), "--out", str(inst_path)]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        since = tracer.mark()
+        code = cli.run_command(["pipeline", str(inst_path), *flags,
+                                "--out", str(tmp_path / "o.sched")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    window = tracer.window(since)
+    assert {key: window[key] for key in counts} == counts
