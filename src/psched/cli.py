@@ -148,7 +148,7 @@ def cmd_bench(args) -> int:
         opt, best = exact_opt(inst, budget=budget)
         graham = graham_list(inst).makespan
         got = pipeline.solve_at_horizon(inst, opt, eps, overrides, budget, (opt, best))
-        final = insert_discarded(inst, got.valid)
+        final = insert_discarded(inst, got.valid) if got.discards else got.valid
         wall_ms = (time.perf_counter() - start) * 1000
         rows.append({
             "instance": name,

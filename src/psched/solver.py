@@ -7,7 +7,8 @@ node, partitions the window-constrained pool between the two halves (one
 representative per window-multiset equivalence class, never sending a job
 to a half its window misses), and recurses.
 Within one ``main_solve`` each subproblem is solved once up to
-translation, so the recursion is a dynamic program over its states.
+translation, so the recursion is a dynamic program over its states, and
+a candidate whose job counts cannot beat the best one found is cut.
 Bottom intervals are solved exactly by branch and bound.  A hinted mode
 replays the splits and partitions recorded from a reference schedule
 instead of enumerating, realizing the guarantee that the enumeration can
@@ -70,14 +71,16 @@ class Budget:
     or the failed-state memo of complete mode rules out before entry are
     not counted, nor is a subproblem answered from the ``SolveMemo`` of
     the current ``main_solve``, whether solved at its own interval or at
-    a translate of it on the same level.  A tree with ``L = 0`` runs no
-    cascades and no ``schedule_subtree``, so only its bottom-search states
-    count.  ``exact_opt`` counts its states in the budget it is given,
-    which for a ``pipeline.solve`` run is the run's ``budget``.
-    ``solve_hinted`` on such a tree answers from its reference for one
-    node, the root state the bottom search would have entered, so a
-    collapsed searched run counts the oracle's search states plus one
-    node.
+    a translate of it on the same level, nor a partition or right half
+    that ``schedule_subtree``'s count bound cuts, which is never entered.
+    A tree with ``L = 0`` runs no cascades and no ``schedule_subtree``,
+    so only its bottom-search states count.  ``exact_opt`` counts its
+    states in the budget it is given, which for a ``pipeline.solve`` run
+    is the run's ``budget``.  ``solve_hinted`` on such a tree answers from
+    its reference for one node, the root state the bottom search would
+    have entered, so a collapsed searched run counts the oracle's search
+    states plus one node.  The outer cascades stop at the first state
+    whose subtree places every job.
     """
 
     limit: int = DEFAULT_BUDGET
@@ -165,7 +168,10 @@ class SolveMemo:
     ``_split_outcomes`` (intervals by heap index).  The instance, params
     and hints are fixed for the call, so each answer is a function of its
     key alone and a repeat returns the value a second solve would compute.
-    Stored results are shared and must never be mutated.
+    A subproblem whose candidate the count bound cuts is never solved, so
+    the memo may hold fewer keys than a solve of every candidate would
+    leave, never a different value.  Stored results are shared and must
+    never be mutated.
 
     A subtree key is free of the root's position, and that is exact:
     ``_solve_subtree``, ``node_windows``, ``_window_for``,
@@ -564,6 +570,11 @@ def _split_outcomes(
     return got
 
 
+def _size(mp: dict[int, JobSet]) -> int:
+    """The number of jobs in the sets of ``mp``, which are disjoint."""
+    return sum(job_count(jobs) for jobs in mp.values())
+
+
 def _restrict(mp: dict[int, JobSet], half: int) -> dict[int, JobSet]:
     """The entries of ``mp`` at heap index ``half`` or below it."""
     hb = half.bit_length()
@@ -585,7 +596,14 @@ def schedule_subtree(
     root interval.  Otherwise tries every split-outcome combination for
     the frontier level and every partition representative of the
     window-constrained pool, recursing on both halves and keeping the
-    candidate that schedules strictly more jobs.
+    candidate that schedules strictly more jobs.  Once it holds an
+    incumbent, a partition whose halves' count bounds (each half's
+    capacity or its jobs, whichever is fewer) sum to no more than the
+    incumbent's count is neither entered nor counted, and neither is a
+    right half whose bound, added to what the left half placed, cannot
+    beat it; an incumbent that places as many jobs as the node can hold
+    or has ends the search.  A cut candidate could not have replaced the
+    incumbent, so the result is the one a solve of every candidate gives.
 
     Each subproblem is solved once per ``memo`` (a fresh one when omitted)
     up to translation: a repeat enters no node.  At the same heap index it
@@ -629,9 +647,11 @@ def _solve_subtree(
     begin, end = tree.span[i]
     center = (begin + end) // 2
     cap = params.m * (end - begin)
-    if job_count(sub.ancestors) > cap:
+    n_anc = job_count(sub.ancestors)
+    if n_anc > cap:
         return None
-    if job_count(sub.assigned_jobs()) + job_count(sub.pending_jobs()) > cap:
+    n_own = job_count(sub.assigned_jobs()) + job_count(sub.pending_jobs())
+    if n_own > cap:
         return None
 
     if tree.kinds[i] == BOT:
@@ -666,6 +686,12 @@ def _solve_subtree(
             per_interval.append([(f, result) for result in options])
         splits = product(*per_interval)
 
+    # a candidate places at most ``most`` jobs, and a half at most its
+    # capacity or the jobs it holds (its ancestors, assigned and pending
+    # jobs, three disjoint sets).  The half bounds are read from the second
+    # candidate on, so a hinted node, which has one, never computes them.
+    most = min(cap, n_anc + n_own)
+    half_cap = cap // 2
     best: Result | None = None
     best_count = -1
     for combo in splits:
@@ -700,7 +726,15 @@ def _solve_subtree(
         # what each half inherits besides its ancestors, for every partition
         lo_assigned, lo_pending = _restrict(j_map, 2 * i), _restrict(k_map, 2 * i)
         hi_assigned, hi_pending = _restrict(j_map, 2 * i + 1), _restrict(k_map, 2 * i + 1)
+        lo_own = hi_own = -1  # their jobs, counted on first use
         for j_left, j_right, j_disc in partitions:
+            if best is not None:
+                if lo_own < 0:
+                    lo_own = _size(lo_assigned) + _size(lo_pending)
+                    hi_own = _size(hi_assigned) + _size(hi_pending)
+                ub_right = min(half_cap, job_count(j_right) + hi_own)
+                if min(half_cap, job_count(j_left) + lo_own) + ub_right <= best_count:
+                    continue
             left_in = SubproblemInput(
                 root=2 * i,
                 ancestors=j_left,
@@ -708,6 +742,13 @@ def _solve_subtree(
                 assigned=lo_assigned,
                 pending=lo_pending,
             )
+            left = schedule_subtree(inst, left_in, params, budget, hints, memo)
+            if left is None:
+                continue
+            if best is not None and (
+                sum(1 for t in left[1].values() if t is not None) + ub_right <= best_count
+            ):
+                continue
             right_in = SubproblemInput(
                 root=2 * i + 1,
                 ancestors=j_right,
@@ -715,9 +756,6 @@ def _solve_subtree(
                 assigned=hi_assigned,
                 pending=hi_pending,
             )
-            left = schedule_subtree(inst, left_in, params, budget, hints, memo)
-            if left is None:
-                continue
             right = schedule_subtree(inst, right_in, params, budget, hints, memo)
             if right is None:
                 continue
@@ -733,6 +771,8 @@ def _solve_subtree(
                 assign_map.update(rsys)
                 best = assign_map, merged
                 best_count = count
+                if count == most:
+                    return best
     return best
 
 
@@ -797,7 +837,8 @@ def main_solve(
     Always succeeds: the all-discard schedule over a trivial system is the
     starting candidate.  The result is a full system together with a
     virtually-valid schedule for it.  Subproblems and split outcomes met
-    again during the call are answered from one ``SolveMemo``.
+    again during the call are answered from one ``SolveMemo``.  The outer
+    states are tried in order until one places every job.
 
     When ``L = 0`` the whole horizon is one bottom interval: the result is
     one ``bottom_solve`` of all jobs on the root, with no cascades,
@@ -836,6 +877,8 @@ def main_solve(
             best = sys_assign
             best_sched = Schedule(T=params.T, assign=tuple(full_assign))
             best_count = count
+            if count == inst.n:  # no later state can place more
+                break
     return full_system(params, {tree.interval[i]: jobs for i, jobs in best.items()}), best_sched
 
 

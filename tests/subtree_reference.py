@@ -1,0 +1,183 @@
+"""The subtree solver as it was before count bounds cut candidates.
+
+A test-only copy of the earlier ``psched.solver._solve_subtree``: it solves
+every split-outcome combination and every partition to the end, whether or
+not its job counts can beat the incumbent, and of the earlier loop of
+``psched.solver.main_solve``, which tried every outer state even after one
+placed every job.  ``test_solver`` patches both in and holds the current
+solver to the same systems and schedules, never more nodes, and, on the
+hinted path, the same nodes.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+from psched.core import DISC, Instance, JobSet, Schedule, Slot, iter_jobs, job_count, mask_from
+from psched.dyadic import BOT, Params, full_system, tree_for
+from psched.solver import (
+    Budget,
+    Hints,
+    PartialAssign,
+    Result,
+    SolveMemo,
+    SplitOutcome,
+    SubproblemInput,
+    _outer_cascades,
+    _restrict,
+    _split_outcomes,
+    bottom_solve,
+    enumerate_partitions,
+    node_windows,
+    schedule_subtree,
+)
+
+
+def reference_solve_subtree(
+    inst: Instance,
+    sub: SubproblemInput,
+    params: Params,
+    budget: Budget,
+    hints: Hints | None,
+    memo: SolveMemo,
+) -> Result | None:
+    budget.tick()
+    tree = tree_for(params)
+    i = sub.root
+    begin, end = tree.span[i]
+    center = (begin + end) // 2
+    cap = params.m * (end - begin)
+    if job_count(sub.ancestors) > cap:
+        return None
+    if job_count(sub.assigned_jobs()) + job_count(sub.pending_jobs()) > cap:
+        return None
+
+    if tree.kinds[i] == BOT:
+        bottom = sub.assigned.get(i, 0) | sub.pending.get(i, 0)
+        warm = None
+        if hints is not None:
+            ref = hints.reference.assign
+            warm = {
+                j: (ref[j] if ref[j] is not None and begin < ref[j] <= end else None)
+                for j in iter_jobs(bottom | sub.ancestors)
+            }
+        assign = bottom_solve(
+            inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, params,
+            budget=budget, warm=warm,
+        )
+        return {i: bottom}, assign
+
+    frontier = tree.below(i, params.h - 1)
+    if not frontier:
+        splits = iter(((),))
+    else:
+        per_interval: list[list[tuple[int, SplitOutcome | None]]] = []
+        for f in frontier:
+            jobs = sub.pending.get(f, 0)
+            if tree.kinds[f] == BOT:
+                per_interval.append([(f, None)])
+                continue
+            options = _split_outcomes(inst, f, jobs, params, hints, memo)
+            if not options:
+                return None
+            per_interval.append([(f, result) for result in options])
+        splits = product(*per_interval)
+
+    best: Result | None = None
+    best_count = -1
+    for combo in splits:
+        j_map = dict(sub.assigned)
+        k_map: dict[int, JobSet] = {}
+        for f, outcome in combo:
+            if outcome is None:
+                j_map[f] = sub.pending.get(f, 0)
+            else:
+                stay, k_left, k_right = outcome
+                j_map[f] = stay
+                k_map[2 * f] = k_left
+                k_map[2 * f + 1] = k_right
+        own_windows = node_windows(inst, i, j_map, k_map, params)
+        pool_windows = {**sub.anc_windows, **own_windows}
+
+        if hints is not None:
+            ref = hints.reference.assign
+            pool = sub.ancestors | j_map.get(i, 0)
+            j_left = mask_from(
+                j for j in iter_jobs(pool)
+                if ref[j] is not None and begin < ref[j] <= center
+            )
+            j_right = mask_from(
+                j for j in iter_jobs(pool)
+                if ref[j] is not None and center < ref[j] <= end
+            )
+            partitions = [(j_left, j_right, pool & ~(j_left | j_right))]
+        else:
+            partitions = enumerate_partitions(pool_windows, tree.interval[i])
+
+        lo_assigned, lo_pending = _restrict(j_map, 2 * i), _restrict(k_map, 2 * i)
+        hi_assigned, hi_pending = _restrict(j_map, 2 * i + 1), _restrict(k_map, 2 * i + 1)
+        for j_left, j_right, j_disc in partitions:
+            left_in = SubproblemInput(
+                root=2 * i,
+                ancestors=j_left,
+                anc_windows={j: pool_windows[j] for j in iter_jobs(j_left)},
+                assigned=lo_assigned,
+                pending=lo_pending,
+            )
+            right_in = SubproblemInput(
+                root=2 * i + 1,
+                ancestors=j_right,
+                anc_windows={j: pool_windows[j] for j in iter_jobs(j_right)},
+                assigned=hi_assigned,
+                pending=hi_pending,
+            )
+            left = schedule_subtree(inst, left_in, params, budget, hints, memo)
+            if left is None:
+                continue
+            right = schedule_subtree(inst, right_in, params, budget, hints, memo)
+            if right is None:
+                continue
+            (lsys, lassign), (rsys, rassign) = left, right
+            merged: PartialAssign = dict(lassign)
+            merged.update(rassign)
+            for j in iter_jobs(j_disc):
+                merged[j] = DISC
+            count = sum(1 for t in merged.values() if t is not None)
+            if count > best_count:
+                assign_map = {i: j_map.get(i, 0)}
+                assign_map.update(lsys)
+                assign_map.update(rsys)
+                best = assign_map, merged
+                best_count = count
+    return best
+
+
+def reference_main_solve(
+    inst: Instance,
+    params: Params,
+    budget: Budget | None = None,
+    hints: Hints | None = None,
+):
+    """The earlier ``main_solve`` on a tree with ``L > 0``."""
+    budget = budget or Budget()
+    tree = tree_for(params)
+    assert tree.L > 0 and inst.n > 0
+    best = {1 << tree.L: inst.all_jobs}
+    best_sched = Schedule(T=params.T, assign=(DISC,) * inst.n)
+    memo = SolveMemo()
+    best_count = 0
+    for j_map, pending in _outer_cascades(inst, params, budget, hints, memo):
+        sub = SubproblemInput(root=1, assigned=j_map, pending=pending)
+        got = schedule_subtree(inst, sub, params, budget, hints, memo)
+        if got is None:
+            continue
+        sys_assign, assign = got
+        count = sum(1 for t in assign.values() if t is not None)
+        if count > best_count:
+            full_assign: list[Slot] = [DISC] * inst.n
+            for j, t in assign.items():
+                full_assign[j] = t
+            best = sys_assign
+            best_sched = Schedule(T=params.T, assign=tuple(full_assign))
+            best_count = count
+    return full_system(params, {tree.interval[i]: jobs for i, jobs in best.items()}), best_sched

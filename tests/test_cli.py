@@ -343,13 +343,15 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # deep-tree solves (random-dag, m = 2, h=1 hp=1 p=2): (n, horizon, generator
 # seed, scheduled, nodes); the schedules were recorded when the enumeration
 # still tried unplaceable partitions, which took 2499, 694, 3148, 3762, 1578
-# and 1578 nodes, and while a subproblem was solved again at each position,
-# which took 82, 24, 197, 222, 48 and 48
+# and 1578 nodes, while a subproblem was solved again at each position,
+# which took 82, 24, 197, 222, 48 and 48, and while every partition was
+# solved even when its job counts could not beat the incumbent, which took
+# 34, 6, 155, 119, 7 and 7
 GOLDEN_DEEP_SOLVE = [
-    (8, 16, 0, 2, 34),
+    (8, 16, 0, 2, 17),
     (8, 16, 1, 0, 6),
-    (10, 16, 0, 6, 155),
-    (10, 16, 1, 7, 119),
+    (10, 16, 0, 6, 34),
+    (10, 16, 1, 7, 48),
     (8, 32, 0, 0, 7),
     (8, 32, 1, 0, 7),
 ]
@@ -425,6 +427,36 @@ def test_bench_text_with_no_rows_prints_the_header(tmp_path, capsys):
     assert run_command(["bench", "--count", "0", "--format", "text", "--out", str(out)]) == 0
     assert out.read_text() == "  ".join(BENCH_COLUMNS) + "\n"
     assert capsys.readouterr().err == ""
+
+
+# bench rows of random-dag n=8 m=2 seeds 0-5 with h=1 hp=1 p=2, recorded
+# when every row went through insert_discarded, wall_time_ms left out;
+# only seed 4's solver discards jobs
+BENCH_DEEP_ROWS = [
+    "random-dag-n8-m2-s0,random-dag,8,2,4,5,0,4,1.000",
+    "random-dag-n8-m2-s1,random-dag,8,2,4,4,0,4,1.000",
+    "random-dag-n8-m2-s2,random-dag,8,2,4,4,0,4,1.000",
+    "random-dag-n8-m2-s3,random-dag,8,2,4,5,0,4,1.000",
+    "random-dag-n8-m2-s4,random-dag,8,2,6,6,2,8,1.333",
+    "random-dag-n8-m2-s5,random-dag,8,2,5,5,0,5,1.000",
+]
+
+
+def test_bench_reinserts_only_rows_that_discarded(monkeypatch, tmp_path):
+    calls = []
+
+    def spy(inst, sched):
+        calls.append(sched.discard_count)
+        return transform.insert_discarded(inst, sched)
+
+    monkeypatch.setattr(cli, "insert_discarded", spy)
+    out = tmp_path / "bench.csv"
+    assert run_command(["bench", "--n", "8", "--count", "6", *DEEP[2:],
+                        "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == ",".join(BENCH_COLUMNS)
+    assert [row.rsplit(",", 1)[0] for row in rows] == BENCH_DEEP_ROWS
+    assert calls == [2]  # seed 4 alone; no zero-discard row calls it
 
 
 @pytest.mark.parametrize("command", ["solve", "pipeline"])

@@ -48,6 +48,7 @@ from psched.transform import pad_to_power_of_two
 
 from conftest import assert_no_violations, max_scheduled_oracle, random_instance
 from partition_reference import partition_class_key, reference_enumerate_partitions
+from subtree_reference import reference_main_solve, reference_solve_subtree
 
 from test_dyadic import desk_params, reference_pair
 
@@ -192,6 +193,59 @@ def test_main_solve_matches_the_unpruned_enumeration(monkeypatch, family):
         assert nodes <= ref_nodes, (m, T, h)
         fewer += nodes < ref_nodes
     assert fewer > 0
+
+
+def _solve_with(monkeypatch, reference, name, *args):
+    """``solver.<name>(*args)`` with the reference subtree solver and
+    ``main_solve`` loop patched in or not, as (system, schedule, nodes)."""
+    if reference:
+        monkeypatch.setattr(solver, "_solve_subtree", reference_solve_subtree)
+        monkeypatch.setattr(solver, "main_solve", reference_main_solve)
+    else:
+        monkeypatch.undo()
+    budget = Budget()
+    sys_out, sched = getattr(solver, name)(*args, budget=budget)
+    return sys_out.assign, sched, budget.nodes
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("family", DEEP_FAMILIES)
+def test_count_bounds_match_solving_every_candidate(monkeypatch, family, m):
+    # a candidate cut by its count bound could not have replaced the
+    # incumbent: the same results, never more nodes, and on the hinted
+    # path, which has one candidate per node, the very same nodes
+    fewer = hinted = 0
+    for T, h, n in product((8, 16, 32), (1, 2), range(4, 11)):
+        inst, _ = gen_instance(family, n, m, 0.3, 10 * n + T + h)
+        params = compute_params(T, m, Fraction(1, 2), overrides={"h": h, "hp": 1, "p": 2})
+        case = (T, h, n)
+        ref = _solve_with(monkeypatch, True, "main_solve", inst, params)
+        got = _solve_with(monkeypatch, False, "main_solve", inst, params)
+        assert got[:2] == ref[:2], case
+        assert got[2] <= ref[2], case
+        fewer += got[2] < ref[2]
+        opt, sched = exact_opt(inst)
+        if opt <= T:
+            reference = Schedule(T=T, assign=sched.assign)
+            args = (inst, reference, params)
+            assert (_solve_with(monkeypatch, False, "solve_hinted", *args)
+                    == _solve_with(monkeypatch, True, "solve_hinted", *args)), case
+            hinted += 1
+    assert fewer > 0 and hinted > 0
+
+
+def test_deep_enum_pool_node_count():
+    # the structures of the benchmark's deep-enum pool, unrelabeled, at its
+    # horizon and overrides; every partition solved to the end took 863
+    total = 0
+    params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
+    for n, count in ((5, 20), (6, 8)):
+        for seed in range(count):
+            inst, _ = gen_instance("random-dag", n, 2, 0.3, seed)
+            budget = Budget()
+            main_solve(inst, params, budget=budget)
+            total += budget.nodes
+    assert total == 412
 
 
 def brute_force_bottom(inst, iv, bottom, ancestors, anc_windows, m):
