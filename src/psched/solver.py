@@ -119,7 +119,7 @@ class SubproblemInput:
             out |= jobs
         return out
 
-    def key(self, begin: int, pinned: bool) -> tuple:
+    def key(self, begin: int) -> tuple:
         """Hashable, position-free form; equal keys are equal subproblems
         up to translation.
 
@@ -127,8 +127,7 @@ class SubproblemInput:
         root's level, the ancestors, their windows measured from ``begin``
         and ``assigned`` and ``pending`` by heap index relative to the root:
         index ``k`` at depth ``d`` below root ``i`` becomes
-        ``k - ((i - 1) << d)``, so the root is 1.  ``pinned`` adds the root
-        itself, so that only the same interval matches.
+        ``k - ((i - 1) << d)``, so the root is 1.
         """
         i = self.root
         top = i.bit_length()
@@ -141,21 +140,28 @@ class SubproblemInput:
                           for k, jobs in self.assigned.items()])),
             tuple(sorted([(k - (lift << (k.bit_length() - top)), jobs)
                           for k, jobs in self.pending.items()])),
-            i if pinned else None,
         )
-
-
-@dataclass(frozen=True)
-class Hints:
-    """Recorded split vectors by heap index, and a reference to replay them against."""
-
-    guesses: dict[int, Guesses]
-    reference: Schedule
 
 
 PartialAssign = dict[int, Slot]
 Result = tuple[dict[int, JobSet], PartialAssign]
 SplitOutcome = tuple[JobSet, JobSet, JobSet]
+
+
+@dataclass(frozen=True)
+class Hints:
+    """Recorded split vectors by heap index, and a reference to replay them against.
+
+    ``outcomes`` optionally holds, by heap index, the pool a recorded
+    split started from and its (stay, to-left, to-right) outcome, as read
+    off the reference system.  A split of that very pool is answered from
+    it; any other, or one with no record, replays ``guesses`` through
+    ``push_down``, which gives the same outcome on a recorded pool.
+    """
+
+    guesses: dict[int, Guesses]
+    reference: Schedule
+    outcomes: dict[int, tuple[JobSet, SplitOutcome]] = field(default_factory=dict)
 
 
 @dataclass
@@ -165,9 +171,11 @@ class SolveMemo:
     ``subtrees`` maps ``SubproblemInput.key`` to the result of
     ``schedule_subtree`` together with the heap index it was solved at,
     and ``splits`` maps (interval, jobs) to the outcomes of
-    ``_split_outcomes`` (intervals by heap index).  The instance, params
-    and hints are fixed for the call, so each answer is a function of its
-    key alone and a repeat returns the value a second solve would compute.
+    ``_split_outcomes`` (intervals by heap index).  Only the enumeration
+    uses it: a hinted solve enters each heap index at most once, so it
+    stores nothing here.  The instance and params are fixed for the call,
+    so each answer is a function of its key alone and a repeat returns
+    the value a second solve would compute.
     A subproblem whose candidate the count bound cuts is never solved, so
     the memo may hold fewer keys than a solve of every candidate would
     leave, never a different value.  Stored results are shared and must
@@ -182,8 +190,7 @@ class SolveMemo:
     that translation keeps.  So a fresh solve of a translated subproblem
     is the stored answer shifted: each system index one level further
     down moves twice as far, and each slot by the distance between the
-    two begins.  Hinted solves read the reference's absolute slots and
-    the guesses recorded by heap index, so their keys keep the root.
+    two begins.
     """
 
     subtrees: dict[tuple, tuple[Result | None, int]] = field(default_factory=dict)
@@ -350,7 +357,10 @@ def bottom_solve(
     ancestor slots are filled greedily by earliest window end, which is
     optimal for unit jobs.  ``warm`` seeds the incumbent when it is
     virtually valid for the one-interval system of ``bottom`` and
-    ``ancestors``; only that check reads ``params``.
+    ``ancestors``; only that check reads ``params``.  The root state is
+    always entered and counted, but when its bound cannot beat the
+    incumbent (a warm start that places as many jobs as fit) the
+    incumbent is returned before any search state is built.
 
     At each slot the batches are tried larger first, then in lexicographic
     order of their ascending members (see ``antichains``); the result is
@@ -368,7 +378,9 @@ def bottom_solve(
     slots left, read from per-height counts kept along the search.  The
     ready jobs are kept along the search too: a child's are its parent's
     without the batch, plus the jobs directly after the batch that have
-    no predecessor left alive.
+    no predecessor left alive.  Complete mode never reads the
+    comparability masks that ``antichains`` takes; only the max-count
+    search builds them.
     """
     budget = budget or Budget()
     m = inst.m
@@ -381,8 +393,6 @@ def bottom_solve(
         key=lambda j: (anc_windows[j][1], j),
     ))
     total_jobs = job_count(bottom) + job_count(ancestors)
-    pred = inst.pred
-    comparable = [s | p for s, p in zip(inst.succ, pred)]
 
     best_assign: PartialAssign = {j: DISC for j in iter_jobs(bottom | ancestors)}
     best_count = total_jobs - 1 if complete else 0
@@ -396,6 +406,10 @@ def bottom_solve(
             if cnt > best_count:
                 best_assign, best_count = got, cnt
 
+    budget.tick()  # the root is entered even when it cannot beat the warm start
+    if min(m * n_slots, job_count(bottom) + len(anc_order)) <= best_count:
+        return best_assign
+    pred = inst.pred
     assign: PartialAssign = {j: DISC for j in iter_jobs(bottom | ancestors)}
 
     def dfs(idx: int, alive: JobSet, anc_left: tuple[int, ...], count: int) -> None:
@@ -481,29 +495,28 @@ def bottom_solve(
         return False
 
     try:
-        budget.tick()  # the root is entered even when it cannot beat the warm start
-        if min(m * n_slots, job_count(bottom) + len(anc_order)) > best_count:
-            if not complete:
-                dfs(0, bottom, anc_order, 0)
-            else:
-                height = tail_heights(inst, bottom)  # read by ``fill``
-                per_height = height_counts(height)  # jobs outside ``bottom`` at 0
-                cover = {}  # the jobs of ``bottom`` directly after each one of it
-                for j in iter_jobs(bottom):
-                    later = inst.succ[j] & bottom
-                    far = 0
-                    for k in iter_jobs(later):
-                        far |= inst.succ[k]
-                    cover[j] = later & ~far
-                ready = mask_from(j for j in iter_jobs(bottom) if not pred[j] & bottom)
-                if fill(0, bottom, ready):
-                    best_assign = dict(assign)
+        if not complete:
+            comparable = [s | p for s, p in zip(inst.succ, pred)]  # read by ``dfs``
+            dfs(0, bottom, anc_order, 0)
+        else:
+            height = tail_heights(inst, bottom)  # read by ``fill``
+            per_height = height_counts(height)  # jobs outside ``bottom`` at 0
+            cover = {}  # the jobs of ``bottom`` directly after each one of it
+            for j in iter_jobs(bottom):
+                later = inst.succ[j] & bottom
+                far = 0
+                for k in iter_jobs(later):
+                    far |= inst.succ[k]
+                cover[j] = later & ~far
+            ready = mask_from(j for j in iter_jobs(bottom) if not pred[j] & bottom)
+            if fill(0, bottom, ready):
+                best_assign = dict(assign)
     finally:
         # ``dfs`` and ``fill`` refer to themselves; dropping them breaks the
         # cycles that would keep everything they capture alive until the
         # cycle collector runs
         del dfs, fill
-    return dict(best_assign)
+    return best_assign
 
 
 def _guess_outcomes(
@@ -550,23 +563,27 @@ def _split_outcomes(
     """Split outcomes to try for ``jobs`` on the non-bottom interval ``f``.
 
     With hints, the one outcome of the recorded vector (none when the
-    vector runs out); otherwise every distinct outcome of a guess vector
-    of at most ``p`` entries on top intervals, ``m * |f|`` on middle ones.
-    Each (f, jobs) is worked out once per ``memo``.
+    vector runs out), read from ``hints.outcomes`` when ``jobs`` is the
+    recorded pool and replayed by ``push_down`` otherwise; a hinted solve
+    meets each ``f`` once and keeps nothing in ``memo``.  Without hints,
+    every distinct outcome of a guess vector of at most ``p`` entries on
+    top intervals, ``m * |f|`` on middle ones, worked out once per
+    (f, jobs) and ``memo``.
     """
-    got = memo.splits.get((f, jobs))
-    if got is not None:
-        return got
     if hints is not None:
+        recorded = hints.outcomes.get(f)
+        if recorded is not None and recorded[0] == jobs:
+            return (recorded[1],)
         try:
-            got = (push_down(inst, f, jobs, hints.guesses.get(f, ()), params),)
+            return (push_down(inst, f, jobs, hints.guesses.get(f, ()), params),)
         except GuessExhausted:
-            got = ()
-    else:
+            return ()
+    got = memo.splits.get((f, jobs))
+    if got is None:
         length = params.T >> (f.bit_length() - 1)
         max_len = params.p if tree_for(params).kinds[f] == TOP else params.m * length
         got = tuple(result for _, result in _guess_outcomes(inst, f, jobs, params, max_len))
-    memo.splits[(f, jobs)] = got
+        memo.splits[(f, jobs)] = got
     return got
 
 
@@ -609,17 +626,21 @@ def schedule_subtree(
     up to translation: a repeat enters no node.  At the same heap index it
     returns the stored result, shared with the first caller; at another
     interval of the same level it returns new dicts holding the stored
-    result shifted into place (see ``SolveMemo``).  Hinted subproblems
-    repeat only at the same index.
+    result shifted into place (see ``SolveMemo``).  A hinted solve has
+    one candidate per node, so it enters each heap index at most once and
+    neither builds a key nor stores its result.
     """
     memo = memo or SolveMemo()
+    budget = budget or Budget()
+    if hints is not None:
+        return _solve_subtree(inst, sub, params, budget, hints, memo)
     i = sub.root
     span = tree_for(params).span
     begin = span[i][0]
-    key = sub.key(begin, hints is not None)
+    key = sub.key(begin)
     hit = memo.subtrees.get(key)
     if hit is None:
-        got = _solve_subtree(inst, sub, params, budget or Budget(), hints, memo)
+        got = _solve_subtree(inst, sub, params, budget, hints, memo)
         memo.subtrees[key] = got, i
         return got
     got, i0 = hit
@@ -709,16 +730,19 @@ def _solve_subtree(
         pool_windows = {**sub.anc_windows, **own_windows}
 
         if hints is not None:
+            # the reference's partition: each job of the pool goes to the
+            # half the reference puts it in, or is discarded
             ref = hints.reference.assign
             pool = sub.ancestors | j_map.get(i, 0)
-            j_left = mask_from(
-                j for j in iter_jobs(pool)
-                if ref[j] is not None and begin < ref[j] <= center
-            )
-            j_right = mask_from(
-                j for j in iter_jobs(pool)
-                if ref[j] is not None and center < ref[j] <= end
-            )
+            j_left = j_right = 0
+            for j in iter_jobs(pool):
+                t = ref[j]
+                if t is None or not begin < t <= end:
+                    continue
+                if t <= center:
+                    j_left |= 1 << j
+                else:
+                    j_right |= 1 << j
             partitions = [(j_left, j_right, pool & ~(j_left | j_right))]
         else:
             partitions = enumerate_partitions(pool_windows, tree.interval[i])
@@ -837,8 +861,9 @@ def main_solve(
     Always succeeds: the all-discard schedule over a trivial system is the
     starting candidate.  The result is a full system together with a
     virtually-valid schedule for it.  Subproblems and split outcomes met
-    again during the call are answered from one ``SolveMemo``.  The outer
-    states are tried in order until one places every job.
+    again during an enumerating call are answered from one ``SolveMemo``;
+    a hinted call meets none twice.  The outer states are tried in order
+    until one places every job.
 
     When ``L = 0`` the whole horizon is one bottom interval: the result is
     one ``bottom_solve`` of all jobs on the root, with no cascades,
@@ -890,10 +915,15 @@ def solve_hinted(
 ) -> tuple[PartialDyadicSystem, Schedule]:
     """Drive the solver along the splits recorded from an optimal schedule.
 
-    Builds the reference system and its virtually-valid counterpart, then
-    replays the recorded guess vectors and the reference partitions
-    through the same machinery as the full enumeration.  The result
-    schedules at least as many jobs as the virtually-valid reference.
+    Builds the reference system and its virtually-valid counterpart, and
+    records, per non-bottom heap index, the pool the reference split and
+    its (stay, to-left, to-right) outcome.  ``main_solve`` then runs with
+    one candidate per node: each split outcome is read from that record,
+    each pool goes to the halves as the virtually-valid reference places
+    it, and each bottom interval runs ``bottom_solve`` warm-started from
+    the reference, whose start is checked to be virtually valid.  The
+    result schedules at least as many jobs as the virtually-valid
+    reference.
 
     When ``L = 0`` there are no splits and no top intervals, so the answer
     is the reference itself under horizon T, with no search: it is checked
@@ -907,7 +937,14 @@ def solve_hinted(
         (budget or Budget()).tick()
         root_sys = full_system(params, {tree.root: inst.all_jobs})
         return root_sys, Schedule(T=params.T, assign=reference.assign)
-    ref_sys, _, guesses = system_from_schedule(inst, reference, params)
+    ref_sys, covered, guesses = system_from_schedule(inst, reference, params)
     virt = valid_to_virtually_valid(inst, ref_sys, reference, params)
-    hints = Hints({tree.index(iv): g for iv, g in guesses.items()}, virt)
-    return main_solve(inst, params, budget=budget, hints=hints)
+    by_index: dict[int, Guesses] = {}
+    outcomes: dict[int, tuple[JobSet, SplitOutcome]] = {}
+    interval = tree.interval
+    for iv, g in guesses.items():
+        i = tree.index(iv)
+        by_index[i] = g
+        outcomes[i] = covered[iv], (
+            ref_sys.assign[iv], covered[interval[2 * i]], covered[interval[2 * i + 1]])
+    return main_solve(inst, params, budget=budget, hints=Hints(by_index, virt, outcomes))

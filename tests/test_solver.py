@@ -32,6 +32,7 @@ from psched.dyadic import (
 from psched import solver
 from psched.errors import BudgetExceeded, GuessExhausted, InvalidInput
 from psched.generators import gen_instance
+from psched.pipeline import _with_sinks
 from psched.solver import (
     Budget,
     Hints,
@@ -248,6 +249,79 @@ def test_deep_enum_pool_node_count():
     assert total == 412
 
 
+def _replay_both_ways(monkeypatch, inst, reference, params):
+    """The hints ``solve_hinted`` builds, then its (system, schedule,
+    nodes) with the recorded split outcomes and with ``push_down``
+    replaying the guesses instead."""
+    built = []
+
+    def capture(inst, params, budget=None, hints=None):
+        built.append(hints)
+        return main_solve(inst, params, budget, hints)
+
+    budget = Budget()
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "main_solve", capture)
+        sys_out, sched = solve_hinted(inst, reference, params, budget=budget)
+    (hints,) = built
+    replayed = Budget()
+    sys_rep, sched_rep = main_solve(inst, params, replayed, Hints(hints.guesses, hints.reference))
+    return hints, (sys_out.assign, sched, budget.nodes), (sys_rep.assign, sched_rep, replayed.nodes)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("family", DEEP_FAMILIES)
+def test_recorded_split_outcomes_replay_like_push_down(monkeypatch, family, m):
+    # references as the pipeline replays them: the oracle's schedule at
+    # T, and padded by ``_with_sinks`` from a horizon between T/2 and T
+    padded = 0
+    for T, h, n in product((16, 32), (1, 2, 3), (6, 11, 16)):
+        inst0, _ = gen_instance(family, n, m, 0.3, 7 * n + T + h)
+        params = compute_params(T, m, Fraction(1, 2), overrides={"h": h, "hp": 1, "p": 2})
+        assert params.L > 0
+        opt, best = exact_opt(inst0)
+        horizon = max(opt, 3 * T // 4)
+        inst, T2, _ = pad_to_power_of_two(inst0, horizon)
+        assert T2 == T
+        refs = [(inst, _with_sinks(inst0, inst, best, horizon))]
+        if inst.n > n:
+            refs.append((inst0, Schedule(T=T, assign=best.assign)))
+            padded += 1
+        for inst, reference in refs:
+            case = (T, h, n, inst.n)
+            hints, recorded, replayed = _replay_both_ways(monkeypatch, inst, reference, params)
+            assert hints.outcomes and hints.outcomes.keys() == hints.guesses.keys(), case
+            for i, (pool, outcome) in hints.outcomes.items():
+                assert outcome == push_down(inst, i, pool, hints.guesses[i], params), case
+            assert recorded == replayed, case
+    assert padded > 0
+
+
+def test_hinted_replay_pool_node_count(monkeypatch):
+    # the deep half of the benchmark's hinted-replay pool, unrelabeled, at
+    # its horizon and overrides; every split is read from the record, where
+    # replaying the guesses took 720 ``push_down`` calls
+    runs = []
+    for family, m in product(DEEP_FAMILIES, (2, 3)):
+        params = compute_params(32, m, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
+        for seed in range(8):
+            inst, _ = gen_instance(family, 16, m, 0.3, seed)
+            runs.append((inst, Schedule(T=32, assign=exact_opt(inst)[1].assign), params))
+    calls = {"bottom_solve": 0, "push_down": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    nodes = 0
+    for inst, reference, params in runs:
+        budget = Budget()
+        solve_hinted(inst, reference, params, budget=budget)
+        nodes += budget.nodes
+    assert (len(runs), nodes, calls["bottom_solve"], calls["push_down"]) == (48, 2304, 768, 0)
+
+
 def brute_force_bottom(inst, iv, bottom, ancestors, anc_windows, m):
     """Exhaustive max scheduled count over all slot/discard assignments.
 
@@ -427,16 +501,16 @@ def test_subproblem_key_ignores_dict_order():
     b = SubproblemInput(root=1, ancestors=0b101010,
                         **{k: dict(reversed(v.items())) for k, v in fields.items()})
     assert list(a.assigned) != list(b.assigned)
-    assert a.key(0, False) == b.key(0, False)
-    assert hash(a.key(0, False)) == hash(b.key(0, False))
+    assert a.key(0) == b.key(0)
+    assert hash(a.key(0)) == hash(b.key(0))
     for name, changed in (("assigned", {1: 0b1, 2: 0b10, 3: 0b100}),
                           ("pending", {4: 0b1000, 5: 0b10000, 6: 0}),
                           ("anc_windows", {5: (0, 4), 1: (2, 8), 3: (4, 8)})):
         other = SubproblemInput(root=1, ancestors=0b101010, **{**fields, name: changed})
-        assert other.key(0, False) != a.key(0, False)
+        assert other.key(0) != a.key(0)
 
 
-def test_subproblem_key_is_free_of_position_unless_pinned():
+def test_subproblem_key_is_free_of_position():
     # root 1 over (0, 16] and root 3 over (8, 16], one level further down
     # the same shape; each index at depth d moves by (3 - 1) << d
     a = SubproblemInput(root=1, ancestors=0b11, anc_windows={0: (2, 8), 1: (4, 12)},
@@ -445,11 +519,10 @@ def test_subproblem_key_is_free_of_position_unless_pinned():
                         assigned={3: 0b100}, pending={6: 0b1000, 7: 0})
     c = SubproblemInput(root=2, ancestors=0b11, anc_windows={0: (2, 8), 1: (4, 12)},
                         assigned={2: 0b100}, pending={4: 0b1000, 5: 0})
-    assert b.key(8, False)[1:] == a.key(0, False)[1:]
-    assert b.key(8, False) == c.key(0, False)  # same level, translated by 8
-    assert b.key(8, True) != c.key(0, True)
-    assert c.key(0, False) != c.key(1, False)  # windows are measured from the begin
-    assert a.key(0, False)[0] == 0 and b.key(8, False)[0] == 1
+    assert b.key(8)[1:] == a.key(0)[1:]
+    assert b.key(8) == c.key(0)  # same level, translated by 8
+    assert c.key(0) != c.key(1)  # windows are measured from the begin
+    assert a.key(0)[0] == 0 and b.key(8)[0] == 1
 
 
 def test_memo_answers_a_repeat_without_entering_a_node():
@@ -849,15 +922,30 @@ def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_f
     memo = memos[0]
     assert memo.subtrees == memo.subtrees.copies  # no caller mutated a shared result
     assert memo.splits == memo.splits.copies
+    if hinted:
+        # one candidate per node: a hinted solve meets no subproblem twice,
+        # so it stores nothing and the memo can save it no node
+        entered = []
+        solve_subtree = solver._solve_subtree
+
+        def entering(inst, sub, *args):
+            entered.append(sub.root)
+            return solve_subtree(inst, sub, *args)
+
+        monkeypatch.setattr(solver, "_solve_subtree", entering)
+        assert run(recording) == (got, nodes)
+        assert nodes == plain_nodes
+        assert all(not memo.subtrees and not memo.splits for memo in memos)
+        assert 1 in entered and len(entered) == len(set(entered))
+        return
     at_root = [got for got, i0 in memo.subtrees.values() if i0 == 1]
-    if hinted or not root_fails:
+    if not root_fails:
         assert any(v is not None for v in at_root)
     else:
         assert at_root and all(v is None for v in at_root)
         assert got[1].scheduled_count == 0
         return
-    if not hinted:
-        assert nodes < plain_nodes
+    assert nodes < plain_nodes
     if h == 2:  # the recursion passes fixed and pending job sets down
         assert any(any(dict(k[3]).values()) for k in memo.subtrees)
         assert any(any(dict(k[4]).values()) for k in memo.subtrees)
