@@ -184,10 +184,11 @@ def exact_opt(
     ``bounds`` is ``bound_sandwich(inst)``, computed here when omitted.
     When its list schedule meets the level bound, that schedule is optimal
     and is returned as it is.  Otherwise ``bottom_solve`` in complete mode
-    decides each horizon from the level bound up to the list schedule's
-    makespan, and the first with a schedule of every job is returned with
-    it.  ``budget`` (a fresh ``Budget`` when omitted) counts the nodes of
-    every horizon tried and raises ``BudgetExceeded`` when they run out.
+    decides each horizon T from the level bound up to the list schedule's
+    makespan, on (0, T] with no ancestors and no warm start, and the
+    first with a schedule of every job is returned with it.  ``budget``
+    (a fresh ``Budget`` when omitted) counts the nodes of every horizon
+    tried and raises ``BudgetExceeded`` when they run out.
     """
     if inst.n == 0:
         return 0, Schedule(T=0, assign=())
@@ -199,10 +200,7 @@ def exact_opt(
 
     budget = budget or Budget()
     for T in range(lower, upper.makespan + 1):
-        # with no warm start the search needs no params
-        assign = bottom_solve(
-            inst, Interval(0, T), inst.all_jobs, 0, {}, None, budget, complete=True,
-        )
+        assign = bottom_solve(inst, Interval(0, T), inst.all_jobs, 0, {}, budget, complete=True)
         if DISC not in assign.values():
             return T, Schedule(T=T, assign=tuple(assign[j] for j in range(inst.n)))
     raise AssertionError("the list schedule fits in its own makespan")  # pragma: no cover

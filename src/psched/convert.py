@@ -31,6 +31,7 @@ from .dyadic import (
     PartialDyadicSystem,
     check_valid_for_system,
     check_virtually_valid,
+    in_order,
     tree_for,
     window_step,
     windows,
@@ -66,9 +67,10 @@ def valid_to_virtually_valid(
         raise InvalidInput(f"input schedule is not valid for the system:\n{report}")
     tree = tree_for(params)
     assign: list[Slot] = list(sched.assign)
-    for iv, jobs in sorted(sys.assign.items(), key=lambda kv: (kv[0].center, kv[0].length)):
-        if not jobs or tree.kind(iv) != TOP:
+    for i, jobs in in_order(tree, sys.assign):
+        if not jobs or tree.kinds[i] != TOP:
             continue
+        iv = tree.interval[i]
         step = window_step(params, iv.length)
         for half, reverse in ((iv.left, False), (iv.right, True)):
             members = [
@@ -94,14 +96,16 @@ class _TopOrder:
 
     Precedence, and within one owning interval and side of its center the
     key (window boundary on that side, chain depth among the owner's
-    scheduled top jobs).  ``slot`` is a copy the swap loop may edit.
+    scheduled top jobs).  ``owner`` maps each job to its owning interval's
+    ``Interval``.  ``slot`` is a copy the swap loop may edit.
     """
 
     def __init__(self, inst: Instance, sys: PartialDyadicSystem, sched: Schedule,
                  params: Params) -> None:
         self.inst = inst
         self.win = windows(inst, sys, params)
-        self.owner = sys.owner_of()
+        interval = tree_for(params).interval
+        self.owner = {j: interval[i] for j, i in sys.owner_of().items()}
         self.jobs = sorted(j for j in self.win if sched.assign[j] is not None)
         self.slot: dict[int, int] = {j: sched.assign[j] for j in self.jobs}
         by_interval: dict[Interval, list[int]] = {}
@@ -224,7 +228,8 @@ def virtually_valid_to_valid(
     tree = tree_for(params)
     win = order.win
     assign: list[Slot] = list(sched.assign)
-    for iv in tree.level(tree.L):
+    for i in tree.below(1, tree.L):
+        iv = tree.interval[i]
         group = mask_from(
             j for j in win
             if sched.assign[j] is not None and sched.assign[j] in iv

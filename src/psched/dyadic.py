@@ -3,11 +3,14 @@ windows for top jobs, and the one split loop that drives the solver.  The
 loop picks each pivot's side from a guess vector (replay, ``push_down``)
 or from a reference schedule (record, ``system_from_schedule``).
 
-A (partial) system assigns jobs to tree intervals under a root so that
-chain lengths stay small on top intervals, middle intervals are empty, and
-the in-order sequence of assignments respects precedence.  Windows relax
-the precedence constraints of top jobs to aligned sub-ranges of their
-owning intervals.
+A system assigns jobs to tree intervals so that chain lengths stay small
+on top intervals, middle intervals are empty, and the in-order sequence
+of assignments respects precedence.  Windows relax the precedence
+constraints of top jobs to aligned sub-ranges of their owning intervals.
+Everywhere, the solver included, a tree interval is named by its heap
+index (see ``DyadicTree``): systems, covered sets and guess vectors are
+keyed by it, ``in_order`` is the one in-order sort and ``node_windows``
+the one window region query.
 """
 
 from __future__ import annotations
@@ -184,10 +187,11 @@ class DyadicTree:
     Level l holds 2**l intervals of length T / 2**l; leaves (level L) have
     length 2**h.  Levels 0..L-hp-1 are top, L-hp..L-1 middle, L bottom.
 
-    The solver names a tree interval by its heap index: the root is 1 and
-    the children of ``i`` are ``2i`` and ``2i + 1``, so ``i`` is on level
+    A tree interval is named by its heap index: the root is 1 and the
+    children of ``i`` are ``2i`` and ``2i + 1``, so ``i`` is on level
     ``i.bit_length() - 1``.  ``span[i]``, ``kinds[i]`` and ``interval[i]``
-    are its ``(begin, end)``, kind and ``Interval``; entry 0 is unused.
+    are its ``(begin, end)``, kind and ``Interval`` (for geometry and
+    messages); entry 0 is unused.
     """
 
     T: int
@@ -208,33 +212,12 @@ class DyadicTree:
         for name, table in (("span", span), ("kinds", kinds), ("interval", interval)):
             object.__setattr__(self, name, tuple(table))
 
-    @property
-    def root(self) -> Interval:
-        return self.interval[1]
-
-    def level(self, l: int) -> tuple[Interval, ...]:
-        if not 0 <= l <= self.L:
-            return ()
-        return self.interval[1 << l : 2 << l]
-
     def below(self, i: int, k: int) -> range:
         """Indices of the intervals ``k`` levels below index ``i``, by begin
         (none when ``k < 0`` or that is below the leaves)."""
         if k < 0 or i.bit_length() + k > self.L + 1:
             return range(0)
         return range(i << k, (i + 1) << k)
-
-    def index(self, iv: Interval) -> int:
-        """Heap index of a tree interval; ``ValueError`` for any other."""
-        size = iv.end - iv.begin
-        l = self.T.bit_length() - size.bit_length()
-        if not (0 <= l <= self.L and self.T >> l == size and iv.begin % size == 0
-                and iv.end <= self.T):
-            raise ValueError(f"{iv} is not a tree interval")
-        return (1 << l) + iv.begin // size
-
-    def kind(self, iv: Interval) -> str:
-        return self.kinds[self.index(iv)]
 
 
 def tree_for(params: Params) -> DyadicTree:
@@ -265,13 +248,9 @@ def split_budget(params: Params, i: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PartialDyadicSystem:
-    """Job assignment over the tree intervals under ``root``, plus ancestor
-    jobs inherited from enclosing levels with their fixed windows."""
+    """Job sets by the heap index of their tree interval (see ``DyadicTree``)."""
 
-    root: Interval
-    assign: Mapping[Interval, JobSet]
-    ancestors: JobSet = 0
-    anc_windows: Mapping[int, Window] = field(default_factory=dict)
+    assign: Mapping[int, JobSet]
 
     def jobs_assigned(self) -> JobSet:
         out = 0
@@ -279,31 +258,27 @@ class PartialDyadicSystem:
             out |= jobs
         return out
 
-    def all_jobs(self) -> JobSet:
-        return self.jobs_assigned() | self.ancestors
-
-    def owner_of(self) -> dict[int, Interval]:
-        out: dict[int, Interval] = {}
-        for iv, jobs in self.assign.items():
+    def owner_of(self) -> dict[int, int]:
+        """The heap index each assigned job is assigned to."""
+        out: dict[int, int] = {}
+        for i, jobs in self.assign.items():
             for j in iter_jobs(jobs):
-                out[j] = iv
-        return out
-
-    def jobs_within(self, region: Interval) -> JobSet:
-        """Union of assignments over tree intervals fully inside ``region``."""
-        out = 0
-        for iv, jobs in self.assign.items():
-            if jobs and region.begin <= iv.begin and iv.end <= region.end:
-                out |= jobs
+                out[j] = i
         return out
 
 
-def full_system(params: Params, assign: Mapping[Interval, JobSet]) -> PartialDyadicSystem:
-    return PartialDyadicSystem(root=tree_for(params).root, assign=dict(assign))
+def full_system(assign: Mapping[int, JobSet]) -> PartialDyadicSystem:
+    """The system of ``assign`` (heap index -> jobs), holding its own copy,
+    so a result shared inside a solve never becomes part of a system."""
+    return PartialDyadicSystem(assign=dict(assign))
 
 
-def _sorted_items(assign: Mapping[Interval, JobSet]) -> list[tuple[Interval, JobSet]]:
-    return sorted(assign.items(), key=lambda kv: (kv[0].center, kv[0].length))
+def in_order(tree: DyadicTree, assign: Mapping[int, JobSet]) -> list[tuple[int, JobSet]]:
+    """The items of ``assign`` (heap index -> jobs) in the tree's in-order:
+    by begin + end, twice the center, which no two tree intervals share
+    (rounded down, a leaf of length one and its parent share a center)."""
+    span = tree.span
+    return sorted(assign.items(), key=lambda kv: sum(span[kv[0]]))
 
 
 def check_system(
@@ -312,25 +287,25 @@ def check_system(
     params: Params,
     require_full: bool = False,
 ) -> ValidityReport:
-    """Check the four structural clauses of a (partial) system, with witnesses.
+    """Check the four structural clauses of a system, with witnesses.
 
-    (a) ancestor and per-interval job sets mutually disjoint; (b) chain
-    length within budget on every top interval; (c) middle intervals
-    empty; (d) for in-order earlier intervals, no precedence constraints
-    pointing back.  With ``require_full``: root covers the whole horizon,
-    no ancestors, every job assigned.
+    Every key must be a heap index of the tree.  (a) Per-interval job
+    sets mutually disjoint; (b) chain length within budget on every top
+    interval; (c) middle intervals empty; (d) for in-order earlier
+    intervals, no precedence constraints pointing back.  With
+    ``require_full``: every job assigned.
     """
     tree = tree_for(params)
     out: list[Violation] = []
-    seen = sys.ancestors
-    for iv, jobs in _sorted_items(sys.assign):
-        try:
-            i = tree.index(iv)
-        except ValueError:
-            i = 0
-        if not i or not sys.root.begin <= iv.begin < iv.end <= sys.root.end:
-            out.append(Violation("system-key", f"{iv} is not a tree interval under {sys.root}"))
-            continue
+    size = len(tree.kinds)
+    for i in sys.assign:
+        if not 0 < i < size:
+            out.append(Violation(
+                "system-key", f"key {i} is not a tree interval (heap indices 1..{size - 1})"))
+    items = in_order(tree, {i: jobs for i, jobs in sys.assign.items() if 0 < i < size})
+    seen = 0
+    for i, jobs in items:
+        iv = tree.interval[i]
         if jobs & seen:
             dup = next(iter_jobs(jobs & seen))
             out.append(Violation("system-disjoint", f"job {dup} assigned twice (at {iv})"))
@@ -346,21 +321,16 @@ def check_system(
                     f"chain {got} > budget {Fraction(bound, params.D)} on top {iv}"))
         elif kind == MID and jobs:
             out.append(Violation("system-middle", f"middle {iv} holds {job_count(jobs)} jobs"))
-    items = [(iv, jobs) for iv, jobs in _sorted_items(sys.assign) if jobs]
-    for i, (iv_a, jobs_a) in enumerate(items):
-        for iv_b, jobs_b in items[i + 1 :]:
-            if iv_a == iv_b:
-                continue
-            # iv_a is in-order before iv_b: no constraints from later to earlier.
+    items = [(i, jobs) for i, jobs in items if jobs]
+    for k, (a, jobs_a) in enumerate(items):
+        for b, jobs_b in items[k + 1 :]:
+            # a is in-order before b: no constraints from later to earlier.
             if not inst.no_prec_between(jobs_b, jobs_a):
                 out.append(Violation(
                     "system-order",
-                    f"precedence from jobs of {iv_b} back to jobs of {iv_a}"))
+                    f"precedence from jobs of {tree.interval[b]} back to jobs of "
+                    f"{tree.interval[a]}"))
     if require_full:
-        if sys.root != tree.root:
-            out.append(Violation("system-cover", f"root {sys.root} != {tree.root}"))
-        if sys.ancestors:
-            out.append(Violation("system-cover", "full system must have no ancestors"))
         missing = inst.all_jobs & ~sys.jobs_assigned()
         if missing:
             out.append(Violation(
@@ -373,51 +343,58 @@ def window_step(params: Params, interval_len: int) -> int:
     return max(interval_len >> params.h, 1 << params.h)
 
 
-def _window_for(
+def node_windows(
     inst: Instance,
-    j: int,
-    begin: int,
-    end: int,
-    step: int,
-    region_jobs: Callable[[int, int], JobSet],
-) -> Window:
-    """Largest aligned window (b, e] around the center of (begin, end] with
-    no precedence into j from the left remainder nor out of j into the
-    right remainder; ``region_jobs(b, e)`` is the jobs assigned fully
-    inside (b, e]."""
-    center = (begin + end) // 2
-    b = center
-    for cand in range(begin + step, center + 1, step):
-        region = region_jobs(cand, center) if cand < center else 0
-        if inst.no_prec_between(region, 1 << j):
-            b = cand
-            break
-    e = center
-    for cand in range(end - step, center - 1, -step):
-        region = region_jobs(center, cand) if cand > center else 0
-        if inst.no_prec_between(1 << j, region):
-            e = cand
-            break
-    return b, e
-
-
-def windows(inst: Instance, sys: PartialDyadicSystem, params: Params) -> dict[int, Window]:
-    """Window (b, e] for every top job of the system.
+    root: int,
+    j_map: Mapping[int, JobSet],
+    k_map: Mapping[int, JobSet],
+    params: Params,
+) -> dict[int, Window]:
+    """Window (b, e] for every job assigned to the top interval ``root``.
 
     ``b`` is the least multiple of the alignment unit in (begin, center]
     such that no job assigned fully inside (b, center] precedes j; ``e``
     mirrors it on the right.  Boundaries always satisfy
-    begin < b <= center <= e < end.
-    """
-    tree = tree_for(params)
+    begin < b <= center <= e < end.  The jobs assigned are those of
+    ``j_map`` and ``k_map``, by heap index, and a set counts as inside a
+    region when its interval is: the solver passes the sets fixed so far
+    and the pending sets of its frontier (the two maps never share an
+    interval), ``windows`` a whole system."""
+    own = j_map.get(root, 0)
+    if not own:
+        return {}
+    span = tree_for(params).span
+    begin, end = span[root]
+    center = (begin + end) // 2
+    step = window_step(params, end - begin)
+    known = [(span[i], jobs) for mp in (j_map, k_map) for i, jobs in mp.items() if jobs]
+
+    def within(b: int, e: int) -> JobSet:
+        out = 0
+        for (ib, ie), jobs in known:
+            if b <= ib and ie <= e:
+                out |= jobs
+        return out
+
+    # the boundaries short of the center, farthest first, each with the
+    # jobs between it and the center
+    lefts = [(b, within(b, center)) for b in range(begin + step, center, step)]
+    rights = [(e, within(center, e)) for e in range(end - step, center, -step)]
+    return {
+        j: (next((b for b, region in lefts if inst.no_prec_between(region, 1 << j)), center),
+            next((e for e, region in rights if inst.no_prec_between(1 << j, region)), center))
+        for j in iter_jobs(own)
+    }
+
+
+def windows(inst: Instance, sys: PartialDyadicSystem, params: Params) -> dict[int, Window]:
+    """Window (b, e] for every top job of the system: ``node_windows`` of
+    each top interval over the whole system."""
+    kinds = tree_for(params).kinds
     out: dict[int, Window] = {}
-    for iv, jobs in _sorted_items(sys.assign):
-        if not jobs or tree.kind(iv) != TOP:
-            continue
-        step = window_step(params, iv.length)
-        for j in iter_jobs(jobs):
-            out[j] = _window_for(inst, j, iv.begin, iv.end, step,
-                                 lambda b, e: sys.jobs_within(Interval(b, e)))
+    for i in sys.assign:
+        if kinds[i] == TOP:
+            out.update(node_windows(inst, i, sys.assign, {}, params))
     return out
 
 
@@ -431,11 +408,14 @@ def check_valid_for_system(
     scheduled inside its owning interval (or discarded)."""
     base = verify_valid(inst, sched)
     out = list(base.violations)
-    for iv, jobs in _sorted_items(sys.assign):
+    tree = tree_for(params)
+    for i, jobs in in_order(tree, sys.assign):
+        begin, end = tree.span[i]
         for j in iter_jobs(jobs):
             t = sched.assign[j]
-            if t is not None and t not in iv:
-                out.append(Violation("interval", f"job {j} at {t} outside owning {iv}"))
+            if t is not None and not begin < t <= end:
+                out.append(Violation(
+                    "interval", f"job {j} at {t} outside owning {tree.interval[i]}"))
     return ValidityReport(violations=tuple(out), discards=base.discards)
 
 
@@ -445,21 +425,18 @@ def check_virtually_valid(
     params: Params,
     sched: Mapping[int, Slot] | Schedule,
 ) -> ValidityReport:
-    """Check the five clause families of a virtually-valid schedule.
+    """Check the four clause families of a virtually-valid schedule.
 
     Capacity everywhere; precedence and interval constraints for bottom
-    jobs only; window constraints for top jobs; window constraints for
-    ancestor jobs.  The schedule must cover exactly the system's jobs with
-    slots inside the root interval.
+    jobs only; window constraints for top jobs.  The schedule must cover
+    exactly the system's jobs with slots inside the root interval.
     """
+    expect = sys.jobs_assigned()
     if isinstance(sched, Schedule):
         domain_all = sched.as_dict()
-        sched = {
-            j: domain_all[j] for j in iter_jobs(sys.all_jobs()) if j in domain_all
-        }
+        sched = {j: domain_all[j] for j in iter_jobs(expect) if j in domain_all}
     tree = tree_for(params)
     out: list[Violation] = []
-    expect = sys.all_jobs()
     got = mask_from(sched.keys())
     if got != expect:
         out.append(Violation(
@@ -471,21 +448,23 @@ def check_virtually_valid(
         if t is None:
             discards += 1
             continue
-        if t not in sys.root:
-            out.append(Violation("domain", f"job {j} at {t} outside root {sys.root}"))
+        if not 0 < t <= params.T:
+            out.append(Violation("domain", f"job {j} at {t} outside root {tree.interval[1]}"))
         counts[t] = counts.get(t, 0) + 1
     for t in sorted(counts):
         if counts[t] > inst.m:
             out.append(Violation("capacity", f"{counts[t]} jobs at slot {t} > m={inst.m}"))
 
     bottom_jobs: JobSet = 0
-    for iv, jobs in _sorted_items(sys.assign):
-        if tree.kind(iv) == BOT:
+    for i, jobs in in_order(tree, sys.assign):
+        if tree.kinds[i] == BOT:
             bottom_jobs |= jobs
+            begin, end = tree.span[i]
             for j in iter_jobs(jobs):
                 t = sched.get(j)
-                if t is not None and t not in iv:
-                    out.append(Violation("interval", f"bottom job {j} at {t} outside {iv}"))
+                if t is not None and not begin < t <= end:
+                    out.append(Violation(
+                        "interval", f"bottom job {j} at {t} outside {tree.interval[i]}"))
     placed: JobSet = 0
     at: dict[int, JobSet] = {}  # placed bottom jobs per slot
     for j in iter_jobs(bottom_jobs):
@@ -517,13 +496,6 @@ def check_virtually_valid(
         b, e = win[j]
         if t is not None and not b < t <= e:
             out.append(Violation("window", f"top job {j} at {t} outside ({b},{e}]"))
-    for j in sorted(iter_jobs(sys.ancestors)):
-        t = sched.get(j)
-        if t is None:
-            continue
-        b, e = sys.anc_windows[j]
-        if not b < t <= e:
-            out.append(Violation("window-anc", f"ancestor {j} at {t} outside ({b},{e}]"))
     return ValidityReport(violations=tuple(out), discards=discards)
 
 
@@ -632,13 +604,14 @@ def system_from_schedule(
     inst: Instance,
     sched: Schedule,
     params: Params,
-) -> tuple[PartialDyadicSystem, dict[Interval, JobSet], dict[Interval, Guesses]]:
+) -> tuple[PartialDyadicSystem, dict[int, JobSet], dict[int, Guesses]]:
     """Build the full system a zero-discard schedule is valid for.
 
     Walks the tree from the root; on each non-bottom interval it runs the
     split loop, deciding each pivot's side by where the schedule put it.
     Returns the system, the per-interval covered sets (all jobs assigned
-    within each interval), and the recorded guess vectors.  The loop is
+    within each interval), and the recorded guess vectors of the non-bottom
+    intervals, all by heap index.  The loop is
     the one ``push_down`` runs, so replaying a recorded vector (under any
     padding) reproduces the same split.
     """
@@ -669,6 +642,4 @@ def system_from_schedule(
 
     walk(1, inst.all_jobs)
     del walk  # ``walk`` refers to itself; dropping it breaks that cycle
-    assign, covered, guesses = ({tree.interval[i]: v for i, v in by_index.items()}
-                                for by_index in (assign, covered, guesses))
-    return full_system(params, assign), covered, guesses
+    return full_system(assign), covered, guesses

@@ -24,7 +24,9 @@ class InvalidOverride(ValueError):
 class GuessExhausted(RuntimeError):
     """A guess vector ran out of entries before the split loop finished.
 
-    Signals an inconsistent guess; enumerating callers treat it as a prune.
+    ``push_down`` raises it for an inconsistent guess.  Nothing in the
+    package catches it: the solver's guess-tree walk prunes such vectors
+    itself, and hinted replay reads the recorded split outcomes.
     """
 
 

@@ -12,8 +12,10 @@ a candidate whose job counts cannot beat the best one found is cut.
 Bottom intervals are solved exactly by branch and bound.  A hinted mode
 replays the splits and partitions recorded from a reference schedule
 instead of enumerating, realizing the guarantee that the enumeration can
-do at least as well as the reference.  Inside the recursion tree
-intervals are heap indices.
+do at least as well as the reference.  Tree intervals are heap indices
+throughout, in subproblems, results and the system a solve returns, and
+windows come from ``dyadic.node_windows``, the region query that
+``dyadic.windows`` runs on whole systems.
 """
 
 from __future__ import annotations
@@ -43,20 +45,17 @@ from .dyadic import (
     Params,
     PartialDyadicSystem,
     Window,
-    _window_for,
     check_reference,
-    check_virtually_valid,
     full_system,
     moved_with,
-    push_down,
+    node_windows,
     split_budget,
     split_step,
     system_from_schedule,
     tree_for,
-    window_step,
 )
 from .convert import valid_to_virtually_valid
-from .errors import BudgetExceeded, GuessExhausted
+from .errors import BudgetExceeded
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -150,18 +149,17 @@ SplitOutcome = tuple[JobSet, JobSet, JobSet]
 
 @dataclass(frozen=True)
 class Hints:
-    """Recorded split vectors by heap index, and a reference to replay them against.
+    """A reference schedule to replay, and the split outcomes recorded from it.
 
-    ``outcomes`` optionally holds, by heap index, the pool a recorded
-    split started from and its (stay, to-left, to-right) outcome, as read
-    off the reference system.  A split of that very pool is answered from
-    it; any other, or one with no record, replays ``guesses`` through
-    ``push_down``, which gives the same outcome on a recorded pool.
+    ``outcomes`` maps each non-bottom heap index to the (stay, to-left,
+    to-right) outcome of the reference system's split there.  A hinted
+    solve splits at each index the pool the reference split: the root's is
+    every job, and each recorded outcome's halves are the pools of the
+    children, so the record answers every split it meets.
     """
 
-    guesses: dict[int, Guesses]
     reference: Schedule
-    outcomes: dict[int, tuple[JobSet, SplitOutcome]] = field(default_factory=dict)
+    outcomes: dict[int, SplitOutcome]
 
 
 @dataclass
@@ -182,7 +180,7 @@ class SolveMemo:
     never be mutated.
 
     A subtree key is free of the root's position, and that is exact:
-    ``_solve_subtree``, ``node_windows``, ``_window_for``,
+    ``_solve_subtree``, ``node_windows``,
     ``enumerate_partitions``, ``_split_outcomes`` and ``bottom_solve``
     read absolute times only by comparing them with spans and window
     bounds, kinds, ``window_step`` and split budgets depend on the level
@@ -197,36 +195,6 @@ class SolveMemo:
     splits: dict[tuple[int, JobSet], tuple[SplitOutcome, ...]] = field(
         default_factory=dict
     )
-
-
-def node_windows(
-    inst: Instance,
-    root: int,
-    j_map: dict[int, JobSet],
-    k_map: dict[int, JobSet],
-    params: Params,
-) -> dict[int, Window]:
-    """Windows for the jobs staying at ``root``, from one frontier level of info.
-
-    Intervals are heap indices.  Boundaries are multiples of the root's
-    alignment unit; a pending set counts as inside a region when its
-    frontier interval is (the two maps never share an interval)."""
-    span = tree_for(params).span
-    begin, end = span[root]
-    step = window_step(params, end - begin)
-    known = [(span[i], jobs) for mp in (j_map, k_map) for i, jobs in mp.items() if jobs]
-
-    def region_jobs(b: int, e: int) -> JobSet:
-        out = 0
-        for (ib, ie), jobs in known:
-            if b <= ib and ie <= e:
-                out |= jobs
-        return out
-
-    return {
-        j: _window_for(inst, j, begin, end, step, region_jobs)
-        for j in iter_jobs(j_map.get(root, 0))
-    }
 
 
 def _clip(w: Window, begin: int, end: int) -> Window | None:
@@ -338,13 +306,47 @@ def _extend(comparable, pred, cand, left, size, keep, prefix):
             )
 
 
+def _warm_is_valid(
+    inst: Instance,
+    iv: Interval,
+    bottom: JobSet,
+    ancestors: JobSet,
+    anc_windows: dict[int, Window],
+    warm: PartialAssign,
+) -> bool:
+    """Whether ``warm`` is a virtually-valid assignment on the bottom
+    interval ``iv``: it covers exactly ``bottom | ancestors``, places each
+    job inside ``iv`` and at most ``m`` jobs in a slot, each placed bottom
+    job before its placed bottom successors, and each placed ancestor
+    inside its window (b, e]."""
+    if mask_from(warm) != bottom | ancestors:
+        return False
+    counts: dict[int, int] = {}
+    for j, t in warm.items():
+        if t is None:
+            continue
+        if not iv.begin < t <= iv.end:
+            return False
+        if ancestors >> j & 1 and not anc_windows[j][0] < t <= anc_windows[j][1]:
+            return False
+        counts[t] = counts.get(t, 0) + 1
+        if counts[t] > inst.m:
+            return False
+    for j in iter_jobs(bottom):
+        t = warm[j]
+        if t is not None and any(
+            warm[s] is not None and warm[s] <= t for s in iter_jobs(inst.succ[j] & bottom)
+        ):
+            return False
+    return True
+
+
 def bottom_solve(
     inst: Instance,
     iv: Interval,
     bottom: JobSet,
     ancestors: JobSet,
     anc_windows: dict[int, Window],
-    params: Params | None,
     budget: Budget | None = None,
     warm: PartialAssign | None = None,
     complete: bool = False,
@@ -355,11 +357,10 @@ def bottom_solve(
     ancestors obey only their windows; capacity is ``inst.m`` per slot.
     Branch and bound over per-slot antichain batches of bottom jobs;
     ancestor slots are filled greedily by earliest window end, which is
-    optimal for unit jobs.  ``warm`` seeds the incumbent when it is
-    virtually valid for the one-interval system of ``bottom`` and
-    ``ancestors``; only that check reads ``params``.  The root state is
-    always entered and counted, but when its bound cannot beat the
-    incumbent (a warm start that places as many jobs as fit) the
+    optimal for unit jobs.  ``warm`` seeds the incumbent when it is a
+    virtually-valid assignment on ``iv`` (see ``_warm_is_valid``).  The
+    root state is always entered and counted, but when its bound cannot
+    beat the incumbent (a warm start that places as many jobs as fit) the
     incumbent is returned before any search state is built.
 
     At each slot the batches are tried larger first, then in lexicographic
@@ -397,10 +398,7 @@ def bottom_solve(
     best_assign: PartialAssign = {j: DISC for j in iter_jobs(bottom | ancestors)}
     best_count = total_jobs - 1 if complete else 0
     if warm is not None:
-        warm_sys = PartialDyadicSystem(
-            root=iv, assign={iv: bottom}, ancestors=ancestors, anc_windows=anc_windows,
-        )
-        if check_virtually_valid(inst, warm_sys, params, warm).ok:
+        if _warm_is_valid(inst, iv, bottom, ancestors, anc_windows, warm):
             got = {j: warm[j] for j in iter_jobs(bottom | ancestors)}
             cnt = sum(1 for t in got.values() if t is not None)
             if cnt > best_count:
@@ -562,22 +560,14 @@ def _split_outcomes(
 ) -> tuple[SplitOutcome, ...]:
     """Split outcomes to try for ``jobs`` on the non-bottom interval ``f``.
 
-    With hints, the one outcome of the recorded vector (none when the
-    vector runs out), read from ``hints.outcomes`` when ``jobs`` is the
-    recorded pool and replayed by ``push_down`` otherwise; a hinted solve
-    meets each ``f`` once and keeps nothing in ``memo``.  Without hints,
-    every distinct outcome of a guess vector of at most ``p`` entries on
-    top intervals, ``m * |f|`` on middle ones, worked out once per
-    (f, jobs) and ``memo``.
+    With hints, the one outcome recorded at ``f``, whose pool is ``jobs``
+    (see ``Hints``); a hinted solve meets each ``f`` once and keeps
+    nothing in ``memo``.  Without hints, every distinct outcome of a guess
+    vector of at most ``p`` entries on top intervals, ``m * |f|`` on
+    middle ones, worked out once per (f, jobs) and ``memo``.
     """
     if hints is not None:
-        recorded = hints.outcomes.get(f)
-        if recorded is not None and recorded[0] == jobs:
-            return (recorded[1],)
-        try:
-            return (push_down(inst, f, jobs, hints.guesses.get(f, ()), params),)
-        except GuessExhausted:
-            return ()
+        return (hints.outcomes[f],)
     got = memo.splits.get((f, jobs))
     if got is None:
         length = params.T >> (f.bit_length() - 1)
@@ -685,7 +675,7 @@ def _solve_subtree(
                 for j in iter_jobs(bottom | sub.ancestors)
             }
         assign = bottom_solve(
-            inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, params,
+            inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows,
             budget=budget, warm=warm,
         )
         return {i: bottom}, assign
@@ -876,15 +866,14 @@ def main_solve(
     budget = budget or Budget()
     tree = tree_for(params)
     if inst.n == 0:
-        empty = full_system(params, {})
-        return empty, Schedule(T=params.T, assign=())
+        return full_system({}), Schedule(T=params.T, assign=())
     best = {1 << tree.L: inst.all_jobs}  # the system, by heap index
     best_sched = Schedule(T=params.T, assign=(DISC,) * inst.n)
     if tree.L == 0:
-        root_sys = full_system(params, {tree.root: inst.all_jobs})
+        root_sys = full_system(best)
         if inst.n > params.m * params.T:  # the root cannot hold them all
             return root_sys, best_sched
-        assign = bottom_solve(inst, tree.root, inst.all_jobs, 0, {}, params, budget)
+        assign = bottom_solve(inst, tree.interval[1], inst.all_jobs, 0, {}, budget)
         return root_sys, Schedule(T=params.T, assign=tuple(assign[j] for j in range(inst.n)))
     memo = SolveMemo()
     best_count = 0
@@ -904,7 +893,7 @@ def main_solve(
             best_count = count
             if count == inst.n:  # no later state can place more
                 break
-    return full_system(params, {tree.interval[i]: jobs for i, jobs in best.items()}), best_sched
+    return full_system(best), best_sched
 
 
 def solve_hinted(
@@ -916,8 +905,8 @@ def solve_hinted(
     """Drive the solver along the splits recorded from an optimal schedule.
 
     Builds the reference system and its virtually-valid counterpart, and
-    records, per non-bottom heap index, the pool the reference split and
-    its (stay, to-left, to-right) outcome.  ``main_solve`` then runs with
+    records, per non-bottom heap index, the reference's (stay, to-left,
+    to-right) split outcome.  ``main_solve`` then runs with
     one candidate per node: each split outcome is read from that record,
     each pool goes to the halves as the virtually-valid reference places
     it, and each bottom interval runs ``bottom_solve`` warm-started from
@@ -931,20 +920,11 @@ def solve_hinted(
     discards, fits in T and is valid) and counts one node, the root state
     a bottom search would enter.
     """
-    tree = tree_for(params)
-    if tree.L == 0:
+    if params.L == 0:
         check_reference(inst, reference, params)
         (budget or Budget()).tick()
-        root_sys = full_system(params, {tree.root: inst.all_jobs})
-        return root_sys, Schedule(T=params.T, assign=reference.assign)
+        return full_system({1: inst.all_jobs}), Schedule(T=params.T, assign=reference.assign)
     ref_sys, covered, guesses = system_from_schedule(inst, reference, params)
     virt = valid_to_virtually_valid(inst, ref_sys, reference, params)
-    by_index: dict[int, Guesses] = {}
-    outcomes: dict[int, tuple[JobSet, SplitOutcome]] = {}
-    interval = tree.interval
-    for iv, g in guesses.items():
-        i = tree.index(iv)
-        by_index[i] = g
-        outcomes[i] = covered[iv], (
-            ref_sys.assign[iv], covered[interval[2 * i]], covered[interval[2 * i + 1]])
-    return main_solve(inst, params, budget=budget, hints=Hints(by_index, virt, outcomes))
+    outcomes = {i: (ref_sys.assign[i], covered[2 * i], covered[2 * i + 1]) for i in guesses}
+    return main_solve(inst, params, budget=budget, hints=Hints(virt, outcomes))

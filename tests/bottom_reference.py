@@ -1,4 +1,5 @@
-"""The bottom search as it was before batches were generated lazily.
+"""The bottom search as it was before batches were generated lazily, and
+its warm-start check as it was before ``bottom_solve`` made it directly.
 
 A test-only copy of the earlier ``psched.solver.bottom_solve``: it builds
 and sorts every antichain of the alive jobs at every node and enters every
@@ -9,8 +10,46 @@ search to the same result, dict for dict.
 from __future__ import annotations
 
 from psched.core import DISC, Instance, Interval, JobSet, job_count, iter_jobs, mask_from
-from psched.dyadic import Params, PartialDyadicSystem, Window, check_virtually_valid
+from psched.dyadic import Params, Window
 from psched.solver import Budget, PartialAssign
+
+
+def reference_warm_check(
+    inst: Instance,
+    iv: Interval,
+    bottom: JobSet,
+    ancestors: JobSet,
+    anc_windows: dict[int, Window],
+    warm: PartialAssign,
+) -> bool:
+    """Whether ``dyadic.check_virtually_valid`` accepted ``warm`` for the
+    one-interval system that assigned ``bottom`` to ``iv``, rooted at
+    ``iv``, with ``ancestors`` and their windows ``anc_windows``.
+
+    Its clauses, written out: the domain is exactly ``bottom | ancestors``
+    and every placed job is inside the root; at most ``m`` jobs a slot;
+    placed bottom jobs inside their interval and pairwise in precedence
+    order; a system of one bottom interval has no top jobs, so no top
+    windows; every placed ancestor inside its window (b, e].
+    """
+    ok = mask_from(warm.keys()) == bottom | ancestors
+    counts: dict[int, int] = {}
+    for j, t in warm.items():
+        if t is not None:
+            ok = ok and t in iv
+            counts[t] = counts.get(t, 0) + 1
+    ok = ok and all(count <= inst.m for count in counts.values())
+    placed = [j for j in iter_jobs(bottom) if warm.get(j) is not None]
+    for a in placed:
+        ok = ok and warm[a] in iv
+        for b in placed:
+            ok = ok and not (inst.precedes(a, b) and warm[a] >= warm[b])
+    for j in iter_jobs(ancestors):
+        t = warm.get(j)
+        if t is not None:
+            b, e = anc_windows[j]
+            ok = ok and b < t <= e
+    return ok
 
 
 def reference_bottom_solve(
@@ -29,8 +68,8 @@ def reference_bottom_solve(
     ancestors obey only their windows; capacity is m per slot.  Branch and
     bound over per-slot antichain batches of bottom jobs; ancestor slots
     are filled greedily by earliest window end, which is optimal for unit
-    jobs.  ``warm`` seeds the incumbent when it is virtually valid for
-    the one-interval system of ``bottom`` and ``ancestors``.
+    jobs.  ``warm`` seeds the incumbent when ``reference_warm_check``
+    accepts it.
     """
     budget = budget or Budget()
     m = params.m
@@ -43,10 +82,7 @@ def reference_bottom_solve(
     best_assign: PartialAssign = {j: DISC for j in iter_jobs(bottom | ancestors)}
     best_count = 0
     if warm is not None:
-        warm_sys = PartialDyadicSystem(
-            root=iv, assign={iv: bottom}, ancestors=ancestors, anc_windows=anc_windows,
-        )
-        if check_virtually_valid(inst, warm_sys, params, warm).ok:
+        if reference_warm_check(inst, iv, bottom, ancestors, anc_windows, warm):
             got = {j: warm[j] for j in iter_jobs(bottom | ancestors)}
             cnt = sum(1 for t in got.values() if t is not None)
             if cnt > 0:

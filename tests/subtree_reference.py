@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import product
 
 from psched.core import DISC, Instance, JobSet, Schedule, Slot, iter_jobs, job_count, mask_from
-from psched.dyadic import BOT, Params, full_system, tree_for
+from psched.dyadic import BOT, Params, full_system, node_windows, tree_for
 from psched.solver import (
     Budget,
     Hints,
@@ -28,7 +28,6 @@ from psched.solver import (
     _split_outcomes,
     bottom_solve,
     enumerate_partitions,
-    node_windows,
     schedule_subtree,
 )
 
@@ -62,7 +61,7 @@ def reference_solve_subtree(
                 for j in iter_jobs(bottom | sub.ancestors)
             }
         assign = bottom_solve(
-            inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, params,
+            inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows,
             budget=budget, warm=warm,
         )
         return {i: bottom}, assign
@@ -180,4 +179,4 @@ def reference_main_solve(
             best = sys_assign
             best_sched = Schedule(T=params.T, assign=tuple(full_assign))
             best_count = count
-    return full_system(params, {tree.interval[i]: jobs for i, jobs in best.items()}), best_sched
+    return full_system(best), best_sched

@@ -234,19 +234,17 @@ def test_criterion_4_construction_and_replay(constructed):
             assert check_system(inst, sys, params, require_full=True).ok
             assert check_valid_for_system(inst, sys, params, sched).ok
             defaults = not params.overridden
-            for iv, trace in guesses.items():
-                if tree.kind(iv) == TOP:
+            for i, trace in guesses.items():
+                if tree.kinds[i] == TOP:
                     if defaults:
                         assert len(trace) <= params.p
                 else:
-                    assert len(trace) <= params.m * iv.length
+                    assert len(trace) <= params.m * tree.interval[i].length
                 for pad in (("L",) * 3, ("R",) * 3):
-                    stay, left, right = push_down(
-                        inst, tree.index(iv), covered[iv], trace + pad, params
-                    )
-                    assert stay == sys.assign[iv]
-                    assert left == covered[iv.left]
-                    assert right == covered[iv.right]
+                    stay, left, right = push_down(inst, i, covered[i], trace + pad, params)
+                    assert stay == sys.assign[i]
+                    assert left == covered[2 * i]
+                    assert right == covered[2 * i + 1]
 
 
 def test_criterion_5_conversion_chain(constructed):
@@ -255,11 +253,11 @@ def test_criterion_5_conversion_chain(constructed):
             tree = tree_for(params)
             vv = valid_to_virtually_valid(inst, sys, sched, params)
             assert check_virtually_valid(inst, sys, params, vv).ok
-            for iv, jobs in sys.assign.items():
-                if not jobs or tree.kind(iv) != TOP:
+            for i, jobs in sys.assign.items():
+                if not jobs or tree.kinds[i] != TOP:
                     continue
                 lost = job_count(jobs & vv.discarded) - job_count(jobs & sched.discarded)
-                assert lost <= 2 * window_step(params, iv.length) * params.m
+                assert lost <= 2 * window_step(params, tree.interval[i].length) * params.m
             canon, _ = _canonicalize(inst, sys, vv, params)  # per-swap asserts inside
             assert canonical_violations(inst, sys, canon, params) == []
             out = virtually_valid_to_valid(inst, sys, canon, params)
@@ -267,7 +265,7 @@ def test_criterion_5_conversion_chain(constructed):
             assert check_valid_for_system(inst, sys, params, out).ok
             win = windows(inst, sys, params)
             budget = 0
-            for iv in tree.level(tree.L):
+            for iv in tree.interval[1 << tree.L :]:  # the bottom level
                 group = mask_from(
                     j for j in win
                     if canon.assign[j] is not None and canon.assign[j] in iv
@@ -318,8 +316,8 @@ def test_criterion_6_solver_realizes_reference():
             _, _, guesses = system_from_schedule(inst, ref, params)
             tree = tree_for(params)
             in_space = all(
-                len(g) <= (params.p if tree.kind(iv) == TOP else params.m * iv.length)
-                for iv, g in guesses.items()
+                len(g) <= (params.p if tree.kinds[i] == TOP else params.m * tree.interval[i].length)
+                for i, g in guesses.items()
             )
             _, hinted = solve_hinted(inst, ref, params)
             sys_full, full = main_solve(inst, params, budget=Budget(5_000_000))

@@ -19,7 +19,6 @@ from psched.baselines import (
 )
 from psched.cli import run_command
 from psched.core import Interval, build_instance, iter_jobs, job_count, longest_chain, mask_from, verify_valid
-from psched.dyadic import compute_params
 from psched.errors import BudgetExceeded, CapacityDeficit
 from psched.generators import gen_instance
 from psched.solver import Budget, bottom_solve
@@ -180,9 +179,7 @@ def test_exact_opt_decides_uncertified_instances_in_few_nodes(n, m, seed):
     assert_no_violations(verify_valid(inst, sched))
     assert sched.discard_count == 0 and sched.makespan == sched.T == opt
     # one slot fewer admits no schedule of every job
-    params = compute_params(2, m, "1/2")
-    below = bottom_solve(inst, Interval(0, opt - 1), inst.all_jobs, 0, {}, params,
-                         complete=True)
+    below = bottom_solve(inst, Interval(0, opt - 1), inst.all_jobs, 0, {}, complete=True)
     assert set(below.values()) == {None}
 
 

@@ -13,7 +13,6 @@ from psched.convert import (
     virtually_valid_to_valid,
 )
 from psched.core import (
-    Interval,
     Schedule,
     build_instance,
     iter_jobs,
@@ -59,8 +58,7 @@ def test_all_bottom_jobs_pass_through():
 def test_single_block_load_is_discarded():
     params = desk_params(T=16, m=2)
     inst = build_instance(8, 2, [])
-    root = Interval(0, 16)
-    sys = full_system(params, {root: inst.all_jobs})
+    sys = full_system({1: inst.all_jobs})  # (0,16]
     slots = [1, 1, 2, 2, 3, 3, 4, 4]  # all of block (0,4]
     sched = Schedule(T=16, assign=tuple(slots))
     assert_no_violations(check_valid_for_system(inst, sys, params, sched))
@@ -71,8 +69,7 @@ def test_single_block_load_is_discarded():
 def test_spread_out_jobs_survive():
     params = desk_params(T=16, m=2)
     inst = build_instance(4, 2, [])
-    root = Interval(0, 16)
-    sys = full_system(params, {root: inst.all_jobs})
+    sys = full_system({1: inst.all_jobs})  # (0,16]
     sched = Schedule(T=16, assign=(1, 5, 9, 13))  # one job per block
     out = valid_to_virtually_valid(inst, sys, sched, params)
     # left-half jobs shift one block right, right-half jobs one block left
@@ -83,7 +80,7 @@ def test_spread_out_jobs_survive():
 def test_conversion_rejects_invalid_input():
     params = desk_params(T=16, m=2)
     inst = build_instance(2, 2, [(0, 1)])
-    sys = full_system(params, {Interval(0, 16): inst.all_jobs})
+    sys = full_system({1: inst.all_jobs})  # (0,16]
     backwards = Schedule(T=16, assign=(2, 1))
     with pytest.raises(InvalidInput):
         valid_to_virtually_valid(inst, sys, backwards, params)
@@ -95,18 +92,19 @@ def test_pipeline_virtual_validity_and_per_interval_bound():
         out = valid_to_virtually_valid(inst, sys, sched, params)
         assert_no_violations(check_virtually_valid(inst, sys, params, out))
         tree = tree_for(params)
-        for iv, jobs in sys.assign.items():
-            if tree.kind(iv) != "top" or not jobs:
+        for i, jobs in sys.assign.items():
+            if tree.kinds[i] != "top" or not jobs:
                 continue
             lost = job_count(jobs & out.discarded) - job_count(jobs & sched.discarded)
-            assert lost <= 2 * window_step(params, iv.length) * params.m
+            assert lost <= 2 * window_step(params, tree.interval[i].length) * params.m
         # sides never change
         win_jobs = [j for j in iter_jobs(sys.jobs_assigned())]
         owner = sys.owner_of()
         for j in win_jobs:
             told, tnew = sched.assign[j], out.assign[j]
-            if told is not None and tnew is not None and tree.kind(owner[j]) == "top":
-                assert (told in owner[j].left) == (tnew in owner[j].left)
+            if told is not None and tnew is not None and tree.kinds[owner[j]] == "top":
+                left = tree.interval[owner[j]].left
+                assert (told in left) == (tnew in left)
 
 
 def test_canonicalize_fixpoint_is_stable():
@@ -123,8 +121,7 @@ def test_canonicalize_fixpoint_is_stable():
 def test_canonicalize_single_inversion():
     params = desk_params(T=16, m=2)
     inst = build_instance(2, 2, [(0, 1)])
-    root = Interval(0, 16)
-    sys = full_system(params, {root: inst.all_jobs})
+    sys = full_system({1: inst.all_jobs})  # (0,16]
     win = windows(inst, sys, params)
     assert win[0] == win[1] == (4, 12)
     crossed = Schedule(T=16, assign=(6, 5))  # both left, precedence inverted
@@ -140,9 +137,8 @@ def test_canonicalize_preserves_discards_bottoms_and_windows():
         assert canon.discarded == vv.discarded
         assert_no_violations(check_virtually_valid(inst, sys, params, canon))
         tree = tree_for(params)
-        owner = sys.owner_of()
-        for iv, jobs in sys.assign.items():
-            if tree.kind(iv) == "bot":
+        for i, jobs in sys.assign.items():
+            if tree.kinds[i] == "bot":
                 for j in iter_jobs(jobs):
                     assert canon.assign[j] == vv.assign[j]
 
@@ -202,7 +198,7 @@ def test_conversions_are_the_identity_when_collapsed(seed, m, offset, hinted):
 def test_vv_to_valid_distinct_bottoms_lose_nothing():
     params = desk_params(T=16, m=2)
     inst = build_instance(2, 2, [])
-    sys = full_system(params, {Interval(0, 16): inst.all_jobs})
+    sys = full_system({1: inst.all_jobs})  # (0,16]
     sched = Schedule(T=16, assign=(5, 9))
     out = virtually_valid_to_valid(inst, sys, sched, params)
     assert out.discard_count == 0
@@ -212,7 +208,7 @@ def test_vv_to_valid_distinct_bottoms_lose_nothing():
 def test_vv_to_valid_detects_order_violation():
     params = desk_params(T=16, m=2)
     inst = build_instance(2, 2, [(0, 1)])
-    sys = full_system(params, {Interval(0, 16): inst.all_jobs})
+    sys = full_system({1: inst.all_jobs})  # (0,16]
     crossed = Schedule(T=16, assign=(6, 5))
     with pytest.raises(PrecongruenceViolated, match=(
             r"^precedence pair \(0, 1\) out of order; side pair \(0, 1\) out of order$")):
@@ -250,7 +246,7 @@ def test_full_conversion_chain():
         tree = tree_for(params)
         win = windows(inst, sys, params)
         budget = 0
-        for iv in tree.level(tree.L):
+        for iv in tree.interval[1 << tree.L :]:  # the bottom level
             group = mask_from(
                 j for j in win
                 if canon.assign[j] is not None and canon.assign[j] in iv

@@ -36,8 +36,9 @@ from psched.dyadic import (
     windows,
 )
 from psched.errors import GuessExhausted, InvalidInput, InvalidOverride
-from psched.solver import _restrict
+from psched.solver import _restrict, _warm_is_valid
 
+from bottom_reference import reference_warm_check
 from conftest import assert_no_violations, random_instance
 
 DESK = dict(h=1, hp=1, p=4, delta=Fraction(1, 4), deltap=Fraction(1, 8))
@@ -112,7 +113,7 @@ def test_tree_for_depends_on_t_l_and_hp_alone():
 def test_tree_levels_structure():
     params = desk_params()
     tree = tree_for(params)
-    levels = [tree.level(l) for l in range(tree.L + 1)]
+    levels = [tuple(tree.interval[i] for i in tree.below(1, l)) for l in range(tree.L + 1)]
     assert levels == [
         (Interval(0, 8),),
         (Interval(0, 4), Interval(4, 8)),
@@ -121,11 +122,8 @@ def test_tree_levels_structure():
     # heap indices name the same intervals, level by level
     assert tree.interval[1:] == sum(levels, ())
     assert tree.kinds[1:] == (TOP, MID, MID, BOT, BOT, BOT, BOT)
-    assert tree.kind(Interval(0, 8)) == TOP
-    assert tree.kind(Interval(0, 4)) == MID and tree.kind(Interval(4, 8)) == MID
-    assert all(tree.kind(iv) == BOT for iv in levels[2])
     assert len(levels[-1]) == params.T // 2**params.h
-    assert tree.level(5) == ()
+    assert tree.below(1, 5) == range(0)
 
 
 def test_tree_under_and_rel_level():
@@ -136,7 +134,7 @@ def test_tree_under_and_rel_level():
     assert [iv[i] for i in _restrict(dict.fromkeys(range(1, 8), 0), 2)] == [
         Interval(0, 4), Interval(0, 2), Interval(2, 4)]
     assert [iv[i] for i in tree.below(1, 1)] == [Interval(0, 4), Interval(4, 8)]
-    assert tree.below(tree.index(Interval(0, 2)), 1) == range(0)
+    assert iv[4] == Interval(0, 2) and tree.below(4, 1) == range(0)
 
 
 def _old_level_of(tree, iv):
@@ -153,22 +151,16 @@ def _old_kind(tree, iv):
     return BOT if l == tree.L else MID if l >= tree.L - tree.hp else TOP
 
 
-def _raises(method, iv):
-    try:
-        method(iv)
-    except ValueError:
-        return True
-    return False
-
-
 @pytest.mark.parametrize("T", [2, 4, 8, 16, 32, 64])
 def test_level_of_and_kind_match_the_arithmetic_on_every_interval(T):
     # every (b, e] with e <= T + 2, so out-of-range, misaligned and
-    # wrong-length intervals are all among them
+    # wrong-length intervals are all among them: the heap tables name
+    # exactly the tree intervals, each with its level and kind
     log_T = T.bit_length() - 1
     for L in range(log_T + 1):
         for hp in range(L + 2):
             tree = DyadicTree(T=T, L=L, hp=hp)
+            index = {iv: i for i, iv in enumerate(tree.interval) if i}
             tree_ivs = 0
             for e in range(1, T + 3):
                 for b in range(e):
@@ -176,13 +168,12 @@ def test_level_of_and_kind_match_the_arithmetic_on_every_interval(T):
                     try:
                         want = _old_level_of(tree, iv), _old_kind(tree, iv)
                     except ValueError:
-                        assert _raises(tree.index, iv) and _raises(tree.kind, iv)
+                        assert iv not in index
                         continue
                     tree_ivs += 1
-                    i = tree.index(iv)
-                    assert (i.bit_length() - 1, tree.kind(iv)) == want
-                    assert tree.interval[i] == iv
-            assert tree_ivs == len(tree.interval) - 1 == (2 << L) - 1
+                    i = index[iv]
+                    assert (i.bit_length() - 1, tree.kinds[i]) == want
+            assert tree_ivs == len(index) == (2 << L) - 1
 
 
 def _old_rel_level(tree, root, k):
@@ -211,10 +202,9 @@ def test_heap_indices_name_the_tree_intervals(T):
                 size = T >> l
                 iv = tree.interval[i]
                 assert iv == Interval((i - (1 << l)) * size, (i - (1 << l) + 1) * size)
-                assert tree.level(l)[i - (1 << l)] == iv
                 assert tree.span[i] == (iv.begin, iv.end)
-                assert tree.index(iv) == i and _old_level_of(tree, iv) == l
-                assert tree.kinds[i] == tree.kind(iv) == _old_kind(tree, iv)
+                assert _old_level_of(tree, iv) == l
+                assert tree.kinds[i] == _old_kind(tree, iv)
                 if l < L:
                     assert (tree.interval[2 * i], tree.interval[2 * i + 1]) == (
                         iv.left, iv.right)
@@ -266,18 +256,6 @@ def test_integer_budgets_match_the_fraction_arithmetic(delta, deltap):
         split_budget(params, 8)  # a bottom interval
 
 
-def test_level_of_rejects_non_tree_intervals():
-    tree = DyadicTree(T=16, L=2, hp=1)  # lengths 16, 8 and 4
-    for iv in (Interval(2, 6), Interval(4, 12),  # misaligned
-               Interval(16, 20), Interval(12, 20), Interval(0, 32),  # out of range
-               Interval(0, 2), Interval(0, 3), Interval(4, 10)):  # wrong length
-        with pytest.raises(ValueError, match="is not a tree interval"):
-            tree.index(iv)
-        with pytest.raises(ValueError):
-            tree.kind(iv)
-    assert [tree.kind(Interval(0, n)) for n in (16, 8, 4)] == [TOP, MID, BOT]
-
-
 def test_compute_params_is_memoized_and_still_validates():
     ov = {"h": 1, "hp": 1, "p": 2, "delta": Fraction(1, 4)}
     first = compute_params(16, 2, Fraction(1, 2), overrides=ov)
@@ -299,30 +277,55 @@ def test_compute_params_is_memoized_and_still_validates():
 def test_check_system_single_bottom_interval_is_valid():
     params = desk_params()
     inst = random_instance(5, 2, 0.6, 2)
-    sys = PartialDyadicSystem(root=Interval(0, 2), assign={Interval(0, 2): inst.all_jobs})
+    sys = PartialDyadicSystem(assign={4: inst.all_jobs})  # (0,2]
     assert_no_violations(check_system(inst, sys, params))
+
+
+def test_check_system_reports_keys_outside_the_tree():
+    params = desk_params()  # heap indices 1..7
+    inst = build_instance(2, 2, [])
+    sys = PartialDyadicSystem(assign={0: mask_from([0]), 1: 0, 8: mask_from([1])})
+    assert [str(v) for v in check_system(inst, sys, params).violations] == [
+        "system-key: key 0 is not a tree interval (heap indices 1..7)",
+        "system-key: key 8 is not a tree interval (heap indices 1..7)",
+    ]
+
+
+def test_check_system_orders_a_parent_between_its_children():
+    # with h = 0 a leaf (k+1, k+2] and its parent (k, k+2] share the
+    # rounded-down center k+1; the split sends a successor of a job staying
+    # at the parent to the right leaf, which is in-order after the parent
+    params = compute_params(8, 2, Fraction(1, 2), overrides={"h": 0, "hp": 0, "p": 2})
+    inst = build_instance(2, 2, [(0, 1)])
+    sys = PartialDyadicSystem(assign={5: mask_from([0]), 11: mask_from([1])})  # (2,4], (3,4]
+    assert_no_violations(check_system(inst, sys, params))
+    back = PartialDyadicSystem(assign={5: mask_from([1]), 11: mask_from([0])})
+    assert [str(v) for v in check_system(inst, back, params).violations] == [
+        "system-order: precedence from jobs of (3,4] back to jobs of (2,4]"]
+    for seed in range(40):
+        inst, sched = reference_pair(seed, T=16, m=2, n=8)
+        params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 0, "hp": 0, "p": 2})
+        sys, _, _ = system_from_schedule(inst, sched, params)
+        assert_no_violations(check_system(inst, sys, params, require_full=True))
 
 
 def test_check_system_reports_chain_violation():
     params = desk_params(T=16, m=2, delta=Fraction(0), deltap=Fraction(0))
     inst = build_instance(4, 2, [(0, 1), (1, 2), (2, 3)])
-    sys = full_system(params, {Interval(0, 16): inst.all_jobs})
+    sys = full_system({1: inst.all_jobs})  # (0,16]
     report = check_system(inst, sys, params)
     assert "system-chain" in report.kinds()
     assert "system-chain: chain 4 > budget 0 on top (0,16]" in str(report)
     # the budget prints as the Fraction delta * count + deltap * length
     params = desk_params(T=16, m=2, delta=Fraction(1, 3), deltap=Fraction(1, 12))
-    report = check_system(inst, full_system(params, {Interval(0, 16): inst.all_jobs}), params)
+    report = check_system(inst, full_system({1: inst.all_jobs}), params)
     assert "system-chain: chain 4 > budget 8/3 on top (0,16]" in str(report)
 
 
 def test_check_system_reports_middle_and_order_violations():
     params = desk_params()
     inst = build_instance(2, 2, [(0, 1)])
-    sys = PartialDyadicSystem(
-        root=Interval(0, 8),
-        assign={Interval(0, 4): mask_from([1]), Interval(4, 8): mask_from([0])},
-    )
+    sys = PartialDyadicSystem(assign={2: mask_from([1]), 3: mask_from([0])})  # (0,4], (4,8]
     report = check_system(inst, sys, params)
     assert {"system-middle", "system-order"} <= report.kinds()
 
@@ -330,20 +333,16 @@ def test_check_system_reports_middle_and_order_violations():
 def test_check_system_disjointness_and_full_cover():
     params = desk_params()
     inst = build_instance(3, 2, [])
-    dup = PartialDyadicSystem(
-        root=Interval(0, 8),
-        assign={Interval(0, 2): mask_from([0, 1]), Interval(2, 4): mask_from([1])},
-    )
+    dup = PartialDyadicSystem(assign={4: mask_from([0, 1]), 5: mask_from([1])})  # (0,2], (2,4]
     assert "system-disjoint" in check_system(inst, dup, params).kinds()
-    partial = full_system(params, {Interval(0, 2): mask_from([0, 1])})
+    partial = full_system({4: mask_from([0, 1])})
     assert "system-cover" in check_system(inst, partial, params, require_full=True).kinds()
 
 
 def test_windows_unconstrained_job_is_extremal():
     params = desk_params(T=16, m=2)
     inst = build_instance(3, 2, [])
-    root = Interval(0, 16)
-    sys = full_system(params, {root: mask_from([0]), Interval(0, 4): mask_from([1, 2])})
+    sys = full_system({1: mask_from([0]), 4: mask_from([1, 2])})  # (0,16], (0,4]
     step = window_step(params, 16)
     assert step == 4
     assert windows(inst, sys, params)[0] == (4, 12)
@@ -352,16 +351,14 @@ def test_windows_unconstrained_job_is_extremal():
 def test_windows_predecessor_in_last_block_forces_center():
     params = desk_params(T=16, m=2)
     inst = build_instance(2, 2, [(0, 1)])
-    root = Interval(0, 16)
-    sys = full_system(params, {root: mask_from([1]), Interval(4, 8): mask_from([0])})
+    sys = full_system({1: mask_from([1]), 5: mask_from([0])})  # (0,16], (4,8]
     assert windows(inst, sys, params)[1] == (8, 12)
 
 
 def test_windows_successor_clips_right_end():
     params = desk_params(T=16, m=2)
     inst = build_instance(2, 2, [(0, 1)])
-    root = Interval(0, 16)
-    sys = full_system(params, {root: mask_from([0]), Interval(8, 12): mask_from([1])})
+    sys = full_system({1: mask_from([0]), 6: mask_from([1])})  # (0,16], (8,12]
     assert windows(inst, sys, params)[0] == (4, 8)
 
 
@@ -378,16 +375,22 @@ def test_windows_bounds_alignment_and_monotonicity():
         tree = tree_for(params)
         win = windows(inst, sys, params)
         owner = sys.owner_of()
+
+        def inside(begin, end):
+            out = 0
+            for i, jobs in sys.assign.items():
+                if begin <= tree.span[i][0] and tree.span[i][1] <= end:
+                    out |= jobs
+            return out
+
         for j, (b, e) in win.items():
-            iv = owner[j]
+            iv = tree.interval[owner[j]]
             step = window_step(params, iv.length)
             assert iv.begin < b <= iv.center <= e < iv.end
             assert b % step == 0 and e % step == 0
             # no precedence out of j into the left prefix, none into j from the right suffix
-            left_region = sys.jobs_within(Interval(0, e)) if e > 0 else 0
-            assert inst.no_prec_between(1 << j, left_region)
-            right_region = sys.jobs_within(Interval(b, params.T)) if b < params.T else 0
-            assert inst.no_prec_between(right_region, 1 << j)
+            assert inst.no_prec_between(1 << j, inside(0, e))
+            assert inst.no_prec_between(inside(b, params.T), 1 << j)
         for j, (bj, ej) in win.items():
             for k in iter_jobs(inst.succ[j]):
                 if k in win:
@@ -406,7 +409,8 @@ def test_extended_window_contains_any_valid_slot():
             t = sched.assign[j]
             if t is None:
                 continue
-            step = window_step(params, owner[j].length)
+            begin, end = tree_for(params).span[owner[j]]
+            step = window_step(params, end - begin)
             assert b - step < t <= e + step
 
 
@@ -420,7 +424,7 @@ def test_check_virtually_valid_all_disc():
 def test_check_virtually_valid_window_boundary_is_exclusive():
     params = desk_params(T=16, m=2)
     inst = build_instance(1, 2, [])
-    sys = full_system(params, {Interval(0, 16): mask_from([0])})
+    sys = full_system({1: mask_from([0])})  # (0,16]
     b, e = windows(inst, sys, params)[0]
     assert not check_virtually_valid(inst, sys, params, {0: b}).ok
     assert check_virtually_valid(inst, sys, params, {0: b + 1}).ok
@@ -429,31 +433,25 @@ def test_check_virtually_valid_window_boundary_is_exclusive():
 
 
 def test_check_virtually_valid_ancestor_windows():
-    params = desk_params(T=16, m=2)
+    # a bottom interval's warm start, which ``bottom_solve`` checks directly,
+    # against the one-interval check it replaces
     inst = build_instance(3, 2, [])
-    sys = PartialDyadicSystem(
-        root=Interval(0, 8),
-        assign={Interval(0, 4): mask_from([0])},
-        ancestors=mask_from([1, 2]),
-        anc_windows={1: (4, 8), 2: (0, 16)},
-    )
-    good = {0: 1, 1: 5, 2: 3}
-    assert check_virtually_valid(inst, sys, params, good).ok
-    outside = {0: 1, 1: 4, 2: 3}  # ancestor 1 at its exclusive left boundary
-    report = check_virtually_valid(inst, sys, params, outside)
-    assert report.kinds() == {"window-anc"}
-    escaped = {0: 1, 1: 5, 2: 12}  # slot 12 outside the root interval
-    assert "domain" in check_virtually_valid(inst, sys, params, escaped).kinds()
-    short = {0: 1, 1: 5}
-    assert "domain" in check_virtually_valid(inst, sys, params, short).kinds()
+    iv, bottom, ancestors = Interval(0, 8), mask_from([0]), mask_from([1, 2])
+    anc_windows = {1: (4, 8), 2: (0, 16)}
+    for warm, ok in (
+        ({0: 1, 1: 5, 2: 3}, True),
+        ({0: 1, 1: 4, 2: 3}, False),  # ancestor 1 at its exclusive left boundary
+        ({0: 1, 1: 5, 2: 12}, False),  # slot 12 outside the interval
+        ({0: 1, 1: 5}, False),  # ancestor 2 missing
+    ):
+        assert _warm_is_valid(inst, iv, bottom, ancestors, anc_windows, warm) is ok
+        assert reference_warm_check(inst, iv, bottom, ancestors, anc_windows, warm) is ok
 
 
 def test_check_virtually_valid_flags_bottom_and_capacity():
     params = desk_params(T=8, m=1)
     inst = build_instance(3, 1, [(0, 1)])
-    sys = full_system(
-        params, {Interval(0, 2): mask_from([0, 1]), Interval(2, 4): mask_from([2])}
-    )
+    sys = full_system({4: mask_from([0, 1]), 5: mask_from([2])})  # (0,2], (2,4]
     bad_interval = {0: 1, 1: 2, 2: 1}  # job 2 outside (2,4], capacity breach at slot 1
     report = check_virtually_valid(inst, sys, params, bad_interval)
     assert {"interval", "capacity"} <= report.kinds()
@@ -469,7 +467,7 @@ def test_check_virtually_valid_lists_precedence_clashes_pair_by_pair():
         inst = random_instance(10, 3, 0.4, seed)
         params = compute_params(8, 3, Fraction(1, 2))
         assert params.L == 0
-        sys = full_system(params, {Interval(0, 8): inst.all_jobs})
+        sys = full_system({1: inst.all_jobs})
         sched = {j: rng.choice([None, *range(1, 9)]) for j in range(inst.n)}
         expect = []
         for a in range(inst.n):
@@ -488,8 +486,8 @@ def test_construct_single_bottom_short_circuit():
     params = compute_params(8, 2, Fraction(1, 2), overrides={"h": 3, "hp": 0, "p": 1})
     inst, sched = reference_pair(0, T=8, m=2, n=6)
     sys, covered, guesses = system_from_schedule(inst, sched, params)
-    assert sys.assign == {Interval(0, 8): inst.all_jobs}
-    assert covered[Interval(0, 8)] == inst.all_jobs
+    assert sys.assign == {1: inst.all_jobs}
+    assert covered[1] == inst.all_jobs
     assert guesses == {}
 
 
@@ -500,17 +498,18 @@ def test_construct_output_is_consistent():
         assert_no_violations(check_system(inst, sys, params, require_full=True))
         assert_no_violations(check_valid_for_system(inst, sys, params, sched))
         # covered sets aggregate assignments over subtrees
-        for outer in tree.interval[1:]:
+        spans = list(enumerate(tree.span))[1:]
+        for outer, (ob, oe) in spans:
             agg = 0
-            for iv in tree.interval[1:]:
-                if outer.begin <= iv.begin and iv.end <= outer.end:
-                    agg |= sys.assign.get(iv, 0)
+            for i, (b, e) in spans:
+                if ob <= b and e <= oe:
+                    agg |= sys.assign.get(i, 0)
             assert covered[outer] == agg
-        for iv, trace in guesses.items():
-            kind = tree.kind(iv)
+        for i, trace in guesses.items():
+            kind = tree.kinds[i]
             assert kind in (TOP, MID)
             if kind == MID:
-                assert len(trace) <= params.m * iv.length
+                assert len(trace) <= params.m * tree.interval[i].length
 
 
 def test_construct_rejects_discards_and_overruns():
@@ -536,11 +535,11 @@ def test_guess_bound_under_default_parameters():
     sys, covered, guesses = system_from_schedule(inst, topo_sched, params)
     tree = tree_for(params)
     assert_no_violations(check_system(inst, sys, params, require_full=True))
-    for iv, trace in guesses.items():
-        if tree.kind(iv) == TOP:
+    for i, trace in guesses.items():
+        if tree.kinds[i] == TOP:
             assert len(trace) <= params.p
         else:
-            assert len(trace) <= params.m * iv.length
+            assert len(trace) <= params.m * tree.interval[i].length
 
 
 def test_push_down_small_set_is_noop():
@@ -554,7 +553,8 @@ def test_push_down_small_set_is_noop():
 def test_push_down_chain_on_middle_interval():
     params = desk_params(T=16, m=2)
     inst = build_instance(4, 2, [(i, i + 1) for i in range(3)])
-    mid = tree_for(params).index(Interval(0, 8))
+    mid = 2
+    assert tree_for(params).interval[mid] == Interval(0, 8)
     assert tree_for(params).kinds[mid] == MID
     stay, left, right = push_down(inst, mid, inst.all_jobs, ("L",) * 4, params)
     assert (stay, left, right) == (0, inst.all_jobs, 0)
@@ -601,12 +601,10 @@ def test_push_down_replays_construction(subsets=200):
             )
         except AssertionError:
             continue
-        tree = tree_for(params)
-        for iv, trace in guesses.items():
+        for i, trace in guesses.items():
             for pad in (("L",) * 6, ("R",) * 6):
-                stay, left, right = push_down(
-                    inst, tree.index(iv), covered[iv], trace + pad, params)
-                assert stay == sys.assign[iv]
-                assert left == covered[iv.left]
-                assert right == covered[iv.right]
+                stay, left, right = push_down(inst, i, covered[i], trace + pad, params)
+                assert stay == sys.assign[i]
+                assert left == covered[2 * i]
+                assert right == covered[2 * i + 1]
                 done += 1

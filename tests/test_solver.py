@@ -24,6 +24,7 @@ from psched.dyadic import (
     check_system,
     check_virtually_valid,
     compute_params,
+    node_windows,
     push_down,
     system_from_schedule,
     tree_for,
@@ -41,7 +42,6 @@ from psched.solver import (
     bottom_solve,
     enumerate_partitions,
     main_solve,
-    node_windows,
     schedule_subtree,
     solve_hinted,
 )
@@ -90,18 +90,16 @@ def test_node_windows_match_full_system_windows():
         params = desk_params(T=T, m=2)
         sys, covered, _ = system_from_schedule(inst, sched, params)
         tree = tree_for(params)
-        interval = tree.interval
         full = windows(inst, sys, params)
-        for iv, jobs in sys.assign.items():
-            if not jobs or tree.kind(iv) != "top":
+        for i, jobs in sys.assign.items():
+            if not jobs or tree.kinds[i] != "top":
                 continue
-            i = tree.index(iv)
             j_map = {
-                sub: sys.assign.get(interval[sub], 0)
+                sub: sys.assign.get(sub, 0)
                 for k in range(params.h)
                 for sub in tree.below(i, k)
             }
-            k_map = {sub: covered[interval[sub]] for sub in tree.below(i, params.h)}
+            k_map = {sub: covered[sub] for sub in tree.below(i, params.h)}
             local = node_windows(inst, i, j_map, k_map, params)
             for j in iter_jobs(jobs):
                 assert local[j] == full[j]
@@ -249,24 +247,19 @@ def test_deep_enum_pool_node_count():
     assert total == 412
 
 
-def _replay_both_ways(monkeypatch, inst, reference, params):
-    """The hints ``solve_hinted`` builds, then its (system, schedule,
-    nodes) with the recorded split outcomes and with ``push_down``
-    replaying the guesses instead."""
+def _built_hints(monkeypatch, inst, reference, params):
+    """The hints ``solve_hinted`` builds."""
     built = []
 
     def capture(inst, params, budget=None, hints=None):
         built.append(hints)
         return main_solve(inst, params, budget, hints)
 
-    budget = Budget()
     with monkeypatch.context() as patch:
         patch.setattr(solver, "main_solve", capture)
-        sys_out, sched = solve_hinted(inst, reference, params, budget=budget)
+        solve_hinted(inst, reference, params)
     (hints,) = built
-    replayed = Budget()
-    sys_rep, sched_rep = main_solve(inst, params, replayed, Hints(hints.guesses, hints.reference))
-    return hints, (sys_out.assign, sched, budget.nodes), (sys_rep.assign, sched_rep, replayed.nodes)
+    return hints
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -289,37 +282,36 @@ def test_recorded_split_outcomes_replay_like_push_down(monkeypatch, family, m):
             padded += 1
         for inst, reference in refs:
             case = (T, h, n, inst.n)
-            hints, recorded, replayed = _replay_both_ways(monkeypatch, inst, reference, params)
-            assert hints.outcomes and hints.outcomes.keys() == hints.guesses.keys(), case
-            for i, (pool, outcome) in hints.outcomes.items():
-                assert outcome == push_down(inst, i, pool, hints.guesses[i], params), case
-            assert recorded == replayed, case
+            hints = _built_hints(monkeypatch, inst, reference, params)
+            _, covered, guesses = system_from_schedule(inst, reference, params)
+            assert hints.outcomes and hints.outcomes.keys() == guesses.keys(), case
+            for i, outcome in hints.outcomes.items():
+                assert outcome == push_down(inst, i, covered[i], guesses[i], params), case
     assert padded > 0
 
 
 def test_hinted_replay_pool_node_count(monkeypatch):
     # the deep half of the benchmark's hinted-replay pool, unrelabeled, at
-    # its horizon and overrides; every split is read from the record, where
-    # replaying the guesses took 720 ``push_down`` calls
+    # its horizon and overrides; every split is read from the record
     runs = []
     for family, m in product(DEEP_FAMILIES, (2, 3)):
         params = compute_params(32, m, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
         for seed in range(8):
             inst, _ = gen_instance(family, 16, m, 0.3, seed)
             runs.append((inst, Schedule(T=32, assign=exact_opt(inst)[1].assign), params))
-    calls = {"bottom_solve": 0, "push_down": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+    calls = []
 
-        monkeypatch.setattr(solver, name, counted)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bottom_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "bottom_solve", counted)
     nodes = 0
     for inst, reference, params in runs:
         budget = Budget()
         solve_hinted(inst, reference, params, budget=budget)
         nodes += budget.nodes
-    assert (len(runs), nodes, calls["bottom_solve"], calls["push_down"]) == (48, 2304, 768, 0)
+    assert (len(runs), nodes, len(calls)) == (48, 2304, 768)
 
 
 def brute_force_bottom(inst, iv, bottom, ancestors, anc_windows, m):
@@ -360,17 +352,15 @@ def brute_force_bottom(inst, iv, bottom, ancestors, anc_windows, m):
 
 
 def test_bottom_solve_packs_when_room():
-    params = single_bottom_params()
     inst = build_instance(6, 2, [])
-    out = bottom_solve(inst, Interval(0, 8), inst.all_jobs, 0, {}, params)
+    out = bottom_solve(inst, Interval(0, 8), inst.all_jobs, 0, {})
     assert sum(1 for t in out.values() if t is not None) == 6
 
 
 def test_bottom_solve_chain_pigeonhole():
-    params = micro_params()
     inst = build_instance(5, 2, [(i, i + 1) for i in range(4)])
     iv = Interval(0, 2)
-    out = bottom_solve(inst, iv, inst.all_jobs, 0, {}, params)
+    out = bottom_solve(inst, iv, inst.all_jobs, 0, {})
     discards = sum(1 for t in out.values() if t is None)
     assert discards >= 3  # chain of 5 in 2 slots
 
@@ -379,7 +369,6 @@ def test_bottom_solve_matches_exhaustive_oracle():
     rng = random.Random(0)
     for seed in range(45):
         m = 1 + seed % 3
-        params = micro_params(m=m)
         inst = random_instance(6 + seed % 3, m, 0.4, seed)
         iv = Interval(4, 8)
         split = mask_from(j for j in range(inst.n) if rng.random() < 0.6)
@@ -390,18 +379,17 @@ def test_bottom_solve_matches_exhaustive_oracle():
             b = rng.choice([2, 4, 6])
             e = rng.choice([x for x in (4, 6, 8) if x >= b])
             anc_windows[j] = (b, e)  # b == e gives an empty window: forced discard
-        out = bottom_solve(inst, iv, bottom, ancestors, anc_windows, params)
+        out = bottom_solve(inst, iv, bottom, ancestors, anc_windows)
         got = sum(1 for t in out.values() if t is not None)
         assert got == brute_force_bottom(inst, iv, bottom, ancestors, anc_windows, m)
 
 
 def test_bottom_solve_respects_everything():
-    params = micro_params()
     inst = build_instance(6, 2, [(0, 1), (2, 3)])
     iv = Interval(0, 4)
     anc = mask_from([4, 5])
     wins = {4: (0, 2), 5: (2, 4)}
-    out = bottom_solve(inst, iv, mask_from([0, 1, 2, 3]), anc, wins, params)
+    out = bottom_solve(inst, iv, mask_from([0, 1, 2, 3]), anc, wins)
     for j, t in out.items():
         if t is None:
             continue
@@ -414,12 +402,9 @@ def test_bottom_solve_respects_everything():
 
 def _warm_solve(warm, budget=None):
     """Bottom jobs 0->1, 2->3 and ancestors 4 in (4,6], 5 in (6,8] on bottom (4,8]."""
-    params = compute_params(8, 2, Fraction(1, 2), overrides={"h": 2, "hp": 0, "p": 1})
     inst = build_instance(6, 2, [(0, 1), (2, 3)])
-    iv = Interval(4, 8)
-    assert tree_for(params).kind(iv) == "bot"
     return bottom_solve(
-        inst, iv, mask_from([0, 1, 2, 3]), mask_from([4, 5]), {4: (4, 6), 5: (6, 8)}, params,
+        inst, Interval(4, 8), mask_from([0, 1, 2, 3]), mask_from([4, 5]), {4: (4, 6), 5: (6, 8)},
         budget=budget, warm=warm,
     )
 
@@ -435,8 +420,12 @@ def test_bottom_solve_keeps_feasible_warm_start():
     {0: 5, 1: 6, 2: 5, 3: 7, 4: 5, 5: 7},  # three jobs at slot 5 > m
     {0: 5, 1: 6, 2: 5, 3: 7, 4: 8, 5: 7},  # ancestor 4 outside its window (4, 6]
     {0: 6, 1: 5, 2: 5, 3: 7, 4: 6, 5: 7},  # bottom precedence 0 -> 1 broken
+    {0: 5, 1: 5, 2: 6, 3: 7, 4: 6, 5: 7},  # bottom jobs 0 -> 1 in one slot
     {0: 5, 1: 6, 2: 3, 3: 7, 4: 6, 5: 7},  # bottom job 2 outside the interval
-], ids=["capacity", "ancestor-window", "precedence", "interval"])
+    {0: 5, 1: 6, 2: 5, 3: 7, 4: 6},  # ancestor 5 missing
+    {0: 5, 1: 6, 2: 5, 3: 7, 4: 6, 5: 7, 6: None},  # job 6 is neither bottom nor ancestor
+], ids=["capacity", "ancestor-window", "precedence", "precedence-one-slot", "interval",
+        "cover-missing", "cover-extra"])
 def test_bottom_solve_ignores_infeasible_warm_start(warm):
     cold = _warm_solve(None)
     assert _warm_solve(warm) == cold
@@ -468,24 +457,22 @@ def test_schedule_subtree_preserves_fixed_levels():
         params = desk_params(T=16, m=2)
         sys, covered, guesses = system_from_schedule(inst, sched, params)
         tree = tree_for(params)
-        interval = tree.interval
         frontier = tree.below(1, params.h - 1)
         sub = SubproblemInput(
             root=1,
-            assigned={1: sys.assign.get(tree.root, 0)},
-            pending={f: covered[interval[f]] for f in frontier},
+            assigned={1: sys.assign.get(1, 0)},
+            pending={f: covered[f] for f in frontier},
         )
         got = schedule_subtree(inst, sub, params, Budget())
         assert got is not None
         by_index, assign = got
-        assert by_index[1] == sys.assign.get(tree.root, 0)
+        assert by_index[1] == sys.assign.get(1, 0)
         for f in frontier:
             agg = 0
             for jobs in solver._restrict(by_index, f).values():
                 agg |= jobs
-            assert agg == covered[interval[f]]
-        out_sys = PartialDyadicSystem(
-            root=tree.root, assign={interval[i]: jobs for i, jobs in by_index.items()})
+            assert agg == covered[f]
+        out_sys = PartialDyadicSystem(assign=by_index)
         report = check_system(inst, out_sys, params)
         assert_no_violations(report)
         assert_no_violations(check_virtually_valid(inst, out_sys, params, assign))
@@ -532,8 +519,8 @@ def test_memo_answers_a_repeat_without_entering_a_node():
     tree = tree_for(params)
     sub = SubproblemInput(
         root=1,
-        assigned={1: sys.assign.get(tree.root, 0)},
-        pending={f: covered[tree.interval[f]] for f in tree.below(1, params.h - 1)},
+        assigned={1: sys.assign.get(1, 0)},
+        pending={f: covered[f] for f in tree.below(1, params.h - 1)},
     )
     memo = SolveMemo()
     budget = Budget()
@@ -565,8 +552,8 @@ def test_main_solve_micro_exhaustive_beats_hinted():
         _, _, guesses = system_from_schedule(inst, ref, params)
         tree = tree_for(params)
         in_space = all(
-            len(g) <= (params.p if tree.kind(iv) == "top" else 2 * iv.length)
-            for iv, g in guesses.items()
+            len(g) <= (params.p if tree.kinds[i] == "top" else 2 * tree.interval[i].length)
+            for i, g in guesses.items()
         )
         _, hinted = solve_hinted(inst, ref, params)
         sys, full = main_solve(inst, params, budget=Budget(2_000_000))
@@ -600,10 +587,9 @@ def test_guess_padding_never_changes_replay():
         inst, sched = reference_pair(seed, T=16, m=2, n=8)
         params = desk_params(T=16, m=2)
         _, covered, guesses = system_from_schedule(inst, sched, params)
-        index = tree_for(params).index
-        for iv, trace in guesses.items():
+        for i, trace in guesses.items():
             results = {
-                push_down(inst, index(iv), covered[iv], trace + pad, params)
+                push_down(inst, i, covered[i], trace + pad, params)
                 for pad in ((), ("L",) * 5, ("R",) * 5, ("R", "L", "R"))
             }
             assert len(results) == 1
@@ -612,7 +598,6 @@ def test_guess_padding_never_changes_replay():
 def test_equivalent_ancestor_pools_schedule_equally():
     # ancestors matter only through their windows: swapping the concrete
     # jobs of two window-identical ancestors cannot change the optimum
-    params = micro_params()
     rng = random.Random(8)
     for seed in range(15):
         inst = random_instance(6, 2, 0.4, seed)
@@ -623,8 +608,8 @@ def test_equivalent_ancestor_pools_schedule_equally():
         window = (0, 4)
         wins_a = {a: window, 4: (2, 8), 5: (0, 2)}
         wins_b = {b: window, 4: (2, 8), 5: (0, 2)}
-        out_a = bottom_solve(inst, iv, bottom, mask_from([a]) | others, wins_a, params)
-        out_b = bottom_solve(inst, iv, bottom, mask_from([b]) | others, wins_b, params)
+        out_a = bottom_solve(inst, iv, bottom, mask_from([a]) | others, wins_a)
+        out_b = bottom_solve(inst, iv, bottom, mask_from([b]) | others, wins_b)
         count_a = sum(1 for t in out_a.values() if t is not None)
         count_b = sum(1 for t in out_b.values() if t is not None)
         assert count_a == count_b
@@ -707,7 +692,7 @@ def collapsed_case(seed, m, offset, hinted):
     assign = [t if t <= target else None for t in best.assign]
     for k in range(job_count(pads)):
         assign.append(target + 1 + k // m if offset >= 0 else None)
-    return inst, params, Hints(guesses={}, reference=Schedule(T=T2, assign=tuple(assign)))
+    return inst, params, Hints(reference=Schedule(T=T2, assign=tuple(assign)), outcomes={})
 
 
 COLLAPSED_GRID = [
@@ -731,7 +716,6 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
     # search from the hints' reference, which can win a tie but cannot
     # keep more jobs than the exact search finds without it
     inst, params, hints = collapsed_case(seed, m, offset, hinted)
-    root = tree_for(params).root
     sub_budget = Budget()
     got = schedule_subtree(
         inst, SubproblemInput(root=1, assigned={1: inst.all_jobs}), params,
@@ -739,7 +723,7 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
     )
     budget = Budget()
     sys_out, sched = main_solve(inst, params, budget=budget, hints=hints)
-    assert sys_out == PartialDyadicSystem(root=root, assign={root: inst.all_jobs})
+    assert sys_out == PartialDyadicSystem(assign={1: inst.all_jobs})
     if got is None:  # more jobs than the root holds
         assert inst.n > m * params.T
         assert sched == Schedule(T=params.T, assign=(None,) * inst.n)
@@ -802,7 +786,7 @@ def test_collapsed_solve_hinted_replays_the_reference(monkeypatch, n, m, seed, T
     budget = Budget()
     sys_out, sched = solve_hinted(inst, reference, params, budget=budget)
     assert sched == Schedule(T=T, assign=expected) == reference
-    assert sys_out == PartialDyadicSystem(root=Interval(0, T), assign={Interval(0, T): inst.all_jobs})
+    assert sys_out == PartialDyadicSystem(assign={1: inst.all_jobs})
     assert budget.nodes == 1
 
 
@@ -1039,7 +1023,6 @@ def test_solver_calls_leave_no_reference_cycles(call):
     # a recursive helper that refers to itself must not outlive its call:
     # with the cycle collector off, nothing is left for it to collect
     inst = random_instance(8, 2, 0.3, 1)
-    flat = compute_params(8, 2, Fraction(1, 2))
     deep = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
     reference = Schedule(T=16, assign=exact_opt(inst)[1].assign)
     was_enabled = gc.isenabled()
@@ -1047,7 +1030,7 @@ def test_solver_calls_leave_no_reference_cycles(call):
     try:
         gc.collect()
         if call == "bottom_solve":
-            bottom_solve(inst, Interval(0, 8), inst.all_jobs, 0, {}, flat)
+            bottom_solve(inst, Interval(0, 8), inst.all_jobs, 0, {})
         elif call == "guess_outcomes":
             assert solver._guess_outcomes(inst, 1, inst.all_jobs, deep, 2)  # (0,16]
         elif call == "main_solve":
