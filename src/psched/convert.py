@@ -42,8 +42,10 @@ _SWAP_CAP = 1_000_000
 
 
 def _half_blocks(half: Interval, step: int, reverse: bool) -> list[Interval]:
+    """Blocks of ``step`` slots from the begin of ``half``, the last one cut
+    at its end (a step longer than the half, as with ``h = 0``, gives one)."""
     starts = range(half.begin, half.end, step)
-    blocks = [Interval(b, b + step) for b in starts]
+    blocks = [Interval(b, min(b + step, half.end)) for b in starts]
     return blocks[::-1] if reverse else blocks
 
 

@@ -265,21 +265,21 @@ def verify_valid(inst: Instance, sched: Schedule) -> ValidityReport:
     out: list[Violation] = []
     if sched.n != inst.n:
         out.append(Violation("domain", f"schedule covers {sched.n} jobs, instance has {inst.n}"))
-    counts: dict[int, int] = {}
-    for t in sched.assign:
+    at: dict[int, JobSet] = {}  # the jobs placed at each slot
+    for j, t in enumerate(sched.assign):
         if t is not None:
-            counts[t] = counts.get(t, 0) + 1
-    for t in sorted(counts):
-        if counts[t] > inst.m:
-            out.append(Violation("capacity", f"{counts[t]} jobs at slot {t} > m={inst.m}"))
-    for a in range(min(sched.n, inst.n)):
-        ta = sched.assign[a]
-        if ta is None:
-            continue
-        for b in iter_jobs(inst.succ[a]):
-            tb = sched.assign[b]
-            if tb is not None and ta >= tb:
-                out.append(Violation("precedence", f"job {a} at {ta} not before job {b} at {tb}"))
+            at[t] = at.get(t, 0) | 1 << j
+    upto: dict[int, JobSet] = {}  # the jobs placed at or before each slot
+    acc: JobSet = 0
+    for t in sorted(at):
+        if at[t].bit_count() > inst.m:
+            out.append(Violation("capacity", f"{at[t].bit_count()} jobs at slot {t} > m={inst.m}"))
+        upto[t] = acc = acc | at[t]
+    for a, ta in enumerate(sched.assign[: inst.n]):
+        if ta is not None and (late := inst.succ[a] & upto[ta]):
+            for b in iter_jobs(late):
+                out.append(Violation(
+                    "precedence", f"job {a} at {ta} not before job {b} at {sched.assign[b]}"))
     return ValidityReport(violations=tuple(out), discards=sched.discard_count)
 
 

@@ -26,7 +26,7 @@ class GuessExhausted(RuntimeError):
 
     ``push_down`` raises it for an inconsistent guess.  Nothing in the
     package catches it: the solver's guess-tree walk prunes such vectors
-    itself, and hinted replay reads the recorded split outcomes.
+    itself, and hinted replay reads the system recorded from its reference.
     """
 
 

@@ -10,7 +10,7 @@ Within one ``main_solve`` each subproblem is solved once up to
 translation, so the recursion is a dynamic program over its states, and
 a candidate whose job counts cannot beat the best one found is cut.
 Bottom intervals are solved exactly by branch and bound.  A hinted mode
-replays the splits and partitions recorded from a reference schedule
+replays a reference schedule's system one bottom interval at a time
 instead of enumerating, realizing the guarantee that the enumeration can
 do at least as well as the reference.  Tree intervals are heap indices
 throughout, in subproblems, results and the system a solve returns, and
@@ -53,6 +53,7 @@ from .dyadic import (
     split_step,
     system_from_schedule,
     tree_for,
+    windows,
 )
 from .convert import valid_to_virtually_valid
 from .errors import BudgetExceeded
@@ -72,6 +73,8 @@ class Budget:
     the current ``main_solve``, whether solved at its own interval or at
     a translate of it on the same level, nor a partition or right half
     that ``schedule_subtree``'s count bound cuts, which is never entered.
+    A hinted solve with ``L > 0`` counts the nodes the recursion would
+    enter with its one candidate per node (see ``_replay``).
     A tree with ``L = 0`` runs no cascades and no ``schedule_subtree``,
     so only its bottom-search states count.  ``exact_opt`` counts its
     states in the budget it is given, which for a ``pipeline.solve`` run
@@ -85,9 +88,10 @@ class Budget:
     limit: int = DEFAULT_BUDGET
     nodes: int = 0
 
-    def tick(self) -> None:
-        self.nodes += 1
+    def tick(self, count: int = 1) -> None:
+        self.nodes += count
         if self.nodes > self.limit:
+            self.nodes = self.limit + 1  # where single ticks would stop
             raise BudgetExceeded(self.nodes, self.limit)
 
 
@@ -149,17 +153,12 @@ SplitOutcome = tuple[JobSet, JobSet, JobSet]
 
 @dataclass(frozen=True)
 class Hints:
-    """A reference schedule to replay, and the split outcomes recorded from it.
+    """A reference to replay: the full system ``system_from_schedule``
+    builds from a zero-discard schedule, and ``virtual``, the schedule
+    ``valid_to_virtually_valid`` makes of that one for the system."""
 
-    ``outcomes`` maps each non-bottom heap index to the (stay, to-left,
-    to-right) outcome of the reference system's split there.  A hinted
-    solve splits at each index the pool the reference split: the root's is
-    every job, and each recorded outcome's halves are the pools of the
-    children, so the record answers every split it meets.
-    """
-
-    reference: Schedule
-    outcomes: dict[int, SplitOutcome]
+    system: PartialDyadicSystem
+    virtual: Schedule
 
 
 @dataclass
@@ -170,10 +169,9 @@ class SolveMemo:
     ``schedule_subtree`` together with the heap index it was solved at,
     and ``splits`` maps (interval, jobs) to the outcomes of
     ``_split_outcomes`` (intervals by heap index).  Only the enumeration
-    uses it: a hinted solve enters each heap index at most once, so it
-    stores nothing here.  The instance and params are fixed for the call,
-    so each answer is a function of its key alone and a repeat returns
-    the value a second solve would compute.
+    builds one: a hinted solve runs no recursion.  The instance and params
+    are fixed for the call, so each answer is a function of its key alone
+    and a repeat returns the value a second solve would compute.
     A subproblem whose candidate the count bound cuts is never solved, so
     the memo may hold fewer keys than a solve of every candidate would
     leave, never a different value.  Stored results are shared and must
@@ -555,19 +553,13 @@ def _split_outcomes(
     f: int,
     jobs: JobSet,
     params: Params,
-    hints: Hints | None,
     memo: SolveMemo,
 ) -> tuple[SplitOutcome, ...]:
-    """Split outcomes to try for ``jobs`` on the non-bottom interval ``f``.
-
-    With hints, the one outcome recorded at ``f``, whose pool is ``jobs``
-    (see ``Hints``); a hinted solve meets each ``f`` once and keeps
-    nothing in ``memo``.  Without hints, every distinct outcome of a guess
-    vector of at most ``p`` entries on top intervals, ``m * |f|`` on
-    middle ones, worked out once per (f, jobs) and ``memo``.
+    """Split outcomes to try for ``jobs`` on the non-bottom interval ``f``:
+    every distinct outcome of a guess vector of at most ``p`` entries on
+    top intervals, ``m * |f|`` on middle ones, worked out once per
+    (f, jobs) and ``memo``.
     """
-    if hints is not None:
-        return (hints.outcomes[f],)
     got = memo.splits.get((f, jobs))
     if got is None:
         length = params.T >> (f.bit_length() - 1)
@@ -593,7 +585,6 @@ def schedule_subtree(
     sub: SubproblemInput,
     params: Params,
     budget: Budget | None = None,
-    hints: Hints | None = None,
     memo: SolveMemo | None = None,
 ) -> Result | None:
     """Best partial system (job sets by heap index) plus virtually-valid
@@ -616,21 +607,17 @@ def schedule_subtree(
     up to translation: a repeat enters no node.  At the same heap index it
     returns the stored result, shared with the first caller; at another
     interval of the same level it returns new dicts holding the stored
-    result shifted into place (see ``SolveMemo``).  A hinted solve has
-    one candidate per node, so it enters each heap index at most once and
-    neither builds a key nor stores its result.
+    result shifted into place (see ``SolveMemo``).
     """
     memo = memo or SolveMemo()
     budget = budget or Budget()
-    if hints is not None:
-        return _solve_subtree(inst, sub, params, budget, hints, memo)
     i = sub.root
     span = tree_for(params).span
     begin = span[i][0]
     key = sub.key(begin)
     hit = memo.subtrees.get(key)
     if hit is None:
-        got = _solve_subtree(inst, sub, params, budget, hints, memo)
+        got = _solve_subtree(inst, sub, params, budget, memo)
         memo.subtrees[key] = got, i
         return got
     got, i0 = hit
@@ -649,14 +636,12 @@ def _solve_subtree(
     sub: SubproblemInput,
     params: Params,
     budget: Budget,
-    hints: Hints | None,
     memo: SolveMemo,
 ) -> Result | None:
     budget.tick()
     tree = tree_for(params)
     i = sub.root
     begin, end = tree.span[i]
-    center = (begin + end) // 2
     cap = params.m * (end - begin)
     n_anc = job_count(sub.ancestors)
     if n_anc > cap:
@@ -667,18 +652,8 @@ def _solve_subtree(
 
     if tree.kinds[i] == BOT:
         bottom = sub.assigned.get(i, 0) | sub.pending.get(i, 0)
-        warm = None
-        if hints is not None:
-            ref = hints.reference.assign
-            warm = {
-                j: (ref[j] if ref[j] is not None and begin < ref[j] <= end else None)
-                for j in iter_jobs(bottom | sub.ancestors)
-            }
-        assign = bottom_solve(
-            inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows,
-            budget=budget, warm=warm,
-        )
-        return {i: bottom}, assign
+        return {i: bottom}, bottom_solve(
+            inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, budget)
 
     frontier = tree.below(i, params.h - 1)
     if not frontier:
@@ -691,7 +666,7 @@ def _solve_subtree(
             if tree.kinds[f] == BOT:
                 per_interval.append([(f, None)])
                 continue
-            options = _split_outcomes(inst, f, jobs, params, hints, memo)
+            options = _split_outcomes(inst, f, jobs, params, memo)
             if not options:
                 return None
             per_interval.append([(f, result) for result in options])
@@ -699,8 +674,7 @@ def _solve_subtree(
 
     # a candidate places at most ``most`` jobs, and a half at most its
     # capacity or the jobs it holds (its ancestors, assigned and pending
-    # jobs, three disjoint sets).  The half bounds are read from the second
-    # candidate on, so a hinted node, which has one, never computes them.
+    # jobs, three disjoint sets), read from the second candidate on
     most = min(cap, n_anc + n_own)
     half_cap = cap // 2
     best: Result | None = None
@@ -718,24 +692,7 @@ def _solve_subtree(
                 k_map[2 * f + 1] = k_right
         own_windows = node_windows(inst, i, j_map, k_map, params)
         pool_windows = {**sub.anc_windows, **own_windows}
-
-        if hints is not None:
-            # the reference's partition: each job of the pool goes to the
-            # half the reference puts it in, or is discarded
-            ref = hints.reference.assign
-            pool = sub.ancestors | j_map.get(i, 0)
-            j_left = j_right = 0
-            for j in iter_jobs(pool):
-                t = ref[j]
-                if t is None or not begin < t <= end:
-                    continue
-                if t <= center:
-                    j_left |= 1 << j
-                else:
-                    j_right |= 1 << j
-            partitions = [(j_left, j_right, pool & ~(j_left | j_right))]
-        else:
-            partitions = enumerate_partitions(pool_windows, tree.interval[i])
+        partitions = enumerate_partitions(pool_windows, tree.interval[i])
 
         # what each half inherits besides its ancestors, for every partition
         lo_assigned, lo_pending = _restrict(j_map, 2 * i), _restrict(k_map, 2 * i)
@@ -756,7 +713,7 @@ def _solve_subtree(
                 assigned=lo_assigned,
                 pending=lo_pending,
             )
-            left = schedule_subtree(inst, left_in, params, budget, hints, memo)
+            left = schedule_subtree(inst, left_in, params, budget, memo)
             if left is None:
                 continue
             if best is not None and (
@@ -770,7 +727,7 @@ def _solve_subtree(
                 assigned=hi_assigned,
                 pending=hi_pending,
             )
-            right = schedule_subtree(inst, right_in, params, budget, hints, memo)
+            right = schedule_subtree(inst, right_in, params, budget, memo)
             if right is None:
                 continue
             (lsys, lassign), (rsys, rassign) = left, right
@@ -794,7 +751,6 @@ def _outer_cascades(
     inst: Instance,
     params: Params,
     budget: Budget,
-    hints: Hints | None,
     memo: SolveMemo,
 ):
     """States after deciding all splits above the frontier level.
@@ -822,7 +778,7 @@ def _outer_cascades(
             del j_map[f]
             return
         half = m * (params.T >> (f.bit_length() - 1)) // 2
-        for stay, k_left, k_right in _split_outcomes(inst, f, jobs, params, hints, memo):
+        for stay, k_left, k_right in _split_outcomes(inst, f, jobs, params, memo):
             if job_count(k_left) > half or job_count(k_right) > half:
                 continue
             j_map[f] = stay
@@ -840,20 +796,61 @@ def _outer_cascades(
         del walk
 
 
+def _replay(inst: Instance, params: Params, budget: Budget, hints: Hints) -> tuple[Slot, ...]:
+    """What a hinted solve with ``L > 0`` assigns: each bottom interval of
+    ``hints.system``, left to right, runs ``bottom_solve`` on its jobs,
+    warm-started from ``hints.virtual``, with the windows of
+    ``dyadic.windows`` and as ancestors the non-bottom jobs whose
+    ``hints.virtual`` slot lies in it and in their owner's interval; the
+    other non-bottom jobs are discarded.  That is what the recursion does
+    held to the reference's split outcomes and partitions, and the nodes
+    it enters are ticked: ``2**k`` outer states, ``k = max(min(h - 1,
+    L + 1), 0)``, and each tree interval.  It is exact: window boundaries
+    in a top interval ``I`` are multiples of ``|I| >> h`` from its begin,
+    so the sets fixed above ``h`` levels below ``I`` and the pending unions
+    there cover the same jobs of each region ``node_windows`` queries as
+    the full system; a partition sends a job only to the half holding its
+    virtually-valid slot; and a zero-discard reference leaves no interval
+    more jobs or ancestors than it has room for, so neither size check of
+    the recursion returns ``None``.
+    """
+    tree = tree_for(params)
+    budget.tick((1 << max(min(params.h - 1, tree.L + 1), 0)) + (2 << tree.L) - 1)
+    system, virt = hints.system.assign, hints.virtual.assign
+    win = windows(inst, hints.system, params)
+    leaves = tree.below(1, tree.L)
+    ancestors = dict.fromkeys(leaves, 0)
+    for i, jobs in system.items():
+        if tree.kinds[i] != BOT:
+            begin, end = tree.span[i]
+            for j in iter_jobs(jobs):
+                t = virt[j]
+                if t is not None and begin < t <= end:
+                    ancestors[leaves[(t - 1) >> params.h]] |= 1 << j
+    assign: list[Slot] = [DISC] * inst.n
+    for i in leaves:
+        # every slot here is in the interval: bottom jobs keep theirs, ancestors go by it
+        warm = {j: virt[j] for j in iter_jobs(system[i] | ancestors[i])}
+        got = bottom_solve(inst, tree.interval[i], system[i], ancestors[i], win, budget, warm)
+        for j, t in got.items():
+            assign[j] = t
+    return tuple(assign)
+
+
 def main_solve(
     inst: Instance,
     params: Params,
     budget: Budget | None = None,
     hints: Hints | None = None,
 ) -> tuple[PartialDyadicSystem, Schedule]:
-    """Full enumeration over outer split decisions, keeping the best schedule.
+    """Full enumeration over outer split decisions, keeping the best
+    schedule, or with ``hints`` the replay of their system (``_replay``).
 
     Always succeeds: the all-discard schedule over a trivial system is the
     starting candidate.  The result is a full system together with a
     virtually-valid schedule for it.  Subproblems and split outcomes met
-    again during an enumerating call are answered from one ``SolveMemo``;
-    a hinted call meets none twice.  The outer states are tried in order
-    until one places every job.
+    again during an enumerating call are answered from one ``SolveMemo``.
+    The outer states are tried in order until one places every job.
 
     When ``L = 0`` the whole horizon is one bottom interval: the result is
     one ``bottom_solve`` of all jobs on the root, with no cascades,
@@ -875,11 +872,16 @@ def main_solve(
             return root_sys, best_sched
         assign = bottom_solve(inst, tree.interval[1], inst.all_jobs, 0, {}, budget)
         return root_sys, Schedule(T=params.T, assign=tuple(assign[j] for j in range(inst.n)))
+    if hints is not None:
+        replayed = _replay(inst, params, budget, hints)
+        if any(t is not None for t in replayed):
+            best, best_sched = hints.system.assign, Schedule(T=params.T, assign=replayed)
+        return full_system(best), best_sched
     memo = SolveMemo()
     best_count = 0
-    for j_map, pending in _outer_cascades(inst, params, budget, hints, memo):
+    for j_map, pending in _outer_cascades(inst, params, budget, memo):
         sub = SubproblemInput(root=1, assigned=j_map, pending=pending)
-        got = schedule_subtree(inst, sub, params, budget, hints, memo)
+        got = schedule_subtree(inst, sub, params, budget, memo)
         if got is None:
             continue
         sys_assign, assign = got
@@ -904,15 +906,12 @@ def solve_hinted(
 ) -> tuple[PartialDyadicSystem, Schedule]:
     """Drive the solver along the splits recorded from an optimal schedule.
 
-    Builds the reference system and its virtually-valid counterpart, and
-    records, per non-bottom heap index, the reference's (stay, to-left,
-    to-right) split outcome.  ``main_solve`` then runs with
-    one candidate per node: each split outcome is read from that record,
-    each pool goes to the halves as the virtually-valid reference places
-    it, and each bottom interval runs ``bottom_solve`` warm-started from
-    the reference, whose start is checked to be virtually valid.  The
-    result schedules at least as many jobs as the virtually-valid
-    reference.
+    Builds the reference system and its virtually-valid counterpart and
+    hands both to ``main_solve``, which replays them one bottom interval at
+    a time (``_replay``): each bottom interval runs ``bottom_solve``
+    warm-started from the virtually-valid reference, whose start is
+    checked to be virtually valid.  The result schedules at least as many
+    jobs as the virtually-valid reference.
 
     When ``L = 0`` there are no splits and no top intervals, so the answer
     is the reference itself under horizon T, with no search: it is checked
@@ -924,7 +923,6 @@ def solve_hinted(
         check_reference(inst, reference, params)
         (budget or Budget()).tick()
         return full_system({1: inst.all_jobs}), Schedule(T=params.T, assign=reference.assign)
-    ref_sys, covered, guesses = system_from_schedule(inst, reference, params)
+    ref_sys = system_from_schedule(inst, reference, params)[0]
     virt = valid_to_virtually_valid(inst, ref_sys, reference, params)
-    outcomes = {i: (ref_sys.assign[i], covered[2 * i], covered[2 * i + 1]) for i in guesses}
-    return main_solve(inst, params, budget=budget, hints=Hints(virt, outcomes))
+    return main_solve(inst, params, budget=budget, hints=Hints(ref_sys, virt))

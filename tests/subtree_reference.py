@@ -1,35 +1,73 @@
-"""The subtree solver as it was before count bounds cut candidates.
+"""The subtree solver as it was before count bounds cut candidates, and the
+hinted replay as it was before it became a loop over bottom intervals.
 
 A test-only copy of the earlier ``psched.solver._solve_subtree``: it solves
 every split-outcome combination and every partition to the end, whether or
 not its job counts can beat the incumbent, and of the earlier loop of
 ``psched.solver.main_solve``, which tried every outer state even after one
 placed every job.  ``test_solver`` patches both in and holds the current
-solver to the same systems and schedules, never more nodes, and, on the
-hinted path, the same nodes.
+solver to the same systems and schedules, never more nodes.
+
+The same recursion keeps its hinted branch, with the earlier ``Hints``,
+outer cascades and split outcomes: ``reference_solve_hinted`` replays a
+reference through every node of the tree, one candidate per node, with
+each split outcome read from the reference system and each pool
+partitioned where the virtually-valid reference puts it.  ``test_solver``
+holds ``solve_hinted`` to its systems, schedules and nodes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
+from psched import solver
+from psched.convert import valid_to_virtually_valid
 from psched.core import DISC, Instance, JobSet, Schedule, Slot, iter_jobs, job_count, mask_from
-from psched.dyadic import BOT, Params, full_system, node_windows, tree_for
+from psched.dyadic import (
+    BOT,
+    Params,
+    full_system,
+    node_windows,
+    system_from_schedule,
+    tree_for,
+)
 from psched.solver import (
     Budget,
-    Hints,
     PartialAssign,
     Result,
     SolveMemo,
     SplitOutcome,
     SubproblemInput,
-    _outer_cascades,
     _restrict,
-    _split_outcomes,
     bottom_solve,
     enumerate_partitions,
-    schedule_subtree,
 )
+
+
+@dataclass(frozen=True)
+class Hints:
+    """A virtually-valid reference to replay, and the split outcomes
+    recorded from its system: ``outcomes`` maps each non-bottom heap index
+    to the (stay, to-left, to-right) outcome of the split there."""
+
+    reference: Schedule
+    outcomes: dict[int, SplitOutcome]
+
+
+def _split_outcomes(inst, f, jobs, params, hints, memo):
+    """The one outcome recorded at ``f`` with hints, else the solver's."""
+    if hints is not None:
+        return (hints.outcomes[f],)
+    return solver._split_outcomes(inst, f, jobs, params, memo)
+
+
+def _schedule_subtree(inst, sub, params, budget, memo, hints):
+    """A child's solve: a hinted one enters every node without the memo,
+    the enumeration goes through ``solver.schedule_subtree`` and its memo."""
+    if hints is not None:
+        return reference_solve_subtree(inst, sub, params, budget, memo, hints)
+    return solver.schedule_subtree(inst, sub, params, budget, memo)
 
 
 def reference_solve_subtree(
@@ -37,8 +75,8 @@ def reference_solve_subtree(
     sub: SubproblemInput,
     params: Params,
     budget: Budget,
-    hints: Hints | None,
     memo: SolveMemo,
+    hints: Hints | None = None,
 ) -> Result | None:
     budget.tick()
     tree = tree_for(params)
@@ -130,10 +168,10 @@ def reference_solve_subtree(
                 assigned=hi_assigned,
                 pending=hi_pending,
             )
-            left = schedule_subtree(inst, left_in, params, budget, hints, memo)
+            left = _schedule_subtree(inst, left_in, params, budget, memo, hints)
             if left is None:
                 continue
-            right = schedule_subtree(inst, right_in, params, budget, hints, memo)
+            right = _schedule_subtree(inst, right_in, params, budget, memo, hints)
             if right is None:
                 continue
             (lsys, lassign), (rsys, rassign) = left, right
@@ -149,6 +187,41 @@ def reference_solve_subtree(
                 best = assign_map, merged
                 best_count = count
     return best
+
+
+def _outer_cascades(inst, params, budget, hints, memo):
+    """The earlier ``solver._outer_cascades``, reading hints when given."""
+    tree = tree_for(params)
+    m = params.m
+    outer = range(1, 1 << max(min(params.h - 1, tree.L + 1), 0))
+    frontier = tree.below(1, params.h - 1)
+
+    def walk(idx, j_map, k_map):
+        budget.tick()
+        if idx == len(outer):
+            yield dict(j_map), {f: k_map.get(f, 0) for f in frontier}
+            return
+        f = outer[idx]
+        jobs = k_map.get(f, 0)
+        if tree.kinds[f] == BOT:
+            j_map[f] = jobs
+            yield from walk(idx + 1, j_map, k_map)
+            del j_map[f]
+            return
+        half = m * (params.T >> (f.bit_length() - 1)) // 2
+        for stay, k_left, k_right in _split_outcomes(inst, f, jobs, params, hints, memo):
+            if job_count(k_left) > half or job_count(k_right) > half:
+                continue
+            j_map[f] = stay
+            k_map[2 * f] = k_left
+            k_map[2 * f + 1] = k_right
+            yield from walk(idx + 1, j_map, k_map)
+            del j_map[f], k_map[2 * f], k_map[2 * f + 1]
+
+    try:
+        yield from walk(0, {}, {1: inst.all_jobs})
+    finally:
+        del walk
 
 
 def reference_main_solve(
@@ -167,7 +240,7 @@ def reference_main_solve(
     best_count = 0
     for j_map, pending in _outer_cascades(inst, params, budget, hints, memo):
         sub = SubproblemInput(root=1, assigned=j_map, pending=pending)
-        got = schedule_subtree(inst, sub, params, budget, hints, memo)
+        got = _schedule_subtree(inst, sub, params, budget, memo, hints)
         if got is None:
             continue
         sys_assign, assign = got
@@ -180,3 +253,18 @@ def reference_main_solve(
             best_sched = Schedule(T=params.T, assign=tuple(full_assign))
             best_count = count
     return full_system(best), best_sched
+
+
+def reference_solve_hinted(
+    inst: Instance,
+    reference: Schedule,
+    params: Params,
+    budget: Budget | None = None,
+):
+    """The earlier ``solve_hinted`` on a tree with ``L > 0``: the split
+    outcomes recorded from the reference system, replayed through the
+    recursion with the virtually-valid reference."""
+    ref_sys, covered, guesses = system_from_schedule(inst, reference, params)
+    virt = valid_to_virtually_valid(inst, ref_sys, reference, params)
+    outcomes = {i: (ref_sys.assign[i], covered[2 * i], covered[2 * i + 1]) for i in guesses}
+    return reference_main_solve(inst, params, budget, Hints(virt, outcomes))

@@ -102,6 +102,33 @@ def test_cli_gen_verify_pipeline(tmp_path):
     assert run_command(["verify", str(inst_path), str(sched_path)]) == 0
 
 
+def test_cli_verify_reports_a_short_schedule(tmp_path, capsys):
+    # a schedule of fewer jobs than the instance is a domain violation,
+    # and the precedence check reads only the jobs it has
+    inst_path = tmp_path / "i.psched"
+    short_path = tmp_path / "short.sched"
+    inst_path.write_text("psched 1 3 2\n0 2\n1 2\n")
+    short_path.write_text("sched 1 2 2\n0 2\n1 1\n")
+    assert run_command(["verify", str(inst_path), str(short_path)]) == 1
+    out = capsys.readouterr().out
+    assert "domain: schedule covers 2 jobs, instance has 3" in out
+    assert "precedence" not in out
+
+
+def test_cli_hinted_pipeline_with_h0(tmp_path):
+    # h = 0 makes the alignment unit a whole top interval; the block
+    # sweep of the reference conversion used to run past the half
+    inst_path, out_path = tmp_path / "i.psched", tmp_path / "o.sched"
+    assert run_command(["gen", "--family", "random-dag", "--n", "12", "--m", "2",
+                        "--seed", "3", "--out", str(inst_path)]) == 0
+    assert run_command(["pipeline", str(inst_path), "--hinted", "--horizon", "8",
+                        "--param-override", "h=0", "--param-override", "hp=0",
+                        "--param-override", "p=2", "--out", str(out_path)]) == 0
+    final = io.read_schedule(str(out_path))
+    assert_no_violations(verify_valid(io.read_instance(str(inst_path)), final))
+    assert final.discard_count == 0
+
+
 def test_cli_verify_rejects_capacity_breach(tmp_path, capsys):
     inst_path = tmp_path / "i.psched"
     bad_path = tmp_path / "bad.sched"

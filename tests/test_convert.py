@@ -77,6 +77,25 @@ def test_spread_out_jobs_survive():
     assert_no_violations(check_virtually_valid(inst, sys, params, out))
 
 
+@pytest.mark.parametrize("T", [8, 16])
+def test_h0_conversions_stay_inside_each_half(T):
+    # with h = 0 the alignment unit is a whole top interval, longer than
+    # either half: each half is one block, so its top jobs are discarded
+    # and the result is virtually valid
+    params = compute_params(T, 2, Fraction(1, 2), overrides={"h": 0, "hp": 0, "p": 2})
+    assert window_step(params, T) == T
+    converted = 0
+    for seed in range(12):
+        inst, sched = reference_pair(seed, T=T, m=2, n=T // 2 + seed % 4)
+        sys, _, _ = system_from_schedule(inst, sched, params)
+        out = valid_to_virtually_valid(inst, sys, sched, params)
+        assert_no_violations(check_virtually_valid(inst, sys, params, out))
+        top = mask_from(j for j, i in sys.owner_of().items() if tree_for(params).kinds[i] == "top")
+        assert out.discarded == top
+        converted += top != 0
+    assert converted > 0
+
+
 def test_conversion_rejects_invalid_input():
     params = desk_params(T=16, m=2)
     inst = build_instance(2, 2, [(0, 1)])
@@ -188,7 +207,7 @@ def test_conversions_are_the_identity_when_collapsed(seed, m, offset, hinted):
     inst, params, hints = collapsed_case(seed, m, offset, hinted)
     sys, sched = main_solve(inst, params)
     if hints is not None:
-        sched = hints.reference
+        sched = hints.virtual
     assert windows(inst, sys, params) == {}
     canon = canonicalize(inst, sys, sched, params)
     assert canon == sched

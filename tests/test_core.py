@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from psched.baselines import graham_list
 from psched.core import (
     DISC,
     Schedule,
+    ValidityReport,
+    Violation,
     build_instance,
     chain_depths,
     count_inversions,
@@ -156,6 +159,56 @@ def test_verify_precedence_violation():
     assert not report.ok and report.kinds() == {"precedence"}
     same_slot = verify_valid(inst, Schedule(T=2, assign=(1, 1)))
     assert not same_slot.ok
+
+
+def _pairwise_verify(inst, sched):
+    """The earlier ``verify_valid``: every closure pair checked one by one."""
+    out = []
+    if sched.n != inst.n:
+        out.append(Violation("domain", f"schedule covers {sched.n} jobs, instance has {inst.n}"))
+    counts = {}
+    for t in sched.assign:
+        if t is not None:
+            counts[t] = counts.get(t, 0) + 1
+    for t in sorted(counts):
+        if counts[t] > inst.m:
+            out.append(Violation("capacity", f"{counts[t]} jobs at slot {t} > m={inst.m}"))
+    for a in range(min(sched.n, inst.n)):
+        ta = sched.assign[a]
+        if ta is None:
+            continue
+        for b in iter_jobs(inst.succ[a]):
+            tb = sched.assign[b]
+            if tb is not None and ta >= tb:
+                out.append(Violation("precedence", f"job {a} at {ta} not before job {b} at {tb}"))
+    return ValidityReport(violations=tuple(out), discards=sched.discard_count)
+
+
+def test_verify_matches_the_pairwise_check():
+    # valid schedules, and random ones with precedence and capacity
+    # breaks, discards and extra jobs: the same violations in the same
+    # order, and the same discard count
+    rng = random.Random(11)
+    invalid = 0
+    for seed in range(200):
+        n, m = rng.randrange(1, 14), rng.randrange(1, 4)
+        inst = random_instance(n, m, rng.choice((0.1, 0.3, 0.6)), seed)
+        T = rng.randrange(1, n + 2)
+        assign = [rng.choice([DISC, *range(1, T + 1)]) for _ in range(n + seed % 3)]
+        for sched in (Schedule(T=T, assign=tuple(assign)), graham_list(inst)):
+            report = verify_valid(inst, sched)
+            assert report == _pairwise_verify(inst, sched), seed
+            invalid += not report.ok
+    assert invalid > 100
+
+
+def test_verify_reports_a_short_schedule_as_domain():
+    inst = build_instance(3, 2, [(0, 2), (1, 2), (0, 1)])
+    report = verify_valid(inst, Schedule(T=2, assign=(2, 1)))
+    assert [str(v) for v in report.violations] == [
+        "domain: schedule covers 2 jobs, instance has 3",
+        "precedence: job 0 at 2 not before job 1 at 1",
+    ]
 
 
 def test_inversions_constant_values():

@@ -49,7 +49,11 @@ from psched.transform import pad_to_power_of_two
 
 from conftest import assert_no_violations, max_scheduled_oracle, random_instance
 from partition_reference import partition_class_key, reference_enumerate_partitions
-from subtree_reference import reference_main_solve, reference_solve_subtree
+from subtree_reference import (
+    reference_main_solve,
+    reference_solve_hinted,
+    reference_solve_subtree,
+)
 
 from test_dyadic import desk_params, reference_pair
 
@@ -211,9 +215,8 @@ def _solve_with(monkeypatch, reference, name, *args):
 @pytest.mark.parametrize("family", DEEP_FAMILIES)
 def test_count_bounds_match_solving_every_candidate(monkeypatch, family, m):
     # a candidate cut by its count bound could not have replaced the
-    # incumbent: the same results, never more nodes, and on the hinted
-    # path, which has one candidate per node, the very same nodes
-    fewer = hinted = 0
+    # incumbent: the same results and never more nodes
+    fewer = 0
     for T, h, n in product((8, 16, 32), (1, 2), range(4, 11)):
         inst, _ = gen_instance(family, n, m, 0.3, 10 * n + T + h)
         params = compute_params(T, m, Fraction(1, 2), overrides={"h": h, "hp": 1, "p": 2})
@@ -223,14 +226,52 @@ def test_count_bounds_match_solving_every_candidate(monkeypatch, family, m):
         assert got[:2] == ref[:2], case
         assert got[2] <= ref[2], case
         fewer += got[2] < ref[2]
-        opt, sched = exact_opt(inst)
-        if opt <= T:
-            reference = Schedule(T=T, assign=sched.assign)
-            args = (inst, reference, params)
-            assert (_solve_with(monkeypatch, False, "solve_hinted", *args)
-                    == _solve_with(monkeypatch, True, "solve_hinted", *args)), case
-            hinted += 1
-    assert fewer > 0 and hinted > 0
+    assert fewer > 0
+
+
+# (h, hp) of the trees on which the replay must match the recursion, and
+# the split budgets: the default, and a looser one that keeps enough top
+# jobs for some to survive the conversion and be routed down as ancestors
+REPLAY_PARAMS = [(1, 1), (2, 1), (2, 0), (3, 1), (1, 0)]
+REPLAY_BUDGETS = [{}, {"delta": Fraction(1, 4), "deltap": Fraction(1, 8)}]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("family", DEEP_FAMILIES)
+def test_replay_matches_the_hinted_recursion(family, m):
+    # the replay, one bottom interval at a time, gives the recursion held
+    # to the reference's splits and partitions: the same system, in the
+    # same order, the same schedule and the same nodes, so a budget one
+    # node short stops both, as does one that the replay's first ticks
+    # overrun, with the same message
+    cases = placed_top = 0
+    for n, T, (h, hp), split in product((6, 9, 13, 18, 24), (16, 32, 64), REPLAY_PARAMS,
+                                        REPLAY_BUDGETS):
+        inst, _ = gen_instance(family, n, m, 0.3, 7 * n + T + h)
+        opt, best = exact_opt(inst)
+        assert opt <= T
+        params = compute_params(T, m, Fraction(1, 2),
+                                overrides={"h": h, "hp": hp, "p": 2, **split})
+        args = (inst, Schedule(T=T, assign=best.assign), params)
+        got = []
+        for solve in (solve_hinted, reference_solve_hinted):
+            budget = Budget()
+            sys_out, sched = solve(*args, budget=budget)
+            got.append((list(sys_out.assign.items()), sched, budget.nodes))
+        assert got[0] == got[1], (n, T, h, hp, split)
+        kinds = tree_for(params).kinds
+        placed_top += sum(1 for i, jobs in got[0][0] if kinds[i] != "bot"
+                          for j in iter_jobs(jobs) if sched.assign[j] is not None)
+        for limit in (1, got[0][2] - 1):
+            stops = []
+            for solve in (solve_hinted, reference_solve_hinted):
+                with pytest.raises(BudgetExceeded) as exc:
+                    solve(*args, budget=Budget(limit=limit))
+                stops.append(str(exc.value))
+            message = f"search budget exceeded: {limit + 1} nodes > limit {limit}"
+            assert stops[0] == stops[1] == message
+        cases += 1
+    assert cases == 150 and placed_top > 0
 
 
 def test_deep_enum_pool_node_count():
@@ -266,7 +307,10 @@ def _built_hints(monkeypatch, inst, reference, params):
 @pytest.mark.parametrize("family", DEEP_FAMILIES)
 def test_recorded_split_outcomes_replay_like_push_down(monkeypatch, family, m):
     # references as the pipeline replays them: the oracle's schedule at
-    # T, and padded by ``_with_sinks`` from a horizon between T/2 and T
+    # T, and padded by ``_with_sinks`` from a horizon between T/2 and T.
+    # The hints are the reference's system and its virtually-valid
+    # schedule, and each split of that system is the one ``push_down``
+    # makes of the guesses recorded there
     padded = 0
     for T, h, n in product((16, 32), (1, 2, 3), (6, 11, 16)):
         inst0, _ = gen_instance(family, n, m, 0.3, 7 * n + T + h)
@@ -283,16 +327,20 @@ def test_recorded_split_outcomes_replay_like_push_down(monkeypatch, family, m):
         for inst, reference in refs:
             case = (T, h, n, inst.n)
             hints = _built_hints(monkeypatch, inst, reference, params)
-            _, covered, guesses = system_from_schedule(inst, reference, params)
-            assert hints.outcomes and hints.outcomes.keys() == guesses.keys(), case
-            for i, outcome in hints.outcomes.items():
-                assert outcome == push_down(inst, i, covered[i], guesses[i], params), case
+            sys_ref, covered, guesses = system_from_schedule(inst, reference, params)
+            assert hints == Hints(
+                sys_ref, valid_to_virtually_valid(inst, sys_ref, reference, params)), case
+            assert guesses, case
+            for i, trace in guesses.items():
+                outcome = (sys_ref.assign[i], covered[2 * i], covered[2 * i + 1])
+                assert outcome == push_down(inst, i, covered[i], trace, params), case
     assert padded > 0
 
 
 def test_hinted_replay_pool_node_count(monkeypatch):
     # the deep half of the benchmark's hinted-replay pool, unrelabeled, at
-    # its horizon and overrides; every split is read from the record
+    # its horizon and overrides; each of the 16 bottom intervals of a run
+    # is solved once, and its warm start places all it can
     runs = []
     for family, m in product(DEEP_FAMILIES, (2, 3)):
         params = compute_params(32, m, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
@@ -692,7 +740,8 @@ def collapsed_case(seed, m, offset, hinted):
     assign = [t if t <= target else None for t in best.assign]
     for k in range(job_count(pads)):
         assign.append(target + 1 + k // m if offset >= 0 else None)
-    return inst, params, Hints(reference=Schedule(T=T2, assign=tuple(assign)), outcomes={})
+    system = PartialDyadicSystem(assign={1: inst.all_jobs})
+    return inst, params, Hints(system=system, virtual=Schedule(T=T2, assign=tuple(assign)))
 
 
 COLLAPSED_GRID = [
@@ -712,15 +761,11 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
     # and schedule as the root subproblem's solve, or the all-discard
     # fallback when that finds nothing.  It enters no outer-cascade step
     # and not the root subproblem, so one node fewer than that call.  It
-    # reads no hints; the hinted root subproblem warm-starts its bottom
-    # search from the hints' reference, which can win a tie but cannot
-    # keep more jobs than the exact search finds without it
+    # reads no hints, and keeps at least the jobs their schedule keeps
     inst, params, hints = collapsed_case(seed, m, offset, hinted)
     sub_budget = Budget()
     got = schedule_subtree(
-        inst, SubproblemInput(root=1, assigned={1: inst.all_jobs}), params,
-        sub_budget, hints,
-    )
+        inst, SubproblemInput(root=1, assigned={1: inst.all_jobs}), params, sub_budget)
     budget = Budget()
     sys_out, sched = main_solve(inst, params, budget=budget, hints=hints)
     assert sys_out == PartialDyadicSystem(assign={1: inst.all_jobs})
@@ -731,12 +776,10 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
         return
     assert got[0] == {1: inst.all_jobs}
     assert check_virtually_valid(inst, sys_out, params, sched).ok
-    if hints is None:
-        assert sched == Schedule(T=params.T, assign=tuple(got[1][j] for j in range(inst.n)))
-        assert budget.nodes == sub_budget.nodes - 1
-    else:
-        kept = sum(1 for t in got[1].values() if t is not None)
-        assert sched.scheduled_count == kept >= hints.reference.scheduled_count
+    assert sched == Schedule(T=params.T, assign=tuple(got[1][j] for j in range(inst.n)))
+    assert budget.nodes == sub_budget.nodes - 1
+    if hints is not None:
+        assert sched.scheduled_count >= hints.virtual.scheduled_count
 
 
 def test_budget_exceeded():
@@ -903,25 +946,19 @@ def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_f
     assert nodes <= plain_nodes
     assert run(recording) == (got, nodes)
 
+    if hinted:
+        # a hinted solve replays one bottom interval at a time: it enters
+        # no subproblem and builds no memo, so the memo can save it no node
+        def unused(*args):
+            raise AssertionError("a hinted solve enters no subproblem")
+
+        monkeypatch.setattr(solver, "_solve_subtree", unused)
+        assert run(recording) == (got, nodes)
+        assert nodes == plain_nodes and not memos
+        return
     memo = memos[0]
     assert memo.subtrees == memo.subtrees.copies  # no caller mutated a shared result
     assert memo.splits == memo.splits.copies
-    if hinted:
-        # one candidate per node: a hinted solve meets no subproblem twice,
-        # so it stores nothing and the memo can save it no node
-        entered = []
-        solve_subtree = solver._solve_subtree
-
-        def entering(inst, sub, *args):
-            entered.append(sub.root)
-            return solve_subtree(inst, sub, *args)
-
-        monkeypatch.setattr(solver, "_solve_subtree", entering)
-        assert run(recording) == (got, nodes)
-        assert nodes == plain_nodes
-        assert all(not memo.subtrees and not memo.splits for memo in memos)
-        assert 1 in entered and len(entered) == len(set(entered))
-        return
     at_root = [got for got, i0 in memo.subtrees.values() if i0 == 1]
     if not root_fails:
         assert any(v is not None for v in at_root)
@@ -992,7 +1029,8 @@ def test_memo_answers_a_translate_shifted_without_entering_a_node():
 @pytest.mark.parametrize("hinted", [False, True], ids=["enum", "hinted"])
 def test_main_solve_frees_its_memo_on_return(monkeypatch, hinted):
     # no reference cycle may hold the memo: with the cycle collector off,
-    # its results must go as soon as the solve returns
+    # its results must go as soon as the solve returns.  A hinted solve
+    # builds none
     inst = random_instance(6, 2, 0.3, 1)
     params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
     refs = []
@@ -1010,7 +1048,7 @@ def test_main_solve_frees_its_memo_on_return(monkeypatch, hinted):
             solve_hinted(inst, Schedule(T=16, assign=exact_opt(inst)[1].assign), params)
         else:
             main_solve(inst, params)
-        assert refs and all(ref() is None for ref in refs)
+        assert bool(refs) != hinted and all(ref() is None for ref in refs)
     finally:
         if was_enabled:
             gc.enable()

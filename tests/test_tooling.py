@@ -12,11 +12,17 @@ import inspect
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from psched import cli
+from psched.baselines import exact_opt
+from psched.core import Schedule
+from psched.dyadic import compute_params
+from psched.generators import gen_instance
+from psched.solver import Budget, solve_hinted
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -59,6 +65,27 @@ def test_yield_counted_functions_are_generators(mod_name, fn_name):
 def test_hooked_arguments_keep_their_positions(mod_name, fn_name, index, name):
     params = list(inspect.signature(_resolve(mod_name, fn_name)).parameters)
     assert params[index] == name
+
+
+def test_tracer_counts_every_node_of_a_deep_hinted_solve():
+    # the tracer reads solver.nodes off the budget main_solve gets at
+    # index 2; a deep hinted solve must go through main_solve and tick all
+    # of its nodes there, in that budget
+    inst, _ = gen_instance("random-dag", 16, 2, 0.3, 0)
+    params = compute_params(32, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
+    assert params.L > 0
+    reference = Schedule(T=32, assign=exact_opt(inst)[1].assign)
+    budget = Budget()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        since = tracer.mark()
+        solve_hinted(inst, reference, params, budget)
+    finally:
+        tracer.uninstall()
+    window = tracer.window(since)
+    assert window["solver.main_solve.calls"] == 1
+    assert window["solver.nodes"] == budget.nodes == 48
 
 
 def test_tracer_sees_one_parser_build_for_repeated_runs(tmp_path, monkeypatch):
