@@ -6,7 +6,6 @@ The oracle is the bound sandwich followed, when it does not certify, by
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -21,7 +20,6 @@ from .core import (
     chain_depths,
     iter_jobs,
     job_count,
-    mask_from,
 )
 from .errors import CapacityDeficit
 
@@ -42,10 +40,6 @@ class CapacityProfile:
         if any(c < 0 for c in self.cap):
             raise ValueError("capacities must be nonnegative")
 
-    @classmethod
-    def uniform(cls, interval: Interval, cap: int) -> "CapacityProfile":
-        return cls(interval, (cap,) * interval.length)
-
     def total(self) -> int:
         return sum(self.cap)
 
@@ -61,21 +55,27 @@ def graham_list(inst: Instance) -> Schedule:
 
 def _list_schedule(inst: Instance, priority: Sequence[int]) -> Schedule:
     """Run up to ``m`` ready jobs per slot, the first ones in ``priority``
-    (every job once); the loop of every list schedule here."""
+    (every job once); the loop of every list schedule here.  Each slot
+    scans the jobs left, in priority order, up to its ``m``-th ready one."""
+    pred, m = inst.pred, inst.m
     assign: list[Slot] = [DISC] * inst.n
-    done: JobSet = 0
-    t = 0
-    while job_count(done) < inst.n:
+    left, done, t = list(priority), 0, 0
+    while left:
         t += 1
-        ready = [
-            j
-            for j in priority
-            if not done >> j & 1 and inst.pred[j] & ~done == 0
-        ]
-        batch = ready[: inst.m]
-        for j in batch:
+        rest: list[int] = []
+        batch = taken = 0
+        for k, j in enumerate(left):
+            if pred[j] & ~done:
+                rest.append(j)
+                continue
             assign[j] = t
-        done |= mask_from(batch)
+            batch |= 1 << j
+            taken += 1
+            if taken == m:
+                rest += left[k + 1 :]
+                break
+        done |= batch
+        left = rest
     return Schedule(T=max(t, 1) if inst.n else 0, assign=tuple(assign))
 
 
@@ -83,21 +83,29 @@ def tail_heights(inst: Instance, jobs: JobSet | None = None) -> list[int]:
     """Per job, the length of the longest chain that starts at it; with
     ``jobs``, of the longest chain within ``jobs``, and 0 outside it."""
     height = [0] * inst.n
+    succ, within = inst.succ, inst.all_jobs if jobs is None else jobs
     for j in reversed(inst.topo):
-        if jobs is not None and not jobs >> j & 1:
-            continue
-        h = 0
-        for s in iter_jobs(inst.succ[j]):
-            if height[s] > h:
-                h = height[s]
-        height[j] = h + 1
+        if within >> j & 1:
+            h, rest = 0, succ[j] & within
+            while rest:
+                low = rest & -rest
+                hs = height[low.bit_length() - 1]
+                if hs > h:
+                    h = hs
+                rest ^= low
+            height[j] = h + 1
     return height
 
 
 def height_counts(heights: Iterable[int]) -> list[int]:
-    """Entry ``k`` counts the heights equal to ``k``, up to the largest."""
-    count = Counter(heights)
-    return [count[k] for k in range(max(count, default=0) + 1)]
+    """Entry ``k`` counts the heights equal to ``k``, up to the largest
+    (``[0]`` for none)."""
+    count = [0]
+    for k in heights:
+        if k >= len(count):
+            count += [0] * (k + 1 - len(count))
+        count[k] += 1
+    return count
 
 
 def _level(per_height: Sequence[int], m: int) -> int:
@@ -124,7 +132,8 @@ def bound_sandwich(inst: Instance) -> tuple[int, Schedule]:
     likewise for head depths read backwards in time.  It is never below
     ``max(longest chain, ceil(n/m))``."""
     height = tail_heights(inst)
-    critical = _list_schedule(inst, sorted(range(inst.n), key=lambda j: (-height[j], j)))
+    # a stable sort in reverse keeps ascending ids among equal heights
+    critical = _list_schedule(inst, sorted(range(inst.n), key=height.__getitem__, reverse=True))
     upper = min(graham_list(inst), critical, key=lambda s: s.makespan)
     depths = chain_depths(inst, inst.all_jobs).values()
     lower = max(_level(height_counts(height), inst.m), _level(height_counts(depths), inst.m))

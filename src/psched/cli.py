@@ -199,7 +199,8 @@ COMMANDS = ("gen", "verify", "graham", "oracle", "solve", "pipeline", "bench")
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``psched`` parser with every subcommand, or with ``command``
-    alone when it names one; the top-level usage is the same either way.
+    alone when it names one (its ``commands`` maps each to its own
+    parser); the top-level usage is the same either way.
 
     Builds a new parser on every call; ``run_command`` keeps the ones it
     builds and reuses them, so callers must not mutate a returned parser."""
@@ -277,27 +278,40 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help=f"csv columns, in order: {', '.join(BENCH_COLUMNS)}")
         p.add_argument("--out", default=None)
         p.set_defaults(func=cmd_bench)
+    parser.commands = subs.choices
     return parser
 
 
-# run_command's parsers, one per COMMANDS entry plus None for the full one
+# run_command's parsers, one per COMMANDS entry plus None for the full one,
+# built on first use and reused: mutate none, nor a parsed default (every
+# run without --param-override gets the parser's one default list)
 _PARSERS: dict[str | None, argparse.ArgumentParser] = {}
 
 
-def run_command(argv: list[str]) -> int:
-    """Run one ``psched`` invocation and return its exit code.
-
-    The parser of ``argv[0]``'s subcommand, or the full parser when it
-    names none, is built on first use and reused for the rest of the
-    process.  Callers must not mutate it, nor a parsed default: every run
-    without ``--param-override`` gets the parser's one default list.
-    """
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser(None).parse_args(argv)``, help and usage errors
+    (``SystemExit``) included, in one level: a subcommand's parser alone
+    reads the rest of its ``argv``, and what it leaves over gets the
+    top-level ``unrecognized arguments`` error."""
     key = argv[0] if argv and argv[0] in COMMANDS else None
     parser = _PARSERS.get(key)
     if parser is None:
         parser = _PARSERS[key] = build_parser(key)
+    if key is None:
+        return parser.parse_args(argv)
+    args, extras = parser.commands[key].parse_known_args(
+        argv[1:], argparse.Namespace(command=key))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def run_command(argv: list[str]) -> int:
+    """Run one ``psched`` invocation and return its exit code: 0 after
+    ``--help``, 1 on a usage error, otherwise the subcommand's (2 when the
+    budget runs out, 1 on other errors).  ``_parse_args`` reads ``argv``."""
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors; keep 2 for budget
         return 0 if exc.code in (0, None) else 1
     try:

@@ -29,6 +29,7 @@ from .dyadic import (
     TOP,
     Params,
     PartialDyadicSystem,
+    Window,
     check_valid_for_system,
     check_virtually_valid,
     in_order,
@@ -103,9 +104,9 @@ class _TopOrder:
     """
 
     def __init__(self, inst: Instance, sys: PartialDyadicSystem, sched: Schedule,
-                 params: Params) -> None:
+                 params: Params, win: dict[int, Window] | None = None) -> None:
         self.inst = inst
-        self.win = windows(inst, sys, params)
+        self.win = windows(inst, sys, params) if win is None else win
         interval = tree_for(params).interval
         self.owner = {j: interval[i] for j, i in sys.owner_of().items()}
         self.jobs = sorted(j for j in self.win if sched.assign[j] is not None)
@@ -148,9 +149,10 @@ def _canonicalize(
     sys: PartialDyadicSystem,
     sched: Schedule,
     params: Params,
+    win: dict[int, Window] | None = None,
 ) -> tuple[Schedule, int]:
     """Swap loop of the canonicalization; returns the fixpoint and swap count."""
-    order = _TopOrder(inst, sys, sched, params)
+    order = _TopOrder(inst, sys, sched, params, win)
     jobs, win, owner, slot = order.jobs, order.win, order.owner, order.slot
 
     def dif_vector() -> tuple[int, int, int]:
@@ -185,6 +187,7 @@ def canonicalize(
     sys: PartialDyadicSystem,
     sched: Schedule,
     params: Params,
+    win: dict[int, Window] | None = None,
 ) -> Schedule:
     """Reorder scheduled top jobs (by slot swaps) until weakly consistent.
 
@@ -193,8 +196,9 @@ def canonicalize(
     (window boundary, chain depth).  Discards and bottom-job slots are
     unchanged; each swap stays inside both windows and strictly decreases
     the lexicographic ranking vector, which bounds the loop polynomially.
+    ``win`` is the system's ``windows``, computed here when omitted.
     """
-    return _canonicalize(inst, sys, sched, params)[0]
+    return _canonicalize(inst, sys, sched, params, win)[0]
 
 
 def canonical_violations(
@@ -212,6 +216,7 @@ def virtually_valid_to_valid(
     sys: PartialDyadicSystem,
     sched: Schedule,
     params: Params,
+    win: dict[int, Window] | None = None,
 ) -> Schedule:
     """Turn a canonical virtually-valid schedule into a valid one.
 
@@ -219,11 +224,14 @@ def virtually_valid_to_valid(
     interval are rescheduled there by capacity-constrained list scheduling
     over exactly the slots they occupied, discarding at most
     m * (chain length of that group) extra jobs per bottom interval.
+    ``win`` is the system's ``windows``, computed here when omitted.
     """
-    report = check_virtually_valid(inst, sys, params, sched)
+    if win is None:
+        win = windows(inst, sys, params)
+    report = check_virtually_valid(inst, sys, params, sched, win=win)
     if not report.ok:
         raise InvalidInput(f"input schedule is not virtually valid:\n{report}")
-    order = _TopOrder(inst, sys, sched, params)
+    order = _TopOrder(inst, sys, sched, params, win)
     bad = order.violations()
     if bad:
         raise PrecongruenceViolated("; ".join(bad))

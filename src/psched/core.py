@@ -10,7 +10,6 @@ ops.  A schedule maps each job to a time slot in ``(0, T]`` or to
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -118,6 +117,20 @@ class Instance:
         return hash((self.n, self.m, self.succ))
 
 
+def _closure(order: Iterable[int], direct: Sequence[JobSet]) -> list[JobSet]:
+    """Per job, the union of the ``direct`` masks of the jobs it reaches
+    through them; ``order`` lists every job after all it reaches."""
+    closed = [0] * len(direct)
+    for u in order:
+        s = rest = direct[u]
+        while rest:
+            low = rest & -rest
+            s |= closed[low.bit_length() - 1]
+            rest ^= low
+        closed[u] = s
+    return closed
+
+
 def build_instance(n: int, m: int, edges: Iterable[tuple[int, int]]) -> Instance:
     """Build an instance from direct precedence edges.
 
@@ -126,42 +139,35 @@ def build_instance(n: int, m: int, edges: Iterable[tuple[int, int]]) -> Instance
     """
     if n < 0 or m < 1:
         raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
-    out: list[JobSet] = [0] * n
-    indeg = [0] * n
+    out, into = [0] * n, [0] * n  # direct successor and predecessor masks
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise CycleError(f"self-loop on job {u}")
-        if not out[u] >> v & 1:
-            out[u] |= 1 << v
-            indeg[v] += 1
+        out[u] |= 1 << v
+        into[v] |= 1 << u
 
-    # Kahn's algorithm: topological order, detects cycles.
-    ready = sorted(j for j in range(n) if indeg[j] == 0)
+    # Kahn's algorithm: topological order, detects cycles.  Its queue is a
+    # mask whose lowest bit is the smallest ready id.
+    ready = mask_from(j for j in range(n) if not into[j])
     topo: list[int] = []
-    heap = list(ready)
-    heapq.heapify(heap)
-    while heap:
-        u = heapq.heappop(heap)
+    done: JobSet = 0
+    while ready:
+        low = ready & -ready
+        ready ^= low
+        done |= low
+        u = low.bit_length() - 1
         topo.append(u)
-        for v in iter_jobs(out[u]):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, v)
+        rest = out[u]
+        while rest:
+            low = rest & -rest
+            if not into[low.bit_length() - 1] & ~done:
+                ready |= low
+            rest ^= low
     if len(topo) != n:
         raise CycleError("precedence edges contain a directed cycle")
-
-    succ = [0] * n
-    for u in reversed(topo):
-        s = out[u]
-        for v in iter_jobs(out[u]):
-            s |= succ[v]
-        succ[u] = s
-    pred = [0] * n
-    for u in range(n):
-        for v in iter_jobs(succ[u]):
-            pred[v] |= 1 << u
+    succ, pred = _closure(reversed(topo), out), _closure(topo, into)
     return Instance(n=n, m=m, succ=tuple(succ), pred=tuple(pred), topo=tuple(topo))
 
 
@@ -171,16 +177,21 @@ def longest_chain(inst: Instance, jobs: JobSet) -> int:
 
 
 def chain_depths(inst: Instance, jobs: JobSet) -> dict[int, int]:
-    """Longest-chain-ending-at-j lengths for every j in ``jobs``."""
+    """Longest-chain-ending-at-j lengths for every j in ``jobs``, keyed in
+    topological order."""
     depth: dict[int, int] = {}
+    pred = inst.pred
     for j in inst.topo:
         if jobs >> j & 1:
-            d = 1
-            for i in iter_jobs(inst.pred[j] & jobs):
-                di = depth[i] + 1
+            d = 0
+            rest = pred[j] & jobs
+            while rest:
+                low = rest & -rest
+                di = depth[low.bit_length() - 1]
                 if di > d:
                     d = di
-            depth[j] = d
+                rest ^= low
+            depth[j] = d + 1
     return depth
 
 
@@ -232,10 +243,6 @@ class Schedule:
         return len(self.assign)
 
     @property
-    def discarded(self) -> JobSet:
-        return mask_from(j for j, t in enumerate(self.assign) if t is None)
-
-    @property
     def discard_count(self) -> int:
         return sum(1 for t in self.assign if t is None)
 
@@ -246,12 +253,6 @@ class Schedule:
     @property
     def makespan(self) -> int:
         return max((t for t in self.assign if t is not None), default=0)
-
-    def jobs_at(self, t: int) -> JobSet:
-        return mask_from(j for j, s in enumerate(self.assign) if s == t)
-
-    def as_dict(self) -> dict[int, Slot]:
-        return dict(enumerate(self.assign))
 
     def replace(self, updates: Mapping[int, Slot], T: int | None = None) -> "Schedule":
         assign = list(self.assign)

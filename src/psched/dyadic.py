@@ -281,65 +281,12 @@ def in_order(tree: DyadicTree, assign: Mapping[int, JobSet]) -> list[tuple[int, 
     return sorted(assign.items(), key=lambda kv: sum(span[kv[0]]))
 
 
-def check_system(
-    inst: Instance,
-    sys: PartialDyadicSystem,
-    params: Params,
-    require_full: bool = False,
-) -> ValidityReport:
-    """Check the four structural clauses of a system, with witnesses.
-
-    Every key must be a heap index of the tree.  (a) Per-interval job
-    sets mutually disjoint; (b) chain length within budget on every top
-    interval; (c) middle intervals empty; (d) for in-order earlier
-    intervals, no precedence constraints pointing back.  With
-    ``require_full``: every job assigned.
-    """
-    tree = tree_for(params)
-    out: list[Violation] = []
-    size = len(tree.kinds)
-    for i in sys.assign:
-        if not 0 < i < size:
-            out.append(Violation(
-                "system-key", f"key {i} is not a tree interval (heap indices 1..{size - 1})"))
-    items = in_order(tree, {i: jobs for i, jobs in sys.assign.items() if 0 < i < size})
-    seen = 0
-    for i, jobs in items:
-        iv = tree.interval[i]
-        if jobs & seen:
-            dup = next(iter_jobs(jobs & seen))
-            out.append(Violation("system-disjoint", f"job {dup} assigned twice (at {iv})"))
-        seen |= jobs
-        kind = tree.kinds[i]
-        if kind == TOP:
-            a, b = split_budget(params, i)
-            bound = a * job_count(jobs) + b
-            got = longest_chain(inst, jobs)
-            if got * params.D > bound:
-                out.append(Violation(
-                    "system-chain",
-                    f"chain {got} > budget {Fraction(bound, params.D)} on top {iv}"))
-        elif kind == MID and jobs:
-            out.append(Violation("system-middle", f"middle {iv} holds {job_count(jobs)} jobs"))
-    items = [(i, jobs) for i, jobs in items if jobs]
-    for k, (a, jobs_a) in enumerate(items):
-        for b, jobs_b in items[k + 1 :]:
-            # a is in-order before b: no constraints from later to earlier.
-            if not inst.no_prec_between(jobs_b, jobs_a):
-                out.append(Violation(
-                    "system-order",
-                    f"precedence from jobs of {tree.interval[b]} back to jobs of "
-                    f"{tree.interval[a]}"))
-    if require_full:
-        missing = inst.all_jobs & ~sys.jobs_assigned()
-        if missing:
-            out.append(Violation(
-                "system-cover", f"jobs {list(iter_jobs(missing))} not assigned"))
-    return ValidityReport(violations=tuple(out))
-
-
 def window_step(params: Params, interval_len: int) -> int:
-    """Alignment unit for window boundaries within an owning interval."""
+    """Alignment unit for window boundaries within an owning interval.
+
+    At ``h <= 1`` it is at least half the interval, so the center is the
+    only boundary and every top window is empty; the conversion bound of
+    ``2 * window_step * m`` jobs lost per top interval is then vacuous."""
     return max(interval_len >> params.h, 1 << params.h)
 
 
@@ -424,17 +371,19 @@ def check_virtually_valid(
     sys: PartialDyadicSystem,
     params: Params,
     sched: Mapping[int, Slot] | Schedule,
+    win: Mapping[int, Window] | None = None,
 ) -> ValidityReport:
     """Check the four clause families of a virtually-valid schedule.
 
     Capacity everywhere; precedence and interval constraints for bottom
-    jobs only; window constraints for top jobs.  The schedule must cover
+    jobs only; window constraints for top jobs, in ``win`` (the system's
+    ``windows``, computed here when omitted).  The schedule must cover
     exactly the system's jobs with slots inside the root interval.
     """
     expect = sys.jobs_assigned()
     if isinstance(sched, Schedule):
-        domain_all = sched.as_dict()
-        sched = {j: domain_all[j] for j in iter_jobs(expect) if j in domain_all}
+        assign = sched.assign
+        sched = {j: assign[j] for j in iter_jobs(expect) if j < len(assign)}
     tree = tree_for(params)
     out: list[Violation] = []
     got = mask_from(sched.keys())
@@ -490,7 +439,8 @@ def check_virtually_valid(
                 out.append(Violation(
                     "precedence", f"bottom job {b} at {sched[b]} not before {a} at {t}"))
 
-    win = windows(inst, sys, params)
+    if win is None:
+        win = windows(inst, sys, params)
     for j in sorted(win):
         t = sched.get(j)
         b, e = win[j]
@@ -513,8 +463,14 @@ def _select_pivot(inst: Instance, jobs: JobSet, threshold: int) -> int:
 def split_step(inst: Instance, stay: JobSet, a: int, b: int, d: int) -> int | None:
     """One iteration's budget test of the split loop: the pivot of an
     over-long chain in ``stay``, or None when its chain fits the budget
-    ``(a * |stay| + b) / d`` (see ``split_budget``)."""
-    bound = a * job_count(stay) + b
+    ``(a * |stay| + b) / d`` (see ``split_budget``).  No chain outgrows its
+    set, and a bound below ``d`` (middle intervals) fits no job at all."""
+    count = job_count(stay)
+    bound = a * count + b
+    if count * d <= bound:
+        return None
+    if bound < d:
+        return (stay & -stay).bit_length() - 1
     if longest_chain(inst, stay) * d <= bound:
         return None
     # a pivot needs bound / (2d) - 1 jobs on each side: 2dc >= bound - 2d,

@@ -13,9 +13,9 @@ from fractions import Fraction
 from .baselines import bound_sandwich, exact_opt
 from .convert import canonicalize, virtually_valid_to_valid
 from .core import Instance, Schedule, Slot, iter_jobs
-from .dyadic import compute_params
+from .dyadic import compute_params, windows
 from .errors import NoSolution
-from .solver import DEFAULT_BUDGET, Budget, main_solve, solve_hinted
+from .solver import DEFAULT_BUDGET, Budget, main_solve, reference_hints, solve_hinted
 from .transform import (binary_search_makespan, insert_discarded, next_power_of_two,
                         pad_to_power_of_two)
 
@@ -61,9 +61,11 @@ def solve_at_horizon(
     splits of its schedule instead of enumerating.  A collapsed (``L = 0``)
     replay runs on the instance itself, where ``solve_hinted`` answers
     with the oracle's schedule for one node; deeper ones add the padding
-    sinks to it."""
+    sinks to it and replay their ``reference_hints`` as ``solve_hinted``
+    does, whose windows both conversions take unless nothing was kept."""
     padded, T2, _pads = pad_to_power_of_two(inst, horizon)
     params = compute_params(T2, inst.m, eps, overrides=overrides or None)
+    hints = None
     if oracle is None:
         sys_out, virtual = main_solve(padded, params, budget)
     elif oracle[0] > horizon:
@@ -72,11 +74,14 @@ def solve_at_horizon(
         sys_out, virtual = solve_hinted(inst, oracle[1], params, budget)
     else:
         reference = _with_sinks(inst, padded, oracle[1], horizon)
-        sys_out, virtual = solve_hinted(padded, reference, params, budget)
+        hints = reference_hints(padded, reference, params)
+        sys_out, virtual = main_solve(padded, params, budget, hints)
     valid = virtual
     if params.L > 0:  # with no top jobs both conversions are the identity
-        canon = canonicalize(padded, sys_out, virtual, params)
-        valid = virtually_valid_to_valid(padded, sys_out, canon, params)
+        same = hints is not None and sys_out.assign == hints.system.assign
+        win = hints.windows if same else windows(padded, sys_out, params)
+        canon = canonicalize(padded, sys_out, virtual, params, win=win)
+        valid = virtually_valid_to_valid(padded, sys_out, canon, params, win=win)
     valid_orig = _originals(valid, inst.n)
     return SolveOutcome(
         horizon=horizon,

@@ -154,11 +154,13 @@ SplitOutcome = tuple[JobSet, JobSet, JobSet]
 @dataclass(frozen=True)
 class Hints:
     """A reference to replay: the full system ``system_from_schedule``
-    builds from a zero-discard schedule, and ``virtual``, the schedule
-    ``valid_to_virtually_valid`` makes of that one for the system."""
+    builds from a zero-discard schedule, ``virtual``, the schedule
+    ``valid_to_virtually_valid`` makes of that one for the system, and
+    the system's ``windows``, for the replay and the conversions."""
 
     system: PartialDyadicSystem
     virtual: Schedule
+    windows: dict[int, Window]
 
 
 @dataclass
@@ -799,8 +801,8 @@ def _outer_cascades(
 def _replay(inst: Instance, params: Params, budget: Budget, hints: Hints) -> tuple[Slot, ...]:
     """What a hinted solve with ``L > 0`` assigns: each bottom interval of
     ``hints.system``, left to right, runs ``bottom_solve`` on its jobs,
-    warm-started from ``hints.virtual``, with the windows of
-    ``dyadic.windows`` and as ancestors the non-bottom jobs whose
+    warm-started from ``hints.virtual``, with ``hints.windows`` and as
+    ancestors the non-bottom jobs whose
     ``hints.virtual`` slot lies in it and in their owner's interval; the
     other non-bottom jobs are discarded.  That is what the recursion does
     held to the reference's split outcomes and partitions, and the nodes
@@ -817,7 +819,7 @@ def _replay(inst: Instance, params: Params, budget: Budget, hints: Hints) -> tup
     tree = tree_for(params)
     budget.tick((1 << max(min(params.h - 1, tree.L + 1), 0)) + (2 << tree.L) - 1)
     system, virt = hints.system.assign, hints.virtual.assign
-    win = windows(inst, hints.system, params)
+    win = hints.windows
     leaves = tree.below(1, tree.L)
     ancestors = dict.fromkeys(leaves, 0)
     for i, jobs in system.items():
@@ -906,8 +908,8 @@ def solve_hinted(
 ) -> tuple[PartialDyadicSystem, Schedule]:
     """Drive the solver along the splits recorded from an optimal schedule.
 
-    Builds the reference system and its virtually-valid counterpart and
-    hands both to ``main_solve``, which replays them one bottom interval at
+    Builds the reference's ``Hints`` (``reference_hints``) and hands them
+    to ``main_solve``, which replays them one bottom interval at
     a time (``_replay``): each bottom interval runs ``bottom_solve``
     warm-started from the virtually-valid reference, whose start is
     checked to be virtually valid.  The result schedules at least as many
@@ -923,6 +925,11 @@ def solve_hinted(
         check_reference(inst, reference, params)
         (budget or Budget()).tick()
         return full_system({1: inst.all_jobs}), Schedule(T=params.T, assign=reference.assign)
+    return main_solve(inst, params, budget=budget, hints=reference_hints(inst, reference, params))
+
+
+def reference_hints(inst: Instance, reference: Schedule, params: Params) -> Hints:
+    """The ``Hints`` of ``reference`` at ``L > 0``, each part computed once."""
     ref_sys = system_from_schedule(inst, reference, params)[0]
     virt = valid_to_virtually_valid(inst, ref_sys, reference, params)
-    return main_solve(inst, params, budget=budget, hints=Hints(ref_sys, virt))
+    return Hints(ref_sys, virt, windows(inst, ref_sys, params))

@@ -37,7 +37,6 @@ from psched.core import (
 )
 from psched.dyadic import (
     TOP,
-    check_system,
     check_valid_for_system,
     check_virtually_valid,
     compute_params,
@@ -51,6 +50,7 @@ from psched.solver import Budget, main_solve, solve_hinted
 from psched.transform import insert_discarded
 
 from conftest import max_scheduled_oracle, random_edges, random_instance
+from system_reference import check_system, discarded, jobs_at
 from posets import all_posets, closure_edges
 from test_dyadic import desk_params
 from test_solver import micro_params, padded_reference, single_bottom_params
@@ -164,7 +164,7 @@ def test_criterion_2_capacity_list_scheduling():
                 continue
             sched = capacity_list_schedule(inst, jobs, profile)
             for idx, t in enumerate(iv.slots()):
-                assert job_count(sched.jobs_at(t)) <= cap[idx]
+                assert job_count(jobs_at(sched, t)) <= cap[idx]
             discards = sum(1 for j in iter_jobs(jobs) if sched.assign[j] is None)
             assert discards <= m * longest_chain(inst, jobs)
             for a in iter_jobs(jobs):
@@ -256,7 +256,7 @@ def test_criterion_5_conversion_chain(constructed):
             for i, jobs in sys.assign.items():
                 if not jobs or tree.kinds[i] != TOP:
                     continue
-                lost = job_count(jobs & vv.discarded) - job_count(jobs & sched.discarded)
+                lost = job_count(jobs & discarded(vv)) - job_count(jobs & discarded(sched))
                 assert lost <= 2 * window_step(params, tree.interval[i].length) * params.m
             canon, _ = _canonicalize(inst, sys, vv, params)  # per-swap asserts inside
             assert canonical_violations(inst, sys, canon, params) == []

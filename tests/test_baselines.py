@@ -32,6 +32,7 @@ from conftest import (
 )
 from bound_reference import critical_path_list, level_bound
 from exact_reference import reference_exact_dp
+from system_reference import jobs_at, uniform_profile
 
 
 def test_graham_chain():
@@ -69,14 +70,14 @@ def test_graham_within_two_minus_one_over_m_of_opt():
 
 def test_capacity_schedule_empty_set():
     inst = random_instance(4, 2, 0.5, 0)
-    profile = CapacityProfile.uniform(Interval(0, 2), 2)
+    profile = uniform_profile(Interval(0, 2), 2)
     sched = capacity_list_schedule(inst, 0, profile)
     assert sched.scheduled_count == 0
 
 
 def test_capacity_schedule_antichain_packs_fully():
     inst = build_instance(6, 2, [])
-    profile = CapacityProfile.uniform(Interval(0, 3), 2)
+    profile = uniform_profile(Interval(0, 3), 2)
     sched = capacity_list_schedule(inst, inst.all_jobs, profile)
     assert sched.discard_count == 0
     assert_no_violations(verify_valid(inst, sched))
@@ -85,7 +86,7 @@ def test_capacity_schedule_antichain_packs_fully():
 def test_capacity_deficit_raises():
     inst = build_instance(5, 2, [])
     with pytest.raises(CapacityDeficit):
-        capacity_list_schedule(inst, inst.all_jobs, CapacityProfile.uniform(Interval(0, 2), 2))
+        capacity_list_schedule(inst, inst.all_jobs, uniform_profile(Interval(0, 2), 2))
 
 
 def test_capacity_schedule_respects_untrimmed_caps_and_discard_bound():
@@ -107,7 +108,7 @@ def test_capacity_schedule_respects_untrimmed_caps_and_discard_bound():
         sched = capacity_list_schedule(inst, jobs, profile)
         # capacity per slot, only inside the interval
         for idx, t in enumerate(iv.slots()):
-            assert job_count(sched.jobs_at(t)) <= cap[idx]
+            assert job_count(jobs_at(sched, t)) <= cap[idx]
         for j in iter_jobs(jobs):
             t = sched.assign[j]
             assert t is None or t in iv
@@ -134,7 +135,7 @@ def test_capacity_schedule_respects_untrimmed_caps_and_discard_bound():
                 j for j in iter_jobs(jobs & ~done_before)
                 if inst.pred[j] & jobs & ~done_before == 0
             ]
-            batch = sched.jobs_at(t) & jobs
+            batch = jobs_at(sched, t) & jobs
             assert job_count(batch) == min(len(ready), trimmed[idx])
             done_before |= batch
         checked += 1

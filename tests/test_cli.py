@@ -431,6 +431,55 @@ def test_usage_errors_exit_1_with_the_full_usage(monkeypatch, capsys, argv):
         "usage: psched [-h] {gen,verify,graham,oracle,solve,pipeline,bench} ...\n")
 
 
+PARSE_TABLE = [
+    ["gen", "--family", "layered", "--n", "9", "--m", "3", "--seed", "5"],
+    ["verify", "i.psched", "s.sched"],
+    ["graham", "i.psched", "--out", "g.sched"],
+    ["oracle", "i.psched"],
+    ["solve", "i.psched", "--horizon", "8", "--epsilon", "1/4"],
+    ["pipeline", "i.psched", "--hinted", "--budget", "7", "--out", "o.sched"],
+    ["pipeline", "i.psched", "--param-override", "h=1", "--param-override", "hp=1",
+     "--param-override", "p=2", "--param-override", "h=2"],
+    ["pipeline", "i.psched", "--hor", "16"],
+    ["pipeline", "--", "i.psched"],
+    ["bench", "--count", "2", "--format", "text"],
+    *([command, "--help"] for command in COMMANDS),
+    ["--help"],
+    [],
+    ["bogus"],
+    ["pipeline"],
+    ["verify", "i.psched"],
+    ["gen", "--n", "3"],
+    ["pipeline", "i.psched", "--horizon", "q"],
+    ["solve", "i.psched", "--bogus"],
+    ["solve", "i.psched", "--bogus", "extra", "--horizon", "4"],
+    ["pipeline", "i.psched", "--h"],
+    ["bench", "--format", "xml"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    """``(exit code, the parsed namespace's items, stdout, stderr)``; a
+    parse that does not exit has code None."""
+    try:
+        code, items = None, vars(parse(argv))
+    except SystemExit as exc:
+        code, items = exc.code, None
+    out, err = capsys.readouterr()
+    return code, items, out, err
+
+
+@pytest.mark.parametrize("argv", PARSE_TABLE, ids=" ".join)
+def test_one_level_parse_matches_the_full_parser(monkeypatch, capsys, fresh_parsers, argv):
+    # run_command hands the arguments after a subcommand's name to that
+    # subcommand's parser alone; what comes back, printed help and usage
+    # errors included, is what the full two-level parser gives
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _parsed(cli.build_parser(None).parse_args, argv, capsys)
+    for _ in range(2):  # the first call builds the parser, the second reuses it
+        assert _parsed(cli._parse_args, argv, capsys) == want
+
+
 @pytest.mark.parametrize("command", ["solve", "pipeline"])
 @pytest.mark.parametrize("flags", [[], ["--hinted"]], ids=["enum", "hinted"])
 def test_empty_instance_without_horizon(tmp_path, capsys, command, flags):

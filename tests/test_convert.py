@@ -35,6 +35,7 @@ from psched.errors import InvalidInput, PrecongruenceViolated
 from psched.solver import main_solve
 
 from conftest import assert_no_violations
+from system_reference import discarded
 
 from test_dyadic import desk_params, reference_pair
 from test_solver import COLLAPSED_GRID, collapsed_case
@@ -91,7 +92,7 @@ def test_h0_conversions_stay_inside_each_half(T):
         out = valid_to_virtually_valid(inst, sys, sched, params)
         assert_no_violations(check_virtually_valid(inst, sys, params, out))
         top = mask_from(j for j, i in sys.owner_of().items() if tree_for(params).kinds[i] == "top")
-        assert out.discarded == top
+        assert discarded(out) == top
         converted += top != 0
     assert converted > 0
 
@@ -114,7 +115,7 @@ def test_pipeline_virtual_validity_and_per_interval_bound():
         for i, jobs in sys.assign.items():
             if tree.kinds[i] != "top" or not jobs:
                 continue
-            lost = job_count(jobs & out.discarded) - job_count(jobs & sched.discarded)
+            lost = job_count(jobs & discarded(out)) - job_count(jobs & discarded(sched))
             assert lost <= 2 * window_step(params, tree.interval[i].length) * params.m
         # sides never change
         win_jobs = [j for j in iter_jobs(sys.jobs_assigned())]
@@ -153,7 +154,7 @@ def test_canonicalize_preserves_discards_bottoms_and_windows():
         inst, params, sys, sched = _pipeline_inputs(seed, m=2, n=8)
         vv = valid_to_virtually_valid(inst, sys, sched, params)
         canon = canonicalize(inst, sys, vv, params)
-        assert canon.discarded == vv.discarded
+        assert discarded(canon) == discarded(vv)
         assert_no_violations(check_virtually_valid(inst, sys, params, canon))
         tree = tree_for(params)
         for i, jobs in sys.assign.items():

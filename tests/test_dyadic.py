@@ -22,7 +22,6 @@ from psched.dyadic import (
     TOP,
     DyadicTree,
     PartialDyadicSystem,
-    check_system,
     check_valid_for_system,
     check_virtually_valid,
     compute_params,
@@ -40,6 +39,7 @@ from psched.solver import _restrict, _warm_is_valid
 
 from bottom_reference import reference_warm_check
 from conftest import assert_no_violations, random_instance
+from system_reference import check_system
 
 DESK = dict(h=1, hp=1, p=4, delta=Fraction(1, 4), deltap=Fraction(1, 8))
 DESK16 = dict(h=2, hp=1, p=8, delta=Fraction(1, 4), deltap=Fraction(1, 8))

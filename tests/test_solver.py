@@ -21,7 +21,6 @@ from psched.core import (
 )
 from psched.dyadic import (
     PartialDyadicSystem,
-    check_system,
     check_virtually_valid,
     compute_params,
     node_windows,
@@ -54,6 +53,7 @@ from subtree_reference import (
     reference_solve_hinted,
     reference_solve_subtree,
 )
+from system_reference import check_system
 
 from test_dyadic import desk_params, reference_pair
 
@@ -329,7 +329,8 @@ def test_recorded_split_outcomes_replay_like_push_down(monkeypatch, family, m):
             hints = _built_hints(monkeypatch, inst, reference, params)
             sys_ref, covered, guesses = system_from_schedule(inst, reference, params)
             assert hints == Hints(
-                sys_ref, valid_to_virtually_valid(inst, sys_ref, reference, params)), case
+                sys_ref, valid_to_virtually_valid(inst, sys_ref, reference, params),
+                windows(inst, sys_ref, params)), case
             assert guesses, case
             for i, trace in guesses.items():
                 outcome = (sys_ref.assign[i], covered[2 * i], covered[2 * i + 1])
@@ -360,6 +361,32 @@ def test_hinted_replay_pool_node_count(monkeypatch):
         solve_hinted(inst, reference, params, budget=budget)
         nodes += budget.nodes
     assert (len(runs), nodes, len(calls)) == (48, 2304, 768)
+
+
+def test_hinted_replay_pool_windows_are_all_empty_at_h1():
+    # the same structures: at h = 1 the window step is half a top
+    # interval, so the center is the only boundary and every top job's
+    # window is empty; the reference conversion then discards every top
+    # job (per family and m: top jobs, empty windows, jobs discarded).
+    # A change to windows or their plumbing moves these counts
+    counts = {}
+    for family, m in product(DEEP_FAMILIES, (2, 3)):
+        params = compute_params(32, m, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
+        tops = empty = lost = 0
+        for seed in range(8):
+            inst, _ = gen_instance(family, 16, m, 0.3, seed)
+            reference = Schedule(T=32, assign=exact_opt(inst)[1].assign)
+            sys_ref = system_from_schedule(inst, reference, params)[0]
+            win = windows(inst, sys_ref, params)
+            tops += len(win)
+            empty += sum(1 for b, e in win.values() if b >= e)
+            lost += valid_to_virtually_valid(inst, sys_ref, reference, params).discard_count
+        counts[family, m] = (tops, empty, lost)
+    assert counts == {
+        ("random-dag", 2): (89, 89, 89), ("random-dag", 3): (88, 88, 88),
+        ("layered", 2): (128, 128, 128), ("layered", 3): (128, 128, 128),
+        ("forest", 2): (126, 126, 126), ("forest", 3): (126, 126, 126),
+    }
 
 
 def brute_force_bottom(inst, iv, bottom, ancestors, anc_windows, m):
@@ -741,7 +768,7 @@ def collapsed_case(seed, m, offset, hinted):
     for k in range(job_count(pads)):
         assign.append(target + 1 + k // m if offset >= 0 else None)
     system = PartialDyadicSystem(assign={1: inst.all_jobs})
-    return inst, params, Hints(system=system, virtual=Schedule(T=T2, assign=tuple(assign)))
+    return inst, params, Hints(system=system, virtual=Schedule(T=T2, assign=tuple(assign)), windows={})
 
 
 COLLAPSED_GRID = [

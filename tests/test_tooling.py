@@ -141,7 +141,14 @@ def test_exact_opt_searches_when_baselines_is_imported_first():
     (5, 2, 0, ["--param-override", "h=1", "--param-override", "hp=1",
                "--param-override", "p=2"],
      {"transform.binary_search_makespan.calls": 1}),
-], ids=["certified-hinted", "deep-searched"])
+    # one deep hinted attempt that keeps jobs: the replay and both
+    # conversions share the one windows computation of its hints
+    (16, 2, 0, ["--hinted", "--horizon", "32", "--param-override", "h=1",
+                "--param-override", "hp=1", "--param-override", "p=2"],
+     {"dyadic.windows.calls": 1, "dyadic.check_virtually_valid.calls": 1,
+      "solver.main_solve.calls": 1, "convert.canonicalize.calls": 1,
+      "convert.virtually_valid_to_valid.calls": 1}),
+], ids=["certified-hinted", "deep-searched", "deep-hinted"])
 def test_tracer_sees_the_layers_the_pipeline_module_calls(tmp_path, n, m, seed, flags,
                                                           counts):
     # the solving steps run from psched.pipeline, not from cli; the
