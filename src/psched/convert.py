@@ -1,12 +1,12 @@
 """Conversions between valid and virtually-valid schedules for a full system.
 
-Three steps: (1) rebuild a valid schedule's top jobs inside their windows
-by sweeping aligned blocks per half-interval, discarding a bounded
-remainder; (2) canonicalize a virtually-valid schedule by swapping
-violating pairs until weak precedence and side-order agreement hold; (3)
-turn a canonical virtually-valid schedule into a valid one by re-running
-each bottom interval's top-job load through capacity-constrained list
-scheduling.
+Two conversions: (1) rebuild a valid schedule's top jobs inside their
+windows by sweeping aligned blocks per half-interval, discarding a
+bounded remainder; (2) make a virtually-valid schedule valid in one step,
+on one set of windows: canonicalize it by swapping violating pairs until
+weak precedence and side-order agreement hold, then re-run each bottom
+interval's top-job load through capacity-constrained list scheduling.
+``canonicalize`` runs the first half of (2) alone.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .core import (
     DISC,
     Instance,
     Interval,
+    JobSet,
     Schedule,
     Slot,
     chain_depths,
@@ -29,7 +30,6 @@ from .dyadic import (
     TOP,
     Params,
     PartialDyadicSystem,
-    Window,
     check_valid_for_system,
     check_virtually_valid,
     in_order,
@@ -37,7 +37,7 @@ from .dyadic import (
     window_step,
     windows,
 )
-from .errors import InvalidInput, PrecongruenceViolated
+from .errors import InvalidInput
 
 _SWAP_CAP = 1_000_000
 
@@ -99,14 +99,15 @@ class _TopOrder:
 
     Precedence, and within one owning interval and side of its center the
     key (window boundary on that side, chain depth among the owner's
-    scheduled top jobs).  ``owner`` maps each job to its owning interval's
-    ``Interval``.  ``slot`` is a copy the swap loop may edit.
+    scheduled top jobs).  ``win`` is the system's ``windows`` and ``owner``
+    maps each job to its owning interval's ``Interval``.  ``slot`` is a
+    copy the swap loop may edit.
     """
 
     def __init__(self, inst: Instance, sys: PartialDyadicSystem, sched: Schedule,
-                 params: Params, win: dict[int, Window] | None = None) -> None:
+                 params: Params) -> None:
         self.inst = inst
-        self.win = windows(inst, sys, params) if win is None else win
+        self.win = windows(inst, sys, params)
         interval = tree_for(params).interval
         self.owner = {j: interval[i] for j, i in sys.owner_of().items()}
         self.jobs = sorted(j for j in self.win if sched.assign[j] is not None)
@@ -127,10 +128,6 @@ class _TopOrder:
         k = 0 if self.side(a) == "L" else 1
         return (self.win[a][k], self.depth[a]) < (self.win[b][k], self.depth[b])
 
-    def violations(self) -> list[str]:
-        """One message per pair of ``out_of_order``."""
-        return [f"{kind} pair ({x}, {y}) out of order" for kind, x, y in self.out_of_order()]
-
     def out_of_order(self) -> Iterator[tuple[str, int, int]]:
         """Pairs (kind, x, y) with x ordered before y but slotted after it:
         every precedence pair, then every side pair, by ascending ids."""
@@ -143,43 +140,45 @@ class _TopOrder:
                     elif less(b, a) and slot[b] > slot[a]:
                         yield kind, b, a
 
+    def swap_to_fixpoint(self) -> int:
+        """Swap the slots of the first out-of-order pair until none is
+        left; returns the number of swaps."""
+        jobs, win, owner, slot = self.jobs, self.win, self.owner, self.slot
+
+        def dif_vector() -> tuple[int, int, int]:
+            d1 = sum(owner[j].length * abs(slot[j] - owner[j].center) for j in jobs)
+            sides = {j: 0 if self.side(j) == "L" else 1 for j in jobs}
+            d2 = count_inversions(jobs, self.inst.precedes, sides)
+            d3 = count_inversions(jobs, self.side_less, slot)
+            return d1, d2, d3
+
+        swaps = 0
+        rank = dif_vector()
+        while (pair := next(self.out_of_order(), None)) is not None:
+            _, a, b = pair
+            slot[a], slot[b] = slot[b], slot[a]
+            swaps += 1
+            for j in (a, b):
+                wb, we = win[j]
+                assert wb < slot[j] <= we, "swap broke a window constraint"
+            new_rank = dif_vector()
+            assert new_rank < rank, "swap did not decrease the ranking vector"
+            rank = new_rank
+            if swaps > _SWAP_CAP:  # pragma: no cover - strict decrease prevents this
+                raise RuntimeError("canonicalization exceeded the swap cap")
+        return swaps
+
 
 def _canonicalize(
     inst: Instance,
     sys: PartialDyadicSystem,
     sched: Schedule,
     params: Params,
-    win: dict[int, Window] | None = None,
 ) -> tuple[Schedule, int]:
-    """Swap loop of the canonicalization; returns the fixpoint and swap count."""
-    order = _TopOrder(inst, sys, sched, params, win)
-    jobs, win, owner, slot = order.jobs, order.win, order.owner, order.slot
-
-    def dif_vector() -> tuple[int, int, int]:
-        d1 = sum(owner[j].length * abs(slot[j] - owner[j].center) for j in jobs)
-        sides = {j: 0 if order.side(j) == "L" else 1 for j in jobs}
-        d2 = count_inversions(jobs, inst.precedes, sides)
-        d3 = count_inversions(jobs, order.side_less, slot)
-        return d1, d2, d3
-
-    swaps = 0
-    rank = dif_vector()
-    while (pair := next(order.out_of_order(), None)) is not None:
-        _, a, b = pair
-        slot[a], slot[b] = slot[b], slot[a]
-        swaps += 1
-        for j in (a, b):
-            wb, we = win[j]
-            assert wb < slot[j] <= we, "swap broke a window constraint"
-        new_rank = dif_vector()
-        assert new_rank < rank, "swap did not decrease the ranking vector"
-        rank = new_rank
-        if swaps > _SWAP_CAP:  # pragma: no cover - strict decrease prevents this
-            raise RuntimeError("canonicalization exceeded the swap cap")
-    out = list(sched.assign)
-    for j, t in slot.items():
-        out[j] = t
-    return Schedule(T=sched.T, assign=tuple(out)), swaps
+    """The fixpoint of the swap loop and its swap count."""
+    order = _TopOrder(inst, sys, sched, params)
+    swaps = order.swap_to_fixpoint()
+    return sched.replace(order.slot), swaps
 
 
 def canonicalize(
@@ -187,7 +186,6 @@ def canonicalize(
     sys: PartialDyadicSystem,
     sched: Schedule,
     params: Params,
-    win: dict[int, Window] | None = None,
 ) -> Schedule:
     """Reorder scheduled top jobs (by slot swaps) until weakly consistent.
 
@@ -196,9 +194,8 @@ def canonicalize(
     (window boundary, chain depth).  Discards and bottom-job slots are
     unchanged; each swap stays inside both windows and strictly decreases
     the lexicographic ranking vector, which bounds the loop polynomially.
-    ``win`` is the system's ``windows``, computed here when omitted.
     """
-    return _canonicalize(inst, sys, sched, params, win)[0]
+    return _canonicalize(inst, sys, sched, params)[0]
 
 
 def canonical_violations(
@@ -208,7 +205,8 @@ def canonical_violations(
     params: Params,
 ) -> list[str]:
     """Pairs breaking the weak-order conditions of a canonical schedule."""
-    return _TopOrder(inst, sys, sched, params).violations()
+    order = _TopOrder(inst, sys, sched, params)
+    return [f"{kind} pair ({x}, {y}) out of order" for kind, x, y in order.out_of_order()]
 
 
 def virtually_valid_to_valid(
@@ -216,40 +214,35 @@ def virtually_valid_to_valid(
     sys: PartialDyadicSystem,
     sched: Schedule,
     params: Params,
-    win: dict[int, Window] | None = None,
 ) -> Schedule:
-    """Turn a canonical virtually-valid schedule into a valid one.
+    """Turn a virtually-valid schedule into a valid one.
 
-    Bottom jobs and discards carry over.  The top jobs inside each bottom
-    interval are rescheduled there by capacity-constrained list scheduling
-    over exactly the slots they occupied, discarding at most
-    m * (chain length of that group) extra jobs per bottom interval.
-    ``win`` is the system's ``windows``, computed here when omitted.
+    The scheduled top jobs are first canonicalized as ``canonicalize``
+    does, on the one set of windows the input is checked with.  Bottom
+    jobs and discards carry over.  The top jobs inside each bottom
+    interval are then rescheduled there by capacity-constrained list
+    scheduling over exactly the slots they occupy in the canonical
+    schedule, discarding at most m * (chain length of that group) extra
+    jobs per bottom interval.  With no top job scheduled the result is
+    ``sched``.
     """
-    if win is None:
-        win = windows(inst, sys, params)
-    report = check_virtually_valid(inst, sys, params, sched, win=win)
+    order = _TopOrder(inst, sys, sched, params)
+    report = check_virtually_valid(inst, sys, params, sched, win=order.win)
     if not report.ok:
         raise InvalidInput(f"input schedule is not virtually valid:\n{report}")
-    order = _TopOrder(inst, sys, sched, params, win)
-    bad = order.violations()
-    if bad:
-        raise PrecongruenceViolated("; ".join(bad))
+    order.swap_to_fixpoint()
     tree = tree_for(params)
-    win = order.win
-    assign: list[Slot] = list(sched.assign)
-    for i in tree.below(1, tree.L):
-        iv = tree.interval[i]
-        group = mask_from(
-            j for j in win
-            if sched.assign[j] is not None and sched.assign[j] in iv
-        )
-        if not group:
-            continue
+    # every scheduled top job lies in one bottom interval, of 2**h slots
+    groups: dict[int, JobSet] = {}
+    for j, t in order.slot.items():
+        leaf = (1 << tree.L) + ((t - 1) >> params.h)
+        groups[leaf] = groups.get(leaf, 0) | 1 << j
+    placed: dict[int, Slot] = {}
+    for leaf, group in groups.items():
+        iv = tree.interval[leaf]
         cap = [0] * iv.length
         for j in iter_jobs(group):
-            cap[sched.assign[j] - iv.begin - 1] += 1
+            cap[order.slot[j] - iv.begin - 1] += 1
         sub = capacity_list_schedule(inst, group, CapacityProfile(iv, tuple(cap)))
-        for j in iter_jobs(group):
-            assign[j] = sub.assign[j]
-    return Schedule(T=sched.T, assign=tuple(assign))
+        placed.update((j, sub.assign[j]) for j in iter_jobs(group))
+    return sched.replace(placed)

@@ -30,11 +30,6 @@ class GuessExhausted(RuntimeError):
     """
 
 
-class PrecongruenceViolated(ValueError):
-    """Schedule fed to the final conversion does not satisfy the canonical order
-    conditions."""
-
-
 class BudgetExceeded(RuntimeError):
     """The solver used more search nodes than the configured budget."""
 

@@ -11,11 +11,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .baselines import bound_sandwich, exact_opt
-from .convert import canonicalize, virtually_valid_to_valid
+from .convert import virtually_valid_to_valid
 from .core import Instance, Schedule, Slot, iter_jobs
-from .dyadic import compute_params, windows
+from .dyadic import TOP, PartialDyadicSystem, Params, compute_params, tree_for
 from .errors import NoSolution
-from .solver import DEFAULT_BUDGET, Budget, main_solve, reference_hints, solve_hinted
+from .solver import DEFAULT_BUDGET, Budget, main_solve, solve_hinted
 from .transform import (binary_search_makespan, insert_discarded, next_power_of_two,
                         pad_to_power_of_two)
 
@@ -48,6 +48,14 @@ def _with_sinks(inst: Instance, padded: Instance, sched: Schedule, after: int) -
     return Schedule(T=slot, assign=tuple(assign))
 
 
+def _places_top_job(sys: PartialDyadicSystem, sched: Schedule, params: Params) -> bool:
+    """Whether ``sched`` places a job that ``sys`` keeps on a top interval."""
+    kinds = tree_for(params).kinds
+    return any(sched.assign[j] is not None
+               for i, jobs in sys.assign.items() if kinds[i] == TOP
+               for j in iter_jobs(jobs))
+
+
 def solve_at_horizon(
     inst: Instance,
     horizon: int,
@@ -60,12 +68,13 @@ def solve_at_horizon(
     fail when its optimum exceeds ``horizon`` and otherwise replay the
     splits of its schedule instead of enumerating.  A collapsed (``L = 0``)
     replay runs on the instance itself, where ``solve_hinted`` answers
-    with the oracle's schedule for one node; deeper ones add the padding
-    sinks to it and replay their ``reference_hints`` as ``solve_hinted``
-    does, whose windows both conversions take unless nothing was kept."""
+    with the oracle's schedule for one node; deeper ones replay it on the
+    padded instance, with the padding sinks added.  The virtually-valid
+    schedule is made valid by ``virtually_valid_to_valid`` only when it
+    places a top job, since the conversion is the identity otherwise (and
+    with ``L = 0`` there is no top interval)."""
     padded, T2, _pads = pad_to_power_of_two(inst, horizon)
     params = compute_params(T2, inst.m, eps, overrides=overrides or None)
-    hints = None
     if oracle is None:
         sys_out, virtual = main_solve(padded, params, budget)
     elif oracle[0] > horizon:
@@ -74,14 +83,10 @@ def solve_at_horizon(
         sys_out, virtual = solve_hinted(inst, oracle[1], params, budget)
     else:
         reference = _with_sinks(inst, padded, oracle[1], horizon)
-        hints = reference_hints(padded, reference, params)
-        sys_out, virtual = main_solve(padded, params, budget, hints)
+        sys_out, virtual = solve_hinted(padded, reference, params, budget)
     valid = virtual
-    if params.L > 0:  # with no top jobs both conversions are the identity
-        same = hints is not None and sys_out.assign == hints.system.assign
-        win = hints.windows if same else windows(padded, sys_out, params)
-        canon = canonicalize(padded, sys_out, virtual, params, win=win)
-        valid = virtually_valid_to_valid(padded, sys_out, canon, params, win=win)
+    if _places_top_job(sys_out, virtual, params):
+        valid = virtually_valid_to_valid(padded, sys_out, virtual, params)
     valid_orig = _originals(valid, inst.n)
     return SolveOutcome(
         horizon=horizon,

@@ -20,6 +20,7 @@ windows come from ``dyadic.node_windows``, the region query that
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -110,18 +111,6 @@ class SubproblemInput:
     assigned: dict[int, JobSet] = field(default_factory=dict)
     pending: dict[int, JobSet] = field(default_factory=dict)
 
-    def assigned_jobs(self) -> JobSet:
-        out = 0
-        for jobs in self.assigned.values():
-            out |= jobs
-        return out
-
-    def pending_jobs(self) -> JobSet:
-        out = 0
-        for jobs in self.pending.values():
-            out |= jobs
-        return out
-
     def key(self, begin: int) -> tuple:
         """Hashable, position-free form; equal keys are equal subproblems
         up to translation.
@@ -154,13 +143,11 @@ SplitOutcome = tuple[JobSet, JobSet, JobSet]
 @dataclass(frozen=True)
 class Hints:
     """A reference to replay: the full system ``system_from_schedule``
-    builds from a zero-discard schedule, ``virtual``, the schedule
-    ``valid_to_virtually_valid`` makes of that one for the system, and
-    the system's ``windows``, for the replay and the conversions."""
+    builds from a zero-discard schedule, and ``virtual``, the schedule
+    ``valid_to_virtually_valid`` makes of that one for the system."""
 
     system: PartialDyadicSystem
     virtual: Schedule
-    windows: dict[int, Window]
 
 
 @dataclass
@@ -382,6 +369,10 @@ def bottom_solve(
     no predecessor left alive.  Complete mode never reads the
     comparability masks that ``antichains`` takes; only the max-count
     search builds them.
+
+    The search recurses once per slot, so a search that would recurse as
+    deep as ``sys.getrecursionlimit()`` raises ``ValueError`` after the
+    root state instead of starting.
     """
     budget = budget or Budget()
     m = inst.m
@@ -407,6 +398,13 @@ def bottom_solve(
     budget.tick()  # the root is entered even when it cannot beat the warm start
     if min(m * n_slots, job_count(bottom) + len(anc_order)) <= best_count:
         return best_assign
+    # one level per slot; complete mode places a job a slot at least and
+    # stops when none is left
+    depth = min(n_slots, total_jobs) if complete else n_slots
+    if depth >= sys.getrecursionlimit():
+        raise ValueError(
+            f"bottom interval {iv} is too long to search: it recurses once per slot, "
+            f"{depth} levels, and the recursion limit is {sys.getrecursionlimit()}")
     pred = inst.pred
     assign: PartialAssign = {j: DISC for j in iter_jobs(bottom | ancestors)}
 
@@ -648,7 +646,7 @@ def _solve_subtree(
     n_anc = job_count(sub.ancestors)
     if n_anc > cap:
         return None
-    n_own = job_count(sub.assigned_jobs()) + job_count(sub.pending_jobs())
+    n_own = _size(sub.assigned) + _size(sub.pending)  # disjoint sets
     if n_own > cap:
         return None
 
@@ -801,8 +799,8 @@ def _outer_cascades(
 def _replay(inst: Instance, params: Params, budget: Budget, hints: Hints) -> tuple[Slot, ...]:
     """What a hinted solve with ``L > 0`` assigns: each bottom interval of
     ``hints.system``, left to right, runs ``bottom_solve`` on its jobs,
-    warm-started from ``hints.virtual``, with ``hints.windows`` and as
-    ancestors the non-bottom jobs whose
+    warm-started from ``hints.virtual``, with the system's ``windows``
+    (computed here, once) and as ancestors the non-bottom jobs whose
     ``hints.virtual`` slot lies in it and in their owner's interval; the
     other non-bottom jobs are discarded.  That is what the recursion does
     held to the reference's split outcomes and partitions, and the nodes
@@ -819,7 +817,7 @@ def _replay(inst: Instance, params: Params, budget: Budget, hints: Hints) -> tup
     tree = tree_for(params)
     budget.tick((1 << max(min(params.h - 1, tree.L + 1), 0)) + (2 << tree.L) - 1)
     system, virt = hints.system.assign, hints.virtual.assign
-    win = hints.windows
+    win = windows(inst, hints.system, params)
     leaves = tree.below(1, tree.L)
     ancestors = dict.fromkeys(leaves, 0)
     for i, jobs in system.items():
@@ -908,12 +906,13 @@ def solve_hinted(
 ) -> tuple[PartialDyadicSystem, Schedule]:
     """Drive the solver along the splits recorded from an optimal schedule.
 
-    Builds the reference's ``Hints`` (``reference_hints``) and hands them
-    to ``main_solve``, which replays them one bottom interval at
-    a time (``_replay``): each bottom interval runs ``bottom_solve``
-    warm-started from the virtually-valid reference, whose start is
-    checked to be virtually valid.  The result schedules at least as many
-    jobs as the virtually-valid reference.
+    Builds the reference's ``Hints``, its system and the virtually-valid
+    schedule made of it for that system, and hands them to ``main_solve``,
+    which replays them one bottom interval at a time (``_replay``): each
+    bottom interval runs ``bottom_solve`` warm-started from the
+    virtually-valid reference, whose start is checked to be virtually
+    valid.  The result schedules at least as many jobs as the
+    virtually-valid reference.
 
     When ``L = 0`` there are no splits and no top intervals, so the answer
     is the reference itself under horizon T, with no search: it is checked
@@ -925,11 +924,6 @@ def solve_hinted(
         check_reference(inst, reference, params)
         (budget or Budget()).tick()
         return full_system({1: inst.all_jobs}), Schedule(T=params.T, assign=reference.assign)
-    return main_solve(inst, params, budget=budget, hints=reference_hints(inst, reference, params))
-
-
-def reference_hints(inst: Instance, reference: Schedule, params: Params) -> Hints:
-    """The ``Hints`` of ``reference`` at ``L > 0``, each part computed once."""
     ref_sys = system_from_schedule(inst, reference, params)[0]
     virt = valid_to_virtually_valid(inst, ref_sys, reference, params)
-    return Hints(ref_sys, virt, windows(inst, ref_sys, params))
+    return main_solve(inst, params, budget=budget, hints=Hints(ref_sys, virt))

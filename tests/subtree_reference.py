@@ -86,7 +86,10 @@ def reference_solve_subtree(
     cap = params.m * (end - begin)
     if job_count(sub.ancestors) > cap:
         return None
-    if job_count(sub.assigned_jobs()) + job_count(sub.pending_jobs()) > cap:
+    own = 0
+    for jobs in (*sub.assigned.values(), *sub.pending.values()):
+        own |= jobs
+    if job_count(own) > cap:
         return None
 
     if tree.kinds[i] == BOT:

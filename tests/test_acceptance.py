@@ -328,14 +328,11 @@ def test_criterion_6_solver_realizes_reference():
 
 def test_criterion_7_pipeline_end_to_end():
     with _report(7, "pipeline emits complete valid schedules within the insertion bound"):
-        from psched.convert import canonicalize
-
         for seed in range(6):
             inst = random_instance(6, 2, 0.35, seed)
             for params in (micro_params(p=3), single_bottom_params()):
                 sys_out, vv = main_solve(inst, params, budget=Budget(5_000_000))
-                canon = canonicalize(inst, sys_out, vv, params)
-                valid = virtually_valid_to_valid(inst, sys_out, canon, params)
+                valid = virtually_valid_to_valid(inst, sys_out, vv, params)
                 final = insert_discarded(inst, valid)
                 assert final.discard_count == 0
                 assert verify_valid(inst, final).ok

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -553,6 +554,45 @@ def test_negative_h_override_is_an_input_error(tmp_path, capsys):
     assert run_command(["solve", str(inst_path), "--horizon", "4",
                         "--param-override", "h=-1"]) == 1
     assert capsys.readouterr().err == "error: need 0 <= h <= log2(T)=2, got h=-1\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "pipeline"])
+@pytest.mark.parametrize("m, horizon", [(4, "600"), (3, "2048")])
+def test_bottom_interval_past_the_recursion_limit_is_an_input_error(tmp_path, capsys,
+                                                                     command, m, horizon):
+    # with the default h, the padded horizon (m = 4) or its left half
+    # (m = 3) is one bottom interval of 1024 slots, more levels than the
+    # bottom search may recurse
+    inst_path = tmp_path / "i.psched"
+    out_path = tmp_path / "o.sched"
+    assert run_command(["gen", "--family", "random-dag", "--n", "6", "--m", str(m),
+                        "--seed", "1", "--out", str(inst_path)]) == 0
+    capsys.readouterr()
+    assert run_command([command, str(inst_path), "--horizon", horizon,
+                        "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: bottom interval (0,1024] is too long to search: it recurses once per "
+        f"slot, 1024 levels, and the recursion limit is {sys.getrecursionlimit()}\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flags, line", [
+    # one bottom interval of 512 slots, searched
+    (["--horizon", "300"], "horizon 300 padded 512: 6 scheduled, 0 discarded, 3072 nodes"),
+    # bottom intervals of 1024 slots whose warm starts place all they can,
+    # so no search starts
+    (["--hinted", "--horizon", "1500"],
+     "horizon 1500 padded 2048: 6 scheduled, 0 discarded, 9 nodes"),
+])
+def test_long_bottom_intervals_below_the_recursion_limit_still_run(tmp_path, capsys, flags,
+                                                                     line):
+    inst_path = tmp_path / "i.psched"
+    assert run_command(["gen", "--family", "random-dag", "--n", "6", "--m", "4",
+                        "--seed", "1", "--out", str(inst_path)]) == 0
+    capsys.readouterr()
+    assert run_command(["solve", str(inst_path), *flags,
+                        "--out", str(tmp_path / "o.sched")]) == 0
+    assert capsys.readouterr().err == line + "\n"
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

@@ -1,10 +1,13 @@
 """Valid <-> virtually-valid conversions and the canonical swap loop."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from psched import convert
+from psched.baselines import exact_opt
 from psched.convert import (
     _canonicalize,
     canonical_violations,
@@ -31,14 +34,18 @@ from psched.dyadic import (
     window_step,
     windows,
 )
-from psched.errors import InvalidInput, PrecongruenceViolated
-from psched.solver import main_solve
+from psched.errors import InvalidInput
+from psched.generators import gen_instance
+from psched.pipeline import _places_top_job, _with_sinks
+from psched.solver import main_solve, solve_hinted
+from psched.transform import pad_to_power_of_two
 
 from conftest import assert_no_violations
+from convert_reference import reference_convert
 from system_reference import discarded
 
 from test_dyadic import desk_params, reference_pair
-from test_solver import COLLAPSED_GRID, collapsed_case
+from test_solver import COLLAPSED_GRID, DEEP_FAMILIES, collapsed_case
 
 
 def _pipeline_inputs(seed, T=16, m=2, n=8):
@@ -46,6 +53,24 @@ def _pipeline_inputs(seed, T=16, m=2, n=8):
     params = desk_params(T=T, m=m)
     sys, _, _ = system_from_schedule(inst, sched, params)
     return inst, params, sys, sched
+
+
+def _shuffled(inst, sys, vv, params, seed):
+    """``vv`` with its scheduled top jobs scrambled by 20 random
+    transpositions, each kept only when both jobs stay in their windows."""
+    win = windows(inst, sys, params)
+    rng = random.Random(seed)
+    slots = {j: vv.assign[j] for j in win if vv.assign[j] is not None}
+    jobs = sorted(slots)
+    for _ in range(20):
+        if len(jobs) < 2:
+            break
+        a, b = rng.sample(jobs, 2)
+        ba, ea = win[a]
+        bb, eb = win[b]
+        if ba < slots[b] <= ea and bb < slots[a] <= eb:
+            slots[a], slots[b] = slots[b], slots[a]
+    return vv.replace(slots)
 
 
 def test_all_bottom_jobs_pass_through():
@@ -166,24 +191,10 @@ def test_canonicalize_preserves_discards_bottoms_and_windows():
 def test_canonicalize_handles_shuffled_schedules():
     # scramble scheduled top jobs by random window-respecting transpositions,
     # then check the swap loop still reaches a clean fixpoint
-    import random as _random
-
     for seed in range(25):
         inst, params, sys, sched = _pipeline_inputs(seed, m=2, n=9)
         vv = valid_to_virtually_valid(inst, sys, sched, params)
-        win = windows(inst, sys, params)
-        rng = _random.Random(seed)
-        slots = {j: vv.assign[j] for j in win if vv.assign[j] is not None}
-        jobs = sorted(slots)
-        for _ in range(20):
-            if len(jobs) < 2:
-                break
-            a, b = rng.sample(jobs, 2)
-            ba, ea = win[a]
-            bb, eb = win[b]
-            if ba < slots[b] <= ea and bb < slots[a] <= eb:
-                slots[a], slots[b] = slots[b], slots[a]
-        shuffled = vv.replace(slots)
+        shuffled = _shuffled(inst, sys, vv, params, seed)
         assert check_virtually_valid(inst, sys, params, shuffled).ok
         canon, swaps = _canonicalize(inst, sys, shuffled, params)
         # both read the same canonical order: a swap happens iff a pair is out of it
@@ -225,18 +236,22 @@ def test_vv_to_valid_distinct_bottoms_lose_nothing():
     assert out.assign == (5, 9)
 
 
-def test_vv_to_valid_detects_order_violation():
+def test_vv_to_valid_canonicalizes_a_crossed_schedule():
+    # the pair is out of both orders; the conversion swaps it back before
+    # regrouping, so the result is valid with the canonical slots
     params = desk_params(T=16, m=2)
     inst = build_instance(2, 2, [(0, 1)])
     sys = full_system({1: inst.all_jobs})  # (0,16]
     crossed = Schedule(T=16, assign=(6, 5))
-    with pytest.raises(PrecongruenceViolated, match=(
-            r"^precedence pair \(0, 1\) out of order; side pair \(0, 1\) out of order$")):
-        virtually_valid_to_valid(inst, sys, crossed, params)
+    assert canonical_violations(inst, sys, crossed, params) == [
+        "precedence pair (0, 1) out of order", "side pair (0, 1) out of order"]
+    out = virtually_valid_to_valid(inst, sys, crossed, params)
+    assert out.assign == (5, 6)
+    assert_no_violations(verify_valid(inst, out))
 
 
 def test_vv_to_valid_computes_the_windows_once(monkeypatch):
-    # the canonical-order check and the regroup loop read one set of windows
+    # the input check, the swap loop and the regroup read one set of windows
     calls = []
     real = convert.windows
 
@@ -247,10 +262,9 @@ def test_vv_to_valid_computes_the_windows_once(monkeypatch):
     monkeypatch.setattr(convert, "windows", counted)
     for seed in range(10):
         inst, params, sys, sched = _pipeline_inputs(seed)
-        canon = canonicalize(inst, sys, valid_to_virtually_valid(inst, sys, sched, params),
-                             params)
+        vv = valid_to_virtually_valid(inst, sys, sched, params)
         calls.clear()
-        virtually_valid_to_valid(inst, sys, canon, params)
+        virtually_valid_to_valid(inst, sys, vv, params)
         assert len(calls) == 1
 
 
@@ -276,3 +290,84 @@ def test_full_conversion_chain():
         assert 0 <= extra <= budget
         # end-to-end sandwich against the virtually-valid stage
         assert out.discard_count <= vv.discard_count + budget
+
+
+def _grid_inputs():
+    """(case, inst, sys, sched, params): the virtually-valid schedule made
+    of an optimal one, and a shuffle of it, per family, m in 2-3, h in 1-3
+    and T in 16-64, on instances of min(T, 32) jobs, generator seeds 0-1
+    (the swap loop rescans every pair after each swap, so 64 jobs would
+    take seconds a case)."""
+    for family, m, h, T, seed in product(DEEP_FAMILIES, (2, 3), (1, 2, 3), (16, 32, 64),
+                                         (0, 1)):
+        params = desk_params(T=T, m=m, h=h)
+        inst, _ = gen_instance(family, min(T, 32), m, 0.3, seed)
+        reference = Schedule(T=T, assign=exact_opt(inst)[1].assign)
+        sys, _, _ = system_from_schedule(inst, reference, params)
+        vv = valid_to_virtually_valid(inst, sys, reference, params)
+        case = (family, m, h, T, seed)
+        yield case, inst, sys, vv, params
+        yield case + ("shuffled",), inst, sys, _shuffled(inst, sys, vv, params, seed), params
+
+
+def test_one_step_conversion_matches_the_two_step_chain():
+    # canonicalizing and regrouping on one set of windows gives the
+    # schedule that canonicalize followed by the canonical-checked regroup
+    # gave, both when top jobs are placed, canonical or crossed, and when
+    # none is
+    placed = crossed = 0
+    for case, inst, sys, sched, params in _grid_inputs():
+        out = virtually_valid_to_valid(inst, sys, sched, params)
+        assert out == reference_convert(inst, sys, sched, params), case
+        assert_no_violations(check_valid_for_system(inst, sys, params, out))
+        placed += _places_top_job(sys, sched, params)
+        crossed += bool(canonical_violations(inst, sys, sched, params))
+    assert placed > 0 and crossed > 0
+
+
+@pytest.mark.parametrize("family", ["layered", "forest"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_step_conversion_matches_the_chain_on_hinted_solves(family, seed):
+    # a deep hinted attempt at the optimum, h = 2, which places top jobs
+    inst0, _ = gen_instance(family, 128, 3, 0.3, seed)
+    opt, best = exact_opt(inst0)
+    inst, T2, _ = pad_to_power_of_two(inst0, opt)
+    params = compute_params(T2, 3, Fraction(1, 2), overrides={"h": 2, "hp": 1, "p": 2})
+    sys, virtual = solve_hinted(inst, _with_sinks(inst0, inst, best, opt), params)
+    assert _places_top_job(sys, virtual, params)
+    out = virtually_valid_to_valid(inst, sys, virtual, params)
+    assert out == reference_convert(inst, sys, virtual, params)
+    assert_no_violations(check_valid_for_system(inst, sys, params, out))
+
+
+def _solver_outputs():
+    """(case, inst, sys, sched, params) from the solver at h = 1: the
+    enumeration on the deep-enum pool and hinted replays on the deep half
+    of the hinted-replay pool, both unrelabeled."""
+    params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
+    for n, count in ((5, 20), (6, 8)):
+        for seed in range(count):
+            inst, _ = gen_instance("random-dag", n, 2, 0.3, seed)
+            yield ("enum", n, seed), inst, *main_solve(inst, params), params
+    for family, m in product(DEEP_FAMILIES, (2, 3)):
+        params = compute_params(32, m, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
+        for seed in range(8):
+            inst, _ = gen_instance(family, 16, m, 0.3, seed)
+            reference = Schedule(T=32, assign=exact_opt(inst)[1].assign)
+            yield (family, m, seed), inst, *solve_hinted(inst, reference, params), params
+
+
+def test_skipping_the_conversion_is_exact():
+    # the pipeline converts only when a top job is placed: otherwise the
+    # two-step chain accepts the schedule as virtually valid and returns
+    # it.  At h = 1 every top window is empty, so the solver never places
+    # a top job
+    skipped = 0
+    for case, inst, sys, sched, params in [*_grid_inputs(), *_solver_outputs()]:
+        if _places_top_job(sys, sched, params):
+            assert params.h > 1, case
+            continue
+        assert_no_violations(check_virtually_valid(inst, sys, params, sched))
+        assert reference_convert(inst, sys, sched, params) == sched, case
+        skipped += 1
+    assert skipped > 0

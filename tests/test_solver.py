@@ -329,8 +329,7 @@ def test_recorded_split_outcomes_replay_like_push_down(monkeypatch, family, m):
             hints = _built_hints(monkeypatch, inst, reference, params)
             sys_ref, covered, guesses = system_from_schedule(inst, reference, params)
             assert hints == Hints(
-                sys_ref, valid_to_virtually_valid(inst, sys_ref, reference, params),
-                windows(inst, sys_ref, params)), case
+                sys_ref, valid_to_virtually_valid(inst, sys_ref, reference, params)), case
             assert guesses, case
             for i, trace in guesses.items():
                 outcome = (sys_ref.assign[i], covered[2 * i], covered[2 * i + 1])
@@ -768,7 +767,7 @@ def collapsed_case(seed, m, offset, hinted):
     for k in range(job_count(pads)):
         assign.append(target + 1 + k // m if offset >= 0 else None)
     system = PartialDyadicSystem(assign={1: inst.all_jobs})
-    return inst, params, Hints(system=system, virtual=Schedule(T=T2, assign=tuple(assign)), windows={})
+    return inst, params, Hints(system=system, virtual=Schedule(T=T2, assign=tuple(assign)))
 
 
 COLLAPSED_GRID = [
