@@ -194,10 +194,10 @@ def exact_opt(
     When its list schedule meets the level bound, that schedule is optimal
     and is returned as it is.  Otherwise ``bottom_solve`` in complete mode
     decides each horizon T from the level bound up to the list schedule's
-    makespan, on (0, T] with no ancestors and no warm start, and the
-    first with a schedule of every job is returned with it.  ``budget``
-    (a fresh ``Budget`` when omitted) counts the nodes of every horizon
-    tried and raises ``BudgetExceeded`` when they run out.
+    makespan, on (0, T] with no ancestors, and the first with a schedule
+    of every job is returned with it.  ``budget`` (a fresh ``Budget`` when
+    omitted) counts the nodes of every horizon tried and raises
+    ``BudgetExceeded`` when they run out.
     """
     if inst.n == 0:
         return 0, Schedule(T=0, assign=())

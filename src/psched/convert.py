@@ -169,18 +169,6 @@ class _TopOrder:
         return swaps
 
 
-def _canonicalize(
-    inst: Instance,
-    sys: PartialDyadicSystem,
-    sched: Schedule,
-    params: Params,
-) -> tuple[Schedule, int]:
-    """The fixpoint of the swap loop and its swap count."""
-    order = _TopOrder(inst, sys, sched, params)
-    swaps = order.swap_to_fixpoint()
-    return sched.replace(order.slot), swaps
-
-
 def canonicalize(
     inst: Instance,
     sys: PartialDyadicSystem,
@@ -195,7 +183,9 @@ def canonicalize(
     unchanged; each swap stays inside both windows and strictly decreases
     the lexicographic ranking vector, which bounds the loop polynomially.
     """
-    return _canonicalize(inst, sys, sched, params)[0]
+    order = _TopOrder(inst, sys, sched, params)
+    order.swap_to_fixpoint()
+    return sched.replace(order.slot)
 
 
 def canonical_violations(

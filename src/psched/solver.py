@@ -10,12 +10,13 @@ Within one ``main_solve`` each subproblem is solved once up to
 translation, so the recursion is a dynamic program over its states, and
 a candidate whose job counts cannot beat the best one found is cut.
 Bottom intervals are solved exactly by branch and bound.  A hinted mode
-replays a reference schedule's system one bottom interval at a time
-instead of enumerating, realizing the guarantee that the enumeration can
-do at least as well as the reference.  Tree intervals are heap indices
-throughout, in subproblems, results and the system a solve returns, and
-windows come from ``dyadic.node_windows``, the region query that
-``dyadic.windows`` runs on whole systems.
+answers with a reference schedule's system and its virtually-valid
+counterpart instead of enumerating: the enumeration held to the
+reference's splits and partitions finds exactly that schedule, which
+realizes the guarantee that it can do at least as well as the reference.
+Tree intervals are heap indices throughout, in subproblems, results and
+the system a solve returns, and windows come from ``dyadic.node_windows``,
+the region query that ``dyadic.windows`` runs on whole systems.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .dyadic import (
     PartialDyadicSystem,
     Window,
     check_reference,
+    check_virtually_valid,
     full_system,
     moved_with,
     node_windows,
@@ -54,7 +56,6 @@ from .dyadic import (
     split_step,
     system_from_schedule,
     tree_for,
-    windows,
 )
 from .convert import valid_to_virtually_valid
 from .errors import BudgetExceeded
@@ -74,8 +75,9 @@ class Budget:
     the current ``main_solve``, whether solved at its own interval or at
     a translate of it on the same level, nor a partition or right half
     that ``schedule_subtree``'s count bound cuts, which is never entered.
-    A hinted solve with ``L > 0`` counts the nodes the recursion would
-    enter with its one candidate per node (see ``_replay``).
+    A hinted solve with ``L > 0`` counts, in one tick, the nodes the
+    recursion held to its reference's splits and partitions would enter
+    (see ``main_solve``).
     A tree with ``L = 0`` runs no cascades and no ``schedule_subtree``,
     so only its bottom-search states count.  ``exact_opt`` counts its
     states in the budget it is given, which for a ``pipeline.solve`` run
@@ -142,9 +144,10 @@ SplitOutcome = tuple[JobSet, JobSet, JobSet]
 
 @dataclass(frozen=True)
 class Hints:
-    """A reference to replay: the full system ``system_from_schedule``
+    """A reference to answer with: the full system ``system_from_schedule``
     builds from a zero-discard schedule, and ``virtual``, the schedule
-    ``valid_to_virtually_valid`` makes of that one for the system."""
+    ``valid_to_virtually_valid`` makes of that one for the system, which
+    ``solve_hinted`` checks to be virtually valid for it."""
 
     system: PartialDyadicSystem
     virtual: Schedule
@@ -293,41 +296,6 @@ def _extend(comparable, pred, cand, left, size, keep, prefix):
             )
 
 
-def _warm_is_valid(
-    inst: Instance,
-    iv: Interval,
-    bottom: JobSet,
-    ancestors: JobSet,
-    anc_windows: dict[int, Window],
-    warm: PartialAssign,
-) -> bool:
-    """Whether ``warm`` is a virtually-valid assignment on the bottom
-    interval ``iv``: it covers exactly ``bottom | ancestors``, places each
-    job inside ``iv`` and at most ``m`` jobs in a slot, each placed bottom
-    job before its placed bottom successors, and each placed ancestor
-    inside its window (b, e]."""
-    if mask_from(warm) != bottom | ancestors:
-        return False
-    counts: dict[int, int] = {}
-    for j, t in warm.items():
-        if t is None:
-            continue
-        if not iv.begin < t <= iv.end:
-            return False
-        if ancestors >> j & 1 and not anc_windows[j][0] < t <= anc_windows[j][1]:
-            return False
-        counts[t] = counts.get(t, 0) + 1
-        if counts[t] > inst.m:
-            return False
-    for j in iter_jobs(bottom):
-        t = warm[j]
-        if t is not None and any(
-            warm[s] is not None and warm[s] <= t for s in iter_jobs(inst.succ[j] & bottom)
-        ):
-            return False
-    return True
-
-
 def bottom_solve(
     inst: Instance,
     iv: Interval,
@@ -335,7 +303,6 @@ def bottom_solve(
     ancestors: JobSet,
     anc_windows: dict[int, Window],
     budget: Budget | None = None,
-    warm: PartialAssign | None = None,
     complete: bool = False,
 ) -> PartialAssign:
     """Best virtually-valid assignment on a bottom interval.
@@ -344,11 +311,10 @@ def bottom_solve(
     ancestors obey only their windows; capacity is ``inst.m`` per slot.
     Branch and bound over per-slot antichain batches of bottom jobs;
     ancestor slots are filled greedily by earliest window end, which is
-    optimal for unit jobs.  ``warm`` seeds the incumbent when it is a
-    virtually-valid assignment on ``iv`` (see ``_warm_is_valid``).  The
-    root state is always entered and counted, but when its bound cannot
-    beat the incumbent (a warm start that places as many jobs as fit) the
-    incumbent is returned before any search state is built.
+    optimal for unit jobs.  The root state is always entered and counted,
+    but when its bound cannot beat the incumbent (no job to place, or in
+    complete mode more jobs than the interval holds) the all-discard
+    assignment is returned before any search state is built.
 
     At each slot the batches are tried larger first, then in lexicographic
     order of their ascending members (see ``antichains``); the result is
@@ -388,14 +354,7 @@ def bottom_solve(
 
     best_assign: PartialAssign = {j: DISC for j in iter_jobs(bottom | ancestors)}
     best_count = total_jobs - 1 if complete else 0
-    if warm is not None:
-        if _warm_is_valid(inst, iv, bottom, ancestors, anc_windows, warm):
-            got = {j: warm[j] for j in iter_jobs(bottom | ancestors)}
-            cnt = sum(1 for t in got.values() if t is not None)
-            if cnt > best_count:
-                best_assign, best_count = got, cnt
-
-    budget.tick()  # the root is entered even when it cannot beat the warm start
+    budget.tick()  # the root is entered even when its bound ends the search
     if min(m * n_slots, job_count(bottom) + len(anc_order)) <= best_count:
         return best_assign
     # one level per slot; complete mode places a job a slot at least and
@@ -796,47 +755,6 @@ def _outer_cascades(
         del walk
 
 
-def _replay(inst: Instance, params: Params, budget: Budget, hints: Hints) -> tuple[Slot, ...]:
-    """What a hinted solve with ``L > 0`` assigns: each bottom interval of
-    ``hints.system``, left to right, runs ``bottom_solve`` on its jobs,
-    warm-started from ``hints.virtual``, with the system's ``windows``
-    (computed here, once) and as ancestors the non-bottom jobs whose
-    ``hints.virtual`` slot lies in it and in their owner's interval; the
-    other non-bottom jobs are discarded.  That is what the recursion does
-    held to the reference's split outcomes and partitions, and the nodes
-    it enters are ticked: ``2**k`` outer states, ``k = max(min(h - 1,
-    L + 1), 0)``, and each tree interval.  It is exact: window boundaries
-    in a top interval ``I`` are multiples of ``|I| >> h`` from its begin,
-    so the sets fixed above ``h`` levels below ``I`` and the pending unions
-    there cover the same jobs of each region ``node_windows`` queries as
-    the full system; a partition sends a job only to the half holding its
-    virtually-valid slot; and a zero-discard reference leaves no interval
-    more jobs or ancestors than it has room for, so neither size check of
-    the recursion returns ``None``.
-    """
-    tree = tree_for(params)
-    budget.tick((1 << max(min(params.h - 1, tree.L + 1), 0)) + (2 << tree.L) - 1)
-    system, virt = hints.system.assign, hints.virtual.assign
-    win = windows(inst, hints.system, params)
-    leaves = tree.below(1, tree.L)
-    ancestors = dict.fromkeys(leaves, 0)
-    for i, jobs in system.items():
-        if tree.kinds[i] != BOT:
-            begin, end = tree.span[i]
-            for j in iter_jobs(jobs):
-                t = virt[j]
-                if t is not None and begin < t <= end:
-                    ancestors[leaves[(t - 1) >> params.h]] |= 1 << j
-    assign: list[Slot] = [DISC] * inst.n
-    for i in leaves:
-        # every slot here is in the interval: bottom jobs keep theirs, ancestors go by it
-        warm = {j: virt[j] for j in iter_jobs(system[i] | ancestors[i])}
-        got = bottom_solve(inst, tree.interval[i], system[i], ancestors[i], win, budget, warm)
-        for j, t in got.items():
-            assign[j] = t
-    return tuple(assign)
-
-
 def main_solve(
     inst: Instance,
     params: Params,
@@ -844,7 +762,7 @@ def main_solve(
     hints: Hints | None = None,
 ) -> tuple[PartialDyadicSystem, Schedule]:
     """Full enumeration over outer split decisions, keeping the best
-    schedule, or with ``hints`` the replay of their system (``_replay``).
+    schedule, or with ``hints`` the answer their reference gives.
 
     Always succeeds: the all-discard schedule over a trivial system is the
     starting candidate.  The result is a full system together with a
@@ -859,6 +777,24 @@ def main_solve(
     from the oracle's schedule, and a searched run whose tree collapses
     takes that schedule from ``exact_opt``, which runs ``bottom_solve``'s
     complete mode on the instance itself.
+
+    With ``hints`` and ``L > 0`` the result is ``hints.system`` and
+    ``hints.virtual`` under horizon T, or the trivial system and the
+    all-discard schedule when ``hints.virtual`` places no job.  That is
+    what the recursion finds when held to the reference's split outcomes
+    and partitions, with each bottom search started from the reference's
+    slots, and one tick counts the nodes it enters: ``2**k`` outer states,
+    ``k = max(min(h - 1, L + 1), 0)``, each tree interval and each bottom
+    interval's root search state.  Window boundaries in a top interval
+    ``I`` are multiples of ``|I| >> h`` from its begin, so the sets fixed
+    above ``h`` levels below ``I`` and the pending unions there cover the
+    same jobs of each region ``node_windows`` queries as the full system; a
+    partition sends a job only to the half holding its virtually-valid
+    slot; a zero-discard reference leaves no interval more jobs or
+    ancestors than it has room for, so neither size check returns
+    ``None``; and at each bottom interval the virtually-valid slots place
+    every bottom job and ancestor the interval holds, the search's root
+    bound, so the search keeps them.
     """
     budget = budget or Budget()
     tree = tree_for(params)
@@ -873,9 +809,10 @@ def main_solve(
         assign = bottom_solve(inst, tree.interval[1], inst.all_jobs, 0, {}, budget)
         return root_sys, Schedule(T=params.T, assign=tuple(assign[j] for j in range(inst.n)))
     if hints is not None:
-        replayed = _replay(inst, params, budget, hints)
-        if any(t is not None for t in replayed):
-            best, best_sched = hints.system.assign, Schedule(T=params.T, assign=replayed)
+        budget.tick((1 << max(min(params.h - 1, tree.L + 1), 0)) + 3 * (1 << tree.L) - 1)
+        if any(t is not None for t in hints.virtual.assign):
+            best = hints.system.assign
+            best_sched = Schedule(T=params.T, assign=hints.virtual.assign)
         return full_system(best), best_sched
     memo = SolveMemo()
     best_count = 0
@@ -907,12 +844,11 @@ def solve_hinted(
     """Drive the solver along the splits recorded from an optimal schedule.
 
     Builds the reference's ``Hints``, its system and the virtually-valid
-    schedule made of it for that system, and hands them to ``main_solve``,
-    which replays them one bottom interval at a time (``_replay``): each
-    bottom interval runs ``bottom_solve`` warm-started from the
-    virtually-valid reference, whose start is checked to be virtually
-    valid.  The result schedules at least as many jobs as the
-    virtually-valid reference.
+    schedule made of it for that system, checks that schedule once with
+    ``check_virtually_valid`` (``RuntimeError`` naming the violations
+    otherwise: the conversion is broken) and hands them to ``main_solve``.
+    The result is exactly the virtually-valid reference on its system, or
+    the trivial system and the all-discard schedule when it places no job.
 
     When ``L = 0`` there are no splits and no top intervals, so the answer
     is the reference itself under horizon T, with no search: it is checked
@@ -926,4 +862,7 @@ def solve_hinted(
         return full_system({1: inst.all_jobs}), Schedule(T=params.T, assign=reference.assign)
     ref_sys = system_from_schedule(inst, reference, params)[0]
     virt = valid_to_virtually_valid(inst, ref_sys, reference, params)
+    report = check_virtually_valid(inst, ref_sys, params, virt)
+    if not report.ok:
+        raise RuntimeError(f"the virtually-valid reference is not virtually valid:\n{report}")
     return main_solve(inst, params, budget=budget, hints=Hints(ref_sys, virt))

@@ -1,10 +1,12 @@
-"""The bottom search as it was before batches were generated lazily, and
-its warm-start check as it was before ``bottom_solve`` made it directly.
+"""The bottom search as it was before batches were generated lazily, with
+the warm start it took before hinted solves stopped searching.
 
 A test-only copy of the earlier ``psched.solver.bottom_solve``: it builds
 and sorts every antichain of the alive jobs at every node and enters every
 child before checking its bound.  ``test_bottom_search`` holds the current
-search to the same result, dict for dict.
+search to the same result, dict for dict.  The hinted recursion of
+``subtree_reference`` starts it from the reference's slots, checked by
+``reference_warm_check``.
 """
 
 from __future__ import annotations

@@ -12,8 +12,11 @@ The same recursion keeps its hinted branch, with the earlier ``Hints``,
 outer cascades and split outcomes: ``reference_solve_hinted`` replays a
 reference through every node of the tree, one candidate per node, with
 each split outcome read from the reference system and each pool
-partitioned where the virtually-valid reference puts it.  ``test_solver``
-holds ``solve_hinted`` to its systems, schedules and nodes.
+partitioned where the virtually-valid reference puts it, and each bottom
+interval searched by ``bottom_reference.reference_bottom_solve`` started
+from the reference's slots there.  ``test_solver`` holds ``solve_hinted``,
+which answers with the virtually-valid reference without a search, to its
+systems, schedules and nodes.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from psched.solver import (
     bottom_solve,
     enumerate_partitions,
 )
+
+from bottom_reference import reference_bottom_solve
 
 
 @dataclass(frozen=True)
@@ -94,17 +99,19 @@ def reference_solve_subtree(
 
     if tree.kinds[i] == BOT:
         bottom = sub.assigned.get(i, 0) | sub.pending.get(i, 0)
-        warm = None
-        if hints is not None:
+        if hints is None:
+            assign = bottom_solve(
+                inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, budget)
+        else:
             ref = hints.reference.assign
             warm = {
                 j: (ref[j] if ref[j] is not None and begin < ref[j] <= end else None)
                 for j in iter_jobs(bottom | sub.ancestors)
             }
-        assign = bottom_solve(
-            inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows,
-            budget=budget, warm=warm,
-        )
+            assign = reference_bottom_solve(
+                inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, params,
+                budget=budget, warm=warm,
+            )
         return {i: bottom}, assign
 
     frontier = tree.below(i, params.h - 1)

@@ -18,8 +18,8 @@ from psched.baselines import (
 )
 from psched.cli import run_command
 from psched.convert import (
-    _canonicalize,
     canonical_violations,
+    canonicalize,
     valid_to_virtually_valid,
     virtually_valid_to_valid,
 )
@@ -258,7 +258,7 @@ def test_criterion_5_conversion_chain(constructed):
                     continue
                 lost = job_count(jobs & discarded(vv)) - job_count(jobs & discarded(sched))
                 assert lost <= 2 * window_step(params, tree.interval[i].length) * params.m
-            canon, _ = _canonicalize(inst, sys, vv, params)  # per-swap asserts inside
+            canon = canonicalize(inst, sys, vv, params)  # per-swap asserts inside
             assert canonical_violations(inst, sys, canon, params) == []
             out = virtually_valid_to_valid(inst, sys, canon, params)
             assert verify_valid(inst, out).ok

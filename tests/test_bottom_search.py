@@ -1,23 +1,20 @@
-"""The lazy bottom search against its earlier eager form, its direct
-warm-start check against the earlier one, its batch order, and its
-complete mode against its max-count mode."""
+"""The lazy bottom search against its earlier eager form, its batch
+order, and its complete mode against its max-count mode."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from psched.baselines import bound_sandwich, exact_opt
-from psched.core import DISC, Interval, build_instance, iter_jobs, job_count, mask_from
+from psched.core import DISC, Interval, iter_jobs, job_count, mask_from
 from psched.dyadic import compute_params, tree_for
 from psched.generators import gen_instance
-from psched.solver import Budget, _warm_is_valid, antichains, bottom_solve
+from psched.solver import Budget, antichains, bottom_solve
 from psched.transform import pad_to_power_of_two
 
-from bottom_reference import reference_bottom_solve, reference_warm_check
+from bottom_reference import reference_bottom_solve
 from conftest import random_instance
 
 
@@ -72,17 +69,6 @@ def _padded_cases():
 CASES = list(_windowed_cases()) + list(_padded_cases())
 
 
-def _warm_starts(cold, iv):
-    """No warm start, the optimum itself, a feasible one with a job dropped,
-    and an infeasible one crowding every job into the first slot."""
-    dropped = dict(cold)
-    placed = [j for j, t in cold.items() if t is not None]
-    if placed:
-        dropped[placed[0]] = DISC
-    crowded = {j: iv.begin + 1 for j in cold}
-    return [None, dict(cold), dropped, crowded]
-
-
 @pytest.mark.parametrize(
     "inst, iv, bottom, ancestors, anc_windows, params",
     [case[1:] for case in CASES],
@@ -91,18 +77,13 @@ def _warm_starts(cold, iv):
 def test_bottom_solve_matches_reference(inst, iv, bottom, ancestors, anc_windows, params):
     tree = tree_for(params)
     assert iv in tree.interval[1 << tree.L :]  # a bottom interval
-    cold = reference_bottom_solve(inst, iv, bottom, ancestors, anc_windows, params)
-    for warm in _warm_starts(cold, iv):
-        ref_budget, new_budget = Budget(), Budget()
-        want = reference_bottom_solve(
-            inst, iv, bottom, ancestors, anc_windows, params, budget=ref_budget, warm=warm,
-        )
-        got = bottom_solve(
-            inst, iv, bottom, ancestors, anc_windows, budget=new_budget, warm=warm,
-        )
-        assert got == want
-        # every node entered now was entered by the eager search too
-        assert 1 <= new_budget.nodes <= ref_budget.nodes
+    ref_budget, new_budget = Budget(), Budget()
+    want = reference_bottom_solve(
+        inst, iv, bottom, ancestors, anc_windows, params, budget=ref_budget)
+    got = bottom_solve(inst, iv, bottom, ancestors, anc_windows, budget=new_budget)
+    assert got == want
+    # every node entered now was entered by the eager search too
+    assert 1 <= new_budget.nodes <= ref_budget.nodes
 
 
 def test_bottom_solve_node_total_over_the_grid():
@@ -114,59 +95,6 @@ def test_bottom_solve_node_total_over_the_grid():
         bottom_solve(inst, iv, bottom, ancestors, anc_windows, budget=budget)
         total += budget.nodes
     assert total == 7126
-
-
-@st.composite
-def warm_cases(draw):
-    """A bottom interval of a T=8 tree, a random bottom/ancestor split of up
-    to 8 jobs (some jobs in neither), ancestor windows that may be empty
-    or miss the interval, and a warm start: random slots around the
-    interval or discards, or the cold solve, as it is or with one job
-    moved, often into another job's slot; then now and then one job
-    missing or one too many."""
-    n = draw(st.integers(1, 8))
-    m = draw(st.integers(1, 3))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = [pair for pair in pairs if draw(st.booleans())]
-    inst = build_instance(n, m, edges)
-    iv = draw(st.sampled_from([Interval(0, 4), Interval(4, 8)]))
-    sides = draw(st.lists(st.sampled_from("bao"), min_size=n, max_size=n))
-    bottom = mask_from(j for j, side in enumerate(sides) if side == "b")
-    ancestors = mask_from(j for j, side in enumerate(sides) if side == "a")
-    anc_windows = {}
-    for j in iter_jobs(ancestors):
-        b = draw(st.integers(0, 8))
-        anc_windows[j] = (b, draw(st.integers(b, 9)))
-    domain = list(iter_jobs(bottom | ancestors))
-    slots = st.one_of(st.none(), st.integers(iv.begin - 1, iv.end + 1))
-    cold = draw(st.booleans())
-    if cold:
-        warm = bottom_solve(inst, iv, bottom, ancestors, anc_windows)
-        if domain and draw(st.booleans()):
-            taken = sorted({t for t in warm.values() if t is not None})
-            into = st.sampled_from(taken) if taken else slots
-            warm[draw(st.sampled_from(domain))] = draw(st.one_of(into, slots))
-            cold = False
-    else:
-        warm = {j: draw(slots) for j in domain}
-    edit = draw(st.sampled_from(["none", "none", "drop", "extra"]))
-    if edit == "drop" and domain:
-        del warm[draw(st.sampled_from(domain))]
-        cold = False
-    elif edit == "extra":
-        warm[draw(st.sampled_from([j for j in range(n + 1) if j not in domain]))] = draw(slots)
-        cold = False
-    return inst, iv, bottom, ancestors, anc_windows, warm, cold
-
-
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(case=warm_cases())
-def test_direct_warm_check_agrees_with_the_one_interval_check(case):
-    inst, iv, bottom, ancestors, anc_windows, warm, cold = case
-    want = reference_warm_check(inst, iv, bottom, ancestors, anc_windows, warm)
-    assert _warm_is_valid(inst, iv, bottom, ancestors, anc_windows, warm) == want
-    if cold:  # an untouched cold solve is a virtually-valid assignment
-        assert want
 
 
 def _brute_antichains(inst, alive, cap):

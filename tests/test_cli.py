@@ -579,8 +579,8 @@ def test_bottom_interval_past_the_recursion_limit_is_an_input_error(tmp_path, ca
 @pytest.mark.parametrize("flags, line", [
     # one bottom interval of 512 slots, searched
     (["--horizon", "300"], "horizon 300 padded 512: 6 scheduled, 0 discarded, 3072 nodes"),
-    # bottom intervals of 1024 slots whose warm starts place all they can,
-    # so no search starts
+    # bottom intervals of 1024 slots: the hinted solve answers with the
+    # virtually-valid reference, so no search starts
     (["--hinted", "--horizon", "1500"],
      "horizon 1500 padded 2048: 6 scheduled, 0 discarded, 9 nodes"),
 ])

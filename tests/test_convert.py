@@ -9,7 +9,7 @@ import pytest
 from psched import convert
 from psched.baselines import exact_opt
 from psched.convert import (
-    _canonicalize,
+    _TopOrder,
     canonical_violations,
     canonicalize,
     valid_to_virtually_valid,
@@ -152,11 +152,19 @@ def test_pipeline_virtual_validity_and_per_interval_bound():
                 assert (told in left) == (tnew in left)
 
 
+def _canonicalize(inst, sys, sched, params):
+    """What ``canonicalize`` returns, and the number of swaps it made."""
+    order = _TopOrder(inst, sys, sched, params)
+    swaps = order.swap_to_fixpoint()
+    return sched.replace(order.slot), swaps
+
+
 def test_canonicalize_fixpoint_is_stable():
     for seed in range(20):
         inst, params, sys, sched = _pipeline_inputs(seed)
         vv = valid_to_virtually_valid(inst, sys, sched, params)
         canon, swaps = _canonicalize(inst, sys, vv, params)
+        assert canon == canonicalize(inst, sys, vv, params)
         assert canonical_violations(inst, sys, canon, params) == []
         again, swaps2 = _canonicalize(inst, sys, canon, params)
         assert swaps2 == 0 and again == canon

@@ -35,7 +35,7 @@ from psched.dyadic import (
     windows,
 )
 from psched.errors import GuessExhausted, InvalidInput, InvalidOverride
-from psched.solver import _restrict, _warm_is_valid
+from psched.solver import _restrict
 
 from bottom_reference import reference_warm_check
 from conftest import assert_no_violations, random_instance
@@ -433,8 +433,8 @@ def test_check_virtually_valid_window_boundary_is_exclusive():
 
 
 def test_check_virtually_valid_ancestor_windows():
-    # a bottom interval's warm start, which ``bottom_solve`` checks directly,
-    # against the one-interval check it replaces
+    # a bottom interval's warm start as the hinted reference recursion
+    # checks it: the clauses of the one-interval check, written out
     inst = build_instance(3, 2, [])
     iv, bottom, ancestors = Interval(0, 8), mask_from([0]), mask_from([1, 2])
     anc_windows = {1: (4, 8), 2: (0, 16)}
@@ -444,7 +444,6 @@ def test_check_virtually_valid_ancestor_windows():
         ({0: 1, 1: 5, 2: 12}, False),  # slot 12 outside the interval
         ({0: 1, 1: 5}, False),  # ancestor 2 missing
     ):
-        assert _warm_is_valid(inst, iv, bottom, ancestors, anc_windows, warm) is ok
         assert reference_warm_check(inst, iv, bottom, ancestors, anc_windows, warm) is ok
 
 

@@ -141,18 +141,21 @@ def test_exact_opt_searches_when_baselines_is_imported_first():
     (5, 2, 0, ["--param-override", "h=1", "--param-override", "hp=1",
                "--param-override", "p=2"],
      {"transform.binary_search_makespan.calls": 1}),
-    # one deep hinted attempt that keeps jobs: at h = 1 it places no top
-    # job, so the replay's windows are the only ones and nothing converts
+    # one deep hinted attempt that keeps jobs: the check of the
+    # virtually-valid reference computes the only windows and searches
+    # nothing, and at h = 1 it places no top job, so nothing converts
     (16, 2, 0, ["--hinted", "--horizon", "32", "--param-override", "h=1",
                 "--param-override", "hp=1", "--param-override", "p=2"],
-     {"dyadic.windows.calls": 1, "dyadic.check_virtually_valid.calls": 0,
+     {"dyadic.windows.calls": 1, "dyadic.check_virtually_valid.calls": 1,
       "solver.solve_hinted.calls": 1, "solver.main_solve.calls": 1,
+      "solver.bottom_solve.calls": 0,
       "convert.canonicalize.calls": 0, "convert.virtually_valid_to_valid.calls": 0}),
-    # at h = 2 it places top jobs: one conversion, which computes its own
-    # windows, checks its input with them and canonicalizes in place
+    # at h = 2 it places top jobs: after the hinted solve's check, one
+    # conversion, which computes its own windows, checks its input with
+    # them and canonicalizes in place
     (24, 3, 1, ["--hinted", "--horizon", "32", "--param-override", "h=2",
                 "--param-override", "hp=1", "--param-override", "p=2"],
-     {"dyadic.windows.calls": 2, "dyadic.check_virtually_valid.calls": 1,
+     {"dyadic.windows.calls": 2, "dyadic.check_virtually_valid.calls": 2,
       "solver.solve_hinted.calls": 1, "solver.main_solve.calls": 1,
       "convert.canonicalize.calls": 0, "convert.virtually_valid_to_valid.calls": 1}),
 ], ids=["certified-hinted", "deep-searched", "deep-hinted", "deep-hinted-converted"])
