@@ -187,10 +187,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="search node budget: states entered, not children "
                         "cut by a bound or answered from a memo; an L = 0 "
-                        "attempt counts only bottom-search states, a searched "
-                        "run that collapses to L = 0 the exact oracle's states "
-                        "plus one node, and the --hinted oracle's search counts "
-                        "too (exit 2 when exhausted)")
+                        "attempt counts only bottom-search states, and a "
+                        "--hinted run or a searched run that collapses to "
+                        "L = 0 exactly the exact oracle's states (exit 2 when "
+                        "exhausted)")
     p.add_argument("--out", default=None, help="write the schedule here")
 
 

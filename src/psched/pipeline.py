@@ -68,8 +68,9 @@ def solve_at_horizon(
     fail when its optimum exceeds ``horizon`` and otherwise replay the
     splits of its schedule instead of enumerating.  A collapsed (``L = 0``)
     replay runs on the instance itself, where ``solve_hinted`` answers
-    with the oracle's schedule for one node; deeper ones replay it on the
-    padded instance, with the padding sinks added.  The virtually-valid
+    with the oracle's schedule; deeper ones replay it on the padded
+    instance, with the padding sinks added.  Either enters no search
+    state, so an attempt with an oracle spends no node.  The virtually-valid
     schedule is made valid by ``virtually_valid_to_valid`` only when it
     places a top job, since the conversion is the identity otherwise (and
     with ``L = 0`` there is no top interval)."""
@@ -80,10 +81,10 @@ def solve_at_horizon(
     elif oracle[0] > horizon:
         return None
     elif params.L == 0:
-        sys_out, virtual = solve_hinted(inst, oracle[1], params, budget)
+        sys_out, virtual = solve_hinted(inst, oracle[1], params)
     else:
         reference = _with_sinks(inst, padded, oracle[1], horizon)
-        sys_out, virtual = solve_hinted(padded, reference, params, budget)
+        sys_out, virtual = solve_hinted(padded, reference, params)
     valid = virtual
     if _places_top_job(sys_out, virtual, params):
         valid = virtually_valid_to_valid(padded, sys_out, virtual, params)

@@ -9,7 +9,7 @@ to a half its window misses), and recurses.
 Within one ``main_solve`` each subproblem is solved once up to
 translation, so the recursion is a dynamic program over its states, and
 a candidate whose job counts cannot beat the best one found is cut.
-Bottom intervals are solved exactly by branch and bound.  A hinted mode
+Bottom intervals are solved exactly by branch and bound.  A hinted solve
 answers with a reference schedule's system and its virtually-valid
 counterpart instead of enumerating: the enumeration held to the
 reference's splits and partitions finds exactly that schedule, which
@@ -75,26 +75,21 @@ class Budget:
     the current ``main_solve``, whether solved at its own interval or at
     a translate of it on the same level, nor a partition or right half
     that ``schedule_subtree``'s count bound cuts, which is never entered.
-    A hinted solve with ``L > 0`` counts, in one tick, the nodes the
-    recursion held to its reference's splits and partitions would enter
-    (see ``main_solve``).
     A tree with ``L = 0`` runs no cascades and no ``schedule_subtree``,
     so only its bottom-search states count.  ``exact_opt`` counts its
     states in the budget it is given, which for a ``pipeline.solve`` run
-    is the run's ``budget``.  ``solve_hinted`` on such a tree answers from
-    its reference for one node, the root state the bottom search would
-    have entered, so a collapsed searched run counts the oracle's search
-    states plus one node.  The outer cascades stop at the first state
-    whose subtree places every job.
+    is the run's ``budget``.  ``solve_hinted`` enters no search state and
+    counts nothing, so a hinted or collapsed run counts exactly its
+    oracle's states.  The outer cascades stop at the first state whose
+    subtree places every job.
     """
 
     limit: int = DEFAULT_BUDGET
     nodes: int = 0
 
-    def tick(self, count: int = 1) -> None:
-        self.nodes += count
+    def tick(self) -> None:
+        self.nodes += 1
         if self.nodes > self.limit:
-            self.nodes = self.limit + 1  # where single ticks would stop
             raise BudgetExceeded(self.nodes, self.limit)
 
 
@@ -140,17 +135,6 @@ class SubproblemInput:
 PartialAssign = dict[int, Slot]
 Result = tuple[dict[int, JobSet], PartialAssign]
 SplitOutcome = tuple[JobSet, JobSet, JobSet]
-
-
-@dataclass(frozen=True)
-class Hints:
-    """A reference to answer with: the full system ``system_from_schedule``
-    builds from a zero-discard schedule, and ``virtual``, the schedule
-    ``valid_to_virtually_valid`` makes of that one for the system, which
-    ``solve_hinted`` checks to be virtually valid for it."""
-
-    system: PartialDyadicSystem
-    virtual: Schedule
 
 
 @dataclass
@@ -759,42 +743,22 @@ def main_solve(
     inst: Instance,
     params: Params,
     budget: Budget | None = None,
-    hints: Hints | None = None,
 ) -> tuple[PartialDyadicSystem, Schedule]:
-    """Full enumeration over outer split decisions, keeping the best
-    schedule, or with ``hints`` the answer their reference gives.
+    """Full enumeration over outer split decisions, keeping the best schedule.
 
     Always succeeds: the all-discard schedule over a trivial system is the
     starting candidate.  The result is a full system together with a
     virtually-valid schedule for it.  Subproblems and split outcomes met
-    again during an enumerating call are answered from one ``SolveMemo``.
-    The outer states are tried in order until one places every job.
+    again during the call are answered from one ``SolveMemo``.  The outer
+    states are tried in order until one places every job.
 
     When ``L = 0`` the whole horizon is one bottom interval: the result is
     one ``bottom_solve`` of all jobs on the root, with no cascades,
-    subtrees or memo, and ``hints`` are not read.  A collapsed pipeline
-    attempt with an oracle does not come here: ``solve_hinted`` answers it
-    from the oracle's schedule, and a searched run whose tree collapses
-    takes that schedule from ``exact_opt``, which runs ``bottom_solve``'s
-    complete mode on the instance itself.
-
-    With ``hints`` and ``L > 0`` the result is ``hints.system`` and
-    ``hints.virtual`` under horizon T, or the trivial system and the
-    all-discard schedule when ``hints.virtual`` places no job.  That is
-    what the recursion finds when held to the reference's split outcomes
-    and partitions, with each bottom search started from the reference's
-    slots, and one tick counts the nodes it enters: ``2**k`` outer states,
-    ``k = max(min(h - 1, L + 1), 0)``, each tree interval and each bottom
-    interval's root search state.  Window boundaries in a top interval
-    ``I`` are multiples of ``|I| >> h`` from its begin, so the sets fixed
-    above ``h`` levels below ``I`` and the pending unions there cover the
-    same jobs of each region ``node_windows`` queries as the full system; a
-    partition sends a job only to the half holding its virtually-valid
-    slot; a zero-discard reference leaves no interval more jobs or
-    ancestors than it has room for, so neither size check returns
-    ``None``; and at each bottom interval the virtually-valid slots place
-    every bottom job and ancestor the interval holds, the search's root
-    bound, so the search keeps them.
+    subtrees or memo.  A pipeline attempt with an oracle does not come
+    here: ``solve_hinted`` answers it from the oracle's schedule, and a
+    searched run whose tree collapses takes that schedule from
+    ``exact_opt``, which runs ``bottom_solve``'s complete mode on the
+    instance itself.
     """
     budget = budget or Budget()
     tree = tree_for(params)
@@ -808,12 +772,6 @@ def main_solve(
             return root_sys, best_sched
         assign = bottom_solve(inst, tree.interval[1], inst.all_jobs, 0, {}, budget)
         return root_sys, Schedule(T=params.T, assign=tuple(assign[j] for j in range(inst.n)))
-    if hints is not None:
-        budget.tick((1 << max(min(params.h - 1, tree.L + 1), 0)) + 3 * (1 << tree.L) - 1)
-        if any(t is not None for t in hints.virtual.assign):
-            best = hints.system.assign
-            best_sched = Schedule(T=params.T, assign=hints.virtual.assign)
-        return full_system(best), best_sched
     memo = SolveMemo()
     best_count = 0
     for j_map, pending in _outer_cascades(inst, params, budget, memo):
@@ -839,30 +797,32 @@ def solve_hinted(
     inst: Instance,
     reference: Schedule,
     params: Params,
-    budget: Budget | None = None,
 ) -> tuple[PartialDyadicSystem, Schedule]:
-    """Drive the solver along the splits recorded from an optimal schedule.
+    """The answer the enumeration gives when held to the splits recorded
+    from ``reference``, a zero-discard schedule, found with no search.
 
-    Builds the reference's ``Hints``, its system and the virtually-valid
-    schedule made of it for that system, checks that schedule once with
+    When ``L = 0`` that is the reference itself on the one-interval
+    system, checked as ``system_from_schedule`` would (``InvalidInput``
+    unless it has no discards, fits in T and is valid).  Otherwise it is
+    the reference's system and the schedule ``valid_to_virtually_valid``
+    makes of the reference for it, checked once with
     ``check_virtually_valid`` (``RuntimeError`` naming the violations
-    otherwise: the conversion is broken) and hands them to ``main_solve``.
-    The result is exactly the virtually-valid reference on its system, or
-    the trivial system and the all-discard schedule when it places no job.
+    otherwise: the conversion is broken).  Either is retimed to horizon T.
 
-    When ``L = 0`` there are no splits and no top intervals, so the answer
-    is the reference itself under horizon T, with no search: it is checked
-    as ``system_from_schedule`` would (``InvalidInput`` unless it has no
-    discards, fits in T and is valid) and counts one node, the root state
-    a bottom search would enter.
+    On its own system the reference's windows are the ones the recursion
+    held to its splits computes (window boundaries in a top interval
+    ``I`` are multiples of ``|I| >> h`` from its begin), a partition sends
+    each job to the half holding its virtually-valid slot, no size check
+    fails for a zero-discard reference, and each bottom interval's
+    virtually-valid slots place every job it holds, the bottom search's
+    root bound, so the recursion keeps them.  No node is counted.
     """
     if params.L == 0:
         check_reference(inst, reference, params)
-        (budget or Budget()).tick()
         return full_system({1: inst.all_jobs}), Schedule(T=params.T, assign=reference.assign)
     ref_sys = system_from_schedule(inst, reference, params)[0]
     virt = valid_to_virtually_valid(inst, ref_sys, reference, params)
     report = check_virtually_valid(inst, ref_sys, params, virt)
     if not report.ok:
         raise RuntimeError(f"the virtually-valid reference is not virtually valid:\n{report}")
-    return main_solve(inst, params, budget=budget, hints=Hints(ref_sys, virt))
+    return ref_sys, Schedule(T=params.T, assign=virt.assign)

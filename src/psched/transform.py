@@ -20,11 +20,12 @@ def pad_to_power_of_two(inst: Instance, T: int) -> tuple[Instance, int, JobSet]:
 
     Adds ``m * (T' - T)`` sink jobs, each preceded by every original job,
     where ``T'`` is the smallest power of two >= max(T, 2), the shortest
-    horizon a tree has.  Original job ids are preserved; returns
-    ``(padded instance, T', mask of added jobs)``.
+    horizon a tree has; none when there is no job for them to follow.
+    Original job ids are preserved; returns ``(padded instance, T', mask
+    of added jobs)``.
     """
     T2 = next_power_of_two(max(T, 2))
-    extra = inst.m * (T2 - T)
+    extra = inst.m * (T2 - T) if inst.n else 0
     if extra == 0:
         return inst, T2, 0
     n2 = inst.n + extra

@@ -39,7 +39,7 @@ def reference_solve_at_horizon(
         if opt > horizon:
             return None
         reference = _with_sinks(inst, padded, best, horizon)
-        sys_out, virtual = solve_hinted(padded, reference, params, budget=budget)
+        sys_out, virtual = solve_hinted(padded, reference, params)
     else:
         sys_out, virtual = main_solve(padded, params, budget)
     valid = virtual

@@ -15,8 +15,9 @@ each split outcome read from the reference system and each pool
 partitioned where the virtually-valid reference puts it, and each bottom
 interval searched by ``bottom_reference.reference_bottom_solve`` started
 from the reference's slots there.  ``test_solver`` holds ``solve_hinted``,
-which answers with the virtually-valid reference without a search, to its
-systems, schedules and nodes.
+which answers with the reference's system and virtually-valid schedule
+without a search, to its schedules, and to its systems wherever a job is
+placed: a recursion that places none keeps its trivial starting system.
 """
 
 from __future__ import annotations

@@ -3,12 +3,13 @@ exact oracle."""
 
 import random
 import tempfile
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 
-from psched import io
+from psched import io, pipeline
 from psched.baselines import (
     CapacityProfile,
     bound_sandwich,
@@ -215,19 +216,48 @@ def test_exact_opt_decides_the_open_n64_pool(m, density, seed, opt, nodes):
         assert (lower, upper.makespan) == (26, 28)
 
 
+def _fits_the_oracle_nodes(inst, **flags) -> int:
+    """The nodes of ``exact_opt(inst)``, after checking that a hinted
+    ``pipeline.solve`` run with ``flags`` fits in that budget and runs out
+    of one node fewer."""
+    oracle = Budget()
+    exact_opt(inst, budget=oracle)
+    limit = oracle.nodes
+    assert pipeline.solve(inst, hinted=True, budget=limit, **flags).nodes == limit
+    if limit > 0:
+        with pytest.raises(BudgetExceeded):
+            pipeline.solve(inst, hinted=True, budget=limit - 1, **flags)
+    return limit
+
+
 @pytest.mark.parametrize("m, density, seed, opt, nodes", HARD_POOL,
                          ids=[f"m{g[0]}-d{g[1]}-s{g[2]}" for g in HARD_POOL])
-def test_solve_counts_the_oracle_nodes_plus_one_on_the_open_n64_pool(tmp_path, capsys, m,
-                                                                     density, seed, opt,
-                                                                     nodes):
+def test_solve_counts_the_oracle_nodes_on_the_open_n64_pool(tmp_path, capsys, m, density,
+                                                            seed, opt, nodes):
     # a searched run whose tree collapses is exact_opt's search and one
-    # attempt at its optimum, answered from its schedule for one node
+    # attempt at its optimum, answered from its schedule with no search,
+    # and so is a hinted run: both spend exactly the oracle's nodes
     inst, edges = gen_instance("random-dag", 64, m, density, seed)
     inst_path = tmp_path / "i.psched"
     inst_path.write_text(io.format_instance(inst, edges), encoding="utf-8")
     assert run_command(["solve", str(inst_path), "--out", str(tmp_path / "s.sched")]) == 0
     assert capsys.readouterr().err == (f"horizon {opt} padded {1 << (opt - 1).bit_length()}: "
-                                       f"64 scheduled, 0 discarded, {nodes + 1} nodes\n")
+                                       f"64 scheduled, 0 discarded, {nodes} nodes\n")
+    assert _fits_the_oracle_nodes(inst) == nodes
+
+
+def test_deep_hinted_runs_spend_only_the_oracle_nodes():
+    # the deep half of the benchmark's hinted-replay pool, unrelabeled, at
+    # its horizon and overrides: the hinted solve enters no search state,
+    # so each run fits in its oracle's nodes, none when the sandwich
+    # certifies the optimum
+    deep = {"h": 1, "hp": 1, "p": 2}
+    spent = []
+    for family, m in product(("random-dag", "layered", "forest"), (2, 3)):
+        for seed in range(8):
+            inst, _ = gen_instance(family, 16, m, 0.3, seed)
+            spent.append(_fits_the_oracle_nodes(inst, overrides=deep, horizon=32))
+    assert len(spent) == 48 and any(spent) and not all(spent)
 
 
 def test_exact_opt_is_bounded_by_its_budget(tmp_path, capsys):

@@ -155,9 +155,13 @@ def test_cli_solver_flags_and_exit_codes(tmp_path):
     inst = io.read_instance(str(inst_path))
     final = io.read_schedule(str(out_path))
     assert verify_valid(inst, final).ok and final.discard_count == 0
-    # the list schedule certifies the optimum here, so the search takes a
-    # single node and only a budget of none runs out
-    assert run_command(["pipeline", str(inst_path), "--budget", "0"]) == 2
+    # the list schedule certifies the optimum here, so the run enters no
+    # search state and a budget of none is enough; the deep run above
+    # searches and runs out of it
+    assert run_command(["pipeline", str(inst_path), "--budget", "0"]) == 0
+    assert run_command(["pipeline", str(inst_path), "--horizon", "8",
+                        "--param-override", "h=1", "--param-override", "hp=1",
+                        "--param-override", "p=2", "--budget", "0"]) == 2
     assert run_command(["gen", "--family", "nope", "--n", "3", "--m", "1"]) == 1
     assert run_command(["solve", str(inst_path), "--param-override", "zz=1"]) == 1
     assert run_command(["verify", str(tmp_path / "missing"), str(out_path)]) == 1
@@ -279,8 +283,8 @@ def test_pipeline_outputs_match_recorded_bytes(tmp_path, capsys, n, m, seed, fla
 def test_solve_reports_nodes_of_every_horizon_attempt(tmp_path, capsys):
     # the run's one budget counts the exact oracle's search (the level
     # bound 7 fails, then the list schedule's makespan 8 fits: 10 nodes)
-    # and the one attempt at 8, answered from its schedule for one node:
-    # 11 nodes, which is the smallest budget the run fits in
+    # and the one attempt at 8, answered from its schedule with no search:
+    # 10 nodes, which is the smallest budget the run fits in
     inst_path = tmp_path / "i.psched"
     assert run_command(["gen", "--family", "random-dag", "--n", "12", "--m", "2",
                         "--seed", "162", "--out", str(inst_path)]) == 0
@@ -289,6 +293,7 @@ def test_solve_reports_nodes_of_every_horizon_attempt(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("horizon 8 padded 8: ")
     nodes = int(err.split(", ")[-1].removesuffix(" nodes\n"))
+    assert nodes == 10
     assert run_command(["solve", str(inst_path), "--budget", str(nodes),
                         "--out", str(tmp_path / "t.sched")]) == 0
     assert run_command(["solve", str(inst_path), "--budget", str(nodes - 1),
@@ -300,7 +305,7 @@ def test_list_schedule_certifies_the_optimum_in_one_attempt(tmp_path, capsys, mo
                                                              n, m, horizon):
     # the level bound meets the critical-path list schedule's makespan, so
     # the oracle returns that schedule and the run makes one attempt,
-    # answered from it for one node; started from max(chain, ceil(n/m))
+    # answered from it with no search; started from max(chain, ceil(n/m))
     # these searches entered 89,226 and 385,743 nodes
     inst_path = tmp_path / "i.psched"
     assert run_command(["gen", "--family", "random-dag", "--n", str(n), "--m", str(m),
@@ -316,7 +321,7 @@ def test_list_schedule_certifies_the_optimum_in_one_attempt(tmp_path, capsys, mo
     monkeypatch.setattr(pipeline, "solve_at_horizon", spy)
     assert run_command(["solve", str(inst_path), "--out", str(tmp_path / "s.sched")]) == 0
     assert capsys.readouterr().err == (
-        f"horizon {horizon} padded 32: {n} scheduled, 0 discarded, 1 nodes\n")
+        f"horizon {horizon} padded 32: {n} scheduled, 0 discarded, 0 nodes\n")
     assert attempts == [horizon]
 
 
@@ -492,6 +497,20 @@ def test_empty_instance_without_horizon(tmp_path, capsys, command, flags):
     assert capsys.readouterr().err.startswith("horizon 0 padded 0: ")
 
 
+@pytest.mark.parametrize("flags", [[], ["--hinted"], DEEP[2:], ["--hinted", *DEEP[2:]]],
+                         ids=["enum", "hinted", "deep", "deep-hinted"])
+def test_empty_instance_at_a_horizon_searches_nothing(tmp_path, capsys, flags):
+    # no job to follow, so padding adds no sinks and no state is entered,
+    # which a zero budget allows
+    inst_path = tmp_path / "i.psched"
+    out_path = tmp_path / "o.sched"
+    inst_path.write_text("psched 1 0 2\n")
+    argv = ["solve", str(inst_path), "--horizon", "3", "--budget", "0", *flags]
+    assert run_command([*argv, "--out", str(out_path)]) == 0
+    assert out_path.read_text() == "sched 1 0 4\n"
+    assert capsys.readouterr().err == "horizon 3 padded 4: 0 scheduled, 0 discarded, 0 nodes\n"
+
+
 def test_out_of_range_edge_is_an_input_error(tmp_path, capsys):
     inst_path = tmp_path / "i.psched"
     inst_path.write_text("psched 1 2 2\n0 5\n")
@@ -582,7 +601,7 @@ def test_bottom_interval_past_the_recursion_limit_is_an_input_error(tmp_path, ca
     # bottom intervals of 1024 slots: the hinted solve answers with the
     # virtually-valid reference, so no search starts
     (["--hinted", "--horizon", "1500"],
-     "horizon 1500 padded 2048: 6 scheduled, 0 discarded, 9 nodes"),
+     "horizon 1500 padded 2048: 6 scheduled, 0 discarded, 0 nodes"),
 ])
 def test_long_bottom_intervals_below_the_recursion_limit_still_run(tmp_path, capsys, flags,
                                                                      line):
@@ -612,8 +631,13 @@ def test_negative_budget_is_rejected(tmp_path, capsys, command):
     assert run_command([command, *target, "--budget", "-5", "--out", str(out_path)]) == 1
     assert capsys.readouterr().err == "error: need --budget >= 0, got -5\n"
     assert not out_path.exists()
-    # a budget of none is a valid limit that every search runs past
-    assert run_command([command, *target, "--budget", "0", "--out", str(out_path)]) == 2
+    # a budget of none is a valid limit: a run whose optimum the bound
+    # sandwich certifies enters no search state and fits in it, while a
+    # search at a given horizon runs past it
+    assert run_command([command, *target, "--budget", "0", "--out", str(out_path)]) == 0
+    if command != "bench":
+        assert run_command([command, *target, "--horizon", "2", "--budget", "0",
+                            "--out", str(out_path)]) == 2
 
 
 def test_bench_rejects_a_negative_count(tmp_path, capsys):
@@ -758,8 +782,10 @@ def test_budget_bounds_the_hinted_oracle(tmp_path, capsys):
     assert oracle.nodes == 10
     assert run_command(["solve", str(inst_path), "--hinted", "--out", out]) == 0
     assert capsys.readouterr().err == (
-        "horizon 8 padded 8: 12 scheduled, 0 discarded, 11 nodes\n")
+        "horizon 8 padded 8: 12 scheduled, 0 discarded, 10 nodes\n")
     assert run_command(["solve", str(inst_path), "--hinted", "--budget", "10",
+                        "--out", out]) == 0
+    assert run_command(["solve", str(inst_path), "--hinted", "--budget", "9",
                         "--out", out]) == 2
 
 
@@ -791,13 +817,13 @@ def _searches(monkeypatch):
     calls = []
     main, hinted = pipeline.main_solve, pipeline.solve_hinted
 
-    def main_spy(inst, params, budget=None, hints=None):
+    def main_spy(inst, params, budget=None):
         calls.append((params.T, params.L, "main"))
-        return main(inst, params, budget, hints)
+        return main(inst, params, budget)
 
-    def hinted_spy(inst, reference, params, budget=None):
+    def hinted_spy(inst, reference, params):
         calls.append((params.T, params.L, "hinted"))
-        return hinted(inst, reference, params, budget)
+        return hinted(inst, reference, params)
 
     monkeypatch.setattr(pipeline, "main_solve", main_spy)
     monkeypatch.setattr(pipeline, "solve_hinted", hinted_spy)
@@ -809,7 +835,8 @@ def _searches(monkeypatch):
 def test_collapsed_attempts_match_the_padded_search(monkeypatch, family, flags):
     # every default run here collapses: it makes no binary search and one
     # attempt, at exact_opt's optimum: one solve_hinted call at L = 0,
-    # which answers from exact_opt's schedule.  The padded search agrees
+    # which answers from exact_opt's schedule, so the run counts only the
+    # oracle's nodes.  The padded search agrees
     # that the optimum is the smallest horizon that fits: it keeps every
     # job there and discards some one below, wherever the level bound
     # leaves that horizon open
@@ -828,7 +855,7 @@ def test_collapsed_attempts_match_the_padded_search(monkeypatch, family, flags):
                 opt, best = baselines.exact_opt(inst, budget=oracle)
                 searched.clear()
                 got = pipeline.solve(inst, eps, hinted=flags == ["--hinted"])
-                assert (got.horizon, got.discards, got.nodes) == (opt, 0, oracle.nodes + 1)
+                assert (got.horizon, got.discards, got.nodes) == (opt, 0, oracle.nodes)
                 T2 = transform.next_power_of_two(max(opt, 2))
                 assert searched == [(T2, 0, "hinted")]
                 assert got.virtual == got.valid == Schedule(T=T2, assign=best.assign)
@@ -863,8 +890,8 @@ def test_certified_pipeline_runs_no_search(tmp_path, capsys, monkeypatch, flags)
 def test_open_sandwich_still_searches_below_the_list_schedule(tmp_path, capsys, monkeypatch):
     # n=12 m=2 seed 162: level bound 7, list schedules 8.  exact_opt's
     # complete-mode search fails at 7 and fits 8 (10 nodes); the one
-    # attempt, at 8, is solve_hinted answering from its schedule for one
-    # node more, with no search, and so is the reference's replay
+    # attempt, at 8, is solve_hinted answering from its schedule with no
+    # search and no node, and so is the reference's replay
     inst_path = _gen(tmp_path, 12, 2, 162)
     pairs = _attempts_beside_reference(monkeypatch)
     searched = _searches(monkeypatch)
@@ -878,7 +905,7 @@ def test_open_sandwich_still_searches_below_the_list_schedule(tmp_path, capsys, 
     monkeypatch.setattr(solver, "bottom_solve", bottom_spy)
     capsys.readouterr()
     assert run_command(["solve", str(inst_path), "--out", str(tmp_path / "s.sched")]) == 0
-    assert capsys.readouterr().err == "horizon 8 padded 8: 12 scheduled, 0 discarded, 11 nodes\n"
+    assert capsys.readouterr().err == "horizon 8 padded 8: 12 scheduled, 0 discarded, 10 nodes\n"
     assert horizons == [(7, True), (8, True)]
     assert searched == [(8, 0, "hinted")]
     (want, got), = pairs

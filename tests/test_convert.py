@@ -224,10 +224,10 @@ def test_conversions_are_the_identity_when_collapsed(seed, m, offset, hinted):
     # with L = 0 there are no top jobs, so the pipeline may skip both
     # steps, after main_solve and after a hinted solve, which returns the
     # reference as it is
-    inst, params, hints = collapsed_case(seed, m, offset, hinted)
+    inst, params, reference = collapsed_case(seed, m, offset, hinted)
     sys, sched = main_solve(inst, params)
-    if hints is not None:
-        sched = hints.virtual
+    if reference is not None:
+        sched = reference
     assert windows(inst, sys, params) == {}
     canon = canonicalize(inst, sys, sched, params)
     assert canon == sched

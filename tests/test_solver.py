@@ -35,7 +35,6 @@ from psched.generators import gen_instance
 from psched.pipeline import _with_sinks
 from psched.solver import (
     Budget,
-    Hints,
     SolveMemo,
     SubproblemInput,
     bottom_solve,
@@ -239,12 +238,12 @@ REPLAY_BUDGETS = [{}, {"delta": Fraction(1, 4), "deltap": Fraction(1, 8)}]
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("family", DEEP_FAMILIES)
 def test_replay_matches_the_hinted_recursion(family, m):
-    # the replay, one bottom interval at a time, gives the recursion held
-    # to the reference's splits and partitions: the same system, in the
-    # same order, the same schedule and the same nodes, so a budget one
-    # node short stops both, as does one that the replay's first ticks
-    # overrun, with the same message
-    cases = placed_top = 0
+    # the reference's conversion is what the recursion held to the
+    # reference's splits and partitions finds: the same schedule, and,
+    # wherever it places a job, the same system in the same order.  When
+    # it places none the recursion keeps its trivial starting system,
+    # which the conversion never builds
+    cases = placed_top = unplaced = 0
     for n, T, (h, hp), split in product((6, 9, 13, 18, 24), (16, 32, 64), REPLAY_PARAMS,
                                         REPLAY_BUDGETS):
         inst, _ = gen_instance(family, n, m, 0.3, 7 * n + T + h)
@@ -253,37 +252,31 @@ def test_replay_matches_the_hinted_recursion(family, m):
         params = compute_params(T, m, Fraction(1, 2),
                                 overrides={"h": h, "hp": hp, "p": 2, **split})
         args = (inst, Schedule(T=T, assign=best.assign), params)
-        got = []
-        for solve in (solve_hinted, reference_solve_hinted):
-            budget = Budget()
-            sys_out, sched = solve(*args, budget=budget)
-            got.append((list(sys_out.assign.items()), sched, budget.nodes))
-        assert got[0] == got[1], (n, T, h, hp, split)
+        got = [(list(sys_out.assign.items()), sched)
+               for sys_out, sched in (solve_hinted(*args), reference_solve_hinted(*args))]
+        case = (n, T, h, hp, split)
+        assert got[0][1] == got[1][1], case
+        if got[0][1].scheduled_count:
+            assert got[0][0] == got[1][0], case
+        else:
+            unplaced += 1
         kinds = tree_for(params).kinds
         placed_top += sum(1 for i, jobs in got[0][0] if kinds[i] != "bot"
-                          for j in iter_jobs(jobs) if sched.assign[j] is not None)
-        for limit in (1, got[0][2] - 1):
-            stops = []
-            for solve in (solve_hinted, reference_solve_hinted):
-                with pytest.raises(BudgetExceeded) as exc:
-                    solve(*args, budget=Budget(limit=limit))
-                stops.append(str(exc.value))
-            message = f"search budget exceeded: {limit + 1} nodes > limit {limit}"
-            assert stops[0] == stops[1] == message
+                          for j in iter_jobs(jobs) if got[0][1].assign[j] is not None)
         cases += 1
-    assert cases == 150 and placed_top > 0
+    assert cases == 150 and placed_top > 0 and unplaced > 0
 
 
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("family", DEEP_FAMILIES)
-def test_deep_solve_hinted_is_the_virtually_valid_reference(family, m):
+def test_deep_solve_hinted_is_the_virtually_valid_reference(monkeypatch, family, m):
     # on the reference's own system each bottom interval's virtually-valid
     # slots reach the search's root bound, so a deep hinted solve answers
-    # with that schedule under horizon T, or with the trivial system when
-    # it places no job, for the nodes of the recursion held to the
-    # reference.  References as the pipeline hands them over: the oracle's
-    # schedule at T, and padded by ``_with_sinks``, which ends before T
-    trivial = placed_top = 0
+    # with the reference's system and that schedule under horizon T, also
+    # when it places no job, and searches nothing.  References as the
+    # pipeline hands them over: the oracle's schedule at T, and padded by
+    # ``_with_sinks``, which ends before T
+    unplaced = placed_top = 0
     for T, n in ((16, 9), (32, 16), (64, 24)):
         inst0, _ = gen_instance(family, n, m, 0.3, 5 * n + T + m)
         opt, best = exact_opt(inst0)
@@ -295,24 +288,25 @@ def test_deep_solve_hinted_is_the_virtually_valid_reference(family, m):
         for h, hp, split in product(range(4), range(3), REPLAY_BUDGETS):
             params = compute_params(T, m, Fraction(1, 2),
                                     overrides={"h": h, "hp": hp, "p": 2, **split})
-            k = max(min(h - 1, params.L + 1), 0)
+            assert params.L > 0
             kinds = tree_for(params).kinds
             for inst, reference in refs:
                 case = (T, h, hp, split, inst.n)
                 sys_ref = system_from_schedule(inst, reference, params)[0]
                 virt = valid_to_virtually_valid(inst, sys_ref, reference, params)
-                budget = Budget()
-                got = solve_hinted(inst, reference, params, budget=budget)
-                if virt.scheduled_count:
-                    assert got == (sys_ref, Schedule(T=T, assign=virt.assign)), case
-                    placed_top += sum(1 for i, jobs in sys_ref.assign.items() if kinds[i] == "top"
-                                      for j in iter_jobs(jobs) if virt.assign[j] is not None)
-                else:
-                    trivial += 1
-                    assert got == (PartialDyadicSystem(assign={1 << params.L: inst.all_jobs}),
-                                   Schedule(T=T, assign=(None,) * inst.n)), case
-                assert params.L > 0 and budget.nodes == (1 << k) + 3 * (1 << params.L) - 1, case
-    assert trivial > 0 and placed_top > 0
+                with monkeypatch.context() as patch:
+                    for name in ("main_solve", "bottom_solve"):
+                        patch.setattr(solver, name, _unused)
+                    got = solve_hinted(inst, reference, params)
+                assert got == (sys_ref, Schedule(T=T, assign=virt.assign)), case
+                unplaced += not virt.scheduled_count
+                placed_top += sum(1 for i, jobs in sys_ref.assign.items() if kinds[i] == "top"
+                                  for j in iter_jobs(jobs) if virt.assign[j] is not None)
+    assert unplaced > 0 and placed_top > 0
+
+
+def _unused(*args, **kwargs):
+    raise AssertionError("a hinted solve searches nothing")
 
 
 def test_solve_hinted_raises_on_a_broken_virtual_schedule(monkeypatch):
@@ -350,29 +344,14 @@ def test_deep_enum_pool_node_count():
     assert total == 412
 
 
-def _built_hints(monkeypatch, inst, reference, params):
-    """The hints ``solve_hinted`` builds."""
-    built = []
-
-    def capture(inst, params, budget=None, hints=None):
-        built.append(hints)
-        return main_solve(inst, params, budget, hints)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(solver, "main_solve", capture)
-        solve_hinted(inst, reference, params)
-    (hints,) = built
-    return hints
-
-
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("family", DEEP_FAMILIES)
-def test_recorded_split_outcomes_replay_like_push_down(monkeypatch, family, m):
+def test_recorded_split_outcomes_replay_like_push_down(family, m):
     # references as the pipeline replays them: the oracle's schedule at
     # T, and padded by ``_with_sinks`` from a horizon between T/2 and T.
-    # The hints are the reference's system and its virtually-valid
-    # schedule, and each split of that system is the one ``push_down``
-    # makes of the guesses recorded there
+    # A hinted solve answers with the reference's system and its
+    # virtually-valid schedule, and each split of that system is the one
+    # ``push_down`` makes of the guesses recorded there
     padded = 0
     for T, h, n in product((16, 32), (1, 2, 3), (6, 11, 16)):
         inst0, _ = gen_instance(family, n, m, 0.3, 7 * n + T + h)
@@ -388,10 +367,10 @@ def test_recorded_split_outcomes_replay_like_push_down(monkeypatch, family, m):
             padded += 1
         for inst, reference in refs:
             case = (T, h, n, inst.n)
-            hints = _built_hints(monkeypatch, inst, reference, params)
             sys_ref, covered, guesses = system_from_schedule(inst, reference, params)
-            assert hints == Hints(
-                sys_ref, valid_to_virtually_valid(inst, sys_ref, reference, params)), case
+            virt = valid_to_virtually_valid(inst, sys_ref, reference, params)
+            assert solve_hinted(inst, reference, params) == (
+                sys_ref, Schedule(T=T, assign=virt.assign)), case
             assert guesses, case
             for i, trace in guesses.items():
                 outcome = (sys_ref.assign[i], covered[2 * i], covered[2 * i + 1])
@@ -401,27 +380,19 @@ def test_recorded_split_outcomes_replay_like_push_down(monkeypatch, family, m):
 
 def test_hinted_replay_pool_node_count(monkeypatch):
     # the deep half of the benchmark's hinted-replay pool, unrelabeled, at
-    # its horizon and overrides; a run counts the nodes of the recursion
-    # held to its reference, 48 at h = 1 and L = 4, and searches nothing
+    # its horizon and overrides: a run calls neither search, so it can
+    # count no node
     runs = []
     for family, m in product(DEEP_FAMILIES, (2, 3)):
         params = compute_params(32, m, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
         for seed in range(8):
             inst, _ = gen_instance(family, 16, m, 0.3, seed)
             runs.append((inst, Schedule(T=32, assign=exact_opt(inst)[1].assign), params))
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return bottom_solve(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "bottom_solve", counted)
-    nodes = 0
+    for name in ("main_solve", "bottom_solve"):
+        monkeypatch.setattr(solver, name, _unused)
     for inst, reference, params in runs:
-        budget = Budget()
-        solve_hinted(inst, reference, params, budget=budget)
-        nodes += budget.nodes
-    assert (len(runs), nodes, len(calls)) == (48, 2304, 0)
+        solve_hinted(inst, reference, params)
+    assert len(runs) == 48
 
 
 def test_hinted_replay_pool_windows_are_all_empty_at_h1():
@@ -780,11 +751,12 @@ def test_empty_instance():
 
 def collapsed_case(seed, m, offset, hinted):
     """A padded instance at horizon ``opt + offset`` whose params collapse
-    the tree to one bottom interval (``L = 0``), with hints when asked.
+    the tree to one bottom interval (``L = 0``), with a reference schedule
+    when asked.
 
-    The hints' reference is the optimal schedule with its padding sinks
-    after the horizon, or, below the optimum, with every job that does not
-    fit discarded."""
+    The reference is the optimal schedule with its padding sinks after the
+    horizon, or, below the optimum, with every job that does not fit
+    discarded."""
     inst0 = random_instance(7 + seed % 3, m, 0.5, seed)
     opt, best = exact_opt(inst0)
     target = max(opt + offset, 2)
@@ -796,8 +768,7 @@ def collapsed_case(seed, m, offset, hinted):
     assign = [t if t <= target else None for t in best.assign]
     for k in range(job_count(pads)):
         assign.append(target + 1 + k // m if offset >= 0 else None)
-    system = PartialDyadicSystem(assign={1: inst.all_jobs})
-    return inst, params, Hints(system=system, virtual=Schedule(T=T2, assign=tuple(assign)))
+    return inst, params, Schedule(T=T2, assign=tuple(assign))
 
 
 COLLAPSED_GRID = [
@@ -816,14 +787,14 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
     # at L = 0 main_solve is one bottom_solve on the root: the same system
     # and schedule as the root subproblem's solve, or the all-discard
     # fallback when that finds nothing.  It enters no outer-cascade step
-    # and not the root subproblem, so one node fewer than that call.  It
-    # reads no hints, and keeps at least the jobs their schedule keeps
-    inst, params, hints = collapsed_case(seed, m, offset, hinted)
+    # and not the root subproblem, so one node fewer than that call, and
+    # keeps at least the jobs a reference schedule keeps
+    inst, params, reference = collapsed_case(seed, m, offset, hinted)
     sub_budget = Budget()
     got = schedule_subtree(
         inst, SubproblemInput(root=1, assigned={1: inst.all_jobs}), params, sub_budget)
     budget = Budget()
-    sys_out, sched = main_solve(inst, params, budget=budget, hints=hints)
+    sys_out, sched = main_solve(inst, params, budget=budget)
     assert sys_out == PartialDyadicSystem(assign={1: inst.all_jobs})
     if got is None:  # more jobs than the root holds
         assert inst.n > m * params.T
@@ -834,8 +805,8 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
     assert check_virtually_valid(inst, sys_out, params, sched).ok
     assert sched == Schedule(T=params.T, assign=tuple(got[1][j] for j in range(inst.n)))
     assert budget.nodes == sub_budget.nodes - 1
-    if hints is not None:
-        assert sched.scheduled_count >= hints.virtual.scheduled_count
+    if reference is not None:
+        assert sched.scheduled_count >= reference.scheduled_count
 
 
 def test_budget_exceeded():
@@ -870,7 +841,7 @@ COLLAPSED_HINTED = [
                          ids=[f"n{g[0]}-m{g[1]}-s{g[2]}" for g in COLLAPSED_HINTED])
 def test_collapsed_solve_hinted_replays_the_reference(monkeypatch, n, m, seed, T, expected):
     # at L = 0 the reference needs no system, no conversion and no search:
-    # it is the answer, for the one node of the root state
+    # it is the answer
     inst = random_instance(n, m, 0.3, seed)
     params = compute_params(T, m, Fraction(1, 2))
     assert params.L == 0
@@ -882,11 +853,9 @@ def test_collapsed_solve_hinted_replays_the_reference(monkeypatch, n, m, seed, T
     for name in ("system_from_schedule", "valid_to_virtually_valid", "main_solve",
                  "bottom_solve"):
         monkeypatch.setattr(solver, name, unused)
-    budget = Budget()
-    sys_out, sched = solve_hinted(inst, reference, params, budget=budget)
+    sys_out, sched = solve_hinted(inst, reference, params)
     assert sched == Schedule(T=T, assign=expected) == reference
     assert sys_out == PartialDyadicSystem(assign={1: inst.all_jobs})
-    assert budget.nodes == 1
 
 
 @pytest.mark.parametrize("case, message", [
@@ -986,7 +955,7 @@ def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_f
         monkeypatch.setattr(solver, "SolveMemo", make_memo)
         budget = Budget()
         if hinted:
-            sys_out, sched = solve_hinted(inst, reference, params, budget=budget)
+            sys_out, sched = solve_hinted(inst, reference, params)
         else:
             sys_out, sched = main_solve(inst, params, budget=budget)
         return (sys_out.assign, sched), budget.nodes
@@ -1003,14 +972,11 @@ def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_f
     assert run(recording) == (got, nodes)
 
     if hinted:
-        # a hinted solve replays one bottom interval at a time: it enters
-        # no subproblem and builds no memo, so the memo can save it no node
-        def unused(*args):
-            raise AssertionError("a hinted solve enters no subproblem")
-
-        monkeypatch.setattr(solver, "_solve_subtree", unused)
+        # a hinted solve answers with the reference's conversion: it
+        # enters no subproblem, builds no memo and counts no node
+        monkeypatch.setattr(solver, "_solve_subtree", _unused)
         assert run(recording) == (got, nodes)
-        assert nodes == plain_nodes and not memos
+        assert nodes == plain_nodes == 0 and not memos
         return
     memo = memos[0]
     assert memo.subtrees == memo.subtrees.copies  # no caller mutated a shared result

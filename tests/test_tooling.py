@@ -17,12 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from psched import cli
+from psched import cli, solver
 from psched.baselines import exact_opt
 from psched.core import Schedule
 from psched.dyadic import compute_params
 from psched.generators import gen_instance
-from psched.solver import Budget, solve_hinted
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -67,25 +66,26 @@ def test_hooked_arguments_keep_their_positions(mod_name, fn_name, index, name):
     assert params[index] == name
 
 
-def test_tracer_counts_every_node_of_a_deep_hinted_solve():
+def test_tracer_sees_no_search_in_a_deep_hinted_solve():
     # the tracer reads solver.nodes off the budget main_solve gets at
-    # index 2; a deep hinted solve must go through main_solve and tick all
-    # of its nodes there, in that budget
+    # index 2; a deep hinted solve answers with the reference's conversion,
+    # so it enters no search layer and the tracer counts no node
     inst, _ = gen_instance("random-dag", 16, 2, 0.3, 0)
     params = compute_params(32, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
     assert params.L > 0
     reference = Schedule(T=32, assign=exact_opt(inst)[1].assign)
-    budget = Budget()
     tracer = tracing.Tracer()
     tracer.install()
     try:
         since = tracer.mark()
-        solve_hinted(inst, reference, params, budget)
+        solver.solve_hinted(inst, reference, params)  # the name the tracer rebinds
     finally:
         tracer.uninstall()
     window = tracer.window(since)
-    assert window["solver.main_solve.calls"] == 1
-    assert window["solver.nodes"] == budget.nodes == 48
+    searched = ("solver.main_solve.calls", "solver.schedule_subtree.calls",
+                "solver.bottom_solve.calls", "solver.nodes")
+    assert window["solver.solve_hinted.calls"] == 1
+    assert {key: window[key] for key in searched} == dict.fromkeys(searched, 0)
 
 
 def test_tracer_sees_one_parser_build_for_repeated_runs(tmp_path, monkeypatch):
@@ -147,7 +147,7 @@ def test_exact_opt_searches_when_baselines_is_imported_first():
     (16, 2, 0, ["--hinted", "--horizon", "32", "--param-override", "h=1",
                 "--param-override", "hp=1", "--param-override", "p=2"],
      {"dyadic.windows.calls": 1, "dyadic.check_virtually_valid.calls": 1,
-      "solver.solve_hinted.calls": 1, "solver.main_solve.calls": 1,
+      "solver.solve_hinted.calls": 1, "solver.main_solve.calls": 0,
       "solver.bottom_solve.calls": 0,
       "convert.canonicalize.calls": 0, "convert.virtually_valid_to_valid.calls": 0}),
     # at h = 2 it places top jobs: after the hinted solve's check, one
@@ -156,7 +156,7 @@ def test_exact_opt_searches_when_baselines_is_imported_first():
     (24, 3, 1, ["--hinted", "--horizon", "32", "--param-override", "h=2",
                 "--param-override", "hp=1", "--param-override", "p=2"],
      {"dyadic.windows.calls": 2, "dyadic.check_virtually_valid.calls": 2,
-      "solver.solve_hinted.calls": 1, "solver.main_solve.calls": 1,
+      "solver.solve_hinted.calls": 1, "solver.main_solve.calls": 0,
       "convert.canonicalize.calls": 0, "convert.virtually_valid_to_valid.calls": 1}),
 ], ids=["certified-hinted", "deep-searched", "deep-hinted", "deep-hinted-converted"])
 def test_tracer_sees_the_layers_the_pipeline_module_calls(tmp_path, n, m, seed, flags,
