@@ -124,7 +124,9 @@ def bound_sandwich(inst: Instance) -> tuple[int, Schedule]:
     which no schedule ends, and the shorter of the Graham and critical-path
     list schedules (Graham's on a tie), a valid schedule the optimum is no
     longer than.  When ``upper.makespan == lower``, ``upper`` is optimal.
-    The critical-path list takes ready jobs by longest tail first.
+    The critical-path list takes ready jobs by longest tail first.  It is
+    built only when Graham's schedule is longer than ``lower``: otherwise
+    nothing is shorter, and Graham's wins the tie.
 
     Hu's level bound: a job of tail height ``k`` runs in the first
     ``C - (k - 1)`` slots of a schedule of makespan ``C``, so at most ``m``
@@ -132,11 +134,15 @@ def bound_sandwich(inst: Instance) -> tuple[int, Schedule]:
     likewise for head depths read backwards in time.  It is never below
     ``max(longest chain, ceil(n/m))``."""
     height = tail_heights(inst)
-    # a stable sort in reverse keeps ascending ids among equal heights
-    critical = _list_schedule(inst, sorted(range(inst.n), key=height.__getitem__, reverse=True))
-    upper = min(graham_list(inst), critical, key=lambda s: s.makespan)
     depths = chain_depths(inst, inst.all_jobs).values()
     lower = max(_level(height_counts(height), inst.m), _level(height_counts(depths), inst.m))
+    upper = graham_list(inst)
+    if upper.makespan > lower:
+        # a stable sort in reverse keeps ascending ids among equal heights
+        critical = _list_schedule(
+            inst, sorted(range(inst.n), key=height.__getitem__, reverse=True))
+        if critical.makespan < upper.makespan:
+            upper = critical
     return lower, upper
 
 

@@ -189,8 +189,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                         "cut by a bound or answered from a memo; an L = 0 "
                         "attempt counts only bottom-search states, and a "
                         "--hinted run or a searched run that collapses to "
-                        "L = 0 exactly the exact oracle's states (exit 2 when "
-                        "exhausted)")
+                        "L = 0 exactly the exact oracle's states; the "
+                        "split-outcome walk's steps count apart, against "
+                        "the same limit (exit 2 when either runs out)")
     p.add_argument("--out", default=None, help="write the schedule here")
 
 
@@ -273,7 +274,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--param-override", action="append", default=[], metavar="K=V")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="search node budget per row, shared by the exact "
-                            "oracle and the solver (exit 2 when exhausted)")
+                            "oracle and the solver; the split-outcome walk's "
+                            "steps count apart, against the same limit (exit "
+                            "2 when either runs out)")
         p.add_argument("--format", choices=("text", "csv"), default="csv",
                        help=f"csv columns, in order: {', '.join(BENCH_COLUMNS)}")
         p.add_argument("--out", default=None)

@@ -306,14 +306,23 @@ def node_windows(
     ``j_map`` and ``k_map``, by heap index, and a set counts as inside a
     region when its interval is: the solver passes the sets fixed so far
     and the pending sets of its frontier (the two maps never share an
-    interval), ``windows`` a whole system."""
+    interval), ``windows`` a whole system.
+
+    When no boundary lies short of the center (``window_step`` at least
+    half the interval, as at ``h <= 1``), every window is ``(center,
+    center]`` and the sets are not read."""
     own = j_map.get(root, 0)
     if not own:
         return {}
+    level = root.bit_length() - 1
+    length = params.T >> level
+    begin = (root - (1 << level)) * length
+    center = begin + length // 2
+    step = window_step(params, length)
+    if begin + step >= center:
+        return dict.fromkeys(iter_jobs(own), (center, center))
     span = tree_for(params).span
-    begin, end = span[root]
-    center = (begin + end) // 2
-    step = window_step(params, end - begin)
+    end = begin + length
     known = [(span[i], jobs) for mp in (j_map, k_map) for i, jobs in mp.items() if jobs]
 
     def within(b: int, e: int) -> JobSet:
@@ -465,7 +474,7 @@ def split_step(inst: Instance, stay: JobSet, a: int, b: int, d: int) -> int | No
     over-long chain in ``stay``, or None when its chain fits the budget
     ``(a * |stay| + b) / d`` (see ``split_budget``).  No chain outgrows its
     set, and a bound below ``d`` (middle intervals) fits no job at all."""
-    count = job_count(stay)
+    count = stay.bit_count()
     bound = a * count + b
     if count * d <= bound:
         return None

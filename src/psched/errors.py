@@ -31,10 +31,11 @@ class GuessExhausted(RuntimeError):
 
 
 class BudgetExceeded(RuntimeError):
-    """The solver used more search nodes than the configured budget."""
+    """The solver used more search nodes, or split-walk states, than the
+    configured budget; ``nodes`` is the count that ran over."""
 
-    def __init__(self, nodes: int, limit: int) -> None:
-        super().__init__(f"search budget exceeded: {nodes} nodes > limit {limit}")
+    def __init__(self, nodes: int, limit: int, unit: str = "nodes") -> None:
+        super().__init__(f"search budget exceeded: {nodes} {unit} > limit {limit}")
         self.nodes = nodes
         self.limit = limit
 

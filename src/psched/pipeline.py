@@ -68,21 +68,24 @@ def solve_at_horizon(
     fail when its optimum exceeds ``horizon`` and otherwise replay the
     splits of its schedule instead of enumerating.  A collapsed (``L = 0``)
     replay runs on the instance itself, where ``solve_hinted`` answers
-    with the oracle's schedule; deeper ones replay it on the padded
-    instance, with the padding sinks added.  Either enters no search
-    state, so an attempt with an oracle spends no node.  The virtually-valid
-    schedule is made valid by ``virtually_valid_to_valid`` only when it
-    places a top job, since the conversion is the identity otherwise (and
-    with ``L = 0`` there is no top interval)."""
-    padded, T2, _pads = pad_to_power_of_two(inst, horizon)
+    with the oracle's schedule, and pads nothing; deeper ones replay it on
+    the padded instance, with the padding sinks added.  Either enters no
+    search state, so an attempt with an oracle spends no node.  The
+    virtually-valid schedule is made valid by ``virtually_valid_to_valid``
+    only when it places a top job, since the conversion is the identity
+    otherwise (and with ``L = 0`` there is no top interval)."""
+    T2 = next_power_of_two(max(horizon, 2))  # the horizon padding reaches
     params = compute_params(T2, inst.m, eps, overrides=overrides or None)
+    padded = inst
     if oracle is None:
+        padded = pad_to_power_of_two(inst, horizon)[0]
         sys_out, virtual = main_solve(padded, params, budget)
     elif oracle[0] > horizon:
         return None
     elif params.L == 0:
         sys_out, virtual = solve_hinted(inst, oracle[1], params)
     else:
+        padded = pad_to_power_of_two(inst, horizon)[0]
         reference = _with_sinks(inst, padded, oracle[1], horizon)
         sys_out, virtual = solve_hinted(padded, reference, params)
     valid = virtual

@@ -8,7 +8,10 @@ representative per window-multiset equivalence class, never sending a job
 to a half its window misses), and recurses.
 Within one ``main_solve`` each subproblem is solved once up to
 translation, so the recursion is a dynamic program over its states, and
-a candidate whose job counts cannot beat the best one found is cut.
+a candidate whose job counts cannot beat the best one found is cut.  The
+split outcomes of an interval come from a walk over guess vectors that
+steps each (residual set, guesses left) once and never re-enters one
+from which no vector ends, and its steps count against the budget too.
 Bottom intervals are solved exactly by branch and bound.  A hinted solve
 answers with a reference schedule's system and its virtually-valid
 counterpart instead of enumerating: the enumeration held to the
@@ -43,6 +46,7 @@ from .dyadic import (
     LEFT,
     RIGHT,
     TOP,
+    DyadicTree,
     Guesses,
     Params,
     PartialDyadicSystem,
@@ -65,7 +69,7 @@ DEFAULT_BUDGET = 10_000_000
 
 @dataclass
 class Budget:
-    """Shared node counter; aborts the search when exhausted.
+    """Shared counters that abort the search when one exceeds ``limit``.
 
     A node is a search state that was entered: one ``schedule_subtree``
     call that solves its subproblem, one step of the outer cascades or
@@ -82,24 +86,40 @@ class Budget:
     counts nothing, so a hinted or collapsed run counts exactly its
     oracle's states.  The outer cascades stop at the first state whose
     subtree places every job.
+
+    The split-outcome walk counts its steps in ``walk_states``, a counter
+    of its own held to the same ``limit``: one per (residual set, guesses
+    left) that a ``_guess_outcomes`` call steps, and one per guess vector
+    it finds ending.  The walk is not search in the sense above, and
+    counting it apart leaves every node count out of it, while the limit
+    still bounds a walk's time.
     """
 
     limit: int = DEFAULT_BUDGET
     nodes: int = 0
+    walk_states: int = 0
 
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.limit:
             raise BudgetExceeded(self.nodes, self.limit)
 
+    def tick_walk(self) -> None:
+        self.walk_states += 1
+        if self.walk_states > self.limit:
+            raise BudgetExceeded(self.walk_states, self.limit, "split-walk states")
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class SubproblemInput:
     """One node of the recursion: what is already decided under ``root``.
 
     ``assigned`` fixes the job sets of intervals (heap indices) in the
     first h-1 relative levels; ``pending`` holds, per relative-level-(h-1)
     interval, the jobs assigned in its subtree; ``ancestors`` carry windows.
+    The solver builds one per child it enters and never changes one after;
+    it is a plain slotted record because a frozen dataclass takes twice as
+    long to build.
     """
 
     root: int
@@ -121,14 +141,18 @@ class SubproblemInput:
         i = self.root
         top = i.bit_length()
         lift = i - 1  # index k at depth d moves by lift << d
+        anc, assigned, pending = self.anc_windows, self.assigned, self.pending
         return (
             top - 1,
             self.ancestors,
-            tuple(sorted([(j, b - begin, e - begin) for j, (b, e) in self.anc_windows.items()])),
+            tuple(sorted([(j, b - begin, e - begin) for j, (b, e) in anc.items()]))
+            if anc else (),
             tuple(sorted([(k - (lift << (k.bit_length() - top)), jobs)
-                          for k, jobs in self.assigned.items()])),
+                          for k, jobs in assigned.items()]))
+            if assigned else (),
             tuple(sorted([(k - (lift << (k.bit_length() - top)), jobs)
-                          for k, jobs in self.pending.items()])),
+                          for k, jobs in pending.items()]))
+            if pending else (),
         )
 
 
@@ -142,11 +166,15 @@ class SolveMemo:
     """Answers already computed within one ``main_solve``.
 
     ``subtrees`` maps ``SubproblemInput.key`` to the result of
-    ``schedule_subtree`` together with the heap index it was solved at,
-    and ``splits`` maps (interval, jobs) to the outcomes of
-    ``_split_outcomes`` (intervals by heap index).  Only the enumeration
-    builds one: a hinted solve runs no recursion.  The instance and params
-    are fixed for the call, so each answer is a function of its key alone
+    ``schedule_subtree``, the heap index it was solved at and the number
+    of jobs it places, and ``splits`` maps (interval, jobs) to the
+    outcomes of ``_split_outcomes`` (intervals by heap index).  ``tree``
+    is the call's ``DyadicTree``, fetched by the first state that needs
+    it, and ``placed`` the number of jobs that the result of the latest
+    ``schedule_subtree`` call with this memo places (0 for ``None``), so
+    no caller counts an assignment again.  Only the enumeration builds
+    one: a hinted solve runs no recursion.  The instance and params are
+    fixed for the call, so each answer is a function of its key alone
     and a repeat returns the value a second solve would compute.
     A subproblem whose candidate the count bound cuts is never solved, so
     the memo may hold fewer keys than a solve of every candidate would
@@ -165,10 +193,12 @@ class SolveMemo:
     two begins.
     """
 
-    subtrees: dict[tuple, tuple[Result | None, int]] = field(default_factory=dict)
+    subtrees: dict[tuple, tuple[Result | None, int, int]] = field(default_factory=dict)
     splits: dict[tuple[int, JobSet], tuple[SplitOutcome, ...]] = field(
         default_factory=dict
     )
+    tree: DyadicTree | None = None
+    placed: int = 0
 
 
 def _clip(w: Window, begin: int, end: int) -> Window | None:
@@ -199,13 +229,28 @@ def enumerate_partitions(
     incumbent only on a strict gain.  Every such class holds a ``None``
     clip and no placeable class does, so each placeable class keeps the
     representative it had when unplaceable ones were enumerated too.
+
+    A job whose window misses both halves (an empty window, as every top
+    window is at ``h <= 1``) has one count vector, all zero, so it goes
+    straight to the discarded set of every partition, and a pool of such
+    jobs alone yields its one partition at once.
     """
     begin, center, end = root.begin, root.center, root.end
     groups: dict[tuple, list[int]] = {}
+    dead = 0  # the jobs whose window misses both halves
     for j in sorted(pool_windows):
-        lc = _clip(pool_windows[j], begin, center)
-        rc = _clip(pool_windows[j], center, end)
-        groups.setdefault((lc, rc), []).append(j)
+        w = pool_windows[j]
+        # a window from the center on misses the left half, one up to it
+        # the right half
+        lc = _clip(w, begin, center) if w[0] < center else None
+        rc = _clip(w, center, end) if w[1] > center else None
+        if lc is None and rc is None:
+            dead |= 1 << j
+        else:
+            groups.setdefault((lc, rc), []).append(j)
+    if not groups:
+        yield 0, 0, dead
+        return
     keys = sorted(groups, key=lambda k: (k[0] or (-1, -1), k[1] or (-1, -1)))
     counts = [
         [
@@ -229,7 +274,7 @@ def enumerate_partitions(
         seen.add(class_key)
         j_left = 0
         j_right = 0
-        j_disc = 0
+        j_disc = dead
         for key, (a, b) in zip(keys, combo):
             members = groups[key]
             j_left |= mask_from(members[:a])
@@ -318,7 +363,7 @@ def bottom_solve(
     without the batch, plus the jobs directly after the batch that have
     no predecessor left alive.  Complete mode never reads the
     comparability masks that ``antichains`` takes; only the max-count
-    search builds them.
+    search builds them, for the bottom jobs alone.
 
     The search recurses once per slot, so a search that would recurse as
     deep as ``sys.getrecursionlimit()`` raises ``ValueError`` after the
@@ -326,20 +371,21 @@ def bottom_solve(
     """
     budget = budget or Budget()
     m = inst.m
-    slots = list(iv.slots())
+    slots = iv.slots()
     n_slots = len(slots)
     # ancestors whose window ends before the interval never fit; each
     # level below drops the ones whose window has ended
     anc_order = tuple(sorted(
         (j for j in iter_jobs(ancestors) if anc_windows[j][1] >= slots[0]),
         key=lambda j: (anc_windows[j][1], j),
-    ))
-    total_jobs = job_count(bottom) + job_count(ancestors)
+    )) if ancestors else ()
+    n_bottom = job_count(bottom)
+    total_jobs = n_bottom + job_count(ancestors)
 
-    best_assign: PartialAssign = {j: DISC for j in iter_jobs(bottom | ancestors)}
+    best_assign: PartialAssign = dict.fromkeys(iter_jobs(bottom | ancestors), DISC)
     best_count = total_jobs - 1 if complete else 0
     budget.tick()  # the root is entered even when its bound ends the search
-    if min(m * n_slots, job_count(bottom) + len(anc_order)) <= best_count:
+    if min(m * n_slots, n_bottom + len(anc_order)) <= best_count:
         return best_assign
     # one level per slot; complete mode places a job a slot at least and
     # stops when none is left
@@ -349,56 +395,78 @@ def bottom_solve(
             f"bottom interval {iv} is too long to search: it recurses once per slot, "
             f"{depth} levels, and the recursion limit is {sys.getrecursionlimit()}")
     pred = inst.pred
-    assign: PartialAssign = {j: DISC for j in iter_jobs(bottom | ancestors)}
+    assign: PartialAssign = dict(best_assign)
+    if not complete:
+        succ = inst.succ
+        comparable = {j: succ[j] | pred[j] for j in iter_jobs(bottom)}
 
-    def dfs(idx: int, alive: JobSet, anc_left: tuple[int, ...], count: int) -> None:
-        """Expand a node whose bound the caller found to beat the incumbent.
+        def dfs(idx: int, alive: JobSet, anc_left: tuple[int, ...], count: int) -> None:
+            """Expand a node whose bound the caller found to beat the incumbent.
 
-        ``anc_left`` holds only ancestors whose window has not ended
-        before slot ``idx``."""
-        nonlocal best_assign, best_count
-        if idx == n_slots:
-            best_count = count
-            best_assign = dict(assign)
-            return
-        t = slots[idx]
-        cap_after = m * (n_slots - idx - 1)
-        fits = [j for j in anc_left if anc_windows[j][0] < t]
-        n_alive = alive.bit_count()
-        for size in range(min(m, n_alive), -1, -1):
-            # earliest-deadline ancestors into the room the batch leaves
-            placed_anc = fits[: m - size]
-            rest = tuple(
-                j for j in anc_left if j not in placed_anc and anc_windows[j][1] > t
-            )
-            base = count + size + len(placed_anc)
-            if base + cap_after <= best_count:
-                continue  # no batch of this size can beat the incumbent
-            # with room in the slots left, a child beats the incumbent iff
-            # it leaves this many bottom jobs alive
-            keep = [best_count - base - len(rest) + 1]
-            for batch, child_alive in antichains(comparable, pred, alive, size, keep):
-                budget.tick()
-                for j in batch:
-                    assign[j] = t
-                for j in placed_anc:
-                    assign[j] = t
-                dfs(idx + 1, child_alive, rest, base)
-                for j in batch:
-                    assign[j] = DISC
-                for j in placed_anc:
-                    assign[j] = DISC
-                if best_count == total_jobs:
-                    return
+            ``anc_left`` holds only ancestors whose window has not ended
+            before slot ``idx``."""
+            nonlocal best_assign, best_count
+            if idx == n_slots:
+                best_count = count
+                best_assign = dict(assign)
+                return
+            t = slots[idx]
+            cap_after = m * (n_slots - idx - 1)
+            fits = [j for j in anc_left if anc_windows[j][0] < t] if anc_left else ()
+            placed_anc = rest = ()
+            for size in range(min(m, alive.bit_count()), -1, -1):
+                if anc_left:
+                    # earliest-deadline ancestors into the room the batch leaves
+                    placed_anc = fits[: m - size]
+                    rest = tuple(
+                        j for j in anc_left if j not in placed_anc and anc_windows[j][1] > t
+                    )
+                base = count + size + len(placed_anc)
                 if base + cap_after <= best_count:
-                    break
-                keep[0] = best_count - base - len(rest) + 1
+                    continue  # no batch of this size can beat the incumbent
+                # with room in the slots left, a child beats the incumbent iff
+                # it leaves this many bottom jobs alive
+                keep = [best_count - base - len(rest) + 1]
+                for batch, child_alive in antichains(comparable, pred, alive, size, keep):
+                    budget.tick()
+                    for j in batch:
+                        assign[j] = t
+                    for j in placed_anc:
+                        assign[j] = t
+                    dfs(idx + 1, child_alive, rest, base)
+                    for j in batch:
+                        assign[j] = DISC
+                    for j in placed_anc:
+                        assign[j] = DISC
+                    if best_count == total_jobs:
+                        return
+                    if base + cap_after <= best_count:
+                        break
+                    keep[0] = best_count - base - len(rest) + 1
+
+        try:
+            dfs(0, bottom, anc_order, 0)
+        finally:
+            # ``dfs`` refers to itself; dropping it breaks the cycle that
+            # would keep everything it captures alive until the cycle
+            # collector runs
+            del dfs
+        return best_assign
 
     failed: set[tuple[int, JobSet]] = set()
+    height = tail_heights(inst, bottom)
+    per_height = height_counts(height)  # jobs outside ``bottom`` at 0
+    cover = {}  # the jobs of ``bottom`` directly after each one of it
+    for j in iter_jobs(bottom):
+        later = inst.succ[j] & bottom
+        far = 0
+        for k in iter_jobs(later):
+            far |= inst.succ[k]
+        cover[j] = later & ~far
 
     def fill(idx: int, alive: JobSet, ready: JobSet) -> bool:
-        """Complete mode: place every job of ``alive`` from slot ``idx`` on;
-        ``ready`` is the jobs of ``alive`` with no predecessor alive."""
+        """Place every job of ``alive`` from slot ``idx`` on; ``ready`` is
+        the jobs of ``alive`` with no predecessor alive."""
         if not alive:
             return True
         t = slots[idx]
@@ -434,27 +502,11 @@ def bottom_solve(
         return False
 
     try:
-        if not complete:
-            comparable = [s | p for s, p in zip(inst.succ, pred)]  # read by ``dfs``
-            dfs(0, bottom, anc_order, 0)
-        else:
-            height = tail_heights(inst, bottom)  # read by ``fill``
-            per_height = height_counts(height)  # jobs outside ``bottom`` at 0
-            cover = {}  # the jobs of ``bottom`` directly after each one of it
-            for j in iter_jobs(bottom):
-                later = inst.succ[j] & bottom
-                far = 0
-                for k in iter_jobs(later):
-                    far |= inst.succ[k]
-                cover[j] = later & ~far
-            ready = mask_from(j for j in iter_jobs(bottom) if not pred[j] & bottom)
-            if fill(0, bottom, ready):
-                best_assign = dict(assign)
+        ready = mask_from(j for j in iter_jobs(bottom) if not pred[j] & bottom)
+        if fill(0, bottom, ready):
+            best_assign = dict(assign)
     finally:
-        # ``dfs`` and ``fill`` refer to themselves; dropping them breaks the
-        # cycles that would keep everything they capture alive until the
-        # cycle collector runs
-        del dfs, fill
+        del fill  # as ``dfs`` above
     return best_assign
 
 
@@ -464,31 +516,65 @@ def _guess_outcomes(
     jobs: JobSet,
     params: Params,
     max_len: int,
+    budget: Budget | None = None,
 ) -> list[tuple[Guesses, SplitOutcome]]:
-    """Distinct results of the split loop over all guess vectors of ``max_len``.
+    """Distinct results of the split loop over all guess vectors of at most
+    ``max_len`` entries, each with the first vector that reaches it.
 
-    Walks the tree of terminating guess prefixes (left branch first, so
-    results follow the lexicographic order of the full vectors), carrying
-    each prefix's split state so that every node runs one step of the
-    split loop and picks its pivot once; any prefix still running after
-    ``max_len`` entries is pruned, mirroring the exhausted-guess behaviour
-    of the replay.
+    Walks the tree of guess prefixes left branch first, so results follow
+    the lexicographic order of the vectors ('L' before 'R'), and prunes any
+    prefix still running after ``max_len`` entries (the replay's exhausted
+    guess).  The pivot and the jobs it moves depend only on the residual
+    set, so each (residual set, guesses left) is stepped once, and one
+    from which no vector ends is marked dead when its first prefix is left
+    and never entered again: the prefixes that run out of guesses, which
+    can be exponentially many, cost one visit per state.  Two vectors part
+    at a pivot that one sends left and the other right, so their outcomes
+    differ; each is kept at its first occurrence all the same.  Each state
+    stepped and each vector that ends ticks ``budget.walk_states``, so the
+    walk cannot outrun the budget.
     """
+    budget = budget or Budget()
     a, b = split_budget(params, iv)
-    out: list[tuple[Guesses, SplitOutcome]] = []
-    # (prefix, stay, to-left, to-right) after the prefix's split steps
-    stack: list[tuple[Guesses, JobSet, JobSet, JobSet]] = [((), jobs, 0, 0)]
-    while stack:
-        prefix, stay, k_left, k_right = stack.pop()
-        pivot = split_step(inst, stay, a, b, params.D)
-        if pivot is None:
-            out.append((prefix, (stay, k_left, k_right)))
-        elif len(prefix) < max_len:
-            right = moved_with(inst, pivot, RIGHT, stay)
-            stack.append((prefix + (RIGHT,), stay & ~right, k_left, k_right | right))
-            left = moved_with(inst, pivot, LEFT, stay)
-            stack.append((prefix + (LEFT,), stay & ~left, k_left | left, k_right))
-    return out
+    d = params.D
+    # each state's step: None when its chain fits, () when it has no guess
+    # left, else the jobs its pivot takes to each side
+    steps: dict[tuple[JobSet, int], tuple[JobSet, JobSet] | tuple[()] | None] = {}
+    dead: set[tuple[JobSet, int]] = set()
+    first: dict[SplitOutcome, Guesses] = {}
+    ended = 0  # vectors that ended so far
+    # (prefix, stay, guesses left, to-left, to-right) after the prefix's
+    # steps, or (None, stay, guesses left, ended, 0) to leave that state
+    todo: list[tuple] = [((), jobs, max_len, 0, 0)]
+    while todo:
+        prefix, stay, left, k_left, k_right = todo.pop()
+        state = (stay, left)
+        if prefix is None:
+            if ended == k_left:
+                dead.add(state)
+            continue
+        if state in steps:
+            move = steps[state]
+        else:
+            budget.tick_walk()
+            pivot = split_step(inst, stay, a, b, d)
+            move = steps[state] = (None if pivot is None else () if not left else
+                                   (moved_with(inst, pivot, LEFT, stay),
+                                    moved_with(inst, pivot, RIGHT, stay)))
+        if move is None:
+            budget.tick_walk()
+            ended += 1
+            first.setdefault((stay, k_left, k_right), prefix)
+        elif move:
+            to_left, to_right = move
+            todo.append((None, stay, left, ended, 0))
+            if (stay & ~to_right, left - 1) not in dead:
+                todo.append((prefix + (RIGHT,), stay & ~to_right, left - 1, k_left,
+                             k_right | to_right))
+            if (stay & ~to_left, left - 1) not in dead:
+                todo.append((prefix + (LEFT,), stay & ~to_left, left - 1, k_left | to_left,
+                             k_right))
+    return [(guesses, outcome) for outcome, guesses in first.items()]
 
 
 def _split_outcomes(
@@ -497,6 +583,7 @@ def _split_outcomes(
     jobs: JobSet,
     params: Params,
     memo: SolveMemo,
+    budget: Budget,
 ) -> tuple[SplitOutcome, ...]:
     """Split outcomes to try for ``jobs`` on the non-bottom interval ``f``:
     every distinct outcome of a guess vector of at most ``p`` entries on
@@ -506,21 +593,16 @@ def _split_outcomes(
     got = memo.splits.get((f, jobs))
     if got is None:
         length = params.T >> (f.bit_length() - 1)
-        max_len = params.p if tree_for(params).kinds[f] == TOP else params.m * length
-        got = tuple(result for _, result in _guess_outcomes(inst, f, jobs, params, max_len))
+        max_len = params.p if memo.tree.kinds[f] == TOP else params.m * length
+        got = tuple([result for _, result in
+                     _guess_outcomes(inst, f, jobs, params, max_len, budget)])
         memo.splits[(f, jobs)] = got
     return got
 
 
 def _size(mp: dict[int, JobSet]) -> int:
     """The number of jobs in the sets of ``mp``, which are disjoint."""
-    return sum(job_count(jobs) for jobs in mp.values())
-
-
-def _restrict(mp: dict[int, JobSet], half: int) -> dict[int, JobSet]:
-    """The entries of ``mp`` at heap index ``half`` or below it."""
-    hb = half.bit_length()
-    return {i: jobs for i, jobs in mp.items() if i >> max(i.bit_length() - hb, 0) == half}
+    return sum(map(int.bit_count, mp.values()))
 
 
 def schedule_subtree(
@@ -550,24 +632,28 @@ def schedule_subtree(
     up to translation: a repeat enters no node.  At the same heap index it
     returns the stored result, shared with the first caller; at another
     interval of the same level it returns new dicts holding the stored
-    result shifted into place (see ``SolveMemo``).
+    result shifted into place (see ``SolveMemo``).  Either way
+    ``memo.placed`` is then the number of jobs the result places.
     """
     memo = memo or SolveMemo()
     budget = budget or Budget()
+    tree = memo.tree
+    if tree is None:
+        tree = memo.tree = tree_for(params)
     i = sub.root
-    span = tree_for(params).span
-    begin = span[i][0]
+    begin = tree.span[i][0]
     key = sub.key(begin)
     hit = memo.subtrees.get(key)
     if hit is None:
-        got = _solve_subtree(inst, sub, params, budget, memo)
-        memo.subtrees[key] = got, i
+        got, placed = _solve_subtree(inst, sub, params, budget, memo)
+        memo.subtrees[key] = got, i, placed
+        memo.placed = placed
         return got
-    got, i0 = hit
+    got, i0, memo.placed = hit
     if got is None or i0 == i:
         return got
     system, assign = got
-    top, step, shift = i0.bit_length(), i - i0, begin - span[i0][0]
+    top, step, shift = i0.bit_length(), i - i0, begin - tree.span[i0][0]
     return (
         {k + (step << (k.bit_length() - top)): jobs for k, jobs in system.items()},
         {j: DISC if t is DISC else t + shift for j, t in assign.items()},
@@ -580,23 +666,26 @@ def _solve_subtree(
     params: Params,
     budget: Budget,
     memo: SolveMemo,
-) -> Result | None:
+) -> tuple[Result | None, int]:
+    """``schedule_subtree``'s answer when the memo has none, with the
+    number of jobs it places."""
     budget.tick()
-    tree = tree_for(params)
+    tree = memo.tree
     i = sub.root
     begin, end = tree.span[i]
     cap = params.m * (end - begin)
-    n_anc = job_count(sub.ancestors)
+    n_anc = sub.ancestors.bit_count()
     if n_anc > cap:
-        return None
+        return None, 0
     n_own = _size(sub.assigned) + _size(sub.pending)  # disjoint sets
     if n_own > cap:
-        return None
+        return None, 0
 
     if tree.kinds[i] == BOT:
         bottom = sub.assigned.get(i, 0) | sub.pending.get(i, 0)
-        return {i: bottom}, bottom_solve(
+        assign = bottom_solve(
             inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, budget)
+        return ({i: bottom}, assign), len(assign) - [*assign.values()].count(DISC)
 
     frontier = tree.below(i, params.h - 1)
     if not frontier:
@@ -609,9 +698,9 @@ def _solve_subtree(
             if tree.kinds[f] == BOT:
                 per_interval.append([(f, None)])
                 continue
-            options = _split_outcomes(inst, f, jobs, params, memo)
+            options = _split_outcomes(inst, f, jobs, params, memo, budget)
             if not options:
-                return None
+                return None, 0
             per_interval.append([(f, result) for result in options])
         splits = product(*per_interval)
 
@@ -620,6 +709,10 @@ def _solve_subtree(
     # jobs, three disjoint sets), read from the second candidate on
     most = min(cap, n_anc + n_own)
     half_cap = cap // 2
+    lo, hi = 2 * i, 2 * i + 1
+    # an index k at a half or below it is under ``hi`` iff bit
+    # ``k.bit_length() - below - 1`` of k is set
+    below = i.bit_length()
     best: Result | None = None
     best_count = -1
     for combo in splits:
@@ -634,60 +727,65 @@ def _solve_subtree(
                 k_map[2 * f] = k_left
                 k_map[2 * f + 1] = k_right
         own_windows = node_windows(inst, i, j_map, k_map, params)
-        pool_windows = {**sub.anc_windows, **own_windows}
+        pool_windows = {**sub.anc_windows, **own_windows} if sub.anc_windows else own_windows
         partitions = enumerate_partitions(pool_windows, tree.interval[i])
 
-        # what each half inherits besides its ancestors, for every partition
-        lo_assigned, lo_pending = _restrict(j_map, 2 * i), _restrict(k_map, 2 * i)
-        hi_assigned, hi_pending = _restrict(j_map, 2 * i + 1), _restrict(k_map, 2 * i + 1)
-        lo_own = hi_own = -1  # their jobs, counted on first use
+        # what each half inherits besides its ancestors, and how many jobs,
+        # for every partition: one pass over both maps
+        halves = (({}, {}), ({}, {}))  # (assigned, pending) of lo, hi
+        own = [0, 0]
+        for at, mp in enumerate((j_map, k_map)):
+            for k, jobs in mp.items():
+                if k != i:
+                    side = k >> (k.bit_length() - below - 1) & 1
+                    halves[side][at][k] = jobs
+                    own[side] += jobs.bit_count()
+        (lo_assigned, lo_pending), (hi_assigned, hi_pending) = halves
+        lo_own, hi_own = own
         for j_left, j_right, j_disc in partitions:
             if best is not None:
-                if lo_own < 0:
-                    lo_own = _size(lo_assigned) + _size(lo_pending)
-                    hi_own = _size(hi_assigned) + _size(hi_pending)
-                ub_right = min(half_cap, job_count(j_right) + hi_own)
-                if min(half_cap, job_count(j_left) + lo_own) + ub_right <= best_count:
+                ub_right = min(half_cap, j_right.bit_count() + hi_own)
+                if min(half_cap, j_left.bit_count() + lo_own) + ub_right <= best_count:
                     continue
             left_in = SubproblemInput(
-                root=2 * i,
+                root=lo,
                 ancestors=j_left,
-                anc_windows={j: pool_windows[j] for j in iter_jobs(j_left)},
+                anc_windows={j: pool_windows[j] for j in iter_jobs(j_left)} if j_left else {},
                 assigned=lo_assigned,
                 pending=lo_pending,
             )
             left = schedule_subtree(inst, left_in, params, budget, memo)
             if left is None:
                 continue
-            if best is not None and (
-                sum(1 for t in left[1].values() if t is not None) + ub_right <= best_count
-            ):
+            left_count = memo.placed
+            if best is not None and left_count + ub_right <= best_count:
                 continue
             right_in = SubproblemInput(
-                root=2 * i + 1,
+                root=hi,
                 ancestors=j_right,
-                anc_windows={j: pool_windows[j] for j in iter_jobs(j_right)},
+                anc_windows={j: pool_windows[j] for j in iter_jobs(j_right)} if j_right else {},
                 assigned=hi_assigned,
                 pending=hi_pending,
             )
             right = schedule_subtree(inst, right_in, params, budget, memo)
             if right is None:
                 continue
-            (lsys, lassign), (rsys, rassign) = left, right
-            merged: PartialAssign = dict(lassign)
-            merged.update(rassign)
-            for j in iter_jobs(j_disc):
-                merged[j] = DISC
-            count = sum(1 for t in merged.values() if t is not None)
+            # the halves place disjoint jobs, and the discarded ones none
+            count = left_count + memo.placed
             if count > best_count:
+                (lsys, lassign), (rsys, rassign) = left, right
+                merged: PartialAssign = dict(lassign)
+                merged.update(rassign)
+                for j in iter_jobs(j_disc):
+                    merged[j] = DISC
                 assign_map = {i: j_map.get(i, 0)}
                 assign_map.update(lsys)
                 assign_map.update(rsys)
                 best = assign_map, merged
                 best_count = count
                 if count == most:
-                    return best
-    return best
+                    return best, count
+    return best, max(best_count, 0)
 
 
 def _outer_cascades(
@@ -702,7 +800,7 @@ def _outer_cascades(
     heap index; prunes states where a half receives more jobs than it can
     hold.
     """
-    tree = tree_for(params)
+    tree = memo.tree
     m = params.m
     # the levels above the frontier, root first, each by begin
     outer = range(1, 1 << max(min(params.h - 1, tree.L + 1), 0))
@@ -721,7 +819,7 @@ def _outer_cascades(
             del j_map[f]
             return
         half = m * (params.T >> (f.bit_length() - 1)) // 2
-        for stay, k_left, k_right in _split_outcomes(inst, f, jobs, params, memo):
+        for stay, k_left, k_right in _split_outcomes(inst, f, jobs, params, memo, budget):
             if job_count(k_left) > half or job_count(k_right) > half:
                 continue
             j_map[f] = stay
@@ -749,8 +847,9 @@ def main_solve(
     Always succeeds: the all-discard schedule over a trivial system is the
     starting candidate.  The result is a full system together with a
     virtually-valid schedule for it.  Subproblems and split outcomes met
-    again during the call are answered from one ``SolveMemo``.  The outer
-    states are tried in order until one places every job.
+    again during the call are answered from one ``SolveMemo``, which also
+    holds the call's tree.  The outer states are tried in order until one
+    places every job.
 
     When ``L = 0`` the whole horizon is one bottom interval: the result is
     one ``bottom_solve`` of all jobs on the root, with no cascades,
@@ -773,22 +872,22 @@ def main_solve(
         assign = bottom_solve(inst, tree.interval[1], inst.all_jobs, 0, {}, budget)
         return root_sys, Schedule(T=params.T, assign=tuple(assign[j] for j in range(inst.n)))
     memo = SolveMemo()
+    memo.tree = tree
     best_count = 0
     for j_map, pending in _outer_cascades(inst, params, budget, memo):
         sub = SubproblemInput(root=1, assigned=j_map, pending=pending)
         got = schedule_subtree(inst, sub, params, budget, memo)
         if got is None:
             continue
-        sys_assign, assign = got
-        count = sum(1 for t in assign.values() if t is not None)
-        if count > best_count:
+        if memo.placed > best_count:
+            sys_assign, assign = got
             full_assign: list[Slot] = [DISC] * inst.n
             for j, t in assign.items():
                 full_assign[j] = t
             best = sys_assign
             best_sched = Schedule(T=params.T, assign=tuple(full_assign))
-            best_count = count
-            if count == inst.n:  # no later state can place more
+            best_count = memo.placed
+            if best_count == inst.n:  # no later state can place more
                 break
     return full_system(best), best_sched
 

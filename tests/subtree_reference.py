@@ -18,6 +18,15 @@ from the reference's slots there.  ``test_solver`` holds ``solve_hinted``,
 which answers with the reference's system and virtually-valid schedule
 without a search, to its schedules, and to its systems wherever a job is
 placed: a recursion that places none keeps its trivial starting system.
+
+``pruned_main_solve`` is the count-bounded enumeration as it was before
+its per-state path was reworked: each state asks ``tree_for`` for the
+tree, recounts every result's placed jobs, restricts the parent's maps to
+each half with four ``_restrict`` calls, sorts empty maps in the memo key,
+walks every guess prefix (``split_reference``) and computes windows and
+partitions with the earlier ``node_windows`` and
+``partition_reference.reference_placeable_partitions``.  ``test_solver``
+holds ``main_solve`` to its systems, schedules and node counts.
 """
 
 from __future__ import annotations
@@ -30,11 +39,14 @@ from psched.convert import valid_to_virtually_valid
 from psched.core import DISC, Instance, JobSet, Schedule, Slot, iter_jobs, job_count, mask_from
 from psched.dyadic import (
     BOT,
+    TOP,
     Params,
+    Window,
     full_system,
     node_windows,
     system_from_schedule,
     tree_for,
+    window_step,
 )
 from psched.solver import (
     Budget,
@@ -43,12 +55,19 @@ from psched.solver import (
     SolveMemo,
     SplitOutcome,
     SubproblemInput,
-    _restrict,
     bottom_solve,
     enumerate_partitions,
 )
 
 from bottom_reference import reference_bottom_solve
+from partition_reference import reference_placeable_partitions
+from split_reference import reference_guess_outcomes
+
+
+def _restrict(mp: dict[int, JobSet], half: int) -> dict[int, JobSet]:
+    """The entries of ``mp`` at heap index ``half`` or below it."""
+    hb = half.bit_length()
+    return {i: jobs for i, jobs in mp.items() if i >> max(i.bit_length() - hb, 0) == half}
 
 
 @dataclass(frozen=True)
@@ -65,7 +84,7 @@ def _split_outcomes(inst, f, jobs, params, hints, memo):
     """The one outcome recorded at ``f`` with hints, else the solver's."""
     if hints is not None:
         return (hints.outcomes[f],)
-    return solver._split_outcomes(inst, f, jobs, params, memo)
+    return solver._split_outcomes(inst, f, jobs, params, memo, Budget())
 
 
 def _schedule_subtree(inst, sub, params, budget, memo, hints):
@@ -200,6 +219,13 @@ def reference_solve_subtree(
     return best
 
 
+def counted_reference_solve_subtree(inst, sub, params, budget, memo):
+    """``reference_solve_subtree`` in the shape of ``solver._solve_subtree``:
+    its result with the number of jobs that result places."""
+    got = reference_solve_subtree(inst, sub, params, budget, memo)
+    return got, 0 if got is None else sum(1 for t in got[1].values() if t is not None)
+
+
 def _outer_cascades(inst, params, budget, hints, memo):
     """The earlier ``solver._outer_cascades``, reading hints when given."""
     tree = tree_for(params)
@@ -247,7 +273,7 @@ def reference_main_solve(
     assert tree.L > 0 and inst.n > 0
     best = {1 << tree.L: inst.all_jobs}
     best_sched = Schedule(T=params.T, assign=(DISC,) * inst.n)
-    memo = SolveMemo()
+    memo = SolveMemo(tree=tree)
     best_count = 0
     for j_map, pending in _outer_cascades(inst, params, budget, hints, memo):
         sub = SubproblemInput(root=1, assigned=j_map, pending=pending)
@@ -279,3 +305,258 @@ def reference_solve_hinted(
     virt = valid_to_virtually_valid(inst, ref_sys, reference, params)
     outcomes = {i: (ref_sys.assign[i], covered[2 * i], covered[2 * i + 1]) for i in guesses}
     return reference_main_solve(inst, params, budget, Hints(virt, outcomes))
+
+
+def reference_node_windows(
+    inst: Instance,
+    root: int,
+    j_map: dict[int, JobSet],
+    k_map: dict[int, JobSet],
+    params: Params,
+) -> dict[int, Window]:
+    """The earlier ``dyadic.node_windows``: every boundary short of the
+    center is scanned, and the region of every set is computed, even when
+    there is none."""
+    own = j_map.get(root, 0)
+    if not own:
+        return {}
+    span = tree_for(params).span
+    begin, end = span[root]
+    center = (begin + end) // 2
+    step = window_step(params, end - begin)
+    known = [(span[i], jobs) for mp in (j_map, k_map) for i, jobs in mp.items() if jobs]
+
+    def within(b: int, e: int) -> JobSet:
+        out = 0
+        for (ib, ie), jobs in known:
+            if b <= ib and ie <= e:
+                out |= jobs
+        return out
+
+    lefts = [(b, within(b, center)) for b in range(begin + step, center, step)]
+    rights = [(e, within(center, e)) for e in range(end - step, center, -step)]
+    return {
+        j: (next((b for b, region in lefts if inst.no_prec_between(region, 1 << j)), center),
+            next((e for e, region in rights if inst.no_prec_between(1 << j, region)), center))
+        for j in iter_jobs(own)
+    }
+
+
+def _pruned_key(sub: SubproblemInput, begin: int) -> tuple:
+    """The earlier ``SubproblemInput.key``, which sorted every map."""
+    i = sub.root
+    top = i.bit_length()
+    lift = i - 1
+    return (
+        top - 1,
+        sub.ancestors,
+        tuple(sorted([(j, b - begin, e - begin) for j, (b, e) in sub.anc_windows.items()])),
+        tuple(sorted([(k - (lift << (k.bit_length() - top)), jobs)
+                      for k, jobs in sub.assigned.items()])),
+        tuple(sorted([(k - (lift << (k.bit_length() - top)), jobs)
+                      for k, jobs in sub.pending.items()])),
+    )
+
+
+def _pruned_split_outcomes(inst, f, jobs, params, splits):
+    """Every outcome of the walk over all prefixes, once per (f, jobs)."""
+    got = splits.get((f, jobs))
+    if got is None:
+        length = params.T >> (f.bit_length() - 1)
+        max_len = params.p if tree_for(params).kinds[f] == TOP else params.m * length
+        got = tuple(result for _, result in
+                    reference_guess_outcomes(inst, f, jobs, params, max_len))
+        splits[(f, jobs)] = got
+    return got
+
+
+def _size(mp: dict[int, JobSet]) -> int:
+    return sum(job_count(jobs) for jobs in mp.values())
+
+
+def _pruned_schedule_subtree(inst, sub, params, budget, memo):
+    """The earlier ``schedule_subtree`` over plain memo tables."""
+    subtrees, _ = memo
+    i = sub.root
+    span = tree_for(params).span
+    begin = span[i][0]
+    key = _pruned_key(sub, begin)
+    hit = subtrees.get(key)
+    if hit is None:
+        got = _pruned_solve_subtree(inst, sub, params, budget, memo)
+        subtrees[key] = got, i
+        return got
+    got, i0 = hit
+    if got is None or i0 == i:
+        return got
+    system, assign = got
+    top, step, shift = i0.bit_length(), i - i0, begin - span[i0][0]
+    return (
+        {k + (step << (k.bit_length() - top)): jobs for k, jobs in system.items()},
+        {j: DISC if t is DISC else t + shift for j, t in assign.items()},
+    )
+
+
+def _pruned_solve_subtree(inst, sub, params, budget, memo):
+    """The earlier ``_solve_subtree``, count bounds included."""
+    _, splits_memo = memo
+    budget.tick()
+    tree = tree_for(params)
+    i = sub.root
+    begin, end = tree.span[i]
+    cap = params.m * (end - begin)
+    n_anc = job_count(sub.ancestors)
+    if n_anc > cap:
+        return None
+    n_own = _size(sub.assigned) + _size(sub.pending)
+    if n_own > cap:
+        return None
+
+    if tree.kinds[i] == BOT:
+        bottom = sub.assigned.get(i, 0) | sub.pending.get(i, 0)
+        return {i: bottom}, bottom_solve(
+            inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, budget)
+
+    frontier = tree.below(i, params.h - 1)
+    if not frontier:
+        splits = iter(((),))
+    else:
+        per_interval: list[list[tuple[int, SplitOutcome | None]]] = []
+        for f in frontier:
+            jobs = sub.pending.get(f, 0)
+            if tree.kinds[f] == BOT:
+                per_interval.append([(f, None)])
+                continue
+            options = _pruned_split_outcomes(inst, f, jobs, params, splits_memo)
+            if not options:
+                return None
+            per_interval.append([(f, result) for result in options])
+        splits = product(*per_interval)
+
+    most = min(cap, n_anc + n_own)
+    half_cap = cap // 2
+    best: Result | None = None
+    best_count = -1
+    for combo in splits:
+        j_map = dict(sub.assigned)
+        k_map: dict[int, JobSet] = {}
+        for f, outcome in combo:
+            if outcome is None:
+                j_map[f] = sub.pending.get(f, 0)
+            else:
+                stay, k_left, k_right = outcome
+                j_map[f] = stay
+                k_map[2 * f] = k_left
+                k_map[2 * f + 1] = k_right
+        own_windows = reference_node_windows(inst, i, j_map, k_map, params)
+        pool_windows = {**sub.anc_windows, **own_windows}
+        partitions = reference_placeable_partitions(pool_windows, tree.interval[i])
+
+        lo_assigned, lo_pending = _restrict(j_map, 2 * i), _restrict(k_map, 2 * i)
+        hi_assigned, hi_pending = _restrict(j_map, 2 * i + 1), _restrict(k_map, 2 * i + 1)
+        lo_own = hi_own = -1
+        for j_left, j_right, j_disc in partitions:
+            if best is not None:
+                if lo_own < 0:
+                    lo_own = _size(lo_assigned) + _size(lo_pending)
+                    hi_own = _size(hi_assigned) + _size(hi_pending)
+                ub_right = min(half_cap, job_count(j_right) + hi_own)
+                if min(half_cap, job_count(j_left) + lo_own) + ub_right <= best_count:
+                    continue
+            left_in = SubproblemInput(
+                root=2 * i,
+                ancestors=j_left,
+                anc_windows={j: pool_windows[j] for j in iter_jobs(j_left)},
+                assigned=lo_assigned,
+                pending=lo_pending,
+            )
+            left = _pruned_schedule_subtree(inst, left_in, params, budget, memo)
+            if left is None:
+                continue
+            if best is not None and (
+                sum(1 for t in left[1].values() if t is not None) + ub_right <= best_count
+            ):
+                continue
+            right_in = SubproblemInput(
+                root=2 * i + 1,
+                ancestors=j_right,
+                anc_windows={j: pool_windows[j] for j in iter_jobs(j_right)},
+                assigned=hi_assigned,
+                pending=hi_pending,
+            )
+            right = _pruned_schedule_subtree(inst, right_in, params, budget, memo)
+            if right is None:
+                continue
+            (lsys, lassign), (rsys, rassign) = left, right
+            merged: PartialAssign = dict(lassign)
+            merged.update(rassign)
+            for j in iter_jobs(j_disc):
+                merged[j] = DISC
+            count = sum(1 for t in merged.values() if t is not None)
+            if count > best_count:
+                assign_map = {i: j_map.get(i, 0)}
+                assign_map.update(lsys)
+                assign_map.update(rsys)
+                best = assign_map, merged
+                best_count = count
+                if count == most:
+                    return best
+    return best
+
+
+def pruned_main_solve(inst: Instance, params: Params, budget: Budget | None = None):
+    """The earlier ``main_solve`` on a tree with ``L > 0``, stopping at the
+    first outer state that places every job."""
+    budget = budget or Budget()
+    tree = tree_for(params)
+    assert tree.L > 0 and inst.n > 0
+    best = {1 << tree.L: inst.all_jobs}
+    best_sched = Schedule(T=params.T, assign=(DISC,) * inst.n)
+    memo: tuple[dict, dict] = ({}, {})
+    best_count = 0
+    m = params.m
+    outer = range(1, 1 << max(min(params.h - 1, tree.L + 1), 0))
+    frontier = tree.below(1, params.h - 1)
+
+    def walk(idx, j_map, k_map):
+        budget.tick()
+        if idx == len(outer):
+            yield dict(j_map), {f: k_map.get(f, 0) for f in frontier}
+            return
+        f = outer[idx]
+        jobs = k_map.get(f, 0)
+        if tree.kinds[f] == BOT:
+            j_map[f] = jobs
+            yield from walk(idx + 1, j_map, k_map)
+            del j_map[f]
+            return
+        half = m * (params.T >> (f.bit_length() - 1)) // 2
+        for stay, k_left, k_right in _pruned_split_outcomes(inst, f, jobs, params, memo[1]):
+            if job_count(k_left) > half or job_count(k_right) > half:
+                continue
+            j_map[f] = stay
+            k_map[2 * f] = k_left
+            k_map[2 * f + 1] = k_right
+            yield from walk(idx + 1, j_map, k_map)
+            del j_map[f], k_map[2 * f], k_map[2 * f + 1]
+
+    try:
+        for j_map, pending in walk(0, {}, {1: inst.all_jobs}):
+            sub = SubproblemInput(root=1, assigned=j_map, pending=pending)
+            got = _pruned_schedule_subtree(inst, sub, params, budget, memo)
+            if got is None:
+                continue
+            sys_assign, assign = got
+            count = sum(1 for t in assign.values() if t is not None)
+            if count > best_count:
+                full_assign: list[Slot] = [DISC] * inst.n
+                for j, t in assign.items():
+                    full_assign[j] = t
+                best = sys_assign
+                best_sched = Schedule(T=params.T, assign=tuple(full_assign))
+                best_count = count
+                if count == inst.n:
+                    break
+    finally:
+        del walk
+    return full_system(best), best_sched

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 
-from psched import io, pipeline
+from psched import baselines, io, pipeline
 from psched.baselines import (
     CapacityProfile,
     bound_sandwich,
@@ -358,6 +358,27 @@ def test_bound_sandwich_prefers_graham_on_a_tie():
     assert critical_path_list(inst).assign == (2, 1, 3)
     assert bound_sandwich(inst)[1] == graham_list(inst)
     assert graham_list(inst).assign == (1, 2, 3)
+
+
+@pytest.mark.parametrize("seed, lists", [(1, 1), (162, 2)])
+def test_bound_sandwich_builds_the_critical_path_list_only_past_the_bound(monkeypatch,
+                                                                          seed, lists):
+    # random-dag n=12 m=2: at seed 1 Graham's schedule meets the level
+    # bound, so nothing can be shorter; at seed 162 it does not (level
+    # bound 7, both lists 8) and the critical-path list is built too
+    built = []
+    list_schedule = baselines._list_schedule
+
+    def spy(inst, priority):
+        built.append(priority)
+        return list_schedule(inst, priority)
+
+    monkeypatch.setattr(baselines, "_list_schedule", spy)
+    inst, _ = gen_instance("random-dag", 12, 2, 0.3, seed)
+    lower, upper = bound_sandwich(inst)
+    assert len(built) == lists
+    assert upper == graham_list(inst)
+    assert (upper.makespan == lower) == (lists == 1)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

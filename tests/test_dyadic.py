@@ -35,7 +35,7 @@ from psched.dyadic import (
     windows,
 )
 from psched.errors import GuessExhausted, InvalidInput, InvalidOverride
-from psched.solver import _restrict
+from subtree_reference import _restrict
 
 from bottom_reference import reference_warm_check
 from conftest import assert_no_violations, random_instance

@@ -74,3 +74,25 @@ def test_library_input_errors(kwargs, error, message):
     inst, _ = gen_instance("random-dag", 12, 2, 0.3, 4)
     with pytest.raises(error, match=message):
         pipeline(inst, **kwargs)
+
+
+@pytest.mark.parametrize("overrides, horizon, padded", [
+    ({}, 9, False),  # collapsed: the oracle's schedule on the instance itself
+    (DEEP, 12, True),  # deep: the reference is replayed on the padded instance
+], ids=["collapsed", "deep"])
+def test_an_attempt_with_an_oracle_pads_only_a_deep_tree(monkeypatch, overrides, horizon,
+                                                         padded):
+    from psched import pipeline as pipeline_module
+
+    calls = []
+    pad = pipeline_module.pad_to_power_of_two
+
+    def spy(inst, T):
+        calls.append(T)
+        return pad(inst, T)
+
+    monkeypatch.setattr(pipeline_module, "pad_to_power_of_two", spy)
+    inst, _ = gen_instance("layered", 9, 2, 0.3, 2)
+    got = solve(inst, overrides=overrides, horizon=horizon, hinted=True)
+    assert got.padded_T == 16
+    assert calls == ([horizon] if padded else [])

@@ -3,6 +3,7 @@
 import copy
 import gc
 import random
+import sys
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -46,11 +47,19 @@ from psched.solver import (
 from psched.transform import pad_to_power_of_two
 
 from conftest import assert_no_violations, max_scheduled_oracle, random_instance
-from partition_reference import partition_class_key, reference_enumerate_partitions
+from partition_reference import (
+    partition_class_key,
+    reference_enumerate_partitions,
+    reference_placeable_partitions,
+)
+from split_reference import distinct_outcomes, reference_guess_outcomes
 from subtree_reference import (
+    _restrict,
+    counted_reference_solve_subtree,
+    pruned_main_solve,
     reference_main_solve,
+    reference_node_windows,
     reference_solve_hinted,
-    reference_solve_subtree,
 )
 from system_reference import check_system
 
@@ -201,7 +210,7 @@ def _solve_with(monkeypatch, reference, name, *args):
     """``solver.<name>(*args)`` with the reference subtree solver and
     ``main_solve`` loop patched in or not, as (system, schedule, nodes)."""
     if reference:
-        monkeypatch.setattr(solver, "_solve_subtree", reference_solve_subtree)
+        monkeypatch.setattr(solver, "_solve_subtree", counted_reference_solve_subtree)
         monkeypatch.setattr(solver, "main_solve", reference_main_solve)
     else:
         monkeypatch.undo()
@@ -226,6 +235,71 @@ def test_count_bounds_match_solving_every_candidate(monkeypatch, family, m):
         assert got[2] <= ref[2], case
         fewer += got[2] < ref[2]
     assert fewer > 0
+
+
+# (T, h, hp, p) of the deep trees on which the reworked per-state path
+# must give the earlier one's systems, schedules and node counts
+LEAN_GRID = [(16, 1, 1, 2), (32, 1, 1, 2), (16, 2, 1, 3), (32, 2, 1, 2), (8, 1, 0, 2),
+             (32, 3, 1, 2)]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("family", DEEP_FAMILIES)
+def test_main_solve_matches_the_earlier_per_state_path(family, m):
+    placed = 0
+    for (T, h, hp, p), n in product(LEAN_GRID, range(5, 11)):
+        inst, _ = gen_instance(family, n, m, 0.3, 100 * m + 10 * n + T + h)
+        params = compute_params(T, m, Fraction(1, 2), overrides={"h": h, "hp": hp, "p": p})
+        runs = []
+        for solve in (main_solve, pruned_main_solve):
+            budget = Budget()
+            sys_out, sched = solve(inst, params, budget)
+            runs.append((sys_out, sched, budget.nodes))
+        assert runs[0] == runs[1], (T, h, hp, p, n)
+        placed += runs[0][1].scheduled_count
+    assert placed > 0
+
+
+def test_enumerate_partitions_match_the_earlier_enumeration():
+    # the same partitions in the same order, with jobs whose window misses
+    # both halves (empty, or outside the root) discarded in every one
+    rng = random.Random(11)
+    root = Interval(0, 16)
+    dead = 0
+    for trial in range(200):
+        pool = {}
+        for j in rng.sample(range(12), rng.randrange(0, 7)):
+            b = rng.choice([0, 4, 8, 12, 16, 20])
+            pool[j] = (b, rng.choice([b, b, b + 4, b + 8]))
+        dead += sum(1 for b, e in pool.values() if b == e or b >= 16)
+        assert list(enumerate_partitions(pool, root)) == list(
+            reference_placeable_partitions(pool, root)), pool
+    assert dead > 0
+
+
+def test_node_windows_match_the_earlier_region_scan():
+    # the (center, center] shortcut where no boundary lies short of the
+    # center, and the scan elsewhere, give the windows the scan gave
+    short = scanned = 0
+    for seed in range(24):
+        m = 2 + seed % 2
+        T = (16, 32, 64)[seed % 3]
+        h = (1, 2, 3)[seed % 3]
+        inst, sched = reference_pair(seed, T=T, m=m, n=10)
+        params = compute_params(T, m, Fraction(1, 2), overrides={
+            "h": h, "hp": 1, "delta": Fraction(1, 4), "deltap": Fraction(1, 8)})
+        sys_ref, covered, _ = system_from_schedule(inst, sched, params)
+        tree = tree_for(params)
+        for i in range(1, 1 << tree.L):
+            if tree.kinds[i] != "top":
+                continue
+            j_map = {k: sys_ref.assign.get(k, 0) for d in range(h) for k in tree.below(i, d)}
+            k_map = {k: covered[k] for k in tree.below(i, h)}
+            got = node_windows(inst, i, j_map, k_map, params)
+            assert got == reference_node_windows(inst, i, j_map, k_map, params), (seed, i)
+            short += h == 1 and bool(got)
+            scanned += h > 1 and bool(got)
+    assert short > 0 and scanned > 0
 
 
 # (h, hp) of the trees on which the replay must match the recursion, and
@@ -544,7 +618,7 @@ def test_schedule_subtree_preserves_fixed_levels():
         assert by_index[1] == sys.assign.get(1, 0)
         for f in frontier:
             agg = 0
-            for jobs in solver._restrict(by_index, f).values():
+            for jobs in _restrict(by_index, f).values():
                 agg |= jobs
             assert agg == covered[f]
         out_sys = PartialDyadicSystem(assign=by_index)
@@ -896,6 +970,8 @@ def _guess_outcomes_by_prefix(inst, iv, jobs, params, max_len):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_guess_outcomes_walk_matches_push_down_per_prefix(seed):
+    # the walk lists each distinct outcome once, with the first guess
+    # vector (lexicographic, 'L' first) whose replay reaches it
     rng = random.Random(seed)
     m = 1 + seed % 3
     inst = random_instance(rng.randrange(5, 11), m, 0.35, seed)
@@ -906,7 +982,91 @@ def test_guess_outcomes_walk_matches_push_down_per_prefix(seed):
             jobs = mask_from(j for j in range(inst.n) if rng.random() < 0.8)
             for max_len in (0, 1, 2, 4):
                 assert solver._guess_outcomes(inst, iv, jobs, params, max_len) == (
-                    _guess_outcomes_by_prefix(inst, iv, jobs, params, max_len))
+                    distinct_outcomes(_guess_outcomes_by_prefix(inst, iv, jobs, params, max_len)))
+
+
+# (T, h, hp, p) of the trees whose top and middle intervals the memoized
+# walk is checked on; middle intervals walk up to m * |I| guesses, 24 at
+# m = 3 on the h = 2 middle level
+SPLIT_GRID = [(16, 1, 1, 2), (32, 2, 1, 3), (32, 1, 2, 2), (64, 2, 1, 3)]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("family", DEEP_FAMILIES)
+def test_memoized_walk_matches_the_walk_of_every_prefix(family, m):
+    # the same distinct outcomes in the same order, each with the same
+    # first guess vector, as the walk that visits every prefix, and its
+    # states tick the walk's counter, not the nodes
+    longest = 0
+    for (T, h, hp, p), n in product(SPLIT_GRID, (6, 9, 12)):
+        inst, _ = gen_instance(family, n, m, 0.3, 31 * n + T + h + m)
+        params = compute_params(T, m, Fraction(1, 2), overrides={"h": h, "hp": hp, "p": p})
+        tree = tree_for(params)
+        rng = random.Random(n + T)
+        for iv in range(1, 1 << tree.L):
+            length = T >> (iv.bit_length() - 1)
+            max_len = p if tree.kinds[iv] == "top" else m * length
+            jobs = mask_from(j for j in range(inst.n) if rng.random() < 0.7)
+            budget = Budget()
+            got = solver._guess_outcomes(inst, iv, jobs, params, max_len, budget)
+            walk = reference_guess_outcomes(inst, iv, jobs, params, max_len)
+            assert got == distinct_outcomes(walk), (T, h, n, iv)
+            assert len(walk) == len(got)  # no walk here reaches an outcome twice
+            assert budget.walk_states > 0 and budget.nodes == 0
+            longest = max(longest, max_len)
+    assert longest == 8 * m
+
+
+def test_split_walk_states_exhaust_the_budget_before_the_nodes():
+    # a chain of 12 jobs on a middle interval, where no chain fits: each
+    # pivot is the chain's first job, sent left alone or right with the
+    # rest, so the walk steps 12 residual sets and 12 empty ones, and 13
+    # vectors end (a right turn after each of 0-11 left ones, or 12 left)
+    inst = build_instance(12, 3, [(j, j + 1) for j in range(11)])
+    params = compute_params(16, 3, Fraction(1, 2), overrides={"h": 2, "hp": 1, "p": 2})
+    assert tree_for(params).kinds[2] == "mid"
+    states = Budget()
+    outcomes = solver._guess_outcomes(inst, 2, inst.all_jobs, params, 12, states)
+    assert (states.nodes, states.walk_states, len(outcomes)) == (0, 37, 13)
+    assert outcomes == distinct_outcomes(reference_guess_outcomes(inst, 2, inst.all_jobs,
+                                                                 params, 12))
+    budget = Budget(limit=36)
+    with pytest.raises(BudgetExceeded, match="37 split-walk states > limit 36") as exc:
+        solver._guess_outcomes(inst, 2, inst.all_jobs, params, 12, budget)
+    assert exc.value.nodes == 37 and budget.nodes == 0
+    # in a solve: the root's split walk runs out with two nodes spent, the
+    # outer cascades' one state and the root's subproblem
+    params = compute_params(16, 3, Fraction(1, 2), overrides={"h": 1, "hp": 3, "p": 2})
+    assert tree_for(params).kinds[1] == "mid"
+    budget = Budget(limit=3)
+    with pytest.raises(BudgetExceeded, match="4 split-walk states > limit 3"):
+        main_solve(inst, params, budget=budget)
+    assert budget.nodes == 2
+
+
+def test_split_walk_is_bounded_however_many_vectors_end():
+    # 40 independent jobs on a middle interval: every pivot goes left or
+    # right alone, so 41 residual sets reach 2**40 outcomes; the budget
+    # stops the listing, as it does the stepping
+    inst = build_instance(40, 2, [])
+    params = compute_params(64, 2, Fraction(1, 2), overrides={"h": 1, "hp": 5, "p": 2})
+    assert tree_for(params).kinds[1] == "mid"
+    budget = Budget(limit=1000)
+    with pytest.raises(BudgetExceeded, match="split-walk states"):
+        solver._guess_outcomes(inst, 1, inst.all_jobs, params, 128, budget)
+    assert budget.walk_states == 1001
+
+
+def test_split_walk_deeper_than_the_recursion_limit():
+    # a chain longer than the recursion limit on a middle interval: one
+    # step per job down the all-left branch, with no recursion
+    n = sys.getrecursionlimit() + 50
+    inst = build_instance(n, 2, [(j, j + 1) for j in range(n - 1)])
+    params = compute_params(2048, 2, Fraction(1, 2), overrides={"h": 1, "hp": 10, "p": 2})
+    assert tree_for(params).kinds[1] == "mid"
+    got = solver._guess_outcomes(inst, 1, inst.all_jobs, params, 2 * n)
+    assert got == reference_guess_outcomes(inst, 1, inst.all_jobs, params, 2 * n)
+    assert len(got) == n + 1
 
 
 class _NoStore(dict):
@@ -981,7 +1141,7 @@ def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_f
     memo = memos[0]
     assert memo.subtrees == memo.subtrees.copies  # no caller mutated a shared result
     assert memo.splits == memo.splits.copies
-    at_root = [got for got, i0 in memo.subtrees.values() if i0 == 1]
+    at_root = [got for got, i0, _ in memo.subtrees.values() if i0 == 1]
     if not root_fails:
         assert any(v is not None for v in at_root)
     else:

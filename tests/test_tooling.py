@@ -6,8 +6,10 @@ renames, moves or reshapes one of them must fail here, not only in a
 benchmark run.  The module is loaded from its file and left unchanged.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io as textio
 import inspect
 import os
 import subprocess
@@ -17,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from psched import cli, solver
+from psched import cli, core, generators, solver
+from psched import io as psched_io
 from psched.baselines import exact_opt
 from psched.core import Schedule
 from psched.dyadic import compute_params
@@ -177,3 +180,30 @@ def test_tracer_sees_the_layers_the_pipeline_module_calls(tmp_path, n, m, seed, 
     assert code == 0
     window = tracer.window(since)
     assert {key: window[key] for key in counts} == counts
+
+
+def test_traced_deep_enum_pass_keeps_its_per_layer_counts(tmp_path, monkeypatch):
+    # one traced pass of the benchmark's deep-enum pool at seed 301, built
+    # by the benchmark's own code and run on this process's package: what a
+    # search state costs may change, the states, subtree calls, bottom
+    # searches and partitions the pass enters may not
+    monkeypatch.syspath_prepend(str(TRACING_PATH.parent))
+    spec = importlib.util.spec_from_file_location("perfbench_run", TRACING_PATH.parent / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    mods = {"core": core, "generators": generators, "io": psched_io}
+    cases = run.build_pool(mods, run.WORKLOADS["deep-enum"], 301, tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        since = tracer.mark()
+        with contextlib.redirect_stderr(textio.StringIO()):
+            codes = [cli.run_command(case.argv) for case in cases]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * 28
+    window = tracer.window(since)
+    counts = ("solver.nodes", "solver.schedule_subtree.calls", "solver.bottom_solve.calls",
+              "solver.partitions_yielded")
+    assert [window[key] for key in counts] == [436, 356, 71, 183]
