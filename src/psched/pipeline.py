@@ -16,8 +16,8 @@ from .core import Instance, Schedule, Slot, iter_jobs
 from .dyadic import TOP, PartialDyadicSystem, Params, compute_params, tree_for
 from .errors import NoSolution
 from .solver import DEFAULT_BUDGET, Budget, main_solve, solve_hinted
-from .transform import (binary_search_makespan, insert_discarded, next_power_of_two,
-                        pad_to_power_of_two)
+from .transform import (binary_search_makespan, insert_discarded, pad_to_power_of_two,
+                        padded_horizon)
 
 
 @dataclass
@@ -74,20 +74,20 @@ def solve_at_horizon(
     virtually-valid schedule is made valid by ``virtually_valid_to_valid``
     only when it places a top job, since the conversion is the identity
     otherwise (and with ``L = 0`` there is no top interval)."""
-    T2 = next_power_of_two(max(horizon, 2))  # the horizon padding reaches
+    T2 = padded_horizon(horizon)
     params = compute_params(T2, inst.m, eps, overrides=overrides or None)
-    padded = inst
-    if oracle is None:
-        padded = pad_to_power_of_two(inst, horizon)[0]
-        sys_out, virtual = main_solve(padded, params, budget)
-    elif oracle[0] > horizon:
+    if oracle is not None and oracle[0] > horizon:
         return None
-    elif params.L == 0:
+    if oracle is not None and params.L == 0:
+        padded = inst
         sys_out, virtual = solve_hinted(inst, oracle[1], params)
     else:
         padded = pad_to_power_of_two(inst, horizon)[0]
-        reference = _with_sinks(inst, padded, oracle[1], horizon)
-        sys_out, virtual = solve_hinted(padded, reference, params)
+        if oracle is None:
+            sys_out, virtual = main_solve(padded, params, budget)
+        else:
+            reference = _with_sinks(inst, padded, oracle[1], horizon)
+            sys_out, virtual = solve_hinted(padded, reference, params)
     valid = virtual
     if _places_top_job(sys_out, virtual, params):
         valid = virtually_valid_to_valid(padded, sys_out, virtual, params)
@@ -115,7 +115,7 @@ def _search_horizon(inst, eps, overrides, budget, oracle, bounds):
         empty = Schedule(T=0, assign=())
         return SolveOutcome(horizon=0, padded_T=0, virtual=empty, valid=empty, discards=0,
                             nodes=budget.nodes)
-    T2 = next_power_of_two(max(bounds[1].makespan, 2))
+    T2 = padded_horizon(bounds[1].makespan)
     if compute_params(T2, inst.m, eps, overrides=overrides or None).L == 0:
         opt, best = oracle or exact_opt(inst, bounds=bounds, budget=budget)
         return solve_at_horizon(inst, opt, eps, overrides, budget, (opt, best))

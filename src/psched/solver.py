@@ -172,10 +172,12 @@ class SolveMemo:
     is the call's ``DyadicTree``, fetched by the first state that needs
     it, and ``placed`` the number of jobs that the result of the latest
     ``schedule_subtree`` call with this memo places (0 for ``None``), so
-    no caller counts an assignment again.  Only the enumeration builds
-    one: a hinted solve runs no recursion.  The instance and params are
-    fixed for the call, so each answer is a function of its key alone
-    and a repeat returns the value a second solve would compute.
+    no caller counts an assignment again; the next call overwrites it,
+    so a caller reads it right after its own call returns.  Only the
+    enumeration builds one: a hinted solve runs no recursion.  The
+    instance and params are fixed for the call, so each answer is a
+    function of its key alone and a repeat returns the value a second
+    solve would compute.
     A subproblem whose candidate the count bound cuts is never solved, so
     the memo may hold fewer keys than a solve of every candidate would
     leave, never a different value.  Stored results are shared and must
@@ -518,8 +520,8 @@ def _guess_outcomes(
     max_len: int,
     budget: Budget | None = None,
 ) -> list[tuple[Guesses, SplitOutcome]]:
-    """Distinct results of the split loop over all guess vectors of at most
-    ``max_len`` entries, each with the first vector that reaches it.
+    """Results of the split loop over all guess vectors of at most
+    ``max_len`` entries, one per vector that ends, with that vector.
 
     Walks the tree of guess prefixes left branch first, so results follow
     the lexicographic order of the vectors ('L' before 'R'), and prunes any
@@ -530,9 +532,9 @@ def _guess_outcomes(
     and never entered again: the prefixes that run out of guesses, which
     can be exponentially many, cost one visit per state.  Two vectors part
     at a pivot that one sends left and the other right, so their outcomes
-    differ; each is kept at its first occurrence all the same.  Each state
-    stepped and each vector that ends ticks ``budget.walk_states``, so the
-    walk cannot outrun the budget.
+    differ: no outcome is listed twice.  Each state stepped and each
+    vector that ends ticks ``budget.walk_states``, so the walk cannot
+    outrun the budget.
     """
     budget = budget or Budget()
     a, b = split_budget(params, iv)
@@ -541,16 +543,16 @@ def _guess_outcomes(
     # left, else the jobs its pivot takes to each side
     steps: dict[tuple[JobSet, int], tuple[JobSet, JobSet] | tuple[()] | None] = {}
     dead: set[tuple[JobSet, int]] = set()
-    first: dict[SplitOutcome, Guesses] = {}
-    ended = 0  # vectors that ended so far
+    out: list[tuple[Guesses, SplitOutcome]] = []
     # (prefix, stay, guesses left, to-left, to-right) after the prefix's
-    # steps, or (None, stay, guesses left, ended, 0) to leave that state
+    # steps, or (None, stay, guesses left, vectors listed, 0) to leave that
+    # state
     todo: list[tuple] = [((), jobs, max_len, 0, 0)]
     while todo:
         prefix, stay, left, k_left, k_right = todo.pop()
         state = (stay, left)
         if prefix is None:
-            if ended == k_left:
+            if len(out) == k_left:
                 dead.add(state)
             continue
         if state in steps:
@@ -563,18 +565,17 @@ def _guess_outcomes(
                                     moved_with(inst, pivot, RIGHT, stay)))
         if move is None:
             budget.tick_walk()
-            ended += 1
-            first.setdefault((stay, k_left, k_right), prefix)
+            out.append((prefix, (stay, k_left, k_right)))
         elif move:
             to_left, to_right = move
-            todo.append((None, stay, left, ended, 0))
+            todo.append((None, stay, left, len(out), 0))
             if (stay & ~to_right, left - 1) not in dead:
                 todo.append((prefix + (RIGHT,), stay & ~to_right, left - 1, k_left,
                              k_right | to_right))
             if (stay & ~to_left, left - 1) not in dead:
                 todo.append((prefix + (LEFT,), stay & ~to_left, left - 1, k_left | to_left,
                              k_right))
-    return [(guesses, outcome) for outcome, guesses in first.items()]
+    return out
 
 
 def _split_outcomes(
@@ -755,9 +756,9 @@ def _solve_subtree(
                 pending=lo_pending,
             )
             left = schedule_subtree(inst, left_in, params, budget, memo)
+            left_count = memo.placed  # before the right half's call overwrites it
             if left is None:
                 continue
-            left_count = memo.placed
             if best is not None and left_count + ub_right <= best_count:
                 continue
             right_in = SubproblemInput(
@@ -768,10 +769,10 @@ def _solve_subtree(
                 pending=hi_pending,
             )
             right = schedule_subtree(inst, right_in, params, budget, memo)
-            if right is None:
-                continue
             # the halves place disjoint jobs, and the discarded ones none
             count = left_count + memo.placed
+            if right is None:
+                continue
             if count > best_count:
                 (lsys, lassign), (rsys, rassign) = left, right
                 merged: PartialAssign = dict(lassign)
@@ -877,16 +878,17 @@ def main_solve(
     for j_map, pending in _outer_cascades(inst, params, budget, memo):
         sub = SubproblemInput(root=1, assigned=j_map, pending=pending)
         got = schedule_subtree(inst, sub, params, budget, memo)
+        placed = memo.placed  # the count of this call's result
         if got is None:
             continue
-        if memo.placed > best_count:
+        if placed > best_count:
             sys_assign, assign = got
             full_assign: list[Slot] = [DISC] * inst.n
             for j, t in assign.items():
                 full_assign[j] = t
             best = sys_assign
             best_sched = Schedule(T=params.T, assign=tuple(full_assign))
-            best_count = memo.placed
+            best_count = placed
             if best_count == inst.n:  # no later state can place more
                 break
     return full_system(best), best_sched

@@ -15,16 +15,21 @@ def next_power_of_two(x: int) -> int:
     return 1 << (x - 1).bit_length()
 
 
+def padded_horizon(T: int) -> int:
+    """The horizon ``pad_to_power_of_two`` pads ``T`` to: the smallest power
+    of two >= max(T, 2), the shortest horizon a tree has."""
+    return next_power_of_two(max(T, 2))
+
+
 def pad_to_power_of_two(inst: Instance, T: int) -> tuple[Instance, int, JobSet]:
     """Extend the instance so the target horizon becomes a power of two.
 
     Adds ``m * (T' - T)`` sink jobs, each preceded by every original job,
-    where ``T'`` is the smallest power of two >= max(T, 2), the shortest
-    horizon a tree has; none when there is no job for them to follow.
-    Original job ids are preserved; returns ``(padded instance, T', mask
-    of added jobs)``.
+    where ``T'`` is ``padded_horizon(T)``; none when there is no job for
+    them to follow.  Original job ids are preserved; returns ``(padded
+    instance, T', mask of added jobs)``.
     """
-    T2 = next_power_of_two(max(T, 2))
+    T2 = padded_horizon(T)
     extra = inst.m * (T2 - T) if inst.n else 0
     if extra == 0:
         return inst, T2, 0
@@ -45,92 +50,26 @@ def insert_discarded(inst: Instance, sched: Schedule) -> Schedule:
     (slot 0 if none), with the suffix of the schedule shifted right by one
     slot to make room.  Jobs are inserted in topological order so that a
     discarded predecessor is placed before its discarded successors.
-
-    Nothing is shifted: the slots that hold a job and one new slot per
-    discarded job are kept as a linked list of rows with order labels (see
-    ``_spread``), which tell which predecessor is latest, and every slot
-    is numbered once, at the end.  Besides reading each discarded job's
-    predecessors, that takes O(n + d log n) for ``d`` discarded jobs,
-    amortized, not O(n d) for a shift per job.
     """
     base = verify_valid(inst, sched)
     if not base.ok:
         raise InvalidInput(f"schedule is not valid before insertion:\n{base}")
-    missing = [j for j in inst.topo if sched.assign[j] is None]
-    if not missing:
-        return sched
-    # row 0 heads the schedule, row k is the k-th slot that holds a job,
-    # and each discarded job gets a row of its own: a doubly linked list
-    # (-1 at the ends) with labels below ``top`` that grow along it
-    used = sorted({t for t in sched.assign if t is not None})
-    k = len(used)
-    row_at = dict(zip(used, range(1, k + 1)))
-    row_of = [row_at.get(t) for t in sched.assign]  # a placed job's row
-    top = 1 << 2 * (k + 1 + len(missing)).bit_length() + 1  # above the rows' count squared
-    step = top // (k + 1)
-    label = list(range(0, (k + 1) * step, step))
-    nxt = list(range(1, k + 1)) + [-1]
-    prv = list(range(-1, k))
-    for j in missing:
-        a = 0  # the row of the latest predecessor
+    assign = list(sched.assign)
+    T = sched.T
+    for j in inst.topo:
+        if assign[j] is not None:
+            continue
+        t = 0
         for i in iter_jobs(inst.pred[j]):
-            if label[row_of[i]] > label[a]:
-                a = row_of[i]
-        b = nxt[a]
-        if (label[b] if b >= 0 else top) - label[a] < 2:
-            _spread(label, nxt, prv, a)
-        row_of[j] = r = len(label)  # the new row goes halfway from a to b
-        label.append((label[a] + (label[b] if b >= 0 else top)) // 2)
-        nxt.append(b)
-        prv.append(a)
-        nxt[a] = r
-        if b >= 0:
-            prv[b] = r
-    # a used slot moves by the new slots before it, and a new slot is one
-    # past the slot before it
-    slot = [0] * len(label)
-    moved = at = 0
-    r = nxt[0]
-    while r >= 0:
-        if r <= k:
-            at = used[r - 1]
-        else:
-            moved += 1
-        slot[r] = at + moved
-        r = nxt[r]
-    return Schedule(T=sched.T + len(missing), assign=tuple(slot[r] for r in row_of))
-
-
-def _spread(label: list[int], nxt: list[int], prv: list[int], a: int) -> None:
-    """Space evenly the rows of the smallest aligned label range around row
-    ``a`` whose width exceeds the square of the number of rows in it, which
-    leaves ``a`` at least 2 below its successor.
-
-    With labels below the square of the rows' count, that is the
-    list-labelling scheme of Bender et al. ("Two simplified algorithms for
-    maintaining order in a list", ESA 2002): a new row goes halfway
-    between its neighbours, and a spread when they are adjacent costs an
-    amortized O(log(rows)) per row.
-    """
-    first = last = a
-    count = 1
-    width = 1
-    while True:
-        width *= 2
-        lo = label[a] & -width
-        while prv[first] >= 0 and label[prv[first]] >= lo:
-            first = prv[first]
-            count += 1
-        while nxt[last] >= 0 and label[nxt[last]] < lo + width:
-            last = nxt[last]
-            count += 1
-        if count * count < width:
-            break
-    gap = width // count
-    r = first
-    for k in range(count):
-        label[r] = lo + k * gap
-        r = nxt[r]
+            ti = assign[i]
+            if ti is not None and ti > t:
+                t = ti
+        T += 1
+        for i, ti in enumerate(assign):
+            if ti is not None and ti >= t + 1:
+                assign[i] = ti + 1
+        assign[j] = t + 1
+    return Schedule(T=T, assign=tuple(assign))
 
 
 def binary_search_makespan(

@@ -4,8 +4,7 @@ A test-only copy of the earlier ``psched.solver._guess_outcomes``: it walks
 every terminating guess prefix, one stack entry per prefix, so a middle
 interval with ``max_len = m * |I|`` can take up to ``2 ** max_len`` steps,
 and it ticks no budget.  ``test_solver`` holds the memoized walk, which
-visits each (residual set, guesses left) once, to its distinct outcomes in
-first-occurrence order.
+visits each (residual set, guesses left) once, to the same list.
 """
 
 from __future__ import annotations
@@ -40,12 +39,3 @@ def reference_guess_outcomes(
             stack.append((prefix + (LEFT,), stay & ~left, k_left | left, k_right))
     return out
 
-
-def distinct_outcomes(
-    walk: list[tuple[Guesses, SplitOutcome]],
-) -> list[tuple[Guesses, SplitOutcome]]:
-    """``walk`` with each outcome kept at its first occurrence only."""
-    first: dict[SplitOutcome, Guesses] = {}
-    for guesses, outcome in walk:
-        first.setdefault(outcome, guesses)
-    return [(guesses, outcome) for outcome, guesses in first.items()]

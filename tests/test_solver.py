@@ -52,7 +52,7 @@ from partition_reference import (
     reference_enumerate_partitions,
     reference_placeable_partitions,
 )
-from split_reference import distinct_outcomes, reference_guess_outcomes
+from split_reference import reference_guess_outcomes
 from subtree_reference import (
     _restrict,
     counted_reference_solve_subtree,
@@ -970,8 +970,6 @@ def _guess_outcomes_by_prefix(inst, iv, jobs, params, max_len):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_guess_outcomes_walk_matches_push_down_per_prefix(seed):
-    # the walk lists each distinct outcome once, with the first guess
-    # vector (lexicographic, 'L' first) whose replay reaches it
     rng = random.Random(seed)
     m = 1 + seed % 3
     inst = random_instance(rng.randrange(5, 11), m, 0.35, seed)
@@ -982,7 +980,7 @@ def test_guess_outcomes_walk_matches_push_down_per_prefix(seed):
             jobs = mask_from(j for j in range(inst.n) if rng.random() < 0.8)
             for max_len in (0, 1, 2, 4):
                 assert solver._guess_outcomes(inst, iv, jobs, params, max_len) == (
-                    distinct_outcomes(_guess_outcomes_by_prefix(inst, iv, jobs, params, max_len)))
+                    _guess_outcomes_by_prefix(inst, iv, jobs, params, max_len))
 
 
 # (T, h, hp, p) of the trees whose top and middle intervals the memoized
@@ -994,9 +992,9 @@ SPLIT_GRID = [(16, 1, 1, 2), (32, 2, 1, 3), (32, 1, 2, 2), (64, 2, 1, 3)]
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("family", DEEP_FAMILIES)
 def test_memoized_walk_matches_the_walk_of_every_prefix(family, m):
-    # the same distinct outcomes in the same order, each with the same
-    # first guess vector, as the walk that visits every prefix, and its
-    # states tick the walk's counter, not the nodes
+    # the same vectors and outcomes in the same order as the walk that
+    # visits every prefix, no outcome twice, and its states tick the
+    # walk's counter, not the nodes
     longest = 0
     for (T, h, hp, p), n in product(SPLIT_GRID, (6, 9, 12)):
         inst, _ = gen_instance(family, n, m, 0.3, 31 * n + T + h + m)
@@ -1010,8 +1008,8 @@ def test_memoized_walk_matches_the_walk_of_every_prefix(family, m):
             budget = Budget()
             got = solver._guess_outcomes(inst, iv, jobs, params, max_len, budget)
             walk = reference_guess_outcomes(inst, iv, jobs, params, max_len)
-            assert got == distinct_outcomes(walk), (T, h, n, iv)
-            assert len(walk) == len(got)  # no walk here reaches an outcome twice
+            assert got == walk, (T, h, n, iv)
+            assert len({outcome for _, outcome in got}) == len(got)
             assert budget.walk_states > 0 and budget.nodes == 0
             longest = max(longest, max_len)
     assert longest == 8 * m
@@ -1028,8 +1026,7 @@ def test_split_walk_states_exhaust_the_budget_before_the_nodes():
     states = Budget()
     outcomes = solver._guess_outcomes(inst, 2, inst.all_jobs, params, 12, states)
     assert (states.nodes, states.walk_states, len(outcomes)) == (0, 37, 13)
-    assert outcomes == distinct_outcomes(reference_guess_outcomes(inst, 2, inst.all_jobs,
-                                                                 params, 12))
+    assert outcomes == reference_guess_outcomes(inst, 2, inst.all_jobs, params, 12)
     budget = Budget(limit=36)
     with pytest.raises(BudgetExceeded, match="37 split-walk states > limit 36") as exc:
         solver._guess_outcomes(inst, 2, inst.all_jobs, params, 12, budget)

@@ -26,7 +26,6 @@ from psched.transform import (
 )
 
 from conftest import assert_no_violations, instances, random_instance
-from insert_reference import reference_insert_discarded
 
 
 def test_pad_noop_when_already_power_of_two():
@@ -111,50 +110,6 @@ def test_insert_whole_discarded_chain():
     out = insert_discarded(inst, sched)
     assert_no_violations(verify_valid(inst, out))
     assert out.discard_count == 0 and out.makespan <= 3 + 4
-
-
-@st.composite
-def discarding_schedules(draw):
-    """``(instance, schedule)``: a valid list schedule of a random DAG,
-    stretched by idle slots, with some jobs discarded, at times all."""
-    n = draw(st.integers(0, 30))
-    m = draw(st.integers(1, 3))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
-    inst = build_instance(n, m, edges)
-    assign = list(graham_list(inst).assign)
-    for t in sorted(draw(st.lists(st.integers(0, n), max_size=4)), reverse=True):
-        assign = [s + 1 if s is not None and s > t else s for s in assign]  # idle slot t + 1
-    dropped = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)) if n else set()
-    if n and draw(st.booleans()):
-        dropped = set(range(n))
-    T = max((s for s in assign if s is not None), default=0) + draw(st.integers(0, 2))
-    return inst, Schedule(T=T, assign=tuple(DISC if j in dropped else s
-                                             for j, s in enumerate(assign)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(discarding_schedules())
-def test_insert_matches_shifting_the_schedule_per_discard(case):
-    inst, sched = case
-    assert_no_violations(verify_valid(inst, sched))
-    out = insert_discarded(inst, sched)
-    assert out == reference_insert_discarded(inst, sched)
-    assert out.T == sched.T + sched.discard_count and out.discard_count == 0
-
-
-def test_insert_keeps_room_after_many_discards_on_one_slot():
-    # 300 discarded jobs, each after the one before it or after slot 1,
-    # keep splitting the label gap after the same rows until it is spread
-    n = 302
-    edges = [(0, 1)] + [(j, j + 2) for j in range(1, n - 2, 2)]
-    inst = build_instance(n, 2, edges)
-    assign = [DISC] * n
-    assign[0], assign[1] = 1, 2
-    sched = Schedule(T=2, assign=tuple(assign))
-    out = insert_discarded(inst, sched)
-    assert out == reference_insert_discarded(inst, sched)
-    assert_no_violations(verify_valid(inst, out))
 
 
 def test_insert_rejects_invalid_input():
