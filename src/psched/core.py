@@ -113,9 +113,6 @@ class Instance:
             reach |= self.succ[j]
         return not reach & dst
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.m, self.succ))
-
 
 def _closure(order: Iterable[int], direct: Sequence[JobSet]) -> list[JobSet]:
     """Per job, the union of the ``direct`` masks of the jobs it reaches
@@ -261,26 +258,35 @@ class Schedule:
         return Schedule(T=self.T if T is None else T, assign=tuple(assign))
 
 
-def verify_valid(inst: Instance, sched: Schedule) -> ValidityReport:
-    """Check capacity and precedence constraints; reports every violation."""
-    out: list[Violation] = []
-    if sched.n != inst.n:
-        out.append(Violation("domain", f"schedule covers {sched.n} jobs, instance has {inst.n}"))
+def slot_violations(inst: Instance, assign: Mapping[int, Slot], among: JobSet) -> list[Violation]:
+    """Capacity at each slot, ascending, over every job ``assign`` places;
+    then each precedence clash between two placed jobs of ``among``, by the
+    earlier job in the order ``assign`` lists it, then by the later one's id."""
     at: dict[int, JobSet] = {}  # the jobs placed at each slot
-    for j, t in enumerate(sched.assign):
+    for j, t in assign.items():
         if t is not None:
             at[t] = at.get(t, 0) | 1 << j
+    out: list[Violation] = []
     upto: dict[int, JobSet] = {}  # the jobs placed at or before each slot
     acc: JobSet = 0
     for t in sorted(at):
         if at[t].bit_count() > inst.m:
             out.append(Violation("capacity", f"{at[t].bit_count()} jobs at slot {t} > m={inst.m}"))
         upto[t] = acc = acc | at[t]
-    for a, ta in enumerate(sched.assign[: inst.n]):
-        if ta is not None and (late := inst.succ[a] & upto[ta]):
+    for a, ta in assign.items():
+        if ta is not None and among >> a & 1 and (late := inst.succ[a] & upto[ta] & among):
             for b in iter_jobs(late):
                 out.append(Violation(
-                    "precedence", f"job {a} at {ta} not before job {b} at {sched.assign[b]}"))
+                    "precedence", f"job {a} at {ta} not before job {b} at {assign[b]}"))
+    return out
+
+
+def verify_valid(inst: Instance, sched: Schedule) -> ValidityReport:
+    """Check coverage, then ``slot_violations`` over every job; reports every violation."""
+    out: list[Violation] = []
+    if sched.n != inst.n:
+        out.append(Violation("domain", f"schedule covers {sched.n} jobs, instance has {inst.n}"))
+    out += slot_violations(inst, dict(enumerate(sched.assign)), inst.all_jobs)
     return ValidityReport(violations=tuple(out), discards=sched.discard_count)
 
 

@@ -33,6 +33,7 @@ from .core import (
     job_count,
     longest_chain,
     mask_from,
+    slot_violations,
     verify_valid,
 )
 from .errors import GuessExhausted, InvalidInput, InvalidOverride
@@ -384,8 +385,10 @@ def check_virtually_valid(
 ) -> ValidityReport:
     """Check the four clause families of a virtually-valid schedule.
 
-    Capacity everywhere; precedence and interval constraints for bottom
-    jobs only; window constraints for top jobs, in ``win`` (the system's
+    Interval constraints for bottom jobs; capacity everywhere and
+    precedence among bottom jobs, from ``core.slot_violations`` as in
+    ``verify_valid`` (by job id for a ``Schedule``, else in the mapping's
+    order); window constraints for top jobs, in ``win`` (the system's
     ``windows``, computed here when omitted).  The schedule must cover
     exactly the system's jobs with slots inside the root interval.
     """
@@ -400,19 +403,12 @@ def check_virtually_valid(
         out.append(Violation(
             "domain",
             f"schedule covers {job_count(got)} jobs, system has {job_count(expect)}"))
-    counts: dict[int, int] = {}
     discards = 0
     for j, t in sched.items():
         if t is None:
             discards += 1
-            continue
-        if not 0 < t <= params.T:
+        elif not 0 < t <= params.T:
             out.append(Violation("domain", f"job {j} at {t} outside root {tree.interval[1]}"))
-        counts[t] = counts.get(t, 0) + 1
-    for t in sorted(counts):
-        if counts[t] > inst.m:
-            out.append(Violation("capacity", f"{counts[t]} jobs at slot {t} > m={inst.m}"))
-
     bottom_jobs: JobSet = 0
     for i, jobs in in_order(tree, sys.assign):
         if tree.kinds[i] == BOT:
@@ -423,30 +419,7 @@ def check_virtually_valid(
                 if t is not None and not begin < t <= end:
                     out.append(Violation(
                         "interval", f"bottom job {j} at {t} outside {tree.interval[i]}"))
-    placed: JobSet = 0
-    at: dict[int, JobSet] = {}  # placed bottom jobs per slot
-    for j in iter_jobs(bottom_jobs):
-        t = sched.get(j)
-        if t is not None:
-            placed |= 1 << j
-            at[t] = at.get(t, 0) | 1 << j
-    upto: dict[int, JobSet] = {}  # placed bottom jobs at or before a slot
-    acc: JobSet = 0
-    for t in sorted(at):
-        acc |= at[t]
-        upto[t] = acc
-    for a in iter_jobs(placed):
-        # each clashing pair once, from its smaller id: a successor at or
-        # before a's slot, or a predecessor at or after it
-        t = sched[a]
-        clash = inst.succ[a] & upto[t] | inst.pred[a] & ~(upto[t] ^ at[t])
-        for b in iter_jobs(clash & placed & ~((2 << a) - 1)):
-            if inst.precedes(a, b):
-                out.append(Violation(
-                    "precedence", f"bottom job {a} at {t} not before {b} at {sched[b]}"))
-            else:
-                out.append(Violation(
-                    "precedence", f"bottom job {b} at {sched[b]} not before {a} at {t}"))
+    out += slot_violations(inst, sched, bottom_jobs)
 
     if win is None:
         win = windows(inst, sys, params)

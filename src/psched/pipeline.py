@@ -13,7 +13,7 @@ from fractions import Fraction
 from .baselines import bound_sandwich, exact_opt
 from .convert import virtually_valid_to_valid
 from .core import Instance, Schedule, Slot, iter_jobs
-from .dyadic import TOP, PartialDyadicSystem, Params, compute_params, tree_for
+from .dyadic import TOP, PartialDyadicSystem, Params, check_reference, compute_params, tree_for
 from .errors import NoSolution
 from .solver import DEFAULT_BUDGET, Budget, main_solve, solve_hinted
 from .transform import (binary_search_makespan, insert_discarded, pad_to_power_of_two,
@@ -66,28 +66,30 @@ def solve_at_horizon(
 ) -> SolveOutcome | None:
     """Solve at one horizon; with ``oracle`` (the result of ``exact_opt``),
     fail when its optimum exceeds ``horizon`` and otherwise replay the
-    splits of its schedule instead of enumerating.  A collapsed (``L = 0``)
-    replay runs on the instance itself, where ``solve_hinted`` answers
-    with the oracle's schedule, and pads nothing; deeper ones replay it on
-    the padded instance, with the padding sinks added.  Either enters no
-    search state, so an attempt with an oracle spends no node.  The
-    virtually-valid schedule is made valid by ``virtually_valid_to_valid``
-    only when it places a top job, since the conversion is the identity
-    otherwise (and with ``L = 0`` there is no top interval)."""
+    splits of its schedule instead of enumerating.  When the tree
+    collapses (``L = 0``) that replay is the oracle's schedule itself:
+    the attempt checks it with ``check_reference`` and retimes it to the
+    padded horizon, and builds no system and pads nothing.  Deeper trees
+    replay it with ``solve_hinted`` on the padded instance, with the
+    padding sinks added.  Neither enters a search state, so an attempt
+    with an oracle spends no node.  The virtually-valid schedule is made
+    valid by ``virtually_valid_to_valid`` only when it places a top job,
+    since the conversion is the identity otherwise."""
     T2 = padded_horizon(horizon)
     params = compute_params(T2, inst.m, eps, overrides=overrides or None)
-    if oracle is not None and oracle[0] > horizon:
-        return None
-    if oracle is not None and params.L == 0:
-        padded = inst
-        sys_out, virtual = solve_hinted(inst, oracle[1], params)
+    if oracle is not None:
+        opt, best = oracle
+        if opt > horizon:
+            return None
+        if params.L == 0:
+            check_reference(inst, best, params)
+            sched = Schedule(T=T2, assign=best.assign)
+            return SolveOutcome(horizon, T2, sched, sched, 0, budget.nodes)
+    padded = pad_to_power_of_two(inst, horizon)[0]
+    if oracle is None:
+        sys_out, virtual = main_solve(padded, params, budget)
     else:
-        padded = pad_to_power_of_two(inst, horizon)[0]
-        if oracle is None:
-            sys_out, virtual = main_solve(padded, params, budget)
-        else:
-            reference = _with_sinks(inst, padded, oracle[1], horizon)
-            sys_out, virtual = solve_hinted(padded, reference, params)
+        sys_out, virtual = solve_hinted(padded, _with_sinks(inst, padded, best, horizon), params)
     valid = virtual
     if _places_top_job(sys_out, virtual, params):
         valid = virtually_valid_to_valid(padded, sys_out, virtual, params)
@@ -110,7 +112,10 @@ def _search_horizon(inst, eps, overrides, budget, oracle, bounds):
     since ``L = log2 T2 - h`` never falls as ``T2`` grows: the answer is
     the optimum, taken from ``oracle`` or from ``exact_opt``, and one
     attempt there is answered from its schedule.  Deeper trees bisect with
-    ``binary_search_makespan``, which probes the lower bound first."""
+    ``binary_search_makespan``, which probes the lower bound first and
+    hands back the outcome of the attempt it settles on.  An attempt fails
+    when the oracle's optimum exceeds its horizon or its valid schedule
+    discards a job."""
     if inst.n == 0:  # the search returns horizon 0 without solving
         empty = Schedule(T=0, assign=())
         return SolveOutcome(horizon=0, padded_T=0, virtual=empty, valid=empty, discards=0,
@@ -119,17 +124,12 @@ def _search_horizon(inst, eps, overrides, budget, oracle, bounds):
     if compute_params(T2, inst.m, eps, overrides=overrides or None).L == 0:
         opt, best = oracle or exact_opt(inst, bounds=bounds, budget=budget)
         return solve_at_horizon(inst, opt, eps, overrides, budget, (opt, best))
-    outcomes: dict[int, SolveOutcome] = {}
 
-    def attempt(T0: int) -> Schedule | None:
+    def attempt(T0: int) -> SolveOutcome | None:
         got = solve_at_horizon(inst, T0, eps, overrides, budget, oracle)
-        if got is None or got.discards:
-            return None
-        outcomes[T0] = got
-        return got.valid
+        return None if got is None or got.discards else got
 
-    T, _ = binary_search_makespan(inst, attempt, bounds)
-    return replace(outcomes[T], nodes=budget.nodes)
+    return replace(binary_search_makespan(inst, attempt, bounds)[1], nodes=budget.nodes)
 
 
 def solve(inst: Instance, eps: Fraction = Fraction(1, 2), overrides: dict | None = None,

@@ -51,7 +51,6 @@ from .dyadic import (
     Params,
     PartialDyadicSystem,
     Window,
-    check_reference,
     check_virtually_valid,
     full_system,
     moved_with,
@@ -82,9 +81,10 @@ class Budget:
     A tree with ``L = 0`` runs no cascades and no ``schedule_subtree``,
     so only its bottom-search states count.  ``exact_opt`` counts its
     states in the budget it is given, which for a ``pipeline.solve`` run
-    is the run's ``budget``.  ``solve_hinted`` enters no search state and
-    counts nothing, so a hinted or collapsed run counts exactly its
-    oracle's states.  The outer cascades stop at the first state whose
+    is the run's ``budget``.  An attempt with an oracle enters no search
+    state (``solve_hinted``, or the oracle's schedule itself when the tree
+    collapses), so a hinted or collapsed run counts exactly its oracle's
+    states.  The outer cascades stop at the first state whose
     subtree places every job.
 
     The split-outcome walk counts its steps in ``walk_states``, a counter
@@ -157,7 +157,9 @@ class SubproblemInput:
 
 
 PartialAssign = dict[int, Slot]
-Result = tuple[dict[int, JobSet], PartialAssign]
+# a subtree's system (job sets by heap index), its virtually-valid
+# assignment, and the number of jobs that assignment places
+Result = tuple[dict[int, JobSet], PartialAssign, int]
 SplitOutcome = tuple[JobSet, JobSet, JobSet]
 
 
@@ -166,14 +168,10 @@ class SolveMemo:
     """Answers already computed within one ``main_solve``.
 
     ``subtrees`` maps ``SubproblemInput.key`` to the result of
-    ``schedule_subtree``, the heap index it was solved at and the number
-    of jobs it places, and ``splits`` maps (interval, jobs) to the
-    outcomes of ``_split_outcomes`` (intervals by heap index).  ``tree``
-    is the call's ``DyadicTree``, fetched by the first state that needs
-    it, and ``placed`` the number of jobs that the result of the latest
-    ``schedule_subtree`` call with this memo places (0 for ``None``), so
-    no caller counts an assignment again; the next call overwrites it,
-    so a caller reads it right after its own call returns.  Only the
+    ``schedule_subtree`` and the heap index it was solved at, and
+    ``splits`` maps (interval, jobs) to the outcomes of
+    ``_split_outcomes`` (intervals by heap index).  ``tree`` is the call's
+    ``DyadicTree``, fetched by the first state that needs it.  Only the
     enumeration builds one: a hinted solve runs no recursion.  The
     instance and params are fixed for the call, so each answer is a
     function of its key alone and a repeat returns the value a second
@@ -195,12 +193,11 @@ class SolveMemo:
     two begins.
     """
 
-    subtrees: dict[tuple, tuple[Result | None, int, int]] = field(default_factory=dict)
+    subtrees: dict[tuple, tuple[Result | None, int]] = field(default_factory=dict)
     splits: dict[tuple[int, JobSet], tuple[SplitOutcome, ...]] = field(
         default_factory=dict
     )
     tree: DyadicTree | None = None
-    placed: int = 0
 
 
 def _clip(w: Window, begin: int, end: int) -> Window | None:
@@ -613,8 +610,8 @@ def schedule_subtree(
     budget: Budget | None = None,
     memo: SolveMemo | None = None,
 ) -> Result | None:
-    """Best partial system (job sets by heap index) plus virtually-valid
-    assignment over ``sub.root``.
+    """Best partial system (job sets by heap index), its virtually-valid
+    assignment over ``sub.root`` and the number of jobs that places.
 
     Returns None when the input sizes already exceed the capacity of the
     root interval.  Otherwise tries every split-outcome combination for
@@ -633,8 +630,7 @@ def schedule_subtree(
     up to translation: a repeat enters no node.  At the same heap index it
     returns the stored result, shared with the first caller; at another
     interval of the same level it returns new dicts holding the stored
-    result shifted into place (see ``SolveMemo``).  Either way
-    ``memo.placed`` is then the number of jobs the result places.
+    result shifted into place (see ``SolveMemo``).
     """
     memo = memo or SolveMemo()
     budget = budget or Budget()
@@ -646,18 +642,18 @@ def schedule_subtree(
     key = sub.key(begin)
     hit = memo.subtrees.get(key)
     if hit is None:
-        got, placed = _solve_subtree(inst, sub, params, budget, memo)
-        memo.subtrees[key] = got, i, placed
-        memo.placed = placed
+        got = _solve_subtree(inst, sub, params, budget, memo)
+        memo.subtrees[key] = got, i
         return got
-    got, i0, memo.placed = hit
+    got, i0 = hit
     if got is None or i0 == i:
         return got
-    system, assign = got
+    system, assign, placed = got
     top, step, shift = i0.bit_length(), i - i0, begin - tree.span[i0][0]
     return (
         {k + (step << (k.bit_length() - top)): jobs for k, jobs in system.items()},
         {j: DISC if t is DISC else t + shift for j, t in assign.items()},
+        placed,
     )
 
 
@@ -667,9 +663,8 @@ def _solve_subtree(
     params: Params,
     budget: Budget,
     memo: SolveMemo,
-) -> tuple[Result | None, int]:
-    """``schedule_subtree``'s answer when the memo has none, with the
-    number of jobs it places."""
+) -> Result | None:
+    """``schedule_subtree``'s answer when the memo has none."""
     budget.tick()
     tree = memo.tree
     i = sub.root
@@ -677,16 +672,16 @@ def _solve_subtree(
     cap = params.m * (end - begin)
     n_anc = sub.ancestors.bit_count()
     if n_anc > cap:
-        return None, 0
+        return None
     n_own = _size(sub.assigned) + _size(sub.pending)  # disjoint sets
     if n_own > cap:
-        return None, 0
+        return None
 
     if tree.kinds[i] == BOT:
         bottom = sub.assigned.get(i, 0) | sub.pending.get(i, 0)
         assign = bottom_solve(
             inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, budget)
-        return ({i: bottom}, assign), len(assign) - [*assign.values()].count(DISC)
+        return {i: bottom}, assign, len(assign) - [*assign.values()].count(DISC)
 
     frontier = tree.below(i, params.h - 1)
     if not frontier:
@@ -701,7 +696,7 @@ def _solve_subtree(
                 continue
             options = _split_outcomes(inst, f, jobs, params, memo, budget)
             if not options:
-                return None, 0
+                return None
             per_interval.append([(f, result) for result in options])
         splits = product(*per_interval)
 
@@ -756,10 +751,9 @@ def _solve_subtree(
                 pending=lo_pending,
             )
             left = schedule_subtree(inst, left_in, params, budget, memo)
-            left_count = memo.placed  # before the right half's call overwrites it
             if left is None:
                 continue
-            if best is not None and left_count + ub_right <= best_count:
+            if best is not None and left[2] + ub_right <= best_count:
                 continue
             right_in = SubproblemInput(
                 root=hi,
@@ -769,12 +763,12 @@ def _solve_subtree(
                 pending=hi_pending,
             )
             right = schedule_subtree(inst, right_in, params, budget, memo)
-            # the halves place disjoint jobs, and the discarded ones none
-            count = left_count + memo.placed
             if right is None:
                 continue
+            # the halves place disjoint jobs, and the discarded ones none
+            count = left[2] + right[2]
             if count > best_count:
-                (lsys, lassign), (rsys, rassign) = left, right
+                (lsys, lassign, _), (rsys, rassign, _) = left, right
                 merged: PartialAssign = dict(lassign)
                 merged.update(rassign)
                 for j in iter_jobs(j_disc):
@@ -782,11 +776,11 @@ def _solve_subtree(
                 assign_map = {i: j_map.get(i, 0)}
                 assign_map.update(lsys)
                 assign_map.update(rsys)
-                best = assign_map, merged
+                best = assign_map, merged, count
                 best_count = count
                 if count == most:
-                    return best, count
-    return best, max(best_count, 0)
+                    return best
+    return best
 
 
 def _outer_cascades(
@@ -855,10 +849,9 @@ def main_solve(
     When ``L = 0`` the whole horizon is one bottom interval: the result is
     one ``bottom_solve`` of all jobs on the root, with no cascades,
     subtrees or memo.  A pipeline attempt with an oracle does not come
-    here: ``solve_hinted`` answers it from the oracle's schedule, and a
-    searched run whose tree collapses takes that schedule from
-    ``exact_opt``, which runs ``bottom_solve``'s complete mode on the
-    instance itself.
+    here: it is answered from the oracle's schedule, and a searched run
+    whose tree collapses takes that schedule from ``exact_opt``, which
+    runs ``bottom_solve``'s complete mode on the instance itself.
     """
     budget = budget or Budget()
     tree = tree_for(params)
@@ -878,11 +871,10 @@ def main_solve(
     for j_map, pending in _outer_cascades(inst, params, budget, memo):
         sub = SubproblemInput(root=1, assigned=j_map, pending=pending)
         got = schedule_subtree(inst, sub, params, budget, memo)
-        placed = memo.placed  # the count of this call's result
         if got is None:
             continue
+        sys_assign, assign, placed = got
         if placed > best_count:
-            sys_assign, assign = got
             full_assign: list[Slot] = [DISC] * inst.n
             for j, t in assign.items():
                 full_assign[j] = t
@@ -902,13 +894,13 @@ def solve_hinted(
     """The answer the enumeration gives when held to the splits recorded
     from ``reference``, a zero-discard schedule, found with no search.
 
-    When ``L = 0`` that is the reference itself on the one-interval
-    system, checked as ``system_from_schedule`` would (``InvalidInput``
-    unless it has no discards, fits in T and is valid).  Otherwise it is
-    the reference's system and the schedule ``valid_to_virtually_valid``
-    makes of the reference for it, checked once with
-    ``check_virtually_valid`` (``RuntimeError`` naming the violations
-    otherwise: the conversion is broken).  Either is retimed to horizon T.
+    That is the reference's system from ``system_from_schedule``
+    (``InvalidInput`` unless the reference has no discards, fits in T and
+    is valid) and the schedule ``valid_to_virtually_valid`` makes of the
+    reference for it, checked once with ``check_virtually_valid``
+    (``RuntimeError`` naming the violations otherwise: the conversion is
+    broken), retimed to horizon T.  When ``L = 0`` these are the
+    one-interval system and the reference itself.
 
     On its own system the reference's windows are the ones the recursion
     held to its splits computes (window boundaries in a top interval
@@ -918,9 +910,6 @@ def solve_hinted(
     virtually-valid slots place every job it holds, the bottom search's
     root bound, so the recursion keeps them.  No node is counted.
     """
-    if params.L == 0:
-        check_reference(inst, reference, params)
-        return full_system({1: inst.all_jobs}), Schedule(T=params.T, assign=reference.assign)
     ref_sys = system_from_schedule(inst, reference, params)[0]
     virt = valid_to_virtually_valid(inst, ref_sys, reference, params)
     report = check_virtually_valid(inst, ref_sys, params, virt)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import TypeVar
 
 from .baselines import bound_sandwich
 from .core import Instance, JobSet, Schedule, iter_jobs, verify_valid
 from .errors import InvalidInput, NoSolution
+
+R = TypeVar("R")
 
 
 def next_power_of_two(x: int) -> int:
@@ -74,10 +77,13 @@ def insert_discarded(inst: Instance, sched: Schedule) -> Schedule:
 
 def binary_search_makespan(
     inst: Instance,
-    solver: Callable[[int], Schedule | None],
+    solver: Callable[[int], R | None],
     bounds: tuple[int, Schedule] | None = None,
-) -> tuple[int, Schedule]:
-    """Smallest horizon found at which ``solver`` succeeds.
+) -> tuple[int, R | Schedule]:
+    """Smallest horizon found at which ``solver`` succeeds, with what
+    ``solver`` returned there (``None`` is failure; any other answer is
+    passed through as it is).  An instance with no jobs gets horizon 0 and
+    the empty schedule without a call.
 
     ``bounds`` is ``bound_sandwich(inst)``, computed here when omitted.
     Probes the level lower bound ``lo`` first.  No horizon below ``lo``

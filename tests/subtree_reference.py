@@ -3,7 +3,9 @@ hinted replay as it was before it became a loop over bottom intervals.
 
 A test-only copy of the earlier ``psched.solver._solve_subtree``: it solves
 every split-outcome combination and every partition to the end, whether or
-not its job counts can beat the incumbent, and of the earlier loop of
+not its job counts can beat the incumbent, and recounts the jobs each
+result places rather than reading the count a result carries; and of the
+earlier loop of
 ``psched.solver.main_solve``, which tried every outer state even after one
 placed every job.  ``test_solver`` patches both in and holds the current
 solver to the same systems and schedules, never more nodes.
@@ -132,7 +134,7 @@ def reference_solve_subtree(
                 inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, params,
                 budget=budget, warm=warm,
             )
-        return {i: bottom}, assign
+        return {i: bottom}, assign, sum(1 for t in assign.values() if t is not None)
 
     frontier = tree.below(i, params.h - 1)
     if not frontier:
@@ -204,7 +206,7 @@ def reference_solve_subtree(
             right = _schedule_subtree(inst, right_in, params, budget, memo, hints)
             if right is None:
                 continue
-            (lsys, lassign), (rsys, rassign) = left, right
+            (lsys, lassign, _), (rsys, rassign, _) = left, right
             merged: PartialAssign = dict(lassign)
             merged.update(rassign)
             for j in iter_jobs(j_disc):
@@ -214,16 +216,9 @@ def reference_solve_subtree(
                 assign_map = {i: j_map.get(i, 0)}
                 assign_map.update(lsys)
                 assign_map.update(rsys)
-                best = assign_map, merged
+                best = assign_map, merged, count
                 best_count = count
     return best
-
-
-def counted_reference_solve_subtree(inst, sub, params, budget, memo):
-    """``reference_solve_subtree`` in the shape of ``solver._solve_subtree``:
-    its result with the number of jobs that result places."""
-    got = reference_solve_subtree(inst, sub, params, budget, memo)
-    return got, 0 if got is None else sum(1 for t in got[1].values() if t is not None)
 
 
 def _outer_cascades(inst, params, budget, hints, memo):
@@ -280,7 +275,7 @@ def reference_main_solve(
         got = _schedule_subtree(inst, sub, params, budget, memo, hints)
         if got is None:
             continue
-        sys_assign, assign = got
+        sys_assign, assign, _ = got
         count = sum(1 for t in assign.values() if t is not None)
         if count > best_count:
             full_assign: list[Slot] = [DISC] * inst.n

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -56,10 +57,19 @@ def test_schedule_round_trip():
 
 
 def test_schedule_parse_errors():
-    with pytest.raises(ValueError):
-        io.parse_schedule("sched 1 2 3\n0 1\n")  # missing job 1
-    with pytest.raises(ValueError):
-        io.parse_schedule("sched 1 2 3\n0 1\n0 2\n1 1\n")  # duplicate
+    # one input per error the parser raises, each with its message
+    for text, message in (
+        ("# only a comment\n\n", "empty schedule file"),
+        ("sched 1 2\n0 1\n", "bad schedule header: 'sched 1 2'"),
+        ("psched 1 2 3\n0 1\n1 1\n", "bad schedule header: 'psched 1 2 3'"),
+        ("sched 2 2 3\n0 1\n1 1\n", "bad schedule header: 'sched 2 2 3'"),
+        ("sched 1 2 3\n0 1 2\n1 1\n", "bad schedule line: '0 1 2'"),
+        ("sched 1 2 3\n0 1\n2 1\n", "job 2 out of range"),
+        ("sched 1 2 3\n0 1\n0 2\n1 1\n", "job 0 assigned twice"),
+        ("sched 1 2 3\n0 1\n", "schedule covers 1 of 2 jobs"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            io.parse_schedule(text)
 
 
 def test_generators_deterministic_and_valid():
@@ -811,11 +821,13 @@ def _attempts_beside_reference(monkeypatch):
 
 
 def _searches(monkeypatch):
-    """Record ``(padded T, L, "main")`` of every ``main_solve`` call and
-    ``(padded T, L, "hinted")`` of every ``solve_hinted`` call that the
-    pipeline makes (the reference's calls are not seen)."""
+    """Record ``(padded T, L, "main")`` of every ``main_solve`` call,
+    ``(padded T, L, "hinted")`` of every ``solve_hinted`` call and
+    ``(padded T, L, "oracle")`` of every ``check_reference`` call that the
+    pipeline makes, the last when it answers a collapsed attempt with the
+    oracle's schedule (the reference's calls are not seen)."""
     calls = []
-    main, hinted = pipeline.main_solve, pipeline.solve_hinted
+    main, hinted, check = pipeline.main_solve, pipeline.solve_hinted, pipeline.check_reference
 
     def main_spy(inst, params, budget=None):
         calls.append((params.T, params.L, "main"))
@@ -825,8 +837,13 @@ def _searches(monkeypatch):
         calls.append((params.T, params.L, "hinted"))
         return hinted(inst, reference, params)
 
+    def check_spy(inst, sched, params):
+        calls.append((params.T, params.L, "oracle"))
+        return check(inst, sched, params)
+
     monkeypatch.setattr(pipeline, "main_solve", main_spy)
     monkeypatch.setattr(pipeline, "solve_hinted", hinted_spy)
+    monkeypatch.setattr(pipeline, "check_reference", check_spy)
     return calls
 
 
@@ -834,9 +851,9 @@ def _searches(monkeypatch):
 @pytest.mark.parametrize("flags", [[], ["--hinted"]], ids=["plain", "hinted"])
 def test_collapsed_attempts_match_the_padded_search(monkeypatch, family, flags):
     # every default run here collapses: it makes no binary search and one
-    # attempt, at exact_opt's optimum: one solve_hinted call at L = 0,
-    # which answers from exact_opt's schedule, so the run counts only the
-    # oracle's nodes.  The padded search agrees
+    # attempt, at exact_opt's optimum, answered by exact_opt's schedule
+    # once check_reference passes it, with no hinted solve and no search,
+    # so the run counts only the oracle's nodes.  The padded search agrees
     # that the optimum is the smallest horizon that fits: it keeps every
     # job there and discards some one below, wherever the level bound
     # leaves that horizon open
@@ -857,7 +874,7 @@ def test_collapsed_attempts_match_the_padded_search(monkeypatch, family, flags):
                 got = pipeline.solve(inst, eps, hinted=flags == ["--hinted"])
                 assert (got.horizon, got.discards, got.nodes) == (opt, 0, oracle.nodes)
                 T2 = transform.next_power_of_two(max(opt, 2))
-                assert searched == [(T2, 0, "hinted")]
+                assert searched == [(T2, 0, "oracle")]
                 assert got.virtual == got.valid == Schedule(T=T2, assign=best.assign)
                 at = reference_solve_at_horizon(inst, opt, eps, {}, Budget(), None)
                 assert at.discards == 0
@@ -890,8 +907,8 @@ def test_certified_pipeline_runs_no_search(tmp_path, capsys, monkeypatch, flags)
 def test_open_sandwich_still_searches_below_the_list_schedule(tmp_path, capsys, monkeypatch):
     # n=12 m=2 seed 162: level bound 7, list schedules 8.  exact_opt's
     # complete-mode search fails at 7 and fits 8 (10 nodes); the one
-    # attempt, at 8, is solve_hinted answering from its schedule with no
-    # search and no node, and so is the reference's replay
+    # attempt, at 8, is answered by its schedule with no search and no
+    # node, and so is the reference's replay
     inst_path = _gen(tmp_path, 12, 2, 162)
     pairs = _attempts_beside_reference(monkeypatch)
     searched = _searches(monkeypatch)
@@ -907,7 +924,7 @@ def test_open_sandwich_still_searches_below_the_list_schedule(tmp_path, capsys, 
     assert run_command(["solve", str(inst_path), "--out", str(tmp_path / "s.sched")]) == 0
     assert capsys.readouterr().err == "horizon 8 padded 8: 12 scheduled, 0 discarded, 10 nodes\n"
     assert horizons == [(7, True), (8, True)]
-    assert searched == [(8, 0, "hinted")]
+    assert searched == [(8, 0, "oracle")]
     (want, got), = pairs
     assert (got.horizon, got.discards) == (8, 0)
     assert (want.horizon, want.valid) == (got.horizon, got.valid)
@@ -946,16 +963,16 @@ def _broken(inst, sched, how):
     ("discard", "reference schedule must have zero discards"),
 ], ids=["precedence", "discard"])
 def test_broken_oracle_schedule_is_rejected_by_check_reference(monkeypatch, how, message):
-    # a collapsed attempt hands the oracle's schedule to solve_hinted on
-    # the instance itself, whose check_reference rejects a broken one:
-    # there is no padded replay and no search
+    # a collapsed attempt checks the oracle's schedule on the instance
+    # itself with check_reference, which rejects a broken one: there is no
+    # hinted solve, no system, no padded replay and no search
     inst, _ = gen_instance("random-dag", 9, 3, 0.3, 5)
     lo, upper = baselines.bound_sandwich(inst)
     held = _broken(inst, upper, how)
     assert held.makespan <= lo and not (verify_valid(inst, held).ok and not held.discard_count)
     searched = _searches(monkeypatch)
     seen = []
-    check = solver.check_reference
+    check = pipeline.check_reference
 
     def check_spy(inst, sched, params):
         seen.append((inst.n, sched))
@@ -964,12 +981,14 @@ def test_broken_oracle_schedule_is_rejected_by_check_reference(monkeypatch, how,
     def forbidden(*args, **kwargs):
         raise AssertionError("a broken oracle schedule was searched")
 
-    monkeypatch.setattr(solver, "check_reference", check_spy)
+    monkeypatch.setattr(pipeline, "check_reference", check_spy)
     for name in ("main_solve", "bottom_solve", "system_from_schedule"):
         monkeypatch.setattr(solver, name, forbidden)
+    for name in ("_places_top_job", "_originals", "pad_to_power_of_two"):
+        monkeypatch.setattr(pipeline, name, forbidden)
     with pytest.raises(InvalidInput, match=message):
         pipeline.solve_at_horizon(inst, lo, Fraction(1, 2), {}, Budget(), (lo, held))
-    assert searched == [(8, 0, "hinted")]
+    assert searched == [(8, 0, "oracle")]
     assert seen == [(9, held)]
 
 

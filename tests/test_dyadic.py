@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psched.baselines import exact_opt
 from psched.core import (
@@ -38,7 +40,7 @@ from psched.errors import GuessExhausted, InvalidInput, InvalidOverride
 from subtree_reference import _restrict
 
 from bottom_reference import reference_warm_check
-from conftest import assert_no_violations, random_instance
+from conftest import assert_no_violations, instances, random_instance
 from system_reference import check_system
 
 DESK = dict(h=1, hp=1, p=4, delta=Fraction(1, 4), deltap=Fraction(1, 8))
@@ -458,9 +460,50 @@ def test_check_virtually_valid_flags_bottom_and_capacity():
     assert "precedence" in check_virtually_valid(inst, sys, params, bad_prec).kinds()
 
 
+def test_check_valid_for_system_flags_a_job_outside_its_owning_interval():
+    params = desk_params(T=8, m=1)
+    inst = build_instance(3, 1, [(0, 1)])
+    sys = full_system({4: mask_from([0, 1]), 5: mask_from([2])})  # (0,2], (2,4]
+    ok = Schedule(T=8, assign=(1, 2, 3))
+    assert check_valid_for_system(inst, sys, params, ok).ok
+    report = check_valid_for_system(inst, sys, params, Schedule(T=8, assign=(1, 2, 5)))
+    assert [str(v) for v in report.violations] == ["interval: job 2 at 5 outside owning (2,4]"]
+
+
+@pytest.mark.parametrize("sched, expect", [
+    ({0: 1, 1: 2}, ["domain: schedule covers 2 jobs, system has 3"]),
+    ({0: 1, 1: 2, 2: 3, 3: 4}, ["domain: schedule covers 4 jobs, system has 3"]),
+    ({0: 1, 1: 2, 2: 9}, ["domain: job 2 at 9 outside root (0,8]",
+                          "interval: bottom job 2 at 9 outside (2,4]"]),
+], ids=["missing-job", "extra-job", "past-the-root"])
+def test_check_virtually_valid_flags_the_schedule_domain(sched, expect):
+    params = desk_params(T=8, m=1)
+    inst = build_instance(4, 1, [(0, 1)])
+    sys = full_system({4: mask_from([0, 1]), 5: mask_from([2])})  # (0,2], (2,4]
+    report = check_virtually_valid(inst, sys, params, sched)
+    assert [str(v) for v in report.violations] == expect
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inst=instances(), data=st.data())
+def test_check_virtually_valid_shares_verify_valids_slot_checks(inst, data):
+    # on the one-interval system at L = 0 every job is a bottom job on the
+    # root, so no interval, domain or window clause can fail, and the
+    # capacity and precedence violations are verify_valid's, in its order
+    T = data.draw(st.sampled_from([2, 4, 8]))
+    params = compute_params(T, inst.m, Fraction(1, 2))
+    assert params.L == 0
+    slots = st.one_of(st.none(), st.integers(1, T))
+    sched = Schedule(T=T, assign=tuple(data.draw(
+        st.lists(slots, min_size=inst.n, max_size=inst.n))))
+    report = check_virtually_valid(inst, full_system({1: inst.all_jobs}), params, sched)
+    assert report.violations == verify_valid(inst, sched).violations
+
+
 def test_check_virtually_valid_lists_precedence_clashes_pair_by_pair():
-    # every clashing comparable pair of placed bottom jobs once, smaller id
-    # first, the earlier job of the pair named first in its message
+    # every clashing comparable pair of placed bottom jobs once, in
+    # verify_valid's wording and order: by the earlier job's id, then by
+    # the later one's
     for seed in range(40):
         rng = random.Random(seed)
         inst = random_instance(10, 3, 0.4, seed)
@@ -468,15 +511,12 @@ def test_check_virtually_valid_lists_precedence_clashes_pair_by_pair():
         assert params.L == 0
         sys = full_system({1: inst.all_jobs})
         sched = {j: rng.choice([None, *range(1, 9)]) for j in range(inst.n)}
-        expect = []
-        for a in range(inst.n):
-            for b in range(a + 1, inst.n):
-                if sched[a] is None or sched[b] is None:
-                    continue
-                for x, y in ((a, b), (b, a)):
-                    if inst.precedes(x, y) and sched[x] >= sched[y]:
-                        expect.append(
-                            f"precedence: bottom job {x} at {sched[x]} not before {y} at {sched[y]}")
+        expect = [
+            f"precedence: job {x} at {sched[x]} not before job {y} at {sched[y]}"
+            for x in range(inst.n) for y in range(inst.n)
+            if sched[x] is not None and sched[y] is not None
+            and inst.precedes(x, y) and sched[x] >= sched[y]
+        ]
         report = check_virtually_valid(inst, sys, params, sched)
         assert [str(v) for v in report.violations if v.kind == "precedence"] == expect
 

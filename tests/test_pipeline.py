@@ -10,6 +10,7 @@ from psched.cli import run_command
 from psched.errors import NoSolution
 from psched.generators import gen_instance
 from psched.pipeline import pipeline, solve
+from psched.solver import Budget
 
 DEEP = {"h": 1, "hp": 1, "p": 2}
 
@@ -96,3 +97,27 @@ def test_an_attempt_with_an_oracle_pads_only_a_deep_tree(monkeypatch, overrides,
     got = solve(inst, overrides=overrides, horizon=horizon, hinted=True)
     assert got.padded_T == 16
     assert calls == ([horizon] if padded else [])
+
+
+def test_searched_deep_run_returns_the_attempt_it_settles_on(monkeypatch):
+    # random-dag n=9 m=2 seed 5 with no horizon: the attempt at the level
+    # bound 5 discards, so the search goes on to 9 (fits), 7 (discards) and
+    # 8 (fits).  The run is the outcome of the attempt at 8, with the nodes
+    # of all four attempts, which share one budget
+    from psched import pipeline as pipeline_module
+
+    attempts = []
+    solve_at = pipeline_module.solve_at_horizon
+
+    def spy(inst, horizon, *args):
+        got = solve_at(inst, horizon, *args)
+        attempts.append((horizon, got))
+        return got
+
+    monkeypatch.setattr(pipeline_module, "solve_at_horizon", spy)
+    inst, _ = gen_instance("random-dag", 9, 2, 0.3, 5)
+    got = solve(inst, overrides=DEEP)
+    assert [(T, a.discards) for T, a in attempts] == [(5, 9), (9, 0), (7, 2), (8, 0)]
+    assert got == attempts[3][1]
+    alone = [solve_at(inst, T, Fraction(1, 2), DEEP, Budget(), None).nodes for T, _ in attempts]
+    assert got.nodes == sum(alone) > alone[3]

@@ -30,7 +30,7 @@ from psched.dyadic import (
     tree_for,
     windows,
 )
-from psched import solver
+from psched import pipeline, solver
 from psched.errors import BudgetExceeded, GuessExhausted, InvalidInput
 from psched.generators import gen_instance
 from psched.pipeline import _with_sinks
@@ -55,11 +55,11 @@ from partition_reference import (
 from split_reference import reference_guess_outcomes
 from subtree_reference import (
     _restrict,
-    counted_reference_solve_subtree,
     pruned_main_solve,
     reference_main_solve,
     reference_node_windows,
     reference_solve_hinted,
+    reference_solve_subtree,
 )
 from system_reference import check_system
 
@@ -210,7 +210,7 @@ def _solve_with(monkeypatch, reference, name, *args):
     """``solver.<name>(*args)`` with the reference subtree solver and
     ``main_solve`` loop patched in or not, as (system, schedule, nodes)."""
     if reference:
-        monkeypatch.setattr(solver, "_solve_subtree", counted_reference_solve_subtree)
+        monkeypatch.setattr(solver, "_solve_subtree", reference_solve_subtree)
         monkeypatch.setattr(solver, "main_solve", reference_main_solve)
     else:
         monkeypatch.undo()
@@ -594,10 +594,10 @@ def test_schedule_subtree_bottom_delegates():
     sub = SubproblemInput(root=4, assigned={4: inst.all_jobs})  # (0,2]
     got = schedule_subtree(inst, sub, params)
     assert got is not None
-    sys, assign = got
+    sys, assign, placed = got
     assert sys == {4: inst.all_jobs}
     # chain of 3 in 2 slots: exactly one job must go
-    assert sum(1 for t in assign.values() if t is not None) == 2
+    assert sum(1 for t in assign.values() if t is not None) == placed == 2
 
 
 def test_schedule_subtree_preserves_fixed_levels():
@@ -614,7 +614,8 @@ def test_schedule_subtree_preserves_fixed_levels():
         )
         got = schedule_subtree(inst, sub, params, Budget())
         assert got is not None
-        by_index, assign = got
+        by_index, assign, placed = got
+        assert placed == sum(1 for t in assign.values() if t is not None)
         assert by_index[1] == sys.assign.get(1, 0)
         for f in frontier:
             agg = 0
@@ -914,22 +915,29 @@ COLLAPSED_HINTED = [
 @pytest.mark.parametrize("n, m, seed, T, expected", COLLAPSED_HINTED,
                          ids=[f"n{g[0]}-m{g[1]}-s{g[2]}" for g in COLLAPSED_HINTED])
 def test_collapsed_solve_hinted_replays_the_reference(monkeypatch, n, m, seed, T, expected):
-    # at L = 0 the reference needs no system, no conversion and no search:
-    # it is the answer
+    # at L = 0 the reference is the answer: a pipeline attempt with it as
+    # its oracle returns it with no system, no conversion and no search,
+    # and solve_hinted's system and conversion give it back unchanged on
+    # the one-interval system
     inst = random_instance(n, m, 0.3, seed)
     params = compute_params(T, m, Fraction(1, 2))
     assert params.L == 0
     reference = Schedule(T=T, assign=graham_list(inst).assign)
+    sys_out, sched = solve_hinted(inst, reference, params)
+    assert sched == Schedule(T=T, assign=expected) == reference
+    assert sys_out == PartialDyadicSystem(assign={1: inst.all_jobs})
 
     def unused(*args, **kwargs):
         raise AssertionError("no system is built and nothing searched at L = 0")
 
-    for name in ("system_from_schedule", "valid_to_virtually_valid", "main_solve",
-                 "bottom_solve"):
-        monkeypatch.setattr(solver, name, unused)
-    sys_out, sched = solve_hinted(inst, reference, params)
-    assert sched == Schedule(T=T, assign=expected) == reference
-    assert sys_out == PartialDyadicSystem(assign={1: inst.all_jobs})
+    for name in ("solve_hinted", "main_solve", "virtually_valid_to_valid", "pad_to_power_of_two",
+                 "_places_top_job", "_originals"):
+        monkeypatch.setattr(pipeline, name, unused)
+    budget = Budget()
+    got = pipeline.solve_at_horizon(inst, T, Fraction(1, 2), {}, budget, (T, reference))
+    assert got == pipeline.SolveOutcome(horizon=T, padded_T=T, virtual=reference,
+                                        valid=reference, discards=0, nodes=0)
+    assert budget.nodes == 0
 
 
 @pytest.mark.parametrize("case, message", [
@@ -1138,7 +1146,7 @@ def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_f
     memo = memos[0]
     assert memo.subtrees == memo.subtrees.copies  # no caller mutated a shared result
     assert memo.splits == memo.splits.copies
-    at_root = [got for got, i0, _ in memo.subtrees.values() if i0 == 1]
+    at_root = [got for got, i0 in memo.subtrees.values() if i0 == 1]
     if not root_fails:
         assert any(v is not None for v in at_root)
     else:
@@ -1192,12 +1200,14 @@ def test_memo_answers_a_translate_shifted_without_entering_a_node():
     second = schedule_subtree(inst, right, params, budget, memo=memo)
     assert budget.nodes == spent
     assert memo.subtrees == stored  # the stored result is not touched
-    system, assign = first
-    assert any(t is not None for t in assign.values())
-    # index k at depth d below the root moves by (3 - 2) << d, each slot by 8
+    system, assign, placed = first
+    assert placed == sum(t is not None for t in assign.values()) > 0
+    # index k at depth d below the root moves by (3 - 2) << d, each slot by
+    # 8, and the count of placed jobs stays
     assert second == (
         {k + (1 << (k.bit_length() - 2)): js for k, js in system.items()},
         {j: None if t is None else t + 8 for j, t in assign.items()},
+        placed,
     )
     assert second[0] is not system and second[1] is not assign
     fresh_budget = Budget()

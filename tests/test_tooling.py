@@ -136,11 +136,14 @@ def test_exact_opt_searches_when_baselines_is_imported_first():
 
 
 @pytest.mark.parametrize("n, m, seed, flags, counts", [
-    # certified: check_reference and the final status check are the only
-    # validity checks, and nothing is discarded, so nothing is re-inserted
+    # certified: the collapsed attempt is the oracle's schedule, so no
+    # hinted solve and no system; check_reference and the final status
+    # check are the only validity checks, and nothing is discarded, so
+    # nothing is re-inserted
     (9, 3, 5, ["--hinted"],
-     {"solver.solve_hinted.calls": 1, "core.verify_valid.calls": 2,
-      "solver.main_solve.calls": 0, "transform.insert_discarded.calls": 0}),
+     {"solver.solve_hinted.calls": 0, "dyadic.system_from_schedule.calls": 0,
+      "core.verify_valid.calls": 2, "solver.main_solve.calls": 0,
+      "transform.insert_discarded.calls": 0}),
     (5, 2, 0, ["--param-override", "h=1", "--param-override", "hp=1",
                "--param-override", "p=2"],
      {"transform.binary_search_makespan.calls": 1}),
