@@ -1,14 +1,15 @@
 """List-scheduling baselines, makespan bounds and the exact oracle.
 
 The oracle is the bound sandwich followed, when it does not certify, by
-``solver.bottom_solve`` in complete mode at each horizon in turn.
+an exhaustive search of its own (``_fits``) at each horizon in turn.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import combinations
 
 from .core import (
     DISC,
@@ -20,11 +21,9 @@ from .core import (
     chain_depths,
     iter_jobs,
     job_count,
+    mask_from,
 )
-from .errors import CapacityDeficit
-
-if TYPE_CHECKING:
-    from .solver import Budget
+from .errors import Budget, CapacityDeficit
 
 
 @dataclass(frozen=True)
@@ -79,21 +78,19 @@ def _list_schedule(inst: Instance, priority: Sequence[int]) -> Schedule:
     return Schedule(T=max(t, 1) if inst.n else 0, assign=tuple(assign))
 
 
-def tail_heights(inst: Instance, jobs: JobSet | None = None) -> list[int]:
-    """Per job, the length of the longest chain that starts at it; with
-    ``jobs``, of the longest chain within ``jobs``, and 0 outside it."""
+def tail_heights(inst: Instance) -> list[int]:
+    """Per job, the length of the longest chain that starts at it."""
     height = [0] * inst.n
-    succ, within = inst.succ, inst.all_jobs if jobs is None else jobs
+    succ = inst.succ
     for j in reversed(inst.topo):
-        if within >> j & 1:
-            h, rest = 0, succ[j] & within
-            while rest:
-                low = rest & -rest
-                hs = height[low.bit_length() - 1]
-                if hs > h:
-                    h = hs
-                rest ^= low
-            height[j] = h + 1
+        h, rest = 0, succ[j]
+        while rest:
+            low = rest & -rest
+            hs = height[low.bit_length() - 1]
+            if hs > h:
+                h = hs
+            rest ^= low
+        height[j] = h + 1
     return height
 
 
@@ -188,6 +185,85 @@ def capacity_list_schedule(
     return Schedule(T=profile.interval.end, assign=tuple(full))
 
 
+def _fits(inst: Instance, T: int, budget: Budget) -> Schedule | None:
+    """A schedule of every job in slots ``1..T`` (``inst`` has one at
+    least), or ``None`` when none exists.
+
+    Depth-first over slots, each slot running a batch of ``min(m, #ready)``
+    ready jobs, batches in lexicographic order of their ascending members
+    (a unit-job schedule that fits can be made to never idle a machine
+    while a job is ready); the first schedule found is returned.  A child
+    whose ``(slot, alive)`` state already failed, or whose alive jobs break
+    Hu's level bound for the slots left, read from per-height counts kept
+    along the search, is skipped before it is entered.  A child's ready
+    jobs are its parent's without the batch, plus the jobs directly after
+    the batch with no predecessor left alive.  The root and each entered
+    child tick ``budget``, the root even when ``m * T < n`` ends the search.
+    The search recurses once per slot, so one that would recurse as deep
+    as ``sys.getrecursionlimit()`` raises ``ValueError`` after the root.
+    """
+    n, m, pred, succ = inst.n, inst.m, inst.pred, inst.succ
+    budget.tick()
+    if m * T < n:
+        return None
+    depth = min(T, n)  # a job a slot at least, and none once all are placed
+    if depth >= sys.getrecursionlimit():
+        raise ValueError(
+            f"horizon {T} is too long to search: it recurses once per slot, "
+            f"{depth} levels, and the recursion limit is {sys.getrecursionlimit()}")
+    failed: set[tuple[int, JobSet]] = set()
+    height = tail_heights(inst)
+    per_height = height_counts(height)
+    cover = []  # the jobs directly after each job
+    for j in range(n):
+        far = 0
+        for k in iter_jobs(succ[j]):
+            far |= succ[k]
+        cover.append(succ[j] & ~far)
+    assign: list[Slot] = [DISC] * n
+
+    def fill(t: int, alive: JobSet, ready: JobSet) -> bool:
+        """Place every job of ``alive`` from slot ``t`` on; ``ready`` is
+        the jobs of ``alive`` with no predecessor alive."""
+        if not alive:
+            return True
+        ready_jobs = list(iter_jobs(ready))
+        for batch in combinations(ready_jobs, min(m, len(ready_jobs))):
+            placed = mask_from(batch)
+            child = alive & ~placed
+            for j in batch:
+                per_height[height[j]] -= 1
+            if (t + 1, child) not in failed and _level(per_height, m) <= T - t:
+                budget.tick()
+                # a success places every job, so slots left by failed
+                # branches are all overwritten
+                for j in batch:
+                    assign[j] = t
+                # a job that becomes ready follows a job of the batch with
+                # no job between: one between would follow the batch job,
+                # so be alive, and precede the new one, so be in the batch,
+                # which is an antichain
+                after = 0
+                for j in batch:
+                    after |= cover[j]
+                child_ready = ready & ~placed
+                for s in iter_jobs(after & child):
+                    if not pred[s] & child:
+                        child_ready |= 1 << s
+                if fill(t + 1, child, child_ready):
+                    return True
+                failed.add((t + 1, child))
+            for j in batch:
+                per_height[height[j]] += 1
+        return False
+
+    try:
+        ready = mask_from(j for j in range(n) if not pred[j])
+        return Schedule(T=T, assign=tuple(assign)) if fill(1, inst.all_jobs, ready) else None
+    finally:
+        del fill  # it refers to itself: free what it captures now, not at a collection
+
+
 def exact_opt(
     inst: Instance,
     bounds: tuple[int, Schedule] | None = None,
@@ -198,24 +274,20 @@ def exact_opt(
 
     ``bounds`` is ``bound_sandwich(inst)``, computed here when omitted.
     When its list schedule meets the level bound, that schedule is optimal
-    and is returned as it is.  Otherwise ``bottom_solve`` in complete mode
-    decides each horizon T from the level bound up to the list schedule's
-    makespan, on (0, T] with no ancestors, and the first with a schedule
-    of every job is returned with it.  ``budget`` (a fresh ``Budget`` when
-    omitted) counts the nodes of every horizon tried and raises
-    ``BudgetExceeded`` when they run out.
+    and is returned as it is.  Otherwise ``_fits`` decides each horizon T
+    from the level bound up to the list schedule's makespan, and the first
+    with a schedule of every job is returned with it.  ``budget`` (a fresh
+    ``Budget`` when omitted) counts the nodes of every horizon tried and
+    raises ``BudgetExceeded`` when they run out.
     """
     if inst.n == 0:
         return 0, Schedule(T=0, assign=())
     lower, upper = bounds or bound_sandwich(inst)
     if upper.makespan == lower:
         return lower, upper
-    # solver imports this module (through convert), so it is imported here
-    from .solver import Budget, bottom_solve
-
     budget = budget or Budget()
     for T in range(lower, upper.makespan + 1):
-        assign = bottom_solve(inst, Interval(0, T), inst.all_jobs, 0, {}, budget, complete=True)
-        if DISC not in assign.values():
-            return T, Schedule(T=T, assign=tuple(assign[j] for j in range(inst.n)))
+        sched = _fits(inst, T, budget)
+        if sched is not None:
+            return T, sched
     raise AssertionError("the list schedule fits in its own makespan")  # pragma: no cover

@@ -21,9 +21,8 @@ from . import io, pipeline
 from .baselines import exact_opt, graham_list
 from .core import longest_chain, verify_valid
 from .dyadic import OVERRIDE_KEYS
-from .errors import BudgetExceeded, NoSolution
+from .errors import DEFAULT_BUDGET, Budget, BudgetExceeded, NoSolution
 from .generators import FAMILIES, gen_instance
-from .solver import DEFAULT_BUDGET, Budget
 from .transform import insert_discarded
 
 BENCH_COLUMNS = (
@@ -189,8 +188,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                         "cut by a bound or answered from a memo; an L = 0 "
                         "attempt counts only bottom-search states, and a "
                         "--hinted run or a searched run that collapses to "
-                        "L = 0 exactly the exact oracle's states; the "
-                        "split-outcome walk's steps count apart, against "
+                        "L = 0 exactly the exact oracle's own search states; "
+                        "the split-outcome walk's steps count apart, against "
                         "the same limit (exit 2 when either runs out)")
     p.add_argument("--out", default=None, help="write the schedule here")
 
@@ -274,9 +273,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--param-override", action="append", default=[], metavar="K=V")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="search node budget per row, shared by the exact "
-                            "oracle and the solver; the split-outcome walk's "
-                            "steps count apart, against the same limit (exit "
-                            "2 when either runs out)")
+                            "oracle's search and the solver's; the split-outcome "
+                            "walk's steps count apart, against the same limit "
+                            "(exit 2 when either runs out)")
         p.add_argument("--format", choices=("text", "csv"), default="csv",
                        help=f"csv columns, in order: {', '.join(BENCH_COLUMNS)}")
         p.add_argument("--out", default=None)

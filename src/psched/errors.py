@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the search budget."""
+
+from dataclasses import dataclass
+
+DEFAULT_BUDGET = 10_000_000
 
 
 class CycleError(ValueError):
@@ -38,6 +42,50 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"search budget exceeded: {nodes} {unit} > limit {limit}")
         self.nodes = nodes
         self.limit = limit
+
+
+@dataclass
+class Budget:
+    """Shared counters that abort the search when one exceeds ``limit``.
+
+    A node is a search state that was entered: one ``schedule_subtree``
+    call that solves its subproblem, one step of the outer cascades or
+    one state of a bottom search or of the oracle's search.  Children that
+    a bound or the oracle's failed-state memo rules out before entry are
+    not counted, nor is a subproblem answered from the ``SolveMemo`` of
+    the current ``main_solve``, whether solved at its own interval or at
+    a translate of it on the same level, nor a partition or right half
+    that ``schedule_subtree``'s count bound cuts, which is never entered.
+    A tree with ``L = 0`` runs no cascades and no ``schedule_subtree``,
+    so only its bottom-search states count.  ``exact_opt`` counts its
+    states in the budget it is given, which for a ``pipeline.solve`` run
+    is the run's ``budget``.  An attempt with an oracle enters no search
+    state (``solve_hinted``, or the oracle's schedule itself when the tree
+    collapses), so a hinted or collapsed run counts exactly its oracle's
+    states.  The outer cascades stop at the first state whose
+    subtree places every job.
+
+    The split-outcome walk counts its steps in ``walk_states``, a counter
+    of its own held to the same ``limit``: one per (residual set, guesses
+    left) that a ``_guess_outcomes`` call steps, and one per guess vector
+    it finds ending.  The walk is not search in the sense above, and
+    counting it apart leaves every node count out of it, while the limit
+    still bounds a walk's time.
+    """
+
+    limit: int = DEFAULT_BUDGET
+    nodes: int = 0
+    walk_states: int = 0
+
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise BudgetExceeded(self.nodes, self.limit)
+
+    def tick_walk(self) -> None:
+        self.walk_states += 1
+        if self.walk_states > self.limit:
+            raise BudgetExceeded(self.walk_states, self.limit, "split-walk states")
 
 
 class BadParams(ValueError):

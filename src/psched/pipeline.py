@@ -14,8 +14,8 @@ from .baselines import bound_sandwich, exact_opt
 from .convert import virtually_valid_to_valid
 from .core import Instance, Schedule, Slot, iter_jobs
 from .dyadic import TOP, PartialDyadicSystem, Params, check_reference, compute_params, tree_for
-from .errors import NoSolution
-from .solver import DEFAULT_BUDGET, Budget, main_solve, solve_hinted
+from .errors import DEFAULT_BUDGET, Budget, NoSolution
+from .solver import main_solve, solve_hinted
 from .transform import (binary_search_makespan, insert_discarded, pad_to_power_of_two,
                         padded_horizon)
 
@@ -116,7 +116,7 @@ def _search_horizon(inst, eps, overrides, budget, oracle, bounds):
     hands back the outcome of the attempt it settles on.  An attempt fails
     when the oracle's optimum exceeds its horizon or its valid schedule
     discards a job."""
-    if inst.n == 0:  # the search returns horizon 0 without solving
+    if inst.n == 0:  # horizon 0, with no attempt
         empty = Schedule(T=0, assign=())
         return SolveOutcome(horizon=0, padded_T=0, virtual=empty, valid=empty, discards=0,
                             nodes=budget.nodes)

@@ -27,9 +27,8 @@ from __future__ import annotations
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 
-from .baselines import _level, height_counts, tail_heights
 from .core import (
     DISC,
     Instance,
@@ -61,53 +60,7 @@ from .dyadic import (
     tree_for,
 )
 from .convert import valid_to_virtually_valid
-from .errors import BudgetExceeded
-
-DEFAULT_BUDGET = 10_000_000
-
-
-@dataclass
-class Budget:
-    """Shared counters that abort the search when one exceeds ``limit``.
-
-    A node is a search state that was entered: one ``schedule_subtree``
-    call that solves its subproblem, one step of the outer cascades or
-    one state of the bottom search.  Bottom-search children that a bound
-    or the failed-state memo of complete mode rules out before entry are
-    not counted, nor is a subproblem answered from the ``SolveMemo`` of
-    the current ``main_solve``, whether solved at its own interval or at
-    a translate of it on the same level, nor a partition or right half
-    that ``schedule_subtree``'s count bound cuts, which is never entered.
-    A tree with ``L = 0`` runs no cascades and no ``schedule_subtree``,
-    so only its bottom-search states count.  ``exact_opt`` counts its
-    states in the budget it is given, which for a ``pipeline.solve`` run
-    is the run's ``budget``.  An attempt with an oracle enters no search
-    state (``solve_hinted``, or the oracle's schedule itself when the tree
-    collapses), so a hinted or collapsed run counts exactly its oracle's
-    states.  The outer cascades stop at the first state whose
-    subtree places every job.
-
-    The split-outcome walk counts its steps in ``walk_states``, a counter
-    of its own held to the same ``limit``: one per (residual set, guesses
-    left) that a ``_guess_outcomes`` call steps, and one per guess vector
-    it finds ending.  The walk is not search in the sense above, and
-    counting it apart leaves every node count out of it, while the limit
-    still bounds a walk's time.
-    """
-
-    limit: int = DEFAULT_BUDGET
-    nodes: int = 0
-    walk_states: int = 0
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise BudgetExceeded(self.nodes, self.limit)
-
-    def tick_walk(self) -> None:
-        self.walk_states += 1
-        if self.walk_states > self.limit:
-            raise BudgetExceeded(self.walk_states, self.limit, "split-walk states")
+from .errors import Budget
 
 
 @dataclass(slots=True)
@@ -331,7 +284,6 @@ def bottom_solve(
     ancestors: JobSet,
     anc_windows: dict[int, Window],
     budget: Budget | None = None,
-    complete: bool = False,
 ) -> PartialAssign:
     """Best virtually-valid assignment on a bottom interval.
 
@@ -340,29 +292,14 @@ def bottom_solve(
     Branch and bound over per-slot antichain batches of bottom jobs;
     ancestor slots are filled greedily by earliest window end, which is
     optimal for unit jobs.  The root state is always entered and counted,
-    but when its bound cannot beat the incumbent (no job to place, or in
-    complete mode more jobs than the interval holds) the all-discard
-    assignment is returned before any search state is built.
+    but when there is no job to place the all-discard assignment is
+    returned before any search state is built.
 
     At each slot the batches are tried larger first, then in lexicographic
     order of their ascending members (see ``antichains``); the result is
     the first assignment in that order that schedules the most jobs, so
     this order fixes the output.  A child whose bound cannot beat the
     incumbent is skipped before it is entered and costs no node.
-
-    In ``complete`` mode, which takes no ancestors, only an assignment of
-    every job counts: the result is the search's above when that places
-    every job, and the all-discard assignment otherwise.  It tries only
-    batches of ``min(m, #ready)`` ready jobs, in the same order (a unit-job
-    schedule that fits can be made to never idle a machine while a job is
-    ready), and skips before entry a child whose ``(slot, alive)`` state
-    already failed or whose alive jobs break Hu's level bound for the
-    slots left, read from per-height counts kept along the search.  The
-    ready jobs are kept along the search too: a child's are its parent's
-    without the batch, plus the jobs directly after the batch that have
-    no predecessor left alive.  Complete mode never reads the
-    comparability masks that ``antichains`` takes; only the max-count
-    search builds them, for the bottom jobs alone.
 
     The search recurses once per slot, so a search that would recurse as
     deep as ``sys.getrecursionlimit()`` raises ``ValueError`` after the
@@ -382,130 +319,69 @@ def bottom_solve(
     total_jobs = n_bottom + job_count(ancestors)
 
     best_assign: PartialAssign = dict.fromkeys(iter_jobs(bottom | ancestors), DISC)
-    best_count = total_jobs - 1 if complete else 0
+    best_count = 0
     budget.tick()  # the root is entered even when its bound ends the search
     if min(m * n_slots, n_bottom + len(anc_order)) <= best_count:
         return best_assign
-    # one level per slot; complete mode places a job a slot at least and
-    # stops when none is left
-    depth = min(n_slots, total_jobs) if complete else n_slots
-    if depth >= sys.getrecursionlimit():
+    if n_slots >= sys.getrecursionlimit():  # one level per slot
         raise ValueError(
             f"bottom interval {iv} is too long to search: it recurses once per slot, "
-            f"{depth} levels, and the recursion limit is {sys.getrecursionlimit()}")
-    pred = inst.pred
+            f"{n_slots} levels, and the recursion limit is {sys.getrecursionlimit()}")
+    pred, succ = inst.pred, inst.succ
     assign: PartialAssign = dict(best_assign)
-    if not complete:
-        succ = inst.succ
-        comparable = {j: succ[j] | pred[j] for j in iter_jobs(bottom)}
+    comparable = {j: succ[j] | pred[j] for j in iter_jobs(bottom)}
 
-        def dfs(idx: int, alive: JobSet, anc_left: tuple[int, ...], count: int) -> None:
-            """Expand a node whose bound the caller found to beat the incumbent.
+    def dfs(idx: int, alive: JobSet, anc_left: tuple[int, ...], count: int) -> None:
+        """Expand a node whose bound the caller found to beat the incumbent.
 
-            ``anc_left`` holds only ancestors whose window has not ended
-            before slot ``idx``."""
-            nonlocal best_assign, best_count
-            if idx == n_slots:
-                best_count = count
-                best_assign = dict(assign)
-                return
-            t = slots[idx]
-            cap_after = m * (n_slots - idx - 1)
-            fits = [j for j in anc_left if anc_windows[j][0] < t] if anc_left else ()
-            placed_anc = rest = ()
-            for size in range(min(m, alive.bit_count()), -1, -1):
-                if anc_left:
-                    # earliest-deadline ancestors into the room the batch leaves
-                    placed_anc = fits[: m - size]
-                    rest = tuple(
-                        j for j in anc_left if j not in placed_anc and anc_windows[j][1] > t
-                    )
-                base = count + size + len(placed_anc)
-                if base + cap_after <= best_count:
-                    continue  # no batch of this size can beat the incumbent
-                # with room in the slots left, a child beats the incumbent iff
-                # it leaves this many bottom jobs alive
-                keep = [best_count - base - len(rest) + 1]
-                for batch, child_alive in antichains(comparable, pred, alive, size, keep):
-                    budget.tick()
-                    for j in batch:
-                        assign[j] = t
-                    for j in placed_anc:
-                        assign[j] = t
-                    dfs(idx + 1, child_alive, rest, base)
-                    for j in batch:
-                        assign[j] = DISC
-                    for j in placed_anc:
-                        assign[j] = DISC
-                    if best_count == total_jobs:
-                        return
-                    if base + cap_after <= best_count:
-                        break
-                    keep[0] = best_count - base - len(rest) + 1
-
-        try:
-            dfs(0, bottom, anc_order, 0)
-        finally:
-            # ``dfs`` refers to itself; dropping it breaks the cycle that
-            # would keep everything it captures alive until the cycle
-            # collector runs
-            del dfs
-        return best_assign
-
-    failed: set[tuple[int, JobSet]] = set()
-    height = tail_heights(inst, bottom)
-    per_height = height_counts(height)  # jobs outside ``bottom`` at 0
-    cover = {}  # the jobs of ``bottom`` directly after each one of it
-    for j in iter_jobs(bottom):
-        later = inst.succ[j] & bottom
-        far = 0
-        for k in iter_jobs(later):
-            far |= inst.succ[k]
-        cover[j] = later & ~far
-
-    def fill(idx: int, alive: JobSet, ready: JobSet) -> bool:
-        """Place every job of ``alive`` from slot ``idx`` on; ``ready`` is
-        the jobs of ``alive`` with no predecessor alive."""
-        if not alive:
-            return True
+        ``anc_left`` holds only ancestors whose window has not ended
+        before slot ``idx``."""
+        nonlocal best_assign, best_count
+        if idx == n_slots:
+            best_count = count
+            best_assign = dict(assign)
+            return
         t = slots[idx]
-        slots_left = n_slots - idx - 1
-        ready_jobs = list(iter_jobs(ready))
-        for batch in combinations(ready_jobs, min(m, len(ready_jobs))):
-            placed = mask_from(batch)
-            child = alive & ~placed
-            for j in batch:
-                per_height[height[j]] -= 1
-            if (idx + 1, child) not in failed and _level(per_height, m) <= slots_left:
+        cap_after = m * (n_slots - idx - 1)
+        fits = [j for j in anc_left if anc_windows[j][0] < t] if anc_left else ()
+        placed_anc = rest = ()
+        for size in range(min(m, alive.bit_count()), -1, -1):
+            if anc_left:
+                # earliest-deadline ancestors into the room the batch leaves
+                placed_anc = fits[: m - size]
+                rest = tuple(
+                    j for j in anc_left if j not in placed_anc and anc_windows[j][1] > t
+                )
+            base = count + size + len(placed_anc)
+            if base + cap_after <= best_count:
+                continue  # no batch of this size can beat the incumbent
+            # with room in the slots left, a child beats the incumbent iff
+            # it leaves this many bottom jobs alive
+            keep = [best_count - base - len(rest) + 1]
+            for batch, child_alive in antichains(comparable, pred, alive, size, keep):
                 budget.tick()
-                # a success places every job, so slots left by failed
-                # branches are all overwritten
                 for j in batch:
                     assign[j] = t
-                # a job that becomes ready follows a job of the batch with
-                # no job of ``bottom`` between: one between would follow the
-                # batch job, so be alive, and precede the new one, so be in
-                # the batch, which is an antichain
-                after = 0
+                for j in placed_anc:
+                    assign[j] = t
+                dfs(idx + 1, child_alive, rest, base)
                 for j in batch:
-                    after |= cover[j]
-                child_ready = ready & ~placed
-                for s in iter_jobs(after & child):
-                    if not pred[s] & child:
-                        child_ready |= 1 << s
-                if fill(idx + 1, child, child_ready):
-                    return True
-                failed.add((idx + 1, child))
-            for j in batch:
-                per_height[height[j]] += 1
-        return False
+                    assign[j] = DISC
+                for j in placed_anc:
+                    assign[j] = DISC
+                if best_count == total_jobs:
+                    return
+                if base + cap_after <= best_count:
+                    break
+                keep[0] = best_count - base - len(rest) + 1
 
     try:
-        ready = mask_from(j for j in iter_jobs(bottom) if not pred[j] & bottom)
-        if fill(0, bottom, ready):
-            best_assign = dict(assign)
+        dfs(0, bottom, anc_order, 0)
     finally:
-        del fill  # as ``dfs`` above
+        # ``dfs`` refers to itself; dropping it breaks the cycle that
+        # would keep everything it captures alive until the cycle
+        # collector runs
+        del dfs
     return best_assign
 
 
@@ -850,8 +726,8 @@ def main_solve(
     one ``bottom_solve`` of all jobs on the root, with no cascades,
     subtrees or memo.  A pipeline attempt with an oracle does not come
     here: it is answered from the oracle's schedule, and a searched run
-    whose tree collapses takes that schedule from ``exact_opt``, which
-    runs ``bottom_solve``'s complete mode on the instance itself.
+    whose tree collapses takes that schedule from ``exact_opt``, whose
+    own search decides each horizon on the instance itself.
     """
     budget = budget or Budget()
     tree = tree_for(params)

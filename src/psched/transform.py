@@ -79,11 +79,11 @@ def binary_search_makespan(
     inst: Instance,
     solver: Callable[[int], R | None],
     bounds: tuple[int, Schedule] | None = None,
-) -> tuple[int, R | Schedule]:
+) -> tuple[int, R]:
     """Smallest horizon found at which ``solver`` succeeds, with what
     ``solver`` returned there (``None`` is failure; any other answer is
-    passed through as it is).  An instance with no jobs gets horizon 0 and
-    the empty schedule without a call.
+    passed through as it is).  An instance with no jobs has level bound
+    and list schedule 0, so ``solver`` is asked at horizon 0 alone.
 
     ``bounds`` is ``bound_sandwich(inst)``, computed here when omitted.
     Probes the level lower bound ``lo`` first.  No horizon below ``lo``
@@ -95,8 +95,6 @@ def binary_search_makespan(
     last failure; only that bisection assumes monotone success.  Raises
     ``NoSolution`` when ``n`` fails.
     """
-    if inst.n == 0:
-        return 0, Schedule(T=0, assign=())
     lo, upper = bounds or bound_sandwich(inst)
     best = solver(lo)
     if best is not None:

@@ -73,11 +73,9 @@ def chain_depths(inst: Instance, jobs: JobSet) -> dict[int, int]:
     return depth
 
 
-def tail_heights(inst: Instance, jobs: JobSet | None = None) -> list[int]:
+def tail_heights(inst: Instance) -> list[int]:
     height = [0] * inst.n
     for j in reversed(inst.topo):
-        if jobs is not None and not jobs >> j & 1:
-            continue
         h = 0
         for s in iter_jobs(inst.succ[j]):
             if height[s] > h:

@@ -2,6 +2,7 @@
 exact oracle."""
 
 import random
+import sys
 import tempfile
 from itertools import product
 from pathlib import Path
@@ -22,7 +23,7 @@ from psched.cli import run_command
 from psched.core import Interval, build_instance, iter_jobs, job_count, longest_chain, mask_from, verify_valid
 from psched.errors import BudgetExceeded, CapacityDeficit
 from psched.generators import gen_instance
-from psched.solver import Budget, bottom_solve
+from psched.solver import Budget
 
 from conftest import (
     assert_no_violations,
@@ -181,8 +182,7 @@ def test_exact_opt_decides_uncertified_instances_in_few_nodes(n, m, seed):
     assert_no_violations(verify_valid(inst, sched))
     assert sched.discard_count == 0 and sched.makespan == sched.T == opt
     # one slot fewer admits no schedule of every job
-    below = bottom_solve(inst, Interval(0, opt - 1), inst.all_jobs, 0, {}, complete=True)
-    assert set(below.values()) == {None}
+    assert baselines._fits(inst, opt - 1, Budget()) is None
 
 
 # (m, density, seed, optimum, nodes) of random-dag n=64 instances the
@@ -307,6 +307,29 @@ def test_exact_opt_matches_permutation_oracle():
         assert exact_opt(inst)[0] == permutation_opt(inst)
 
 
+def test_exact_opt_refuses_a_search_as_deep_as_the_recursion_limit(monkeypatch):
+    # n=12 m=2 seed 162: level bound 7, list schedules 8, so the oracle
+    # searches horizon 7, which fails, then 8; a search recurses once per
+    # slot, min(T, n) levels, and is refused after its root is entered
+    inst, _ = gen_instance("random-dag", 12, 2, 0.3, 162)
+    lower, upper = bound_sandwich(inst)
+    assert (lower, upper.makespan) == (7, 8)
+    nodes = {}
+    for limit in (7, 8):
+        budget = Budget()
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "getrecursionlimit", lambda: limit)
+            with pytest.raises(ValueError, match=(
+                    f"^horizon {limit} is too long to search: it recurses once per slot, "
+                    f"{limit} levels, and the recursion limit is {limit}$")):
+                exact_opt(inst, budget=budget)
+        nodes[limit] = budget.nodes
+    # horizon 7's search enters its root alone: every child breaks the level
+    # bound; so at 8 the guard stops the search after horizon 8's root
+    assert nodes == {7: 1, 8: 2}
+    assert exact_opt(inst)[0] == 8
+
+
 def test_exact_opt_one_machine_runs_every_job_in_turn():
     inst = build_instance(4, 1, [(0, 1)])
     opt, sched = exact_opt(inst)
@@ -315,18 +338,11 @@ def test_exact_opt_one_machine_runs_every_job_in_turn():
 
 
 def test_tail_heights_are_longest_chains_from_each_job():
-    rng = random.Random(5)
     for seed in range(20):
         inst = random_instance(9, 2, 0.3, seed)
         heights = tail_heights(inst)
         for j in range(inst.n):
             assert heights[j] == brute_longest_chain(inst, inst.succ[j]) + 1
-        # within a job mask: chains through jobs outside it do not count
-        jobs = mask_from(j for j in range(inst.n) if rng.random() < 0.6)
-        heights = tail_heights(inst, jobs)
-        for j in range(inst.n):
-            inside = jobs >> j & 1
-            assert heights[j] == inside * (brute_longest_chain(inst, inst.succ[j] & jobs) + 1)
 
 
 def test_level_bound_counts_jobs_above_a_height():

@@ -1,5 +1,5 @@
 """The lazy bottom search against its earlier eager form, its batch
-order, and its complete mode against its max-count mode."""
+order, and the exact oracle's search against it."""
 
 import random
 from fractions import Fraction
@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from psched import baselines
 from psched.baselines import bound_sandwich, exact_opt
 from psched.core import DISC, Interval, iter_jobs, job_count, mask_from
 from psched.dyadic import compute_params, tree_for
@@ -163,24 +164,23 @@ def _grid():
 
 
 def test_complete_mode_agrees_with_max_count_mode_on_a_seeded_grid():
-    # at every horizon the sandwich leaves open, and one below it, complete
-    # mode returns max-count mode's assignment when that schedules every
-    # job and the all-discard assignment when it does not, entering no
-    # more nodes
+    # at every horizon the sandwich leaves open, and one below it, the
+    # oracle's search returns the bottom search's assignment when that
+    # schedules every job and nothing when it does not, entering no more
+    # nodes
     decided = failed = 0
     for family, n, m, seed in _grid():
         inst, _ = gen_instance(family, n, m, 0.3, seed)
         lower, upper = bound_sandwich(inst)
         for T in range(max(lower - 1, 1), upper.makespan + 1):
-            iv = Interval(0, T)
-            most, complete = Budget(), Budget()
-            want = bottom_solve(inst, iv, inst.all_jobs, 0, {}, budget=most)
-            got = bottom_solve(inst, iv, inst.all_jobs, 0, {}, budget=complete, complete=True)
+            most, exact = Budget(), Budget()
+            want = bottom_solve(inst, Interval(0, T), inst.all_jobs, 0, {}, budget=most)
+            got = baselines._fits(inst, T, exact)
             if DISC in want.values():
-                assert set(got.values()) == {DISC}
+                assert got is None
                 failed += 1
             else:
-                assert got == want
+                assert got.assign == tuple(want[j] for j in range(inst.n))
                 decided += 1
-            assert complete.nodes <= most.nodes
+            assert exact.nodes <= most.nodes
     assert (decided, failed) == (542, 541)

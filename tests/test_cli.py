@@ -899,31 +899,31 @@ def test_certified_pipeline_runs_no_search(tmp_path, capsys, monkeypatch, flags)
         raise AssertionError("a certified run searched")
 
     for mod, name in ((pipeline, "main_solve"), (solver, "main_solve"),
-                      (solver, "bottom_solve")):
+                      (solver, "bottom_solve"), (baselines, "_fits")):
         monkeypatch.setattr(mod, name, forbidden)
     assert _pipeline(tmp_path, capsys, inst_path, flags) == want
 
 
 def test_open_sandwich_still_searches_below_the_list_schedule(tmp_path, capsys, monkeypatch):
     # n=12 m=2 seed 162: level bound 7, list schedules 8.  exact_opt's
-    # complete-mode search fails at 7 and fits 8 (10 nodes); the one
+    # search fails at 7 and fits 8 (10 nodes); the one
     # attempt, at 8, is answered by its schedule with no search and no
     # node, and so is the reference's replay
     inst_path = _gen(tmp_path, 12, 2, 162)
     pairs = _attempts_beside_reference(monkeypatch)
     searched = _searches(monkeypatch)
     horizons = []
-    bottom = solver.bottom_solve
+    fits = baselines._fits
 
-    def bottom_spy(inst, iv, *args, **kwargs):
-        horizons.append((iv.end, kwargs.get("complete", False)))
-        return bottom(inst, iv, *args, **kwargs)
+    def fits_spy(inst, T, budget):
+        horizons.append(T)
+        return fits(inst, T, budget)
 
-    monkeypatch.setattr(solver, "bottom_solve", bottom_spy)
+    monkeypatch.setattr(baselines, "_fits", fits_spy)
     capsys.readouterr()
     assert run_command(["solve", str(inst_path), "--out", str(tmp_path / "s.sched")]) == 0
     assert capsys.readouterr().err == "horizon 8 padded 8: 12 scheduled, 0 discarded, 10 nodes\n"
-    assert horizons == [(7, True), (8, True)]
+    assert horizons == [7, 8]
     assert searched == [(8, 0, "oracle")]
     (want, got), = pairs
     assert (got.horizon, got.discards) == (8, 0)

@@ -68,10 +68,9 @@ def test_kernels_match_the_reference(case, data):
     for mask in (jobs, inst.all_jobs):
         got, want = chain_depths(inst, mask), ref.chain_depths(inst, mask)
         assert list(got.items()) == list(want.items())
-    for mask in (None, jobs):
-        heights = baselines.tail_heights(inst, mask)
-        assert heights == ref.tail_heights(inst, mask)
-        assert baselines.height_counts(heights) == ref.height_counts(heights)
+    heights = baselines.tail_heights(inst)
+    assert heights == ref.tail_heights(inst)
+    assert baselines.height_counts(heights) == ref.height_counts(heights)
     depths = ref.chain_depths(inst, inst.all_jobs).values()
     assert baselines.height_counts(depths) == ref.height_counts(depths)
     priority = data.draw(st.permutations(range(n)))

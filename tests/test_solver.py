@@ -238,9 +238,11 @@ def test_count_bounds_match_solving_every_candidate(monkeypatch, family, m):
 
 
 # (T, h, hp, p) of the deep trees on which the reworked per-state path
-# must give the earlier one's systems, schedules and node counts
+# must give the earlier one's systems, schedules and node counts; at
+# (16, 3, 0, 4) L = 1 and the outer levels reach bottom intervals 2 and 3,
+# so the outer cascades walk a bottom level
 LEAN_GRID = [(16, 1, 1, 2), (32, 1, 1, 2), (16, 2, 1, 3), (32, 2, 1, 2), (8, 1, 0, 2),
-             (32, 3, 1, 2)]
+             (32, 3, 1, 2), (16, 3, 0, 4)]
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -6,6 +6,7 @@ renames, moves or reshapes one of them must fail here, not only in a
 benchmark run.  The module is loaded from its file and left unchanged.
 """
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -116,10 +117,10 @@ def test_tracer_sees_one_parser_build_for_repeated_runs(tmp_path, monkeypatch):
 
 
 def test_exact_opt_searches_when_baselines_is_imported_first():
-    # exact_opt imports the solver inside the function, since the solver
-    # imports baselines through convert; a fresh interpreter that loads
-    # baselines before anything else must still reach the search, here on
-    # an instance whose level bound 7 is below both list schedules' 8
+    # the oracle's search lives in baselines, which imports no solver
+    # module; a fresh interpreter that loads baselines before anything else
+    # must still reach the search, here on an instance whose level bound 7
+    # is below both list schedules' 8
     code = (
         "import psched.baselines as b\n"
         "from psched.generators import gen_instance\n"
@@ -133,6 +134,25 @@ def test_exact_opt_searches_when_baselines_is_imported_first():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out == "7 8 8 8 0\n"
+
+
+def test_package_imports_sit_at_module_level_and_solver_needs_no_baselines():
+    # an import inside a function or under TYPE_CHECKING hides an import
+    # cycle; the solver and the exact oracle each own their search
+    problems = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                problems += [f"{path.stem}.{node.name} imports in its body"
+                             for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
+            elif isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+                problems.append(f"{path.stem} has a TYPE_CHECKING block")
+            elif path.stem == "solver" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                if any(name.rsplit(".", 1)[-1] == "baselines" for name in names):
+                    problems.append("solver imports from baselines")
+    assert problems == []
 
 
 @pytest.mark.parametrize("n, m, seed, flags, counts", [

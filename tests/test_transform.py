@@ -205,6 +205,20 @@ def test_binary_search_no_solution():
     assert calls == [7, 10, 20]
 
 
+def test_binary_search_asks_an_empty_instance_at_horizon_0():
+    # level bound and list schedule are both 0, so horizon 0 is the one
+    # probe, and its answer is passed through or its failure raised
+    empty = build_instance(0, 2, [])
+    solve, calls = recording(lambda T: True)
+    assert binary_search_makespan(empty, solve) == (0, Schedule(T=0, assign=()))
+    assert calls == [0]
+    assert binary_search_makespan(empty, lambda T: "answer") == (0, "answer")
+    solve, calls = recording(lambda T: False)
+    with pytest.raises(NoSolution, match="solver failed at horizon n=0"):
+        binary_search_makespan(empty, solve)
+    assert calls == [0]
+
+
 def test_binary_search_probes_the_bounds_it_is_given():
     # the caller's sandwich is used as is, not recomputed
     given_bounds = (8, graham_list(LAYERED))
