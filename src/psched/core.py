@@ -258,12 +258,17 @@ class Schedule:
         return Schedule(T=self.T if T is None else T, assign=tuple(assign))
 
 
-def slot_violations(inst: Instance, assign: Mapping[int, Slot], among: JobSet) -> list[Violation]:
+def slot_violations(
+    inst: Instance, assign: Mapping[int, Slot] | tuple[Slot, ...], among: JobSet
+) -> list[Violation]:
     """Capacity at each slot, ascending, over every job ``assign`` places;
     then each precedence clash between two placed jobs of ``among``, by the
-    earlier job in the order ``assign`` lists it, then by the later one's id."""
+    earlier job in the order ``assign`` lists it, then by the later one's id.
+    ``assign`` maps jobs to slots, or is a tuple of the slots of jobs 0,
+    1, ... (a ``Schedule``'s)."""
+    listed = isinstance(assign, tuple)
     at: dict[int, JobSet] = {}  # the jobs placed at each slot
-    for j, t in assign.items():
+    for j, t in enumerate(assign) if listed else assign.items():
         if t is not None:
             at[t] = at.get(t, 0) | 1 << j
     out: list[Violation] = []
@@ -273,7 +278,7 @@ def slot_violations(inst: Instance, assign: Mapping[int, Slot], among: JobSet) -
         if at[t].bit_count() > inst.m:
             out.append(Violation("capacity", f"{at[t].bit_count()} jobs at slot {t} > m={inst.m}"))
         upto[t] = acc = acc | at[t]
-    for a, ta in assign.items():
+    for a, ta in enumerate(assign) if listed else assign.items():
         if ta is not None and among >> a & 1 and (late := inst.succ[a] & upto[ta] & among):
             for b in iter_jobs(late):
                 out.append(Violation(
@@ -286,7 +291,7 @@ def verify_valid(inst: Instance, sched: Schedule) -> ValidityReport:
     out: list[Violation] = []
     if sched.n != inst.n:
         out.append(Violation("domain", f"schedule covers {sched.n} jobs, instance has {inst.n}"))
-    out += slot_violations(inst, dict(enumerate(sched.assign)), inst.all_jobs)
+    out += slot_violations(inst, sched.assign, inst.all_jobs)
     return ValidityReport(violations=tuple(out), discards=sched.discard_count)
 
 

@@ -31,7 +31,6 @@ from .core import (
     Violation,
     iter_jobs,
     job_count,
-    longest_chain,
     mask_from,
     slot_violations,
     verify_valid,
@@ -213,12 +212,30 @@ class DyadicTree:
         for name, table in (("span", span), ("kinds", kinds), ("interval", interval)):
             object.__setattr__(self, name, tuple(table))
 
+    def preorder(self, i: int) -> tuple[int, ...]:
+        """Indices of the subtree under index ``i`` in preorder: each one,
+        then its left half's, then its right half's."""
+        return _preorder(i, 1 << self.L)
+
     def below(self, i: int, k: int) -> range:
         """Indices of the intervals ``k`` levels below index ``i``, by begin
         (none when ``k < 0`` or that is below the leaves)."""
         if k < 0 or i.bit_length() + k > self.L + 1:
             return range(0)
         return range(i << k, (i + 1) << k)
+
+
+@lru_cache(maxsize=1024)
+def _preorder(i: int, leaf: int) -> tuple[int, ...]:
+    # ``leaf`` is the first index of the leaf level
+    order = []
+    todo = [i]
+    while todo:
+        k = todo.pop()
+        order.append(k)
+        if k < leaf:
+            todo += (2 * k + 1, 2 * k)
+    return tuple(order)
 
 
 def tree_for(params: Params) -> DyadicTree:
@@ -435,9 +452,9 @@ def _select_pivot(inst: Instance, jobs: JobSet, threshold: int) -> int:
     """Smallest-id job whose predecessor and successor counts within ``jobs``
     both reach the threshold.  Such a job always exists while the chain
     length exceeds the budget (take the middle of a longest chain)."""
+    pred, succ = inst.pred, inst.succ
     for j in iter_jobs(jobs):
-        if (job_count(inst.pred[j] & jobs) >= threshold
-                and job_count(inst.succ[j] & jobs) >= threshold):
+        if (pred[j] & jobs).bit_count() >= threshold and (succ[j] & jobs).bit_count() >= threshold:
             return j
     raise AssertionError("no eligible pivot; split loop invariant broken")
 
@@ -453,8 +470,21 @@ def split_step(inst: Instance, stay: JobSet, a: int, b: int, d: int) -> int | No
         return None
     if bound < d:
         return (stay & -stay).bit_length() - 1
-    if longest_chain(inst, stay) * d <= bound:
-        return None
+    # the chain fits when peeling the jobs with no predecessor left
+    # ``bound // d`` times empties the set
+    pred = inst.pred
+    rest = stay
+    for _ in range(bound // d):
+        deeper = 0
+        scan = rest
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            if pred[low.bit_length() - 1] & rest:
+                deeper |= low
+        rest = deeper
+        if not rest:
+            return None
     # a pivot needs bound / (2d) - 1 jobs on each side: 2dc >= bound - 2d,
     # so its least count c is that ceiling
     return _select_pivot(inst, stay, -((2 * d - bound) // (2 * d)))
@@ -481,8 +511,8 @@ def _split(
     pivot: 'L' moves the pivot with its predecessors left, 'R' moves it
     with its successors right, until the chain length of the remainder
     fits the interval's budget.  Returns (stay, to-left, to-right, sides
-    chosen).  The solver's guess-tree walk runs the same steps,
-    ``split_step`` and ``moved_with``, branch by branch.
+    chosen).  The solver's guess-tree walk runs the same steps branch by
+    branch: ``split_step``, and the moves ``moved_with`` makes.
     """
     a, b = split_budget(params, i)
     stay = jobs
@@ -560,6 +590,12 @@ def system_from_schedule(
     guesses: dict[int, Guesses] = {}
 
     def walk(i: int, pool: JobSet) -> None:
+        if not pool:  # no job under i, and no pivot: each split is empty
+            zeros = dict.fromkeys(tree.preorder(i), 0)
+            covered.update(zeros)
+            assign.update(zeros)
+            guesses.update((k, ()) for k in zeros if tree.kinds[k] != BOT)
+            return
         covered[i] = pool
         if tree.kinds[i] == BOT:
             assign[i] = pool

@@ -63,7 +63,13 @@ class Budget:
     state (``solve_hinted``, or the oracle's schedule itself when the tree
     collapses), so a hinted or collapsed run counts exactly its oracle's
     states.  The outer cascades stop at the first state whose
-    subtree places every job.
+    subtree places every job.  A subproblem with no job (no ancestor,
+    every set empty) is answered by its level without a search, and
+    counts what that search would: a node for each level below it down
+    the left halves that its ``SolveMemo`` has not answered empty yet,
+    its bottom search's root at a bottom level, and the walk's two states
+    for each empty frontier split the memo lacks, in the search's order;
+    so the counts, and where the budget runs out, are those of the search.
 
     The split-outcome walk counts its steps in ``walk_states``, a counter
     of its own held to the same ``limit``: one per (residual set, guesses
@@ -82,8 +88,8 @@ class Budget:
         if self.nodes > self.limit:
             raise BudgetExceeded(self.nodes, self.limit)
 
-    def tick_walk(self) -> None:
-        self.walk_states += 1
+    def tick_walk(self, states: int = 1) -> None:
+        self.walk_states += states
         if self.walk_states > self.limit:
             raise BudgetExceeded(self.walk_states, self.limit, "split-walk states")
 

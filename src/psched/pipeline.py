@@ -12,10 +12,10 @@ from fractions import Fraction
 
 from .baselines import bound_sandwich, exact_opt
 from .convert import virtually_valid_to_valid
-from .core import Instance, Schedule, Slot, iter_jobs
+from .core import Instance, Interval, Schedule, Slot, iter_jobs
 from .dyadic import TOP, PartialDyadicSystem, Params, check_reference, compute_params, tree_for
 from .errors import DEFAULT_BUDGET, Budget, NoSolution
-from .solver import main_solve, solve_hinted
+from .solver import bottom_solve, main_solve, solve_hinted
 from .transform import (binary_search_makespan, insert_discarded, pad_to_power_of_two,
                         padded_horizon)
 
@@ -72,9 +72,13 @@ def solve_at_horizon(
     padded horizon, and builds no system and pads nothing.  Deeper trees
     replay it with ``solve_hinted`` on the padded instance, with the
     padding sinks added.  Neither enters a search state, so an attempt
-    with an oracle spends no node.  The virtually-valid schedule is made
-    valid by ``virtually_valid_to_valid`` only when it places a top job,
-    since the conversion is the identity otherwise."""
+    with an oracle spends no node.  A collapsed attempt without an oracle
+    whose jobs outnumber the ``m * horizon`` slots searches the originals
+    alone on ``(0, horizon]`` with ``bottom_solve``: the padded root,
+    sinks included, holds more jobs than it has slots, and ``main_solve``
+    would keep none.  The virtually-valid schedule is made valid by
+    ``virtually_valid_to_valid`` only when it places a top job, since the
+    conversion is the identity otherwise."""
     T2 = padded_horizon(horizon)
     params = compute_params(T2, inst.m, eps, overrides=overrides or None)
     if oracle is not None:
@@ -85,6 +89,10 @@ def solve_at_horizon(
             check_reference(inst, best, params)
             sched = Schedule(T=T2, assign=best.assign)
             return SolveOutcome(horizon, T2, sched, sched, 0, budget.nodes)
+    elif params.L == 0 and inst.n > inst.m * horizon:
+        assign = bottom_solve(inst, Interval(0, horizon), inst.all_jobs, 0, {}, budget)
+        sched = Schedule(T=T2, assign=tuple(assign[j] for j in range(inst.n)))
+        return SolveOutcome(horizon, T2, sched, sched, sched.discard_count, budget.nodes)
     padded = pad_to_power_of_two(inst, horizon)[0]
     if oracle is None:
         sys_out, virtual = main_solve(padded, params, budget)

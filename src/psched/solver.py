@@ -52,7 +52,6 @@ from .dyadic import (
     Window,
     check_virtually_valid,
     full_system,
-    moved_with,
     node_windows,
     split_budget,
     split_step,
@@ -109,6 +108,10 @@ class SubproblemInput:
         )
 
 
+# ``SubproblemInput.key`` after the level, for no ancestor and no set: the
+# key that marks a level's subproblems with no job as answered
+_NO_JOB = (0, (), (), ())
+
 PartialAssign = dict[int, Slot]
 # a subtree's system (job sets by heap index), its virtually-valid
 # assignment, and the number of jobs that assignment places
@@ -133,6 +136,14 @@ class SolveMemo:
     the memo may hold fewer keys than a solve of every candidate would
     leave, never a different value.  Stored results are shared and must
     never be mutated.
+
+    A subproblem with no job is answered by its level alone, whatever
+    empty sets it lists: its level is marked in ``subtrees`` under the
+    key of the subproblem with no ancestor and no set there, holding the
+    answer (every interval under the root holds no job, nothing placed)
+    at the index first answered.  A marked level counts nothing again,
+    as a repeat counts nothing; a table that stores nothing leaves no
+    mark, so every empty subproblem counts its whole search again.
 
     A subtree key is free of the root's position, and that is exact:
     ``_solve_subtree``, ``node_windows``,
@@ -187,6 +198,9 @@ def enumerate_partitions(
     straight to the discarded set of every partition, and a pool of such
     jobs alone yields its one partition at once.
     """
+    if not pool_windows:
+        yield 0, 0, 0
+        return
     begin, center, end = root.begin, root.center, root.end
     groups: dict[tuple, list[int]] = {}
     dead = 0  # the jobs whose window misses both halves
@@ -252,29 +266,37 @@ def antichains(
     step, so the caller may raise it between batches; a prefix that
     already leaves too few jobs alive is not extended.
     """
-    if alive.bit_count() - size >= keep[0]:
-        yield from _extend(comparable, pred, alive, alive, size, keep, ())
-
-
-def _extend(comparable, pred, cand, left, size, keep, prefix):
-    # every member still to come is a distinct job of ``cand``, a subset
-    # of ``left``, so each one lowers the count of ``left`` by one at least
-    if size == 0:
-        yield prefix, left
+    if alive.bit_count() - size < keep[0]:
         return
-    while cand.bit_count() >= size:
+    if size == 0:
+        yield (), alive
+        return
+    # depth first over the members in ascending order: per member chosen
+    # so far, the candidates after it that it is not comparable to and the
+    # jobs still alive; every member still to come is a distinct job of
+    # those candidates, so each one lowers the count alive by one at least
+    prefix: list[int] = []
+    stack = [(alive, alive)]
+    while stack:
+        cand, left = stack[-1]
+        need = size - len(prefix)
+        if cand.bit_count() < need:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
         low = cand & -cand
         cand ^= low
+        stack[-1] = cand, left
         j = low.bit_length() - 1
         after = left & ~(low | pred[j])
-        if after.bit_count() - (size - 1) < keep[0]:
+        if after.bit_count() - (need - 1) < keep[0]:
             continue
-        if size == 1:
-            yield prefix + (j,), after
+        if need == 1:
+            yield (*prefix, j), after
         else:
-            yield from _extend(
-                comparable, pred, cand & ~comparable[j], after, size - 1, keep, prefix + (j,)
-            )
+            prefix.append(j)
+            stack.append((cand & ~comparable[j], after))
 
 
 def bottom_solve(
@@ -307,16 +329,16 @@ def bottom_solve(
     """
     budget = budget or Budget()
     m = inst.m
-    slots = iv.slots()
-    n_slots = len(slots)
+    first = iv.begin + 1  # the interval's first slot
+    n_slots = iv.end - iv.begin
     # ancestors whose window ends before the interval never fit; each
     # level below drops the ones whose window has ended
     anc_order = tuple(sorted(
-        (j for j in iter_jobs(ancestors) if anc_windows[j][1] >= slots[0]),
+        (j for j in iter_jobs(ancestors) if anc_windows[j][1] >= first),
         key=lambda j: (anc_windows[j][1], j),
     )) if ancestors else ()
-    n_bottom = job_count(bottom)
-    total_jobs = n_bottom + job_count(ancestors)
+    n_bottom = bottom.bit_count()
+    total_jobs = n_bottom + ancestors.bit_count()
 
     best_assign: PartialAssign = dict.fromkeys(iter_jobs(bottom | ancestors), DISC)
     best_count = 0
@@ -329,19 +351,18 @@ def bottom_solve(
             f"{n_slots} levels, and the recursion limit is {sys.getrecursionlimit()}")
     pred, succ = inst.pred, inst.succ
     assign: PartialAssign = dict(best_assign)
-    comparable = {j: succ[j] | pred[j] for j in iter_jobs(bottom)}
+    # only a batch of two or more jobs reads it
+    comparable = {j: succ[j] | pred[j] for j in iter_jobs(bottom)} if m > 1 else {}
 
     def dfs(idx: int, alive: JobSet, anc_left: tuple[int, ...], count: int) -> None:
         """Expand a node whose bound the caller found to beat the incumbent.
 
         ``anc_left`` holds only ancestors whose window has not ended
-        before slot ``idx``."""
+        before slot ``idx``.  A child at the last slot is a complete
+        assignment, and one entered beats the incumbent."""
         nonlocal best_assign, best_count
-        if idx == n_slots:
-            best_count = count
-            best_assign = dict(assign)
-            return
-        t = slots[idx]
+        t = first + idx
+        last = idx + 1 == n_slots
         cap_after = m * (n_slots - idx - 1)
         fits = [j for j in anc_left if anc_windows[j][0] < t] if anc_left else ()
         placed_anc = rest = ()
@@ -364,7 +385,11 @@ def bottom_solve(
                     assign[j] = t
                 for j in placed_anc:
                     assign[j] = t
-                dfs(idx + 1, child_alive, rest, base)
+                if last:
+                    best_count = base
+                    best_assign = dict(assign)
+                else:
+                    dfs(idx + 1, child_alive, rest, base)
                 for j in batch:
                     assign[j] = DISC
                 for j in placed_anc:
@@ -412,42 +437,51 @@ def _guess_outcomes(
     budget = budget or Budget()
     a, b = split_budget(params, iv)
     d = params.D
+    pred, succ = inst.pred, inst.succ
+    # the walk counts its states here and hands them to ``budget`` at the
+    # end, or as soon as they outrun the room it had left
+    room = budget.limit - budget.walk_states
+    ticks = 0
     # each state's step: None when its chain fits, () when it has no guess
     # left, else the jobs its pivot takes to each side
     steps: dict[tuple[JobSet, int], tuple[JobSet, JobSet] | tuple[()] | None] = {}
     dead: set[tuple[JobSet, int]] = set()
     out: list[tuple[Guesses, SplitOutcome]] = []
-    # (prefix, stay, guesses left, to-left, to-right) after the prefix's
-    # steps, or (None, stay, guesses left, vectors listed, 0) to leave that
-    # state
-    todo: list[tuple] = [((), jobs, max_len, 0, 0)]
+    # (prefix, (stay, guesses left), to-left, to-right) after the prefix's
+    # steps, or (None, (stay, guesses left), vectors listed, 0) to leave
+    # that state
+    todo: list[tuple] = [((), (jobs, max_len), 0, 0)]
     while todo:
-        prefix, stay, left, k_left, k_right = todo.pop()
-        state = (stay, left)
+        prefix, state, k_left, k_right = todo.pop()
         if prefix is None:
             if len(out) == k_left:
                 dead.add(state)
             continue
-        if state in steps:
-            move = steps[state]
-        else:
-            budget.tick_walk()
+        stay, left = state
+        move = steps.get(state, steps)  # the table itself: not stepped yet
+        if move is steps:
+            ticks += 1
+            if ticks > room:
+                budget.tick_walk(ticks)
             pivot = split_step(inst, stay, a, b, d)
-            move = steps[state] = (None if pivot is None else () if not left else
-                                   (moved_with(inst, pivot, LEFT, stay),
-                                    moved_with(inst, pivot, RIGHT, stay)))
+            move = steps[state] = (
+                None if pivot is None else () if not left else
+                ((1 << pivot) | (pred[pivot] & stay), (1 << pivot) | (succ[pivot] & stay)))
         if move is None:
-            budget.tick_walk()
+            ticks += 1
+            if ticks > room:
+                budget.tick_walk(ticks)
             out.append((prefix, (stay, k_left, k_right)))
         elif move:
             to_left, to_right = move
-            todo.append((None, stay, left, len(out), 0))
-            if (stay & ~to_right, left - 1) not in dead:
-                todo.append((prefix + (RIGHT,), stay & ~to_right, left - 1, k_left,
-                             k_right | to_right))
-            if (stay & ~to_left, left - 1) not in dead:
-                todo.append((prefix + (LEFT,), stay & ~to_left, left - 1, k_left | to_left,
-                             k_right))
+            todo.append((None, state, len(out), 0))
+            child = (stay & ~to_right, left - 1)
+            if child not in dead:
+                todo.append((prefix + (RIGHT,), child, k_left, k_right | to_right))
+            child = (stay & ~to_left, left - 1)
+            if child not in dead:
+                todo.append((prefix + (LEFT,), child, k_left | to_left, k_right))
+    budget.tick_walk(ticks)
     return out
 
 
@@ -472,11 +506,6 @@ def _split_outcomes(
                      _guess_outcomes(inst, f, jobs, params, max_len, budget)])
         memo.splits[(f, jobs)] = got
     return got
-
-
-def _size(mp: dict[int, JobSet]) -> int:
-    """The number of jobs in the sets of ``mp``, which are disjoint."""
-    return sum(map(int.bit_count, mp.values()))
 
 
 def schedule_subtree(
@@ -506,7 +535,8 @@ def schedule_subtree(
     up to translation: a repeat enters no node.  At the same heap index it
     returns the stored result, shared with the first caller; at another
     interval of the same level it returns new dicts holding the stored
-    result shifted into place (see ``SolveMemo``).
+    result shifted into place (see ``SolveMemo``).  A subproblem with no
+    job is answered by its level, with no search below it.
     """
     memo = memo or SolveMemo()
     budget = budget or Budget()
@@ -514,6 +544,13 @@ def schedule_subtree(
     if tree is None:
         tree = memo.tree = tree_for(params)
     i = sub.root
+    if not (sub.ancestors or any(sub.assigned.values()) or any(sub.pending.values())):
+        # no job: its level's mark answers it (see ``_search_empty``)
+        hit = memo.subtrees.get((i.bit_length() - 1, *_NO_JOB))
+        if hit is None:
+            return _search_empty(tree, i, params.h, budget, memo)
+        got, i0 = hit
+        return got if i0 == i else (dict.fromkeys(tree.preorder(i), 0), {}, 0)
     begin = tree.span[i][0]
     key = sub.key(begin)
     hit = memo.subtrees.get(key)
@@ -533,6 +570,37 @@ def schedule_subtree(
     )
 
 
+def _search_empty(tree: DyadicTree, i: int, h: int, budget: Budget, memo: SolveMemo) -> Result:
+    """``schedule_subtree``'s answer for a subproblem with no job whose
+    level has no mark: every interval under ``i``, in preorder, holds no
+    job, and nothing is placed.
+
+    It counts what a search of that subproblem would count: a node, the
+    one split of each non-bottom frontier interval missing from
+    ``memo.splits`` (the walk's two states: the empty set steps and its
+    vector ends), then both halves unless their level is marked (a bottom
+    level ticks its bottom search's root instead), and it leaves the
+    level's mark, the key of the subproblem with no ancestor and no set.
+    """
+    budget.tick()
+    if tree.kinds[i] == BOT:
+        budget.tick()
+    else:
+        splits = memo.splits
+        for f in tree.below(i, h - 1):
+            if tree.kinds[f] != BOT and (f, 0) not in splits:
+                budget.tick_walk()
+                budget.tick_walk()
+                splits[(f, 0)] = ((0, 0, 0),)
+        below = (i.bit_length(), *_NO_JOB)  # the halves' mark
+        for k in (2 * i, 2 * i + 1):
+            if below not in memo.subtrees:
+                _search_empty(tree, k, h, budget, memo)
+    got = dict.fromkeys(tree.preorder(i), 0), {}, 0
+    memo.subtrees[(i.bit_length() - 1, *_NO_JOB)] = got, i
+    return got
+
+
 def _solve_subtree(
     inst: Instance,
     sub: SubproblemInput,
@@ -549,114 +617,124 @@ def _solve_subtree(
     n_anc = sub.ancestors.bit_count()
     if n_anc > cap:
         return None
-    n_own = _size(sub.assigned) + _size(sub.pending)  # disjoint sets
+    assigned, pending = sub.assigned, sub.pending
+    # the jobs of both maps, whose sets are disjoint
+    n_own = sum(map(int.bit_count, assigned.values())) + sum(map(int.bit_count, pending.values()))
     if n_own > cap:
         return None
 
     if tree.kinds[i] == BOT:
-        bottom = sub.assigned.get(i, 0) | sub.pending.get(i, 0)
+        bottom = assigned.get(i, 0) | pending.get(i, 0)
         assign = bottom_solve(
             inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, budget)
         return {i: bottom}, assign, len(assign) - [*assign.values()].count(DISC)
 
+    # the fixed sets below the root, by half, which every candidate passes
+    # on, and the jobs each half holds: a split only moves a frontier
+    # interval's jobs within its half, but the root's to either
+    lo, hi = 2 * i, 2 * i + 1
+    # an index k at a half or below it is under ``hi`` iff bit
+    # ``k.bit_length() - below - 1`` of k is set
+    below = i.bit_length()
     frontier = tree.below(i, params.h - 1)
-    if not frontier:
-        # Whole subtree already fixed by `assigned`; behave as a frontier of none.
-        splits = iter(((),))
-    else:
-        per_interval: list[list[tuple[int, SplitOutcome | None]]] = []
-        for f in frontier:
-            jobs = sub.pending.get(f, 0)
-            if tree.kinds[f] == BOT:
-                per_interval.append([(f, None)])
-                continue
-            options = _split_outcomes(inst, f, jobs, params, memo, budget)
-            if not options:
+    fixed: tuple[dict[int, JobSet], dict[int, JobSet]] = ({}, {})
+    held = [0, 0]
+    for k, jobs in assigned.items():
+        if k != i and k not in frontier:
+            side = k >> (k.bit_length() - below - 1) & 1
+            fixed[side][k] = jobs
+            held[side] += jobs.bit_count()
+    # per frontier interval, the half it lies under (None for the root
+    # itself, its own frontier at h = 1) and its split outcomes; one at
+    # the bottom level, None, which keeps its pending set
+    sides: list[int | None] = []
+    options: list[tuple[SplitOutcome | None, ...]] = []
+    for f in frontier:
+        jobs = pending.get(f, 0)
+        if tree.kinds[f] == BOT:
+            options.append((None,))
+        else:
+            got = _split_outcomes(inst, f, jobs, params, memo, budget)
+            if not got:
                 return None
-            per_interval.append([(f, result) for result in options])
-        splits = product(*per_interval)
+            options.append(got)
+        if f == i:
+            sides.append(None)
+        else:
+            side = f >> (f.bit_length() - below - 1) & 1
+            sides.append(side)
+            held[side] += jobs.bit_count()
+    spread = params.h > 1  # frontier sets lie under the halves
 
     # a candidate places at most ``most`` jobs, and a half at most its
     # capacity or the jobs it holds (its ancestors, assigned and pending
     # jobs, three disjoint sets), read from the second candidate on
     most = min(cap, n_anc + n_own)
     half_cap = cap // 2
-    lo, hi = 2 * i, 2 * i + 1
-    # an index k at a half or below it is under ``hi`` iff bit
-    # ``k.bit_length() - below - 1`` of k is set
-    below = i.bit_length()
-    best: Result | None = None
+    interval = tree.interval[i]
+    best: tuple | None = None  # the incumbent's parts, joined once at the end
     best_count = -1
-    for combo in splits:
-        j_map = dict(sub.assigned)
-        k_map: dict[int, JobSet] = {}
-        for f, outcome in combo:
-            if outcome is None:  # frontier interval at the bottom level
-                j_map[f] = sub.pending.get(f, 0)
+    for combo in product(*options):
+        own = assigned.get(i, 0)
+        lo_own, hi_own = held
+        halves = (dict(fixed[0]), dict(fixed[1])) if spread else fixed
+        lo_pending: dict[int, JobSet] = {}
+        hi_pending: dict[int, JobSet] = {}
+        for f, side, outcome in zip(frontier, sides, combo):
+            if outcome is None:
+                halves[side][f] = pending.get(f, 0)
+            elif side is None:
+                own, k_left, k_right = outcome
+                lo_pending[lo] = k_left
+                hi_pending[hi] = k_right
+                lo_own += k_left.bit_count()
+                hi_own += k_right.bit_count()
             else:
                 stay, k_left, k_right = outcome
-                j_map[f] = stay
-                k_map[2 * f] = k_left
-                k_map[2 * f + 1] = k_right
-        own_windows = node_windows(inst, i, j_map, k_map, params)
+                halves[side][f] = stay
+                (hi_pending if side else lo_pending).update(
+                    ((2 * f, k_left), (2 * f + 1, k_right)))
+        lo_assigned, hi_assigned = halves
+        own_windows = node_windows(
+            inst, i, {i: own, **lo_assigned, **hi_assigned}, {**lo_pending, **hi_pending},
+            params) if own else {}
         pool_windows = {**sub.anc_windows, **own_windows} if sub.anc_windows else own_windows
-        partitions = enumerate_partitions(pool_windows, tree.interval[i])
-
-        # what each half inherits besides its ancestors, and how many jobs,
-        # for every partition: one pass over both maps
-        halves = (({}, {}), ({}, {}))  # (assigned, pending) of lo, hi
-        own = [0, 0]
-        for at, mp in enumerate((j_map, k_map)):
-            for k, jobs in mp.items():
-                if k != i:
-                    side = k >> (k.bit_length() - below - 1) & 1
-                    halves[side][at][k] = jobs
-                    own[side] += jobs.bit_count()
-        (lo_assigned, lo_pending), (hi_assigned, hi_pending) = halves
-        lo_own, hi_own = own
-        for j_left, j_right, j_disc in partitions:
+        for j_left, j_right, j_disc in enumerate_partitions(pool_windows, interval):
             if best is not None:
                 ub_right = min(half_cap, j_right.bit_count() + hi_own)
                 if min(half_cap, j_left.bit_count() + lo_own) + ub_right <= best_count:
                     continue
-            left_in = SubproblemInput(
-                root=lo,
-                ancestors=j_left,
-                anc_windows={j: pool_windows[j] for j in iter_jobs(j_left)} if j_left else {},
-                assigned=lo_assigned,
-                pending=lo_pending,
-            )
-            left = schedule_subtree(inst, left_in, params, budget, memo)
+            left = schedule_subtree(inst, SubproblemInput(
+                lo, j_left, {j: pool_windows[j] for j in iter_jobs(j_left)} if j_left else {},
+                lo_assigned, lo_pending), params, budget, memo)
             if left is None:
                 continue
             if best is not None and left[2] + ub_right <= best_count:
                 continue
-            right_in = SubproblemInput(
-                root=hi,
-                ancestors=j_right,
-                anc_windows={j: pool_windows[j] for j in iter_jobs(j_right)} if j_right else {},
-                assigned=hi_assigned,
-                pending=hi_pending,
-            )
-            right = schedule_subtree(inst, right_in, params, budget, memo)
+            right = schedule_subtree(inst, SubproblemInput(
+                hi, j_right, {j: pool_windows[j] for j in iter_jobs(j_right)} if j_right else {},
+                hi_assigned, hi_pending), params, budget, memo)
             if right is None:
                 continue
             # the halves place disjoint jobs, and the discarded ones none
             count = left[2] + right[2]
             if count > best_count:
-                (lsys, lassign, _), (rsys, rassign, _) = left, right
-                merged: PartialAssign = dict(lassign)
-                merged.update(rassign)
-                for j in iter_jobs(j_disc):
-                    merged[j] = DISC
-                assign_map = {i: j_map.get(i, 0)}
-                assign_map.update(lsys)
-                assign_map.update(rsys)
-                best = assign_map, merged, count
+                best = own, left, right, j_disc
                 best_count = count
                 if count == most:
-                    return best
-    return best
+                    break
+        else:
+            continue
+        break  # the incumbent places all it can
+    if best is None:
+        return None
+    # the incumbent's own set, its halves' results and the jobs its
+    # partition discards, joined once
+    own, (lsys, lassign, _), (rsys, rassign, _), j_disc = best
+    assign: PartialAssign = {**lassign, **rassign}
+    if j_disc:
+        assign.update(dict.fromkeys(iter_jobs(j_disc), DISC))
+    return {i: own, **lsys, **rsys}, assign, best_count
 
 
 def _outer_cascades(
@@ -734,32 +812,27 @@ def main_solve(
     if inst.n == 0:
         return full_system({}), Schedule(T=params.T, assign=())
     best = {1 << tree.L: inst.all_jobs}  # the system, by heap index
-    best_sched = Schedule(T=params.T, assign=(DISC,) * inst.n)
     if tree.L == 0:
         root_sys = full_system(best)
         if inst.n > params.m * params.T:  # the root cannot hold them all
-            return root_sys, best_sched
+            return root_sys, Schedule(T=params.T, assign=(DISC,) * inst.n)
         assign = bottom_solve(inst, tree.interval[1], inst.all_jobs, 0, {}, budget)
         return root_sys, Schedule(T=params.T, assign=tuple(assign[j] for j in range(inst.n)))
     memo = SolveMemo()
     memo.tree = tree
+    best_assign: PartialAssign = {}
     best_count = 0
     for j_map, pending in _outer_cascades(inst, params, budget, memo):
-        sub = SubproblemInput(root=1, assigned=j_map, pending=pending)
-        got = schedule_subtree(inst, sub, params, budget, memo)
-        if got is None:
-            continue
-        sys_assign, assign, placed = got
-        if placed > best_count:
-            full_assign: list[Slot] = [DISC] * inst.n
-            for j, t in assign.items():
-                full_assign[j] = t
-            best = sys_assign
-            best_sched = Schedule(T=params.T, assign=tuple(full_assign))
-            best_count = placed
+        got = schedule_subtree(inst, SubproblemInput(1, 0, {}, j_map, pending), params, budget,
+                               memo)
+        if got is not None and got[2] > best_count:
+            best, best_assign, best_count = got
             if best_count == inst.n:  # no later state can place more
                 break
-    return full_system(best), best_sched
+    full_assign: list[Slot] = [DISC] * inst.n
+    for j, t in best_assign.items():
+        full_assign[j] = t
+    return full_system(best), Schedule(T=params.T, assign=tuple(full_assign))
 
 
 def solve_hinted(

@@ -3,7 +3,9 @@
 Test-only copies of the earlier ``psched.dyadic.check_system``,
 ``psched.core.Schedule.jobs_at`` and ``Schedule.discarded``, and
 ``psched.baselines.CapacityProfile.uniform``, the last three as plain
-functions: the package calls none of them.
+functions: the package calls none of them.  ``reference_system_from_schedule``
+is the earlier ``psched.dyadic.system_from_schedule``, which ran the split
+loop on every interval, an empty pool's included.
 """
 
 from __future__ import annotations
@@ -23,7 +25,22 @@ from psched.core import (
     longest_chain,
     mask_from,
 )
-from psched.dyadic import MID, TOP, Params, PartialDyadicSystem, in_order, split_budget, tree_for
+from psched.dyadic import (
+    BOT,
+    LEFT,
+    MID,
+    RIGHT,
+    TOP,
+    Guesses,
+    Params,
+    PartialDyadicSystem,
+    _split,
+    check_reference,
+    full_system,
+    in_order,
+    split_budget,
+    tree_for,
+)
 
 
 def check_system(
@@ -96,3 +113,37 @@ def jobs_at(sched: Schedule, t: int) -> JobSet:
 def uniform_profile(interval: Interval, cap: int) -> CapacityProfile:
     """``cap`` machines at every slot of ``interval``."""
     return CapacityProfile(interval, (cap,) * interval.length)
+
+
+def reference_system_from_schedule(
+    inst: Instance,
+    sched: Schedule,
+    params: Params,
+) -> tuple[PartialDyadicSystem, dict[int, JobSet], dict[int, Guesses]]:
+    """The system, covered sets and guess vectors of ``sched``, each split
+    recorded by the split loop, in the walk's preorder."""
+    check_reference(inst, sched, params)
+    tree = tree_for(params)
+    assign: dict[int, JobSet] = {}
+    covered: dict[int, JobSet] = {}
+    guesses: dict[int, Guesses] = {}
+
+    def walk(i: int, pool: JobSet) -> None:
+        covered[i] = pool
+        if tree.kinds[i] == BOT:
+            assign[i] = pool
+            return
+        begin, end = tree.span[i]
+        center = (begin + end) // 2
+
+        def side_of(q: int, j: int) -> str:
+            return LEFT if sched.assign[j] <= center else RIGHT
+
+        stay, k_left, k_right, sides = _split(inst, i, pool, params, side_of)
+        assign[i] = stay
+        guesses[i] = sides
+        walk(2 * i, k_left)
+        walk(2 * i + 1, k_right)
+
+    walk(1, inst.all_jobs)
+    return full_system(assign), covered, guesses

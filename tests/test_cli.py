@@ -992,21 +992,27 @@ def test_broken_oracle_schedule_is_rejected_by_check_reference(monkeypatch, how,
     assert seen == [(9, held)]
 
 
-@pytest.mark.parametrize("text, line, assign", [
-    ("psched 1 2 2\n0 1\n", "1 scheduled, 1 discarded, 5 nodes", [1, None]),
-    ("psched 1 4 2\n", "0 scheduled, 4 discarded, 0 nodes", [None] * 4),
-], ids=["chain", "antichain"])
-def test_horizon_one_keeps_slot_two_for_the_padding_sinks(tmp_path, capsys, text, line,
+@pytest.mark.parametrize("text, horizon, line, assign", [
+    ("psched 1 2 2\n0 1\n", 1, "horizon 1 padded 2: 1 scheduled, 1 discarded, 5 nodes",
+     [1, None]),
+    ("psched 1 4 2\n", 1, "horizon 1 padded 2: 2 scheduled, 2 discarded, 2 nodes",
+     [1, 1, None, None]),
+    ("psched 1 4 1\n0 1\n1 2\n2 3\n", 3, "horizon 3 padded 4: 3 scheduled, 1 discarded, 4 nodes",
+     [1, 2, 3, None]),
+], ids=["chain", "antichain", "long-chain"])
+def test_horizon_one_keeps_slot_two_for_the_padding_sinks(tmp_path, capsys, text, horizon, line,
                                                           assign):
     # horizon 1 pads to 2 with m sinks in slot 2, so no job runs there: of
-    # a chain of two only the first job runs; four jobs do not fit the m
-    # slots of horizon 1, and the solver gives up on a root that cannot
-    # hold its jobs, as it does at any horizon below ceil(n/m)
+    # a chain of two only the first job runs.  Jobs that outnumber the
+    # m * horizon slots are searched alone on (0, horizon], where no sink
+    # takes a slot: m of four jobs at horizon 1, and three of a chain of
+    # four on one machine at horizon 3, each in a root and a node per slot
     inst_path = tmp_path / "i.psched"
     inst_path.write_text(text)
     out_path = tmp_path / "s.sched"
-    assert run_command(["solve", str(inst_path), "--horizon", "1", "--out", str(out_path)]) == 0
-    assert capsys.readouterr().err == f"horizon 1 padded 2: {line}\n"
+    assert run_command(["solve", str(inst_path), "--horizon", str(horizon), "--out",
+                        str(out_path)]) == 0
+    assert capsys.readouterr().err == f"{line}\n"
     assert list(io.read_schedule(str(out_path)).assign) == assign
 
 

@@ -7,10 +7,11 @@ import pytest
 
 from psched import io
 from psched.cli import run_command
+from psched.core import Interval, verify_valid
 from psched.errors import NoSolution
 from psched.generators import gen_instance
 from psched.pipeline import pipeline, solve
-from psched.solver import Budget
+from psched.solver import Budget, bottom_solve
 
 DEEP = {"h": 1, "hp": 1, "p": 2}
 
@@ -121,3 +122,41 @@ def test_searched_deep_run_returns_the_attempt_it_settles_on(monkeypatch):
     assert got == attempts[3][1]
     alone = [solve_at(inst, T, Fraction(1, 2), DEEP, Budget(), None).nodes for T, _ in attempts]
     assert got.nodes == sum(alone) > alone[3]
+
+
+def _unused(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("family, n, m, seed, horizon", [
+    ("random-dag", 12, 2, 4, 5),
+    ("layered", 10, 3, 1, 3),
+    ("forest", 9, 2, 3, 4),
+    ("random-dag", 8, 3, 2, 2),
+])
+def test_an_overflowing_collapsed_attempt_searches_the_originals_alone(
+        monkeypatch, family, n, m, seed, horizon):
+    # more jobs than the m * horizon slots on a collapsed tree: the padded
+    # root cannot hold its jobs and its sinks, so the attempt searches the
+    # originals alone on (0, horizon], pads nothing, and keeps as many jobs
+    # as fit there
+    from psched import pipeline as pipeline_module
+
+    from conftest import max_scheduled_oracle
+
+    inst, _ = gen_instance(family, n, m, 0.3, seed)
+    assert n > m * horizon
+    for name in ("main_solve", "pad_to_power_of_two"):
+        monkeypatch.setattr(pipeline_module, name, _unused)
+    got = solve(inst, horizon=horizon)
+    monkeypatch.undo()
+    assert got.padded_T == 1 << (horizon - 1).bit_length() and got.virtual == got.valid
+    assert got.virtual.makespan <= horizon
+    assert verify_valid(inst, got.valid).ok
+    assert got.virtual.scheduled_count == max_scheduled_oracle(inst, horizon) > 0
+    budget = Budget()
+    assign = bottom_solve(inst, Interval(0, horizon), inst.all_jobs, 0, {}, budget)
+    assert got.valid.assign == tuple(assign[j] for j in range(n))
+    assert got.nodes == budget.nodes and got.discards == got.valid.discard_count
+    final = pipeline(inst, horizon=horizon)[1]
+    assert final.discard_count == 0 and verify_valid(inst, final).ok

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import hashlib
 import random
 import sys
 import weakref
@@ -61,7 +62,7 @@ from subtree_reference import (
     reference_solve_hinted,
     reference_solve_subtree,
 )
-from system_reference import check_system
+from system_reference import check_system, reference_system_from_schedule
 
 from test_dyadic import desk_params, reference_pair
 
@@ -262,6 +263,67 @@ def test_main_solve_matches_the_earlier_per_state_path(family, m):
     assert placed > 0
 
 
+# (T, h, hp, p) of the grid on which answering an empty subproblem by its
+# level, and the leaner per-state path, must give the earlier systems
+# (key order included), schedules, nodes and split-walk states: the
+# digest and totals below are those of the solver that searched every
+# empty subproblem
+EMPTY_GRID = [(8, 1, 0, 2), (16, 1, 1, 2), (16, 2, 1, 3), (16, 3, 0, 2), (32, 1, 1, 2),
+              (32, 2, 1, 2), (32, 3, 1, 2), (64, 2, 1, 2)]
+EMPTY_GRID_DIGEST = "aa91f6de8dab2f322962da29f6bd0af3ef6a55baa5c1b7ea023f97d4c1352944"
+
+
+def test_main_solve_keeps_every_count_on_the_empty_grid():
+    digest = hashlib.sha256()
+    nodes = walk_states = 0
+    for family, m, (T, h, hp, p), n, seed in product(
+            DEEP_FAMILIES, (2, 3), EMPTY_GRID, (5, 7, 9, 12), range(3)):
+        inst, _ = gen_instance(family, n, m, 0.3, seed)
+        params = compute_params(T, m, Fraction(1, 2), overrides={"h": h, "hp": hp, "p": p})
+        budget, ref_budget = Budget(), Budget()
+        sys_out, sched = main_solve(inst, params, budget)
+        assert (sys_out, sched, budget.nodes) == (
+            *pruned_main_solve(inst, params, ref_budget), ref_budget.nodes), (
+            family, m, T, h, hp, p, n, seed)
+        digest.update(repr((list(sys_out.assign.items()), sched.assign, budget.nodes,
+                            budget.walk_states)).encode())
+        nodes += budget.nodes
+        walk_states += budget.walk_states
+    assert (nodes, walk_states) == (10461, 10163)
+    assert digest.hexdigest() == EMPTY_GRID_DIGEST
+
+
+@pytest.mark.parametrize("limit, message, nodes, walk_states", [
+    (2, "3 nodes > limit 2", 3, 2),
+    (4, "5 split-walk states > limit 4", 4, 5),
+], ids=["nodes", "walk-states"])
+def test_budget_runs_out_inside_an_empty_descent(monkeypatch, limit, message, nodes,
+                                                 walk_states):
+    # random-dag n=3 m=2 seed 0 at T = 16, h = 1: the root keeps every job,
+    # so its halves hold none, and the left half's descent of the empty
+    # chain is where the budget runs out.  The exception, its count and
+    # both counters are those of the search the level answer stands for
+    inst, _ = gen_instance("random-dag", 3, 2, 0.3, 0)
+    params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
+    raised = []
+    search_empty = solver._search_empty
+
+    def spy(*args):
+        try:
+            return search_empty(*args)
+        except BudgetExceeded:
+            raised.append(args[1])
+            raise
+
+    monkeypatch.setattr(solver, "_search_empty", spy)
+    budget = Budget(limit=limit)
+    with pytest.raises(BudgetExceeded, match=f"^search budget exceeded: {message}$") as exc:
+        main_solve(inst, params, budget)
+    assert raised and raised[-1] == 2  # the empty left half of the root
+    assert (exc.value.nodes, exc.value.limit) == (limit + 1, limit)
+    assert (budget.nodes, budget.walk_states) == (nodes, walk_states)
+
+
 def test_enumerate_partitions_match_the_earlier_enumeration():
     # the same partitions in the same order, with jobs whose window misses
     # both halves (empty, or outside the root) discarded in every one
@@ -452,6 +514,33 @@ def test_recorded_split_outcomes_replay_like_push_down(family, m):
                 outcome = (sys_ref.assign[i], covered[2 * i], covered[2 * i + 1])
                 assert outcome == push_down(inst, i, covered[i], trace, params), case
     assert padded > 0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("family", DEEP_FAMILIES)
+def test_recorded_systems_keep_the_walks_order(family, m):
+    # references as a hinted run replays them (the oracle's schedule with
+    # the padding sinks), on trees where most pools are empty: the system,
+    # covered sets and guess vectors that fill an empty pool's subtree at
+    # once are the ones the split loop on every interval gave, key order
+    # included
+    empty = 0
+    for (T, h, hp), n in product(((16, 1, 1), (32, 1, 1), (32, 2, 1), (64, 2, 1), (16, 3, 0)),
+                                 (6, 11, 16)):
+        inst0, _ = gen_instance(family, n, m, 0.3, 3 * n + T + h)
+        params = compute_params(T, m, Fraction(1, 2), overrides={"h": h, "hp": hp, "p": 2})
+        opt, best = exact_opt(inst0)
+        horizon = max(opt, T // 2 + 1)
+        inst, T2, _ = pad_to_power_of_two(inst0, horizon)
+        if T2 != T:
+            continue
+        reference = _with_sinks(inst0, inst, best, horizon)
+        sys_got, *maps_got = system_from_schedule(inst, reference, params)
+        sys_want, *maps_want = reference_system_from_schedule(inst, reference, params)
+        for got, want in zip((sys_got.assign, *maps_got), (sys_want.assign, *maps_want)):
+            assert list(got.items()) == list(want.items()), (T, h, hp, n)
+        empty += sum(not jobs for jobs in maps_got[0].values())
+    assert empty > 0
 
 
 def test_hinted_replay_pool_node_count(monkeypatch):
@@ -1041,6 +1130,14 @@ def test_split_walk_states_exhaust_the_budget_before_the_nodes():
     with pytest.raises(BudgetExceeded, match="37 split-walk states > limit 36") as exc:
         solver._guess_outcomes(inst, 2, inst.all_jobs, params, 12, budget)
     assert exc.value.nodes == 37 and budget.nodes == 0
+    # under any smaller limit the walk stops at the state that runs over,
+    # whether it steps a set or ends a vector
+    for limit in range(36):
+        budget = Budget(limit=limit)
+        with pytest.raises(BudgetExceeded, match=f"^search budget exceeded: {limit + 1} "
+                                                 f"split-walk states > limit {limit}$"):
+            solver._guess_outcomes(inst, 2, inst.all_jobs, params, 12, budget)
+        assert budget.walk_states == limit + 1
     # in a solve: the root's split walk runs out with two nodes spent, the
     # outer cascades' one state and the root's subproblem
     params = compute_params(16, 3, Fraction(1, 2), overrides={"h": 1, "hp": 3, "p": 2})

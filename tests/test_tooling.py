@@ -205,18 +205,27 @@ def test_tracer_sees_the_layers_the_pipeline_module_calls(tmp_path, n, m, seed, 
     assert {key: window[key] for key in counts} == counts
 
 
-def test_traced_deep_enum_pass_keeps_its_per_layer_counts(tmp_path, monkeypatch):
-    # one traced pass of the benchmark's deep-enum pool at seed 301, built
-    # by the benchmark's own code and run on this process's package: what a
-    # search state costs may change, the states, subtree calls, bottom
-    # searches and partitions the pass enters may not
+def _deep_enum_pool(tmp_path, monkeypatch):
+    """The benchmark's deep-enum pool at seed 301, built by the benchmark's
+    own code for this process's package."""
     monkeypatch.syspath_prepend(str(TRACING_PATH.parent))
     spec = importlib.util.spec_from_file_location("perfbench_run", TRACING_PATH.parent / "run.py")
     run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
     spec.loader.exec_module(run)
     mods = {"core": core, "generators": generators, "io": psched_io}
-    cases = run.build_pool(mods, run.WORKLOADS["deep-enum"], 301, tmp_path)
+    return run.build_pool(mods, run.WORKLOADS["deep-enum"], 301, tmp_path)
+
+
+def test_traced_deep_enum_pass_keeps_its_per_layer_counts(tmp_path, monkeypatch):
+    # one traced pass of the deep-enum pool: what a search state costs may
+    # change, the states the pass enters may not.  An empty subproblem (no
+    # ancestor, no job in any set) is answered by its level, with the
+    # nodes a search of it counts, so the nodes hold; it makes no subtree
+    # call, bottom search or partition below it, which takes 112 subtree
+    # calls, 28 bottom searches and 56 partitions off the 356, 71 and 183
+    # of its search, every instance's one descent of an empty chain
+    cases = _deep_enum_pool(tmp_path, monkeypatch)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -229,4 +238,37 @@ def test_traced_deep_enum_pass_keeps_its_per_layer_counts(tmp_path, monkeypatch)
     window = tracer.window(since)
     counts = ("solver.nodes", "solver.schedule_subtree.calls", "solver.bottom_solve.calls",
               "solver.partitions_yielded")
-    assert [window[key] for key in counts] == [436, 356, 71, 183]
+    assert [window[key] for key in counts] == [436, 244, 43, 127]
+
+
+def test_deep_enum_pass_searches_no_empty_subproblem(tmp_path, monkeypatch):
+    # the same pool: every bottom search and every partition listing runs
+    # inside a subproblem that holds a job
+    cases = _deep_enum_pool(tmp_path, monkeypatch)
+    inside: list[solver.SubproblemInput] = []  # the subproblems being solved
+    seen = {"bottom_solve": 0, "enumerate_partitions": 0}
+    originals = {name: getattr(solver, name) for name in ("schedule_subtree", *seen)}
+
+    def schedule_subtree(inst, sub, *args):
+        inside.append(sub)
+        try:
+            return originals["schedule_subtree"](inst, sub, *args)
+        finally:
+            inside.pop()
+
+    def searched(name):
+        def spy(*args):
+            sub = inside[-1]
+            assert sub.ancestors or any(sub.assigned.values()) or any(sub.pending.values()), (
+                name, sub)
+            seen[name] += 1
+            return originals[name](*args)
+        return spy
+
+    monkeypatch.setattr(solver, "schedule_subtree", schedule_subtree)
+    for name in seen:
+        monkeypatch.setattr(solver, name, searched(name))
+    with contextlib.redirect_stderr(textio.StringIO()):
+        codes = [cli.run_command(case.argv) for case in cases]
+    assert codes == [0] * 28
+    assert seen == {"bottom_solve": 43, "enumerate_partitions": 127}
