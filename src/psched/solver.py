@@ -629,14 +629,14 @@ def _solve_subtree(
             inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, budget)
         return {i: bottom}, assign, len(assign) - [*assign.values()].count(DISC)
 
-    # the fixed sets below the root, by half, which every candidate passes
-    # on, and the jobs each half holds: a split only moves a frontier
-    # interval's jobs within its half, but the root's to either
     lo, hi = 2 * i, 2 * i + 1
     # an index k at a half or below it is under ``hi`` iff bit
     # ``k.bit_length() - below - 1`` of k is set
     below = i.bit_length()
     frontier = tree.below(i, params.h - 1)
+    # the fixed sets below the root, by half, which every candidate passes
+    # on, and the jobs each half holds: a split only moves a frontier
+    # interval's jobs within its half, but the root's to either
     fixed: tuple[dict[int, JobSet], dict[int, JobSet]] = ({}, {})
     held = [0, 0]
     for k, jobs in assigned.items():
