@@ -56,14 +56,14 @@ class Budget:
     the current ``main_solve``, whether solved at its own interval or at
     a translate of it on the same level, nor a partition or right half
     that ``schedule_subtree``'s count bound cuts, which is never entered.
-    A tree with ``L = 0`` runs no cascades and no ``schedule_subtree``,
-    so only its bottom-search states count.  ``exact_opt`` counts its
-    states in the budget it is given, which for a ``pipeline.solve`` run
-    is the run's ``budget``.  An attempt with an oracle enters no search
-    state (``solve_hinted``, or the oracle's schedule itself when the tree
-    collapses), so a hinted or collapsed run counts exactly its oracle's
-    states.  The outer cascades stop at the first state whose
-    subtree places every job.  A subproblem with no job (no ancestor,
+    A collapsed attempt (``L = 0``) counts only the states of one bottom
+    search of its own jobs on ``(0, horizon]``, with no padding sink.
+    ``exact_opt`` counts its states in the budget it is given, which for
+    a ``pipeline.solve`` run is the run's ``budget``.  An attempt with
+    an oracle enters no search state (``solve_hinted``, or the oracle's
+    schedule itself when the tree collapses), so a hinted or collapsed
+    run counts exactly its oracle's states.  The outer cascades stop at
+    the first state whose subtree places every job.  A subproblem with no job (no ancestor,
     every set empty) is answered by its level without a search, and
     counts what that search would: a node for each level below it down
     the left halves that its ``SolveMemo`` has not answered empty yet,

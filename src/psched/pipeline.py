@@ -26,8 +26,12 @@ class SolveOutcome:
     padded_T: int         # power-of-two horizon actually solved
     virtual: Schedule     # virtually-valid schedule, original jobs only
     valid: Schedule       # after conversions, original jobs only
-    discards: int         # discarded original jobs in `valid`
     nodes: int            # budget nodes spent, every horizon attempt included
+
+    @property
+    def discards(self) -> int:
+        """The discarded original jobs in ``valid``."""
+        return self.valid.discard_count
 
 
 def _originals(sched: Schedule, n: int) -> Schedule:
@@ -66,33 +70,38 @@ def solve_at_horizon(
 ) -> SolveOutcome | None:
     """Solve at one horizon; with ``oracle`` (the result of ``exact_opt``),
     fail when its optimum exceeds ``horizon`` and otherwise replay the
-    splits of its schedule instead of enumerating.  When the tree
-    collapses (``L = 0``) that replay is the oracle's schedule itself:
-    the attempt checks it with ``check_reference`` and retimes it to the
-    padded horizon, and builds no system and pads nothing.  Deeper trees
-    replay it with ``solve_hinted`` on the padded instance, with the
-    padding sinks added.  Neither enters a search state, so an attempt
-    with an oracle spends no node.  A collapsed attempt without an oracle
-    whose jobs outnumber the ``m * horizon`` slots searches the originals
-    alone on ``(0, horizon]`` with ``bottom_solve``: the padded root,
-    sinks included, holds more jobs than it has slots, and ``main_solve``
-    would keep none.  The virtually-valid schedule is made valid by
-    ``virtually_valid_to_valid`` only when it places a top job, since the
-    conversion is the identity otherwise."""
+    splits of its schedule instead of enumerating.  An attempt with no job
+    is answered with the empty schedule and no search.
+
+    When the tree collapses (``L = 0``) the horizon is one bottom
+    interval, and the attempt pads nothing and builds no system: its
+    schedule is the oracle's, checked with ``check_reference``, or else
+    one ``bottom_solve`` of the original jobs on ``(0, horizon]``, which
+    keeps as many as fit there.  Either is retimed to the padded horizon.
+    Deeper trees run on the padded instance, sinks included: replayed with
+    ``solve_hinted`` from the oracle's schedule with the sinks added, or
+    searched with ``main_solve``.  An attempt with an oracle enters no
+    search state, so it spends no node.  The virtually-valid schedule is
+    made valid by ``virtually_valid_to_valid`` only when it places a top
+    job, since the conversion is the identity otherwise."""
     T2 = padded_horizon(horizon)
     params = compute_params(T2, inst.m, eps, overrides=overrides or None)
+    if inst.n == 0:
+        empty = Schedule(T=T2, assign=())
+        return SolveOutcome(horizon, T2, empty, empty, budget.nodes)
     if oracle is not None:
         opt, best = oracle
         if opt > horizon:
             return None
-        if params.L == 0:
+    if params.L == 0:
+        if oracle is None:
+            got = bottom_solve(inst, Interval(0, horizon), inst.all_jobs, 0, {}, budget)
+            assign = tuple(got[j] for j in range(inst.n))
+        else:
             check_reference(inst, best, params)
-            sched = Schedule(T=T2, assign=best.assign)
-            return SolveOutcome(horizon, T2, sched, sched, 0, budget.nodes)
-    elif params.L == 0 and inst.n > inst.m * horizon:
-        assign = bottom_solve(inst, Interval(0, horizon), inst.all_jobs, 0, {}, budget)
-        sched = Schedule(T=T2, assign=tuple(assign[j] for j in range(inst.n)))
-        return SolveOutcome(horizon, T2, sched, sched, sched.discard_count, budget.nodes)
+            assign = best.assign
+        sched = Schedule(T=T2, assign=assign)
+        return SolveOutcome(horizon, T2, sched, sched, budget.nodes)
     padded = pad_to_power_of_two(inst, horizon)[0]
     if oracle is None:
         sys_out, virtual = main_solve(padded, params, budget)
@@ -101,15 +110,8 @@ def solve_at_horizon(
     valid = virtual
     if _places_top_job(sys_out, virtual, params):
         valid = virtually_valid_to_valid(padded, sys_out, virtual, params)
-    valid_orig = _originals(valid, inst.n)
-    return SolveOutcome(
-        horizon=horizon,
-        padded_T=T2,
-        virtual=_originals(virtual, inst.n),
-        valid=valid_orig,
-        discards=valid_orig.discard_count,
-        nodes=budget.nodes,
-    )
+    return SolveOutcome(horizon, T2, _originals(virtual, inst.n), _originals(valid, inst.n),
+                        budget.nodes)
 
 
 def _search_horizon(inst, eps, overrides, budget, oracle, bounds):
@@ -126,8 +128,7 @@ def _search_horizon(inst, eps, overrides, budget, oracle, bounds):
     discards a job."""
     if inst.n == 0:  # horizon 0, with no attempt
         empty = Schedule(T=0, assign=())
-        return SolveOutcome(horizon=0, padded_T=0, virtual=empty, valid=empty, discards=0,
-                            nodes=budget.nodes)
+        return SolveOutcome(horizon=0, padded_T=0, virtual=empty, valid=empty, nodes=budget.nodes)
     T2 = padded_horizon(bounds[1].makespan)
     if compute_params(T2, inst.m, eps, overrides=overrides or None).L == 0:
         opt, best = oracle or exact_opt(inst, bounds=bounds, budget=budget)

@@ -793,31 +793,19 @@ def main_solve(
 ) -> tuple[PartialDyadicSystem, Schedule]:
     """Full enumeration over outer split decisions, keeping the best schedule.
 
-    Always succeeds: the all-discard schedule over a trivial system is the
-    starting candidate.  The result is a full system together with a
-    virtually-valid schedule for it.  Subproblems and split outcomes met
-    again during the call are answered from one ``SolveMemo``, which also
-    holds the call's tree.  The outer states are tried in order until one
-    places every job.
-
-    When ``L = 0`` the whole horizon is one bottom interval: the result is
-    one ``bottom_solve`` of all jobs on the root, with no cascades,
-    subtrees or memo.  A pipeline attempt with an oracle does not come
-    here: it is answered from the oracle's schedule, and a searched run
-    whose tree collapses takes that schedule from ``exact_opt``, whose
-    own search decides each horizon on the instance itself.
+    Always succeeds: the starting candidate, kept when no state places a
+    job, puts every job on leaf ``1 << L`` and places none.  When the jobs
+    outnumber that leaf's ``m * 2**h`` slots no schedule could place them
+    all there, and ``check_valid_for_system`` passes it only because it
+    places none: read it as "nothing kept", not as a system to build on.
+    The result is a full system together with a virtually-valid schedule
+    for it.  Subproblems and split outcomes met again during the call are
+    answered from one ``SolveMemo``, which also holds the call's tree.
+    The outer states are tried in order until one places every job.
     """
     budget = budget or Budget()
     tree = tree_for(params)
-    if inst.n == 0:
-        return full_system({}), Schedule(T=params.T, assign=())
     best = {1 << tree.L: inst.all_jobs}  # the system, by heap index
-    if tree.L == 0:
-        root_sys = full_system(best)
-        if inst.n > params.m * params.T:  # the root cannot hold them all
-            return root_sys, Schedule(T=params.T, assign=(DISC,) * inst.n)
-        assign = bottom_solve(inst, tree.interval[1], inst.all_jobs, 0, {}, budget)
-        return root_sys, Schedule(T=params.T, assign=tuple(assign[j] for j in range(inst.n)))
     memo = SolveMemo()
     memo.tree = tree
     best_assign: PartialAssign = {}

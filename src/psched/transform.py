@@ -28,12 +28,11 @@ def pad_to_power_of_two(inst: Instance, T: int) -> tuple[Instance, int, JobSet]:
     """Extend the instance so the target horizon becomes a power of two.
 
     Adds ``m * (T' - T)`` sink jobs, each preceded by every original job,
-    where ``T'`` is ``padded_horizon(T)``; none when there is no job for
-    them to follow.  Original job ids are preserved; returns ``(padded
-    instance, T', mask of added jobs)``.
+    where ``T'`` is ``padded_horizon(T)``.  Original job ids are
+    preserved; returns ``(padded instance, T', mask of added jobs)``.
     """
     T2 = padded_horizon(T)
-    extra = inst.m * (T2 - T) if inst.n else 0
+    extra = inst.m * (T2 - T)
     if extra == 0:
         return inst, T2, 0
     n2 = inst.n + extra

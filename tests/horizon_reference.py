@@ -51,6 +51,5 @@ def reference_solve_at_horizon(
         padded_T=T2,
         virtual=_originals(virtual, inst.n),
         valid=valid_orig,
-        discards=valid_orig.discard_count,
         nodes=budget.nodes,
     )

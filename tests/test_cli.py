@@ -246,9 +246,8 @@ DEEP = ["--horizon", "16", "--param-override", "h=1", "--param-override", "hp=1"
 
 
 # (n, m, generator seed, flags, schedule file, stderr line); the horizons
-# 6, 5 and 7 pad to 8 with padding sinks.  With no flags the level bound
-# meets a list schedule's makespan on all four, so that list schedule is
-# the output.
+# 6, 5 and 7 pad to 8.  With no flags the level bound meets a list
+# schedule's makespan on all four, so that list schedule is the output.
 GOLDEN = [
     (9, 3, 4, [],
      "sched 1 9 8\n0 6\n1 1\n2 2\n3 5\n4 1\n5 1\n6 3\n7 4\n8 5\n",
@@ -510,8 +509,9 @@ def test_empty_instance_without_horizon(tmp_path, capsys, command, flags):
 @pytest.mark.parametrize("flags", [[], ["--hinted"], DEEP[2:], ["--hinted", *DEEP[2:]]],
                          ids=["enum", "hinted", "deep", "deep-hinted"])
 def test_empty_instance_at_a_horizon_searches_nothing(tmp_path, capsys, flags):
-    # no job to follow, so padding adds no sinks and no state is entered,
-    # which a zero budget allows
+    # no job, so the attempt is answered with the empty schedule before
+    # padding or searching, and no state is entered, which a zero budget
+    # allows
     inst_path = tmp_path / "i.psched"
     out_path = tmp_path / "o.sched"
     inst_path.write_text("psched 1 0 2\n")
@@ -586,12 +586,14 @@ def test_negative_h_override_is_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["solve", "pipeline"])
-@pytest.mark.parametrize("m, horizon", [(4, "600"), (3, "2048")])
+@pytest.mark.parametrize("m, horizon, slots", [(4, "1000", 1000), (3, "2048", 1024)],
+                         ids=["4-1000", "3-2048"])
 def test_bottom_interval_past_the_recursion_limit_is_an_input_error(tmp_path, capsys,
-                                                                     command, m, horizon):
-    # with the default h, the padded horizon (m = 4) or its left half
-    # (m = 3) is one bottom interval of 1024 slots, more levels than the
-    # bottom search may recurse
+                                                                     command, m, horizon, slots):
+    # with the default h, a collapsed attempt (m = 4) searches its own
+    # (0, horizon] and a deep tree (m = 3) the left half of its padded
+    # horizon: one bottom interval of 1000 or 1024 slots, as many levels
+    # as the bottom search may recurse or more
     inst_path = tmp_path / "i.psched"
     out_path = tmp_path / "o.sched"
     assert run_command(["gen", "--family", "random-dag", "--n", "6", "--m", str(m),
@@ -600,18 +602,22 @@ def test_bottom_interval_past_the_recursion_limit_is_an_input_error(tmp_path, ca
     assert run_command([command, str(inst_path), "--horizon", horizon,
                         "--out", str(out_path)]) == 1
     assert capsys.readouterr().err == (
-        "error: bottom interval (0,1024] is too long to search: it recurses once per "
-        f"slot, 1024 levels, and the recursion limit is {sys.getrecursionlimit()}\n")
+        f"error: bottom interval (0,{slots}] is too long to search: it recurses once per "
+        f"slot, {slots} levels, and the recursion limit is {sys.getrecursionlimit()}\n")
     assert not out_path.exists()
 
 
 @pytest.mark.parametrize("flags, line", [
-    # one bottom interval of 512 slots, searched
-    (["--horizon", "300"], "horizon 300 padded 512: 6 scheduled, 0 discarded, 3072 nodes"),
+    # a collapsed attempt: the bottom search recurses once per slot of
+    # (0, horizon], not of the padded horizon, and searches no sink
+    (["--horizon", "300"], "horizon 300 padded 512: 6 scheduled, 0 discarded, 1201 nodes"),
     # bottom intervals of 1024 slots: the hinted solve answers with the
     # virtually-valid reference, so no search starts
     (["--hinted", "--horizon", "1500"],
      "horizon 1500 padded 2048: 6 scheduled, 0 discarded, 0 nodes"),
+    # a collapsed attempt at 600 slots, which it searches: padded to 1024
+    # it was past the recursion limit
+    (["--horizon", "600"], "horizon 600 padded 1024: 6 scheduled, 0 discarded, 2401 nodes"),
 ])
 def test_long_bottom_intervals_below_the_recursion_limit_still_run(tmp_path, capsys, flags,
                                                                      line):
@@ -993,20 +999,20 @@ def test_broken_oracle_schedule_is_rejected_by_check_reference(monkeypatch, how,
 
 
 @pytest.mark.parametrize("text, horizon, line, assign", [
-    ("psched 1 2 2\n0 1\n", 1, "horizon 1 padded 2: 1 scheduled, 1 discarded, 5 nodes",
+    ("psched 1 2 2\n0 1\n", 1, "horizon 1 padded 2: 1 scheduled, 1 discarded, 2 nodes",
      [1, None]),
     ("psched 1 4 2\n", 1, "horizon 1 padded 2: 2 scheduled, 2 discarded, 2 nodes",
      [1, 1, None, None]),
     ("psched 1 4 1\n0 1\n1 2\n2 3\n", 3, "horizon 3 padded 4: 3 scheduled, 1 discarded, 4 nodes",
      [1, 2, 3, None]),
 ], ids=["chain", "antichain", "long-chain"])
-def test_horizon_one_keeps_slot_two_for_the_padding_sinks(tmp_path, capsys, text, horizon, line,
-                                                          assign):
-    # horizon 1 pads to 2 with m sinks in slot 2, so no job runs there: of
-    # a chain of two only the first job runs.  Jobs that outnumber the
-    # m * horizon slots are searched alone on (0, horizon], where no sink
-    # takes a slot: m of four jobs at horizon 1, and three of a chain of
-    # four on one machine at horizon 3, each in a root and a node per slot
+def test_a_collapsed_attempt_keeps_only_what_its_own_slots_hold(tmp_path, capsys, text,
+                                                                horizon, line, assign):
+    # a collapsed attempt searches the original jobs alone on
+    # (0, horizon], not on the padded horizon, so no job runs after the
+    # horizon: of a chain of two at horizon 1 only the first job runs, m of
+    # four jobs at horizon 1, and three of a chain of four on one machine
+    # at horizon 3, each in a root and a node per slot
     inst_path = tmp_path / "i.psched"
     inst_path.write_text(text)
     out_path = tmp_path / "s.sched"

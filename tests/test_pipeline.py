@@ -12,6 +12,7 @@ from psched.errors import NoSolution
 from psched.generators import gen_instance
 from psched.pipeline import pipeline, solve
 from psched.solver import Budget, bottom_solve
+from psched.transform import pad_to_power_of_two
 
 DEEP = {"h": 1, "hp": 1, "p": 2}
 
@@ -129,28 +130,37 @@ def _unused(*args, **kwargs):
 
 
 @pytest.mark.parametrize("family, n, m, seed, horizon", [
+    # more jobs than the m * horizon slots
     ("random-dag", 12, 2, 4, 5),
     ("layered", 10, 3, 1, 3),
     ("forest", 9, 2, 3, 4),
     ("random-dag", 8, 3, 2, 2),
+    # jobs that fit in the slots, below, at and above the optimum
+    ("random-dag", 9, 2, 4, 5),
+    ("layered", 10, 3, 1, 4),
+    ("forest", 9, 2, 3, 6),
+    ("random-dag", 8, 3, 2, 7),
+    ("random-dag", 6, 4, 1, 300),
 ])
-def test_an_overflowing_collapsed_attempt_searches_the_originals_alone(
+def test_a_collapsed_attempt_searches_the_originals_alone(
         monkeypatch, family, n, m, seed, horizon):
-    # more jobs than the m * horizon slots on a collapsed tree: the padded
-    # root cannot hold its jobs and its sinks, so the attempt searches the
-    # originals alone on (0, horizon], pads nothing, and keeps as many jobs
-    # as fit there
+    # a collapsed tree is one bottom interval, so the attempt searches the
+    # original jobs alone on (0, horizon] and pads nothing: no sink takes a
+    # slot, and it keeps as many jobs as fit there.  The padded route,
+    # one bottom search of the originals and their sinks on the padded
+    # horizon read on the first n jobs, finds the same schedule in at least
+    # as many nodes
     from psched import pipeline as pipeline_module
 
     from conftest import max_scheduled_oracle
 
     inst, _ = gen_instance(family, n, m, 0.3, seed)
-    assert n > m * horizon
     for name in ("main_solve", "pad_to_power_of_two"):
         monkeypatch.setattr(pipeline_module, name, _unused)
     got = solve(inst, horizon=horizon)
     monkeypatch.undo()
-    assert got.padded_T == 1 << (horizon - 1).bit_length() and got.virtual == got.valid
+    T2 = 1 << (horizon - 1).bit_length()
+    assert got.padded_T == T2 and got.virtual == got.valid
     assert got.virtual.makespan <= horizon
     assert verify_valid(inst, got.valid).ok
     assert got.virtual.scheduled_count == max_scheduled_oracle(inst, horizon) > 0
@@ -158,5 +168,10 @@ def test_an_overflowing_collapsed_attempt_searches_the_originals_alone(
     assign = bottom_solve(inst, Interval(0, horizon), inst.all_jobs, 0, {}, budget)
     assert got.valid.assign == tuple(assign[j] for j in range(n))
     assert got.nodes == budget.nodes and got.discards == got.valid.discard_count
+    padded = pad_to_power_of_two(inst, horizon)[0]
+    padded_budget = Budget()
+    padded_assign = bottom_solve(padded, Interval(0, T2), padded.all_jobs, 0, {}, padded_budget)
+    assert got.valid.assign == tuple(padded_assign[j] for j in range(n))
+    assert got.nodes <= padded_budget.nodes
     final = pipeline(inst, horizon=horizon)[1]
     assert final.discard_count == 0 and verify_valid(inst, final).ok

@@ -950,12 +950,15 @@ COLLAPSED_GRID = [
     f"s{g[0]}-m{g[1]}-opt{g[2]:+d}-{'hinted' if g[3] else 'enum'}" for g in COLLAPSED_GRID
 ])
 def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
-    # at L = 0 main_solve is one bottom_solve on the root: the same system
-    # and schedule as the root subproblem's solve, or the all-discard
-    # fallback when that finds nothing.  It enters no outer-cascade step
-    # and not the root subproblem, so one node fewer than that call, and
+    # at L = 0 main_solve runs its one path: the outer cascades step the
+    # root, a bottom interval (h >= 2 here), and the state that keeps all
+    # jobs on it, two nodes, then solve the root subproblem.  So it returns
+    # the same system and schedule as that subproblem's solve, or the
+    # all-discard fallback when that finds nothing, with the subproblem's
+    # nodes and two more (3 for a root that cannot hold its jobs), and
     # keeps at least the jobs a reference schedule keeps
     inst, params, reference = collapsed_case(seed, m, offset, hinted)
+    assert params.h >= 2
     sub_budget = Budget()
     got = schedule_subtree(
         inst, SubproblemInput(root=1, assigned={1: inst.all_jobs}), params, sub_budget)
@@ -965,12 +968,12 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
     if got is None:  # more jobs than the root holds
         assert inst.n > m * params.T
         assert sched == Schedule(T=params.T, assign=(None,) * inst.n)
-        assert budget.nodes == 0
+        assert budget.nodes == sub_budget.nodes + 2 == 3
         return
     assert got[0] == {1: inst.all_jobs}
     assert check_virtually_valid(inst, sys_out, params, sched).ok
     assert sched == Schedule(T=params.T, assign=tuple(got[1][j] for j in range(inst.n)))
-    assert budget.nodes == sub_budget.nodes - 1
+    assert budget.nodes == sub_budget.nodes + 2
     if reference is not None:
         assert sched.scheduled_count >= reference.scheduled_count
 
@@ -1027,7 +1030,7 @@ def test_collapsed_solve_hinted_replays_the_reference(monkeypatch, n, m, seed, T
     budget = Budget()
     got = pipeline.solve_at_horizon(inst, T, Fraction(1, 2), {}, budget, (T, reference))
     assert got == pipeline.SolveOutcome(horizon=T, padded_T=T, virtual=reference,
-                                        valid=reference, discards=0, nodes=0)
+                                        valid=reference, nodes=0)
     assert budget.nodes == 0
 
 

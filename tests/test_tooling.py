@@ -155,6 +155,26 @@ def test_package_imports_sit_at_module_level_and_solver_needs_no_baselines():
     assert problems == []
 
 
+def test_every_top_level_definition_is_named_in_the_package():
+    # a top-level function or class that no module of the package names
+    # is code nothing calls, unless the tracer wraps it by name
+    traced = {*tracing.SPANNED, *tracing.YIELD_COUNTED}
+    defined, named = [], set()
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [(path.stem, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert [f"{mod}.{name}" for mod, name in defined
+            if name not in named and (mod, name) not in traced] == []
+
+
 @pytest.mark.parametrize("n, m, seed, flags, counts", [
     # certified: the collapsed attempt is the oracle's schedule, so no
     # hinted solve and no system; check_reference and the final status
