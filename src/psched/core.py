@@ -251,11 +251,11 @@ class Schedule:
     def makespan(self) -> int:
         return max((t for t in self.assign if t is not None), default=0)
 
-    def replace(self, updates: Mapping[int, Slot], T: int | None = None) -> "Schedule":
+    def replace(self, updates: Mapping[int, Slot]) -> "Schedule":
         assign = list(self.assign)
         for j, t in updates.items():
             assign[j] = t
-        return Schedule(T=self.T if T is None else T, assign=tuple(assign))
+        return Schedule(T=self.T, assign=tuple(assign))
 
 
 def slot_violations(

@@ -63,13 +63,9 @@ class Budget:
     an oracle enters no search state (``solve_hinted``, or the oracle's
     schedule itself when the tree collapses), so a hinted or collapsed
     run counts exactly its oracle's states.  The outer cascades stop at
-    the first state whose subtree places every job.  A subproblem with no job (no ancestor,
-    every set empty) is answered by its level without a search, and
-    counts what that search would: a node for each level below it down
-    the left halves that its ``SolveMemo`` has not answered empty yet,
-    its bottom search's root at a bottom level, and the walk's two states
-    for each empty frontier split the memo lacks, in the search's order;
-    so the counts, and where the budget runs out, are those of the search.
+    the first state whose subtree places every job.  A subproblem with
+    no job (no ancestor, every set empty) is answered without a search
+    and counts nothing.
 
     The split-outcome walk counts its steps in ``walk_states``, a counter
     of its own held to the same ``limit``: one per (residual set, guesses

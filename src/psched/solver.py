@@ -108,10 +108,6 @@ class SubproblemInput:
         )
 
 
-# ``SubproblemInput.key`` after the level, for no ancestor and no set: the
-# key that marks a level's subproblems with no job as answered
-_NO_JOB = (0, (), (), ())
-
 PartialAssign = dict[int, Slot]
 # a subtree's system (job sets by heap index), its virtually-valid
 # assignment, and the number of jobs that assignment places
@@ -136,14 +132,6 @@ class SolveMemo:
     the memo may hold fewer keys than a solve of every candidate would
     leave, never a different value.  Stored results are shared and must
     never be mutated.
-
-    A subproblem with no job is answered by its level alone, whatever
-    empty sets it lists: its level is marked in ``subtrees`` under the
-    key of the subproblem with no ancestor and no set there, holding the
-    answer (every interval under the root holds no job, nothing placed)
-    at the index first answered.  A marked level counts nothing again,
-    as a repeat counts nothing; a table that stores nothing leaves no
-    mark, so every empty subproblem counts its whole search again.
 
     A subtree key is free of the root's position, and that is exact:
     ``_solve_subtree``, ``node_windows``,
@@ -536,7 +524,9 @@ def schedule_subtree(
     returns the stored result, shared with the first caller; at another
     interval of the same level it returns new dicts holding the stored
     result shifted into place (see ``SolveMemo``).  A subproblem with no
-    job is answered by its level, with no search below it.
+    job (no ancestor, every set empty) is answered at once, every interval
+    under the root holding none and nothing placed: it enters no node,
+    steps no split walk and leaves the memo as it was.
     """
     memo = memo or SolveMemo()
     budget = budget or Budget()
@@ -545,12 +535,8 @@ def schedule_subtree(
         tree = memo.tree = tree_for(params)
     i = sub.root
     if not (sub.ancestors or any(sub.assigned.values()) or any(sub.pending.values())):
-        # no job: its level's mark answers it (see ``_search_empty``)
-        hit = memo.subtrees.get((i.bit_length() - 1, *_NO_JOB))
-        if hit is None:
-            return _search_empty(tree, i, params.h, budget, memo)
-        got, i0 = hit
-        return got if i0 == i else (dict.fromkeys(tree.preorder(i), 0), {}, 0)
+        # no job: every interval under the root holds none, nothing placed
+        return dict.fromkeys(tree.preorder(i), 0), {}, 0
     begin = tree.span[i][0]
     key = sub.key(begin)
     hit = memo.subtrees.get(key)
@@ -568,37 +554,6 @@ def schedule_subtree(
         {j: DISC if t is DISC else t + shift for j, t in assign.items()},
         placed,
     )
-
-
-def _search_empty(tree: DyadicTree, i: int, h: int, budget: Budget, memo: SolveMemo) -> Result:
-    """``schedule_subtree``'s answer for a subproblem with no job whose
-    level has no mark: every interval under ``i``, in preorder, holds no
-    job, and nothing is placed.
-
-    It counts what a search of that subproblem would count: a node, the
-    one split of each non-bottom frontier interval missing from
-    ``memo.splits`` (the walk's two states: the empty set steps and its
-    vector ends), then both halves unless their level is marked (a bottom
-    level ticks its bottom search's root instead), and it leaves the
-    level's mark, the key of the subproblem with no ancestor and no set.
-    """
-    budget.tick()
-    if tree.kinds[i] == BOT:
-        budget.tick()
-    else:
-        splits = memo.splits
-        for f in tree.below(i, h - 1):
-            if tree.kinds[f] != BOT and (f, 0) not in splits:
-                budget.tick_walk()
-                budget.tick_walk()
-                splits[(f, 0)] = ((0, 0, 0),)
-        below = (i.bit_length(), *_NO_JOB)  # the halves' mark
-        for k in (2 * i, 2 * i + 1):
-            if below not in memo.subtrees:
-                _search_empty(tree, k, h, budget, memo)
-    got = dict.fromkeys(tree.preorder(i), 0), {}, 0
-    memo.subtrees[(i.bit_length() - 1, *_NO_JOB)] = got, i
-    return got
 
 
 def _solve_subtree(

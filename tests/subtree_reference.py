@@ -27,8 +27,10 @@ tree, recounts every result's placed jobs, restricts the parent's maps to
 each half with four ``_restrict`` calls, sorts empty maps in the memo key,
 walks every guess prefix (``split_reference``) and computes windows and
 partitions with the earlier ``node_windows`` and
-``partition_reference.reference_placeable_partitions``.  ``test_solver``
-holds ``main_solve`` to its systems, schedules and node counts.
+``partition_reference.reference_placeable_partitions``.  Like the solver,
+it answers a subproblem with no job at once and counts nothing for it.
+``test_solver`` holds ``main_solve`` to its systems, schedules and node
+counts.
 """
 
 from __future__ import annotations
@@ -373,7 +375,10 @@ def _pruned_schedule_subtree(inst, sub, params, budget, memo):
     """The earlier ``schedule_subtree`` over plain memo tables."""
     subtrees, _ = memo
     i = sub.root
-    span = tree_for(params).span
+    tree = tree_for(params)
+    if not (sub.ancestors or any(sub.assigned.values()) or any(sub.pending.values())):
+        return dict.fromkeys(tree.preorder(i), 0), {}
+    span = tree.span
     begin = span[i][0]
     key = _pruned_key(sub, begin)
     hit = subtrees.get(key)

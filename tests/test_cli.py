@@ -388,14 +388,15 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # and 1578 nodes, while a subproblem was solved again at each position,
 # which took 82, 24, 197, 222, 48 and 48, and while every partition was
 # solved even when its job counts could not beat the incumbent, which took
-# 34, 6, 155, 119, 7 and 7
+# 34, 6, 155, 119, 7 and 7, and while a subproblem with no job counted the
+# search it skipped, which took 17, 6, 34, 48, 7 and 7
 GOLDEN_DEEP_SOLVE = [
-    (8, 16, 0, 2, 17),
-    (8, 16, 1, 0, 6),
-    (10, 16, 0, 6, 34),
-    (10, 16, 1, 7, 48),
-    (8, 32, 0, 0, 7),
-    (8, 32, 1, 0, 7),
+    (8, 16, 0, 2, 13),
+    (8, 16, 1, 0, 2),
+    (10, 16, 0, 6, 30),
+    (10, 16, 1, 7, 44),
+    (8, 32, 0, 0, 2),
+    (8, 32, 1, 0, 2),
 ]
 
 

@@ -14,6 +14,7 @@ import pytest
 from psched.baselines import exact_opt, graham_list
 from psched.convert import valid_to_virtually_valid
 from psched.core import (
+    DISC,
     Interval,
     Schedule,
     build_instance,
@@ -25,6 +26,7 @@ from psched.dyadic import (
     PartialDyadicSystem,
     check_virtually_valid,
     compute_params,
+    full_system,
     node_windows,
     push_down,
     system_from_schedule,
@@ -263,18 +265,21 @@ def test_main_solve_matches_the_earlier_per_state_path(family, m):
     assert placed > 0
 
 
-# (T, h, hp, p) of the grid on which answering an empty subproblem by its
-# level, and the leaner per-state path, must give the earlier systems
-# (key order included), schedules, nodes and split-walk states: the
-# digest and totals below are those of the solver that searched every
-# empty subproblem
+# (T, h, hp, p) of the grid on which the leaner per-state path must give
+# the earlier systems (key order included), schedules and nodes, and
+# answering a subproblem with no job at once must keep the systems and
+# schedules of the solver that searched it.  EMPTY_GRID_OUTPUTS digests
+# the systems and schedules alone and was recorded from that solver;
+# EMPTY_GRID_DIGEST adds the nodes and split-walk states, whose totals
+# fell from (10461, 10163) when empty subproblems stopped counting
 EMPTY_GRID = [(8, 1, 0, 2), (16, 1, 1, 2), (16, 2, 1, 3), (16, 3, 0, 2), (32, 1, 1, 2),
               (32, 2, 1, 2), (32, 3, 1, 2), (64, 2, 1, 2)]
-EMPTY_GRID_DIGEST = "aa91f6de8dab2f322962da29f6bd0af3ef6a55baa5c1b7ea023f97d4c1352944"
+EMPTY_GRID_OUTPUTS = "0d790be1c13a3e1e3b1e7965cd41926e26f26a132bbaa9c4303debb9969244a9"
+EMPTY_GRID_DIGEST = "50add9473095d782c682d379dfb3692ef5cfcf6cd4374c8a01471a067e5787f0"
 
 
 def test_main_solve_keeps_every_count_on_the_empty_grid():
-    digest = hashlib.sha256()
+    digest, outputs = hashlib.sha256(), hashlib.sha256()
     nodes = walk_states = 0
     for family, m, (T, h, hp, p), n, seed in product(
             DEEP_FAMILIES, (2, 3), EMPTY_GRID, (5, 7, 9, 12), range(3)):
@@ -285,43 +290,86 @@ def test_main_solve_keeps_every_count_on_the_empty_grid():
         assert (sys_out, sched, budget.nodes) == (
             *pruned_main_solve(inst, params, ref_budget), ref_budget.nodes), (
             family, m, T, h, hp, p, n, seed)
-        digest.update(repr((list(sys_out.assign.items()), sched.assign, budget.nodes,
-                            budget.walk_states)).encode())
+        output = list(sys_out.assign.items()), sched.assign
+        outputs.update(repr(output).encode())
+        digest.update(repr((*output, budget.nodes, budget.walk_states)).encode())
         nodes += budget.nodes
         walk_states += budget.walk_states
-    assert (nodes, walk_states) == (10461, 10163)
+    assert outputs.hexdigest() == EMPTY_GRID_OUTPUTS
+    assert (nodes, walk_states) == (9176, 9049)
     assert digest.hexdigest() == EMPTY_GRID_DIGEST
 
 
-@pytest.mark.parametrize("limit, message, nodes, walk_states", [
-    (2, "3 nodes > limit 2", 3, 2),
-    (4, "5 split-walk states > limit 4", 4, 5),
-], ids=["nodes", "walk-states"])
-def test_budget_runs_out_inside_an_empty_descent(monkeypatch, limit, message, nodes,
-                                                 walk_states):
+def test_an_empty_subproblem_costs_nothing(monkeypatch):
     # random-dag n=3 m=2 seed 0 at T = 16, h = 1: the root keeps every job,
-    # so its halves hold none, and the left half's descent of the empty
-    # chain is where the budget runs out.  The exception, its count and
-    # both counters are those of the search the level answer stands for
+    # so its halves hold none and are answered at once.  The search enters
+    # the outer cascades' state and the root, its split walk steps the
+    # root's jobs, and every job is discarded
     inst, _ = gen_instance("random-dag", 3, 2, 0.3, 0)
     params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
-    raised = []
-    search_empty = solver._search_empty
+    tree = tree_for(params)
+    empty_calls = []
 
-    def spy(*args):
-        try:
-            return search_empty(*args)
-        except BudgetExceeded:
-            raised.append(args[1])
-            raise
+    def spy(inst, sub, params, budget, memo):
+        before = budget.nodes, budget.walk_states, len(memo.subtrees), len(memo.splits)
+        got = schedule_subtree(inst, sub, params, budget, memo)
+        if not (sub.ancestors or any(sub.assigned.values()) or any(sub.pending.values())):
+            empty_calls.append(sub.root)
+            assert (budget.nodes, budget.walk_states, len(memo.subtrees),
+                    len(memo.splits)) == before
+        return got
 
-    monkeypatch.setattr(solver, "_search_empty", spy)
+    monkeypatch.setattr(solver, "schedule_subtree", spy)
+    budget = Budget()
+    sys_out, sched = main_solve(inst, params, budget)
+    assert empty_calls == [2, 3]
+    assert (budget.nodes, budget.walk_states) == (2, 2)
+    assert sched.assign == (DISC,) * 3
+    assert sys_out == full_system({1 << tree.L: inst.all_jobs})
+
+    # called alone at every level, listing empty sets or none, it answers
+    # with every interval under the root empty and counts and stores nothing
+    for i in (1, 2, 5, 11):
+        below = tree.below(i, 1)
+        for sub in (SubproblemInput(i),
+                    SubproblemInput(i, 0, {}, dict.fromkeys([i, *below], 0),
+                                    dict.fromkeys(below, 0))):
+            budget, memo = Budget(), SolveMemo()
+            got = schedule_subtree(inst, sub, params, budget, memo)
+            assert got == (dict.fromkeys(tree.preorder(i), 0), {}, 0), i
+            assert (budget.nodes, budget.walk_states) == (0, 0)
+            assert memo.subtrees == {} and memo.splits == {}
+
+
+@pytest.mark.parametrize("limit", [2, 4], ids=["nodes", "walk-states"])
+def test_budget_runs_out_inside_an_empty_descent(monkeypatch, limit):
+    # the same instance at the limits where the search that descended the
+    # empty chain ran out inside the left half's descent, of nodes at 2 and
+    # of split-walk states at 4.  The empty halves now spend nothing, so
+    # both limits finish with the counts of the root alone; a limit one
+    # short of those runs out at the root, before either half is entered
+    inst, _ = gen_instance("random-dag", 3, 2, 0.3, 0)
+    params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
+    entered = []
+    schedule = solver.schedule_subtree
+
+    def spy(inst, sub, params, budget, memo):
+        entered.append(sub.root)
+        return schedule(inst, sub, params, budget, memo)
+
+    monkeypatch.setattr(solver, "schedule_subtree", spy)
     budget = Budget(limit=limit)
-    with pytest.raises(BudgetExceeded, match=f"^search budget exceeded: {message}$") as exc:
+    sys_out, sched = main_solve(inst, params, budget)
+    assert entered == [1, 2, 3]
+    assert (budget.nodes, budget.walk_states) == (2, 2)
+    assert sched.assign == (DISC,) * 3
+
+    entered.clear()
+    budget = Budget(limit=1)
+    with pytest.raises(BudgetExceeded, match="^search budget exceeded: 2 nodes > limit 1$"):
         main_solve(inst, params, budget)
-    assert raised and raised[-1] == 2  # the empty left half of the root
-    assert (exc.value.nodes, exc.value.limit) == (limit + 1, limit)
-    assert (budget.nodes, budget.walk_states) == (nodes, walk_states)
+    assert entered == [1]
+    assert (budget.nodes, budget.walk_states) == (2, 0)
 
 
 def test_enumerate_partitions_match_the_earlier_enumeration():
@@ -470,7 +518,8 @@ def test_solve_hinted_raises_on_a_broken_virtual_schedule(monkeypatch):
 
 def test_deep_enum_pool_node_count():
     # the structures of the benchmark's deep-enum pool, unrelabeled, at its
-    # horizon and overrides; every partition solved to the end took 863
+    # horizon and overrides; every partition solved to the end took 863,
+    # and counting the search an empty subproblem skipped took 412
     total = 0
     params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
     for n, count in ((5, 20), (6, 8)):
@@ -479,7 +528,47 @@ def test_deep_enum_pool_node_count():
             budget = Budget()
             main_solve(inst, params, budget=budget)
             total += budget.nodes
-    assert total == 412
+    assert total == 300
+
+
+# the deep-enum pool's instances that keep no job at h = 1, (n, generator
+# seed): each has a longest chain of 2, within the root's chain budget,
+# so every job stays on the root, whose windows are empty at h = 1
+DEEP_ENUM_ZERO_KEEP = [(5, 2), (5, 3), (5, 4), (5, 5), (5, 9), (5, 12), (5, 15), (5, 16),
+                       (6, 0), (6, 2)]
+
+
+@pytest.mark.parametrize("p", [2, 8])
+def test_deep_enum_pool_zero_keep_instances(p):
+    # the same instances keep nothing at every p, each in 2 nodes and 2
+    # walk states: the outer cascades' state and the root, whose split
+    # keeps every job there, while the empty halves cost nothing
+    params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": p})
+    zero = []
+    for n, count in ((5, 20), (6, 8)):
+        for seed in range(count):
+            inst, _ = gen_instance("random-dag", n, 2, 0.3, seed)
+            budget = Budget()
+            _, sched = main_solve(inst, params, budget=budget)
+            if sched.scheduled_count == 0:
+                zero.append((n, seed))
+                assert (budget.nodes, budget.walk_states) == (2, 2), (n, seed)
+    assert zero == DEEP_ENUM_ZERO_KEEP
+
+
+@pytest.mark.parametrize("p, kept, nodes, walk_states", [(2, 0, 1, 7), (4, 16, 5801, 582)])
+def test_h2_root_keeps_all_jobs_or_none(p, kept, nodes, walk_states):
+    # random-dag n=16 m=2 seed 1 at T = 16, h = 2 hp = 1: the root's chain
+    # budget lets no chain stay, so every job must leave the root within p
+    # guesses.  At p = 2 no guess vector of the root's split ends, so the
+    # outer cascades yield no state and nothing is kept; at p = 4 every
+    # job is
+    inst, _ = gen_instance("random-dag", 16, 2, 0.3, 1)
+    params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 2, "hp": 1, "p": p})
+    budget = Budget()
+    _, sched = main_solve(inst, params, budget=budget)
+    assert (sched.scheduled_count, budget.nodes, budget.walk_states) == (
+        kept, nodes, walk_states)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -979,10 +1068,11 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
 
 
 def test_budget_exceeded():
+    # the search enters 2 nodes: the outer cascades' state and the root
     inst = random_instance(8, 2, 0.3, 1)
     params = micro_params()
-    with pytest.raises(BudgetExceeded):
-        main_solve(inst, params, budget=Budget(limit=4))
+    with pytest.raises(BudgetExceeded, match="^search budget exceeded: 2 nodes > limit 1$"):
+        main_solve(inst, params, budget=Budget(limit=1))
 
 
 def test_trivial_instance_schedules_everything():
@@ -1195,24 +1285,28 @@ class _Snapshots(dict):
         self.copies[key] = copy.deepcopy(value)
 
 
-# (T, h, p, n, seed, root fails); p=3 gives the h=2 root split outcomes
-# within p.  In the last case no guess vector of p entries splits the
-# seven jobs at the root, so the enumeration finds no schedule there.
+# (T, h, p, n, seed, root fails, repeats); p=3 gives the h=2 root split
+# outcomes within p.  In the fifth case no guess vector of p entries splits
+# the seven jobs at the root, so the enumeration finds no schedule there.
+# Only the last case meets a subproblem holding jobs twice, so only there
+# does the memo save nodes: at T=32, h=2, p=2 it is the first (n, seed),
+# n from 5 and seed from 0, n first, where the memo saves nodes at both m.
 MEMO_GRID = [
-    (16, 1, 2, 5, 0, False),
-    (16, 1, 2, 6, 1, False),
-    (16, 2, 3, 5, 0, False),
-    (16, 2, 3, 6, 1, False),
-    (8, 1, 2, 7, 0, True),
+    (16, 1, 2, 5, 0, False, False),
+    (16, 1, 2, 6, 1, False, False),
+    (16, 2, 3, 5, 0, False, False),
+    (16, 2, 3, 6, 1, False, False),
+    (8, 1, 2, 7, 0, True, False),
+    (32, 2, 2, 5, 0, False, True),
 ]
 
 
 @pytest.mark.parametrize("hinted", [False, True], ids=["enum", "hinted"])
 @pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("T, h, p, n, seed, root_fails", MEMO_GRID,
+@pytest.mark.parametrize("T, h, p, n, seed, root_fails, repeats", MEMO_GRID,
                          ids=[f"T{g[0]}-h{g[1]}-n{g[3]}-s{g[4]}" for g in MEMO_GRID])
-def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_fails, m,
-                                           hinted):
+def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_fails, repeats,
+                                           m, hinted):
     inst = random_instance(n, m, 0.3, seed)
     params = compute_params(T, m, Fraction(1, 2), overrides={"h": h, "hp": 1, "p": p})
     reference = Schedule(T=T, assign=exact_opt(inst)[1].assign) if hinted else None
@@ -1255,7 +1349,7 @@ def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_f
         assert at_root and all(v is None for v in at_root)
         assert got[1].scheduled_count == 0
         return
-    assert nodes < plain_nodes
+    assert (nodes < plain_nodes) == repeats
     if h == 2:  # the recursion passes fixed and pending job sets down
         assert any(any(dict(k[3]).values()) for k in memo.subtrees)
         assert any(any(dict(k[4]).values()) for k in memo.subtrees)
