@@ -13,6 +13,7 @@ Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
@@ -55,11 +56,19 @@ def _parse_overrides(pairs: list[str]) -> dict:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write ``text`` to stdout, or as UTF-8 bytes to the file ``out``,
+    created with ``open(out, "w")``'s mode: a run writes one small file,
+    and a text file object's buffer and encoder cost more than the write."""
+    if not out:
         sys.stdout.write(text)
+        return
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        data = memoryview(text.encode("utf-8"))
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def cmd_gen(args) -> int:
@@ -200,7 +209,8 @@ COMMANDS = ("gen", "verify", "graham", "oracle", "solve", "pipeline", "bench")
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``psched`` parser with every subcommand, or with ``command``
     alone when it names one (its ``commands`` maps each to its own
-    parser); the top-level usage is the same either way.
+    parser); the top-level usage is the same either way.  Each subcommand
+    parser keeps the ``_argv_table`` of its own actions as ``argv_table``.
 
     Builds a new parser on every call; ``run_command`` keeps the ones it
     builds and reuses them, so callers must not mutate a returned parser."""
@@ -281,7 +291,80 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.set_defaults(func=cmd_bench)
     parser.commands = subs.choices
+    for p in parser.commands.values():
+        p.argv_table = _argv_table(p)
     return parser
+
+
+# the actions _read_argv reads as argparse does: store, store_true, append
+_READ = (argparse._StoreAction, argparse._StoreTrueAction, argparse._AppendAction)
+
+
+def _argv_table(p: argparse.ArgumentParser) -> tuple | None:
+    """``(option string -> action, positional actions, defaults, required
+    options)`` from ``p``'s actions and ``set_defaults``, help left out; None
+    when an action is not in ``_READ``, takes ``nargs`` or ``choices``, or
+    has a string default that argparse would convert."""
+    options, positionals, required = {}, [], set()
+    defaults = {a.dest: a.default for a in p._actions if a.default is not argparse.SUPPRESS}
+    for action in p._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if (type(action) not in _READ or action.nargs not in (None, 0)
+                or action.choices is not None
+                or (isinstance(action.default, str) and action.type is not None)):
+            return None
+        options.update(dict.fromkeys(action.option_strings, action))
+        if not action.option_strings:
+            positionals.append(action)
+        elif action.required:
+            required.add(action)
+    for dest, value in p._defaults.items():
+        defaults.setdefault(dest, value)
+    return options, positionals, defaults, required
+
+
+def _value(action: argparse.Action, text: str):
+    return text if action.type is None else action.type(text)
+
+
+def _read_argv(table: tuple, command: str, argv: list[str]) -> argparse.Namespace | None:
+    """``parse_known_args(argv, Namespace(command=command))`` with no
+    extras, read from ``table`` in one pass; None wherever argparse may read
+    ``argv`` otherwise: a word starting with ``-`` that is not a table option
+    (help, an abbreviation, ``--opt=value``, ``--``), an option value starting
+    with ``-`` or missing, a value its type rejects, a positional too many or
+    too few, or a required option left out."""
+    options, positionals, defaults, required = table
+    args = argparse.Namespace(command=command, **defaults)
+    words, seen = [], set()
+    rest = iter(argv)
+    try:
+        for word in rest:
+            if word[:1] != "-":
+                words.append(word)
+                continue
+            action = options.get(word)
+            if action is None:
+                return None
+            seen.add(action)
+            if action.nargs == 0:
+                setattr(args, action.dest, action.const)
+                continue
+            text = next(rest, None)
+            if text is None or text[:1] == "-":
+                return None
+            value = _value(action, text)
+            if type(action) is argparse._AppendAction:
+                value = [*(getattr(args, action.dest) or ()), value]
+            setattr(args, action.dest, value)
+        if len(words) != len(positionals) or not required <= seen:
+            return None
+        for action, word in zip(positionals, words):
+            setattr(args, action.dest, _value(action, word))
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return args
 
 
 # run_command's parsers, one per COMMANDS entry plus None for the full one,
@@ -292,19 +375,23 @@ _PARSERS: dict[str | None, argparse.ArgumentParser] = {}
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """``build_parser(None).parse_args(argv)``, help and usage errors
-    (``SystemExit``) included, in one level: a subcommand's parser alone
-    reads the rest of its ``argv``, and what it leaves over gets the
-    top-level ``unrecognized arguments`` error."""
+    (``SystemExit``) included, in one level: the rest of a subcommand's
+    ``argv`` is read from its parser's ``argv_table``; where there is none or
+    ``_read_argv`` cannot read it, the subcommand's parser alone reads it,
+    and what that leaves over gets the top-level ``unrecognized arguments``
+    error."""
     key = argv[0] if argv and argv[0] in COMMANDS else None
     parser = _PARSERS.get(key)
     if parser is None:
         parser = _PARSERS[key] = build_parser(key)
     if key is None:
         return parser.parse_args(argv)
-    args, extras = parser.commands[key].parse_known_args(
-        argv[1:], argparse.Namespace(command=key))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    sub = parser.commands[key]
+    args = None if sub.argv_table is None else _read_argv(sub.argv_table, key, argv[1:])
+    if args is None:
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=key))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
 
 

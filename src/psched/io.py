@@ -93,11 +93,16 @@ def format_schedule(sched: Schedule) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: str) -> str:
+    """The file's bytes decoded as UTF-8 in one call; ``splitlines`` in the
+    parsers ends lines at ``\\r\\n`` and a lone ``\\r`` as text mode would."""
+    with open(path, "rb", buffering=0) as fh:
+        return fh.read().decode("utf-8")
+
+
 def read_instance(path: str) -> Instance:
-    with open(path, encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    return parse_instance(_read_text(path))
 
 
 def read_schedule(path: str) -> Schedule:
-    with open(path, encoding="utf-8") as fh:
-        return parse_schedule(fh.read())
+    return parse_schedule(_read_text(path))

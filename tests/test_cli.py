@@ -1,13 +1,18 @@
 """File formats, generators, and the command-line surface."""
 
+import argparse
 import gc
+import os
 import random
 import re
+import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from psched import baselines, cli, io, pipeline, solver, transform
 from psched.cli import BENCH_COLUMNS, COMMANDS, run_command
@@ -70,6 +75,78 @@ def test_schedule_parse_errors():
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             io.parse_schedule(text)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_files_read_as_text_mode_read_them(tmp_path, capsys, newline):
+    # the readers decode bytes; lines, comments and blanks come out as the
+    # universal-newline text mode they replaced gives them
+    inst_path, sched_path = tmp_path / "i.psched", tmp_path / "s.sched"
+    inst_path.write_bytes("# header\npsched 1 3 2\n\n0 1  # edge\n1 2\n"
+                          .replace("\n", newline).encode())
+    sched_path.write_bytes("sched 1 3 4  # T\n# note\n0 1\n\n1 2\n2 disc\n"
+                           .replace("\n", newline).encode())
+    with open(inst_path, encoding="utf-8") as fh:
+        assert io.read_instance(str(inst_path)) == io.parse_instance(fh.read())
+    with open(sched_path, encoding="utf-8") as fh:
+        assert io.read_schedule(str(sched_path)) == io.parse_schedule(fh.read())
+    assert io.read_schedule(str(sched_path)) == Schedule(T=4, assign=(1, 2, DISC))
+    assert run_command(["verify", str(inst_path), str(sched_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_unreadable_files_exit_1_with_their_error_line(tmp_path, capsys):
+    good = tmp_path / "i.psched"
+    good.write_bytes(b"psched 1 3 2\n0 1\n")
+    bad = tmp_path / "bad.psched"
+    bad.write_bytes(b"psched 1 3 2\r\n0 1\xff\n")
+    decode = "error: 'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"
+    is_dir = f"error: [Errno 21] Is a directory: '{tmp_path}'"
+    missing = tmp_path / "nope" / "o.sched"
+    for argv, line in (
+        (["pipeline", str(bad)], decode),
+        (["verify", str(good), str(bad)], decode),
+        (["verify", str(tmp_path), str(good)], is_dir),
+        (["oracle", str(tmp_path)], is_dir),
+        (["graham", str(good), "--out", str(tmp_path)], is_dir),
+        (["graham", str(good), "--out", str(missing)],
+         f"error: [Errno 2] No such file or directory: '{missing}'"),
+    ):
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err == line + "\n"
+
+
+def test_output_over_a_mebibyte_is_written_in_full_through_short_writes(tmp_path,
+                                                                        monkeypatch):
+    path, write, sizes = tmp_path / "big.psched", os.write, []
+
+    def short_write(fd, data):
+        sizes.append(write(fd, data[:100_000]))
+        return sizes[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", short_write)
+        assert run_command(["gen", "--family", "random-dag", "--n", "540", "--m", "2",
+                            "--density", "1", "--out", str(path)]) == 0
+    want = io.format_instance(*gen_instance("random-dag", 540, 2, 1.0, 0)).encode()
+    assert len(want) > 1 << 20 and len(sizes) == -(-len(want) // 100_000)
+    assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_output_file_gets_the_mode_text_mode_gives(tmp_path, umask):
+    by_open, by_emit = tmp_path / "open.sched", tmp_path / "emit.sched"
+    old = os.umask(umask)
+    try:
+        with open(by_open, "w", encoding="utf-8"):
+            pass
+        for n in ("30", "3"):  # created, then overwritten by a shorter file
+            assert run_command(["gen", "--family", "chain", "--n", n, "--m", "1",
+                                "--out", str(by_emit)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(by_emit.stat().st_mode) == stat.S_IMODE(by_open.stat().st_mode)
+    assert by_emit.read_bytes() == b"psched 1 3 1\n0 1\n1 2\n"
 
 
 def test_generators_deterministic_and_valid():
@@ -471,14 +548,20 @@ PARSE_TABLE = [
     ["solve", "i.psched", "--bogus", "extra", "--horizon", "4"],
     ["pipeline", "i.psched", "--h"],
     ["bench", "--format", "xml"],
+    # the table's edges: argparse reads each of these
+    ["pipeline", "i.psched", "--horizon", "-3"],
+    ["graham", "i.psched", "--out=o"],
+    ["pipeline", "i.psched", "--out", "o.sched", "--hinted"],
+    ["pipeline", "--horizon", "16", "--hinted", "--out", "o.sched", "i.psched"],
+    ["oracle", "i.psched", "--out", "a.sched", "--out", "b.sched"],
 ]
 
 
 def _parsed(parse, argv, capsys):
-    """``(exit code, the parsed namespace's items, stdout, stderr)``; a
-    parse that does not exit has code None."""
+    """``(exit code, the parsed namespace's items with each value's type,
+    stdout, stderr)``; a parse that does not exit has code None."""
     try:
-        code, items = None, vars(parse(argv))
+        code, items = None, {k: (type(v), v) for k, v in vars(parse(argv)).items()}
     except SystemExit as exc:
         code, items = exc.code, None
     out, err = capsys.readouterr()
@@ -494,6 +577,107 @@ def test_one_level_parse_matches_the_full_parser(monkeypatch, capsys, fresh_pars
     want = _parsed(cli.build_parser(None).parse_args, argv, capsys)
     for _ in range(2):  # the first call builds the parser, the second reuses it
         assert _parsed(cli._parse_args, argv, capsys) == want
+
+
+# each subcommand's option strings but help's and its positional count,
+# values to give them (one starts with "-"), and words only argparse reads
+OPTION_STRINGS, POSITIONALS = {}, {}
+for _command in COMMANDS:
+    _sub = cli.build_parser(_command).commands[_command]
+    OPTION_STRINGS[_command] = sorted(set(_sub._option_string_actions) - {"-h", "--help"})
+    POSITIONALS[_command] = len(_sub._get_positional_actions())
+VALUES = ["16", "8", "-3", "", "q", "h=1", "1/4", "i.psched"]
+ODD_WORDS = ["--", "--out=o", "--hor", "-h", "--help", "-"]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand's argv: its options, most with a value, among its
+    positionals; repeated options, odd words, a trailing option with no
+    value and one positional too many or too few all occur."""
+    command = draw(st.sampled_from(COMMANDS))
+    option = st.sampled_from(OPTION_STRINGS[command] or ODD_WORDS)
+    value = st.sampled_from(VALUES)
+    chunk = st.sampled_from(["pair"] * 6 + ["option", "odd"]).flatmap(
+        lambda kind: st.tuples(option, value) if kind == "pair"
+        else st.tuples(option) if kind == "option" else st.tuples(st.sampled_from(ODD_WORDS)))
+    chunks = st.lists(chunk, max_size=5 if OPTION_STRINGS[command] else 1)
+    argv = [w for c in draw(chunks) for w in c]
+    want = POSITIONALS[command]
+    count = draw(st.sampled_from([want] * 4 + [max(want - 1, 0), want + 1]))
+    for word in draw(st.lists(value, min_size=count, max_size=count)):
+        argv.insert(draw(st.integers(0, len(argv))), word)
+    return [command, *argv]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+def test_table_parse_matches_argparse(monkeypatch, capsys, fresh_parsers, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _parsed(cli.build_parser(None).parse_args, argv, capsys)
+    assert _parsed(cli._parse_args, argv, capsys) == want
+
+
+def test_table_reads_a_parser_as_argparse_does():
+    # what no psched subcommand has yet: a required option, an append
+    # without a default, a typed positional and a set_defaults key
+    parser = argparse.ArgumentParser(prog="t")
+    parser.add_argument("count", type=int)
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--tag", action="append")
+    parser.add_argument("--dry", action="store_true")
+    parser.set_defaults(func=len, dry="unset")
+    table = cli._argv_table(parser)
+    for argv in (["3", "--n", "4"], ["--tag", "a", "3", "--n", "4", "--tag", "b", "--dry"],
+                 ["3"], ["x", "--n", "4"], ["3", "--n", "4", "5"], ["--n", "4"]):
+        try:
+            want, extras = parser.parse_known_args(argv, argparse.Namespace(command="t"))
+        except SystemExit:
+            want, extras = None, []
+        got = cli._read_argv(table, "t", argv)
+        assert got is None if want is None or extras else vars(got) == vars(want), argv
+    parser.add_argument("--size", type=int, default="5")  # argparse converts "5"
+    assert cli._argv_table(parser) is None
+
+
+# the argv shapes the benchmark times, and one per other tabled subcommand
+HOT_ARGVS = [
+    ["pipeline", "i.psched", "--out", "o.sched"],
+    ["pipeline", "i.psched", *DEEP[2:], "--horizon", "16", "--out", "o.sched"],
+    ["pipeline", "i.psched", "--hinted", "--out", "o.sched"],
+    ["pipeline", "i.psched", "--hinted", *DEEP[2:], "--horizon", "32", "--out", "o.sched"],
+    ["verify", "i.psched", "s.sched"],
+    ["graham", "i.psched", "--out", "g.sched"],
+    ["oracle", "i.psched", "--out", "o.sched"],
+    ["solve", "i.psched", "--horizon", "8", "--epsilon", "1/4", "--budget", "7"],
+]
+# the subcommands argparse reads every argv of (a choices= or another action
+# the table does not read); any other subcommand must have a table
+ARGPARSE_ONLY = ("gen", "bench")
+
+
+class _ReachedArgparse(Exception):
+    pass
+
+
+def _spy(*args, **kwargs):
+    raise _ReachedArgparse
+
+
+def test_hot_argvs_never_reach_argparse(monkeypatch, fresh_parsers):
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", _spy)
+    for argv in HOT_ARGVS:
+        assert cli._parse_args(argv).command == argv[0]
+    for argv in (["gen", "--family", "chain", "--n", "3", "--m", "1"], ["bench"]):
+        with pytest.raises(_ReachedArgparse):
+            cli._parse_args(argv)
+
+
+def test_every_command_has_a_table_or_is_argparse_only():
+    for command in COMMANDS:
+        table = cli.build_parser(command).commands[command].argv_table
+        assert (table is None) == (command in ARGPARSE_ONLY), command
 
 
 @pytest.mark.parametrize("command", ["solve", "pipeline"])
