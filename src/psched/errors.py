@@ -53,9 +53,9 @@ class Budget:
     one state of a bottom search or of the oracle's search.  Children that
     a bound or the oracle's failed-state memo rules out before entry are
     not counted, nor is a subproblem answered from the ``SolveMemo`` of
-    the current ``main_solve``, whether solved at its own interval or at
-    a translate of it on the same level, nor a partition or right half
-    that ``schedule_subtree``'s count bound cuts, which is never entered.
+    the current ``main_solve``, which holds each one solved at its own
+    interval, nor a partition or right half that ``schedule_subtree``'s
+    count bound cuts, which is never entered.
     A collapsed attempt (``L = 0``) counts only the states of one bottom
     search of its own jobs on ``(0, horizon]``, with no padding sink.
     ``exact_opt`` counts its states in the budget it is given, which for

@@ -6,12 +6,12 @@ one more level of splits, computes windows for the jobs staying at the
 node, partitions the window-constrained pool between the two halves (one
 representative per window-multiset equivalence class, never sending a job
 to a half its window misses), and recurses.
-Within one ``main_solve`` each subproblem is solved once up to
-translation, so the recursion is a dynamic program over its states, and
-a candidate whose job counts cannot beat the best one found is cut.  The
-split outcomes of an interval come from a walk over guess vectors that
-steps each (residual set, guesses left) once and never re-enters one
-from which no vector ends, and its steps count against the budget too.
+Within one ``main_solve`` each subproblem is solved once, so the
+recursion is a dynamic program over its states, and a candidate whose
+job counts cannot beat the best one found is cut.  The split outcomes of
+an interval come from a walk over guess vectors that steps each
+(residual set, guesses left) once and never re-enters one from which no
+vector ends, and its steps count against the budget too.
 Bottom intervals are solved exactly by branch and bound.  A hinted solve
 answers with a reference schedule's system and its virtually-valid
 counterpart instead of enumerating: the enumeration held to the
@@ -80,31 +80,18 @@ class SubproblemInput:
     assigned: dict[int, JobSet] = field(default_factory=dict)
     pending: dict[int, JobSet] = field(default_factory=dict)
 
-    def key(self, begin: int) -> tuple:
-        """Hashable, position-free form; equal keys are equal subproblems
-        up to translation.
+    def key(self) -> tuple:
+        """Hashable form; equal keys are equal subproblems.
 
-        ``begin`` is where the root's interval begins.  The key holds the
-        root's level, the ancestors, their windows measured from ``begin``
-        and ``assigned`` and ``pending`` by heap index relative to the root:
-        index ``k`` at depth ``d`` below root ``i`` becomes
-        ``k - ((i - 1) << d)``, so the root is 1.
+        The key holds the root, the ancestors, their windows and
+        ``assigned`` and ``pending`` by heap index, each map sorted.
         """
-        i = self.root
-        top = i.bit_length()
-        lift = i - 1  # index k at depth d moves by lift << d
-        anc, assigned, pending = self.anc_windows, self.assigned, self.pending
         return (
-            top - 1,
+            self.root,
             self.ancestors,
-            tuple(sorted([(j, b - begin, e - begin) for j, (b, e) in anc.items()]))
-            if anc else (),
-            tuple(sorted([(k - (lift << (k.bit_length() - top)), jobs)
-                          for k, jobs in assigned.items()]))
-            if assigned else (),
-            tuple(sorted([(k - (lift << (k.bit_length() - top)), jobs)
-                          for k, jobs in pending.items()]))
-            if pending else (),
+            tuple(sorted(self.anc_windows.items())),
+            tuple(sorted(self.assigned.items())),
+            tuple(sorted(self.pending.items())),
         )
 
 
@@ -120,11 +107,10 @@ class SolveMemo:
     """Answers already computed within one ``main_solve``.
 
     ``subtrees`` maps ``SubproblemInput.key`` to the result of
-    ``schedule_subtree`` and the heap index it was solved at, and
-    ``splits`` maps (interval, jobs) to the outcomes of
-    ``_split_outcomes`` (intervals by heap index).  ``tree`` is the call's
-    ``DyadicTree``, fetched by the first state that needs it.  Only the
-    enumeration builds one: a hinted solve runs no recursion.  The
+    ``schedule_subtree``, and ``splits`` maps (interval, jobs) to the
+    outcomes of ``_split_outcomes`` (intervals by heap index).  ``tree`` is
+    the call's ``DyadicTree``, fetched by the first state that needs it.
+    Only the enumeration builds one: a hinted solve runs no recursion.  The
     instance and params are fixed for the call, so each answer is a
     function of its key alone and a repeat returns the value a second
     solve would compute.
@@ -132,20 +118,9 @@ class SolveMemo:
     the memo may hold fewer keys than a solve of every candidate would
     leave, never a different value.  Stored results are shared and must
     never be mutated.
-
-    A subtree key is free of the root's position, and that is exact:
-    ``_solve_subtree``, ``node_windows``,
-    ``enumerate_partitions``, ``_split_outcomes`` and ``bottom_solve``
-    read absolute times only by comparing them with spans and window
-    bounds, kinds, ``window_step`` and split budgets depend on the level
-    and the length alone, and every tie-break follows job ids or orders
-    that translation keeps.  So a fresh solve of a translated subproblem
-    is the stored answer shifted: each system index one level further
-    down moves twice as far, and each slot by the distance between the
-    two begins.
     """
 
-    subtrees: dict[tuple, tuple[Result | None, int]] = field(default_factory=dict)
+    subtrees: dict[tuple, Result | None] = field(default_factory=dict)
     splits: dict[tuple[int, JobSet], tuple[SplitOutcome, ...]] = field(
         default_factory=dict
     )
@@ -519,41 +494,27 @@ def schedule_subtree(
     or has ends the search.  A cut candidate could not have replaced the
     incumbent, so the result is the one a solve of every candidate gives.
 
-    Each subproblem is solved once per ``memo`` (a fresh one when omitted)
-    up to translation: a repeat enters no node.  At the same heap index it
-    returns the stored result, shared with the first caller; at another
-    interval of the same level it returns new dicts holding the stored
-    result shifted into place (see ``SolveMemo``).  A subproblem with no
-    job (no ancestor, every set empty) is answered at once, every interval
-    under the root holding none and nothing placed: it enters no node,
-    steps no split walk and leaves the memo as it was.
+    Each subproblem is solved once per ``memo`` (a fresh one when
+    omitted): a repeat enters no node and returns the stored result,
+    shared with the first caller.  A subproblem with no job (no ancestor,
+    every set empty) is answered at once, every interval under the root
+    holding none and nothing placed: it enters no node, steps no split
+    walk and leaves the memo as it was.
     """
     memo = memo or SolveMemo()
     budget = budget or Budget()
     tree = memo.tree
     if tree is None:
         tree = memo.tree = tree_for(params)
-    i = sub.root
     if not (sub.ancestors or any(sub.assigned.values()) or any(sub.pending.values())):
         # no job: every interval under the root holds none, nothing placed
-        return dict.fromkeys(tree.preorder(i), 0), {}, 0
-    begin = tree.span[i][0]
-    key = sub.key(begin)
-    hit = memo.subtrees.get(key)
-    if hit is None:
-        got = _solve_subtree(inst, sub, params, budget, memo)
-        memo.subtrees[key] = got, i
-        return got
-    got, i0 = hit
-    if got is None or i0 == i:
-        return got
-    system, assign, placed = got
-    top, step, shift = i0.bit_length(), i - i0, begin - tree.span[i0][0]
-    return (
-        {k + (step << (k.bit_length() - top)): jobs for k, jobs in system.items()},
-        {j: DISC if t is DISC else t + shift for j, t in assign.items()},
-        placed,
-    )
+        return dict.fromkeys(tree.preorder(sub.root), 0), {}, 0
+    subtrees = memo.subtrees
+    key = sub.key()
+    got = subtrees.get(key, subtrees)  # the table itself: not solved yet
+    if got is subtrees:
+        got = subtrees[key] = _solve_subtree(inst, sub, params, budget, memo)
+    return got
 
 
 def _solve_subtree(

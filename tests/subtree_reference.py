@@ -24,11 +24,13 @@ placed: a recursion that places none keeps its trivial starting system.
 ``pruned_main_solve`` is the count-bounded enumeration as it was before
 its per-state path was reworked: each state asks ``tree_for`` for the
 tree, recounts every result's placed jobs, restricts the parent's maps to
-each half with four ``_restrict`` calls, sorts empty maps in the memo key,
-walks every guess prefix (``split_reference``) and computes windows and
-partitions with the earlier ``node_windows`` and
+each half with four ``_restrict`` calls, walks every guess prefix
+(``split_reference``) and computes windows and partitions with the
+earlier ``node_windows`` and
 ``partition_reference.reference_placeable_partitions``.  Like the solver,
-it answers a subproblem with no job at once and counts nothing for it.
+it answers a subproblem with no job at once and counts nothing for it,
+and answers a repeat of a subproblem at the same heap index from its
+memo.
 ``test_solver`` holds ``main_solve`` to its systems, schedules and node
 counts.
 """
@@ -339,19 +341,15 @@ def reference_node_windows(
     }
 
 
-def _pruned_key(sub: SubproblemInput, begin: int) -> tuple:
-    """The earlier ``SubproblemInput.key``, which sorted every map."""
-    i = sub.root
-    top = i.bit_length()
-    lift = i - 1
+def _pruned_key(sub: SubproblemInput) -> tuple:
+    """The earlier ``SubproblemInput.key``: the subproblem by heap index
+    and absolute windows, every map sorted."""
     return (
-        top - 1,
+        sub.root,
         sub.ancestors,
-        tuple(sorted([(j, b - begin, e - begin) for j, (b, e) in sub.anc_windows.items()])),
-        tuple(sorted([(k - (lift << (k.bit_length() - top)), jobs)
-                      for k, jobs in sub.assigned.items()])),
-        tuple(sorted([(k - (lift << (k.bit_length() - top)), jobs)
-                      for k, jobs in sub.pending.items()])),
+        tuple(sorted((j, b, e) for j, (b, e) in sub.anc_windows.items())),
+        tuple(sorted(sub.assigned.items())),
+        tuple(sorted(sub.pending.items())),
     )
 
 
@@ -374,27 +372,13 @@ def _size(mp: dict[int, JobSet]) -> int:
 def _pruned_schedule_subtree(inst, sub, params, budget, memo):
     """The earlier ``schedule_subtree`` over plain memo tables."""
     subtrees, _ = memo
-    i = sub.root
     tree = tree_for(params)
     if not (sub.ancestors or any(sub.assigned.values()) or any(sub.pending.values())):
-        return dict.fromkeys(tree.preorder(i), 0), {}
-    span = tree.span
-    begin = span[i][0]
-    key = _pruned_key(sub, begin)
-    hit = subtrees.get(key)
-    if hit is None:
-        got = _pruned_solve_subtree(inst, sub, params, budget, memo)
-        subtrees[key] = got, i
-        return got
-    got, i0 = hit
-    if got is None or i0 == i:
-        return got
-    system, assign = got
-    top, step, shift = i0.bit_length(), i - i0, begin - span[i0][0]
-    return (
-        {k + (step << (k.bit_length() - top)): jobs for k, jobs in system.items()},
-        {j: DISC if t is DISC else t + shift for j, t in assign.items()},
-    )
+        return dict.fromkeys(tree.preorder(sub.root), 0), {}
+    key = _pruned_key(sub)
+    if key not in subtrees:
+        subtrees[key] = _pruned_solve_subtree(inst, sub, params, budget, memo)
+    return subtrees[key]
 
 
 def _pruned_solve_subtree(inst, sub, params, budget, memo):

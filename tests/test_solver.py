@@ -10,6 +10,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psched.baselines import exact_opt, graham_list
 from psched.convert import valid_to_virtually_valid
@@ -271,11 +273,13 @@ def test_main_solve_matches_the_earlier_per_state_path(family, m):
 # schedules of the solver that searched it.  EMPTY_GRID_OUTPUTS digests
 # the systems and schedules alone and was recorded from that solver;
 # EMPTY_GRID_DIGEST adds the nodes and split-walk states, whose totals
-# fell from (10461, 10163) when empty subproblems stopped counting
+# fell from (10461, 10163) when empty subproblems stopped counting and
+# read (9176, 9049) while the memo answered a subproblem translated to
+# another interval of its level
 EMPTY_GRID = [(8, 1, 0, 2), (16, 1, 1, 2), (16, 2, 1, 3), (16, 3, 0, 2), (32, 1, 1, 2),
               (32, 2, 1, 2), (32, 3, 1, 2), (64, 2, 1, 2)]
 EMPTY_GRID_OUTPUTS = "0d790be1c13a3e1e3b1e7965cd41926e26f26a132bbaa9c4303debb9969244a9"
-EMPTY_GRID_DIGEST = "50add9473095d782c682d379dfb3692ef5cfcf6cd4374c8a01471a067e5787f0"
+EMPTY_GRID_DIGEST = "880de3cc45d74a2e4c41020cb06d14579b6ec58c6d6b079a3e3a53ce775c5012"
 
 
 def test_main_solve_keeps_every_count_on_the_empty_grid():
@@ -296,7 +300,7 @@ def test_main_solve_keeps_every_count_on_the_empty_grid():
         nodes += budget.nodes
         walk_states += budget.walk_states
     assert outputs.hexdigest() == EMPTY_GRID_OUTPUTS
-    assert (nodes, walk_states) == (9176, 9049)
+    assert (nodes, walk_states) == (9185, 9049)
     assert digest.hexdigest() == EMPTY_GRID_DIGEST
 
 
@@ -519,7 +523,8 @@ def test_solve_hinted_raises_on_a_broken_virtual_schedule(monkeypatch):
 def test_deep_enum_pool_node_count():
     # the structures of the benchmark's deep-enum pool, unrelabeled, at its
     # horizon and overrides; every partition solved to the end took 863,
-    # and counting the search an empty subproblem skipped took 412
+    # counting the search an empty subproblem skipped took 412, and
+    # answering a translated subproblem from the memo took 300
     total = 0
     params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
     for n, count in ((5, 20), (6, 8)):
@@ -528,7 +533,7 @@ def test_deep_enum_pool_node_count():
             budget = Budget()
             main_solve(inst, params, budget=budget)
             total += budget.nodes
-    assert total == 300
+    assert total == 308
 
 
 # the deep-enum pool's instances that keep no job at h = 1, (n, generator
@@ -556,7 +561,7 @@ def test_deep_enum_pool_zero_keep_instances(p):
     assert zero == DEEP_ENUM_ZERO_KEEP
 
 
-@pytest.mark.parametrize("p, kept, nodes, walk_states", [(2, 0, 1, 7), (4, 16, 5801, 582)])
+@pytest.mark.parametrize("p, kept, nodes, walk_states", [(2, 0, 1, 7), (4, 16, 5814, 582)])
 def test_h2_root_keeps_all_jobs_or_none(p, kept, nodes, walk_states):
     # random-dag n=16 m=2 seed 1 at T = 16, h = 2 hp = 1: the root's chain
     # budget lets no chain stay, so every job must leave the root within p
@@ -818,28 +823,29 @@ def test_subproblem_key_ignores_dict_order():
     b = SubproblemInput(root=1, ancestors=0b101010,
                         **{k: dict(reversed(v.items())) for k, v in fields.items()})
     assert list(a.assigned) != list(b.assigned)
-    assert a.key(0) == b.key(0)
-    assert hash(a.key(0)) == hash(b.key(0))
+    assert a.key() == b.key()
+    assert hash(a.key()) == hash(b.key())
     for name, changed in (("assigned", {1: 0b1, 2: 0b10, 3: 0b100}),
                           ("pending", {4: 0b1000, 5: 0b10000, 6: 0}),
                           ("anc_windows", {5: (0, 4), 1: (2, 8), 3: (4, 8)})):
         other = SubproblemInput(root=1, ancestors=0b101010, **{**fields, name: changed})
-        assert other.key(0) != a.key(0)
+        assert other.key() != a.key()
 
 
-def test_subproblem_key_is_free_of_position():
-    # root 1 over (0, 16] and root 3 over (8, 16], one level further down
-    # the same shape; each index at depth d moves by (3 - 1) << d
-    a = SubproblemInput(root=1, ancestors=0b11, anc_windows={0: (2, 8), 1: (4, 12)},
-                        assigned={1: 0b100}, pending={2: 0b1000, 3: 0})
-    b = SubproblemInput(root=3, ancestors=0b11, anc_windows={0: (10, 16), 1: (12, 20)},
-                        assigned={3: 0b100}, pending={6: 0b1000, 7: 0})
-    c = SubproblemInput(root=2, ancestors=0b11, anc_windows={0: (2, 8), 1: (4, 12)},
-                        assigned={2: 0b100}, pending={4: 0b1000, 5: 0})
-    assert b.key(8)[1:] == a.key(0)[1:]
-    assert b.key(8) == c.key(0)  # same level, translated by 8
-    assert c.key(0) != c.key(1)  # windows are measured from the begin
-    assert a.key(0)[0] == 0 and b.key(8)[0] == 1
+def test_subproblem_key_names_its_interval():
+    # the halves (0, 8] and (8, 16] of a T = 16 tree with the same
+    # ancestors, the same windows, which span the center as a parent
+    # passes them down, and no set of their own: they differ only in
+    # where they lie, and so do their keys
+    windows = {0: (2, 14), 1: (4, 12)}
+    left = SubproblemInput(root=2, ancestors=0b11, anc_windows=windows)
+    right = SubproblemInput(root=3, ancestors=0b11, anc_windows=dict(windows))
+    assert left.key() != right.key()
+    assert left.key()[1:] == right.key()[1:]
+    # windows are read as given: moved by the distance between the two
+    # begins, they name another subproblem
+    moved = SubproblemInput(root=3, ancestors=0b11, anc_windows={0: (10, 22), 1: (12, 20)})
+    assert moved.key() != right.key()
 
 
 def test_memo_answers_a_repeat_without_entering_a_node():
@@ -1288,9 +1294,10 @@ class _Snapshots(dict):
 # (T, h, p, n, seed, root fails, repeats); p=3 gives the h=2 root split
 # outcomes within p.  In the fifth case no guess vector of p entries splits
 # the seven jobs at the root, so the enumeration finds no schedule there.
-# Only the last case meets a subproblem holding jobs twice, so only there
-# does the memo save nodes: at T=32, h=2, p=2 it is the first (n, seed),
-# n from 5 and seed from 0, n first, where the memo saves nodes at both m.
+# Only the last case meets a subproblem holding jobs twice on one
+# interval, so only there does the memo save nodes (30 against 126 at both
+# m): at T=32, h=2, p=2 it is the first (n, seed), n from 5 and seed from
+# 0, n first, where the memo saves nodes at both m.
 MEMO_GRID = [
     (16, 1, 2, 5, 0, False, False),
     (16, 1, 2, 6, 1, False, False),
@@ -1342,7 +1349,7 @@ def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_f
     memo = memos[0]
     assert memo.subtrees == memo.subtrees.copies  # no caller mutated a shared result
     assert memo.splits == memo.splits.copies
-    at_root = [got for got, i0 in memo.subtrees.values() if i0 == 1]
+    at_root = [got for key, got in memo.subtrees.items() if key[0] == 1]
     if not root_fails:
         assert any(v is not None for v in at_root)
     else:
@@ -1355,14 +1362,14 @@ def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_f
         assert any(any(dict(k[4]).values()) for k in memo.subtrees)
 
 
-# (T, h, p) of the deep trees on which the position-free memo must give
-# what solving every subproblem afresh gives
+# (T, h, p) of the deep trees on which the memo must give what solving
+# every subproblem afresh gives
 TRANSLATION_GRID = [(8, 1, 2), (16, 1, 2), (16, 2, 3), (32, 1, 2), (32, 2, 2)]
 
 
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("family", ["random-dag", "layered", "forest"])
-def test_memo_up_to_translation_matches_solving_afresh(monkeypatch, family, m):
+def test_memo_matches_solving_afresh(monkeypatch, family, m):
     lower = False
     for (T, h, p), n in product(TRANSLATION_GRID, (5, 7, 9)):
         inst, _ = gen_instance(family, n, m, 0.3, n)
@@ -1380,9 +1387,53 @@ def test_memo_up_to_translation_matches_solving_afresh(monkeypatch, family, m):
     assert lower
 
 
-def test_memo_answers_a_translate_shifted_without_entering_a_node():
+# the systems (key order included) and schedules of the deep-live rule's
+# pool: random-dag n=16 m=2 at T = 16, h=2 hp=1 p=6, generator seeds 0-7,
+# where the memo answers many repeats; recorded while it also answered
+# subproblems moved along their level, in 6,609 nodes
+DEEP_LIVE_OUTPUTS = "54e4d24ba91f8d99cdd160ee3e04ddacb2eb4a578bc684c48656fcba0713d353"
+
+
+def test_deep_live_pool_keeps_its_outputs_and_counts():
+    outputs = hashlib.sha256()
+    nodes = walk_states = 0
+    params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 2, "hp": 1, "p": 6})
+    for seed in range(8):
+        inst, _ = gen_instance("random-dag", 16, 2, 0.3, seed)
+        budget = Budget()
+        sys_out, sched = main_solve(inst, params, budget)
+        assert sched.scheduled_count == 16, seed
+        outputs.update(repr((list(sys_out.assign.items()), sched.assign)).encode())
+        nodes += budget.nodes
+        walk_states += budget.walk_states
+    assert outputs.hexdigest() == DEEP_LIVE_OUTPUTS
+    assert (nodes, walk_states) == (6610, 3074)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(DEEP_FAMILIES), n=st.integers(0, 9), m=st.sampled_from([2, 3]),
+       T=st.sampled_from([8, 16, 32]), h=st.sampled_from([1, 2]), p=st.sampled_from([2, 3]),
+       seed=st.integers(0, 1000))
+def test_memo_never_changes_a_result(family, n, m, T, h, p, seed):
+    inst, _ = gen_instance(family, n, m, 0.3, seed)
+    params = compute_params(T, m, Fraction(1, 2), overrides={"h": h, "hp": 1, "p": p})
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        for make_memo in (SolveMemo, lambda: SolveMemo(subtrees=_NoStore(), splits=_NoStore())):
+            patch.setattr(solver, "SolveMemo", make_memo)
+            budget = Budget()
+            runs.append((*main_solve(inst, params, budget), budget.nodes))
+    (sys_memo, sched_memo, nodes), (sys_plain, sched_plain, plain_nodes) = runs
+    assert (list(sys_memo.assign.items()), sched_memo) == (
+        list(sys_plain.assign.items()), sched_plain)
+    assert nodes <= plain_nodes
+
+
+def test_memo_solves_a_translate_afresh():
     # the halves (0, 8] and (8, 16] of a T = 16 tree get the same jobs and
-    # ancestor windows 8 apart: the second is the first moved by 8
+    # ancestor windows 8 apart: the second is the first moved by 8, but
+    # the memo answers only the subproblem it stored, so the second is
+    # searched as the first was, in as many nodes
     inst = random_instance(6, 2, 0.3, 1)
     params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
     jobs, anc = 0b011111, 0b100000
@@ -1391,24 +1442,16 @@ def test_memo_answers_a_translate_shifted_without_entering_a_node():
     memo = SolveMemo()
     budget = Budget()
     first = schedule_subtree(inst, left, params, budget, memo=memo)
-    spent = budget.nodes
-    stored = copy.deepcopy(memo.subtrees)
+    spent, stored = budget.nodes, len(memo.subtrees)
     second = schedule_subtree(inst, right, params, budget, memo=memo)
-    assert budget.nodes == spent
-    assert memo.subtrees == stored  # the stored result is not touched
-    system, assign, placed = first
-    assert placed == sum(t is not None for t in assign.values()) > 0
-    # index k at depth d below the root moves by (3 - 2) << d, each slot by
-    # 8, and the count of placed jobs stays
-    assert second == (
-        {k + (1 << (k.bit_length() - 2)): js for k, js in system.items()},
-        {j: None if t is None else t + 8 for j, t in assign.items()},
-        placed,
-    )
-    assert second[0] is not system and second[1] is not assign
+    assert budget.nodes == 2 * spent
+    assert first[2] == second[2] == sum(t is not None for t in second[1].values()) > 0
     fresh_budget = Budget()
     assert schedule_subtree(inst, right, params, fresh_budget) == second  # a fresh memo
     assert fresh_budget.nodes == spent
+    # each half's search stored its own entries, the halves' two among them
+    assert len(memo.subtrees) == 2 * stored
+    assert memo.subtrees[left.key()] is first and memo.subtrees[right.key()] is second
 
 
 @pytest.mark.parametrize("hinted", [False, True], ids=["enum", "hinted"])
