@@ -9,8 +9,9 @@ of assignments respects precedence.  Windows relax the precedence
 constraints of top jobs to aligned sub-ranges of their owning intervals.
 Everywhere, the solver included, a tree interval is named by its heap
 index (see ``DyadicTree``): systems, covered sets and guess vectors are
-keyed by it, ``in_order`` is the one in-order sort and ``node_windows``
-the one window region query.
+keyed by it, and list only the intervals that hold a job, in preorder.
+``in_order`` is the one in-order sort and ``node_windows`` the one window
+region query.
 """
 
 from __future__ import annotations
@@ -191,7 +192,8 @@ class DyadicTree:
     children of ``i`` are ``2i`` and ``2i + 1``, so ``i`` is on level
     ``i.bit_length() - 1``.  ``span[i]``, ``kinds[i]`` and ``interval[i]``
     are its ``(begin, end)``, kind and ``Interval`` (for geometry and
-    messages); entry 0 is unused.
+    messages); entry 0 is unused.  A map keyed by heap index lists only
+    the intervals it has something for.
     """
 
     T: int
@@ -212,30 +214,12 @@ class DyadicTree:
         for name, table in (("span", span), ("kinds", kinds), ("interval", interval)):
             object.__setattr__(self, name, tuple(table))
 
-    def preorder(self, i: int) -> tuple[int, ...]:
-        """Indices of the subtree under index ``i`` in preorder: each one,
-        then its left half's, then its right half's."""
-        return _preorder(i, 1 << self.L)
-
     def below(self, i: int, k: int) -> range:
         """Indices of the intervals ``k`` levels below index ``i``, by begin
         (none when ``k < 0`` or that is below the leaves)."""
         if k < 0 or i.bit_length() + k > self.L + 1:
             return range(0)
         return range(i << k, (i + 1) << k)
-
-
-@lru_cache(maxsize=1024)
-def _preorder(i: int, leaf: int) -> tuple[int, ...]:
-    # ``leaf`` is the first index of the leaf level
-    order = []
-    todo = [i]
-    while todo:
-        k = todo.pop()
-        order.append(k)
-        if k < leaf:
-            todo += (2 * k + 1, 2 * k)
-    return tuple(order)
 
 
 def tree_for(params: Params) -> DyadicTree:
@@ -266,7 +250,9 @@ def split_budget(params: Params, i: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PartialDyadicSystem:
-    """Job sets by the heap index of their tree interval (see ``DyadicTree``)."""
+    """Job sets by the heap index of their tree interval (see ``DyadicTree``).
+
+    An interval with no job has no entry."""
 
     assign: Mapping[int, JobSet]
 
@@ -579,9 +565,11 @@ def system_from_schedule(
     split loop, deciding each pivot's side by where the schedule put it.
     Returns the system, the per-interval covered sets (all jobs assigned
     within each interval), and the recorded guess vectors of the non-bottom
-    intervals, all by heap index.  The loop is
-    the one ``push_down`` runs, so replaying a recorded vector (under any
-    padding) reproduces the same split.
+    intervals, all by heap index and in preorder.  A subtree with no job
+    has no entry in any of the three, and an interval whose jobs all move
+    down has none in the system.  The loop is the one ``push_down`` runs,
+    so replaying a recorded vector (under any padding) reproduces the same
+    split.
     """
     check_reference(inst, sched, params)
     tree = tree_for(params)
@@ -590,11 +578,7 @@ def system_from_schedule(
     guesses: dict[int, Guesses] = {}
 
     def walk(i: int, pool: JobSet) -> None:
-        if not pool:  # no job under i, and no pivot: each split is empty
-            zeros = dict.fromkeys(tree.preorder(i), 0)
-            covered.update(zeros)
-            assign.update(zeros)
-            guesses.update((k, ()) for k in zeros if tree.kinds[k] != BOT)
+        if not pool:  # no job under i, so no entry either
             return
         covered[i] = pool
         if tree.kinds[i] == BOT:
@@ -609,7 +593,8 @@ def system_from_schedule(
             return LEFT if t <= center else RIGHT
 
         stay, k_left, k_right, sides = _split(inst, i, pool, params, side_of)
-        assign[i] = stay
+        if stay:
+            assign[i] = stay
         guesses[i] = sides
         walk(2 * i, k_left)
         walk(2 * i + 1, k_right)

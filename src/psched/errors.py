@@ -64,15 +64,15 @@ class Budget:
     schedule itself when the tree collapses), so a hinted or collapsed
     run counts exactly its oracle's states.  The outer cascades stop at
     the first state whose subtree places every job.  A subproblem with
-    no job (no ancestor, every set empty) is answered without a search
-    and counts nothing.
+    no job (no ancestor window, every set empty) is answered without a
+    search and counts nothing.
 
     The split-outcome walk counts its steps in ``walk_states``, a counter
     of its own held to the same ``limit``: one per (residual set, guesses
-    left) that a ``_guess_outcomes`` call steps, and one per guess vector
-    it finds ending.  The walk is not search in the sense above, and
-    counting it apart leaves every node count out of it, while the limit
-    still bounds a walk's time.
+    left) that a ``_guess_outcomes`` call steps, and one per outcome it
+    lists, that of a guess vector that ends.  The walk is not search in
+    the sense above, and counting it apart leaves every node count out of
+    it, while the limit still bounds a walk's time.
     """
 
     limit: int = DEFAULT_BUDGET

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .baselines import bound_sandwich, exact_opt
 from .convert import virtually_valid_to_valid
-from .core import Instance, Interval, Schedule, Slot, iter_jobs
+from .core import DISC, Instance, Interval, Schedule, Slot, iter_jobs
 from .dyadic import TOP, PartialDyadicSystem, Params, check_reference, compute_params, tree_for
 from .errors import DEFAULT_BUDGET, Budget, NoSolution
 from .solver import bottom_solve, main_solve, solve_hinted
@@ -95,8 +95,8 @@ def solve_at_horizon(
             return None
     if params.L == 0:
         if oracle is None:
-            got = bottom_solve(inst, Interval(0, horizon), inst.all_jobs, 0, {}, budget)
-            assign = tuple(got[j] for j in range(inst.n))
+            got = bottom_solve(inst, Interval(0, horizon), inst.all_jobs, {}, budget)
+            assign = tuple(got.get(j, DISC) for j in range(inst.n))
         else:
             check_reference(inst, best, params)
             assign = best.assign

@@ -19,7 +19,11 @@ reference's splits and partitions finds exactly that schedule, which
 realizes the guarantee that it can do at least as well as the reference.
 Tree intervals are heap indices throughout, in subproblems, results and
 the system a solve returns, and windows come from ``dyadic.node_windows``,
-the region query that ``dyadic.windows`` runs on whole systems.
+the region query that ``dyadic.windows`` runs on whole systems.  A record
+holds only what is there: a system has no entry for an interval with no
+job, an assignment none for a discarded job, and what a record's other
+fields determine (the jobs it places, the ancestors its windows name) is
+read from them, not stored.
 """
 
 from __future__ import annotations
@@ -42,11 +46,8 @@ from .core import (
 )
 from .dyadic import (
     BOT,
-    LEFT,
-    RIGHT,
     TOP,
     DyadicTree,
-    Guesses,
     Params,
     PartialDyadicSystem,
     Window,
@@ -68,14 +69,14 @@ class SubproblemInput:
 
     ``assigned`` fixes the job sets of intervals (heap indices) in the
     first h-1 relative levels; ``pending`` holds, per relative-level-(h-1)
-    interval, the jobs assigned in its subtree; ``ancestors`` carry windows.
-    The solver builds one per child it enters and never changes one after;
-    it is a plain slotted record because a frozen dataclass takes twice as
-    long to build.
+    interval, the jobs assigned in its subtree; ``anc_windows`` holds the
+    window of each ancestor job routed here, and its keys are the
+    ancestors.  The solver builds one per child it enters and never
+    changes one after; it is a plain slotted record because a frozen
+    dataclass takes twice as long to build.
     """
 
     root: int
-    ancestors: JobSet = 0
     anc_windows: dict[int, Window] = field(default_factory=dict)
     assigned: dict[int, JobSet] = field(default_factory=dict)
     pending: dict[int, JobSet] = field(default_factory=dict)
@@ -83,12 +84,11 @@ class SubproblemInput:
     def key(self) -> tuple:
         """Hashable form; equal keys are equal subproblems.
 
-        The key holds the root, the ancestors, their windows and
+        The key holds the root, the ancestors' windows by job and
         ``assigned`` and ``pending`` by heap index, each map sorted.
         """
         return (
             self.root,
-            self.ancestors,
             tuple(sorted(self.anc_windows.items())),
             tuple(sorted(self.assigned.items())),
             tuple(sorted(self.pending.items())),
@@ -96,9 +96,9 @@ class SubproblemInput:
 
 
 PartialAssign = dict[int, Slot]
-# a subtree's system (job sets by heap index), its virtually-valid
-# assignment, and the number of jobs that assignment places
-Result = tuple[dict[int, JobSet], PartialAssign, int]
+# a subtree's system (job sets by heap index) and its virtually-valid
+# assignment of the jobs it places, whose size is the count it places
+Result = tuple[dict[int, JobSet], PartialAssign]
 SplitOutcome = tuple[JobSet, JobSet, JobSet]
 
 
@@ -106,10 +106,11 @@ SplitOutcome = tuple[JobSet, JobSet, JobSet]
 class SolveMemo:
     """Answers already computed within one ``main_solve``.
 
-    ``subtrees`` maps ``SubproblemInput.key`` to the result of
-    ``schedule_subtree``, and ``splits`` maps (interval, jobs) to the
-    outcomes of ``_split_outcomes`` (intervals by heap index).  ``tree`` is
-    the call's ``DyadicTree``, fetched by the first state that needs it.
+    ``subtrees`` maps ``SubproblemInput.key`` to the (system, assignment)
+    ``schedule_subtree`` returns, or None, and ``splits`` maps (interval,
+    jobs) to the outcomes of ``_split_outcomes`` (intervals by heap
+    index).  ``tree`` is the call's ``DyadicTree``, fetched by the first
+    state that needs it.
     Only the enumeration builds one: a hinted solve runs no recursion.  The
     instance and params are fixed for the call, so each answer is a
     function of its key alone and a repeat returns the value a second
@@ -136,8 +137,8 @@ def enumerate_partitions(
     pool_windows: dict[int, Window],
     root: Interval,
 ):
-    """Placeable partitions of the pool into (left, right, discarded), one
-    per class.
+    """Placeable partitions of the pool into (left, right), one per class;
+    the jobs of the pool in neither part are discarded.
 
     Two partitions are equivalent when the multisets of windows clipped to
     the left half agree on the left parts and likewise on the right.  Jobs
@@ -157,28 +158,22 @@ def enumerate_partitions(
     representative it had when unplaceable ones were enumerated too.
 
     A job whose window misses both halves (an empty window, as every top
-    window is at ``h <= 1``) has one count vector, all zero, so it goes
-    straight to the discarded set of every partition, and a pool of such
-    jobs alone yields its one partition at once.
+    window is at ``h <= 1``) has one count vector, all zero, so it is
+    discarded by every partition, and a pool of such jobs alone (or no
+    job) yields its one partition, ``(0, 0)``, at once.
     """
-    if not pool_windows:
-        yield 0, 0, 0
-        return
     begin, center, end = root.begin, root.center, root.end
     groups: dict[tuple, list[int]] = {}
-    dead = 0  # the jobs whose window misses both halves
     for j in sorted(pool_windows):
         w = pool_windows[j]
         # a window from the center on misses the left half, one up to it
         # the right half
         lc = _clip(w, begin, center) if w[0] < center else None
         rc = _clip(w, center, end) if w[1] > center else None
-        if lc is None and rc is None:
-            dead |= 1 << j
-        else:
+        if lc is not None or rc is not None:
             groups.setdefault((lc, rc), []).append(j)
     if not groups:
-        yield 0, 0, dead
+        yield 0, 0
         return
     keys = sorted(groups, key=lambda k: (k[0] or (-1, -1), k[1] or (-1, -1)))
     counts = [
@@ -203,13 +198,11 @@ def enumerate_partitions(
         seen.add(class_key)
         j_left = 0
         j_right = 0
-        j_disc = dead
         for key, (a, b) in zip(keys, combo):
             members = groups[key]
             j_left |= mask_from(members[:a])
             j_right |= mask_from(members[a : a + b])
-            j_disc |= mask_from(members[a + b :])
-        yield j_left, j_right, j_disc
+        yield j_left, j_right
 
 
 def antichains(
@@ -266,19 +259,20 @@ def bottom_solve(
     inst: Instance,
     iv: Interval,
     bottom: JobSet,
-    ancestors: JobSet,
     anc_windows: dict[int, Window],
     budget: Budget | None = None,
 ) -> PartialAssign:
-    """Best virtually-valid assignment on a bottom interval.
+    """Best virtually-valid assignment on a bottom interval, of the jobs
+    it places: a job of ``bottom`` or ``anc_windows`` (the ancestors, by
+    their windows) that it lacks is discarded.
 
     Bottom jobs obey precedence among themselves plus the interval range;
     ancestors obey only their windows; capacity is ``inst.m`` per slot.
     Branch and bound over per-slot antichain batches of bottom jobs;
     ancestor slots are filled greedily by earliest window end, which is
     optimal for unit jobs.  The root state is always entered and counted,
-    but when there is no job to place the all-discard assignment is
-    returned before any search state is built.
+    but when there is no job to place the empty assignment is returned
+    before any search state is built.
 
     At each slot the batches are tried larger first, then in lexicographic
     order of their ascending members (see ``antichains``); the result is
@@ -297,13 +291,13 @@ def bottom_solve(
     # ancestors whose window ends before the interval never fit; each
     # level below drops the ones whose window has ended
     anc_order = tuple(sorted(
-        (j for j in iter_jobs(ancestors) if anc_windows[j][1] >= first),
+        (j for j, w in anc_windows.items() if w[1] >= first),
         key=lambda j: (anc_windows[j][1], j),
-    )) if ancestors else ()
+    )) if anc_windows else ()
     n_bottom = bottom.bit_count()
-    total_jobs = n_bottom + ancestors.bit_count()
+    total_jobs = n_bottom + len(anc_windows)
 
-    best_assign: PartialAssign = dict.fromkeys(iter_jobs(bottom | ancestors), DISC)
+    best_assign: PartialAssign = {}
     best_count = 0
     budget.tick()  # the root is entered even when its bound ends the search
     if min(m * n_slots, n_bottom + len(anc_order)) <= best_count:
@@ -313,7 +307,7 @@ def bottom_solve(
             f"bottom interval {iv} is too long to search: it recurses once per slot, "
             f"{n_slots} levels, and the recursion limit is {sys.getrecursionlimit()}")
     pred, succ = inst.pred, inst.succ
-    assign: PartialAssign = dict(best_assign)
+    assign: PartialAssign = {}
     # only a batch of two or more jobs reads it
     comparable = {j: succ[j] | pred[j] for j in iter_jobs(bottom)} if m > 1 else {}
 
@@ -354,9 +348,9 @@ def bottom_solve(
                 else:
                     dfs(idx + 1, child_alive, rest, base)
                 for j in batch:
-                    assign[j] = DISC
+                    del assign[j]
                 for j in placed_anc:
-                    assign[j] = DISC
+                    del assign[j]
                 if best_count == total_jobs:
                     return
                 if base + cap_after <= best_count:
@@ -380,9 +374,9 @@ def _guess_outcomes(
     params: Params,
     max_len: int,
     budget: Budget | None = None,
-) -> list[tuple[Guesses, SplitOutcome]]:
+) -> list[SplitOutcome]:
     """Results of the split loop over all guess vectors of at most
-    ``max_len`` entries, one per vector that ends, with that vector.
+    ``max_len`` entries, one per vector that ends.
 
     Walks the tree of guess prefixes left branch first, so results follow
     the lexicographic order of the vectors ('L' before 'R'), and prunes any
@@ -409,14 +403,13 @@ def _guess_outcomes(
     # left, else the jobs its pivot takes to each side
     steps: dict[tuple[JobSet, int], tuple[JobSet, JobSet] | tuple[()] | None] = {}
     dead: set[tuple[JobSet, int]] = set()
-    out: list[tuple[Guesses, SplitOutcome]] = []
-    # (prefix, (stay, guesses left), to-left, to-right) after the prefix's
-    # steps, or (None, (stay, guesses left), vectors listed, 0) to leave
-    # that state
-    todo: list[tuple] = [((), (jobs, max_len), 0, 0)]
+    out: list[SplitOutcome] = []
+    # ((stay, guesses left), to-left, to-right) after a prefix's steps, or
+    # ((stay, guesses left), results listed, None) to leave that state
+    todo: list[tuple] = [((jobs, max_len), 0, 0)]
     while todo:
-        prefix, state, k_left, k_right = todo.pop()
-        if prefix is None:
+        state, k_left, k_right = todo.pop()
+        if k_right is None:
             if len(out) == k_left:
                 dead.add(state)
             continue
@@ -434,16 +427,16 @@ def _guess_outcomes(
             ticks += 1
             if ticks > room:
                 budget.tick_walk(ticks)
-            out.append((prefix, (stay, k_left, k_right)))
+            out.append((stay, k_left, k_right))
         elif move:
             to_left, to_right = move
-            todo.append((None, state, len(out), 0))
+            todo.append((state, len(out), None))
             child = (stay & ~to_right, left - 1)
             if child not in dead:
-                todo.append((prefix + (RIGHT,), child, k_left, k_right | to_right))
+                todo.append((child, k_left, k_right | to_right))
             child = (stay & ~to_left, left - 1)
             if child not in dead:
-                todo.append((prefix + (LEFT,), child, k_left | to_left, k_right))
+                todo.append((child, k_left | to_left, k_right))
     budget.tick_walk(ticks)
     return out
 
@@ -465,9 +458,8 @@ def _split_outcomes(
     if got is None:
         length = params.T >> (f.bit_length() - 1)
         max_len = params.p if memo.tree.kinds[f] == TOP else params.m * length
-        got = tuple([result for _, result in
-                     _guess_outcomes(inst, f, jobs, params, max_len, budget)])
-        memo.splits[(f, jobs)] = got
+        got = memo.splits[(f, jobs)] = tuple(
+            _guess_outcomes(inst, f, jobs, params, max_len, budget))
     return got
 
 
@@ -478,8 +470,9 @@ def schedule_subtree(
     budget: Budget | None = None,
     memo: SolveMemo | None = None,
 ) -> Result | None:
-    """Best partial system (job sets by heap index), its virtually-valid
-    assignment over ``sub.root`` and the number of jobs that places.
+    """Best partial system (job sets by heap index, intervals with no job
+    left out) and its virtually-valid assignment over ``sub.root`` of the
+    jobs it places.
 
     Returns None when the input sizes already exceed the capacity of the
     root interval.  Otherwise tries every split-outcome combination for
@@ -497,18 +490,16 @@ def schedule_subtree(
     Each subproblem is solved once per ``memo`` (a fresh one when
     omitted): a repeat enters no node and returns the stored result,
     shared with the first caller.  A subproblem with no job (no ancestor,
-    every set empty) is answered at once, every interval under the root
-    holding none and nothing placed: it enters no node, steps no split
-    walk and leaves the memo as it was.
+    every set empty) is answered at once with the empty system and
+    assignment: it enters no node, steps no split walk and leaves the memo
+    as it was.
     """
     memo = memo or SolveMemo()
     budget = budget or Budget()
-    tree = memo.tree
-    if tree is None:
-        tree = memo.tree = tree_for(params)
-    if not (sub.ancestors or any(sub.assigned.values()) or any(sub.pending.values())):
-        # no job: every interval under the root holds none, nothing placed
-        return dict.fromkeys(tree.preorder(sub.root), 0), {}, 0
+    if memo.tree is None:
+        memo.tree = tree_for(params)
+    if not (sub.anc_windows or any(sub.assigned.values()) or any(sub.pending.values())):
+        return {}, {}
     subtrees = memo.subtrees
     key = sub.key()
     got = subtrees.get(key, subtrees)  # the table itself: not solved yet
@@ -530,7 +521,7 @@ def _solve_subtree(
     i = sub.root
     begin, end = tree.span[i]
     cap = params.m * (end - begin)
-    n_anc = sub.ancestors.bit_count()
+    n_anc = len(sub.anc_windows)
     if n_anc > cap:
         return None
     assigned, pending = sub.assigned, sub.pending
@@ -541,9 +532,8 @@ def _solve_subtree(
 
     if tree.kinds[i] == BOT:
         bottom = assigned.get(i, 0) | pending.get(i, 0)
-        assign = bottom_solve(
-            inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, budget)
-        return {i: bottom}, assign, len(assign) - [*assign.values()].count(DISC)
+        return ({i: bottom} if bottom else {}), bottom_solve(
+            inst, tree.interval[i], bottom, sub.anc_windows, budget)
 
     lo, hi = 2 * i, 2 * i + 1
     # an index k at a half or below it is under ``hi`` iff bit
@@ -615,27 +605,27 @@ def _solve_subtree(
             inst, i, {i: own, **lo_assigned, **hi_assigned}, {**lo_pending, **hi_pending},
             params) if own else {}
         pool_windows = {**sub.anc_windows, **own_windows} if sub.anc_windows else own_windows
-        for j_left, j_right, j_disc in enumerate_partitions(pool_windows, interval):
+        for j_left, j_right in enumerate_partitions(pool_windows, interval):
             if best is not None:
                 ub_right = min(half_cap, j_right.bit_count() + hi_own)
                 if min(half_cap, j_left.bit_count() + lo_own) + ub_right <= best_count:
                     continue
             left = schedule_subtree(inst, SubproblemInput(
-                lo, j_left, {j: pool_windows[j] for j in iter_jobs(j_left)} if j_left else {},
+                lo, {j: pool_windows[j] for j in iter_jobs(j_left)} if j_left else {},
                 lo_assigned, lo_pending), params, budget, memo)
             if left is None:
                 continue
-            if best is not None and left[2] + ub_right <= best_count:
+            if best is not None and len(left[1]) + ub_right <= best_count:
                 continue
             right = schedule_subtree(inst, SubproblemInput(
-                hi, j_right, {j: pool_windows[j] for j in iter_jobs(j_right)} if j_right else {},
+                hi, {j: pool_windows[j] for j in iter_jobs(j_right)} if j_right else {},
                 hi_assigned, hi_pending), params, budget, memo)
             if right is None:
                 continue
-            # the halves place disjoint jobs, and the discarded ones none
-            count = left[2] + right[2]
+            # the halves place disjoint jobs
+            count = len(left[1]) + len(right[1])
             if count > best_count:
-                best = own, left, right, j_disc
+                best = own, left, right
                 best_count = count
                 if count == most:
                     break
@@ -644,13 +634,9 @@ def _solve_subtree(
         break  # the incumbent places all it can
     if best is None:
         return None
-    # the incumbent's own set, its halves' results and the jobs its
-    # partition discards, joined once
-    own, (lsys, lassign, _), (rsys, rassign, _), j_disc = best
-    assign: PartialAssign = {**lassign, **rassign}
-    if j_disc:
-        assign.update(dict.fromkeys(iter_jobs(j_disc), DISC))
-    return {i: own, **lsys, **rsys}, assign, best_count
+    # the incumbent's own set and its halves' results, joined once
+    own, (lsys, lassign), (rsys, rassign) = best
+    return ({i: own, **lsys, **rsys} if own else {**lsys, **rsys}), {**lassign, **rassign}
 
 
 def _outer_cascades(
@@ -710,10 +696,11 @@ def main_solve(
     """Full enumeration over outer split decisions, keeping the best schedule.
 
     Always succeeds: the starting candidate, kept when no state places a
-    job, puts every job on leaf ``1 << L`` and places none.  When the jobs
-    outnumber that leaf's ``m * 2**h`` slots no schedule could place them
-    all there, and ``check_valid_for_system`` passes it only because it
-    places none: read it as "nothing kept", not as a system to build on.
+    job, puts every job on leaf ``1 << L`` (no entry when there is no job)
+    and places none.  When the jobs outnumber that leaf's ``m * 2**h``
+    slots no schedule could place them all there, and
+    ``check_valid_for_system`` passes it only because it places none: read
+    it as "nothing kept", not as a system to build on.
     The result is a full system together with a virtually-valid schedule
     for it.  Subproblems and split outcomes met again during the call are
     answered from one ``SolveMemo``, which also holds the call's tree.
@@ -721,17 +708,15 @@ def main_solve(
     """
     budget = budget or Budget()
     tree = tree_for(params)
-    best = {1 << tree.L: inst.all_jobs}  # the system, by heap index
+    best = {1 << tree.L: inst.all_jobs} if inst.n else {}  # the system, by heap index
     memo = SolveMemo()
     memo.tree = tree
     best_assign: PartialAssign = {}
-    best_count = 0
     for j_map, pending in _outer_cascades(inst, params, budget, memo):
-        got = schedule_subtree(inst, SubproblemInput(1, 0, {}, j_map, pending), params, budget,
-                               memo)
-        if got is not None and got[2] > best_count:
-            best, best_assign, best_count = got
-            if best_count == inst.n:  # no later state can place more
+        got = schedule_subtree(inst, SubproblemInput(1, {}, j_map, pending), params, budget, memo)
+        if got is not None and len(got[1]) > len(best_assign):
+            best, best_assign = got
+            if len(best_assign) == inst.n:  # no later state can place more
                 break
     full_assign: list[Slot] = [DISC] * inst.n
     for j, t in best_assign.items():

@@ -33,6 +33,12 @@ and answers a repeat of a subproblem at the same heap index from its
 memo.
 ``test_solver`` holds ``main_solve`` to its systems, schedules and node
 counts.
+
+Both keep the earlier record forms: a system entry for every interval,
+empty ones included (``_preorder`` lists an empty subtree's), and a
+``DISC`` entry for every discarded job (``_bottom_solve`` fills them in
+around ``solver.bottom_solve``).  The tests compare through
+``record_forms``.  A subproblem's ancestors are the keys of its windows.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ from psched.solver import (
 
 from bottom_reference import reference_bottom_solve
 from partition_reference import reference_placeable_partitions
+from record_forms import discarded
 from split_reference import reference_guess_outcomes
 
 
@@ -74,6 +81,29 @@ def _restrict(mp: dict[int, JobSet], half: int) -> dict[int, JobSet]:
     """The entries of ``mp`` at heap index ``half`` or below it."""
     hb = half.bit_length()
     return {i: jobs for i, jobs in mp.items() if i >> max(i.bit_length() - hb, 0) == half}
+
+
+def _ancestors(sub: SubproblemInput) -> JobSet:
+    """The ancestors of ``sub``: the jobs its windows name."""
+    return mask_from(sub.anc_windows)
+
+
+def _preorder(tree, i: int) -> list[int]:
+    """Indices of the subtree under index ``i`` in preorder."""
+    order, todo = [], [i]
+    while todo:
+        k = todo.pop()
+        order.append(k)
+        if k < 1 << tree.L:
+            todo += (2 * k + 1, 2 * k)
+    return order
+
+
+def _bottom_solve(inst, iv, bottom, ancestors, anc_windows, budget):
+    """``solver.bottom_solve`` with a ``DISC`` entry for every job it
+    discards, as it gave them."""
+    return {**dict.fromkeys(iter_jobs(bottom | ancestors), DISC),
+            **bottom_solve(inst, iv, bottom, anc_windows, budget)}
 
 
 @dataclass(frozen=True)
@@ -115,7 +145,8 @@ def reference_solve_subtree(
     begin, end = tree.span[i]
     center = (begin + end) // 2
     cap = params.m * (end - begin)
-    if job_count(sub.ancestors) > cap:
+    ancestors = _ancestors(sub)
+    if job_count(ancestors) > cap:
         return None
     own = 0
     for jobs in (*sub.assigned.values(), *sub.pending.values()):
@@ -126,19 +157,19 @@ def reference_solve_subtree(
     if tree.kinds[i] == BOT:
         bottom = sub.assigned.get(i, 0) | sub.pending.get(i, 0)
         if hints is None:
-            assign = bottom_solve(
-                inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, budget)
+            assign = _bottom_solve(inst, tree.interval[i], bottom, ancestors, sub.anc_windows,
+                                   budget)
         else:
             ref = hints.reference.assign
             warm = {
                 j: (ref[j] if ref[j] is not None and begin < ref[j] <= end else None)
-                for j in iter_jobs(bottom | sub.ancestors)
+                for j in iter_jobs(bottom | ancestors)
             }
             assign = reference_bottom_solve(
-                inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, params,
+                inst, tree.interval[i], bottom, ancestors, sub.anc_windows, params,
                 budget=budget, warm=warm,
             )
-        return {i: bottom}, assign, sum(1 for t in assign.values() if t is not None)
+        return {i: bottom}, assign
 
     frontier = tree.below(i, params.h - 1)
     if not frontier:
@@ -174,7 +205,7 @@ def reference_solve_subtree(
 
         if hints is not None:
             ref = hints.reference.assign
-            pool = sub.ancestors | j_map.get(i, 0)
+            pool = ancestors | j_map.get(i, 0)
             j_left = mask_from(
                 j for j in iter_jobs(pool)
                 if ref[j] is not None and begin < ref[j] <= center
@@ -185,21 +216,22 @@ def reference_solve_subtree(
             )
             partitions = [(j_left, j_right, pool & ~(j_left | j_right))]
         else:
-            partitions = enumerate_partitions(pool_windows, tree.interval[i])
+            pool = mask_from(pool_windows)
+            partitions = [(j_left, j_right, discarded(pool, j_left, j_right))
+                          for j_left, j_right in enumerate_partitions(pool_windows,
+                                                                      tree.interval[i])]
 
         lo_assigned, lo_pending = _restrict(j_map, 2 * i), _restrict(k_map, 2 * i)
         hi_assigned, hi_pending = _restrict(j_map, 2 * i + 1), _restrict(k_map, 2 * i + 1)
         for j_left, j_right, j_disc in partitions:
             left_in = SubproblemInput(
                 root=2 * i,
-                ancestors=j_left,
                 anc_windows={j: pool_windows[j] for j in iter_jobs(j_left)},
                 assigned=lo_assigned,
                 pending=lo_pending,
             )
             right_in = SubproblemInput(
                 root=2 * i + 1,
-                ancestors=j_right,
                 anc_windows={j: pool_windows[j] for j in iter_jobs(j_right)},
                 assigned=hi_assigned,
                 pending=hi_pending,
@@ -210,7 +242,7 @@ def reference_solve_subtree(
             right = _schedule_subtree(inst, right_in, params, budget, memo, hints)
             if right is None:
                 continue
-            (lsys, lassign, _), (rsys, rassign, _) = left, right
+            (lsys, lassign), (rsys, rassign) = left, right
             merged: PartialAssign = dict(lassign)
             merged.update(rassign)
             for j in iter_jobs(j_disc):
@@ -220,7 +252,7 @@ def reference_solve_subtree(
                 assign_map = {i: j_map.get(i, 0)}
                 assign_map.update(lsys)
                 assign_map.update(rsys)
-                best = assign_map, merged, count
+                best = assign_map, merged
                 best_count = count
     return best
 
@@ -279,7 +311,7 @@ def reference_main_solve(
         got = _schedule_subtree(inst, sub, params, budget, memo, hints)
         if got is None:
             continue
-        sys_assign, assign, _ = got
+        sys_assign, assign = got
         count = sum(1 for t in assign.values() if t is not None)
         if count > best_count:
             full_assign: list[Slot] = [DISC] * inst.n
@@ -300,9 +332,12 @@ def reference_solve_hinted(
     """The earlier ``solve_hinted`` on a tree with ``L > 0``: the split
     outcomes recorded from the reference system, replayed through the
     recursion with the virtually-valid reference."""
-    ref_sys, covered, guesses = system_from_schedule(inst, reference, params)
+    ref_sys, covered, _ = system_from_schedule(inst, reference, params)
     virt = valid_to_virtually_valid(inst, ref_sys, reference, params)
-    outcomes = {i: (ref_sys.assign[i], covered[2 * i], covered[2 * i + 1]) for i in guesses}
+    outcomes = {
+        i: (ref_sys.assign.get(i, 0), covered.get(2 * i, 0), covered.get(2 * i + 1, 0))
+        for i in range(1, 1 << tree_for(params).L)
+    }
     return reference_main_solve(inst, params, budget, Hints(virt, outcomes))
 
 
@@ -346,7 +381,7 @@ def _pruned_key(sub: SubproblemInput) -> tuple:
     and absolute windows, every map sorted."""
     return (
         sub.root,
-        sub.ancestors,
+        _ancestors(sub),
         tuple(sorted((j, b, e) for j, (b, e) in sub.anc_windows.items())),
         tuple(sorted(sub.assigned.items())),
         tuple(sorted(sub.pending.items())),
@@ -373,8 +408,9 @@ def _pruned_schedule_subtree(inst, sub, params, budget, memo):
     """The earlier ``schedule_subtree`` over plain memo tables."""
     subtrees, _ = memo
     tree = tree_for(params)
-    if not (sub.ancestors or any(sub.assigned.values()) or any(sub.pending.values())):
-        return dict.fromkeys(tree.preorder(sub.root), 0), {}
+    ancestors = _ancestors(sub)
+    if not (ancestors or any(sub.assigned.values()) or any(sub.pending.values())):
+        return dict.fromkeys(_preorder(tree, sub.root), 0), {}
     key = _pruned_key(sub)
     if key not in subtrees:
         subtrees[key] = _pruned_solve_subtree(inst, sub, params, budget, memo)
@@ -389,7 +425,8 @@ def _pruned_solve_subtree(inst, sub, params, budget, memo):
     i = sub.root
     begin, end = tree.span[i]
     cap = params.m * (end - begin)
-    n_anc = job_count(sub.ancestors)
+    ancestors = _ancestors(sub)
+    n_anc = job_count(ancestors)
     if n_anc > cap:
         return None
     n_own = _size(sub.assigned) + _size(sub.pending)
@@ -398,8 +435,8 @@ def _pruned_solve_subtree(inst, sub, params, budget, memo):
 
     if tree.kinds[i] == BOT:
         bottom = sub.assigned.get(i, 0) | sub.pending.get(i, 0)
-        return {i: bottom}, bottom_solve(
-            inst, tree.interval[i], bottom, sub.ancestors, sub.anc_windows, budget)
+        return {i: bottom}, _bottom_solve(
+            inst, tree.interval[i], bottom, ancestors, sub.anc_windows, budget)
 
     frontier = tree.below(i, params.h - 1)
     if not frontier:
@@ -449,7 +486,6 @@ def _pruned_solve_subtree(inst, sub, params, budget, memo):
                     continue
             left_in = SubproblemInput(
                 root=2 * i,
-                ancestors=j_left,
                 anc_windows={j: pool_windows[j] for j in iter_jobs(j_left)},
                 assigned=lo_assigned,
                 pending=lo_pending,
@@ -463,7 +499,6 @@ def _pruned_solve_subtree(inst, sub, params, budget, memo):
                 continue
             right_in = SubproblemInput(
                 root=2 * i + 1,
-                ancestors=j_right,
                 anc_windows={j: pool_windows[j] for j in iter_jobs(j_right)},
                 assigned=hi_assigned,
                 pending=hi_pending,

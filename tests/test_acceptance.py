@@ -242,9 +242,9 @@ def test_criterion_4_construction_and_replay(constructed):
                     assert len(trace) <= params.m * tree.interval[i].length
                 for pad in (("L",) * 3, ("R",) * 3):
                     stay, left, right = push_down(inst, i, covered[i], trace + pad, params)
-                    assert stay == sys.assign[i]
-                    assert left == covered[2 * i]
-                    assert right == covered[2 * i + 1]
+                    assert stay == sys.assign.get(i, 0)
+                    assert left == covered.get(2 * i, 0)
+                    assert right == covered.get(2 * i + 1, 0)
 
 
 def test_criterion_5_conversion_chain(constructed):

@@ -543,7 +543,7 @@ def test_construct_output_is_consistent():
             for i, (b, e) in spans:
                 if ob <= b and e <= oe:
                     agg |= sys.assign.get(i, 0)
-            assert covered[outer] == agg
+            assert covered.get(outer, 0) == agg
         for i, trace in guesses.items():
             kind = tree.kinds[i]
             assert kind in (TOP, MID)
@@ -643,7 +643,7 @@ def test_push_down_replays_construction(subsets=200):
         for i, trace in guesses.items():
             for pad in (("L",) * 6, ("R",) * 6):
                 stay, left, right = push_down(inst, i, covered[i], trace + pad, params)
-                assert stay == sys.assign[i]
-                assert left == covered[2 * i]
-                assert right == covered[2 * i + 1]
+                assert stay == sys.assign.get(i, 0)
+                assert left == covered.get(2 * i, 0)
+                assert right == covered.get(2 * i + 1, 0)
                 done += 1

@@ -7,7 +7,7 @@ import pytest
 
 from psched import io
 from psched.cli import run_command
-from psched.core import Interval, verify_valid
+from psched.core import DISC, Interval, verify_valid
 from psched.errors import NoSolution
 from psched.generators import gen_instance
 from psched.pipeline import pipeline, solve
@@ -165,13 +165,13 @@ def test_a_collapsed_attempt_searches_the_originals_alone(
     assert verify_valid(inst, got.valid).ok
     assert got.virtual.scheduled_count == max_scheduled_oracle(inst, horizon) > 0
     budget = Budget()
-    assign = bottom_solve(inst, Interval(0, horizon), inst.all_jobs, 0, {}, budget)
-    assert got.valid.assign == tuple(assign[j] for j in range(n))
+    assign = bottom_solve(inst, Interval(0, horizon), inst.all_jobs, {}, budget)
+    assert got.valid.assign == tuple(assign.get(j, DISC) for j in range(n))
     assert got.nodes == budget.nodes and got.discards == got.valid.discard_count
     padded = pad_to_power_of_two(inst, horizon)[0]
     padded_budget = Budget()
-    padded_assign = bottom_solve(padded, Interval(0, T2), padded.all_jobs, 0, {}, padded_budget)
-    assert got.valid.assign == tuple(padded_assign[j] for j in range(n))
+    padded_assign = bottom_solve(padded, Interval(0, T2), padded.all_jobs, {}, padded_budget)
+    assert got.valid.assign == tuple(padded_assign.get(j, DISC) for j in range(n))
     assert got.nodes <= padded_budget.nodes
     final = pipeline(inst, horizon=horizon)[1]
     assert final.discard_count == 0 and verify_valid(inst, final).ok

@@ -288,7 +288,7 @@ def test_deep_enum_pass_searches_no_empty_subproblem(tmp_path, monkeypatch):
     def searched(name):
         def spy(*args):
             sub = inside[-1]
-            assert sub.ancestors or any(sub.assigned.values()) or any(sub.pending.values()), (
+            assert sub.anc_windows or any(sub.assigned.values()) or any(sub.pending.values()), (
                 name, sub)
             seen[name] += 1
             return originals[name](*args)
