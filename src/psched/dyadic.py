@@ -297,8 +297,7 @@ def window_step(params: Params, interval_len: int) -> int:
 def node_windows(
     inst: Instance,
     root: int,
-    j_map: Mapping[int, JobSet],
-    k_map: Mapping[int, JobSet],
+    sets: Mapping[int, JobSet],
     params: Params,
 ) -> dict[int, Window]:
     """Window (b, e] for every job assigned to the top interval ``root``.
@@ -306,16 +305,15 @@ def node_windows(
     ``b`` is the least multiple of the alignment unit in (begin, center]
     such that no job assigned fully inside (b, center] precedes j; ``e``
     mirrors it on the right.  Boundaries always satisfy
-    begin < b <= center <= e < end.  The jobs assigned are those of
-    ``j_map`` and ``k_map``, by heap index, and a set counts as inside a
-    region when its interval is: the solver passes the sets fixed so far
-    and the pending sets of its frontier (the two maps never share an
-    interval), ``windows`` a whole system.
+    begin < b <= center <= e < end.  The jobs assigned are the ``sets``,
+    by heap index, and a set counts as inside a region when its interval
+    is: the solver passes the sets fixed so far and the jobs its frontier
+    intervals hold, ``windows`` a whole system.
 
     When no boundary lies short of the center (``window_step`` at least
     half the interval, as at ``h <= 1``), every window is ``(center,
     center]`` and the sets are not read."""
-    own = j_map.get(root, 0)
+    own = sets.get(root, 0)
     if not own:
         return {}
     level = root.bit_length() - 1
@@ -327,7 +325,7 @@ def node_windows(
         return dict.fromkeys(iter_jobs(own), (center, center))
     span = tree_for(params).span
     end = begin + length
-    known = [(span[i], jobs) for mp in (j_map, k_map) for i, jobs in mp.items() if jobs]
+    known = [(span[i], jobs) for i, jobs in sets.items()]
 
     def within(b: int, e: int) -> JobSet:
         out = 0
@@ -354,7 +352,7 @@ def windows(inst: Instance, sys: PartialDyadicSystem, params: Params) -> dict[in
     out: dict[int, Window] = {}
     for i in sys.assign:
         if kinds[i] == TOP:
-            out.update(node_windows(inst, i, sys.assign, {}, params))
+            out.update(node_windows(inst, i, sys.assign, params))
     return out
 
 

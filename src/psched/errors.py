@@ -64,8 +64,8 @@ class Budget:
     schedule itself when the tree collapses), so a hinted or collapsed
     run counts exactly its oracle's states.  The outer cascades stop at
     the first state whose subtree places every job.  A subproblem with
-    no job (no ancestor window, every set empty) is answered without a
-    search and counts nothing.
+    no job (no ancestor window and no set, since it lists only sets that
+    hold jobs) is answered without a search and counts nothing.
 
     The split-outcome walk counts its steps in ``walk_states``, a counter
     of its own held to the same ``limit``: one per (residual set, guesses

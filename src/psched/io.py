@@ -32,20 +32,35 @@ def _content_lines(text: str) -> list[str]:
     return out
 
 
+def _header(line: str, magic: str, kind: str) -> tuple[int, int]:
+    """The two counts of a ``<magic> 1 <a> <b>`` header line."""
+    head = line.split()
+    if len(head) == 4 and head[0] == magic and head[1] == str(FORMAT_VERSION):
+        try:
+            return int(head[2]), int(head[3])
+        except ValueError:
+            pass
+    raise ValueError(f"bad {kind} header: {line!r}")
+
+
+def _pair(line: str, kind: str, disc: bool = False) -> tuple[int, Slot]:
+    """The two integers of a body line; with ``disc``, the second may be
+    the word ``disc``."""
+    parts = line.split()
+    if len(parts) == 2:
+        try:
+            return int(parts[0]), (DISC if disc and parts[1] == "disc" else int(parts[1]))
+        except ValueError:
+            pass
+    raise ValueError(f"bad {kind} line: {line!r}")
+
+
 def parse_instance(text: str) -> Instance:
     lines = _content_lines(text)
     if not lines:
         raise ValueError("empty instance file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != INSTANCE_MAGIC or head[1] != str(FORMAT_VERSION):
-        raise ValueError(f"bad instance header: {lines[0]!r}")
-    n, m = int(head[2]), int(head[3])
-    edges = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+    n, m = _header(lines[0], INSTANCE_MAGIC, "instance")
+    edges = [_pair(line, "edge") for line in lines[1:]]
     try:
         return build_instance(n, m, edges)
     except IndexError as exc:  # an edge names a job outside 0..n-1
@@ -64,23 +79,17 @@ def parse_schedule(text: str) -> Schedule:
     lines = _content_lines(text)
     if not lines:
         raise ValueError("empty schedule file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != SCHEDULE_MAGIC or head[1] != str(FORMAT_VERSION):
-        raise ValueError(f"bad schedule header: {lines[0]!r}")
-    n, T = int(head[2]), int(head[3])
+    n, T = _header(lines[0], SCHEDULE_MAGIC, "schedule")
     assign: list[Slot] = [DISC] * n
     seen = set()
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad schedule line: {line!r}")
-        j = int(parts[0])
+        j, t = _pair(line, "schedule", disc=True)
         if not 0 <= j < n:
             raise ValueError(f"job {j} out of range")
         if j in seen:
             raise ValueError(f"job {j} assigned twice")
         seen.add(j)
-        assign[j] = DISC if parts[1] == "disc" else int(parts[1])
+        assign[j] = t
     if len(seen) != n:
         raise ValueError(f"schedule covers {len(seen)} of {n} jobs")
     return Schedule(T=T, assign=tuple(assign))

@@ -20,10 +20,11 @@ realizes the guarantee that it can do at least as well as the reference.
 Tree intervals are heap indices throughout, in subproblems, results and
 the system a solve returns, and windows come from ``dyadic.node_windows``,
 the region query that ``dyadic.windows`` runs on whole systems.  A record
-holds only what is there: a system has no entry for an interval with no
-job, an assignment none for a discarded job, and what a record's other
-fields determine (the jobs it places, the ancestors its windows name) is
-read from them, not stored.
+holds only what is there: a system and a subproblem have no entry for an
+interval with no job, an assignment none for a discarded job, and what a
+record's other fields determine (the jobs it places, the ancestors its
+windows name, whether a subproblem's set is fixed or still to be split,
+which is its level) is read from them, not stored.
 """
 
 from __future__ import annotations
@@ -67,32 +68,27 @@ from .errors import Budget
 class SubproblemInput:
     """One node of the recursion: what is already decided under ``root``.
 
-    ``assigned`` fixes the job sets of intervals (heap indices) in the
-    first h-1 relative levels; ``pending`` holds, per relative-level-(h-1)
-    interval, the jobs assigned in its subtree; ``anc_windows`` holds the
-    window of each ancestor job routed here, and its keys are the
-    ancestors.  The solver builds one per child it enters and never
-    changes one after; it is a plain slotted record because a frozen
-    dataclass takes twice as long to build.
+    ``sets`` maps a heap index under ``root`` to its job set, and an
+    interval with no job has no entry.  A set on the first h-1 relative
+    levels is fixed; one on relative level h-1 (``tree.below(root, h -
+    1)``) holds the jobs still to be split in that interval's subtree.
+    ``anc_windows`` holds the window of each ancestor job routed here, and
+    its keys are the ancestors.  The solver builds one per child it enters
+    and never changes one after; it is a plain slotted record because a
+    frozen dataclass takes twice as long to build.
     """
 
     root: int
     anc_windows: dict[int, Window] = field(default_factory=dict)
-    assigned: dict[int, JobSet] = field(default_factory=dict)
-    pending: dict[int, JobSet] = field(default_factory=dict)
+    sets: dict[int, JobSet] = field(default_factory=dict)
 
     def key(self) -> tuple:
         """Hashable form; equal keys are equal subproblems.
 
-        The key holds the root, the ancestors' windows by job and
-        ``assigned`` and ``pending`` by heap index, each map sorted.
+        The key holds the root, the ancestors' windows by job and the sets
+        by heap index, each map sorted.
         """
-        return (
-            self.root,
-            tuple(sorted(self.anc_windows.items())),
-            tuple(sorted(self.assigned.items())),
-            tuple(sorted(self.pending.items())),
-        )
+        return self.root, tuple(sorted(self.anc_windows.items())), tuple(sorted(self.sets.items()))
 
 
 PartialAssign = dict[int, Slot]
@@ -490,15 +486,14 @@ def schedule_subtree(
     Each subproblem is solved once per ``memo`` (a fresh one when
     omitted): a repeat enters no node and returns the stored result,
     shared with the first caller.  A subproblem with no job (no ancestor,
-    every set empty) is answered at once with the empty system and
-    assignment: it enters no node, steps no split walk and leaves the memo
-    as it was.
+    no set) is answered at once with the empty system and assignment: it
+    enters no node, steps no split walk and leaves the memo as it was.
     """
     memo = memo or SolveMemo()
     budget = budget or Budget()
     if memo.tree is None:
         memo.tree = tree_for(params)
-    if not (sub.anc_windows or any(sub.assigned.values()) or any(sub.pending.values())):
+    if not (sub.anc_windows or sub.sets):
         return {}, {}
     subtrees = memo.subtrees
     key = sub.key()
@@ -524,14 +519,13 @@ def _solve_subtree(
     n_anc = len(sub.anc_windows)
     if n_anc > cap:
         return None
-    assigned, pending = sub.assigned, sub.pending
-    # the jobs of both maps, whose sets are disjoint
-    n_own = sum(map(int.bit_count, assigned.values())) + sum(map(int.bit_count, pending.values()))
+    sets = sub.sets
+    n_own = sum(map(int.bit_count, sets.values()))
     if n_own > cap:
         return None
 
     if tree.kinds[i] == BOT:
-        bottom = assigned.get(i, 0) | pending.get(i, 0)
+        bottom = sets.get(i, 0)
         return ({i: bottom} if bottom else {}), bottom_solve(
             inst, tree.interval[i], bottom, sub.anc_windows, budget)
 
@@ -540,70 +534,58 @@ def _solve_subtree(
     # ``k.bit_length() - below - 1`` of k is set
     below = i.bit_length()
     frontier = tree.below(i, params.h - 1)
-    # the fixed sets below the root, by half, which every candidate passes
-    # on, and the jobs each half holds: a split only moves a frontier
-    # interval's jobs within its half, but the root's to either
+    if frontier and tree.kinds[frontier.start] == BOT:
+        frontier = range(0)  # a bottom set is never split: it passes on as it is
+    # the sets below the root that every candidate passes on, by half, and
+    # the jobs each half holds: a split only moves a frontier interval's
+    # jobs within its half, but the root's to either
     fixed: tuple[dict[int, JobSet], dict[int, JobSet]] = ({}, {})
     held = [0, 0]
-    for k, jobs in assigned.items():
-        if k != i and k not in frontier:
+    for k, jobs in sets.items():
+        if k != i:
             side = k >> (k.bit_length() - below - 1) & 1
-            fixed[side][k] = jobs
             held[side] += jobs.bit_count()
+            if k not in frontier:
+                fixed[side][k] = jobs
     # per frontier interval, the half it lies under (None for the root
-    # itself, its own frontier at h = 1) and its split outcomes; one at
-    # the bottom level, None, which keeps its pending set
+    # itself, its own frontier at h = 1) and its split outcomes
     sides: list[int | None] = []
-    options: list[tuple[SplitOutcome | None, ...]] = []
+    options: list[tuple[SplitOutcome, ...]] = []
     for f in frontier:
-        jobs = pending.get(f, 0)
-        if tree.kinds[f] == BOT:
-            options.append((None,))
-        else:
-            got = _split_outcomes(inst, f, jobs, params, memo, budget)
-            if not got:
-                return None
-            options.append(got)
-        if f == i:
-            sides.append(None)
-        else:
-            side = f >> (f.bit_length() - below - 1) & 1
-            sides.append(side)
-            held[side] += jobs.bit_count()
-    spread = params.h > 1  # frontier sets lie under the halves
+        got = _split_outcomes(inst, f, sets.get(f, 0), params, memo, budget)
+        if not got:
+            return None
+        options.append(got)
+        sides.append(None if f == i else f >> (f.bit_length() - below - 1) & 1)
 
     # a candidate places at most ``most`` jobs, and a half at most its
-    # capacity or the jobs it holds (its ancestors, assigned and pending
-    # jobs, three disjoint sets), read from the second candidate on
+    # capacity or the jobs it holds (its ancestors and its sets, disjoint),
+    # read from the second candidate on
     most = min(cap, n_anc + n_own)
     half_cap = cap // 2
     interval = tree.interval[i]
     best: tuple | None = None  # the incumbent's parts, joined once at the end
     best_count = -1
     for combo in product(*options):
-        own = assigned.get(i, 0)
+        own = sets.get(i, 0)
         lo_own, hi_own = held
-        halves = (dict(fixed[0]), dict(fixed[1])) if spread else fixed
-        lo_pending: dict[int, JobSet] = {}
-        hi_pending: dict[int, JobSet] = {}
-        for f, side, outcome in zip(frontier, sides, combo):
-            if outcome is None:
-                halves[side][f] = pending.get(f, 0)
-            elif side is None:
-                own, k_left, k_right = outcome
-                lo_pending[lo] = k_left
-                hi_pending[hi] = k_right
+        lo_sets, hi_sets = dict(fixed[0]), dict(fixed[1])
+        for f, side, (stay, k_left, k_right) in zip(frontier, sides, combo):
+            if side is None:
+                own = stay
                 lo_own += k_left.bit_count()
                 hi_own += k_right.bit_count()
-            else:
-                stay, k_left, k_right = outcome
-                halves[side][f] = stay
-                (hi_pending if side else lo_pending).update(
-                    ((2 * f, k_left), (2 * f + 1, k_right)))
-        lo_assigned, hi_assigned = halves
+                to_left, to_right = lo_sets, hi_sets
+            else:  # a frontier interval's jobs stay in the half it lies under
+                to_left = to_right = hi_sets if side else lo_sets
+                if stay:
+                    to_left[f] = stay
+            if k_left:
+                to_left[2 * f] = k_left
+            if k_right:
+                to_right[2 * f + 1] = k_right
         own_windows = node_windows(
-            inst, i, {i: own, **lo_assigned, **hi_assigned}, {**lo_pending, **hi_pending},
-            params) if own else {}
+            inst, i, {i: own, **lo_sets, **hi_sets}, params) if own else {}
         pool_windows = {**sub.anc_windows, **own_windows} if sub.anc_windows else own_windows
         for j_left, j_right in enumerate_partitions(pool_windows, interval):
             if best is not None:
@@ -612,14 +594,14 @@ def _solve_subtree(
                     continue
             left = schedule_subtree(inst, SubproblemInput(
                 lo, {j: pool_windows[j] for j in iter_jobs(j_left)} if j_left else {},
-                lo_assigned, lo_pending), params, budget, memo)
+                lo_sets), params, budget, memo)
             if left is None:
                 continue
             if best is not None and len(left[1]) + ub_right <= best_count:
                 continue
             right = schedule_subtree(inst, SubproblemInput(
                 hi, {j: pool_windows[j] for j in iter_jobs(j_right)} if j_right else {},
-                hi_assigned, hi_pending), params, budget, memo)
+                hi_sets), params, budget, memo)
             if right is None:
                 continue
             # the halves place disjoint jobs
@@ -647,40 +629,38 @@ def _outer_cascades(
 ):
     """States after deciding all splits above the frontier level.
 
-    Yields (j_map over levels < h-1, pending map at level h-1), both by
-    heap index; prunes states where a half receives more jobs than it can
-    hold.
+    Yields each state's sets by heap index: the sets kept on the levels
+    above the frontier (level h-1) and the jobs each frontier interval
+    still holds, with no entry for an interval with no job.  An interval's
+    entry holds its jobs still to be split until its split replaces them
+    with the set it keeps and adds its children's; states where a half
+    receives more jobs than it can hold are pruned.
     """
     tree = memo.tree
     m = params.m
     # the levels above the frontier, root first, each by begin
     outer = range(1, 1 << max(min(params.h - 1, tree.L + 1), 0))
-    frontier = tree.below(1, params.h - 1)
 
-    def walk(idx: int, j_map: dict[int, JobSet], k_map: dict[int, JobSet]):
+    def walk(idx: int, sets: dict[int, JobSet]):
         budget.tick()
         if idx == len(outer):
-            yield dict(j_map), {f: k_map.get(f, 0) for f in frontier}
+            yield sets
             return
         f = outer[idx]
-        jobs = k_map.get(f, 0)
-        if tree.kinds[f] == BOT:
-            j_map[f] = jobs
-            yield from walk(idx + 1, j_map, k_map)
-            del j_map[f]
+        if tree.kinds[f] == BOT:  # a bottom set is never split
+            yield from walk(idx + 1, sets)
             return
         half = m * (params.T >> (f.bit_length() - 1)) // 2
+        jobs = sets.get(f, 0)
+        rest = {k: v for k, v in sets.items() if k != f}
         for stay, k_left, k_right in _split_outcomes(inst, f, jobs, params, memo, budget):
             if job_count(k_left) > half or job_count(k_right) > half:
                 continue
-            j_map[f] = stay
-            k_map[2 * f] = k_left
-            k_map[2 * f + 1] = k_right
-            yield from walk(idx + 1, j_map, k_map)
-            del j_map[f], k_map[2 * f], k_map[2 * f + 1]
+            split = ((f, stay), (2 * f, k_left), (2 * f + 1, k_right))
+            yield from walk(idx + 1, {**rest, **{k: v for k, v in split if v}})
 
     try:
-        yield from walk(0, {}, {1: inst.all_jobs})
+        yield from walk(0, {1: inst.all_jobs} if inst.n else {})
     finally:
         # ``walk`` refers to itself; dropping it breaks the cycle that would
         # keep the memo and every stored result alive until the cycle
@@ -695,25 +675,20 @@ def main_solve(
 ) -> tuple[PartialDyadicSystem, Schedule]:
     """Full enumeration over outer split decisions, keeping the best schedule.
 
-    Always succeeds: the starting candidate, kept when no state places a
-    job, puts every job on leaf ``1 << L`` (no entry when there is no job)
-    and places none.  When the jobs outnumber that leaf's ``m * 2**h``
-    slots no schedule could place them all there, and
-    ``check_valid_for_system`` passes it only because it places none: read
-    it as "nothing kept", not as a system to build on.
-    The result is a full system together with a virtually-valid schedule
-    for it.  Subproblems and split outcomes met again during the call are
-    answered from one ``SolveMemo``, which also holds the call's tree.
-    The outer states are tried in order until one places every job.
+    Always succeeds: the result is a full system together with a
+    virtually-valid schedule for it, or, when no state places a job, the
+    empty system and a schedule that places nothing.  Subproblems and split
+    outcomes met again during the call are answered from one
+    ``SolveMemo``, which also holds the call's tree.  The outer states are
+    tried in order until one places every job.
     """
     budget = budget or Budget()
-    tree = tree_for(params)
-    best = {1 << tree.L: inst.all_jobs} if inst.n else {}  # the system, by heap index
+    best: dict[int, JobSet] = {}  # the system, by heap index
     memo = SolveMemo()
-    memo.tree = tree
+    memo.tree = tree_for(params)
     best_assign: PartialAssign = {}
-    for j_map, pending in _outer_cascades(inst, params, budget, memo):
-        got = schedule_subtree(inst, SubproblemInput(1, {}, j_map, pending), params, budget, memo)
+    for sets in _outer_cascades(inst, params, budget, memo):
+        got = schedule_subtree(inst, SubproblemInput(1, {}, sets), params, budget, memo)
         if got is not None and len(got[1]) > len(best_assign):
             best, best_assign = got
             if len(best_assign) == inst.n:  # no later state can place more

@@ -35,10 +35,13 @@ memo.
 counts.
 
 Both keep the earlier record forms: a system entry for every interval,
-empty ones included (``_preorder`` lists an empty subtree's), and a
-``DISC`` entry for every discarded job (``_bottom_solve`` fills them in
-around ``solver.bottom_solve``).  The tests compare through
-``record_forms``.  A subproblem's ancestors are the keys of its windows.
+empty ones included (``_preorder`` lists an empty subtree's), a ``DISC``
+entry for every discarded job (``_bottom_solve`` fills them in around
+``solver.bottom_solve``), and a subproblem's fixed sets and the jobs its
+frontier intervals hold in two maps (``_Input``; ``_two_maps`` reads them
+from a ``solver.SubproblemInput``, and ``record_forms.one_map`` writes
+them back into one).  The tests compare through ``record_forms``.  A
+subproblem's ancestors are the keys of its windows.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from psched.solver import (
 
 from bottom_reference import reference_bottom_solve
 from partition_reference import reference_placeable_partitions
-from record_forms import discarded
+from record_forms import discarded, one_map
 from split_reference import reference_guess_outcomes
 
 
@@ -83,7 +86,27 @@ def _restrict(mp: dict[int, JobSet], half: int) -> dict[int, JobSet]:
     return {i: jobs for i, jobs in mp.items() if i >> max(i.bit_length() - hb, 0) == half}
 
 
-def _ancestors(sub: SubproblemInput) -> JobSet:
+@dataclass
+class _Input:
+    """The earlier ``solver.SubproblemInput``: ``assigned`` fixes the sets
+    of the first h-1 relative levels under ``root`` and ``pending`` holds
+    the jobs of each relative-level-(h-1) interval's subtree."""
+
+    root: int
+    anc_windows: dict[int, Window]
+    assigned: dict[int, JobSet]
+    pending: dict[int, JobSet]
+
+
+def _two_maps(sub: SubproblemInput, params: Params) -> tuple[dict, dict]:
+    """``sub``'s sets as the earlier ``assigned`` and ``pending`` maps: the
+    sets above its frontier level, and the sets on it."""
+    frontier = tree_for(params).below(sub.root, params.h - 1)
+    return ({k: jobs for k, jobs in sub.sets.items() if k not in frontier},
+            {k: jobs for k, jobs in sub.sets.items() if k in frontier})
+
+
+def _ancestors(sub) -> JobSet:
     """The ancestors of ``sub``: the jobs its windows name."""
     return mask_from(sub.anc_windows)
 
@@ -148,14 +171,15 @@ def reference_solve_subtree(
     ancestors = _ancestors(sub)
     if job_count(ancestors) > cap:
         return None
+    assigned, pending = _two_maps(sub, params)
     own = 0
-    for jobs in (*sub.assigned.values(), *sub.pending.values()):
+    for jobs in (*assigned.values(), *pending.values()):
         own |= jobs
     if job_count(own) > cap:
         return None
 
     if tree.kinds[i] == BOT:
-        bottom = sub.assigned.get(i, 0) | sub.pending.get(i, 0)
+        bottom = assigned.get(i, 0) | pending.get(i, 0)
         if hints is None:
             assign = _bottom_solve(inst, tree.interval[i], bottom, ancestors, sub.anc_windows,
                                    budget)
@@ -177,7 +201,7 @@ def reference_solve_subtree(
     else:
         per_interval: list[list[tuple[int, SplitOutcome | None]]] = []
         for f in frontier:
-            jobs = sub.pending.get(f, 0)
+            jobs = pending.get(f, 0)
             if tree.kinds[f] == BOT:
                 per_interval.append([(f, None)])
                 continue
@@ -190,17 +214,17 @@ def reference_solve_subtree(
     best: Result | None = None
     best_count = -1
     for combo in splits:
-        j_map = dict(sub.assigned)
+        j_map = dict(assigned)
         k_map: dict[int, JobSet] = {}
         for f, outcome in combo:
             if outcome is None:
-                j_map[f] = sub.pending.get(f, 0)
+                j_map[f] = pending.get(f, 0)
             else:
                 stay, k_left, k_right = outcome
                 j_map[f] = stay
                 k_map[2 * f] = k_left
                 k_map[2 * f + 1] = k_right
-        own_windows = node_windows(inst, i, j_map, k_map, params)
+        own_windows = node_windows(inst, i, {**j_map, **k_map}, params)
         pool_windows = {**sub.anc_windows, **own_windows}
 
         if hints is not None:
@@ -227,14 +251,12 @@ def reference_solve_subtree(
             left_in = SubproblemInput(
                 root=2 * i,
                 anc_windows={j: pool_windows[j] for j in iter_jobs(j_left)},
-                assigned=lo_assigned,
-                pending=lo_pending,
+                sets=one_map(lo_assigned, lo_pending),
             )
             right_in = SubproblemInput(
                 root=2 * i + 1,
                 anc_windows={j: pool_windows[j] for j in iter_jobs(j_right)},
-                assigned=hi_assigned,
-                pending=hi_pending,
+                sets=one_map(hi_assigned, hi_pending),
             )
             left = _schedule_subtree(inst, left_in, params, budget, memo, hints)
             if left is None:
@@ -307,7 +329,7 @@ def reference_main_solve(
     memo = SolveMemo(tree=tree)
     best_count = 0
     for j_map, pending in _outer_cascades(inst, params, budget, hints, memo):
-        sub = SubproblemInput(root=1, assigned=j_map, pending=pending)
+        sub = SubproblemInput(root=1, sets=one_map(j_map, pending))
         got = _schedule_subtree(inst, sub, params, budget, memo, hints)
         if got is None:
             continue
@@ -376,7 +398,7 @@ def reference_node_windows(
     }
 
 
-def _pruned_key(sub: SubproblemInput) -> tuple:
+def _pruned_key(sub: _Input) -> tuple:
     """The earlier ``SubproblemInput.key``: the subproblem by heap index
     and absolute windows, every map sorted."""
     return (
@@ -484,7 +506,7 @@ def _pruned_solve_subtree(inst, sub, params, budget, memo):
                 ub_right = min(half_cap, job_count(j_right) + hi_own)
                 if min(half_cap, job_count(j_left) + lo_own) + ub_right <= best_count:
                     continue
-            left_in = SubproblemInput(
+            left_in = _Input(
                 root=2 * i,
                 anc_windows={j: pool_windows[j] for j in iter_jobs(j_left)},
                 assigned=lo_assigned,
@@ -497,7 +519,7 @@ def _pruned_solve_subtree(inst, sub, params, budget, memo):
                 sum(1 for t in left[1].values() if t is not None) + ub_right <= best_count
             ):
                 continue
-            right_in = SubproblemInput(
+            right_in = _Input(
                 root=2 * i + 1,
                 anc_windows={j: pool_windows[j] for j in iter_jobs(j_right)},
                 assigned=hi_assigned,
@@ -561,7 +583,7 @@ def pruned_main_solve(inst: Instance, params: Params, budget: Budget | None = No
 
     try:
         for j_map, pending in walk(0, {}, {1: inst.all_jobs}):
-            sub = SubproblemInput(root=1, assigned=j_map, pending=pending)
+            sub = _Input(root=1, anc_windows={}, assigned=j_map, pending=pending)
             got = _pruned_schedule_subtree(inst, sub, params, budget, memo)
             if got is None:
                 continue

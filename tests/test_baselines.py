@@ -91,6 +91,16 @@ def test_capacity_deficit_raises():
         capacity_list_schedule(inst, inst.all_jobs, uniform_profile(Interval(0, 2), 2))
 
 
+@pytest.mark.parametrize("cap, message", [
+    ((2, 2), "capacity vector length must match interval length"),
+    ((2, 2, 2, 2), "capacity vector length must match interval length"),
+    ((2, -1, 2), "capacities must be nonnegative"),
+])
+def test_capacity_profile_rejects_a_bad_vector(cap, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CapacityProfile(Interval(0, 3), cap)
+
+
 def test_capacity_schedule_respects_untrimmed_caps_and_discard_bound():
     checked = 0
     seed = 0

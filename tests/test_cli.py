@@ -41,12 +41,16 @@ def test_instance_comments_and_blanks():
 
 
 def test_instance_parse_errors():
-    with pytest.raises(ValueError):
-        io.parse_instance("nope 1 3 2\n")
-    with pytest.raises(ValueError):
-        io.parse_instance("psched 1 3 2\n0\n")
-    with pytest.raises(ValueError):
-        io.parse_instance("")
+    # one input per error the parser raises, each with its message
+    for text, message in (
+        ("", "empty instance file"),
+        ("nope 1 3 2\n", "bad instance header: 'nope 1 3 2'"),
+        ("psched 1 x 2\n", "bad instance header: 'psched 1 x 2'"),
+        ("psched 1 3 2\n0\n", "bad edge line: '0'"),
+        ("psched 1 3 2\n0 y\n", "bad edge line: '0 y'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            io.parse_instance(text)
     with pytest.raises(ValueError, match="out of range"):
         io.parse_instance("psched 1 2 2\n0 5\n")
 
@@ -68,7 +72,9 @@ def test_schedule_parse_errors():
         ("sched 1 2\n0 1\n", "bad schedule header: 'sched 1 2'"),
         ("psched 1 2 3\n0 1\n1 1\n", "bad schedule header: 'psched 1 2 3'"),
         ("sched 2 2 3\n0 1\n1 1\n", "bad schedule header: 'sched 2 2 3'"),
+        ("sched 1 x 3\n0 1\n1 1\n", "bad schedule header: 'sched 1 x 3'"),
         ("sched 1 2 3\n0 1 2\n1 1\n", "bad schedule line: '0 1 2'"),
+        ("sched 1 2 3\n0 1\n1 z\n", "bad schedule line: '1 z'"),
         ("sched 1 2 3\n0 1\n2 1\n", "job 2 out of range"),
         ("sched 1 2 3\n0 1\n0 2\n1 1\n", "job 0 assigned twice"),
         ("sched 1 2 3\n0 1\n", "schedule covers 1 of 2 jobs"),
@@ -103,7 +109,15 @@ def test_unreadable_files_exit_1_with_their_error_line(tmp_path, capsys):
     decode = "error: 'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"
     is_dir = f"error: [Errno 21] Is a directory: '{tmp_path}'"
     missing = tmp_path / "nope" / "o.sched"
+    # a field that is no integer names its line
+    header, edge, sched = (tmp_path / name for name in ("h.psched", "e.psched", "s.sched"))
+    header.write_bytes(b"psched 1 x 2\n")
+    edge.write_bytes(b"psched 1 3 2\n0 y\n")
+    sched.write_bytes(b"sched 1 3 4\n0 1\n1 z\n2 disc\n")
     for argv, line in (
+        (["oracle", str(header)], "error: bad instance header: 'psched 1 x 2'"),
+        (["graham", str(edge)], "error: bad edge line: '0 y'"),
+        (["verify", str(good), str(sched)], "error: bad schedule line: '1 z'"),
         (["pipeline", str(bad)], decode),
         (["verify", str(good), str(bad)], decode),
         (["verify", str(tmp_path), str(good)], is_dir),
@@ -720,6 +734,23 @@ def test_bench_text_with_no_rows_prints_the_header(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_bench_text_lines_up_the_csv_rows(tmp_path):
+    # the text table holds the csv's rows, wall time aside, and starts
+    # each value where its column's name starts
+    args = ["bench", "--count", "3", "--n", "6", "--seed", "2"]
+    csv_out, text_out = tmp_path / "bench.csv", tmp_path / "bench.txt"
+    assert run_command([*args, "--out", str(csv_out)]) == 0
+    assert run_command([*args, "--format", "text", "--out", str(text_out)]) == 0
+    lines = text_out.read_text().splitlines()
+    assert [line.split()[:-1] for line in lines] == [
+        line.split(",")[:-1] for line in csv_out.read_text().splitlines()]
+    assert len(lines) == 4
+    starts = [word.start() for word in re.finditer(r"\S+", lines[0])]
+    assert len(starts) == len(BENCH_COLUMNS)
+    for line in lines[1:]:
+        assert [word.start() for word in re.finditer(r"\S+", line)] == starts
+
+
 # bench rows of random-dag n=8 m=2 seeds 0-5 with h=1 hp=1 p=2, recorded
 # when every row went through insert_discarded, wall_time_ms left out;
 # only seed 4's solver discards jobs
@@ -760,6 +791,13 @@ def test_horizon_below_one_is_rejected(tmp_path, capsys, command, horizon):
                         "--out", str(out_path)]) == 1
     assert capsys.readouterr().err == f"error: need --horizon >= 1, got {horizon}\n"
     assert not out_path.exists()
+
+
+def test_negative_delta_override_is_an_input_error(tmp_path, capsys):
+    inst_path = tmp_path / "i.psched"
+    inst_path.write_text("psched 1 2 2\n0 1\n")
+    assert run_command(["pipeline", str(inst_path), "--param-override", "delta=-1"]) == 1
+    assert capsys.readouterr().err == "error: delta and deltap must be nonnegative\n"
 
 
 def test_negative_h_override_is_an_input_error(tmp_path, capsys):

@@ -131,6 +131,16 @@ def test_conversion_rejects_invalid_input():
         valid_to_virtually_valid(inst, sys, backwards, params)
 
 
+def test_conversion_back_rejects_a_schedule_that_is_not_virtually_valid():
+    # three jobs in one slot of a two-machine instance break capacity
+    params = desk_params(T=16, m=2)
+    inst = build_instance(3, 2, [])
+    sys = full_system({1: inst.all_jobs})  # (0,16]
+    crowded = Schedule(T=16, assign=(1, 1, 1))
+    with pytest.raises(InvalidInput, match="^input schedule is not virtually valid:\n"):
+        virtually_valid_to_valid(inst, sys, crowded, params)
+
+
 def test_pipeline_virtual_validity_and_per_interval_bound():
     for seed in range(60):
         inst, params, sys, sched = _pipeline_inputs(seed, m=2 + seed % 2, n=7 + seed % 3)

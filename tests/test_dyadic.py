@@ -91,6 +91,18 @@ def test_override_validation():
         compute_params(6, 2, Fraction(1, 2))  # not a power of two
 
 
+@pytest.mark.parametrize("m, overrides, message", [
+    (0, {}, "m must be >= 1, got 0"),
+    (-2, {}, "m must be >= 1, got -2"),
+    (2, {"delta": -1}, "delta and deltap must be nonnegative"),
+    (2, {"deltap": Fraction(-1, 8)}, "delta and deltap must be nonnegative"),
+])
+def test_machine_count_and_chain_budget_are_checked(m, overrides, message):
+    with pytest.raises(InvalidOverride) as exc:
+        compute_params(8, m, Fraction(1, 2), overrides=overrides)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("h", -1, "need 0 <= h <= log2(T)=3, got h=-1"),
     ("h", -5, "need 0 <= h <= log2(T)=3, got h=-5"),

@@ -1,6 +1,7 @@
 """Partition enumeration, bottom-interval search, recursion, hinted replay."""
 
 import copy
+import dataclasses
 import gc
 import hashlib
 import random
@@ -52,7 +53,7 @@ from psched.solver import (
 from psched.transform import pad_to_power_of_two
 
 from conftest import assert_no_violations, max_scheduled_oracle, random_instance
-from record_forms import nonempty, two_sided, without_vectors
+from record_forms import kept, nonempty, one_map, two_sided, without_vectors
 from partition_reference import (
     partition_class_key,
     reference_enumerate_partitions,
@@ -118,7 +119,7 @@ def test_node_windows_match_full_system_windows():
                 for sub in tree.below(i, k)
             }
             k_map = {sub: covered.get(sub, 0) for sub in tree.below(i, params.h)}
-            local = node_windows(inst, i, j_map, k_map, params)
+            local = node_windows(inst, i, one_map(j_map, k_map), params)
             for j in iter_jobs(jobs):
                 assert local[j] == full[j]
 
@@ -126,7 +127,7 @@ def test_node_windows_match_full_system_windows():
 def test_node_windows_alignment():
     params = desk_params(T=16, m=2)
     inst = build_instance(3, 2, [])
-    local = node_windows(inst, 1, {1: inst.all_jobs}, {}, params)  # the root, (0,16]
+    local = node_windows(inst, 1, {1: inst.all_jobs}, params)  # the root, (0,16]
     assert local == {j: (4, 12) for j in range(3)}
 
 
@@ -227,7 +228,7 @@ def _solve_with(monkeypatch, reference, name, *args):
         monkeypatch.undo()
     budget = Budget()
     sys_out, sched = getattr(solver, name)(*args, budget=budget)
-    return nonempty(sys_out.assign), sched, budget.nodes
+    return kept(sys_out.assign, sched), sched, budget.nodes
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -267,7 +268,7 @@ def test_main_solve_matches_the_earlier_per_state_path(family, m):
         for solve in (main_solve, pruned_main_solve):
             budget = Budget()
             sys_out, sched = solve(inst, params, budget)
-            runs.append((list(nonempty(sys_out.assign).items()), sched, budget.nodes))
+            runs.append((list(kept(sys_out.assign, sched).items()), sched, budget.nodes))
         assert runs[0] == runs[1], (T, h, hp, p, n)
         placed += runs[0][1].scheduled_count
     assert placed > 0
@@ -285,11 +286,14 @@ def test_main_solve_matches_the_earlier_per_state_path(family, m):
 # translated to another interval of its level.  Both digests were
 # re-recorded, as 4f14c6ed... and 64a97788... from 880de3cc..., when the
 # earlier records with their empty entries dropped were shown to hash to
+# them, and again, as 3432f8d6... and ea62948f..., when a solve that keeps
+# nothing answered with the empty system instead of every job on the
+# first leaf, after the earlier records mapped so were shown to hash to
 # them
 EMPTY_GRID = [(8, 1, 0, 2), (16, 1, 1, 2), (16, 2, 1, 3), (16, 3, 0, 2), (32, 1, 1, 2),
               (32, 2, 1, 2), (32, 3, 1, 2), (64, 2, 1, 2)]
-EMPTY_GRID_OUTPUTS = "4f14c6edf2fd2d39a3392bf37a53e7d6b5e6d96f80ac71a44a0c93edcb02ceb3"
-EMPTY_GRID_DIGEST = "64a9778871f7f1c1c45a939aec8f79d4ad9c3ef1f4774a466b7223699795f206"
+EMPTY_GRID_OUTPUTS = "3432f8d6f3bd58040af2ae4b7c23f3b767afee2342de781854e668f2ec407bf5"
+EMPTY_GRID_DIGEST = "ea62948fae5e7a1a90ded5e42669faddfbd735a857664f912bfec6c01cfb2f66"
 
 
 def test_main_solve_keeps_every_count_on_the_empty_grid():
@@ -303,7 +307,7 @@ def test_main_solve_keeps_every_count_on_the_empty_grid():
         sys_out, sched = main_solve(inst, params, budget)
         ref_sys, ref_sched = pruned_main_solve(inst, params, ref_budget)
         assert (list(sys_out.assign.items()), sched, budget.nodes) == (
-            list(nonempty(ref_sys.assign).items()), ref_sched, ref_budget.nodes), (
+            list(kept(ref_sys.assign, ref_sched).items()), ref_sched, ref_budget.nodes), (
             family, m, T, h, hp, p, n, seed)
         output = list(sys_out.assign.items()), sched.assign
         outputs.update(repr(output).encode())
@@ -328,7 +332,7 @@ def test_an_empty_subproblem_costs_nothing(monkeypatch):
     def spy(inst, sub, params, budget, memo):
         before = budget.nodes, budget.walk_states, len(memo.subtrees), len(memo.splits)
         got = schedule_subtree(inst, sub, params, budget, memo)
-        if not (sub.anc_windows or any(sub.assigned.values()) or any(sub.pending.values())):
+        if not (sub.anc_windows or sub.sets):
             empty_calls.append(sub.root)
             assert (budget.nodes, budget.walk_states, len(memo.subtrees),
                     len(memo.splits)) == before
@@ -340,20 +344,16 @@ def test_an_empty_subproblem_costs_nothing(monkeypatch):
     assert empty_calls == [2, 3]
     assert (budget.nodes, budget.walk_states) == (2, 2)
     assert sched.assign == (DISC,) * 3
-    assert sys_out == full_system({1 << tree.L: inst.all_jobs})
+    assert sys_out == full_system({})
 
-    # called alone at every level, listing empty sets or none, it answers
-    # with the empty system and assignment and counts and stores nothing
+    # called alone at every level, it answers with the empty system and
+    # assignment and counts and stores nothing
     for i in (1, 2, 5, 11):
-        below = tree.below(i, 1)
-        for sub in (SubproblemInput(i),
-                    SubproblemInput(i, {}, dict.fromkeys([i, *below], 0),
-                                    dict.fromkeys(below, 0))):
-            budget, memo = Budget(), SolveMemo()
-            got = schedule_subtree(inst, sub, params, budget, memo)
-            assert got == ({}, {}), i
-            assert (budget.nodes, budget.walk_states) == (0, 0)
-            assert memo.subtrees == {} and memo.splits == {}
+        budget, memo = Budget(), SolveMemo()
+        got = schedule_subtree(inst, SubproblemInput(i), params, budget, memo)
+        assert got == ({}, {}), i
+        assert (budget.nodes, budget.walk_states) == (0, 0)
+        assert memo.subtrees == {} and memo.splits == {}
 
 
 @pytest.mark.parametrize("limit", [2, 4], ids=["nodes", "walk-states"])
@@ -422,7 +422,7 @@ def test_node_windows_match_the_earlier_region_scan():
                 continue
             j_map = {k: sys_ref.assign.get(k, 0) for d in range(h) for k in tree.below(i, d)}
             k_map = {k: covered.get(k, 0) for k in tree.below(i, h)}
-            got = node_windows(inst, i, j_map, k_map, params)
+            got = node_windows(inst, i, one_map(j_map, k_map), params)
             assert got == reference_node_windows(inst, i, j_map, k_map, params), (seed, i)
             short += h == 1 and bool(got)
             scanned += h > 1 and bool(got)
@@ -781,14 +781,14 @@ def test_bottom_solve_respects_everything():
 def test_schedule_subtree_rejects_oversized_input():
     params = micro_params()
     inst = build_instance(6, 2, [])
-    sub = SubproblemInput(root=4, pending={4: inst.all_jobs})  # (0,2]
+    sub = SubproblemInput(root=4, sets={4: inst.all_jobs})  # (0,2]
     assert schedule_subtree(inst, sub, params) is None
 
 
 def test_schedule_subtree_bottom_delegates():
     params = micro_params()
     inst = build_instance(3, 2, [(0, 1), (1, 2)])
-    sub = SubproblemInput(root=4, assigned={4: inst.all_jobs})  # (0,2]
+    sub = SubproblemInput(root=4, sets={4: inst.all_jobs})  # (0,2]
     got = schedule_subtree(inst, sub, params)
     assert got is not None
     sys, assign = got
@@ -804,11 +804,8 @@ def test_schedule_subtree_preserves_fixed_levels():
         sys, covered, guesses = system_from_schedule(inst, sched, params)
         tree = tree_for(params)
         frontier = tree.below(1, params.h - 1)
-        sub = SubproblemInput(
-            root=1,
-            assigned={1: sys.assign.get(1, 0)},
-            pending={f: covered.get(f, 0) for f in frontier},
-        )
+        sub = SubproblemInput(root=1, sets=one_map(
+            {1: sys.assign.get(1, 0)}, {f: covered.get(f, 0) for f in frontier}))
         got = schedule_subtree(inst, sub, params, Budget())
         assert got is not None
         by_index, assign = got
@@ -828,19 +825,33 @@ def test_schedule_subtree_preserves_fixed_levels():
 def test_subproblem_key_ignores_dict_order():
     fields = {
         "anc_windows": {5: (0, 4), 1: (2, 8), 3: (4, 6)},
-        "assigned": {1: 0b1, 2: 0, 3: 0b100},
-        "pending": {4: 0b1000, 5: 0b10000, 6: 0, 7: 0b1000000},
+        "sets": {1: 0b1, 3: 0b100, 4: 0b1000, 5: 0b10000, 7: 0b1000000},
     }
     a = SubproblemInput(root=1, **fields)
     b = SubproblemInput(root=1, **{k: dict(reversed(v.items())) for k, v in fields.items()})
-    assert list(a.assigned) != list(b.assigned)
+    assert list(a.sets) != list(b.sets)
     assert a.key() == b.key()
     assert hash(a.key()) == hash(b.key())
-    for name, changed in (("assigned", {1: 0b1, 2: 0b10, 3: 0b100}),
-                          ("pending", {4: 0b1000, 5: 0b10000, 6: 0}),
-                          ("anc_windows", {5: (0, 4), 1: (2, 8), 3: (4, 8)})):
-        other = SubproblemInput(root=1, **{**fields, name: changed})
-        assert other.key() != a.key()
+
+
+def test_subproblem_key_changes_with_every_field():
+    # the memo tells subproblems apart by their keys alone, so changing any
+    # one field must change the key; every field of the record needs its
+    # changes listed here, so one added later cannot be left out of the key
+    base = SubproblemInput(root=2, anc_windows={5: (0, 4), 1: (2, 8)},
+                           sets={2: 0b1, 4: 0b100, 5: 0b1000})
+    changes = {
+        "root": [3, 4],
+        # an entry dropped, a value changed, a key changed, an entry added
+        "anc_windows": [{5: (0, 4)}, {5: (0, 4), 1: (2, 6)}, {5: (0, 4), 3: (2, 8)},
+                        {5: (0, 4), 1: (2, 8), 3: (4, 6)}],
+        "sets": [{2: 0b1, 4: 0b100}, {2: 0b1, 4: 0b100, 5: 0b10000},
+                 {2: 0b1, 4: 0b100, 9: 0b1000}, {2: 0b1, 4: 0b100, 5: 0b1000, 9: 0b10}],
+    }
+    assert set(changes) == {f.name for f in dataclasses.fields(SubproblemInput)}
+    for name, values in changes.items():
+        for value in values:
+            assert dataclasses.replace(base, **{name: value}).key() != base.key(), (name, value)
 
 
 def test_subproblem_key_names_its_interval():
@@ -864,11 +875,8 @@ def test_memo_answers_a_repeat_without_entering_a_node():
     params = desk_params(T=16, m=2)
     sys, covered, _ = system_from_schedule(inst, sched, params)
     tree = tree_for(params)
-    sub = SubproblemInput(
-        root=1,
-        assigned={1: sys.assign.get(1, 0)},
-        pending={f: covered.get(f, 0) for f in tree.below(1, params.h - 1)},
-    )
+    sub = SubproblemInput(root=1, sets=one_map(
+        {1: sys.assign.get(1, 0)}, {f: covered.get(f, 0) for f in tree.below(1, params.h - 1)}))
     memo = SolveMemo()
     budget = Budget()
     first = schedule_subtree(inst, sub, params, budget, memo=memo)
@@ -1003,13 +1011,14 @@ def test_hinted_on_three_level_tree():
 
 def test_overloaded_instance_falls_back_to_all_disc():
     # more jobs than the horizon can hold: every branch hits the size
-    # guard, so the all-discard candidate survives and still checks out
+    # guard, so nothing is kept: the empty system, with every job
+    # discarded, which checks out
     inst = build_instance(12, 1, [])
     params = compute_params(8, 1, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
     sys_out, sched = main_solve(inst, params)
-    assert sched.scheduled_count <= 8
+    assert sys_out.assign == {} and sched.assign == (DISC,) * 12
     assert check_virtually_valid(inst, sys_out, params, sched).ok
-    assert check_system(inst, sys_out, params, require_full=True).ok
+    assert check_system(inst, sys_out, params).ok
 
 
 def test_empty_instance():
@@ -1058,23 +1067,24 @@ def test_collapsed_main_solve_matches_root_subtree(seed, m, offset, hinted):
     # root, a bottom interval (h >= 2 here), and the state that keeps all
     # jobs on it, two nodes, then solve the root subproblem.  So it returns
     # the same system and schedule as that subproblem's solve, or the
-    # all-discard fallback when that finds nothing, with the subproblem's
-    # nodes and two more (3 for a root that cannot hold its jobs), and
-    # keeps at least the jobs a reference schedule keeps
+    # empty system and no job placed when that finds nothing, with the
+    # subproblem's nodes and two more (3 for a root that cannot hold its
+    # jobs), and keeps at least the jobs a reference schedule keeps
     inst, params, reference = collapsed_case(seed, m, offset, hinted)
     assert params.h >= 2
     sub_budget = Budget()
     got = schedule_subtree(
-        inst, SubproblemInput(root=1, assigned={1: inst.all_jobs}), params, sub_budget)
+        inst, SubproblemInput(root=1, sets={1: inst.all_jobs}), params, sub_budget)
     budget = Budget()
     sys_out, sched = main_solve(inst, params, budget=budget)
-    assert sys_out == PartialDyadicSystem(assign={1: inst.all_jobs})
     if got is None:  # more jobs than the root holds
+        assert sys_out == PartialDyadicSystem(assign={})
         assert inst.n > m * params.T
         assert sched == Schedule(T=params.T, assign=(None,) * inst.n)
         assert budget.nodes == sub_budget.nodes + 2 == 3
         return
     assert got[0] == {1: inst.all_jobs}
+    assert sys_out == PartialDyadicSystem(assign=got[0])
     assert check_virtually_valid(inst, sys_out, params, sched).ok
     assert sched == Schedule(T=params.T, assign=tuple(got[1].get(j, DISC) for j in range(inst.n)))
     assert budget.nodes == sub_budget.nodes + 2
@@ -1367,9 +1377,10 @@ def test_memo_matches_solving_every_repeat(monkeypatch, T, h, p, n, seed, root_f
         assert got[1].scheduled_count == 0
         return
     assert (nodes < plain_nodes) == repeats
-    if h == 2:  # the recursion passes fixed and pending job sets down
-        assert any(any(dict(k[2]).values()) for k in memo.subtrees)
-        assert any(any(dict(k[3]).values()) for k in memo.subtrees)
+    if h == 2:  # the recursion passes fixed and pending job sets down: a
+        # set at a subproblem's root is fixed, one on the level below pending
+        assert any(i == key[0] for key in memo.subtrees for i, _ in key[2])
+        assert any(i != key[0] for key in memo.subtrees for i, _ in key[2])
 
 
 # (T, h, p) of the deep trees on which the memo must give what solving
@@ -1422,6 +1433,39 @@ def test_deep_live_pool_keeps_its_outputs_and_counts():
     assert (nodes, walk_states) == (6610, 3074)
 
 
+# the deep-enum pool's instances (random-dag m=2, n=5 generator seeds 0-19
+# and n=6 seeds 0-7, not relabeled) at T = 16, h=1 hp=1 p=2, and the
+# deep-live rule's: (n, seeds, p, h)
+SUBPROBLEM_POOLS = {"deep-enum": [(5, range(20), 2, 1), (6, range(8), 2, 1)],
+                    "deep-live": [(16, range(8), 6, 2)]}
+
+
+@pytest.mark.parametrize("pool", SUBPROBLEM_POOLS)
+def test_no_subproblem_lists_an_empty_set(monkeypatch, pool):
+    # every subproblem the solver builds lists only sets that hold jobs,
+    # each under its root and no deeper than its frontier level, h - 1
+    # levels below it
+    built = []
+    schedule = solver.schedule_subtree
+
+    def spy(inst, sub, params, budget, memo):
+        built.append(sub)
+        return schedule(inst, sub, params, budget, memo)
+
+    monkeypatch.setattr(solver, "schedule_subtree", spy)
+    for n, seeds, p, h in SUBPROBLEM_POOLS[pool]:
+        params = compute_params(16, 2, Fraction(1, 2), overrides={"h": h, "hp": 1, "p": p})
+        for seed in seeds:
+            main_solve(gen_instance("random-dag", n, 2, 0.3, seed)[0], params)
+            for sub in built:
+                depth = sub.root.bit_length()
+                assert 0 not in sub.sets.values(), (n, seed, sub)
+                assert all(k >> (k.bit_length() - depth) == sub.root
+                           and k.bit_length() - depth < h for k in sub.sets), (n, seed, sub)
+            assert built, (n, seed)
+            built.clear()
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(family=st.sampled_from(DEEP_FAMILIES), n=st.integers(0, 9), m=st.sampled_from([2, 3]),
        T=st.sampled_from([8, 16, 32]), h=st.sampled_from([1, 2]), p=st.sampled_from([2, 3]),
@@ -1463,8 +1507,9 @@ def _holds_only_what_is_there(assign, L: int, root: int = 1) -> bool:
 def test_records_hold_only_what_is_there(family, n, m, T, h, p, seed):
     # every system lists only intervals that hold jobs, in preorder; every
     # subtree answer's assignment lists placed jobs only, each of its
-    # system or its ancestors; and a subproblem's key is a function of
-    # its windows and sets, so two inputs with equal windows have equal keys
+    # system or its ancestors; every subproblem lists no empty set; and a
+    # subproblem's key is a function of its windows and sets, so two
+    # inputs with equal windows and sets have equal keys
     inst, _ = gen_instance(family, n, m, 0.3, seed)
     params = compute_params(T, m, Fraction(1, 2), overrides={"h": h, "hp": 1, "p": p})
     L = params.L
@@ -1482,8 +1527,8 @@ def test_records_hold_only_what_is_there(family, n, m, T, h, p, seed):
     assert _holds_only_what_is_there(sys_out.assign, L)
     for sub, got in answers:
         same = SubproblemInput(sub.root, dict(reversed(sub.anc_windows.items())),
-                               dict(sub.assigned), dict(sub.pending))
-        assert same.key() == sub.key()
+                               dict(reversed(sub.sets.items())))
+        assert same.key() == sub.key() and 0 not in sub.sets.values()
         if got is None:
             continue
         system, assign = got
@@ -1509,8 +1554,8 @@ def test_memo_solves_a_translate_afresh():
     inst = random_instance(6, 2, 0.3, 1)
     params = compute_params(16, 2, Fraction(1, 2), overrides={"h": 1, "hp": 1, "p": 2})
     jobs = 0b011111
-    left = SubproblemInput(root=2, anc_windows={5: (2, 6)}, pending={2: jobs})
-    right = SubproblemInput(root=3, anc_windows={5: (10, 14)}, pending={3: jobs})
+    left = SubproblemInput(root=2, anc_windows={5: (2, 6)}, sets={2: jobs})
+    right = SubproblemInput(root=3, anc_windows={5: (10, 14)}, sets={3: jobs})
     memo = SolveMemo()
     budget = Budget()
     first = schedule_subtree(inst, left, params, budget, memo=memo)
